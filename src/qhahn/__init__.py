@@ -13,7 +13,6 @@ from .qcore import (
     ConfigError,
     DegenerateDenominator,
     DimensionMismatch,
-    ExponentSpec,
     InvalidParams,
     PoleOnGrid,
     PrecisionLoss,
@@ -27,13 +26,11 @@ from .qcore import (
     ZeroWeight,
     frac_str,
     phi_series,
-    qbracket,
     qnum,
     qpoch,
     qpow,
     scalar,
     validate_params,
-    value,
 )
 from .reports import CheckReport
 from .operators import (
@@ -51,7 +48,6 @@ from .operators import (
 )
 from .brf import (
     BRFFamily,
-    WeightVector,
     brf_family,
     brf_partner,
     brf_u,

@@ -194,17 +194,6 @@ class StructureConstants:
     eta: tuple[Fraction, ...]
     params: QParams
 
-    def xi_at(self, i: int) -> Fraction:
-        return self.xi[i]
-
-    def gamma_at(self, i: int) -> Fraction:
-        if not 1 <= i <= 5:
-            raise IndexError("gamma labels run 1..5")
-        return self.gamma[i - 1]
-
-    def eta_at(self, i: int) -> Fraction:
-        return self.eta[i]
-
 
 def structure_constants(p: QParams) -> StructureConstants:
     q = p.q
@@ -384,26 +373,18 @@ def check_meta_relations(p: QParams, constants: StructureConstants | None = None
     return _relation_report("meta_relations", p, meta_relation_polys(p, constants))
 
 
-def casimir_matrix(which: str, p: QParams) -> OpMatrix:
-    """Casimir element evaluated in the grid realization; asserts centrality."""
-    mats = _generator_matrices(p)
-    q_mat = evaluate_poly(casimir_poly(which, p), mats, p)
-    gens = "XYZ" if which == "rqhahn" else "XVZ"
-    for g in gens:
-        m = mats[g]
-        comm = q_mat @ m - m @ q_mat
-        if not comm.is_zero():
-            raise QHahnError(f"Casimir of {which} fails to commute with {g}")
-    return q_mat
+def casimir_matrix(which: str, p: QParams,
+                   mats: Mapping[str, OpMatrix] | None = None) -> OpMatrix:
+    """Casimir element evaluated at `mats`, by default the grid realization."""
+    return evaluate_poly(casimir_poly(which, p), mats or _generator_matrices(p), p)
 
 
 def check_casimir(which: str, p: QParams) -> CheckReport:
     """Centrality of the Casimir; records its diagonal without asserting scalarity."""
     report = CheckReport(check=f"casimir_{which}", params=p.as_dict())
     mats = _generator_matrices(p)
-    q_mat = evaluate_poly(casimir_poly(which, p), mats, p)
-    gens = "XYZ" if which == "rqhahn" else "XVZ"
-    for g in gens:
+    q_mat = casimir_matrix(which, p, mats)
+    for g in "XYZ" if which == "rqhahn" else "XVZ":
         m = mats[g]
         comm = q_mat @ m - m @ q_mat
         if not comm.is_zero():
@@ -463,11 +444,8 @@ def check_potential(which: str, p: QParams) -> CheckReport:
 
 
 def _flatten(mats: Iterable[OpMatrix]) -> list[list[Fraction]]:
-    cols = []
-    for m in mats:
-        cols.append([v for row in m.rows() for v in row])
-    # transpose: rows are matrix entries, columns are ansatz members
-    return [[col[i] for col in cols] for i in range(len(cols[0]))]
+    # rows are matrix entries, columns are ansatz members
+    return linalg.transpose([[v for row in m.entries for v in row] for m in mats])
 
 
 def _solve_relation(lhs: OpMatrix, ansatz: list[OpMatrix], what: str) -> list[Fraction]:

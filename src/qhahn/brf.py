@@ -39,11 +39,10 @@ from .qcore import (
     qpoch,
     qpow,
 )
-from .reports import CheckReport
+from .reports import CheckReport, check_gram
 
 __all__ = [
     "eigenvalue",
-    "WeightVector",
     "weight_vector",
     "weight_scale",
     "reflected_params",
@@ -73,26 +72,6 @@ def eigenvalue(n: int, p: QParams) -> Fraction:
     return qnum(p, -n) * qnum(p, n - p.N, 0, 1)
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Normalized grid weight; construction verifies sum(w) = 1 exactly."""
-
-    vector: GridVector
-
-    @property
-    def params(self) -> QParams:
-        return self.vector.params
-
-    def __len__(self) -> int:
-        return len(self.vector)
-
-    def __getitem__(self, x: int) -> Fraction:
-        return self.vector[x]
-
-    def __iter__(self):
-        return iter(self.vector)
-
-
 def weight_scale(p: QParams) -> Fraction:
     """x-independent factor that normalizes the bare weight to total 1."""
     den = qpoch(qpow(p, 0, 0, -1), p.N, p.q)
@@ -113,14 +92,14 @@ def _bare_weight(p: QParams) -> list[Fraction]:
     return out
 
 
-def weight_vector(p: QParams) -> WeightVector:
+def weight_vector(p: QParams) -> GridVector:
     """Normalized biorthogonality weight on the grid; sum is exactly 1."""
     c = weight_scale(p)
     w = [c * b for b in _bare_weight(p)]
     total = sum(w)
     if total != 1:
         raise QHahnError(f"weight normalization failed: sum = {total}")
-    return WeightVector(GridVector(tuple(w), p))
+    return GridVector(tuple(w), p)
 
 
 def reflected_params(p: QParams) -> QParams:
@@ -229,7 +208,7 @@ def partner_family(p: QParams, method: Method = "hypergeometric") -> tuple[GridV
     return tuple(brf_partner(m, p, method=method) for m in range(p.N + 1))
 
 
-def inner_product(f: GridVector, g: GridVector, w: WeightVector) -> Fraction:
+def inner_product(f: GridVector, g: GridVector, w: GridVector) -> Fraction:
     """(f, g)_w = sum_x w_x f(x) g(x), exactly."""
     if len(f) != len(g) or len(f) != len(w):
         raise QHahnError("inner product operands live on different grids")
@@ -317,26 +296,10 @@ def check_weight(p: QParams) -> CheckReport:
 
 def check_biorthogonality(p: QParams) -> CheckReport:
     """(U_n, partner_m)_w = delta_{nm} H_n with H_n nonzero, all pairs."""
-    report = CheckReport(check="biorthogonality", params=p.as_dict())
-    w = weight_vector(p)
-    us = brf_family(p).members
-    partners = partner_family(p)
-    norms = []
-    for n in range(p.N + 1):
-        for m in range(p.N + 1):
-            pairing = inner_product(us[n], partners[m], w)
-            if n != m:
-                if pairing != 0:
-                    report.add_violation(n=n, m=m, residual=frac_str(pairing))
-            else:
-                if pairing == 0:
-                    report.add_violation(n=n, m=m, residual="diagonal norm vanishes")
-                closed = norm_h(n, p, check=False)
-                if closed != pairing:
-                    report.add_violation(n=n, m=m, residual=frac_str(closed - pairing))
-                norms.append(frac_str(pairing))
-    report.details["norms"] = norms
-    return report
+    return check_gram(
+        CheckReport(check="biorthogonality", params=p.as_dict()),
+        weight_vector(p), brf_family(p).members, partner_family(p),
+        [norm_h(n, p, check=False) for n in range(p.N + 1)])
 
 
 def check_partner(p: QParams) -> CheckReport:
@@ -348,9 +311,9 @@ def check_partner(p: QParams) -> CheckReport:
     """
     report = CheckReport(check="partner", params=p.as_dict())
     w = weight_vector(p)
-    xs = weighted_adjoint(build_operator(Operator.X, Basis.POINT, p), w.vector)
-    ys = weighted_adjoint(build_operator(Operator.Y, Basis.POINT, p), w.vector)
-    vs = weighted_adjoint(build_operator(Operator.V, Basis.POINT, p), w.vector)
+    xs = weighted_adjoint(build_operator(Operator.X, Basis.POINT, p), w)
+    ys = weighted_adjoint(build_operator(Operator.Y, Basis.POINT, p), w)
+    vs = weighted_adjoint(build_operator(Operator.V, Basis.POINT, p), w)
     partners = partner_family(p)
     for m in range(p.N + 1):
         lam = eigenvalue(m, p)

@@ -20,6 +20,7 @@ from . import __version__
 from . import algebra, brf, gevp, wilson
 from .operators import Basis, Operator, build_operator, verify_factorization
 from .qcore import ConfigError, InvalidParams, QParams, frac_str, validate_params
+from .reports import CheckReport
 
 __all__ = ["ConfigError", "main", "run_verify", "run_export", "SUITES"]
 
@@ -31,37 +32,26 @@ def _parse_scalar(text) -> Fraction:
         raise ConfigError(f"bad rational {text!r}: {exc}") from None
 
 
-def _parse_qparams(entry: dict) -> QParams:
-    try:
-        raw = {k: entry[k] for k in ("q", "A", "B", "N")}
-    except (KeyError, TypeError):
-        raise ConfigError(f"instance needs keys q, A, B, N: {entry!r}") from None
-    if not isinstance(raw["N"], int) or isinstance(raw["N"], bool):
-        raise ConfigError(f"N must be an integer: {raw['N']!r}")
-    return QParams(_parse_scalar(raw["q"]), _parse_scalar(raw["A"]),
-                   _parse_scalar(raw["B"]), raw["N"])
+def _instance_parser(make, keys: tuple[str, ...], label: str):
+    """Parser for one kind of instance: the rationals under `keys`, then the
+    integer N, passed in that order to the parameter class `make`."""
+
+    def parse(entry: dict):
+        try:
+            *rationals, n = (entry[k] for k in (*keys, "N"))
+        except (KeyError, TypeError):
+            raise ConfigError(f"{label} needs keys {', '.join(keys)}, N: {entry!r}") from None
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ConfigError(f"N must be an integer: {n!r}")
+        return make(*map(_parse_scalar, rationals), n)
+
+    return parse
 
 
-def _parse_wilson(entry: dict) -> wilson.WilsonParams:
-    try:
-        raw = {k: entry[k] for k in ("q", "qa", "qc", "qd", "qe", "N")}
-    except (KeyError, TypeError):
-        raise ConfigError(f"wilson instance needs keys q, qa, qc, qd, qe, N: {entry!r}") from None
-    if not isinstance(raw["N"], int) or isinstance(raw["N"], bool):
-        raise ConfigError(f"N must be an integer: {raw['N']!r}")
-    return wilson.WilsonParams(
-        _parse_scalar(raw["q"]), _parse_scalar(raw["qa"]), _parse_scalar(raw["qc"]),
-        _parse_scalar(raw["qd"]), _parse_scalar(raw["qe"]), raw["N"])
-
-
-def _parse_hahn(entry: dict) -> wilson.HahnParams:
-    try:
-        raw = {k: entry[k] for k in ("alpha", "beta", "N")}
-    except (KeyError, TypeError):
-        raise ConfigError(f"hahn instance needs keys alpha, beta, N: {entry!r}") from None
-    if not isinstance(raw["N"], int) or isinstance(raw["N"], bool):
-        raise ConfigError(f"N must be an integer: {raw['N']!r}")
-    return wilson.HahnParams(_parse_scalar(raw["alpha"]), _parse_scalar(raw["beta"]), raw["N"])
+_parse_qparams = _instance_parser(QParams, ("q", "A", "B"), "instance")
+_parse_wilson = _instance_parser(
+    wilson.WilsonParams, ("q", "qa", "qc", "qd", "qe"), "wilson instance")
+_parse_hahn = _instance_parser(wilson.HahnParams, ("alpha", "beta"), "hahn instance")
 
 
 def _qparams_suite(checks):
@@ -72,49 +62,37 @@ def _qparams_suite(checks):
         reports = []
         for entry in config.get("instances", []):
             p = _parse_qparams(entry)
-            guard = validate_params(p, p.N)
-            if not guard.valid:
-                reason = "; ".join(guard.issues())
-                for check in checks:
-                    reports.append({
-                        "check": check.__name__.removeprefix("check_"),
-                        "params": p.as_dict(), "status": "skip",
-                        "reason": reason, "violations": [], "details": {},
-                    })
-                continue
+            issues = validate_params(p, p.N).issues()
             for check in checks:
-                reports.append(check(p).as_dict())
+                if issues:
+                    report = CheckReport(check=check.__name__.removeprefix("check_"),
+                                         params=p.as_dict(), skipped="; ".join(issues))
+                else:
+                    report = check(p)
+                reports.append(report.as_dict())
         return reports
 
     return run
 
 
-def _wilson_suite(config):
-    reports = []
-    for entry in config.get("wilson_instances", []):
-        try:
-            wp = _parse_wilson(entry)
-        except InvalidParams as exc:
-            reports.append({"check": "wilson_biorthogonality", "params": dict(entry),
-                            "status": "skip", "reason": str(exc),
-                            "violations": [], "details": {}})
-            continue
-        reports.append(wilson.check_wilson_biorthogonality(wp).as_dict())
-    return reports
+def _entry_suite(section: str, parse, check):
+    """Suite running one check per entry of a config section; an entry its
+    parameter class rejects is reported as a skip carrying the raw entry."""
+    name = check.__name__.removeprefix("check_")
 
+    def run(config):
+        reports = []
+        for entry in config.get(section, []):
+            try:
+                params = parse(entry)
+            except InvalidParams as exc:
+                reports.append(
+                    CheckReport(check=name, params=dict(entry), skipped=str(exc)).as_dict())
+                continue
+            reports.append(check(params).as_dict())
+        return reports
 
-def _hahn_suite(config):
-    reports = []
-    for entry in config.get("hahn_instances", []):
-        try:
-            hp = _parse_hahn(entry)
-        except InvalidParams as exc:
-            reports.append({"check": "hahn_biorthogonality", "params": dict(entry),
-                            "status": "skip", "reason": str(exc),
-                            "violations": [], "details": {}})
-            continue
-        reports.append(wilson.check_hahn_biorthogonality(hp).as_dict())
-    return reports
+    return run
 
 
 def _limits_suite(config):
@@ -169,8 +147,8 @@ SUITES = {
     ]),
     "casimir": _qparams_suite([check_casimir_rqhahn, check_casimir_meta]),
     "potential": _qparams_suite([check_potential_rqhahn, check_potential_meta]),
-    "wilson": _wilson_suite,
-    "hahn": _hahn_suite,
+    "wilson": _entry_suite("wilson_instances", _parse_wilson, wilson.check_wilson_biorthogonality),
+    "hahn": _entry_suite("hahn_instances", _parse_hahn, wilson.check_hahn_biorthogonality),
     "limits": _limits_suite,
 }
 
@@ -283,10 +261,10 @@ def run_export(args: argparse.Namespace) -> int:
     if len(parts) != 4:
         raise ConfigError(f"--params must be q,A,B,N, got {args.params!r}")
     try:
-        N = int(parts[3])
+        parts[3] = int(parts[3])
     except ValueError:
         raise ConfigError(f"N must be an integer, got {parts[3]!r}") from None
-    p = QParams(_parse_scalar(parts[0]), _parse_scalar(parts[1]), _parse_scalar(parts[2]), N)
+    p = _parse_qparams(dict(zip(("q", "A", "B", "N"), parts)))
     guard = validate_params(p, p.N)
     if not guard.valid:
         raise InvalidParams("; ".join(guard.issues()))

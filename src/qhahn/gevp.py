@@ -264,14 +264,16 @@ def check_contiguity(p: QParams, factor: Fraction | None = None) -> CheckReport:
 
     X U_n -> [-alpha]_q U'_n;  Y U_n -> [-alpha]_q lambda_n U'_n;
     Z U_n -> -([-alpha]_q/[x-alpha]_q) U'_n pointwise, where U' is the
-    family at the shifted instance (q, qA, B, N).
+    family at the shifted instance (q, qA, B, N).  An instance whose shift
+    fails the parameter guards (say, onto a basis pole) is a skip.
     """
     report = CheckReport(check="contiguity", params=p.as_dict())
     shifted = QParams(p.q, p.q * p.A, p.B, p.N)
     for inst, tag in ((p, "base"), (shifted, "shifted")):
-        v = validate_params(inst, p.N)
-        if not v.valid:
-            raise InvalidParams(f"{tag} instance invalid for contiguity: {v.issues()}")
+        issues = validate_params(inst, p.N).issues()
+        if issues:
+            report.skipped = f"{tag} instance invalid for contiguity: " + "; ".join(issues)
+            return report
     fam = brf_family(p)
     fam_shift = brf_family(shifted)
     scale = factor if factor is not None else qnum(p, 0, -1)  # [-alpha]_q

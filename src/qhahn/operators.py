@@ -33,6 +33,7 @@ from .qcore import (
     qpoch,
     qpow,
     scalar,
+    validate_params,
 )
 from .reports import CheckReport
 
@@ -163,9 +164,6 @@ class OpMatrix:
 
     def __rmul__(self, c) -> "OpMatrix":
         return OpMatrix(linalg.mat_scale(scalar(c), self.entries), self.basis, self.params)
-
-    def transpose(self) -> "OpMatrix":
-        return OpMatrix(linalg.transpose(self.entries), self.basis, self.params)
 
     def is_zero(self) -> bool:
         return linalg.is_zero(self.entries)
@@ -327,7 +325,7 @@ def basis_change(p: QParams, n_max: int | None = None) -> OpMatrix:
     denominator zero of some phi_n on the grid.
     """
     n_max = p.N if n_max is None else n_max
-    rep = p.validate(n_max)
+    rep = validate_params(p, n_max)
     if rep.basis_pole is not None:
         raise PoleOnGrid(rep.basis_pole)
     n1 = p.N + 1

@@ -4,9 +4,12 @@ Every quantity in this package is an exact rational number
 (`fractions.Fraction`).  The deformation parameters enter only through the
 three base values q, A, B, where A and B play the role of the powers
 q^alpha and q^beta of two formal exponents alpha, beta; no logarithm is
-ever taken.  Exponent expressions of the form q^(i + j*alpha + k*beta)
-are described by the integer triple `ExponentSpec(i, j, k)` and evaluated
-exactly as q**i * A**j * B**k.
+ever taken.  An exponent expression q^(i + j*alpha + k*beta) is evaluated
+exactly as `qpow(p, i, j, k)` = q**i * A**j * B**k.
+
+`qpoch` and `phi_series` are field-generic: they use only ring operations
+and division on their arguments, so the same code runs over Fraction and
+over mpmath floats.
 """
 
 from __future__ import annotations
@@ -31,10 +34,7 @@ __all__ = [
     "ConfigError",
     "scalar",
     "frac_str",
-    "ExponentSpec",
     "QParams",
-    "value",
-    "qbracket",
     "qpow",
     "qnum",
     "qpoch",
@@ -106,15 +106,6 @@ def frac_str(x: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class ExponentSpec:
-    """Integer triple (i, j, k) standing for the exponent i + j*alpha + k*beta."""
-
-    i: int = 0
-    j: int = 0
-    k: int = 0
-
-
-@dataclass(frozen=True)
 class QParams:
     """One exact parameter instance (q, A, B, N) on the grid x = 0..N."""
 
@@ -134,9 +125,6 @@ class QParams:
         if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
             raise InvalidParams(f"N must be a nonnegative integer, got {self.N!r}")
 
-    def validate(self, n_max: int | None = None) -> "ValidationReport":
-        return validate_params(self, self.N if n_max is None else n_max)
-
     def as_dict(self) -> dict:
         return {
             "q": frac_str(self.q),
@@ -146,47 +134,34 @@ class QParams:
         }
 
 
-def value(e: ExponentSpec, p: QParams) -> Fraction:
-    """Evaluate q^i * A^j * B^k exactly."""
-    return p.q**e.i * p.A**e.j * p.B**e.k
-
-
-def qbracket(e: ExponentSpec, p: QParams) -> Fraction:
-    """q-number [i + j*alpha + k*beta]_q = (1 - q^i A^j B^k)/(1 - q)."""
-    return (1 - value(e, p)) / (1 - p.q)
-
-
 def qpow(p: QParams, i: int = 0, j: int = 0, k: int = 0) -> Fraction:
-    """Shorthand for value(ExponentSpec(i, j, k), p)."""
+    """The monomial q^(i + j*alpha + k*beta) = q^i A^j B^k, exactly."""
     return p.q**i * p.A**j * p.B**k
 
 
 def qnum(p: QParams, i: int = 0, j: int = 0, k: int = 0) -> Fraction:
-    """Shorthand for qbracket(ExponentSpec(i, j, k), p)."""
+    """q-number [i + j*alpha + k*beta]_q = (1 - q^i A^j B^k)/(1 - q)."""
     return (1 - p.q**i * p.A**j * p.B**k) / (1 - p.q)
 
 
-def qpoch(base: ScalarLike, k: int, q: ScalarLike) -> Fraction:
-    """q-Pochhammer (base; q)_k = prod_{j=0}^{k-1} (1 - q^j * base)."""
+def qpoch(base, k: int, q):
+    """q-Pochhammer (base; q)_k = prod_{j=0}^{k-1} (1 - q^j * base).
+
+    The product starts from q**0, so the result lives in q's field even for
+    k = 0 (an int 1 would later turn int/int divisions into floats).
+    """
     if k < 0:
         raise ValueError(f"q-Pochhammer length must be nonnegative, got {k}")
-    b, qq = scalar(base), scalar(q)
-    out = Fraction(1)
-    f = b
+    out = q**0
+    f = base
     for _ in range(k):
         out *= 1 - f
-        f *= qq
+        f *= q
     return out
 
 
-def phi_series(
-    num: Sequence[ScalarLike],
-    den: Sequence[ScalarLike],
-    z: ScalarLike,
-    q: ScalarLike,
-    terms: int,
-) -> Fraction:
-    """Truncated basic hypergeometric sum, exactly.
+def phi_series(num: Sequence, den: Sequence, z, q, terms: int):
+    """Truncated basic hypergeometric sum in q's field (exact over Fraction).
 
     Returns sum_{k=0}^{terms-1} of
         prod_i (num_i; q)_k / ((q; q)_k * prod_j (den_j; q)_k) * z^k.
@@ -195,24 +170,21 @@ def phi_series(
     exact.  Raises ZeroDenominator if (q; q)_k or any (den_j; q)_k vanishes
     for some k < terms.
     """
-    a = [scalar(v) for v in num]
-    b = [scalar(v) for v in den]
-    zz, qq = scalar(z), scalar(q)
-    total = Fraction(0)
-    term = Fraction(1)
-    qk = Fraction(1)  # q^k
+    total = q * 0
+    term = q**0
+    qk = q**0  # q^k
     for k in range(terms):
         total += term
         if k == terms - 1:
             break
-        ratio = zz
-        for av in a:
+        ratio = z
+        for av in num:
             ratio *= 1 - qk * av
-        qk1 = qk * qq
+        qk1 = qk * q
         if qk1 == 1:
             raise ZeroDenominator(f"(q; q)_{k + 1} vanishes (q^{k + 1} = 1)")
         denom = 1 - qk1
-        for bv in b:
+        for bv in den:
             f = 1 - qk * bv
             if f == 0:
                 raise ZeroDenominator(

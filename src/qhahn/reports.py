@@ -8,6 +8,10 @@ is kept out of CheckReport entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Sequence
+
+from .qcore import frac_str
 
 
 @dataclass
@@ -42,3 +46,23 @@ class CheckReport:
         if self.skipped is not None:
             out["reason"] = self.skipped
         return out
+
+
+def check_gram(report: CheckReport, weights: Sequence, us: Sequence[Sequence],
+               vs: Sequence[Sequence], norms: Sequence[Fraction]) -> CheckReport:
+    """Biorthogonality sum_x w_x u_n(x) v_m(x) = delta_{nm} h_n, all pairs, exact.
+
+    `norms` holds the closed-form h_n, which must also be nonzero.  Every
+    violation carries (n, m) and a residual, the Gram entry minus its
+    expected value; the closed-form norms go to details["norms"].
+    """
+    for n, hn in enumerate(norms):
+        if hn == 0:
+            report.add_violation(n=n, m=n, residual="diagonal norm vanishes")
+        for m, v in enumerate(vs):
+            total = sum((w * a * b for w, a, b in zip(weights, us[n], v)), Fraction(0))
+            expected = hn if n == m else 0
+            if total != expected:
+                report.add_violation(n=n, m=m, residual=frac_str(total - expected))
+    report.details["norms"] = [frac_str(h) for h in norms]
+    return report

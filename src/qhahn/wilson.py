@@ -30,9 +30,11 @@ from .qcore import (
     QParams,
     ZeroDenominator,
     frac_str,
+    phi_series,
+    qpoch,
     scalar,
 )
-from .reports import CheckReport
+from .reports import CheckReport, check_gram
 
 __all__ = [
     "WilsonParams",
@@ -56,18 +58,6 @@ __all__ = [
     "check_hahn_biorthogonality",
     "qto1_convergence_check",
 ]
-
-
-def _poch(base, k: int, q):
-    """(base; q)_k as a plain product; works over any field.
-
-    The accumulator starts from q**0 so the result lives in q's field even
-    for k = 0 (an int 1 would later trigger float division on int/int).
-    """
-    out = q**0
-    for j in range(k):
-        out = out * (1 - base * q**j)
-    return out
 
 
 @dataclass(frozen=True)
@@ -174,15 +164,15 @@ def _validate_denominators(wp: WilsonParams) -> None:
 
 def wilson_weight(x: int, wp: WilsonParams) -> Fraction:
     q, qa = wp.q, wp.qa
-    head_den = _poch(q, x, q) * (1 - qa * qa)
+    head_den = qpoch(q, x, q) * (1 - qa * qa)
     if head_den == 0:
         raise ZeroDenominator("weight head denominator vanishes")
-    out = q**x * _poch(qa * qa, x, q) * (1 - qa * qa * q ** (2 * x)) / head_den
+    out = q**x * qpoch(qa * qa, x, q) * (1 - qa * qa * q ** (2 * x)) / head_den
     for num_base, den_base in _weight_pairs(q, qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf):
-        den = _poch(den_base, x, q)
+        den = qpoch(den_base, x, q)
         if den == 0:
             raise ZeroDenominator("weight denominator vanishes")
-        out = out * _poch(num_base, x, q) / den
+        out = out * qpoch(num_base, x, q) / den
     return out
 
 
@@ -194,14 +184,14 @@ def _u_value(q, qa, qb, qc, qd, qe, qf, n: int, qz):
     num_bases, den_bases = _u_bases(q, qa, qb, qc, qd, qe, qf, n, qz)
     total = q * 0
     for k in range(n + 1):
-        den = _poch(q, k, q)
+        den = qpoch(q, k, q)
         for base in den_bases:
-            den = den * _poch(base, k, q)
+            den = den * qpoch(base, k, q)
         if den == 0:
             raise ZeroDenominator(f"series denominator vanishes at k={k}")
         num = (1 - head * q ** (2 * k)) / head_den * q**k
         for base in num_bases:
-            num = num * _poch(base, k, q)
+            num = num * qpoch(base, k, q)
         total = total + num / den
     return total
 
@@ -232,19 +222,19 @@ def wilson_h(n: int, wp: WilsonParams, *, include_qn: bool = True,
     head_base = q * qa * qa if squared_head else q * qa
     tail_anchor = q * qa / qe if anchored_tail else q * qc / qe
     num = (
-        _poch(head_base, N, q) * _poch(q / (qc * qd), N, q)
-        * _poch(q / (qc * qe), N, q) * _poch(q / (qd * qe), N, q)
+        qpoch(head_base, N, q) * qpoch(q / (qc * qd), N, q)
+        * qpoch(q / (qc * qe), N, q) * qpoch(q / (qd * qe), N, q)
     )
     den = 1
     for base in _h_den_bases(q, qa, qb, qc, qd, qe, qf):
-        den = den * _poch(base, N, q)
+        den = den * qpoch(base, N, q)
     tail_num = (
-        _poch(q, n, q) * _poch(q**n / (qe * qf), n, q)
-        * _poch(qc * qd, n, q) * _poch(tail_anchor, n, q) * _poch(q * qb / qf, n, q)
+        qpoch(q, n, q) * qpoch(q**n / (qe * qf), n, q)
+        * qpoch(qc * qd, n, q) * qpoch(tail_anchor, n, q) * qpoch(q * qb / qf, n, q)
     )
     tail_den = (
-        _poch(q / (qe * qf), 2 * n, q) * _poch(qa * qb, n, q)
-        * _poch(1 / (qb * qe), n, q) * _poch(1 / (qa * qf), n, q)
+        qpoch(q / (qe * qf), 2 * n, q) * qpoch(qa * qb, n, q)
+        * qpoch(1 / (qb * qe), n, q) * qpoch(1 / (qa * qf), n, q)
     )
     if den == 0 or tail_den == 0:
         raise ZeroDenominator("norm denominator vanishes")
@@ -258,52 +248,26 @@ def check_wilson_biorthogonality(wp: WilsonParams, *, include_qn: bool = True,
                                  squared_head: bool = True,
                                  anchored_tail: bool = True) -> CheckReport:
     """Sum_x w_x u_n v_m = delta_{nm} h_n, all pairs, exact."""
-    report = CheckReport(check="wilson_biorthogonality", params=wp.as_dict())
-    weights = [wilson_weight(x, wp) for x in range(wp.N + 1)]
-    us = [[wilson_u(n, x, wp) for x in range(wp.N + 1)] for n in range(wp.N + 1)]
-    vs = [[wilson_v(m, x, wp) for x in range(wp.N + 1)] for m in range(wp.N + 1)]
-    norms = []
-    for n in range(wp.N + 1):
-        hn = wilson_h(n, wp, include_qn=include_qn, squared_head=squared_head,
-                      anchored_tail=anchored_tail)
-        norms.append(frac_str(hn))
-        if hn == 0:
-            report.add_violation(n=n, residual="diagonal norm vanishes")
-        for m in range(wp.N + 1):
-            total = sum((weights[x] * us[n][x] * vs[m][x] for x in range(wp.N + 1)),
-                        Fraction(0))
-            expected = hn if n == m else Fraction(0)
-            if total != expected:
-                report.add_violation(n=n, m=m, residual=frac_str(total - expected))
-    report.details["norms"] = norms
-    return report
+    grid = range(wp.N + 1)
+    return check_gram(
+        CheckReport(check="wilson_biorthogonality", params=wp.as_dict()),
+        [wilson_weight(x, wp) for x in grid],
+        [[wilson_u(n, x, wp) for x in grid] for n in grid],
+        [[wilson_v(m, x, wp) for x in grid] for m in grid],
+        [wilson_h(n, wp, include_qn=include_qn, squared_head=squared_head,
+                  anchored_tail=anchored_tail) for n in grid])
 
 
 def limit_weight(x: int, q, A, B, N: int):
     """Weight limit target; works over Fraction or floating operands."""
-    den = _poch(q, x, q) * _poch(q**(2 - N) * B / A, x, q)
+    den = qpoch(q, x, q) * qpoch(q**(2 - N) * B / A, x, q)
     if den == 0:
         raise ZeroDenominator("limit weight denominator vanishes")
-    return (q * B) ** x * _poch(q ** (-N), x, q) * _poch(q / A, x, q) / den
-
-
-def _phi32(num_bases, den_bases, z, q, terms: int):
-    total = 0
-    for k in range(terms):
-        den = _poch(q, k, q)
-        for base in den_bases:
-            den = den * _poch(base, k, q)
-        if den == 0:
-            raise ZeroDenominator(f"series denominator vanishes at k={k}")
-        num = z**k
-        for base in num_bases:
-            num = num * _poch(base, k, q)
-        total = total + num / den
-    return total
+    return (q * B) ** x * qpoch(q ** (-N), x, q) * qpoch(q / A, x, q) / den
 
 
 def limit_u(n: int, x: int, q, A, B, N: int):
-    return _phi32(
+    return phi_series(
         [q ** (-n), q ** (n - N) * B, q ** (-x)],
         [q ** (-N), q ** (-x) * A],
         A / B, q, n + 1,
@@ -311,7 +275,7 @@ def limit_u(n: int, x: int, q, A, B, N: int):
 
 
 def limit_v(n: int, x: int, q, A, B, N: int):
-    return _phi32(
+    return phi_series(
         [q ** (-n), q ** (n - N) * B, q ** (x - N)],
         [q ** (-N), q ** (x - N + 2) * B / A],
         q, q, n + 1,
@@ -319,12 +283,12 @@ def limit_v(n: int, x: int, q, A, B, N: int):
 
 
 def limit_h(n: int, q, A, B, N: int):
-    den = _poch(A / (q * B), N, q) * _poch(q ** (-N), n, q) * _poch(q ** (1 - N) * B, 2 * n, q)
+    den = qpoch(A / (q * B), N, q) * qpoch(q ** (-N), n, q) * qpoch(q ** (1 - N) * B, 2 * n, q)
     if den == 0:
         raise ZeroDenominator("limit norm denominator vanishes")
     return (
-        A**N * q ** (-N * (1 + n)) * _poch(q, n, q) * _poch(1 / B, N, q)
-        * _poch(q * B, n, q) * _poch(q ** (n - N) * B, n, q) / den
+        A**N * q ** (-N * (1 + n)) * qpoch(q, n, q) * qpoch(1 / B, N, q)
+        * qpoch(q * B, n, q) * qpoch(q ** (n - N) * B, n, q) / den
     )
 
 
@@ -476,24 +440,13 @@ def hahn_h(n: int, hp: HahnParams) -> Fraction:
 def check_hahn_biorthogonality(hp: HahnParams) -> CheckReport:
     """Sum_x w_x u_n v_m = delta_{nm} h_n at q = 1, exact; the weight is
     not normalized, so the n = m = 0 case doubles as its total mass."""
-    report = CheckReport(check="hahn_biorthogonality", params=hp.as_dict())
-    weights = [hahn_weight(x, hp) for x in range(hp.N + 1)]
-    us = [[hahn_u(n, x, hp) for x in range(hp.N + 1)] for n in range(hp.N + 1)]
-    vs = [[hahn_v(m, x, hp) for x in range(hp.N + 1)] for m in range(hp.N + 1)]
-    norms = []
-    for n in range(hp.N + 1):
-        hn = hahn_h(n, hp)
-        norms.append(frac_str(hn))
-        if hn == 0:
-            report.add_violation(n=n, residual="diagonal norm vanishes")
-        for m in range(hp.N + 1):
-            total = sum((weights[x] * us[n][x] * vs[m][x] for x in range(hp.N + 1)),
-                        Fraction(0))
-            expected = hn if n == m else Fraction(0)
-            if total != expected:
-                report.add_violation(n=n, m=m, residual=frac_str(total - expected))
-    report.details["norms"] = norms
-    return report
+    grid = range(hp.N + 1)
+    return check_gram(
+        CheckReport(check="hahn_biorthogonality", params=hp.as_dict()),
+        [hahn_weight(x, hp) for x in grid],
+        [[hahn_u(n, x, hp) for x in grid] for n in grid],
+        [[hahn_v(m, x, hp) for x in grid] for m in grid],
+        [hahn_h(n, hp) for n in grid])
 
 
 def _qto1_table(hp: HahnParams, h: Fraction, prec: int):

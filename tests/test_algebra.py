@@ -142,7 +142,7 @@ def test_structure_constant_closed_forms(canonical):
     sc = structure_constants(p)
     assert sc.xi[2] == qpow(p, -1) * qnum(p, -p.N, 0, 1)
     assert sc.eta[1] == qnum(p, 1 - p.N, 0, 1)
-    assert sc.gamma_at(2) == qnum(p, 1 - p.N, 0, 1)
+    assert sc.gamma[1] == qnum(p, 1 - p.N, 0, 1)
     assert sc.eta[2] == qpow(p, -p.N, 0, 1) * qnum(p, 2)
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+from qhahn import brf
 from qhahn.brf import (
     brf_family,
     partner_scale,
@@ -20,7 +21,7 @@ from qhahn.brf import (
     weight_vector,
 )
 from qhahn.operators import phi_function
-from qhahn.qcore import QParams, qnum
+from qhahn.qcore import QParams, frac_str, qnum
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL
 
@@ -90,6 +91,32 @@ def test_biorthogonality_directly(canonical):
                 assert ip == norm_h(n, canonical)
             else:
                 assert ip == 0
+
+
+def test_biorthogonality_catches_a_wrong_norm(canonical, monkeypatch):
+    # one closed-form norm off by 1 fails the diagonal entry (2, 2) only
+    good = brf.norm_h
+    monkeypatch.setattr(
+        brf, "norm_h", lambda n, p, check=True: good(n, p, check) + (1 if n == 2 else 0))
+    report = check_biorthogonality(canonical)
+    assert report.status == "fail"
+    assert report.violations == [{"n": 2, "m": 2, "residual": "-1/1"}]
+
+
+def test_biorthogonality_catches_a_mixed_partner(canonical, monkeypatch):
+    # partner_3 + partner_1 pairs with U_1 to H_1: one off-diagonal violation
+    h1 = norm_h(1, canonical)
+    good = brf.partner_family
+
+    def mixed(p, method="hypergeometric"):
+        partners = list(good(p, method))
+        partners[3] = partners[3] + partners[1]
+        return tuple(partners)
+
+    monkeypatch.setattr(brf, "partner_family", mixed)
+    report = check_biorthogonality(canonical)
+    assert report.status == "fail"
+    assert report.violations == [{"n": 1, "m": 3, "residual": frac_str(h1)}]
 
 
 def test_norms_frozen_and_nonzero(canonical):

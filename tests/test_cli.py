@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction as F
@@ -38,6 +39,10 @@ def test_default_panel_runs_clean(tmp_path):
     assert set(report["suites"]) == set(cli.SUITES)
     assert report["artifact"]["name"] == "qhahn"
     assert len(report["config_sha256"]) == 64
+    # the report contract: everything but timing is pinned byte for byte
+    report.pop("timing")
+    digest = hashlib.sha256((json.dumps(report, sort_keys=True) + "\n").encode()).hexdigest()
+    assert digest == "6ffc191b0a3e094d7e675acc6469a9b163dba78752a4bf7d63d7e7df17a0925f"
 
 
 def test_single_suite_single_instance(tmp_path):
@@ -65,6 +70,45 @@ def test_invalid_instance_is_skipped_not_dropped(tmp_path):
     assert "skip" in statuses and "pass" in statuses and "fail" not in statuses
     skipped = [r for r in report["suites"]["biortho"] if r["status"] == "skip"]
     assert all("pole" in r["reason"] for r in skipped)
+
+
+def test_contiguity_shift_onto_pole_is_a_skip_not_an_abort(tmp_path):
+    # A = 8 = q^-3 is valid at N = 3, but the shift A -> qA = q^-2 lands on
+    # a basis pole; only the contiguity check is affected
+    config = write_config(tmp_path, {
+        "instances": [{"q": "1/2", "A": "8", "B": "1/512", "N": 3}],
+    })
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--config", config, "--suite", "gevp", "--out", str(out)])
+    assert code == 0
+    reports = json.loads(out.read_text())["suites"]["gevp"]
+    status = {r["check"]: r["status"] for r in reports}
+    assert len(reports) == 6
+    assert status.pop("contiguity") == "skip"
+    assert list(status.values()) == ["pass"] * 5
+    skipped = next(r for r in reports if r["check"] == "contiguity")
+    assert "basis_pole" in skipped["reason"]
+
+
+def test_invalid_wilson_and_hahn_entries_are_skips_carrying_the_entry(tmp_path):
+    wilson_entry = {"q": "1/2", "qa": "1", "qc": "5", "qd": "7", "qe": "11", "N": 2}
+    hahn_entry = {"alpha": "-5", "beta": "9", "N": -1}
+    config = write_config(tmp_path, {
+        "wilson_instances": [wilson_entry], "hahn_instances": [hahn_entry],
+    })
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--config", config, "--suite", "wilson", "hahn",
+                     "--out", str(out)])
+    assert code == 0
+    suites = json.loads(out.read_text())["suites"]
+    assert suites["wilson"] == [{
+        "check": "wilson_biorthogonality", "params": wilson_entry, "status": "skip",
+        "reason": "weight head 1 - qa^2 vanishes", "violations": [], "details": {},
+    }]
+    assert suites["hahn"] == [{
+        "check": "hahn_biorthogonality", "params": hahn_entry, "status": "skip",
+        "reason": "N must be a nonnegative integer", "violations": [], "details": {},
+    }]
 
 
 def test_report_is_deterministic(tmp_path):

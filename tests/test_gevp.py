@@ -1,7 +1,5 @@
 from fractions import Fraction as F
 
-import pytest
-
 from qhahn.brf import brf_family, eigenvalue
 from qhahn.gevp import (
     MuCoefficients,
@@ -12,7 +10,7 @@ from qhahn.gevp import (
     check_tridiagonal_actions,
     mu_coefficients,
 )
-from qhahn.qcore import InvalidParams, QParams, qnum
+from qhahn.qcore import QParams, qnum
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL
 
@@ -106,10 +104,12 @@ def test_mu_boundary_overrides():
 
 def test_contiguity_rejects_shift_onto_pole():
     # A = q^-3 shifts onto A' = q^-2, a basis pole at N = 3; the check
-    # refuses the instance instead of reporting a hollow pass
+    # refuses the instance with a skip instead of reporting a hollow pass
     p = QParams(F(7, 5), F(125, 343), F(282475249, 9765625), 3)
-    with pytest.raises(InvalidParams):
-        check_contiguity(p)
+    report = check_contiguity(p)
+    assert report.status == "skip"
+    assert report.skipped.startswith("shifted instance invalid for contiguity: basis_pole")
+    assert not report.violations and not report.details
 
 
 def test_recurrence_connects_neighbors(canonical):

@@ -5,18 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhahn.qcore import (
-    ExponentSpec,
     InvalidParams,
     QParams,
     frac_str,
     phi_series,
-    qbracket,
     qnum,
     qpoch,
     qpow,
     scalar,
     validate_params,
-    value,
 )
 
 from conftest import CANONICAL, PANEL
@@ -66,7 +63,6 @@ def test_qnum_hand_value():
 def test_qpow_is_monomial():
     p = CANONICAL
     assert qpow(p, 2, 1, -1) == p.q**2 * p.A / p.B
-    assert value(ExponentSpec(2, 1, -1), p) == qpow(p, 2, 1, -1)
 
 
 @given(st.integers(-6, 6), st.integers(-6, 6))
@@ -82,9 +78,7 @@ def test_bracket_addition_law(a, b):
 def test_bracket_addition_law_mixed_exponents(i, j, k):
     # the same law with alpha and beta contributions in the exponent
     p = CANONICAL
-    e = ExponentSpec(i, j, k)
-    shift = ExponentSpec(i + 1, j, k)
-    assert qbracket(shift, p) == qbracket(ExponentSpec(1), p) + qpow(p, 1) * qbracket(e, p)
+    assert qnum(p, i + 1, j, k) == qnum(p, 1) + qpow(p, 1) * qnum(p, i, j, k)
 
 
 @given(

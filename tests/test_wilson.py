@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from qhahn import brf
-from qhahn.qcore import InvalidParams, QParams
+from qhahn import brf, wilson
+from qhahn.qcore import InvalidParams, QParams, frac_str
 from qhahn.wilson import (
     HahnParams,
     WilsonParams,
@@ -192,6 +192,26 @@ def test_limit_u0_is_one_even_in_floating_point():
 def test_hahn_biorthogonality_exact():
     for hp in HAHN_PANEL:
         assert check_hahn_biorthogonality(hp).status == "pass"
+
+
+def test_hahn_biorthogonality_catches_a_wrong_norm(monkeypatch):
+    # one closed-form norm off by 1 fails the diagonal entry (1, 1) only
+    monkeypatch.setattr(
+        wilson, "hahn_h", lambda n, hp: hahn_h(n, hp) + (1 if n == 1 else 0))
+    report = check_hahn_biorthogonality(HAHN_PANEL[0])
+    assert report.status == "fail"
+    assert report.violations == [{"n": 1, "m": 1, "residual": "-1/1"}]
+
+
+def test_hahn_biorthogonality_catches_a_mixed_partner(monkeypatch):
+    # v_3 + v_1 pairs with u_1 to h_1: one off-diagonal violation
+    hp = HAHN_PANEL[0]
+    monkeypatch.setattr(
+        wilson, "hahn_v",
+        lambda m, x, hp: hahn_v(m, x, hp) + (hahn_v(1, x, hp) if m == 3 else 0))
+    report = check_hahn_biorthogonality(hp)
+    assert report.status == "fail"
+    assert report.violations == [{"n": 1, "m": 3, "residual": frac_str(hahn_h(1, hp))}]
 
 
 def test_hahn_u0_is_one():
