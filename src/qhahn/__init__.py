@@ -43,11 +43,11 @@ from .operators import (
     build_operator,
     identity_matrix,
     phi_function,
-    verify_factorization,
     weighted_adjoint,
 )
 from .brf import (
     BRFFamily,
+    Instance,
     brf_family,
     brf_partner,
     brf_u,
@@ -59,5 +59,6 @@ from .brf import (
     reflected_params,
     weight_vector,
 )
+from .gevp import check_factorization
 
 __version__ = "0.1.0"

@@ -23,11 +23,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import linalg
-from .operators import Basis, OpMatrix, Operator, build_operator, identity_matrix
+from .brf import Instance
+from .operators import OpMatrix, identity_matrix
 from .qcore import (
     QHahnError,
     QParams,
     RankDeficient,
+    SingularSystem,
     frac_str,
     qnum,
     qpow,
@@ -171,14 +173,13 @@ def cyclic_derivative(phi: NCPoly, gen: str) -> NCPoly:
     return NCPoly(out)
 
 
-def evaluate_poly(poly: NCPoly, matrices: Mapping[str, OpMatrix], p: QParams,
-                  basis: Basis = Basis.POINT) -> OpMatrix:
-    """Evaluate an ordinary polynomial at concrete operator matrices."""
+def evaluate_poly(poly: NCPoly, matrices: Mapping[str, OpMatrix], p: QParams) -> OpMatrix:
+    """Evaluate an ordinary polynomial at concrete point-basis matrices."""
     if poly.cyclic:
         raise QHahnError("cyclic elements have no single matrix value")
-    acc = 0 * identity_matrix(p, basis)
+    acc = 0 * identity_matrix(p)
     for word, coeff in poly.terms.items():
-        prod = identity_matrix(p, basis)
+        prod = identity_matrix(p)
         for letter in word:
             prod = prod @ matrices[letter]
         acc = acc + coeff * prod
@@ -247,10 +248,9 @@ def _anti(a: str, b: str) -> NCPoly:
     return _mono(a + b) + _mono(b + a)
 
 
-def rqhahn_relation_polys(p: QParams, sc: StructureConstants | None = None) -> dict[str, NCPoly]:
+def rqhahn_relation_polys(p: QParams) -> dict[str, NCPoly]:
     """Left-minus-right of the three rational q-Hahn relations, as free polynomials."""
-    sc = sc or structure_constants(p)
-    xi = sc.xi
+    xi = structure_constants(p).xi
     q = p.q
     rel_xz = _mono("XZ") - q * _mono("ZX") + _mono("ZZ") + _mono("Z") - xi[6] * _mono("X")
     rel_zy = (
@@ -267,10 +267,9 @@ def rqhahn_relation_polys(p: QParams, sc: StructureConstants | None = None) -> d
     return {"XZ": rel_xz, "ZY": rel_zy, "YX": rel_yx}
 
 
-def meta_relation_polys(p: QParams, sc: StructureConstants | None = None) -> dict[str, NCPoly]:
+def meta_relation_polys(p: QParams) -> dict[str, NCPoly]:
     """Left-minus-right of the three meta algebra relations (generators X, V, Z)."""
-    sc = sc or structure_constants(p)
-    eta = sc.eta
+    eta = structure_constants(p).eta
     q = p.q
     rel_xz = _mono("XZ") - q * _mono("ZX") + _mono("ZZ") + _mono("Z") + (1 - q) * _mono("X")
     rel_vx = (
@@ -286,9 +285,8 @@ def meta_relation_polys(p: QParams, sc: StructureConstants | None = None) -> dic
     return {"XZ": rel_xz, "VX": rel_vx, "ZV": rel_zv}
 
 
-def potential_rqhahn(p: QParams, sc: StructureConstants | None = None) -> NCPoly:
-    sc = sc or structure_constants(p)
-    xi = sc.xi
+def potential_rqhahn(p: QParams) -> NCPoly:
+    xi = structure_constants(p).xi
     q = p.q
     cw = NCPoly.cyclic_word
     return (
@@ -300,9 +298,8 @@ def potential_rqhahn(p: QParams, sc: StructureConstants | None = None) -> NCPoly
     )
 
 
-def potential_meta(p: QParams, sc: StructureConstants | None = None) -> NCPoly:
-    sc = sc or structure_constants(p)
-    eta = sc.eta
+def potential_meta(p: QParams) -> NCPoly:
+    eta = structure_constants(p).eta
     q = p.q
     cw = NCPoly.cyclic_word
     # [Z] carries -eta_0: the derivative in Z must reproduce the second
@@ -317,8 +314,8 @@ def potential_meta(p: QParams, sc: StructureConstants | None = None) -> NCPoly:
     )
 
 
-def casimir_poly(which: str, p: QParams, sc: StructureConstants | None = None) -> NCPoly:
-    sc = sc or structure_constants(p)
+def casimir_poly(which: str, p: QParams) -> NCPoly:
+    sc = structure_constants(p)
     q = p.q
     head = qpow(p, 1 - p.N, 0, 1)  # q^{beta-N+1}
     if which == "rqhahn":
@@ -341,21 +338,11 @@ def casimir_poly(which: str, p: QParams, sc: StructureConstants | None = None) -
     raise ValueError(f"unknown algebra {which!r}")
 
 
-def _generator_matrices(p: QParams) -> dict[str, OpMatrix]:
-    return {
-        "X": build_operator(Operator.X, Basis.POINT, p),
-        "Y": build_operator(Operator.Y, Basis.POINT, p),
-        "Z": build_operator(Operator.Z, Basis.POINT, p),
-        "V": build_operator(Operator.V, Basis.POINT, p),
-    }
-
-
-def _relation_report(check: str, p: QParams, polys: dict[str, NCPoly]) -> CheckReport:
-    report = CheckReport(check=check, params=p.as_dict())
-    mats = _generator_matrices(p)
+def _relation_report(check: str, inst: Instance, polys: dict[str, NCPoly]) -> CheckReport:
+    report = CheckReport(check=check, params=inst.p.as_dict())
     norms = {}
     for name, poly in polys.items():
-        resid = evaluate_poly(poly, mats, p)
+        resid = evaluate_poly(poly, inst.ops, inst.p)
         norms[name] = frac_str(resid.max_abs())
         if not resid.is_zero():
             report.add_violation(relation=name, residual=frac_str(resid.max_abs()))
@@ -363,29 +350,28 @@ def _relation_report(check: str, p: QParams, polys: dict[str, NCPoly]) -> CheckR
     return report
 
 
-def check_rqhahn_relations(p: QParams, constants: StructureConstants | None = None) -> CheckReport:
+def check_rqhahn_relations(inst: Instance) -> CheckReport:
     """The three rational q-Hahn relations as exact matrix identities."""
-    return _relation_report("rqhahn_relations", p, rqhahn_relation_polys(p, constants))
+    return _relation_report("rqhahn_relations", inst, rqhahn_relation_polys(inst.p))
 
 
-def check_meta_relations(p: QParams, constants: StructureConstants | None = None) -> CheckReport:
+def check_meta_relations(inst: Instance) -> CheckReport:
     """The three meta algebra relations as exact matrix identities."""
-    return _relation_report("meta_relations", p, meta_relation_polys(p, constants))
+    return _relation_report("meta_relations", inst, meta_relation_polys(inst.p))
 
 
-def casimir_matrix(which: str, p: QParams,
-                   mats: Mapping[str, OpMatrix] | None = None) -> OpMatrix:
-    """Casimir element evaluated at `mats`, by default the grid realization."""
-    return evaluate_poly(casimir_poly(which, p), mats or _generator_matrices(p), p)
+def casimir_matrix(which: str, inst: Instance) -> OpMatrix:
+    """Casimir element evaluated at the grid realization."""
+    return evaluate_poly(casimir_poly(which, inst.p), inst.ops, inst.p)
 
 
-def check_casimir(which: str, p: QParams) -> CheckReport:
+def check_casimir(which: str, inst: Instance) -> CheckReport:
     """Centrality of the Casimir; records its diagonal without asserting scalarity."""
+    p = inst.p
     report = CheckReport(check=f"casimir_{which}", params=p.as_dict())
-    mats = _generator_matrices(p)
-    q_mat = casimir_matrix(which, p, mats)
+    q_mat = casimir_matrix(which, inst)
     for g in "XYZ" if which == "rqhahn" else "XVZ":
-        m = mats[g]
+        m = inst.ops[g]
         comm = q_mat @ m - m @ q_mat
         if not comm.is_zero():
             report.add_violation(generator=g, residual=frac_str(comm.max_abs()))
@@ -404,7 +390,7 @@ _POTENTIAL_PAIRS = {
 }
 
 
-def check_potential(which: str, p: QParams) -> CheckReport:
+def check_potential(which: str, inst: Instance) -> CheckReport:
     """Cyclic derivatives of the potential reproduce the relations.
 
     For each (generator, relation) pair the unique scale c with
@@ -412,6 +398,7 @@ def check_potential(which: str, p: QParams) -> CheckReport:
     leading word and then every coefficient is compared exactly; c must be
     a nonzero constant.
     """
+    p = inst.p
     report = CheckReport(check=f"potential_{which}", params=p.as_dict())
     if which not in _POTENTIAL_PAIRS:
         raise ValueError(f"unknown algebra {which!r}")
@@ -449,14 +436,20 @@ def _flatten(mats: Iterable[OpMatrix]) -> list[list[Fraction]]:
 
 
 def _solve_relation(lhs: OpMatrix, ansatz: list[OpMatrix], what: str) -> list[Fraction]:
-    a = _flatten(ansatz)
-    if linalg.rank([row[:] for row in a]) < len(ansatz):
+    """The unique coefficients c with lhs = sum_i c_i ansatz_i, from one
+    elimination of [ansatz | lhs]: a missing pivot among the ansatz columns
+    is a rank deficiency, a pivot in the lhs column an inconsistency."""
+    cols = len(ansatz)
+    b = [v for row in lhs.entries for v in row]
+    red, pivots = linalg.rref([row + [v] for row, v in zip(_flatten(ansatz), b)])
+    if pivots[:cols] != list(range(cols)):
         raise RankDeficient(f"ansatz for {what} is linearly dependent at this instance")
-    b = [v for row in lhs.rows() for v in row]
-    return linalg.solve_unique(a, b)
+    if cols in pivots:
+        raise SingularSystem("system is inconsistent")
+    return [red[r][cols] for r in range(cols)]
 
 
-def solve_structure_constants(p: QParams) -> StructureConstants:
+def solve_structure_constants(inst: Instance) -> StructureConstants:
     """Recover the xi constants from the matrices alone, by exact solves.
 
     Every displayed coefficient is treated as unknown, including the ones
@@ -466,9 +459,9 @@ def solve_structure_constants(p: QParams) -> StructureConstants:
     itself.  The gamma and eta values are passed through from the closed
     forms (they do not appear in these three relations).
     """
-    mats = _generator_matrices(p)
-    X, Y, Z = mats["X"], mats["Y"], mats["Z"]
-    ident = identity_matrix(p, Basis.POINT)
+    p = inst.p
+    X, Y, Z = inst.ops["X"], inst.ops["Y"], inst.ops["Z"]
+    ident = identity_matrix(p)
     q = p.q
 
     sol1 = _solve_relation(X @ Z - q * (Z @ X), [Z @ Z, Z, X], "relation XZ")
@@ -509,16 +502,17 @@ def solve_structure_constants(p: QParams) -> StructureConstants:
     )
 
 
-def check_structure_constants(p: QParams) -> CheckReport:
+def check_structure_constants(inst: Instance) -> CheckReport:
     """Solved-back xi constants agree with their closed forms.
 
     A rank-deficient ansatz (small N) marks the instance skipped rather
     than failed; any disagreement is reported as a DISCREPANCY carrying
     both values.
     """
+    p = inst.p
     report = CheckReport(check="structure_constants", params=p.as_dict())
     try:
-        solved = solve_structure_constants(p)
+        solved = solve_structure_constants(inst)
     except RankDeficient as exc:
         report.skipped = str(exc)
         return report

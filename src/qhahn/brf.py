@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Literal
 
 from . import linalg
 from .operators import (
     Basis,
     GridVector,
+    OpMatrix,
     Operator,
     build_operator,
     phi_function,
@@ -55,6 +57,7 @@ __all__ = [
     "BRFFamily",
     "brf_family",
     "partner_family",
+    "Instance",
     "inner_product",
     "norm_h",
     "partial_fraction",
@@ -208,6 +211,34 @@ def partner_family(p: QParams, method: Method = "hypergeometric") -> tuple[GridV
     return tuple(brf_partner(m, p, method=method) for m in range(p.N + 1))
 
 
+@dataclass(frozen=True)
+class Instance:
+    """One instance and the objects its checks share, each built on first use.
+
+    The builders are called through this module's globals, so a substitute
+    installed there (a test's monkeypatch, a tracer) is what gets cached.
+    """
+
+    p: QParams
+
+    @cached_property
+    def family(self) -> BRFFamily:
+        return brf_family(self.p)
+
+    @cached_property
+    def partners(self) -> tuple[GridVector, ...]:
+        return partner_family(self.p)
+
+    @cached_property
+    def weight(self) -> GridVector:
+        return weight_vector(self.p)
+
+    @cached_property
+    def ops(self) -> dict[str, OpMatrix]:
+        """Point-basis matrices of X, Y, Z and V, keyed by letter."""
+        return {op.value: build_operator(op, Basis.POINT, self.p) for op in Operator}
+
+
 def inner_product(f: GridVector, g: GridVector, w: GridVector) -> Fraction:
     """(f, g)_w = sum_x w_x f(x) g(x), exactly."""
     if len(f) != len(g) or len(f) != len(w):
@@ -259,15 +290,16 @@ def norm_h(n: int, p: QParams, check: bool = True) -> Fraction:
     return hn
 
 
-def partial_fraction(n: int, p: QParams) -> tuple[Fraction, ...]:
+def partial_fraction(n: int, u: GridVector) -> tuple[Fraction, ...]:
     """Residue coefficients eta_{n,0..n-1} with U_n = 1 + sum_k eta_k/[alpha+k-x]_q.
 
-    The basis functions 1/[alpha+k-x]_q carry the n simple poles of U_n and
-    vanish in the x -> infinity normalization limit, so the constant term is
-    exactly 1.  The n x n system is solved from the first n grid points and
-    the expansion is verified on the remaining ones.
+    `u` holds the grid values of U_n.  The basis functions 1/[alpha+k-x]_q
+    carry the n simple poles of U_n and vanish in the x -> infinity
+    normalization limit, so the constant term is exactly 1.  The n x n
+    system is solved from the first n grid points and the expansion is
+    verified on the remaining ones.
     """
-    u = brf_u(n, p)
+    p = u.params
     if n == 0:
         if any(v != 1 for v in u):
             raise QHahnError("U_0 is not identically 1")
@@ -282,10 +314,11 @@ def partial_fraction(n: int, p: QParams) -> tuple[Fraction, ...]:
     return tuple(eta)
 
 
-def check_weight(p: QParams) -> CheckReport:
+def check_weight(inst: Instance) -> CheckReport:
     """Weight normalization and the reflection symmetry w_x = w'_{N-x}."""
+    p = inst.p
     report = CheckReport(check="weight", params=p.as_dict())
-    w = weight_vector(p)
+    w = inst.weight
     report.details["total"] = frac_str(sum(Fraction(v) for v in w))
     refl = weight_vector(reflected_params(p))
     for x in range(p.N + 1):
@@ -294,30 +327,28 @@ def check_weight(p: QParams) -> CheckReport:
     return report
 
 
-def check_biorthogonality(p: QParams) -> CheckReport:
+def check_biorthogonality(inst: Instance) -> CheckReport:
     """(U_n, partner_m)_w = delta_{nm} H_n with H_n nonzero, all pairs."""
+    p = inst.p
     return check_gram(
         CheckReport(check="biorthogonality", params=p.as_dict()),
-        weight_vector(p), brf_family(p).members, partner_family(p),
+        inst.weight, inst.family.members, inst.partners,
         [norm_h(n, p, check=False) for n in range(p.N + 1)])
 
 
-def check_partner(p: QParams) -> CheckReport:
+def check_partner(inst: Instance) -> CheckReport:
     """Adjoint characterization of the partner family.
 
     For each m the generalized null space of (Y* - lambda_m X*) is
     one-dimensional and X* applied to it is collinear with partner_m;
     moreover V* partner_m = lambda_m partner_m.
     """
+    p = inst.p
     report = CheckReport(check="partner", params=p.as_dict())
-    w = weight_vector(p)
-    xs = weighted_adjoint(build_operator(Operator.X, Basis.POINT, p), w)
-    ys = weighted_adjoint(build_operator(Operator.Y, Basis.POINT, p), w)
-    vs = weighted_adjoint(build_operator(Operator.V, Basis.POINT, p), w)
-    partners = partner_family(p)
+    xs, ys, vs = (weighted_adjoint(inst.ops[g], inst.weight) for g in "XYV")
     for m in range(p.N + 1):
         lam = eigenvalue(m, p)
-        pm = partners[m]
+        pm = inst.partners[m]
         resid = (vs @ pm) - lam * pm
         if not resid.is_zero():
             report.add_violation(m=m, kind="eigen", residual=frac_str(max(abs(v) for v in resid)))
@@ -344,13 +375,13 @@ def check_partner(p: QParams) -> CheckReport:
     return report
 
 
-def check_partial_fractions(p: QParams) -> CheckReport:
+def check_partial_fractions(inst: Instance) -> CheckReport:
     """Partial-fraction expansion solves and reconstructs for every n."""
-    report = CheckReport(check="partial_fractions", params=p.as_dict())
+    report = CheckReport(check="partial_fractions", params=inst.p.as_dict())
     sizes = []
-    for n in range(p.N + 1):
+    for n, u in enumerate(inst.family.members):
         try:
-            eta = partial_fraction(n, p)
+            eta = partial_fraction(n, u)
         except QHahnError as exc:
             report.add_violation(n=n, residual=str(exc))
             continue

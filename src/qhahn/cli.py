@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from . import algebra, brf, gevp, wilson
-from .operators import Basis, Operator, build_operator, verify_factorization
+from .operators import Basis, Operator, build_operator
 from .qcore import ConfigError, InvalidParams, QParams, frac_str, validate_params
 from .reports import CheckReport
 
@@ -55,20 +55,22 @@ _parse_hahn = _instance_parser(wilson.HahnParams, ("alpha", "beta"), "hahn insta
 
 
 def _qparams_suite(checks):
-    """Suite over the main q-Hahn panel; invalid instances are reported
-    as skips (one entry per check), never silently dropped."""
+    """Suite over the main q-Hahn panel; the checks of one instance share one
+    `brf.Instance`.  Invalid instances are reported as skips (one entry per
+    check), never silently dropped."""
 
     def run(config):
         reports = []
         for entry in config.get("instances", []):
             p = _parse_qparams(entry)
             issues = validate_params(p, p.N).issues()
+            inst = brf.Instance(p)
             for check in checks:
                 if issues:
                     report = CheckReport(check=check.__name__.removeprefix("check_"),
                                          params=p.as_dict(), skipped="; ".join(issues))
                 else:
-                    report = check(p)
+                    report = check(inst)
                 reports.append(report.as_dict())
         return reports
 
@@ -116,25 +118,25 @@ def _limits_suite(config):
     return reports
 
 
-def check_casimir_rqhahn(p: QParams):
-    return algebra.check_casimir("rqhahn", p)
+def check_casimir_rqhahn(inst: brf.Instance):
+    return algebra.check_casimir("rqhahn", inst)
 
 
-def check_casimir_meta(p: QParams):
-    return algebra.check_casimir("meta", p)
+def check_casimir_meta(inst: brf.Instance):
+    return algebra.check_casimir("meta", inst)
 
 
-def check_potential_rqhahn(p: QParams):
-    return algebra.check_potential("rqhahn", p)
+def check_potential_rqhahn(inst: brf.Instance):
+    return algebra.check_potential("rqhahn", inst)
 
 
-def check_potential_meta(p: QParams):
-    return algebra.check_potential("meta", p)
+def check_potential_meta(inst: brf.Instance):
+    return algebra.check_potential("meta", inst)
 
 
 SUITES = {
     "gevp": _qparams_suite([
-        gevp.check_gevp, verify_factorization, gevp.check_difference_equation,
+        gevp.check_gevp, gevp.check_factorization, gevp.check_difference_equation,
         gevp.check_recurrence, gevp.check_tridiagonal_actions, gevp.check_contiguity,
     ]),
     "biortho": _qparams_suite([

@@ -6,12 +6,12 @@ lambda_n, and the recurrence in n driven by the pencil (X, Z) with
 x-dependent eigenvalue -[x-alpha]_q.  Both reduce to the tridiagonal
 actions of X, Y, Z on the U_n basis with the mu coefficient table.
 
+The factorization Y = X V of the pencil is checked here too, in both
+bases.
+
 Boundary convention: values off the grid (U_n at x = -1 or x = N+1, and
 family members U_{-1}, U_{N+1}) never enter because their coefficients
 vanish; the checkers verify that vanishing instead of assuming it.
-
-Every checker accepts an optional coefficient override used by the
-negative-control tests; a perturbed table must produce violations.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .brf import brf_family, eigenvalue
+from . import linalg
+from .brf import Instance, eigenvalue
 from .operators import (
     Basis,
     GridVector,
@@ -43,6 +44,7 @@ __all__ = [
     "MuCoefficients",
     "mu_coefficients",
     "check_gevp",
+    "check_factorization",
     "check_difference_equation",
     "check_recurrence",
     "check_tridiagonal_actions",
@@ -131,41 +133,57 @@ def mu_coefficients(n: int, p: QParams) -> MuCoefficients:
     return MuCoefficients(mu=mu, params=p, n=n)
 
 
-def _mu_table(p: QParams, override: Sequence[MuCoefficients] | None) -> list[MuCoefficients]:
-    if override is not None:
-        return list(override)
-    return [mu_coefficients(n, p) for n in range(p.N + 1)]
-
-
-def check_gevp(p: QParams, lambdas: Sequence[Fraction] | None = None) -> CheckReport:
+def check_gevp(inst: Instance) -> CheckReport:
     """Y U_n = lambda_n X U_n with exactly zero residual for every n."""
+    p = inst.p
     report = CheckReport(check="gevp", params=p.as_dict())
-    fam = brf_family(p)
-    lams = list(lambdas) if lambdas is not None else list(fam.lambdas)
-    x_op = build_operator(Operator.X, Basis.POINT, p)
-    y_op = build_operator(Operator.Y, Basis.POINT, p)
+    fam = inst.family
+    x_op, y_op = inst.ops["X"], inst.ops["Y"]
     residuals = []
     for n, u in enumerate(fam.members):
-        resid = (y_op @ u) - lams[n] * (x_op @ u)
+        resid = (y_op @ u) - fam.lambdas[n] * (x_op @ u)
         worst = max(abs(v) for v in resid)
         residuals.append(frac_str(worst))
         if not resid.is_zero():
             report.add_violation(n=n, residual=frac_str(worst))
     report.details["residuals"] = residuals
-    report.details["lambdas"] = [frac_str(v) for v in lams]
+    report.details["lambdas"] = [frac_str(v) for v in fam.lambdas]
     return report
 
 
-def check_difference_equation(p: QParams, lambdas: Sequence[Fraction] | None = None) -> CheckReport:
+def check_factorization(inst: Instance) -> CheckReport:
+    """Check Y = X V exactly in both bases, plus a forward-substitution oracle.
+
+    The oracle recomputes V in the point basis as the bidiagonal solve
+    X W = Y and compares W with the constructed V entry by entry.
+    """
+    p = inst.p
+    report = CheckReport(check="factorization", params=p.as_dict())
+    phi = {g: build_operator(Operator(g), Basis.PHI, p) for g in "XYV"}
+    for basis, ops in ((Basis.POINT, inst.ops), (Basis.PHI, phi)):
+        resid = (ops["X"] @ ops["V"]) - ops["Y"]
+        report.details[f"{basis.value}_residual"] = frac_str(resid.max_abs())
+        if not resid.is_zero():
+            report.add_violation(basis=basis.value, residual=frac_str(resid.max_abs()))
+    solved = linalg.solve_lower_triangular(inst.ops["X"].rows(), inst.ops["Y"].rows())
+    forward_ok = solved == inst.ops["V"].rows()
+    report.details["forward_solve_matches"] = forward_ok
+    if not forward_ok:
+        report.add_violation(basis="point", residual="forward substitution mismatch")
+    return report
+
+
+def check_difference_equation(inst: Instance) -> CheckReport:
     """Three-term difference equation in x for every (n, x), exactly.
 
     A_1(x) U_n(x+1) + A_0(x) U_n(x) + A_2(x) U_n(x-1)
       = lambda_n ([x-alpha]_q U_n(x) - q^{-alpha} [x]_q U_n(x-1)).
     """
+    p = inst.p
     report = CheckReport(check="difference_equation", params=p.as_dict())
-    fam = brf_family(p)
-    lams = list(lambdas) if lambdas is not None else list(fam.lambdas)
+    fam = inst.family
     for n, u in enumerate(fam.members):
+        lam = fam.lambdas[n]
         for x in range(p.N + 1):
             up, stay, down = y_shift_coefficients(p, x)
             lhs = stay * u[x]
@@ -179,10 +197,10 @@ def check_difference_equation(p: QParams, lambdas: Sequence[Fraction] | None = N
             elif down != 0:
                 report.add_violation(n=n, x=x, residual="off-grid lowering coefficient nonzero")
                 continue
-            rhs = lams[n] * qnum(p, x, -1) * u[x]
+            rhs = lam * qnum(p, x, -1) * u[x]
             drop = qpow(p, 0, -1) * qnum(p, x)
             if x > 0:
-                rhs -= lams[n] * drop * u[x - 1]
+                rhs -= lam * drop * u[x - 1]
             elif drop != 0:
                 report.add_violation(n=n, x=x, residual="off-grid [x]_q coefficient nonzero")
                 continue
@@ -208,17 +226,17 @@ def _three_term(members: Sequence[GridVector], mu3: Sequence[Fraction], n: int,
     return out, None
 
 
-def check_recurrence(p: QParams, mu_table: Sequence[MuCoefficients] | None = None) -> CheckReport:
+def check_recurrence(inst: Instance) -> CheckReport:
     """Recurrence in n at every grid point, exactly.
 
     mu1 U_{n+1} + mu2 U_n + mu3 U_{n-1}
       = -[x-alpha]_q (mu7 U_{n+1} + mu8 U_n + mu9 U_{n-1}).
     """
+    p = inst.p
     report = CheckReport(check="recurrence", params=p.as_dict())
-    fam = brf_family(p)
-    table = _mu_table(p, mu_table)
+    fam = inst.family
     for n in range(p.N + 1):
-        mu = table[n]
+        mu = mu_coefficients(n, p)
         lhs, problem = _three_term(fam.members, (mu[1], mu[2], mu[3]), n, p.N)
         if problem:
             report.add_violation(n=n, residual=problem)
@@ -234,17 +252,14 @@ def check_recurrence(p: QParams, mu_table: Sequence[MuCoefficients] | None = Non
     return report
 
 
-def check_tridiagonal_actions(p: QParams, mu_table: Sequence[MuCoefficients] | None = None) -> CheckReport:
+def check_tridiagonal_actions(inst: Instance) -> CheckReport:
     """X, Y, Z applied to U_n match their three-term mu expansions exactly."""
+    p = inst.p
     report = CheckReport(check="tridiagonal_actions", params=p.as_dict())
-    fam = brf_family(p)
-    table = _mu_table(p, mu_table)
-    ops = {
-        "X": (build_operator(Operator.X, Basis.POINT, p), (1, 2, 3)),
-        "Y": (build_operator(Operator.Y, Basis.POINT, p), (4, 5, 6)),
-        "Z": (build_operator(Operator.Z, Basis.POINT, p), (7, 8, 9)),
-    }
-    for name, (op, labels) in ops.items():
+    fam = inst.family
+    table = [mu_coefficients(n, p) for n in range(p.N + 1)]
+    for name, labels in (("X", (1, 2, 3)), ("Y", (4, 5, 6)), ("Z", (7, 8, 9))):
+        op = inst.ops[name]
         for n in range(p.N + 1):
             mu = table[n]
             expansion, problem = _three_term(
@@ -259,7 +274,7 @@ def check_tridiagonal_actions(p: QParams, mu_table: Sequence[MuCoefficients] | N
     return report
 
 
-def check_contiguity(p: QParams, factor: Fraction | None = None) -> CheckReport:
+def check_contiguity(inst: Instance) -> CheckReport:
     """X, Y, Z map the family at A to the family at qA, exactly.
 
     X U_n -> [-alpha]_q U'_n;  Y U_n -> [-alpha]_q lambda_n U'_n;
@@ -267,20 +282,19 @@ def check_contiguity(p: QParams, factor: Fraction | None = None) -> CheckReport:
     family at the shifted instance (q, qA, B, N).  An instance whose shift
     fails the parameter guards (say, onto a basis pole) is a skip.
     """
+    p = inst.p
     report = CheckReport(check="contiguity", params=p.as_dict())
     shifted = QParams(p.q, p.q * p.A, p.B, p.N)
-    for inst, tag in ((p, "base"), (shifted, "shifted")):
-        issues = validate_params(inst, p.N).issues()
+    for params, tag in ((p, "base"), (shifted, "shifted")):
+        issues = validate_params(params, p.N).issues()
         if issues:
             report.skipped = f"{tag} instance invalid for contiguity: " + "; ".join(issues)
             return report
-    fam = brf_family(p)
-    fam_shift = brf_family(shifted)
-    scale = factor if factor is not None else qnum(p, 0, -1)  # [-alpha]_q
+    fam = inst.family
+    fam_shift = Instance(shifted).family
+    scale = qnum(p, 0, -1)  # [-alpha]_q
     report.details["scale"] = frac_str(scale)
-    x_op = build_operator(Operator.X, Basis.POINT, p)
-    y_op = build_operator(Operator.Y, Basis.POINT, p)
-    z_op = build_operator(Operator.Z, Basis.POINT, p)
+    x_op, y_op, z_op = inst.ops["X"], inst.ops["Y"], inst.ops["Z"]
     for n in range(p.N + 1):
         u, u_shift = fam.members[n], fam_shift.members[n]
         lam = fam.lambdas[n]

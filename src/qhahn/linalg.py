@@ -99,10 +99,6 @@ def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def rank(a) -> int:
-    return len(rref(a)[1])
-
-
 def solve_unique(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vector:
     """Exact solution of a linear system with a unique solution.
 

@@ -28,14 +28,12 @@ from .qcore import (
     QHahnError,
     QParams,
     ZeroWeight,
-    frac_str,
     qnum,
     qpoch,
     qpow,
     scalar,
     validate_params,
 )
-from .reports import CheckReport
 
 __all__ = [
     "Basis",
@@ -49,7 +47,6 @@ __all__ = [
     "build_adjoint_operator",
     "basis_change",
     "weighted_adjoint",
-    "verify_factorization",
 ]
 
 
@@ -172,8 +169,8 @@ class OpMatrix:
         return linalg.max_abs(self.entries)
 
 
-def identity_matrix(p: QParams, basis: Basis = Basis.POINT) -> OpMatrix:
-    return OpMatrix(linalg.identity(p.N + 1), basis, p)
+def identity_matrix(p: QParams) -> OpMatrix:
+    return OpMatrix(linalg.identity(p.N + 1), Basis.POINT, p)
 
 
 def phi_function(p: QParams, n: int, x: int) -> Fraction:
@@ -318,14 +315,13 @@ def build_operator(which: Operator, basis: Basis, p: QParams) -> OpMatrix:
     return OpMatrix(_BUILDERS[(which, basis)](p), basis, p)
 
 
-def basis_change(p: QParams, n_max: int | None = None) -> OpMatrix:
+def basis_change(p: QParams) -> OpMatrix:
     """Matrix Phi with Phi[x][n] = phi_n(x), connecting the two bases.
 
-    Raises PoleOnGrid when A = q^m for m in [-(n_max-1), N], which puts a
+    Raises PoleOnGrid when A = q^m for m in [-(N-1), N], which puts a
     denominator zero of some phi_n on the grid.
     """
-    n_max = p.N if n_max is None else n_max
-    rep = validate_params(p, n_max)
+    rep = validate_params(p, p.N)
     if rep.basis_pole is not None:
         raise PoleOnGrid(rep.basis_pole)
     n1 = p.N + 1
@@ -392,29 +388,3 @@ def build_adjoint_operator(which: Operator, p: QParams) -> OpMatrix:
     else:
         raise QHahnError("no closed-form adjoint is provided for V")
     return OpMatrix(m, Basis.POINT, p)
-
-
-def verify_factorization(p: QParams) -> CheckReport:
-    """Check Y = X V exactly in both bases, plus a forward-substitution oracle.
-
-    The oracle recomputes V in the point basis as the bidiagonal solve
-    X W = Y and compares W with the constructed V entry by entry.
-    """
-    report = CheckReport(check="factorization", params=p.as_dict())
-    for basis in (Basis.POINT, Basis.PHI):
-        x = build_operator(Operator.X, basis, p)
-        y = build_operator(Operator.Y, basis, p)
-        v = build_operator(Operator.V, basis, p)
-        resid = (x @ v) - y
-        report.details[f"{basis.value}_residual"] = frac_str(resid.max_abs())
-        if not resid.is_zero():
-            report.add_violation(basis=basis.value, residual=frac_str(resid.max_abs()))
-    x_pt = build_operator(Operator.X, Basis.POINT, p)
-    y_pt = build_operator(Operator.Y, Basis.POINT, p)
-    v_pt = build_operator(Operator.V, Basis.POINT, p)
-    solved = linalg.solve_lower_triangular(x_pt.rows(), y_pt.rows())
-    forward_ok = solved == v_pt.rows()
-    report.details["forward_solve_matches"] = forward_ok
-    if not forward_ok:
-        report.add_violation(basis="point", residual="forward substitution mismatch")
-    return report

@@ -208,21 +208,16 @@ def wilson_v(n: int, x: int, wp: WilsonParams) -> Fraction:
                     wp.q**x * wp.qa / wp.qb)
 
 
-def wilson_h(n: int, wp: WilsonParams, *, include_qn: bool = True,
-             squared_head: bool = True, anchored_tail: bool = True) -> Fraction:
-    """Diagonal norm.  The keyword knobs revert corrections and exist only
-    so tests can certify each of them: include_qn=False drops the q^{-n}
-    factor, squared_head=False replaces the (q*qa^2; q)_N head with
-    (q*qa; q)_N, and anchored_tail=False replaces the (q*qa/qe; q)_n tail
-    factor with (q*qc/qe; q)_n.  Each reversion breaks at least one
-    diagonal identity on a generic instance.
+def wilson_h(n: int, wp: WilsonParams) -> Fraction:
+    """Diagonal norm.  It carries three corrections to the printed formula:
+    the q^{-n} factor, the (q*qa^2; q)_N head (printed (q*qa; q)_N) and the
+    (q*qa/qe; q)_n tail factor (printed (q*qc/qe; q)_n).  Reverting any one
+    of them breaks a diagonal identity on a generic instance.
     """
     q, qa, qb, qc, qd, qe, qf = wp.q, wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf
     N = wp.N
-    head_base = q * qa * qa if squared_head else q * qa
-    tail_anchor = q * qa / qe if anchored_tail else q * qc / qe
     num = (
-        qpoch(head_base, N, q) * qpoch(q / (qc * qd), N, q)
+        qpoch(q * qa * qa, N, q) * qpoch(q / (qc * qd), N, q)
         * qpoch(q / (qc * qe), N, q) * qpoch(q / (qd * qe), N, q)
     )
     den = 1
@@ -230,7 +225,7 @@ def wilson_h(n: int, wp: WilsonParams, *, include_qn: bool = True,
         den = den * qpoch(base, N, q)
     tail_num = (
         qpoch(q, n, q) * qpoch(q**n / (qe * qf), n, q)
-        * qpoch(qc * qd, n, q) * qpoch(tail_anchor, n, q) * qpoch(q * qb / qf, n, q)
+        * qpoch(qc * qd, n, q) * qpoch(q * qa / qe, n, q) * qpoch(q * qb / qf, n, q)
     )
     tail_den = (
         qpoch(q / (qe * qf), 2 * n, q) * qpoch(qa * qb, n, q)
@@ -238,15 +233,10 @@ def wilson_h(n: int, wp: WilsonParams, *, include_qn: bool = True,
     )
     if den == 0 or tail_den == 0:
         raise ZeroDenominator("norm denominator vanishes")
-    out = num / den * tail_num / tail_den
-    if include_qn:
-        out = out * q ** (-n)
-    return out
+    return num / den * tail_num / tail_den * q ** (-n)
 
 
-def check_wilson_biorthogonality(wp: WilsonParams, *, include_qn: bool = True,
-                                 squared_head: bool = True,
-                                 anchored_tail: bool = True) -> CheckReport:
+def check_wilson_biorthogonality(wp: WilsonParams) -> CheckReport:
     """Sum_x w_x u_n v_m = delta_{nm} h_n, all pairs, exact."""
     grid = range(wp.N + 1)
     return check_gram(
@@ -254,8 +244,7 @@ def check_wilson_biorthogonality(wp: WilsonParams, *, include_qn: bool = True,
         [wilson_weight(x, wp) for x in grid],
         [[wilson_u(n, x, wp) for x in grid] for n in grid],
         [[wilson_v(m, x, wp) for x in grid] for m in grid],
-        [wilson_h(n, wp, include_qn=include_qn, squared_head=squared_head,
-                  anchored_tail=anchored_tail) for n in grid])
+        [wilson_h(n, wp) for n in grid])
 
 
 def limit_weight(x: int, q, A, B, N: int):

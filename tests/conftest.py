@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhahn.qcore import QParams
+from qhahn import wilson
+from qhahn.qcore import QParams, qpoch
 
 # Canonical instance used wherever a single generic instance suffices.
 CANONICAL = QParams(F(1, 2), F(32), F(1, 512), 3)
@@ -24,6 +25,26 @@ PANEL = [
 
 # Subset with q on both sides of 1 and a non-q-power A, for slower checks.
 SMALL_PANEL = [PANEL[0], PANEL[2], PANEL[3], PANEL[5], PANEL[9]]
+
+
+# The three printed-formula corrections built into the 10phi9 norm, each as
+# the factor that turns the corrected norm wilson_h(n, wp) back into the
+# printed one: without q^{-n}, with the head (q*qa; q)_N in place of
+# (q*qa^2; q)_N, and with the tail factor (q*qc/qe; q)_n in place of
+# (q*qa/qe; q)_n.
+NORM_REVERSIONS = {
+    "include_qn": lambda n, wp: wp.q**n,
+    "squared_head": lambda n, wp: (
+        qpoch(wp.q * wp.qa, wp.N, wp.q) / qpoch(wp.q * wp.qa * wp.qa, wp.N, wp.q)),
+    "anchored_tail": lambda n, wp: (
+        qpoch(wp.q * wp.qc / wp.qe, n, wp.q) / qpoch(wp.q * wp.qa / wp.qe, n, wp.q)),
+}
+
+
+def revert_norm_correction(monkeypatch, knob):
+    """Substitute the printed norm with one correction reverted for wilson_h."""
+    good, factor = wilson.wilson_h, NORM_REVERSIONS[knob]
+    monkeypatch.setattr(wilson, "wilson_h", lambda n, wp: good(n, wp) * factor(n, wp))
 
 
 @pytest.fixture

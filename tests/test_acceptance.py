@@ -9,8 +9,10 @@ from fractions import Fraction as F
 from importlib import resources
 
 from qhahn import algebra, brf, gevp, wilson
+from qhahn.brf import Instance
 from qhahn.cli import _parse_hahn, _parse_qparams, _parse_wilson
-from qhahn.operators import verify_factorization
+
+from conftest import NORM_REVERSIONS, revert_norm_correction
 
 
 def _load_panel():
@@ -31,45 +33,52 @@ def _verdict(num, title, ok):
 
 
 def test_c01_gevp_exactness():
-    ok = all(gevp.check_gevp(p).status == "pass" for p in INSTANCES)
+    ok = all(gevp.check_gevp(Instance(p)).status == "pass" for p in INSTANCES)
     _verdict(1, "generalized eigenvalue identity exact on the panel", ok)
 
 
 def test_c02_factorization_in_both_bases():
-    ok = all(verify_factorization(p).status == "pass" for p in INSTANCES)
+    ok = all(gevp.check_factorization(Instance(p)).status == "pass" for p in INSTANCES)
     _verdict(2, "Y = X V exact in both bases", ok)
 
 
 def test_c03_biorthogonality_with_closed_form_norms():
     ok = True
     for p in INSTANCES:
-        ok = ok and brf.check_biorthogonality(p).status == "pass"
+        ok = ok and brf.check_biorthogonality(Instance(p)).status == "pass"
         # norm_h(check=True) re-verifies the assembled closed form
         ok = ok and all(brf.norm_h(n, p) != 0 for n in range(p.N + 1))
     _verdict(3, "biorthogonality exact with nonzero closed-form norms", ok)
 
 
-def test_c04_bispectral_pair_with_negative_controls():
+def test_c04_bispectral_pair_with_negative_controls(monkeypatch):
     ok = True
     for p in INSTANCES:
-        ok = ok and gevp.check_difference_equation(p).status == "pass"
-        ok = ok and gevp.check_recurrence(p).status == "pass"
-        ok = ok and gevp.check_tridiagonal_actions(p).status == "pass"
+        inst = Instance(p)
+        ok = ok and gevp.check_difference_equation(inst).status == "pass"
+        ok = ok and gevp.check_recurrence(inst).status == "pass"
+        ok = ok and gevp.check_tridiagonal_actions(inst).status == "pass"
     # a perturbed eigenvalue and a perturbed recurrence entry must be caught
     p = INSTANCES[0]
-    lams = [brf.eigenvalue(n, p) for n in range(p.N + 1)]
-    lams[1] += 1
-    ok = ok and gevp.check_gevp(p, lambdas=lams).status == "fail"
-    table = [gevp.mu_coefficients(n, p) for n in range(p.N + 1)]
-    bumped = list(table[1].mu)
-    bumped[7] += 1
-    table[1] = gevp.MuCoefficients(tuple(bumped), p, 1)
-    ok = ok and gevp.check_recurrence(p, mu_table=table).status == "fail"
+    with monkeypatch.context() as m:
+        eigenvalue = brf.eigenvalue
+        m.setattr(brf, "eigenvalue", lambda n, q: eigenvalue(n, q) + (1 if n == 1 else 0))
+        ok = ok and gevp.check_gevp(Instance(p)).status == "fail"
+    with monkeypatch.context() as m:
+        mu_coefficients = gevp.mu_coefficients
+
+        def bumped(n, q):
+            mu = list(mu_coefficients(n, q).mu)
+            mu[7] += 1 if n == 1 else 0
+            return gevp.MuCoefficients(tuple(mu), q, n)
+
+        m.setattr(gevp, "mu_coefficients", bumped)
+        ok = ok and gevp.check_recurrence(Instance(p)).status == "fail"
     _verdict(4, "difference equation and recurrence exact, tampering detected", ok)
 
 
 def test_c05_contiguity_under_parameter_shift():
-    ok = all(gevp.check_contiguity(p).status == "pass" for p in INSTANCES)
+    ok = all(gevp.check_contiguity(Instance(p)).status == "pass" for p in INSTANCES)
     _verdict(5, "contiguity relations exact under A -> qA", ok)
 
 
@@ -77,9 +86,10 @@ def test_c06_algebra_relations_and_solved_constants():
     ok = True
     solvable = 0
     for p in INSTANCES:
-        ok = ok and algebra.check_rqhahn_relations(p).status == "pass"
-        ok = ok and algebra.check_meta_relations(p).status == "pass"
-        report = algebra.check_structure_constants(p)
+        inst = Instance(p)
+        ok = ok and algebra.check_rqhahn_relations(inst).status == "pass"
+        ok = ok and algebra.check_meta_relations(inst).status == "pass"
+        report = algebra.check_structure_constants(inst)
         ok = ok and report.status in ("pass", "skip")
         if report.status == "pass":
             solvable += 1
@@ -89,7 +99,7 @@ def test_c06_algebra_relations_and_solved_constants():
 
 def test_c07_casimirs_are_central():
     ok = all(
-        algebra.check_casimir(which, p).status == "pass"
+        algebra.check_casimir(which, Instance(p)).status == "pass"
         for p in INSTANCES
         for which in ("rqhahn", "meta")
     )
@@ -100,20 +110,22 @@ def test_c08_potentials_generate_relations():
     ok = True
     for p in INSTANCES:
         for which in ("rqhahn", "meta"):
-            report = algebra.check_potential(which, p)
+            report = algebra.check_potential(which, Instance(p))
             ok = ok and report.status == "pass"
             ok = ok and set(report.details["scales"].values()) == {"-1/1"}
     _verdict(8, "cyclic-derivative potentials reproduce every relation", ok)
 
 
-def test_c09_wilson_biorthogonality_and_corrections():
+def test_c09_wilson_biorthogonality_and_corrections(monkeypatch):
     ok = all(
         wilson.check_wilson_biorthogonality(wp).status == "pass"
         for wp in WILSON_INSTANCES
     )
     generic = WILSON_INSTANCES[0]
-    for knob in ("include_qn", "squared_head", "anchored_tail"):
-        reverted = wilson.check_wilson_biorthogonality(generic, **{knob: False})
+    for knob in NORM_REVERSIONS:
+        with monkeypatch.context() as m:
+            revert_norm_correction(m, knob)
+            reverted = wilson.check_wilson_biorthogonality(generic)
         ok = ok and reverted.status == "fail"
     _verdict(9, "Wilson functions biorthogonal, norm corrections load-bearing", ok)
 
@@ -136,5 +148,5 @@ def test_c10_limit_chains():
 
 
 def test_c11_weight_involution():
-    ok = all(brf.check_weight(p).status == "pass" for p in INSTANCES)
+    ok = all(brf.check_weight(Instance(p)).status == "pass" for p in INSTANCES)
     _verdict(11, "weight reflection symmetry exact on the panel", ok)

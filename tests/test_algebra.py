@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhahn import algebra
 from qhahn.algebra import (
     NCPoly,
-    StructureConstants,
     casimir_matrix,
     casimir_poly,
     check_casimir,
@@ -24,6 +24,7 @@ from qhahn.algebra import (
     solve_structure_constants,
     structure_constants,
 )
+from qhahn.brf import Instance
 from qhahn.operators import Basis, Operator, build_operator
 from qhahn.qcore import QHahnError, qnum, qpow
 
@@ -109,30 +110,39 @@ def test_evaluate_poly_matches_matrix_products(canonical):
 
 def test_rqhahn_relations_exact_on_panel():
     for p in PANEL:
-        assert check_rqhahn_relations(p).status == "pass"
+        assert check_rqhahn_relations(Instance(p)).status == "pass"
 
 
 def test_meta_relations_exact_on_panel():
     for p in PANEL:
-        assert check_meta_relations(p).status == "pass"
+        assert check_meta_relations(Instance(p)).status == "pass"
 
 
-def test_relation_negative_control_xi5(canonical):
-    sc = structure_constants(canonical)
-    xi = list(sc.xi)
-    xi[5] += 1
-    tampered = dataclasses.replace(sc, xi=tuple(xi))
-    assert check_rqhahn_relations(canonical, constants=tampered).status == "fail"
+def _tamper_constants(monkeypatch, field, i, change):
+    good = algebra.structure_constants
+
+    def tampered(p):
+        sc = good(p)
+        values = list(getattr(sc, field))
+        values[i] = change(values[i])
+        return dataclasses.replace(sc, **{field: tuple(values)})
+
+    monkeypatch.setattr(algebra, "structure_constants", tampered)
 
 
-def test_relation_negative_control_eta2_sign(canonical):
-    # the sign of eta_2 is load-bearing: its flip must break the ZV relation
-    sc = structure_constants(canonical)
-    eta = list(sc.eta)
-    eta[2] = -eta[2]
-    tampered = dataclasses.replace(sc, eta=tuple(eta))
-    report = check_meta_relations(canonical, constants=tampered)
+def test_relation_negative_control_xi5(canonical, monkeypatch):
+    _tamper_constants(monkeypatch, "xi", 5, lambda v: v + 1)
+    report = check_rqhahn_relations(Instance(canonical))
     assert report.status == "fail"
+    assert [v["relation"] for v in report.violations] == ["ZY"]
+
+
+def test_relation_negative_control_eta2_sign(canonical, monkeypatch):
+    # the sign of eta_2 is load-bearing: its flip must break the ZV relation
+    _tamper_constants(monkeypatch, "eta", 2, lambda v: -v)
+    report = check_meta_relations(Instance(canonical))
+    assert report.status == "fail"
+    assert [v["relation"] for v in report.violations] == ["ZV"]
 
 
 def test_structure_constant_closed_forms(canonical):
@@ -148,7 +158,7 @@ def test_structure_constant_closed_forms(canonical):
 
 def test_solve_back_recovers_constants():
     for p in PANEL:
-        report = check_structure_constants(p)
+        report = check_structure_constants(Instance(p))
         if p.N <= 2:
             assert report.status == "skip"
         else:
@@ -156,22 +166,24 @@ def test_solve_back_recovers_constants():
 
 
 def test_solve_back_equals_closed_forms(canonical):
-    solved = solve_structure_constants(canonical)
+    solved = solve_structure_constants(Instance(canonical))
     closed = structure_constants(canonical)
     assert solved.xi == closed.xi
 
 
 def test_casimirs_central_on_panel():
     for p in PANEL:
-        assert check_casimir("rqhahn", p).status == "pass"
-        assert check_casimir("meta", p).status == "pass"
+        inst = Instance(p)
+        assert check_casimir("rqhahn", inst).status == "pass"
+        assert check_casimir("meta", inst).status == "pass"
 
 
 def test_casimir_matrices_shape(canonical):
     # the realization sits on the zero surface of the cubic Casimir and
     # maps the meta Casimir to a nonzero scalar
-    assert casimir_matrix("rqhahn", canonical).is_zero()
-    meta = casimir_matrix("meta", canonical)
+    inst = Instance(canonical)
+    assert casimir_matrix("rqhahn", inst).is_zero()
+    meta = casimir_matrix("meta", inst)
     scalarval = meta.entries[0][0]
     assert scalarval == F(-773977, 131072)
     for i in range(canonical.N + 1):
@@ -180,16 +192,17 @@ def test_casimir_matrices_shape(canonical):
 
 
 def test_casimir_reports_scalar_flag(canonical):
-    r = check_casimir("meta", canonical)
+    inst = Instance(canonical)
+    r = check_casimir("meta", inst)
     assert r.details["is_scalar"] is True
-    r2 = check_casimir("rqhahn", canonical)
+    r2 = check_casimir("rqhahn", inst)
     assert r2.details["is_scalar"] is True
 
 
 def test_potentials_give_relations_with_unit_scale():
     for p in SMALL_PANEL:
         for which in ("rqhahn", "meta"):
-            report = check_potential(which, p)
+            report = check_potential(which, Instance(p))
             assert report.status == "pass"
             assert set(report.details["scales"].values()) == {"-1/1"}
 

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 from qhahn import brf
 from qhahn.brf import (
+    Instance,
     brf_family,
     partner_scale,
     brf_partner,
@@ -56,7 +57,7 @@ def test_weight_normalized_and_involutive():
     for p in PANEL:
         w = weight_vector(p)
         assert sum(F(v) for v in w) == 1
-        assert check_weight(p).status == "pass"
+        assert check_weight(Instance(p)).status == "pass"
 
 
 def test_weight_reflection_pointwise(canonical):
@@ -77,7 +78,7 @@ def test_reflection_is_involutive():
 
 def test_biorthogonality_exact():
     for p in PANEL:
-        assert check_biorthogonality(p).status == "pass"
+        assert check_biorthogonality(Instance(p)).status == "pass"
 
 
 def test_biorthogonality_directly(canonical):
@@ -98,7 +99,7 @@ def test_biorthogonality_catches_a_wrong_norm(canonical, monkeypatch):
     good = brf.norm_h
     monkeypatch.setattr(
         brf, "norm_h", lambda n, p, check=True: good(n, p, check) + (1 if n == 2 else 0))
-    report = check_biorthogonality(canonical)
+    report = check_biorthogonality(Instance(canonical))
     assert report.status == "fail"
     assert report.violations == [{"n": 2, "m": 2, "residual": "-1/1"}]
 
@@ -114,7 +115,7 @@ def test_biorthogonality_catches_a_mixed_partner(canonical, monkeypatch):
         return tuple(partners)
 
     monkeypatch.setattr(brf, "partner_family", mixed)
-    report = check_biorthogonality(canonical)
+    report = check_biorthogonality(Instance(canonical))
     assert report.status == "fail"
     assert report.violations == [{"n": 1, "m": 3, "residual": frac_str(h1)}]
 
@@ -135,7 +136,7 @@ def test_norms_frozen_and_nonzero(canonical):
 
 def test_partner_is_reflected_family():
     for p in SMALL_PANEL:
-        assert check_partner(p).status == "pass"
+        assert check_partner(Instance(p)).status == "pass"
 
 
 def test_partner_values_from_reflection(canonical):
@@ -174,22 +175,22 @@ def test_u_prefactor_scales_series_head(canonical):
 
 
 def test_partial_fractions_frozen(canonical):
-    assert partial_fraction(0, canonical) == ()
-    assert partial_fraction(1, canonical) == (F(2032, 33),)
+    assert partial_fraction(0, brf_u(0, canonical)) == ()
+    assert partial_fraction(1, brf_u(1, canonical)) == (F(2032, 33),)
 
 
 def test_partial_fractions_verified_on_panel():
     for p in SMALL_PANEL:
-        assert check_partial_fractions(p).status == "pass"
+        assert check_partial_fractions(Instance(p)).status == "pass"
         # the expansion itself raises if the reconstruction fails off-support
         for n in range(p.N + 1):
-            partial_fraction(n, p)
+            partial_fraction(n, brf_u(n, p))
 
 
 def test_partial_fraction_basis_has_the_right_poles(canonical):
     # the n = 1 expansion must reproduce U_1 through 1/[alpha + k - x]
-    eta = partial_fraction(1, canonical)
     u = brf_u(1, canonical)
+    eta = partial_fraction(1, u)
     for x in range(canonical.N + 1):
         assert 1 + eta[0] / qnum(canonical, -x, 1) == u[x]
 

@@ -1,17 +1,21 @@
 import csv
 import hashlib
+import inspect
 import io
 import json
+from collections import Counter
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 
-from qhahn import cli
-from qhahn.brf import brf_u, weight_vector
+from qhahn import brf, cli, gevp
+from qhahn.brf import Instance, brf_u, weight_vector
 from qhahn.operators import Basis, Operator, build_operator
 from qhahn.qcore import QParams
 from qhahn.reports import CheckReport
+
+from conftest import CANONICAL
 
 
 def default_panel_path():
@@ -88,6 +92,60 @@ def test_contiguity_shift_onto_pole_is_a_skip_not_an_abort(tmp_path):
     assert list(status.values()) == ["pass"] * 5
     skipped = next(r for r in reports if r["check"] == "contiguity")
     assert "basis_pole" in skipped["reason"]
+
+
+def test_guard_skips_are_named_as_the_reports(tmp_path):
+    # A = 1 puts a basis pole on the grid: every gevp check of that instance
+    # is a skip, named as the same check's report on a valid instance
+    config = write_config(tmp_path, {
+        "instances": [
+            {"q": "1/2", "A": "1", "B": "1/512", "N": 3},
+            {"q": "1/2", "A": "32", "B": "1/512", "N": 3},
+        ],
+    })
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--config", config, "--suite", "gevp", "--out", str(out)])
+    assert code == 0
+    reports = json.loads(out.read_text())["suites"]["gevp"]
+    skipped = [r["check"] for r in reports if r["status"] == "skip"]
+    passed = [r["check"] for r in reports if r["status"] == "pass"]
+    assert len(skipped) == 6
+    assert skipped == passed
+
+
+def test_qparams_checks_are_plain_functions_named_after_their_reports():
+    # guard skips and outside instrumentation both name a check by __name__;
+    # the q-Hahn suites hold their checks in a list in the suite's closure
+    inst = Instance(CANONICAL)
+    checks = [check for suite in cli.SUITES.values() for cell in suite.__closure__ or ()
+              if isinstance(cell.cell_contents, list) for check in cell.cell_contents]
+    assert len(checks) == 17
+    for check in checks:
+        assert inspect.isfunction(check)
+        assert check.__name__ == "check_" + check(inst).check
+
+
+def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
+    calls = []
+
+    def counting(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((kind, args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(brf, "brf_family", counting("family", brf.brf_family))
+    built = counting("operator", build_operator)
+    for module in (brf, gevp):
+        monkeypatch.setattr(module, "build_operator", built)
+    reports = cli.SUITES["gevp"](MINIMAL)
+    assert [r["status"] for r in reports] == ["pass"] * 6
+    p = CANONICAL
+    assert [args for kind, args in calls if kind == "family"] == [
+        (p,), (QParams(p.q, p.q * p.A, p.B, p.N),)]
+    operators = Counter(args for kind, args in calls if kind == "operator")
+    assert operators == Counter([(op, Basis.POINT, p) for op in Operator]
+                                + [(Operator(g), Basis.PHI, p) for g in "XYV"])
 
 
 def test_invalid_wilson_and_hahn_entries_are_skips_carrying_the_entry(tmp_path):

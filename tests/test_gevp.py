@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
-from qhahn.brf import brf_family, eigenvalue
+from qhahn import brf, gevp
+from qhahn.brf import Instance, brf_family, eigenvalue
 from qhahn.gevp import (
     MuCoefficients,
     check_contiguity,
@@ -17,70 +18,80 @@ from conftest import CANONICAL, PANEL, SMALL_PANEL
 
 def test_gevp_exact_on_panel():
     for p in PANEL:
-        assert check_gevp(p).status == "pass"
+        assert check_gevp(Instance(p)).status == "pass"
 
 
 def test_difference_equation_exact_on_panel():
     for p in PANEL:
-        assert check_difference_equation(p).status == "pass"
+        assert check_difference_equation(Instance(p)).status == "pass"
 
 
 def test_recurrence_exact_on_panel():
     for p in PANEL:
-        assert check_recurrence(p).status == "pass"
+        assert check_recurrence(Instance(p)).status == "pass"
 
 
 def test_tridiagonal_actions_exact_on_panel():
     for p in PANEL:
-        assert check_tridiagonal_actions(p).status == "pass"
+        assert check_tridiagonal_actions(Instance(p)).status == "pass"
 
 
 def test_contiguity_exact_on_panel():
     for p in PANEL:
-        assert check_contiguity(p).status == "pass"
+        assert check_contiguity(Instance(p)).status == "pass"
 
 
-def test_gevp_detects_wrong_eigenvalue(canonical):
-    lams = [eigenvalue(n, canonical) for n in range(canonical.N + 1)]
-    lams[1] += 1
-    report = check_gevp(canonical, lambdas=lams)
+def _perturb_eigenvalue(monkeypatch, n_tamper, delta):
+    good = brf.eigenvalue
+    monkeypatch.setattr(
+        brf, "eigenvalue", lambda n, p: good(n, p) + (delta if n == n_tamper else 0))
+
+
+def test_gevp_detects_wrong_eigenvalue(canonical, monkeypatch):
+    _perturb_eigenvalue(monkeypatch, 1, 1)
+    report = check_gevp(Instance(canonical))
     assert report.status == "fail"
-    assert any(v.get("n") == 1 for v in report.violations)
+    assert [v["n"] for v in report.violations] == [1]
 
 
-def test_difference_equation_detects_wrong_eigenvalue(canonical):
-    lams = [eigenvalue(n, canonical) for n in range(canonical.N + 1)]
-    lams[2] += F(1, 7)
-    assert check_difference_equation(canonical, lambdas=lams).status == "fail"
+def test_difference_equation_detects_wrong_eigenvalue(canonical, monkeypatch):
+    _perturb_eigenvalue(monkeypatch, 2, F(1, 7))
+    report = check_difference_equation(Instance(canonical))
+    assert report.status == "fail"
+    assert {v["n"] for v in report.violations} == {2}
 
 
-def _tampered_table(p, n_tamper, slot, delta):
-    table = []
-    for n in range(p.N + 1):
-        mu = mu_coefficients(n, p)
-        if n == n_tamper:
-            bumped = list(mu.mu)
-            bumped[slot] += delta
-            mu = MuCoefficients(tuple(bumped), p, n)
-        table.append(mu)
-    return table
+def _tamper_mu(monkeypatch, n_tamper, slot, delta):
+    good = gevp.mu_coefficients
+
+    def tampered(n, p):
+        mu = good(n, p)
+        if n != n_tamper:
+            return mu
+        bumped = list(mu.mu)
+        bumped[slot] += delta
+        return MuCoefficients(tuple(bumped), p, n)
+
+    monkeypatch.setattr(gevp, "mu_coefficients", tampered)
 
 
-def test_recurrence_detects_mu_perturbation(canonical):
-    table = _tampered_table(canonical, 1, 1, F(1, 3))
-    assert check_recurrence(canonical, mu_table=table).status == "fail"
+def test_recurrence_detects_mu_perturbation(canonical, monkeypatch):
+    _tamper_mu(monkeypatch, 1, 1, F(1, 3))
+    assert check_recurrence(Instance(canonical)).status == "fail"
 
 
-def test_recurrence_rejects_uncorrected_mu8(canonical):
+def test_recurrence_rejects_uncorrected_mu8(canonical, monkeypatch):
     # the n-independent part of mu8 differs by exactly -1 from the naive
     # sigma difference; restoring the +1 must break the recurrence
-    table = _tampered_table(canonical, 1, 7, F(1))
-    assert check_recurrence(canonical, mu_table=table).status == "fail"
+    _tamper_mu(monkeypatch, 1, 7, F(1))
+    assert check_recurrence(Instance(canonical)).status == "fail"
 
 
-def test_tridiagonal_detects_mu_perturbation(canonical):
-    table = _tampered_table(canonical, 2, 4, F(1, 5))
-    assert check_tridiagonal_actions(canonical, mu_table=table).status == "fail"
+def test_tridiagonal_detects_mu_perturbation(canonical, monkeypatch):
+    _tamper_mu(monkeypatch, 2, 4, F(1, 5))
+    report = check_tridiagonal_actions(Instance(canonical))
+    assert report.status == "fail"
+    assert {(v["op"], v["n"]) for v in report.violations} == {("Y", 2)}
 
 
 def test_mu_eigenvalue_coupling():
@@ -106,7 +117,7 @@ def test_contiguity_rejects_shift_onto_pole():
     # A = q^-3 shifts onto A' = q^-2, a basis pole at N = 3; the check
     # refuses the instance with a skip instead of reporting a hollow pass
     p = QParams(F(7, 5), F(125, 343), F(282475249, 9765625), 3)
-    report = check_contiguity(p)
+    report = check_contiguity(Instance(p))
     assert report.status == "skip"
     assert report.skipped.startswith("shifted instance invalid for contiguity: basis_pole")
     assert not report.violations and not report.details

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from qhahn import linalg
-from qhahn.brf import brf_family, eigenvalue, weight_vector
+from qhahn.brf import Instance, brf_family, eigenvalue, weight_vector
+from qhahn.gevp import check_factorization
 from qhahn.operators import (
     Basis,
     GridVector,
@@ -16,7 +17,6 @@ from qhahn.operators import (
     build_operator,
     identity_matrix,
     phi_function,
-    verify_factorization,
     weighted_adjoint,
 )
 from qhahn.qcore import QParams
@@ -90,7 +90,7 @@ def test_v_phi_diagonal_carries_eigenvalues():
 
 def test_factorization_exact_everywhere():
     for p in PANEL:
-        assert verify_factorization(p).status == "pass"
+        assert check_factorization(Instance(p)).status == "pass"
 
 
 def test_factorization_direct_product(canonical):

@@ -28,7 +28,7 @@ from qhahn.wilson import (
     wilson_weight,
 )
 
-from conftest import CANONICAL
+from conftest import CANONICAL, NORM_REVERSIONS, revert_norm_correction
 
 WILSON_PANEL = [
     WilsonParams(F(1, 2), F(3), F(5), F(7), F(11), 2),
@@ -95,10 +95,11 @@ def test_gram_diagonal_matches_h_directly():
 
 
 @pytest.mark.parametrize("knob", ["include_qn", "squared_head", "anchored_tail"])
-def test_each_norm_correction_is_load_bearing(knob):
+def test_each_norm_correction_is_load_bearing(knob, monkeypatch):
     # reverting any one of the three corrections must break biorthogonality
     wp = WILSON_PANEL[0]
-    report = check_wilson_biorthogonality(wp, **{knob: False})
+    revert_norm_correction(monkeypatch, knob)
+    report = check_wilson_biorthogonality(wp)
     assert report.status == "fail"
 
 
@@ -106,9 +107,8 @@ def test_uncorrected_norms_differ_pointwise():
     wp = WILSON_PANEL[0]
     n = 1
     good = wilson_h(n, wp)
-    assert wilson_h(n, wp, include_qn=False) != good
-    assert wilson_h(n, wp, squared_head=False) != good
-    assert wilson_h(n, wp, anchored_tail=False) != good
+    for factor in NORM_REVERSIONS.values():
+        assert good * factor(n, wp) != good
 
 
 def test_wilson_limit_decays_geometrically():
