@@ -32,11 +32,11 @@ from .operators import (
 )
 from .qcore import (
     InvalidParams,
+    PoleOnGrid,
     QHahnError,
     QParams,
     ZeroDenominator,
     frac_str,
-    phi_series,
     qnum,
     qpoch,
     qpow,
@@ -149,17 +149,45 @@ def phi_expansion(n: int, p: QParams) -> tuple[Fraction, ...]:
 
 
 def _u_values_hypergeometric(n: int, p: QParams) -> list[Fraction]:
+    """U_n on the grid as its prefactor times the terminating 3phi2
+
+        3phi2(q^-n, q^{n-N} B, q^-x; q^-N, A q^-x; q, A/B),
+
+    summed by its term ratio.  The ratio splits into an n-part
+    a_k = (A/B)(1 - q^{k-n})(1 - q^{k+n-N} B) / ((1 - q^{k+1})(1 - q^{k-N}))
+    and an x-part r_{k-x} = (1 - q^{k-x}) / (1 - A q^{k-x}) that depends on
+    k - x only, so both are tabulated once per n.  r_0 = 0 ends the sum at
+    k = x, and a zero a_k ends every sum.  Each sum is evaluated in Horner
+    form, 1 + rho_0 (1 + rho_1 (1 + ...)), on one integer numerator and
+    denominator, reduced once.  The denominators 1 - A q^d for every
+    d = k - x the untruncated sums would meet are checked first:
+    ZeroDenominator if one vanishes, whatever x it belongs to.  The
+    `recurrence` route stays the independent check of this one.
+    """
     pref = u_prefactor(n, p)
+    q, A, N = p.q, p.A, p.N
+    if n == 0:
+        return [pref] * (N + 1)
+    for d in range(n):  # never summed, since the sum stops at k = x, but checked
+        if A * q**d == 1:
+            raise ZeroDenominator(f"(A q^-x; q)_k vanishes: A = q^{-d}")
+    (qn, qd), (An, Ad) = q.as_integer_ratio(), A.as_integer_ratio()
+    r = {}  # d = -e < 0: r_d = Ad (qn^e - qd^e) / (Ad qn^e - An qd^e), unreduced
+    for e in range(1, N + 1):
+        den = Ad * qn**e - An * qd**e
+        if den == 0:
+            raise ZeroDenominator(f"(A q^-x; q)_k vanishes: A = q^{e}")
+        r[-e] = (Ad * (qn**e - qd**e), den)
+    a = [(A / p.B * (1 - q ** (k - n)) * (1 - qpow(p, k + n - N, 0, 1))
+          / ((1 - q ** (k + 1)) * (1 - q ** (k - N)))).as_integer_ratio() for k in range(n)]
+    stop = next((k for k, (an, _) in enumerate(a) if not an), n)
     vals = []
-    for x in range(p.N + 1):
-        s = phi_series(
-            num=[qpow(p, -n), qpow(p, n - p.N, 0, 1), qpow(p, -x)],
-            den=[qpow(p, -p.N), qpow(p, -x, 1)],
-            z=p.A / p.B,
-            q=p.q,
-            terms=n + 1,
-        )
-        vals.append(pref * s)
+    for x in range(N + 1):
+        num = den = 1
+        for k in reversed(range(min(stop, x))):
+            (an, ad), (rn, rd) = a[k], r[k - x]
+            num, den = ad * rd * den + an * rn * num, ad * rd * den
+        vals.append(pref * Fraction(num, den))
     return vals
 
 
@@ -295,20 +323,30 @@ def partial_fraction(n: int, u: GridVector) -> tuple[Fraction, ...]:
 
     `u` holds the grid values of U_n.  The basis functions 1/[alpha+k-x]_q
     carry the n simple poles of U_n and vanish in the x -> infinity
-    normalization limit, so the constant term is exactly 1.  The n x n
-    system is solved from the first n grid points and the expansion is
-    verified on the remaining ones.
+    normalization limit, so the constant term is exactly 1.  In
+    t_x = q^-x and s_k = 1/(A q^k), 1/[alpha+k-x]_q = (1-q) s_k / (s_k - t_x),
+    so the first n grid points give a Cauchy system for (1-q) s_k eta_k,
+    solved in O(n^2) by `linalg.cauchy_solve`.  The expansion is then
+    verified on all N+1 grid points, so a wrong solve cannot pass.  Raises
+    PoleOnGrid when a basis function has a pole on the grid (A q^{k-x} = 1).
     """
     p = u.params
     if n == 0:
         if any(v != 1 for v in u):
             raise QHahnError("U_0 is not identically 1")
         return ()
-    rows = [[1 / qnum(p, k - x, 1) for k in range(n)] for x in range(n)]
-    rhs = [u[x] - 1 for x in range(n)]
-    eta = linalg.solve_unique(rows, rhs)
-    for x in range(n, p.N + 1):
-        recon = 1 + sum(eta[k] / qnum(p, k - x, 1) for k in range(n))
+    q, A = p.q, p.A
+    basis = {}  # 1/[alpha+k-x]_q depends on d = k - x only
+    for d in range(-p.N, n):
+        den = 1 - A * q**d
+        if den == 0:
+            raise PoleOnGrid(f"1/[alpha+k-x]_q has a pole on the grid: A q^{d} = 1")
+        basis[d] = (1 - q) / den
+    s = [1 / (A * q**k) for k in range(n)]
+    c = linalg.cauchy_solve(s, [q**-x for x in range(n)], [u[x] - 1 for x in range(n)])
+    eta = [ck / ((1 - q) * sk) for ck, sk in zip(c, s)]
+    for x in range(p.N + 1):
+        recon = 1 + sum(eta[k] * basis[k - x] for k in range(n))
         if recon != u[x]:
             raise QHahnError(f"partial-fraction expansion of U_{n} fails at x = {x}")
     return tuple(eta)
@@ -339,9 +377,13 @@ def check_biorthogonality(inst: Instance) -> CheckReport:
 def check_partner(inst: Instance) -> CheckReport:
     """Adjoint characterization of the partner family.
 
-    For each m the generalized null space of (Y* - lambda_m X*) is
+    For each m the null space of the pencil Y* - lambda_m X* is
     one-dimensional and X* applied to it is collinear with partner_m;
-    moreover V* partner_m = lambda_m partner_m.
+    moreover V* partner_m = lambda_m partner_m.  X* is upper bidiagonal and
+    Y* tridiagonal, so the pencil is tridiagonal and its kernel comes from
+    the three-term recurrence of `linalg.tridiagonal_null_space`, which
+    proves the dimension; a pencil with a zero superdiagonal entry goes to
+    dense elimination instead.
     """
     p = inst.p
     report = CheckReport(check="partner", params=p.as_dict())
@@ -352,12 +394,13 @@ def check_partner(inst: Instance) -> CheckReport:
         resid = (vs @ pm) - lam * pm
         if not resid.is_zero():
             report.add_violation(m=m, kind="eigen", residual=frac_str(max(abs(v) for v in resid)))
-        pencil = (ys - lam * xs).rows()
-        kernel = linalg.null_space(pencil)
+        pencil = [[y - lam * x if x else y for x, y in zip(rx, ry)]
+                  for rx, ry in zip(xs.entries, ys.entries)]
+        kernel = linalg.tridiagonal_null_space(pencil)
         if len(kernel) != 1:
             report.add_violation(m=m, kind="kernel", residual=f"dimension {len(kernel)}")
             continue
-        image = GridVector(tuple(linalg.mat_vec(xs.rows(), kernel[0])), p)
+        image = GridVector(tuple(linalg.mat_vec(xs.entries, kernel[0])), p)
         # collinearity: image = c * partner_m for a single nonzero constant
         ratio = None
         ok = True

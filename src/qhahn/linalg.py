@@ -1,13 +1,20 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, dense and structured.
 
 Matrices are lists of lists of Fractions, row major.  Everything here is
-sized for the desk scale of this package (dimension at most a few dozen),
-so plain Gaussian elimination with exact arithmetic is the right tool.
+sized for the desk scale of this package (dimension at most a few dozen).
+The dense kernels (`rref`, `solve_unique`, `null_space`) are plain
+Gaussian elimination.  The structured ones exploit what the operators of
+this package look like: `mat_mul` and `mat_vec` skip zero entries, so a
+banded matrix costs O(bandwidth) per row; `tridiagonal_null_space` solves
+the three-term recurrence of a tridiagonal matrix and falls back to
+`null_space` when the matrix is not one it can prove a kernel for; and
+`cauchy_solve` inverts a Cauchy matrix by Lagrange interpolation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .qcore import SingularSystem
@@ -46,8 +53,10 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
 
 
 def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
+    """a @ v, multiplying only where both the entry and the component are
+    nonzero, so a banded matrix costs O(bandwidth) products per row."""
     assert all(len(row) == len(v) for row in a)
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
+    return [sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a]
 
 
 def transpose(a: Sequence[Sequence[Fraction]]) -> Matrix:
@@ -152,3 +161,63 @@ def solve_lower_triangular(
                     acc -= lower[i][t] * w[t][j]
             w[i][j] = acc / lower[i][i]
     return w
+
+
+def tridiagonal_null_space(a: Sequence[Sequence[Fraction]]) -> list[Vector]:
+    """The basis `null_space(a)` returns, by the three-term recurrence when it can.
+
+    When `a` is square, zero outside its three central diagonals, and every
+    superdiagonal entry is nonzero, rows 0..n-2 fix v_{i+1} from v_{i-1} and
+    v_i, so the kernel is at most one-dimensional and every kernel vector is
+    a multiple of the v with v_0 = 1.  The last row's residual then decides:
+    the kernel is span(v) when it is 0 and {0} otherwise, so the dimension
+    is proved, not sampled.  v is scaled to the basis `null_space` returns
+    (1 at its last nonzero entry, the free column of the echelon form).
+    Any other matrix goes to `null_space`.
+    """
+    n = len(a)
+    if (n == 0 or any(len(row) != n for row in a)
+            or any(a[i][j] for i in range(n) for j in range(n) if abs(i - j) > 1)
+            or not all(a[i][i + 1] for i in range(n - 1))):
+        return null_space(a)
+    v = [Fraction(1)]
+    for i in range(n):
+        acc = a[i][i] * v[i] + (a[i][i - 1] * v[i - 1] if i else 0)
+        if i == n - 1:
+            break
+        v.append(-acc / a[i][i + 1])
+    if acc:  # the last row's residual
+        return []
+    last = next(x for x in reversed(v) if x)
+    return [[x / last for x in v]]
+
+
+def cauchy_solve(s: Sequence[Fraction], t: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+    """The c with sum_k c_k / (s_k - t_x) = y_x for every x, in O(n^2).
+
+    With Q(t) = prod_j (s_j - t) and W(t) = prod_x (t - t_x), the sum is
+    P(t)/Q(t) for the polynomial P of degree < n with P(t_x) = y_x Q(t_x).
+    Lagrange interpolation through the t_x gives P(s_k), and
+    c_k = P(s_k) / prod_{j != k} (s_j - s_k).  Raises SingularSystem when two
+    s or two t coincide, or an s coincides with a t.
+    """
+    n = len(s)
+    if len(t) != n or len(y) != n:
+        raise SingularSystem(f"a Cauchy system needs n = {n} nodes of each kind")
+    diff = [[sk - tx for sk in s] for tx in t]  # diff[x][k] = s_k - t_x
+    if any(not v for row in diff for v in row):
+        raise SingularSystem("a pole s coincides with a node t")
+    g = []  # g_x = y_x Q(t_x) / W'(t_x)
+    for x, tx in enumerate(t):
+        w_t = prod(tx - t[j] for j in range(n) if j != x)
+        if not w_t:
+            raise SingularSystem(f"node t_{x} = {tx} is repeated")
+        g.append(y[x] * prod(diff[x]) / w_t)
+    c = []
+    for k, sk in enumerate(s):
+        q_s = prod(s[j] - sk for j in range(n) if j != k)
+        if not q_s:
+            raise SingularSystem(f"pole s_{k} = {sk} is repeated")
+        w_s = prod(row[k] for row in diff)  # W(s_k)
+        c.append(w_s / q_s * sum(gx / row[k] for gx, row in zip(g, diff)))
+    return c

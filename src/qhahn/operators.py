@@ -339,7 +339,8 @@ def weighted_adjoint(m: OpMatrix, w: GridVector) -> OpMatrix:
     out = linalg.zeros(n1, n1)
     for r in range(n1):
         for c in range(n1):
-            out[r][c] = w[c] * m[c][r] / w[r]
+            if m[c][r]:
+                out[r][c] = w[c] * m[c][r] / w[r]
     return OpMatrix(out, Basis.POINT, m.params)
 
 

@@ -25,7 +25,7 @@ from qhahn.algebra import (
     structure_constants,
 )
 from qhahn.brf import Instance
-from qhahn.operators import Basis, Operator, build_operator
+from qhahn.operators import Basis, OpMatrix, Operator, build_operator, identity_matrix
 from qhahn.qcore import QHahnError, qnum, qpow
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL
@@ -197,6 +197,43 @@ def test_casimir_reports_scalar_flag(canonical):
     assert r.details["is_scalar"] is True
     r2 = check_casimir("rqhahn", inst)
     assert r2.details["is_scalar"] is True
+
+
+def test_casimir_rqhahn_must_vanish_not_only_commute(canonical, monkeypatch):
+    # Q + I still commutes with every generator; the claim for the rational
+    # q-Hahn Casimir is Q = 0, so only that claim fails, while the meta
+    # Casimir plus I is still the scalar it must be
+    good = algebra.casimir_matrix
+    monkeypatch.setattr(algebra, "casimir_matrix",
+                        lambda which, inst: good(which, inst) + identity_matrix(inst.p))
+    inst = Instance(canonical)
+    report = check_casimir("rqhahn", inst)
+    assert report.status == "fail"
+    assert report.violations == [{"claim": "zero", "residual": "1/1"}]
+    assert check_casimir("meta", inst).status == "pass"
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_casimir_rqhahn_negative_control_each_gamma(canonical, monkeypatch, i):
+    _tamper_constants(monkeypatch, "gamma", i, lambda v: v + 1)
+    report = check_casimir("rqhahn", Instance(canonical))
+    assert report.status == "fail"
+    assert report.violations[-1]["claim"] == "zero"
+
+
+def test_casimir_meta_must_be_scalar(canonical, monkeypatch):
+    # a nonscalar diagonal perturbation fails the scalar claim as well as
+    # centrality
+    good = algebra.casimir_matrix
+    n1 = canonical.N + 1
+    bump = [[F(int(r == c == 0)) for c in range(n1)] for r in range(n1)]
+    monkeypatch.setattr(algebra, "casimir_matrix", lambda which, inst: (
+        good(which, inst) + OpMatrix(bump, Basis.POINT, inst.p)))
+    report = check_casimir("meta", Instance(canonical))
+    assert report.status == "fail"
+    assert report.details["is_scalar"] is False
+    assert [v.get("generator") for v in report.violations] == ["X", "V", "Z", None]
+    assert report.violations[-1] == {"claim": "scalar", "residual": "not a scalar matrix"}
 
 
 def test_potentials_give_relations_with_unit_scale():

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
-from qhahn import brf
+import pytest
+
+from qhahn import brf, linalg
 from qhahn.brf import (
     Instance,
     brf_family,
@@ -21,8 +23,17 @@ from qhahn.brf import (
     u_prefactor,
     weight_vector,
 )
-from qhahn.operators import phi_function
-from qhahn.qcore import QParams, frac_str, qnum
+from qhahn.operators import GridVector, phi_function
+from qhahn.qcore import (
+    PoleOnGrid,
+    QHahnError,
+    QParams,
+    frac_str,
+    phi_series,
+    qnum,
+    qpow,
+    validate_params,
+)
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL
 
@@ -201,3 +212,57 @@ def test_norm_closed_form_matches_direct_sum():
     for p in SMALL_PANEL:
         for n in range(p.N + 1):
             assert norm_h(n, p, check=True) == norm_h(n, p, check=False)
+
+
+def direct_series_u(n, p):
+    """U_n(x) as its prefactor times the 3phi2 summed term by term by phi_series."""
+    return [u_prefactor(n, p) * phi_series(
+        num=[qpow(p, -n), qpow(p, n - p.N, 0, 1), qpow(p, -x)],
+        den=[qpow(p, -p.N), qpow(p, -x, 1)], z=p.A / p.B, q=p.q, terms=n + 1)
+        for x in range(p.N + 1)]
+
+
+@pytest.mark.parametrize("p", [p for p in PANEL if validate_params(p, p.N).valid]
+                         + [QParams(F(1, 2), F(-5), F(1, 7), 24)],
+                         ids=lambda p: f"N{p.N}-A{p.A}")
+def test_factored_series_equals_the_direct_sum(p):
+    for n in range(p.N + 1):
+        assert list(brf_u(n, p).values) == direct_series_u(n, p)
+
+
+def test_partial_fraction_rejects_a_perturbed_value_before_n(canonical):
+    # the perturbed point is one the solve uses, so only the check of the
+    # other grid points can see it
+    n = canonical.N
+    u = brf_u(n, canonical)
+    for x in range(n):
+        bad = GridVector(
+            tuple(v + (F(1, 7) if y == x else 0) for y, v in enumerate(u)), canonical)
+        with pytest.raises(QHahnError, match=f"expansion of U_{n} fails"):
+            partial_fraction(n, bad)
+
+
+def test_partial_fraction_does_not_trust_the_solve(canonical, monkeypatch):
+    # a wrong solution that still reproduces U_N at x = N, the only grid
+    # point past the n = N solve, is caught at the solve's own points
+    p, good = canonical, linalg.cauchy_solve
+    t_last = p.q ** -p.N
+
+    def off(s, t, y):
+        c = good(s, t, y)
+        c[0] += 1 / (s[1] - t_last)
+        c[1] -= 1 / (s[0] - t_last)
+        return c
+
+    monkeypatch.setattr(linalg, "cauchy_solve", off)
+    with pytest.raises(QHahnError, match=f"expansion of U_{p.N} fails"):
+        partial_fraction(p.N, brf_u(p.N, p))
+
+
+@pytest.mark.parametrize("power", [2, -2])
+def test_partial_fraction_pole_on_the_grid_is_a_library_error(power):
+    # A = q^power puts a pole of 1/[alpha+k-x]_q on the grid (s_k = t_x)
+    p = QParams(F(1, 2), F(1, 2) ** power, F(1, 5), 4)
+    u = GridVector((F(2),) * (p.N + 1), p)
+    with pytest.raises(PoleOnGrid):
+        partial_fraction(3, u)

@@ -3,13 +3,14 @@ import hashlib
 import inspect
 import io
 import json
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 
-from qhahn import brf, cli, gevp
+from qhahn import brf, cli, gevp, linalg, qcore
 from qhahn.brf import Instance, brf_u, weight_vector
 from qhahn.operators import Basis, Operator, build_operator
 from qhahn.qcore import QParams
@@ -146,6 +147,31 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
     operators = Counter(args for kind, args in calls if kind == "operator")
     assert operators == Counter([(op, Basis.POINT, p) for op in Operator]
                                 + [(Operator(g), Basis.PHI, p) for g in "XYV"])
+
+
+def test_biortho_suite_takes_the_structured_kernels(monkeypatch):
+    # on a generic instance the family, the partner kernels and the partial
+    # fractions come from the factored series, the three-term recurrence and
+    # the Cauchy solve: no dense elimination and no generic series
+    calls = Counter()
+    for module, name in ((linalg, "null_space"), (linalg, "solve_unique"),
+                         (qcore, "phi_series")):
+        fn = getattr(module, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("qhahn") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
+    generic = {"instances": [{"q": "1/2", "A": "-5", "B": "1/7", "N": 6}]}
+    reports = cli.SUITES["biortho"](generic)
+    assert [r["status"] for r in reports] == ["pass"] * 4
+    assert calls == Counter()
+    # the counters are live: a pencil with a zero superdiagonal entry falls back
+    linalg.tridiagonal_null_space([[F(0), F(0)], [F(1), F(0)]])
+    assert calls == Counter({"null_space": 1})
 
 
 def test_invalid_wilson_and_hahn_entries_are_skips_carrying_the_entry(tmp_path):
