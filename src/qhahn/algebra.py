@@ -10,8 +10,9 @@ reproduce the defining relations up to one overall scale per pair.
 
 Verification is double-tracked on purpose: the relations are checked as
 exact matrix identities in the grid realization, and independently the
-structure constants are solved back from the matrices by exact linear
-algebra and compared with their closed-form expressions.  The potential
+constants xi_0..xi_8 of the rational q-Hahn relations are solved back from
+the matrices by exact linear algebra and compared with their closed-form
+expressions (the eta and gamma constants are not solved back).  The potential
 claim is checked symbolically at the word level (NCPoly), not through
 matrices, so that it cannot hold by representation-specific accident.
 """
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping
 
 from . import linalg
 from .brf import Instance
-from .operators import OpMatrix, identity_matrix
+from .operators import Basis, OpMatrix, identity_matrix
 from .qcore import (
     QHahnError,
     QParams,
@@ -47,12 +48,14 @@ __all__ = [
     "meta_relation_polys",
     "potential_rqhahn",
     "potential_meta",
-    "casimir_poly",
-    "casimir_matrix",
+    "casimir_rqhahn",
+    "casimir_meta",
     "check_rqhahn_relations",
     "check_meta_relations",
-    "check_casimir",
-    "check_potential",
+    "check_casimir_rqhahn",
+    "check_casimir_meta",
+    "check_potential_rqhahn",
+    "check_potential_meta",
     "solve_structure_constants",
     "check_structure_constants",
 ]
@@ -174,16 +177,26 @@ def cyclic_derivative(phi: NCPoly, gen: str) -> NCPoly:
 
 
 def evaluate_poly(poly: NCPoly, matrices: Mapping[str, OpMatrix], p: QParams) -> OpMatrix:
-    """Evaluate an ordinary polynomial at concrete point-basis matrices."""
+    """Evaluate an ordinary polynomial at concrete point-basis matrices.
+
+    Each word is multiplied out from its first letter, and the product of
+    every prefix is kept, so words sharing a prefix share its products.
+    The empty word is the identity.
+    """
     if poly.cyclic:
         raise QHahnError("cyclic elements have no single matrix value")
-    acc = 0 * identity_matrix(p)
+    size = p.N + 1
+    prods = {(): linalg.identity(size)} | {(g,): m.entries for g, m in matrices.items()}
+    acc = linalg.zeros(size, size)
     for word, coeff in poly.terms.items():
-        prod = identity_matrix(p)
-        for letter in word:
-            prod = prod @ matrices[letter]
-        acc = acc + coeff * prod
-    return acc
+        for k in range(2, len(word) + 1):
+            if word[:k] not in prods:
+                prods[word[:k]] = linalg.mat_mul(prods[word[:k - 1]], matrices[word[k - 1]].entries)
+        for arow, prow in zip(acc, prods[word]):
+            for j, v in enumerate(prow):
+                if v:
+                    arow[j] += coeff * v
+    return OpMatrix(acc, Basis.POINT, p)
 
 
 @dataclass(frozen=True)
@@ -314,28 +327,29 @@ def potential_meta(p: QParams) -> NCPoly:
     )
 
 
-def casimir_poly(which: str, p: QParams) -> NCPoly:
-    sc = structure_constants(p)
+def casimir_rqhahn(p: QParams) -> NCPoly:
+    """Cubic Casimir element of the rational q-Hahn algebra on (X, Y, Z)."""
+    g = structure_constants(p).gamma
     q = p.q
-    head = qpow(p, 1 - p.N, 0, 1)  # q^{beta-N+1}
-    if which == "rqhahn":
-        g = sc.gamma
-        return (
-            (1 - q) * _mono("XYZ") + head * _mono("XXX")
-            + g[0] * _mono("XXZ") + g[1] * _mono("XZZ") + q * _mono("YZZ")
-            + g[2] * _mono("XX") + (1 - q) * _mono("XY") + g[3] * _mono("XZ")
-            - (1 - 2 * q) * _mono("YZ") + g[4] * _mono("X") - (1 - q) * _mono("Y")
-        )
-    if which == "meta":
-        g = sc.gamma
-        eta = sc.eta
-        return (
-            (1 - q) * _mono("XVZ") + q * _mono("VZZ") + head * _mono("XX")
-            + (1 - q) * _mono("XV") + g[0] * _mono("XZ") - (1 - 2 * q) * _mono("VZ")
-            + eta[1] * _mono("ZZ") + g[2] * _mono("X") - (1 - q) * _mono("V")
-            + g[3] * _mono("Z")
-        )
-    raise ValueError(f"unknown algebra {which!r}")
+    return (
+        (1 - q) * _mono("XYZ") + qpow(p, 1 - p.N, 0, 1) * _mono("XXX")
+        + g[0] * _mono("XXZ") + g[1] * _mono("XZZ") + q * _mono("YZZ")
+        + g[2] * _mono("XX") + (1 - q) * _mono("XY") + g[3] * _mono("XZ")
+        - (1 - 2 * q) * _mono("YZ") + g[4] * _mono("X") - (1 - q) * _mono("Y")
+    )
+
+
+def casimir_meta(p: QParams) -> NCPoly:
+    """Cubic Casimir element of the meta algebra on (X, V, Z)."""
+    sc = structure_constants(p)
+    g, eta = sc.gamma, sc.eta
+    q = p.q
+    return (
+        (1 - q) * _mono("XVZ") + q * _mono("VZZ") + qpow(p, 1 - p.N, 0, 1) * _mono("XX")
+        + (1 - q) * _mono("XV") + g[0] * _mono("XZ") - (1 - 2 * q) * _mono("VZ")
+        + eta[1] * _mono("ZZ") + g[2] * _mono("X") - (1 - q) * _mono("V")
+        + g[3] * _mono("Z")
+    )
 
 
 def _relation_report(check: str, inst: Instance, polys: dict[str, NCPoly]) -> CheckReport:
@@ -360,46 +374,46 @@ def check_meta_relations(inst: Instance) -> CheckReport:
     return _relation_report("meta_relations", inst, meta_relation_polys(inst.p))
 
 
-def casimir_matrix(which: str, inst: Instance) -> OpMatrix:
-    """Casimir element evaluated at the grid realization."""
-    return evaluate_poly(casimir_poly(which, inst.p), inst.ops, inst.p)
-
-
-def check_casimir(which: str, inst: Instance) -> CheckReport:
-    """The Casimir is central and has its known value in the grid realization.
-
-    It commutes with each generator of its algebra.  The rational q-Hahn
-    Casimir is the zero matrix (the realization sits on its zero surface);
-    the meta Casimir is a scalar matrix, whose value has no closed form here
-    and is only recorded, as its diagonal.
-    """
+def _casimir_report(check: str, inst: Instance, casimir: NCPoly,
+                    generators: str) -> tuple[CheckReport, OpMatrix]:
+    """Report on the Casimir's matrix in the grid realization, with a
+    violation for each generator it fails to commute with; the claim about
+    its value is the caller's.  Returns the report and the matrix."""
     p = inst.p
-    report = CheckReport(check=f"casimir_{which}", params=p.as_dict())
-    q_mat = casimir_matrix(which, inst)
-    for g in "XYZ" if which == "rqhahn" else "XVZ":
+    report = CheckReport(check=check, params=p.as_dict())
+    q_mat = evaluate_poly(casimir, inst.ops, p)
+    for g in generators:
         m = inst.ops[g]
         comm = q_mat @ m - m @ q_mat
         if not comm.is_zero():
             report.add_violation(generator=g, residual=frac_str(comm.max_abs()))
     diag = [q_mat.entries[i][i] for i in range(p.N + 1)]
-    is_scalar = len(set(diag)) == 1 and all(
-        not v for r, row in enumerate(q_mat.entries) for c, v in enumerate(row) if c != r)
-    if which == "rqhahn" and not q_mat.is_zero():
-        report.add_violation(claim="zero", residual=frac_str(q_mat.max_abs()))
-    if which == "meta" and not is_scalar:
-        report.add_violation(claim="scalar", residual="not a scalar matrix")
     report.details["diagonal"] = [frac_str(v) for v in diag]
-    report.details["is_scalar"] = is_scalar
+    report.details["is_scalar"] = len(set(diag)) == 1 and all(
+        not v for r, row in enumerate(q_mat.entries) for c, v in enumerate(row) if c != r)
+    return report, q_mat
+
+
+def check_casimir_rqhahn(inst: Instance) -> CheckReport:
+    """The rational q-Hahn Casimir commutes with X, Y and Z and is the zero
+    matrix: the grid realization sits on its zero surface."""
+    report, q_mat = _casimir_report("casimir_rqhahn", inst, casimir_rqhahn(inst.p), "XYZ")
+    if not q_mat.is_zero():
+        report.add_violation(claim="zero", residual=frac_str(q_mat.max_abs()))
     return report
 
 
-_POTENTIAL_PAIRS = {
-    "rqhahn": (potential_rqhahn, rqhahn_relation_polys, (("Y", "XZ"), ("X", "ZY"), ("Z", "YX"))),
-    "meta": (potential_meta, meta_relation_polys, (("V", "XZ"), ("X", "ZV"), ("Z", "VX"))),
-}
+def check_casimir_meta(inst: Instance) -> CheckReport:
+    """The meta Casimir commutes with X, V and Z and is a scalar matrix; its
+    value has no closed form here and is only recorded, as the diagonal."""
+    report, _ = _casimir_report("casimir_meta", inst, casimir_meta(inst.p), "XVZ")
+    if not report.details["is_scalar"]:
+        report.add_violation(claim="scalar", residual="not a scalar matrix")
+    return report
 
 
-def check_potential(which: str, inst: Instance) -> CheckReport:
+def _potential_report(check: str, inst: Instance, phi: NCPoly, rels: dict[str, NCPoly],
+                      pairs: tuple[tuple[str, str], ...]) -> CheckReport:
     """Cyclic derivatives of the potential reproduce the relations.
 
     For each (generator, relation) pair the unique scale c with
@@ -407,13 +421,7 @@ def check_potential(which: str, inst: Instance) -> CheckReport:
     leading word and then every coefficient is compared exactly; c must be
     a nonzero constant.
     """
-    p = inst.p
-    report = CheckReport(check=f"potential_{which}", params=p.as_dict())
-    if which not in _POTENTIAL_PAIRS:
-        raise ValueError(f"unknown algebra {which!r}")
-    build_phi, build_rels, pairs = _POTENTIAL_PAIRS[which]
-    phi = build_phi(p)
-    rels = build_rels(p)
+    report = CheckReport(check=check, params=inst.p.as_dict())
     scales = {}
     for gen, rel_name in pairs:
         deriv = cyclic_derivative(phi, gen)
@@ -439,6 +447,22 @@ def check_potential(which: str, inst: Instance) -> CheckReport:
     return report
 
 
+def check_potential_rqhahn(inst: Instance) -> CheckReport:
+    """The derivatives of the rational q-Hahn potential in Y, X and Z give
+    the XZ, ZY and YX relations."""
+    p = inst.p
+    return _potential_report("potential_rqhahn", inst, potential_rqhahn(p),
+                             rqhahn_relation_polys(p), (("Y", "XZ"), ("X", "ZY"), ("Z", "YX")))
+
+
+def check_potential_meta(inst: Instance) -> CheckReport:
+    """The derivatives of the meta potential in V, X and Z give the XZ, ZV
+    and VX relations."""
+    p = inst.p
+    return _potential_report("potential_meta", inst, potential_meta(p),
+                             meta_relation_polys(p), (("V", "XZ"), ("X", "ZV"), ("Z", "VX")))
+
+
 def _flatten(mats: Iterable[OpMatrix]) -> list[list[Fraction]]:
     # rows are matrix entries, columns are ansatz members
     return linalg.transpose([[v for row in m.entries for v in row] for m in mats])
@@ -458,15 +482,15 @@ def _solve_relation(lhs: OpMatrix, ansatz: list[OpMatrix], what: str) -> list[Fr
     return [red[r][cols] for r in range(cols)]
 
 
-def solve_structure_constants(inst: Instance) -> StructureConstants:
-    """Recover the xi constants from the matrices alone, by exact solves.
+def solve_structure_constants(inst: Instance) -> tuple[Fraction, ...]:
+    """Recover xi_0..xi_8 from the matrices alone, by exact solves.
 
     Every displayed coefficient is treated as unknown, including the ones
     the presentation fixes (the Z^2, Z coefficients of the first relation
     and the {Y,Z}, Y coefficients of the third); their solved values are
     required to match the fixed constants, which guards the relation shape
-    itself.  The gamma and eta values are passed through from the closed
-    forms (they do not appear in these three relations).
+    itself.  The gamma and eta constants do not appear in these three
+    relations and are not solved for.
     """
     p = inst.p
     X, Y, Z = inst.ops["X"], inst.ops["Y"], inst.ops["Z"]
@@ -502,13 +526,7 @@ def solve_structure_constants(inst: Instance) -> StructureConstants:
         if a != b:
             raise QHahnError(f"{name} disagrees between the ZY and YX solves")
 
-    closed = structure_constants(p)
-    return StructureConstants(
-        xi=(xi0, xi1, xi2, xi3, xi4, xi5, xi6, xi7, xi8),
-        gamma=closed.gamma,
-        eta=closed.eta,
-        params=p,
-    )
+    return (xi0, xi1, xi2, xi3, xi4, xi5, xi6, xi7, xi8)
 
 
 def check_structure_constants(inst: Instance) -> CheckReport:
@@ -525,12 +543,12 @@ def check_structure_constants(inst: Instance) -> CheckReport:
     except RankDeficient as exc:
         report.skipped = str(exc)
         return report
-    closed = structure_constants(p)
+    closed = structure_constants(p).xi
     for i in range(9):
-        if solved.xi[i] != closed.xi[i]:
+        if solved[i] != closed[i]:
             report.add_violation(
                 constant=f"xi_{i}", kind="DISCREPANCY",
-                solved=frac_str(solved.xi[i]), closed_form=frac_str(closed.xi[i]),
+                solved=frac_str(solved[i]), closed_form=frac_str(closed[i]),
             )
-    report.details["xi"] = [frac_str(v) for v in solved.xi]
+    report.details["xi"] = [frac_str(v) for v in solved]
     return report

@@ -4,8 +4,8 @@ The family U_0..U_N on the grid x = 0..N solves the generalized eigenvalue
 problem Y U_n = lambda_n X U_n with lambda_n = [-n]_q [n+beta-N]_q.  Each
 U_n is degree-n rational in the q-bracket variable with poles at the fixed
 locations [x-alpha-k]_q = 0, and is computed here along two independent
-routes (a terminating basic hypergeometric sum, and the three-term
-coefficient recurrence over the rational basis phi_k).
+routes (a terminating basic hypergeometric sum, `brf_u`, and the
+coefficient recurrence over the rational basis phi_k, `brf_u_recurrence`).
 
 The biorthogonal partner family is a parameter reflection of the same
 family: partner_m(x) = -q^{-1} [alpha-beta-1]_q * U_m(N-x) evaluated at
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Literal
 
 from . import linalg
 from .operators import (
@@ -50,9 +49,9 @@ __all__ = [
     "reflected_params",
     "u_prefactor",
     "partner_scale",
-    "partner_prefactor",
     "phi_expansion",
     "brf_u",
+    "brf_u_recurrence",
     "brf_partner",
     "BRFFamily",
     "brf_family",
@@ -66,8 +65,6 @@ __all__ = [
     "check_partner",
     "check_partial_fractions",
 ]
-
-Method = Literal["hypergeometric", "recurrence"]
 
 
 def eigenvalue(n: int, p: QParams) -> Fraction:
@@ -127,19 +124,14 @@ def partner_scale(p: QParams) -> Fraction:
     return -qpow(p, -1) * qnum(p, -1, 1, -1)
 
 
-def partner_prefactor(n: int, p: QParams) -> Fraction:
-    """u_prefactor evaluated at the reflected parameter instance."""
-    return u_prefactor(n, reflected_params(p))
-
-
 def phi_expansion(n: int, p: QParams) -> tuple[Fraction, ...]:
     """Coefficients C_{n,0..n} of U_n over the rational basis phi_k.
 
     C_{n,0} is the prefactor and the rest follow the two-term recurrence
     C_{n,k+1} = (lambda_n - lambda_k) / (q^{beta-alpha-k} [k+1]_q [k-N]_q) C_{n,k}.
     """
-    if n > p.N:
-        raise InvalidParams(f"family index n = {n} exceeds N = {p.N}")
+    if not 0 <= n <= p.N:
+        raise InvalidParams(f"family index n = {n} must lie in 0..N = {p.N}")
     coeffs = [u_prefactor(n, p)]
     lam_n = eigenvalue(n, p)
     for k in range(n):
@@ -148,8 +140,8 @@ def phi_expansion(n: int, p: QParams) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def _u_values_hypergeometric(n: int, p: QParams) -> list[Fraction]:
-    """U_n on the grid as its prefactor times the terminating 3phi2
+def brf_u(n: int, p: QParams) -> GridVector:
+    """Grid values of U_n, as its prefactor times the terminating 3phi2
 
         3phi2(q^-n, q^{n-N} B, q^-x; q^-N, A q^-x; q, A/B),
 
@@ -161,13 +153,15 @@ def _u_values_hypergeometric(n: int, p: QParams) -> list[Fraction]:
     form, 1 + rho_0 (1 + rho_1 (1 + ...)), on one integer numerator and
     denominator, reduced once.  The denominators 1 - A q^d for every
     d = k - x the untruncated sums would meet are checked first:
-    ZeroDenominator if one vanishes, whatever x it belongs to.  The
-    `recurrence` route stays the independent check of this one.
+    ZeroDenominator if one vanishes, whatever x it belongs to.
+    `brf_u_recurrence` is the independent second route.
     """
+    if not 0 <= n <= p.N:
+        raise InvalidParams(f"family index n = {n} must lie in 0..N = {p.N}")
     pref = u_prefactor(n, p)
     q, A, N = p.q, p.A, p.N
     if n == 0:
-        return [pref] * (N + 1)
+        return GridVector((pref,) * (N + 1), p)
     for d in range(n):  # never summed, since the sum stops at k = x, but checked
         if A * q**d == 1:
             raise ZeroDenominator(f"(A q^-x; q)_k vanishes: A = q^{-d}")
@@ -188,34 +182,21 @@ def _u_values_hypergeometric(n: int, p: QParams) -> list[Fraction]:
             (an, ad), (rn, rd) = a[k], r[k - x]
             num, den = ad * rd * den + an * rn * num, ad * rd * den
         vals.append(pref * Fraction(num, den))
-    return vals
-
-
-def _u_values_recurrence(n: int, p: QParams) -> list[Fraction]:
-    coeffs = phi_expansion(n, p)
-    vals = []
-    for x in range(p.N + 1):
-        vals.append(sum(c * phi_function(p, k, x) for k, c in enumerate(coeffs)))
-    return vals
-
-
-def brf_u(n: int, p: QParams, method: Method = "hypergeometric") -> GridVector:
-    """Grid values of U_n, computed by the requested route."""
-    if n > p.N or n < 0:
-        raise InvalidParams(f"family index n = {n} must lie in 0..N = {p.N}")
-    if method == "hypergeometric":
-        vals = _u_values_hypergeometric(n, p)
-    elif method == "recurrence":
-        vals = _u_values_recurrence(n, p)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return GridVector(tuple(vals), p)
 
 
-def brf_partner(m: int, p: QParams, method: Method = "hypergeometric") -> GridVector:
+def brf_u_recurrence(n: int, p: QParams) -> GridVector:
+    """Grid values of U_n summed over the rational basis phi_k with the
+    coefficients of `phi_expansion`: the route independent of `brf_u`."""
+    coeffs = phi_expansion(n, p)
+    return GridVector(tuple(sum(c * phi_function(p, k, x) for k, c in enumerate(coeffs))
+                            for x in range(p.N + 1)), p)
+
+
+def brf_partner(m: int, p: QParams) -> GridVector:
     """Grid values of the biorthogonal partner family member m."""
     refl = reflected_params(p)
-    base = brf_u(m, refl, method=method)
+    base = brf_u(m, refl)
     c = partner_scale(p)
     return GridVector(tuple(c * base[p.N - x] for x in range(p.N + 1)), p)
 
@@ -229,14 +210,14 @@ class BRFFamily:
     lambdas: tuple[Fraction, ...]
 
 
-def brf_family(p: QParams, method: Method = "hypergeometric") -> BRFFamily:
-    members = tuple(brf_u(n, p, method=method) for n in range(p.N + 1))
+def brf_family(p: QParams) -> BRFFamily:
+    members = tuple(brf_u(n, p) for n in range(p.N + 1))
     lambdas = tuple(eigenvalue(n, p) for n in range(p.N + 1))
     return BRFFamily(params=p, members=members, lambdas=lambdas)
 
 
-def partner_family(p: QParams, method: Method = "hypergeometric") -> tuple[GridVector, ...]:
-    return tuple(brf_partner(m, p, method=method) for m in range(p.N + 1))
+def partner_family(p: QParams) -> tuple[GridVector, ...]:
+    return tuple(brf_partner(m, p) for m in range(p.N + 1))
 
 
 @dataclass(frozen=True)
@@ -293,29 +274,13 @@ def _hbar(n: int, p: QParams) -> Fraction:
     return out
 
 
-def norm_h(n: int, p: QParams, check: bool = True) -> Fraction:
-    """Biorthogonality norm H_n with (U_n, partner_n)_w = H_n.
-
-    The closed form is the assembled product of the partner constant, the
-    two series prefactors, the weight normalization and the bare diagonal
-    norm.  With check=True the value is verified against the direct sum.
-    """
-    hn = (
-        partner_scale(p)
-        * u_prefactor(n, p)
-        * partner_prefactor(n, p)
-        * weight_scale(p)
-        * _hbar(n, p)
-    )
-    if check:
-        w = weight_vector(p)
-        direct = inner_product(brf_u(n, p), brf_partner(n, p), w)
-        if direct != hn:
-            raise QHahnError(
-                f"norm closed form disagrees with the direct sum at n = {n}: "
-                f"{hn} != {direct}"
-            )
-    return hn
+def norm_h(n: int, p: QParams) -> Fraction:
+    """Biorthogonality norm H_n with (U_n, partner_n)_w = H_n, in closed form:
+    the product of the partner constant, the two series prefactors (the
+    partner's at the reflected instance), the weight normalization and the
+    bare diagonal norm.  `check_biorthogonality` compares it with the sum."""
+    return (partner_scale(p) * u_prefactor(n, p) * u_prefactor(n, reflected_params(p))
+            * weight_scale(p) * _hbar(n, p))
 
 
 def partial_fraction(n: int, u: GridVector) -> tuple[Fraction, ...]:
@@ -371,7 +336,7 @@ def check_biorthogonality(inst: Instance) -> CheckReport:
     return check_gram(
         CheckReport(check="biorthogonality", params=p.as_dict()),
         inst.weight, inst.family.members, inst.partners,
-        [norm_h(n, p, check=False) for n in range(p.N + 1)])
+        [norm_h(n, p) for n in range(p.N + 1)])
 
 
 def check_partner(inst: Instance) -> CheckReport:

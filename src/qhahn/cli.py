@@ -54,23 +54,37 @@ _parse_wilson = _instance_parser(
 _parse_hahn = _instance_parser(wilson.HahnParams, ("alpha", "beta"), "hahn instance")
 
 
+def _section(config: dict, key: str, kind: type, default):
+    """config[key], or `default` when it is absent or null; a value of any
+    other JSON shape than `kind` (list or dict) is a ConfigError."""
+    value = config.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{key} must be {shape}, got {value!r}")
+    return value
+
+
 def _qparams_suite(checks):
     """Suite over the main q-Hahn panel; the checks of one instance share one
-    `brf.Instance`.  Invalid instances are reported as skips (one entry per
-    check), never silently dropped."""
+    `brf.Instance`.  An instance that `QParams` rejects (the skip carries the
+    raw entry) or that fails the guards is reported as one skip per check,
+    never silently dropped."""
 
     def run(config):
         reports = []
-        for entry in config.get("instances", []):
-            p = _parse_qparams(entry)
-            issues = validate_params(p, p.N).issues()
-            inst = brf.Instance(p)
+        for entry in _section(config, "instances", list, []):
+            try:
+                p = _parse_qparams(entry)
+            except InvalidParams as exc:
+                params, reason, inst = dict(entry), str(exc), None
+            else:
+                params, inst = p.as_dict(), brf.Instance(p)
+                reason = "; ".join(validate_params(p, p.N).issues())
             for check in checks:
-                if issues:
-                    report = CheckReport(check=check.__name__.removeprefix("check_"),
-                                         params=p.as_dict(), skipped="; ".join(issues))
-                else:
-                    report = check(inst)
+                report = check(inst) if not reason else CheckReport(
+                    check=check.__name__.removeprefix("check_"), params=params, skipped=reason)
                 reports.append(report.as_dict())
         return reports
 
@@ -84,7 +98,7 @@ def _entry_suite(section: str, parse, check):
 
     def run(config):
         reports = []
-        for entry in config.get(section, []):
+        for entry in _section(config, section, list, []):
             try:
                 params = parse(entry)
             except InvalidParams as exc:
@@ -99,39 +113,21 @@ def _entry_suite(section: str, parse, check):
 
 def _limits_suite(config):
     reports = []
-    section = config.get("limits", {})
-    if not isinstance(section, dict):
-        raise ConfigError("limits section must be an object")
-    wl = section.get("wilson")
+    section = _section(config, "limits", dict, {})
+    wl = _section(section, "wilson", dict, None)
     if wl is not None:
         p = _parse_qparams(wl.get("instance", {}))
-        m_list = wl.get("m_list", [8, 12, 16, 20])
+        m_list = _section(wl, "m_list", list, [8, 12, 16, 20])
         if not all(isinstance(m, int) and not isinstance(m, bool) for m in m_list):
             raise ConfigError(f"m_list must be integers: {m_list!r}")
         qc = _parse_scalar(wl.get("qc", "3"))
         reports.append(wilson.wilson_limit_check(p, m_list, qc).as_dict())
-    qt = section.get("qto1")
+    qt = _section(section, "qto1", dict, None)
     if qt is not None:
         hp = _parse_hahn(qt.get("instance", {}))
-        h_list = [_parse_scalar(h) for h in qt.get("h_list", ["1/8", "1/16", "1/32"])]
+        h_list = [_parse_scalar(h) for h in _section(qt, "h_list", list, ["1/8", "1/16", "1/32"])]
         reports.append(wilson.qto1_convergence_check(hp, h_list).as_dict())
     return reports
-
-
-def check_casimir_rqhahn(inst: brf.Instance):
-    return algebra.check_casimir("rqhahn", inst)
-
-
-def check_casimir_meta(inst: brf.Instance):
-    return algebra.check_casimir("meta", inst)
-
-
-def check_potential_rqhahn(inst: brf.Instance):
-    return algebra.check_potential("rqhahn", inst)
-
-
-def check_potential_meta(inst: brf.Instance):
-    return algebra.check_potential("meta", inst)
 
 
 SUITES = {
@@ -147,8 +143,8 @@ SUITES = {
         algebra.check_rqhahn_relations, algebra.check_meta_relations,
         algebra.check_structure_constants,
     ]),
-    "casimir": _qparams_suite([check_casimir_rqhahn, check_casimir_meta]),
-    "potential": _qparams_suite([check_potential_rqhahn, check_potential_meta]),
+    "casimir": _qparams_suite([algebra.check_casimir_rqhahn, algebra.check_casimir_meta]),
+    "potential": _qparams_suite([algebra.check_potential_rqhahn, algebra.check_potential_meta]),
     "wilson": _entry_suite("wilson_instances", _parse_wilson, wilson.check_wilson_biorthogonality),
     "hahn": _entry_suite("hahn_instances", _parse_hahn, wilson.check_hahn_biorthogonality),
     "limits": _limits_suite,
@@ -180,12 +176,11 @@ def run_verify(config_path: str, suite_names: list[str] | None, out_path: str | 
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
 
-    selected = suite_names if suite_names is not None else config.get("suites")
-    if selected is None:
-        selected = sorted(SUITES)
+    selected = suite_names if suite_names is not None else _section(
+        config, "suites", list, sorted(SUITES))
     if not selected:
         raise ConfigError("no suites selected")
-    unknown = [s for s in selected if s not in SUITES]
+    unknown = [s for s in selected if not isinstance(s, str) or s not in SUITES]
     if unknown:
         raise ConfigError(f"unknown suites {unknown}; available: {sorted(SUITES)}")
 

@@ -59,8 +59,9 @@ def check_gram(report: CheckReport, weights: Sequence, us: Sequence[Sequence],
     for n, hn in enumerate(norms):
         if hn == 0:
             report.add_violation(n=n, m=n, residual="diagonal norm vanishes")
+        wu = [w * a for w, a in zip(weights, us[n])]
         for m, v in enumerate(vs):
-            total = sum((w * a * b for w, a, b in zip(weights, us[n], v)), Fraction(0))
+            total = sum((c * b for c, b in zip(wu, v)), Fraction(0))
             expected = hn if n == m else 0
             if total != expected:
                 report.add_violation(n=n, m=m, residual=frac_str(total - expected))

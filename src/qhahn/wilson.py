@@ -52,7 +52,6 @@ __all__ = [
     "HahnParams",
     "hahn_weight",
     "hahn_u",
-    "hahn_U",
     "hahn_v",
     "hahn_h",
     "check_hahn_biorthogonality",
@@ -236,15 +235,27 @@ def wilson_h(n: int, wp: WilsonParams) -> Fraction:
     return num / den * tail_num / tail_den * q ** (-n)
 
 
+def _table(weight, u, v, h, N: int, *params):
+    """One family on the grid x, n = 0..N as (w, u, v, h): the lists w[x],
+    u[n][x], v[n][x] and h[n] of weight(x, *params), u(n, x, *params),
+    v(n, x, *params) and h(n, *params)."""
+    grid = range(N + 1)
+    return ([weight(x, *params) for x in grid],
+            [[u(n, x, *params) for x in grid] for n in grid],
+            [[v(n, x, *params) for x in grid] for n in grid],
+            [h(n, *params) for n in grid])
+
+
+def _flat(table) -> list:
+    """Every value of a `_table`, in one fixed order."""
+    w, u, v, h = table
+    return [*w, *h, *(y for rows in (u, v) for row in rows for y in row)]
+
+
 def check_wilson_biorthogonality(wp: WilsonParams) -> CheckReport:
     """Sum_x w_x u_n v_m = delta_{nm} h_n, all pairs, exact."""
-    grid = range(wp.N + 1)
-    return check_gram(
-        CheckReport(check="wilson_biorthogonality", params=wp.as_dict()),
-        [wilson_weight(x, wp) for x in grid],
-        [[wilson_u(n, x, wp) for x in grid] for n in grid],
-        [[wilson_v(m, x, wp) for x in grid] for m in grid],
-        [wilson_h(n, wp) for n in grid])
+    return check_gram(CheckReport(check="wilson_biorthogonality", params=wp.as_dict()),
+                      *_table(wilson_weight, wilson_u, wilson_v, wilson_h, wp.N, wp))
 
 
 def limit_weight(x: int, q, A, B, N: int):
@@ -300,11 +311,7 @@ def wilson_limit_check(
     report = CheckReport(check="wilson_limit", params=p.as_dict())
     if not -1 < p.q < 1:
         raise InvalidParams("the limit path needs |q| < 1")
-    q, A, B, N = p.q, p.A, p.B, p.N
-    targets_w = [limit_weight(x, q, A, B, N) for x in range(N + 1)]
-    targets_u = [[limit_u(n, x, q, A, B, N) for x in range(N + 1)] for n in range(N + 1)]
-    targets_v = [[limit_v(n, x, q, A, B, N) for x in range(N + 1)] for n in range(N + 1)]
-    targets_h = [limit_h(n, q, A, B, N) for n in range(N + 1)]
+    targets = _flat(_table(limit_weight, limit_u, limit_v, limit_h, p.N, p.q, p.A, p.B, p.N))
     deltas: list[tuple[int, Fraction]] = []
     skipped_ms = []
     for m in m_list:
@@ -313,15 +320,8 @@ def wilson_limit_check(
         except InvalidParams as exc:
             skipped_ms.append({"m": m, "reason": str(exc)})
             continue
-        dev = Fraction(0)
-        for x in range(N + 1):
-            dev = max(dev, abs(wilson_weight(x, wp) - targets_w[x]))
-        for n in range(N + 1):
-            dev = max(dev, abs(wilson_h(n, wp) - targets_h[n]))
-            for x in range(N + 1):
-                dev = max(dev, abs(wilson_u(n, x, wp) - targets_u[n][x]))
-                dev = max(dev, abs(wilson_v(n, x, wp) - targets_v[n][x]))
-        deltas.append((m, dev))
+        values = _flat(_table(wilson_weight, wilson_u, wilson_v, wilson_h, p.N, wp))
+        deltas.append((m, max(abs(a - b) for a, b in zip(values, targets))))
     report.details["deviations"] = {str(m): frac_str(d) for m, d in deltas}
     if skipped_ms:
         report.details["skipped_m"] = skipped_ms
@@ -405,11 +405,6 @@ def hahn_u(n: int, x: int, hp: HahnParams) -> Fraction:
     return _f32([-n, n + hp.beta - hp.N, -x], [-hp.N, hp.alpha - x], n + 1)
 
 
-def hahn_U(n: int, hp: HahnParams) -> tuple[Fraction, ...]:
-    """Grid values (u_n(0), ..., u_n(N)) of the first q = 1 family."""
-    return tuple(hahn_u(n, x, hp) for x in range(hp.N + 1))
-
-
 def hahn_v(n: int, x: int, hp: HahnParams) -> Fraction:
     return _f32([-n, n + hp.beta - hp.N, x - hp.N],
                 [-hp.N, x - hp.N + hp.beta - hp.alpha + 2], n + 1)
@@ -429,13 +424,8 @@ def hahn_h(n: int, hp: HahnParams) -> Fraction:
 def check_hahn_biorthogonality(hp: HahnParams) -> CheckReport:
     """Sum_x w_x u_n v_m = delta_{nm} h_n at q = 1, exact; the weight is
     not normalized, so the n = m = 0 case doubles as its total mass."""
-    grid = range(hp.N + 1)
-    return check_gram(
-        CheckReport(check="hahn_biorthogonality", params=hp.as_dict()),
-        [hahn_weight(x, hp) for x in grid],
-        [[hahn_u(n, x, hp) for x in grid] for n in grid],
-        [[hahn_v(m, x, hp) for x in grid] for m in grid],
-        [hahn_h(n, hp) for n in grid])
+    return check_gram(CheckReport(check="hahn_biorthogonality", params=hp.as_dict()),
+                      *_table(hahn_weight, hahn_u, hahn_v, hahn_h, hp.N, hp))
 
 
 def _qto1_table(hp: HahnParams, h: Fraction, prec: int):
@@ -444,16 +434,8 @@ def _qto1_table(hp: HahnParams, h: Fraction, prec: int):
         q = mpmath.exp(mpmath.mpf(h.numerator) / mpmath.mpf(h.denominator))
         A = q ** int(hp.alpha)
         B = q ** int(hp.beta)
-        N = hp.N
-        vals = []
-        for x in range(N + 1):
-            vals.append(limit_weight(x, q, A, B, N))
-        for n in range(N + 1):
-            vals.append(limit_h(n, q, A, B, N))
-            for x in range(N + 1):
-                vals.append(limit_u(n, x, q, A, B, N))
-                vals.append(limit_v(n, x, q, A, B, N))
-        return [mpmath.mpf(v) for v in vals]
+        table = _table(limit_weight, limit_u, limit_v, limit_h, hp.N, q, A, B, hp.N)
+        return [mpmath.mpf(v) for v in _flat(table)]
 
 
 def qto1_convergence_check(hp: HahnParams, h_list: list[Fraction]) -> CheckReport:
@@ -470,14 +452,7 @@ def qto1_convergence_check(hp: HahnParams, h_list: list[Fraction]) -> CheckRepor
     h_list = [scalar(h) for h in h_list]
     if any(h <= 0 for h in h_list):
         raise InvalidParams("h values must be positive")
-    exact = []
-    for x in range(hp.N + 1):
-        exact.append(hahn_weight(x, hp))
-    for n in range(hp.N + 1):
-        exact.append(hahn_h(n, hp))
-        for x in range(hp.N + 1):
-            exact.append(hahn_u(n, x, hp))
-            exact.append(hahn_v(n, x, hp))
+    exact = _flat(_table(hahn_weight, hahn_u, hahn_v, hahn_h, hp.N, hp))
     with mpmath.workprec(220):
         exact_f = [mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator) for v in exact]
     devs = []

@@ -46,7 +46,7 @@ def test_c03_biorthogonality_with_closed_form_norms():
     ok = True
     for p in INSTANCES:
         ok = ok and brf.check_biorthogonality(Instance(p)).status == "pass"
-        # norm_h(check=True) re-verifies the assembled closed form
+        # check_biorthogonality compares each Gram diagonal with norm_h
         ok = ok and all(brf.norm_h(n, p) != 0 for n in range(p.N + 1))
     _verdict(3, "biorthogonality exact with nonzero closed-form norms", ok)
 
@@ -99,9 +99,9 @@ def test_c06_algebra_relations_and_solved_constants():
 
 def test_c07_casimirs_are_central():
     ok = all(
-        algebra.check_casimir(which, Instance(p)).status == "pass"
+        check(Instance(p)).status == "pass"
         for p in INSTANCES
-        for which in ("rqhahn", "meta")
+        for check in (algebra.check_casimir_rqhahn, algebra.check_casimir_meta)
     )
     _verdict(7, "both Casimir elements commute with all generators", ok)
 
@@ -109,8 +109,8 @@ def test_c07_casimirs_are_central():
 def test_c08_potentials_generate_relations():
     ok = True
     for p in INSTANCES:
-        for which in ("rqhahn", "meta"):
-            report = algebra.check_potential(which, Instance(p))
+        for check in (algebra.check_potential_rqhahn, algebra.check_potential_meta):
+            report = check(Instance(p))
             ok = ok and report.status == "pass"
             ok = ok and set(report.details["scales"].values()) == {"-1/1"}
     _verdict(8, "cyclic-derivative potentials reproduce every relation", ok)

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from qhahn import algebra
 from qhahn.algebra import (
     NCPoly,
-    casimir_matrix,
-    casimir_poly,
-    check_casimir,
+    casimir_meta,
+    casimir_rqhahn,
+    check_casimir_meta,
+    check_casimir_rqhahn,
     check_meta_relations,
-    check_potential,
+    check_potential_meta,
+    check_potential_rqhahn,
     check_rqhahn_relations,
     check_structure_constants,
     cyclic_derivative,
@@ -25,7 +27,7 @@ from qhahn.algebra import (
     structure_constants,
 )
 from qhahn.brf import Instance
-from qhahn.operators import Basis, OpMatrix, Operator, build_operator, identity_matrix
+from qhahn.operators import Basis, Operator, build_operator, identity_matrix
 from qhahn.qcore import QHahnError, qnum, qpow
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL
@@ -101,6 +103,26 @@ def test_cyclic_derivative_is_linear(a, b, c, gen):
     assert lhs == rhs
 
 
+# words over X, Y, Z, V with all their prefixes, the empty word included, so
+# products of shared prefixes are reused
+prefix_closed_polys = st.lists(
+    st.tuples(st.text(alphabet="XYZV", max_size=4), coeffs), max_size=4).map(
+    lambda items: NCPoly({tuple(w[:k]): c for w, c in items for k in range(len(w) + 1)}))
+CANONICAL_MATS = {g.value: build_operator(g, Basis.POINT, CANONICAL) for g in Operator}
+
+
+@given(prefix_closed_polys)
+@settings(max_examples=30, deadline=None)
+def test_evaluate_poly_equals_an_identity_started_fold(poly):
+    acc = 0 * identity_matrix(CANONICAL)
+    for word, coeff in poly.terms.items():
+        prod = identity_matrix(CANONICAL)
+        for letter in word:
+            prod = prod @ CANONICAL_MATS[letter]
+        acc = acc + coeff * prod
+    assert evaluate_poly(poly, CANONICAL_MATS, CANONICAL) == acc
+
+
 def test_evaluate_poly_matches_matrix_products(canonical):
     mats = {g.value: build_operator(g, Basis.POINT, canonical) for g in Operator}
     poly = NCPoly.monomial("XZ", F(2)) + NCPoly.monomial("Y", F(-1, 3))
@@ -166,24 +188,22 @@ def test_solve_back_recovers_constants():
 
 
 def test_solve_back_equals_closed_forms(canonical):
-    solved = solve_structure_constants(Instance(canonical))
-    closed = structure_constants(canonical)
-    assert solved.xi == closed.xi
+    assert solve_structure_constants(Instance(canonical)) == structure_constants(canonical).xi
 
 
 def test_casimirs_central_on_panel():
     for p in PANEL:
         inst = Instance(p)
-        assert check_casimir("rqhahn", inst).status == "pass"
-        assert check_casimir("meta", inst).status == "pass"
+        assert check_casimir_rqhahn(inst).status == "pass"
+        assert check_casimir_meta(inst).status == "pass"
 
 
 def test_casimir_matrices_shape(canonical):
     # the realization sits on the zero surface of the cubic Casimir and
     # maps the meta Casimir to a nonzero scalar
     inst = Instance(canonical)
-    assert casimir_matrix("rqhahn", inst).is_zero()
-    meta = casimir_matrix("meta", inst)
+    assert evaluate_poly(casimir_rqhahn(canonical), inst.ops, canonical).is_zero()
+    meta = evaluate_poly(casimir_meta(canonical), inst.ops, canonical)
     scalarval = meta.entries[0][0]
     assert scalarval == F(-773977, 131072)
     for i in range(canonical.N + 1):
@@ -193,43 +213,39 @@ def test_casimir_matrices_shape(canonical):
 
 def test_casimir_reports_scalar_flag(canonical):
     inst = Instance(canonical)
-    r = check_casimir("meta", inst)
+    r = check_casimir_meta(inst)
     assert r.details["is_scalar"] is True
-    r2 = check_casimir("rqhahn", inst)
+    r2 = check_casimir_rqhahn(inst)
     assert r2.details["is_scalar"] is True
 
 
 def test_casimir_rqhahn_must_vanish_not_only_commute(canonical, monkeypatch):
     # Q + I still commutes with every generator; the claim for the rational
     # q-Hahn Casimir is Q = 0, so only that claim fails, while the meta
-    # Casimir plus I is still the scalar it must be
-    good = algebra.casimir_matrix
-    monkeypatch.setattr(algebra, "casimir_matrix",
-                        lambda which, inst: good(which, inst) + identity_matrix(inst.p))
+    # Casimir plus I is still the scalar it must be; the empty word is I
+    for name in ("casimir_rqhahn", "casimir_meta"):
+        good = getattr(algebra, name)
+        monkeypatch.setattr(algebra, name, lambda p, good=good: good(p) + NCPoly.monomial(""))
     inst = Instance(canonical)
-    report = check_casimir("rqhahn", inst)
+    report = check_casimir_rqhahn(inst)
     assert report.status == "fail"
     assert report.violations == [{"claim": "zero", "residual": "1/1"}]
-    assert check_casimir("meta", inst).status == "pass"
+    assert check_casimir_meta(inst).status == "pass"
 
 
 @pytest.mark.parametrize("i", range(5))
 def test_casimir_rqhahn_negative_control_each_gamma(canonical, monkeypatch, i):
     _tamper_constants(monkeypatch, "gamma", i, lambda v: v + 1)
-    report = check_casimir("rqhahn", Instance(canonical))
+    report = check_casimir_rqhahn(Instance(canonical))
     assert report.status == "fail"
     assert report.violations[-1]["claim"] == "zero"
 
 
 def test_casimir_meta_must_be_scalar(canonical, monkeypatch):
-    # a nonscalar diagonal perturbation fails the scalar claim as well as
-    # centrality
-    good = algebra.casimir_matrix
-    n1 = canonical.N + 1
-    bump = [[F(int(r == c == 0)) for c in range(n1)] for r in range(n1)]
-    monkeypatch.setattr(algebra, "casimir_matrix", lambda which, inst: (
-        good(which, inst) + OpMatrix(bump, Basis.POINT, inst.p)))
-    report = check_casimir("meta", Instance(canonical))
+    # adding the word XZ fails the scalar claim as well as centrality
+    good = algebra.casimir_meta
+    monkeypatch.setattr(algebra, "casimir_meta", lambda p: good(p) + NCPoly.monomial("XZ"))
+    report = check_casimir_meta(Instance(canonical))
     assert report.status == "fail"
     assert report.details["is_scalar"] is False
     assert [v.get("generator") for v in report.violations] == ["X", "V", "Z", None]
@@ -238,8 +254,8 @@ def test_casimir_meta_must_be_scalar(canonical, monkeypatch):
 
 def test_potentials_give_relations_with_unit_scale():
     for p in SMALL_PANEL:
-        for which in ("rqhahn", "meta"):
-            report = check_potential(which, Instance(p))
+        for check in (check_potential_rqhahn, check_potential_meta):
+            report = check(Instance(p))
             assert report.status == "pass"
             assert set(report.details["scales"].values()) == {"-1/1"}
 
@@ -273,7 +289,7 @@ def test_relation_polys_evaluate_to_zero(canonical):
 
 
 def test_casimir_poly_has_cubic_leading_terms(canonical):
-    qpoly = casimir_poly("rqhahn", canonical)
+    qpoly = casimir_rqhahn(canonical)
     assert qpoly.coefficient("XYZ") == 1 - canonical.q
-    mpoly = casimir_poly("meta", canonical)
+    mpoly = casimir_meta(canonical)
     assert mpoly.coefficient("XVZ") == 1 - canonical.q

@@ -9,6 +9,7 @@ from qhahn.brf import (
     partner_scale,
     brf_partner,
     brf_u,
+    brf_u_recurrence,
     check_biorthogonality,
     check_partial_fractions,
     check_partner,
@@ -52,7 +53,7 @@ def test_u1_frozen_values(canonical):
 def test_series_and_recurrence_routes_agree():
     for p in SMALL_PANEL:
         for n in range(p.N + 1):
-            assert brf_u(n, p, "hypergeometric").values == brf_u(n, p, "recurrence").values
+            assert brf_u(n, p).values == brf_u_recurrence(n, p).values
 
 
 def test_family_eigenvalues_match_closed_form():
@@ -109,7 +110,7 @@ def test_biorthogonality_catches_a_wrong_norm(canonical, monkeypatch):
     # one closed-form norm off by 1 fails the diagonal entry (2, 2) only
     good = brf.norm_h
     monkeypatch.setattr(
-        brf, "norm_h", lambda n, p, check=True: good(n, p, check) + (1 if n == 2 else 0))
+        brf, "norm_h", lambda n, p: good(n, p) + (1 if n == 2 else 0))
     report = check_biorthogonality(Instance(canonical))
     assert report.status == "fail"
     assert report.violations == [{"n": 2, "m": 2, "residual": "-1/1"}]
@@ -120,8 +121,8 @@ def test_biorthogonality_catches_a_mixed_partner(canonical, monkeypatch):
     h1 = norm_h(1, canonical)
     good = brf.partner_family
 
-    def mixed(p, method="hypergeometric"):
-        partners = list(good(p, method))
+    def mixed(p):
+        partners = list(good(p))
         partners[3] = partners[3] + partners[1]
         return tuple(partners)
 
@@ -207,11 +208,11 @@ def test_partial_fraction_basis_has_the_right_poles(canonical):
 
 
 def test_norm_closed_form_matches_direct_sum():
-    # check=True compares the closed form against the direct sum and
-    # raises on mismatch; equality with the unchecked value pins both routes
+    # the closed form against the direct sum (U_n, partner_n)_w
     for p in SMALL_PANEL:
+        w = weight_vector(p)
         for n in range(p.N + 1):
-            assert norm_h(n, p, check=True) == norm_h(n, p, check=False)
+            assert norm_h(n, p) == inner_product(brf_u(n, p), brf_partner(n, p), w)
 
 
 def direct_series_u(n, p):

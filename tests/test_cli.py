@@ -195,6 +195,37 @@ def test_invalid_wilson_and_hahn_entries_are_skips_carrying_the_entry(tmp_path):
     }]
 
 
+def test_instance_rejected_by_qparams_is_a_skip_per_check(tmp_path):
+    # q = 1 is rejected by QParams itself: each gevp check of that entry is a
+    # skip carrying the entry as given, and the next instance still runs
+    bad = {"q": "1", "A": "3", "B": "1/5", "N": 2}
+    config = write_config(tmp_path, {
+        "instances": [bad, {"q": "1/2", "A": "3", "B": "1/5", "N": 2}],
+    })
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--config", config, "--suite", "gevp", "--out", str(out)])
+    assert code == 0
+    reports = json.loads(out.read_text())["suites"]["gevp"]
+    assert [r["status"] for r in reports] == ["skip"] * 6 + ["pass"] * 6
+    assert [r["check"] for r in reports[:6]] == [r["check"] for r in reports[6:]]
+    assert all(r["params"] == bad and "q must avoid" in r["reason"] for r in reports[:6])
+
+
+@pytest.mark.parametrize("config, suite", [
+    ({"suites": 5}, None),
+    ({"instances": 3}, "gevp"),
+    ({"wilson_instances": 7}, "wilson"),
+    ({"limits": {"wilson": 5}}, "limits"),
+    ({"limits": {"wilson": {"instance": {"q": "1/2", "A": "8", "B": "1/32", "N": 2},
+                            "m_list": 8}}}, "limits"),
+], ids=["suites", "instances", "wilson_instances", "limits.wilson", "m_list"])
+def test_malformed_config_shape_is_config_error(tmp_path, capsys, config, suite):
+    path = write_config(tmp_path, config)
+    argv = ["verify", "--config", path] + (["--suite", suite] if suite else [])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_report_is_deterministic(tmp_path):
     config = write_config(tmp_path, MINIMAL)
     texts = []

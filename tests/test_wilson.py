@@ -10,7 +10,6 @@ from qhahn.wilson import (
     WilsonParams,
     check_hahn_biorthogonality,
     check_wilson_biorthogonality,
-    hahn_U,
     hahn_h,
     hahn_u,
     hahn_v,
@@ -216,8 +215,7 @@ def test_hahn_biorthogonality_catches_a_mixed_partner(monkeypatch):
 
 def test_hahn_u0_is_one():
     for hp in HAHN_PANEL:
-        assert all(v == 1 for v in hahn_U(0, hp))
-        assert hahn_u(0, 0, hp) == 1
+        assert all(hahn_u(0, x, hp) == 1 for x in range(hp.N + 1))
 
 
 def test_hahn_total_mass_is_h0():
