@@ -15,7 +15,6 @@ from .qcore import (
     DimensionMismatch,
     InvalidParams,
     PoleOnGrid,
-    PrecisionLoss,
     QHahnError,
     QParams,
     RankDeficient,

@@ -11,6 +11,10 @@ The biorthogonal partner family is a parameter reflection of the same
 family: partner_m(x) = -q^{-1} [alpha-beta-1]_q * U_m(N-x) evaluated at
 (q, A, B) -> (1/q, A/(B q^2), 1/B).  Against the normalized weight w the
 two families pair diagonally: (U_n, partner_m)_w = delta_{nm} H_n.
+
+The bare weight and bare norm (`bare_weight`, `bare_norm`) take (q, A, B, N)
+in any field: over Fraction they build `weight_vector` and `norm_h`, and
+`qhahn.wilson` uses them as the targets of both limit checks.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .reports import CheckReport, check_gram
 
 __all__ = [
     "eigenvalue",
+    "bare_weight",
     "weight_vector",
     "weight_scale",
     "reflected_params",
@@ -58,6 +63,7 @@ __all__ = [
     "partner_family",
     "Instance",
     "inner_product",
+    "bare_norm",
     "norm_h",
     "partial_fraction",
     "check_weight",
@@ -80,22 +86,19 @@ def weight_scale(p: QParams) -> Fraction:
     return qpow(p, p.N, -p.N) * qpoch(qpow(p, -1, 1, -1), p.N, p.q) / den
 
 
-def _bare_weight(p: QParams) -> list[Fraction]:
-    # (q B)^x (q^-N; q)_x (q/A; q)_x / ((q; q)_x (q^{2-N} B/A; q)_x)
-    out = []
-    for x in range(p.N + 1):
-        den = qpoch(p.q, x, p.q) * qpoch(qpow(p, 2 - p.N, -1, 1), x, p.q)
-        if den == 0:
-            raise ZeroDenominator(f"weight denominator vanishes at x = {x}")
-        num = qpow(p, x, 0, x) * qpoch(qpow(p, -p.N), x, p.q) * qpoch(qpow(p, 1, -1), x, p.q)
-        out.append(num / den)
-    return out
+def bare_weight(x: int, q, A, B, N: int):
+    """Bare weight (q B)^x (q^-N; q)_x (q/A; q)_x / ((q; q)_x (q^{2-N} B/A; q)_x)
+    in q's field: exact over Fraction, and the q -> 1 target over mpmath."""
+    den = qpoch(q, x, q) * qpoch(q**(2 - N) * B / A, x, q)
+    if den == 0:
+        raise ZeroDenominator(f"weight denominator vanishes at x = {x}")
+    return (q * B) ** x * qpoch(q ** (-N), x, q) * qpoch(q / A, x, q) / den
 
 
 def weight_vector(p: QParams) -> GridVector:
     """Normalized biorthogonality weight on the grid; sum is exactly 1."""
     c = weight_scale(p)
-    w = [c * b for b in _bare_weight(p)]
+    w = [c * bare_weight(x, p.q, p.A, p.B, p.N) for x in range(p.N + 1)]
     total = sum(w)
     if total != 1:
         raise QHahnError(f"weight normalization failed: sum = {total}")
@@ -255,23 +258,19 @@ def inner_product(f: GridVector, g: GridVector, w: GridVector) -> Fraction:
     return sum(w[x] * f[x] * g[x] for x in range(len(f)))
 
 
-def _hbar(n: int, p: QParams) -> Fraction:
-    # q^{N(alpha-1-n)} (q; q)_n (1/B; q)_N / (A/(Bq); q)_N
-    # * (qB; q)_n / (q^-N; q)_n * (q^{n-N} B; q)_n / (q^{1-N} B; q)_{2n}
-    q = p.q
-    for label, den in (
-        ("(A/(Bq); q)_N", qpoch(qpow(p, -1, 1, -1), p.N, q)),
-        ("(q^-N; q)_n", qpoch(qpow(p, -p.N), n, q)),
-        ("(q^{1-N} B; q)_{2n}", qpoch(qpow(p, 1 - p.N, 0, 1), 2 * n, q)),
-    ):
-        if den == 0:
-            raise ZeroDenominator(f"{label} vanishes in the norm closed form")
-    out = p.A**p.N * q ** (-p.N * (1 + n))
-    out *= qpoch(q, n, q)
-    out *= qpoch(qpow(p, 0, 0, -1), p.N, q) / qpoch(qpow(p, -1, 1, -1), p.N, q)
-    out *= qpoch(qpow(p, 1, 0, 1), n, q) / qpoch(qpow(p, -p.N), n, q)
-    out *= qpoch(qpow(p, n - p.N, 0, 1), n, q) / qpoch(qpow(p, 1 - p.N, 0, 1), 2 * n, q)
-    return out
+def bare_norm(n: int, q, A, B, N: int):
+    """Bare diagonal norm in q's field, as `bare_weight`:
+
+        q^{N(alpha-1-n)} (q; q)_n (1/B; q)_N / (A/(Bq); q)_N
+        * (qB; q)_n / (q^-N; q)_n * (q^{n-N} B; q)_n / (q^{1-N} B; q)_{2n}.
+    """
+    den = qpoch(A / (q * B), N, q) * qpoch(q ** (-N), n, q) * qpoch(q ** (1 - N) * B, 2 * n, q)
+    if den == 0:
+        raise ZeroDenominator("norm denominator vanishes")
+    return (
+        A**N * q ** (-N * (1 + n)) * qpoch(q, n, q) * qpoch(1 / B, N, q)
+        * qpoch(q * B, n, q) * qpoch(q ** (n - N) * B, n, q) / den
+    )
 
 
 def norm_h(n: int, p: QParams) -> Fraction:
@@ -280,7 +279,7 @@ def norm_h(n: int, p: QParams) -> Fraction:
     partner's at the reflected instance), the weight normalization and the
     bare diagonal norm.  `check_biorthogonality` compares it with the sum."""
     return (partner_scale(p) * u_prefactor(n, p) * u_prefactor(n, reflected_params(p))
-            * weight_scale(p) * _hbar(n, p))
+            * weight_scale(p) * bare_norm(n, p.q, p.A, p.B, p.N))
 
 
 def partial_fraction(n: int, u: GridVector) -> tuple[Fraction, ...]:

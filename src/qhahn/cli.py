@@ -91,42 +91,40 @@ def _qparams_suite(checks):
     return run
 
 
+def _entry_report(name: str, entry: dict, parse, check, *args) -> dict:
+    """check(parse(entry), *args) as a report; an entry that its parameter
+    class or the check rejects (InvalidParams) is a skip carrying the raw entry."""
+    try:
+        return check(parse(entry), *args).as_dict()
+    except InvalidParams as exc:
+        return CheckReport(check=name, params=dict(entry), skipped=str(exc)).as_dict()
+
+
 def _entry_suite(section: str, parse, check):
-    """Suite running one check per entry of a config section; an entry its
-    parameter class rejects is reported as a skip carrying the raw entry."""
+    """Suite running one check per entry of a config section."""
     name = check.__name__.removeprefix("check_")
-
-    def run(config):
-        reports = []
-        for entry in _section(config, section, list, []):
-            try:
-                params = parse(entry)
-            except InvalidParams as exc:
-                reports.append(
-                    CheckReport(check=name, params=dict(entry), skipped=str(exc)).as_dict())
-                continue
-            reports.append(check(params).as_dict())
-        return reports
-
-    return run
+    return lambda config: [_entry_report(name, entry, parse, check)
+                           for entry in _section(config, section, list, [])]
 
 
 def _limits_suite(config):
+    """The two limit checks; an instance the parameter class, the guards or
+    the check's preconditions reject is one skip carrying the raw entry."""
     reports = []
     section = _section(config, "limits", dict, {})
     wl = _section(section, "wilson", dict, None)
     if wl is not None:
-        p = _parse_qparams(wl.get("instance", {}))
         m_list = _section(wl, "m_list", list, [8, 12, 16, 20])
         if not all(isinstance(m, int) and not isinstance(m, bool) for m in m_list):
             raise ConfigError(f"m_list must be integers: {m_list!r}")
         qc = _parse_scalar(wl.get("qc", "3"))
-        reports.append(wilson.wilson_limit_check(p, m_list, qc).as_dict())
+        reports.append(_entry_report("wilson_limit", wl.get("instance", {}), _parse_qparams,
+                                     wilson.wilson_limit_check, m_list, qc))
     qt = _section(section, "qto1", dict, None)
     if qt is not None:
-        hp = _parse_hahn(qt.get("instance", {}))
         h_list = [_parse_scalar(h) for h in _section(qt, "h_list", list, ["1/8", "1/16", "1/32"])]
-        reports.append(wilson.qto1_convergence_check(hp, h_list).as_dict())
+        reports.append(_entry_report("qto1_convergence", qt.get("instance", {}), _parse_hahn,
+                                     wilson.qto1_convergence_check, h_list))
     return reports
 
 

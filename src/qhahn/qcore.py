@@ -30,7 +30,6 @@ __all__ = [
     "DegenerateDenominator",
     "SingularSystem",
     "RankDeficient",
-    "PrecisionLoss",
     "ConfigError",
     "scalar",
     "frac_str",
@@ -81,10 +80,6 @@ class SingularSystem(QHahnError):
 
 class RankDeficient(QHahnError):
     """A coefficient-recovery ansatz does not have full column rank."""
-
-
-class PrecisionLoss(QHahnError):
-    """A floating-point check lost more precision than the effect measured."""
 
 
 class ConfigError(QHahnError):

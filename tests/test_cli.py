@@ -195,6 +195,56 @@ def test_invalid_wilson_and_hahn_entries_are_skips_carrying_the_entry(tmp_path):
     }]
 
 
+VALID_INSTANCE = {"q": "1/2", "A": "3", "B": "1/5", "N": 2}
+
+
+@pytest.mark.parametrize("section, check, entry, reason", [
+    ("wilson", "wilson_limit", {"q": "1", "A": "8", "B": "1/32", "N": 2}, "q must avoid"),
+    ("wilson", "wilson_limit", {"q": "3/2", "A": "8", "B": "1/32", "N": 2},
+     "the limit path needs |q| < 1"),
+    ("wilson", "wilson_limit", {"q": "1/2", "A": "8", "B": "1/32", "N": 4}, "basis_pole: A = q^-3"),
+    ("qto1", "qto1_convergence", {"alpha": "-3", "beta": "5", "N": -1},
+     "N must be a nonnegative integer"),
+    ("qto1", "qto1_convergence", {"alpha": "-7/2", "beta": "17/2", "N": 4},
+     "the q -> 1 sweep needs integer exponents"),
+], ids=["wilson-qparams", "wilson-q-above-1", "wilson-guard", "qto1-hahnparams",
+        "qto1-exponents"])
+def test_invalid_limit_instance_is_a_skip_carrying_the_entry(
+        tmp_path, section, check, entry, reason):
+    # a rejected limit instance is one skip; the other suites' results stay
+    config = write_config(tmp_path, {
+        "instances": [VALID_INSTANCE], "limits": {section: {"instance": entry}},
+    })
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--config", config, "--suite", "limits", "gevp",
+                     "--out", str(out)])
+    assert code == 0
+    suites = json.loads(out.read_text())["suites"]
+    assert [r["status"] for r in suites["gevp"]] == ["pass"] * 6
+    [skip] = suites["limits"]
+    assert skip["reason"].startswith(reason)
+    assert skip == {"check": check, "params": entry, "status": "skip",
+                    "reason": skip["reason"], "violations": [], "details": {}}
+
+
+def test_qto1_precision_loss_is_a_failing_check_in_a_written_report(tmp_path):
+    config = write_config(tmp_path, {
+        "instances": [VALID_INSTANCE],
+        "limits": {"qto1": {"instance": {"alpha": "-3", "beta": "5", "N": 2},
+                            "h_list": ["1/8", "1/1000000000000"]}},
+    })
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--config", config, "--suite", "limits", "gevp",
+                     "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    [qto1] = report["suites"]["limits"]
+    assert qto1["status"] == "fail"
+    assert [v["h"] for v in qto1["violations"]] == ["1/1000000000000"]
+    assert qto1["violations"][0]["residual"].startswith("precision loss: ")
+    assert report["summary"] == {"pass": 6, "fail": 1, "skip": 0}
+
+
 def test_instance_rejected_by_qparams_is_a_skip_per_check(tmp_path):
     # q = 1 is rejected by QParams itself: each gevp check of that entry is a
     # skip carrying the entry as given, and the next instance still runs

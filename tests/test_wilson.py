@@ -2,9 +2,11 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qhahn import brf, wilson
-from qhahn.qcore import InvalidParams, QParams, frac_str
+from qhahn.qcore import InvalidParams, QParams, ZeroDenominator, frac_str, qpoch
 from qhahn.wilson import (
     HahnParams,
     WilsonParams,
@@ -15,10 +17,8 @@ from qhahn.wilson import (
     hahn_v,
     hahn_weight,
     induced_wilson_params,
-    limit_h,
     limit_u,
     limit_v,
-    limit_weight,
     qto1_convergence_check,
     wilson_h,
     wilson_limit_check,
@@ -126,10 +126,39 @@ def test_wilson_limit_canonical_instance_further_out(canonical):
     assert float(report.details["ratio_bound_float"]) < F(1, 10)
 
 
+LONG_M_LIST = [8, 12, 16, 20, 24, 28, 40]
+
+
+def test_wilson_limit_rate_passes_on_the_true_targets():
+    # the last ratio is about q^12 = 1/4096, well inside the bound q^6
+    report = wilson_limit_check(LIMIT_INSTANCE, LONG_M_LIST, F(3))
+    assert report.status == "pass"
+
+
+def test_wilson_limit_rate_catches_a_target_off_by_a_constant(monkeypatch):
+    # h_1 + 1/1000 still leaves a strictly decreasing deviation sequence,
+    # but it stalls at 1/1000: the last ratio is near 1, above |q|^6
+    good = wilson.bare_norm
+    monkeypatch.setattr(wilson, "bare_norm", lambda n, q, A, B, N: good(n, q, A, B, N)
+                        + (F(1, 1000) if n == 1 else 0))
+    report = wilson_limit_check(LIMIT_INSTANCE, LONG_M_LIST, F(3))
+    assert report.status == "fail"
+    assert [v["m"] for v in report.violations] == [40]
+    assert report.violations[0]["residual"].startswith("last ratio")
+    assert F(report.details["ratio_bound"]) < 1
+
+
 def test_wilson_limit_requires_shrinking_q():
     grow = QParams(F(3, 2), F(32, 243), F(19683, 512), 3)
     with pytest.raises(InvalidParams):
         wilson_limit_check(grow, [8, 12], F(3))
+
+
+def test_wilson_limit_rejects_a_guard_flagged_instance():
+    # A = 8 = q^-3 is a basis pole at N = 4: named by the guard, not a
+    # ZeroDenominator from inside a limit target
+    with pytest.raises(InvalidParams, match="basis_pole"):
+        wilson_limit_check(QParams(F(1, 2), F(8), F(1, 32), 4), [8, 12], F(3))
 
 
 def test_wilson_limit_skips_degenerate_members():
@@ -147,13 +176,6 @@ def test_induced_params_satisfy_wilson_constraints():
         assert wp.qa * wp.qb * wp.qc * wp.qd * wp.qe * wp.qf == wp.q
 
 
-def test_limit_targets_match_brf_weight():
-    for p in (CANONICAL, LIMIT_INSTANCE):
-        bare = brf._bare_weight(p)
-        for x in range(p.N + 1):
-            assert limit_weight(x, p.q, p.A, p.B, p.N) == bare[x]
-
-
 def test_limit_targets_match_brf_series():
     for p in (CANONICAL, LIMIT_INSTANCE):
         for n in range(p.N + 1):
@@ -161,12 +183,6 @@ def test_limit_targets_match_brf_series():
             pref = brf.u_prefactor(n, p)
             for x in range(p.N + 1):
                 assert pref * limit_u(n, x, p.q, p.A, p.B, p.N) == u[x]
-
-
-def test_limit_targets_match_brf_norm():
-    for p in (CANONICAL, LIMIT_INSTANCE):
-        for n in range(p.N + 1):
-            assert limit_h(n, p.q, p.A, p.B, p.N) == brf._hbar(n, p)
 
 
 def test_limit_v_is_reflected_u():
@@ -260,3 +276,94 @@ def test_qto1_requires_integer_exponents():
 def test_qto1_requires_positive_h():
     with pytest.raises(InvalidParams):
         qto1_convergence_check(HahnParams(F(-3), F(5), 2), [F(1, 8), F(-1, 16)])
+
+
+def test_qto1_precision_loss_is_a_violation_left_out_of_the_fit():
+    # at h = 10^-12 the 53-bit roundoff swamps the deviation being measured
+    hp = HahnParams(F(-3), F(5), 2)
+    report = qto1_convergence_check(hp, [F(1, 8), F(1, 10**12)])
+    assert report.status == "fail"
+    assert [v["h"] for v in report.violations] == ["1/1000000000000"]
+    assert report.violations[0]["residual"].startswith("precision loss: roundoff")
+    assert list(report.details["deviations"]) == ["1/8"]
+    assert report.details["orders"] == []
+
+
+def _u_value_direct(q, qa, qb, qc, qd, qe, qf, n, qz):
+    """The 10phi9 summed term by term, every Pochhammer symbol rebuilt."""
+    head = qa / qe
+    head_den = 1 - head
+    if head_den == 0:
+        raise ZeroDenominator("very-well-poised head vanishes")
+    num_bases, den_bases = wilson._u_bases(q, qa, qb, qc, qd, qe, qf, n, qz)
+    total = q * 0
+    for k in range(n + 1):
+        den = qpoch(q, k, q)
+        for base in den_bases:
+            den = den * qpoch(base, k, q)
+        if den == 0:
+            raise ZeroDenominator(f"series denominator vanishes at k={k}")
+        num = (1 - head * q ** (2 * k)) / head_den * q**k
+        for base in num_bases:
+            num = num * qpoch(base, k, q)
+        total = total + num / den
+    return total
+
+
+def _f32_direct(top, bottom, terms):
+    """The 3F2 summed term by term, every rising factorial rebuilt."""
+    total = F(0)
+    for k in range(terms):
+        den = wilson._rising(1, k)
+        for b in bottom:
+            den = den * wilson._rising(b, k)
+        if den == 0:
+            raise ZeroDenominator(f"series denominator vanishes at k={k}")
+        num = F(1)
+        for t in top:
+            num = num * wilson._rising(t, k)
+        total = total + num / den
+    return total
+
+
+small_rationals = st.builds(F, st.integers(-13, 13).filter(bool), st.integers(1, 5))
+
+
+@st.composite
+def wilson_params(draw):
+    q = draw(st.sampled_from([F(1, 2), F(-1, 2), F(2, 3), F(3, 2), F(-3, 5)]))
+    qa, qc, qd, qe = (draw(small_rationals) for _ in range(4))
+    try:
+        return WilsonParams(q, qa, qc, qd, qe, draw(st.integers(1, 4)))
+    except InvalidParams:
+        assume(False)
+
+
+@st.composite
+def hahn_params(draw):
+    try:
+        return HahnParams(draw(small_rationals), draw(small_rationals), draw(st.integers(1, 6)))
+    except InvalidParams:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wilson_params())
+def test_wilson_series_equal_the_direct_term_sum(wp):
+    q, qa, qb, qc, qd, qe, qf = wp.q, wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf
+    for n in range(wp.N + 1):
+        for x in range(wp.N + 1):
+            assert wilson_u(n, x, wp) == _u_value_direct(q, qa, qb, qc, qd, qe, qf, n, q**x)
+            assert wilson_v(n, x, wp) == _u_value_direct(
+                q, qb, qa, qc, qd, qf, qe, n, q**x * qa / qb)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hahn_params())
+def test_hahn_series_equal_the_direct_term_sum(hp):
+    a, b, N = hp.alpha, hp.beta, hp.N
+    for n in range(N + 1):
+        for x in range(N + 1):
+            assert hahn_u(n, x, hp) == _f32_direct([-n, n + b - N, -x], [-N, a - x], n + 1)
+            assert hahn_v(n, x, hp) == _f32_direct(
+                [-n, n + b - N, x - N], [-N, x - N + b - a + 2], n + 1)
