@@ -1,12 +1,14 @@
 """Exact verification suite for biorthogonal rational functions of q-Hahn type.
 
-Everything is computed over exact rationals: parameters, grid functions,
-operators and structure constants.  The package builds the operator pencil
-(X, Y, Z) and the factor V = X^-1 Y on the finite grid, the biorthogonal
-rational family it diagonalizes, the weighted adjoint picture, the cubic
-algebras the operators satisfy, and the classical limits of the family,
-with every identity verified by exact equality (or, for the two genuine
-limit statements, by measured convergence).
+Everything is computed over exact rationals: the parameter classes admit
+only exact rationals, and the code past them uses only field operations,
+so grid functions, operators and structure constants are exact too.  The
+package builds the operator pencil (X, Y, Z) and the factor V = X^-1 Y on
+the finite grid, the biorthogonal rational family it diagonalizes, the
+weighted adjoint picture, the cubic algebras the operators satisfy, and
+the classical limits of the family, with every identity verified by exact
+equality (or, for the two genuine limit statements, by measured
+convergence).
 """
 
 from .qcore import (
@@ -18,7 +20,6 @@ from .qcore import (
     QHahnError,
     QParams,
     RankDeficient,
-    Scalar,
     SingularSystem,
     ValidationReport,
     ZeroDenominator,

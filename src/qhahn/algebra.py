@@ -186,7 +186,7 @@ def evaluate_poly(poly: NCPoly, matrices: Mapping[str, OpMatrix], p: QParams) ->
     if poly.cyclic:
         raise QHahnError("cyclic elements have no single matrix value")
     size = p.N + 1
-    prods = {(): linalg.identity(size)} | {(g,): m.entries for g, m in matrices.items()}
+    prods = {(): linalg.identity(size, p.q**0)} | {(g,): m.entries for g, m in matrices.items()}
     acc = linalg.zeros(size, size)
     for word, coeff in poly.terms.items():
         for k in range(2, len(word) + 1):

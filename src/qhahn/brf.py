@@ -321,7 +321,7 @@ def check_weight(inst: Instance) -> CheckReport:
     p = inst.p
     report = CheckReport(check="weight", params=p.as_dict())
     w = inst.weight
-    report.details["total"] = frac_str(sum(Fraction(v) for v in w))
+    report.details["total"] = frac_str(sum(w))
     refl = weight_vector(reflected_params(p))
     for x in range(p.N + 1):
         if w[x] != refl[p.N - x]:

@@ -17,7 +17,6 @@ vanish; the checkers verify that vanishing instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -61,11 +60,11 @@ class MuCoefficients:
     the raising coefficients mu[0], mu[3], mu[6] are zero.
     """
 
-    mu: tuple[Fraction, ...]
+    mu: tuple
     params: QParams
     n: int
 
-    def __getitem__(self, ell: int) -> Fraction:
+    def __getitem__(self, ell: int):
         """1-based accessor matching the superscript labels (1..9)."""
         if not 1 <= ell <= 9:
             raise IndexError(f"mu label {ell} out of range 1..9")
@@ -91,11 +90,16 @@ def mu_coefficients(n: int, p: QParams) -> MuCoefficients:
             raise DegenerateDenominator(f"{label} vanishes at n = {n}")
 
     if n == N:
-        mu1 = Fraction(0)
+        mu1 = mu7 = 0 * p.q
     else:
         mu1 = (
             -qpow(p, -n, -1)
             * qnum(p, n) * qnum(p, n + 1, 0, 1) * qnum(p, N - n, 0, -1)
+            / (d_mid * d_up)
+        )
+        mu7 = (
+            qpow(p, -n, -1)
+            * qnum(p, n + 1, 0, 1) * qnum(p, N - n, 0, -1)
             / (d_mid * d_up)
         )
     mu2 = qpow(p, 0, -1) * (
@@ -109,14 +113,6 @@ def mu_coefficients(n: int, p: QParams) -> MuCoefficients:
         * qnum(p, -n) * qnum(p, N - n, 0, -1) * qnum(p, N - n + 1)
         / (d_mid * d_mid1)
     )
-    if n == N:
-        mu7 = Fraction(0)
-    else:
-        mu7 = (
-            qpow(p, -n, -1)
-            * qnum(p, n + 1, 0, 1) * qnum(p, N - n, 0, -1)
-            / (d_mid * d_up)
-        )
     # mu8 = sigma_n - sigma_{n+1} - 1 where sigma_n is the phi-coefficient
     # ratio q^{beta-alpha+n-N} [n]_q [N+1-n]_q / [2n-1+beta-N]_q; the edge
     # values sigma_0 = sigma_{N+1} = 0 make the one formula cover all n.
@@ -209,7 +205,7 @@ def check_difference_equation(inst: Instance) -> CheckReport:
     return report
 
 
-def _three_term(members: Sequence[GridVector], mu3: Sequence[Fraction], n: int,
+def _three_term(members: Sequence[GridVector], mu3: Sequence, n: int,
                 N: int) -> tuple[GridVector | None, str | None]:
     """Combine mu-weighted neighbors of U_n, dropping absent members only
     when their coefficient vanishes.  Returns (vector, problem)."""

@@ -1,40 +1,43 @@
-"""Exact linear algebra over the rationals, dense and structured.
+"""Exact linear algebra over the field of its inputs, dense and structured.
 
-Matrices are lists of lists of Fractions, row major.  Everything here is
-sized for the desk scale of this package (dimension at most a few dozen).
-The dense kernels (`rref`, `solve_unique`, `null_space`) are plain
-Gaussian elimination.  The structured ones exploit what the operators of
-this package look like: `mat_mul` and `mat_vec` skip zero entries, so a
-banded matrix costs O(bandwidth) per row; `tridiagonal_null_space` solves
-the three-term recurrence of a tridiagonal matrix and falls back to
-`null_space` when the matrix is not one it can prove a kernel for; and
-`cauchy_solve` inverts a Cauchy matrix by Lagrange interpolation.
+Matrices are lists of lists of field elements, row major; the code uses
+only +, -, *, / and comparison with 0.  Two ints may also appear, and
+every field absorbs them: the 0 of an entry no arithmetic reached
+(`zeros`, an empty sum) and the 1 of a free `null_space` coordinate.  No
+division has two int operands, as int / int is a float.
+
+Everything here is sized for the desk scale of this package (dimension at
+most a few dozen).  The dense kernels (`rref`, `solve_unique`,
+`null_space`) are plain Gaussian elimination.  The structured ones exploit
+what the operators of this package look like: `mat_mul` and `mat_vec` skip
+zero entries, so a banded matrix costs O(bandwidth) per row;
+`tridiagonal_null_space` solves the three-term recurrence of a tridiagonal
+matrix and falls back to `null_space` when the matrix is not one it can
+prove a kernel for; and `cauchy_solve` inverts a Cauchy matrix by Lagrange
+interpolation.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 from typing import Sequence
 
 from .qcore import SingularSystem
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+Matrix = list[list]
+Vector = list
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+    return [[0] * cols for _ in range(rows)]
 
 
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
+def identity(n: int, one) -> Matrix:
+    """The n x n identity with the field's `one` on its diagonal."""
+    return [[one if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
     assert all(len(row) == k for row in a), "inner dimensions must agree"
     out = zeros(n, m)
@@ -52,14 +55,14 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return out
 
 
-def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
+def mat_vec(a: Sequence[Sequence], v: Sequence) -> Vector:
     """a @ v, multiplying only where both the entry and the component are
     nonzero, so a banded matrix costs O(bandwidth) products per row."""
     assert all(len(row) == len(v) for row in a)
-    return [sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a]
+    return [sum(x * y for x, y in zip(row, v) if x and y) for row in a]
 
 
-def transpose(a: Sequence[Sequence[Fraction]]) -> Matrix:
+def transpose(a: Sequence[Sequence]) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
@@ -71,7 +74,7 @@ def mat_sub(a, b) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c: Fraction, a) -> Matrix:
+def mat_scale(c, a) -> Matrix:
     return [[c * x for x in row] for row in a]
 
 
@@ -79,11 +82,11 @@ def is_zero(a) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def max_abs(a) -> Fraction:
-    return max((abs(x) for row in a for x in row), default=Fraction(0))
+def max_abs(a):
+    return max((abs(x) for row in a for x in row), default=0)
 
 
-def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
+def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
     m = [list(row) for row in a]
     rows = len(m)
@@ -108,7 +111,7 @@ def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def solve_unique(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vector:
+def solve_unique(a: Sequence[Sequence], b: Sequence) -> Vector:
     """Exact solution of a linear system with a unique solution.
 
     Accepts rectangular (over-determined) systems; raises SingularSystem if
@@ -122,13 +125,13 @@ def solve_unique(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vect
         raise SingularSystem("system is inconsistent")
     if len(pivots) < cols:
         raise SingularSystem("solution is not unique")
-    x = [Fraction(0)] * cols
+    x = [0] * cols
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return x
 
 
-def null_space(a: Sequence[Sequence[Fraction]]) -> list[Vector]:
+def null_space(a: Sequence[Sequence]) -> list[Vector]:
     """Basis of the exact null space {v : a v = 0}."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -136,8 +139,8 @@ def null_space(a: Sequence[Sequence[Fraction]]) -> list[Vector]:
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+        v = [0] * cols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
@@ -145,7 +148,7 @@ def null_space(a: Sequence[Sequence[Fraction]]) -> list[Vector]:
 
 
 def solve_lower_triangular(
-    lower: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]]
+    lower: Sequence[Sequence], rhs: Sequence[Sequence]
 ) -> Matrix:
     """Solve lower @ W = rhs column by column by forward substitution."""
     n = len(lower)
@@ -163,13 +166,14 @@ def solve_lower_triangular(
     return w
 
 
-def tridiagonal_null_space(a: Sequence[Sequence[Fraction]]) -> list[Vector]:
+def tridiagonal_null_space(a: Sequence[Sequence]) -> list[Vector]:
     """The basis `null_space(a)` returns, by the three-term recurrence when it can.
 
     When `a` is square, zero outside its three central diagonals, and every
     superdiagonal entry is nonzero, rows 0..n-2 fix v_{i+1} from v_{i-1} and
     v_i, so the kernel is at most one-dimensional and every kernel vector is
-    a multiple of the v with v_0 = 1.  The last row's residual then decides:
+    a multiple of the v with v_0 = 1, taken as a[0][1] / a[0][1] so that v
+    lives in the field of the entries.  The last row's residual then decides:
     the kernel is span(v) when it is 0 and {0} otherwise, so the dimension
     is proved, not sampled.  v is scaled to the basis `null_space` returns
     (1 at its last nonzero entry, the free column of the echelon form).
@@ -180,7 +184,9 @@ def tridiagonal_null_space(a: Sequence[Sequence[Fraction]]) -> list[Vector]:
             or any(a[i][j] for i in range(n) for j in range(n) if abs(i - j) > 1)
             or not all(a[i][i + 1] for i in range(n - 1))):
         return null_space(a)
-    v = [Fraction(1)]
+    if n == 1:  # [[d]] has no a[0][1]: no kernel, or the free coordinate 1 of `null_space`
+        return [] if a[0][0] else [[1]]
+    v = [a[0][1] / a[0][1]]
     for i in range(n):
         acc = a[i][i] * v[i] + (a[i][i - 1] * v[i - 1] if i else 0)
         if i == n - 1:
@@ -192,7 +198,7 @@ def tridiagonal_null_space(a: Sequence[Sequence[Fraction]]) -> list[Vector]:
     return [[x / last for x in v]]
 
 
-def cauchy_solve(s: Sequence[Fraction], t: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+def cauchy_solve(s: Sequence, t: Sequence, y: Sequence) -> Vector:
     """The c with sum_k c_k / (s_k - t_x) = y_x for every x, in O(n^2).
 
     With Q(t) = prod_j (s_j - t) and W(t) = prod_x (t - t_x), the sum is

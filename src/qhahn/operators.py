@@ -12,14 +12,17 @@ x = 0..N and are materialized as exact (N+1)x(N+1) matrices in two bases:
 
 phi_{N+1} vanishes identically on the grid, which is what truncates the
 raising terms at n = N exactly.
+
+Every entry is derived from (q, A, B), so the matrices live in their field;
+`GridVector` and `OpMatrix` store the values they are given, and an entry
+no term reaches stays the int 0 of `linalg.zeros`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 from . import linalg
 from .qcore import (
@@ -31,7 +34,6 @@ from .qcore import (
     qnum,
     qpoch,
     qpow,
-    scalar,
     validate_params,
 )
 
@@ -66,11 +68,11 @@ class Operator(enum.Enum):
 class GridVector:
     """Exact function values (f(0), ..., f(N)) for one parameter instance."""
 
-    values: tuple[Fraction, ...]
+    values: tuple
     params: QParams
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(scalar(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != self.params.N + 1:
             raise DimensionMismatch(
                 f"expected {self.params.N + 1} values, got {len(self.values)}"
@@ -79,10 +81,10 @@ class GridVector:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, x: int) -> Fraction:
+    def __getitem__(self, x: int):
         return self.values[x]
 
-    def __iter__(self) -> Iterator[Fraction]:
+    def __iter__(self) -> Iterator:
         return iter(self.values)
 
     def __add__(self, other: "GridVector") -> "GridVector":
@@ -94,7 +96,6 @@ class GridVector:
         return GridVector(tuple(a - b for a, b in zip(self, other)), self.params)
 
     def __rmul__(self, c) -> "GridVector":
-        c = scalar(c)
         return GridVector(tuple(c * v for v in self.values), self.params)
 
     def __neg__(self) -> "GridVector":
@@ -108,20 +109,17 @@ class GridVector:
             raise DimensionMismatch("grid sizes differ")
 
 
-MatrixLike = Sequence[Sequence[Fraction]]
-
-
 @dataclass(frozen=True)
 class OpMatrix:
     """Immutable exact matrix tagged with its basis and parameter instance."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple, ...]
     basis: Basis
     params: QParams
 
     def __post_init__(self):
         n1 = self.params.N + 1
-        rows = tuple(tuple(scalar(v) for v in row) for row in self.entries)
+        rows = tuple(tuple(row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
         if len(rows) != n1 or any(len(r) != n1 for r in rows):
             raise DimensionMismatch(f"operator matrix must be {n1}x{n1}")
@@ -130,10 +128,10 @@ class OpMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
+    def __getitem__(self, i: int) -> tuple:
         return self.entries[i]
 
-    def rows(self) -> list[list[Fraction]]:
+    def rows(self) -> list[list]:
         return [list(r) for r in self.entries]
 
     def _compat(self, other: "OpMatrix") -> None:
@@ -157,23 +155,23 @@ class OpMatrix:
         return OpMatrix(linalg.mat_sub(self.entries, other.entries), self.basis, self.params)
 
     def __neg__(self) -> "OpMatrix":
-        return OpMatrix(linalg.mat_scale(Fraction(-1), self.entries), self.basis, self.params)
+        return OpMatrix(linalg.mat_scale(-1, self.entries), self.basis, self.params)
 
     def __rmul__(self, c) -> "OpMatrix":
-        return OpMatrix(linalg.mat_scale(scalar(c), self.entries), self.basis, self.params)
+        return OpMatrix(linalg.mat_scale(c, self.entries), self.basis, self.params)
 
     def is_zero(self) -> bool:
         return linalg.is_zero(self.entries)
 
-    def max_abs(self) -> Fraction:
+    def max_abs(self):
         return linalg.max_abs(self.entries)
 
 
 def identity_matrix(p: QParams) -> OpMatrix:
-    return OpMatrix(linalg.identity(p.N + 1), Basis.POINT, p)
+    return OpMatrix(linalg.identity(p.N + 1, p.q**0), Basis.POINT, p)
 
 
-def phi_function(p: QParams, n: int, x: int) -> Fraction:
+def phi_function(p: QParams, n: int, x: int):
     """phi_n(x) = (q^-x; q)_n / (A q^-x; q)_n, exact; PoleOnGrid on a zero denominator."""
     den = qpoch(p.A * p.q**-x, n, p.q)
     if den == 0:
@@ -181,7 +179,7 @@ def phi_function(p: QParams, n: int, x: int) -> Fraction:
     return qpoch(p.q**-x, n, p.q) / den
 
 
-def y_shift_coefficients(p: QParams, x: int) -> tuple[Fraction, Fraction, Fraction]:
+def y_shift_coefficients(p: QParams, x: int) -> tuple:
     """Coefficients (up, stay, down) of f(x+1), f(x), f(x-1) in (Y f)(x).
 
     up vanishes at x = N and down vanishes at x = 0, so Y never reaches
@@ -192,7 +190,7 @@ def y_shift_coefficients(p: QParams, x: int) -> tuple[Fraction, Fraction, Fracti
     return up, -(up + down), down
 
 
-def nu_coefficients(p: QParams, n: int) -> tuple[Fraction, Fraction, Fraction]:
+def nu_coefficients(p: QParams, n: int) -> tuple:
     """Expansion coefficients of Y phi_n over (phi_{n+1}, phi_n, phi_{n-1})."""
     nu1 = -qnum(p, -n) * qnum(p, n) * qnum(p, n - p.N, 0, 1)
     nu2 = qnum(p, -n) * qnum(p, n - p.N, 0, 1) * qnum(p, n, -1) + qpow(p, 0, -1, 1) * qnum(
@@ -202,7 +200,7 @@ def nu_coefficients(p: QParams, n: int) -> tuple[Fraction, Fraction, Fraction]:
     return nu1, nu2, nu3
 
 
-def _x_point(p: QParams) -> list[list[Fraction]]:
+def _x_point(p: QParams) -> linalg.Matrix:
     n1 = p.N + 1
     m = linalg.zeros(n1, n1)
     for x in range(n1):
@@ -212,7 +210,7 @@ def _x_point(p: QParams) -> list[list[Fraction]]:
     return m
 
 
-def _y_point(p: QParams) -> list[list[Fraction]]:
+def _y_point(p: QParams) -> linalg.Matrix:
     n1 = p.N + 1
     m = linalg.zeros(n1, n1)
     for x in range(n1):
@@ -225,17 +223,17 @@ def _y_point(p: QParams) -> list[list[Fraction]]:
     return m
 
 
-def _z_point(p: QParams) -> list[list[Fraction]]:
+def _z_point(p: QParams) -> linalg.Matrix:
     n1 = p.N + 1
     m = linalg.zeros(n1, n1)
     for x in range(n1):
-        m[x][x] = Fraction(-1)
+        m[x][x] = -p.q**0
         if x > 0:
             m[x][x - 1] = qnum(p, -x) / qnum(p, -x, 1)
     return m
 
 
-def _v_point(p: QParams) -> list[list[Fraction]]:
+def _v_point(p: QParams) -> linalg.Matrix:
     # Lower Hessenberg: one raising term, a multiplicative term, and a full
     # lowering tail whose k-th coefficient is proportional to phi_k(x).
     n1 = p.N + 1
@@ -255,7 +253,7 @@ def _v_point(p: QParams) -> list[list[Fraction]]:
     return m
 
 
-def _x_phi(p: QParams) -> list[list[Fraction]]:
+def _x_phi(p: QParams) -> linalg.Matrix:
     n1 = p.N + 1
     m = linalg.zeros(n1, n1)
     for n in range(n1):
@@ -265,7 +263,7 @@ def _x_phi(p: QParams) -> list[list[Fraction]]:
     return m
 
 
-def _y_phi(p: QParams) -> list[list[Fraction]]:
+def _y_phi(p: QParams) -> linalg.Matrix:
     n1 = p.N + 1
     m = linalg.zeros(n1, n1)
     for n in range(n1):
@@ -278,17 +276,17 @@ def _y_phi(p: QParams) -> list[list[Fraction]]:
     return m
 
 
-def _z_phi(p: QParams) -> list[list[Fraction]]:
+def _z_phi(p: QParams) -> linalg.Matrix:
     n1 = p.N + 1
     m = linalg.zeros(n1, n1)
     for n in range(n1):
-        m[n][n] = Fraction(-1)
+        m[n][n] = -p.q**0
         if n < p.N:
-            m[n + 1][n] = Fraction(1)
+            m[n + 1][n] = p.q**0
     return m
 
 
-def _v_phi(p: QParams) -> list[list[Fraction]]:
+def _v_phi(p: QParams) -> linalg.Matrix:
     n1 = p.N + 1
     m = linalg.zeros(n1, n1)
     for n in range(n1):
@@ -361,7 +359,7 @@ def build_adjoint_operator(which: Operator, p: QParams) -> OpMatrix:
                 )
     elif which is Operator.Z:
         for x in range(n1):
-            m[x][x] = Fraction(-1)
+            m[x][x] = -p.q**0
             if x < N:
                 m[x][x + 1] = qpow(p, 1, -1, 1) * qnum(p, x - N) / qnum(p, x - N + 2, -1, 1)
     elif which is Operator.Y:

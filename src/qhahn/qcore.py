@@ -1,11 +1,16 @@
 """Exact rational arithmetic and q-calculus primitives.
 
-Every quantity in this package is an exact rational number
-(`fractions.Fraction`).  The deformation parameters enter only through the
-three base values q, A, B, where A and B play the role of the powers
-q^alpha and q^beta of two formal exponents alpha, beta; no logarithm is
-ever taken.  An exponent expression q^(i + j*alpha + k*beta) is evaluated
-exactly as `qpow(p, i, j, k)` = q**i * A**j * B**k.
+The number type is decided here, at the boundary: the parameter classes
+store their values through `scalar`, which admits ints, "num/den" strings
+and Fractions and rejects floats.  The code past it (these primitives,
+`linalg`, the operators and the checks) uses only field operations and
+derives every constant from the instance, so it computes in its field.
+
+The deformation parameters enter only through the three base values q, A,
+B, where A and B play the role of the powers q^alpha and q^beta of two
+formal exponents alpha, beta; no logarithm is ever taken.  An exponent
+expression q^(i + j*alpha + k*beta) is evaluated exactly as
+`qpow(p, i, j, k)` = q**i * A**j * B**k.
 
 `qpoch` and `phi_series` are field-generic: they use only ring operations
 and division on their arguments, so the same code runs over Fraction and
@@ -14,13 +19,11 @@ over mpmath floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 __all__ = [
-    "Scalar",
-    "ScalarLike",
     "QHahnError",
     "InvalidParams",
     "ZeroDenominator",
@@ -41,10 +44,6 @@ __all__ = [
     "ValidationReport",
     "validate_params",
 ]
-
-Scalar = Fraction
-ScalarLike = Union[Fraction, int, str]
-
 
 class QHahnError(Exception):
     """Base class for all errors raised by this package."""
@@ -86,7 +85,7 @@ class ConfigError(QHahnError):
     """A panel configuration file is malformed."""
 
 
-def scalar(x: ScalarLike) -> Fraction:
+def scalar(x) -> Fraction:
     """Coerce an int, a "num/den" string, or a Fraction to an exact rational."""
     if isinstance(x, Fraction):
         return x
@@ -113,7 +112,7 @@ class QParams:
         object.__setattr__(self, "q", scalar(self.q))
         object.__setattr__(self, "A", scalar(self.A))
         object.__setattr__(self, "B", scalar(self.B))
-        if self.q in (Fraction(0), Fraction(1), Fraction(-1)):
+        if self.q in (0, 1, -1):
             raise InvalidParams(f"q must avoid 0 and +-1, got {self.q}")
         if self.A == 0 or self.B == 0:
             raise InvalidParams("A and B must be nonzero")
@@ -198,12 +197,17 @@ class ValidationReport:
     Flags:
       basis_pole            A equals a power q^m with m in [-(n_max-1), N], so a
                             rational basis function has a pole on the grid.
+      reflected_basis_pole  B/A equals q^(m-2) with m in [-(n_max-1), N]: the
+                            basis pole of the reflected instance
+                            (1/q, A/(B q^2), 1/B) that the partner family and
+                            the limit target v_n are evaluated at.
       weight_denominator    a weight denominator Pochhammer factor vanishes.
       eigenvalue_collision  the eigenvalue list is not pairwise distinct.
       bracket_denominator   a recurrence-coefficient denominator bracket vanishes.
     """
 
     basis_pole: str | None = None
+    reflected_basis_pole: str | None = None
     weight_denominator: str | None = None
     eigenvalue_collision: str | None = None
     bracket_denominator: str | None = None
@@ -213,17 +217,8 @@ class ValidationReport:
         return not self.issues()
 
     def issues(self) -> list[str]:
-        found = []
-        for name in (
-            "basis_pole",
-            "weight_denominator",
-            "eigenvalue_collision",
-            "bracket_denominator",
-        ):
-            witness = getattr(self, name)
-            if witness is not None:
-                found.append(f"{name}: {witness}")
-        return found
+        return [f"{f.name}: {getattr(self, f.name)}" for f in fields(self)
+                if getattr(self, f.name) is not None]
 
 
 def validate_params(p: QParams, n_max: int) -> ValidationReport:
@@ -235,11 +230,12 @@ def validate_params(p: QParams, n_max: int) -> ValidationReport:
         raise InvalidParams(f"n_max must lie in 0..N = {p.N}, got {n_max}")
     q, A, B, N = p.q, p.A, p.B, p.N
 
-    basis_pole = None
-    for m in range(-(n_max - 1), N + 1):
-        if A == q**m:
-            basis_pole = f"A = q^{m} with {m} in [{-(n_max - 1)}, {N}]"
-            break
+    span = range(-(n_max - 1), N + 1)
+    basis_pole = next((f"A = q^{m} with {m} in [{span[0]}, {N}]"
+                       for m in span if A == q**m), None)
+    reflected_basis_pole = next((
+        f"B/A = q^{m - 2}, so the reflected A/(B q^2) = (1/q)^{m} with {m} in [{span[0]}, {N}]"
+        for m in span if B == A * q ** (m - 2)), None)
 
     weight_denominator = None
     for j in range(1, N + 1):
@@ -280,6 +276,7 @@ def validate_params(p: QParams, n_max: int) -> ValidationReport:
 
     return ValidationReport(
         basis_pole=basis_pole,
+        reflected_basis_pole=reflected_basis_pole,
         weight_denominator=weight_denominator,
         eigenvalue_collision=eigenvalue_collision,
         bracket_denominator=bracket_denominator,

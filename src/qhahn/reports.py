@@ -8,7 +8,6 @@ is kept out of CheckReport entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .qcore import frac_str
@@ -49,7 +48,7 @@ class CheckReport:
 
 
 def check_gram(report: CheckReport, weights: Sequence, us: Sequence[Sequence],
-               vs: Sequence[Sequence], norms: Sequence[Fraction]) -> CheckReport:
+               vs: Sequence[Sequence], norms: Sequence) -> CheckReport:
     """Biorthogonality sum_x w_x u_n(x) v_m(x) = delta_{nm} h_n, all pairs, exact.
 
     `norms` holds the closed-form h_n, which must also be nonzero.  Every
@@ -61,7 +60,7 @@ def check_gram(report: CheckReport, weights: Sequence, us: Sequence[Sequence],
             report.add_violation(n=n, m=n, residual="diagonal norm vanishes")
         wu = [w * a for w, a in zip(weights, us[n])]
         for m, v in enumerate(vs):
-            total = sum((c * b for c, b in zip(wu, v)), Fraction(0))
+            total = sum(c * b for c, b in zip(wu, v))
             expected = hn if n == m else 0
             if total != expected:
                 report.add_violation(n=n, m=m, residual=frac_str(total - expected))

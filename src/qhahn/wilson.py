@@ -83,7 +83,7 @@ class WilsonParams:
     def __post_init__(self):
         for name in ("q", "qa", "qc", "qd", "qe"):
             object.__setattr__(self, name, scalar(getattr(self, name)))
-        if not (isinstance(self.N, int) and self.N >= 0):
+        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
             raise InvalidParams("N must be a nonnegative integer")
         if self.q == 0 or self.q == 1 or self.q == -1:
             raise InvalidParams("q must avoid 0, 1, -1")
@@ -285,10 +285,11 @@ def wilson_limit_check(
 ) -> CheckReport:
     """Exact deviations of (w, u, v, h) from their limit targets shrink
     geometrically along qa = q^{-m}: strictly decreasing, with the largest
-    successive ratio recorded and required below 1.  A correct target
-    leaves a deviation of order |q|^m, so the last ratio d_{m1}/d_{m0} must
-    also be at most |q|^{(m1 - m0)/2}; a target off by a constant stalls it
-    near 1.  Raises InvalidParams when |q| >= 1 or `validate_params` flags p.
+    successive ratio recorded (below 1, as only a decreasing step gives a
+    ratio).  A correct target leaves a deviation of order |q|^m, so the last
+    ratio d_{m1}/d_{m0} must also be at most |q|^{(m1 - m0)/2}; a target off
+    by a constant stalls it near 1.  Raises InvalidParams when |q| >= 1 or
+    `validate_params` flags p.
     """
     report = CheckReport(check="wilson_limit", params=p.as_dict())
     if not -1 < p.q < 1:
@@ -323,8 +324,6 @@ def wilson_limit_check(
         bound = max(ratios)
         report.details["ratio_bound"] = frac_str(bound)
         report.details["ratio_bound_float"] = float(bound)
-        if bound >= 1:
-            report.add_violation(residual="no geometric decay: ratio bound >= 1")
     (m0, d0), (m1, d1) = deltas[-2:]
     if d1 < d0 and d1 * d1 > d0 * d0 * abs(p.q) ** (m1 - m0):
         report.add_violation(
@@ -350,7 +349,7 @@ class HahnParams:
     def __post_init__(self):
         object.__setattr__(self, "alpha", scalar(self.alpha))
         object.__setattr__(self, "beta", scalar(self.beta))
-        if not (isinstance(self.N, int) and self.N >= 0):
+        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
             raise InvalidParams("N must be a nonnegative integer")
         a, b, N = self.alpha, self.beta, self.N
         for x in range(N + 1):

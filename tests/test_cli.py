@@ -227,6 +227,38 @@ def test_invalid_limit_instance_is_a_skip_carrying_the_entry(
                     "reason": skip["reason"], "violations": [], "details": {}}
 
 
+REFLECTED_POLE = {"q": "1/2", "A": "3", "B": "12", "N": 3}
+
+
+def test_reflected_basis_pole_is_one_skip_per_biortho_check(tmp_path):
+    # B/A = q^-2 puts a pole of the partner family's series on the grid
+    config = write_config(tmp_path, {"instances": [REFLECTED_POLE, VALID_INSTANCE]})
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--config", config, "--suite", "biortho", "--out", str(out)])
+    assert code == 0
+    reports = json.loads(out.read_text())["suites"]["biortho"]
+    assert [r["status"] for r in reports] == ["skip"] * 4 + ["pass"] * 4
+    assert [r["check"] for r in reports[:4]] == [r["check"] for r in reports[4:]]
+    assert all(r["reason"].startswith("reflected_basis_pole: B/A = q^-2")
+               for r in reports[:4])
+
+
+def test_reflected_basis_pole_limit_instance_is_a_wilson_limit_skip(tmp_path):
+    config = write_config(tmp_path, {
+        "instances": [VALID_INSTANCE], "limits": {"wilson": {"instance": REFLECTED_POLE}},
+    })
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--config", config, "--suite", "limits", "gevp",
+                     "--out", str(out)])
+    assert code == 0
+    suites = json.loads(out.read_text())["suites"]
+    assert [r["status"] for r in suites["gevp"]] == ["pass"] * 6
+    [skip] = suites["limits"]
+    assert skip["check"] == "wilson_limit" and skip["status"] == "skip"
+    assert skip["params"] == REFLECTED_POLE
+    assert skip["reason"].startswith("reflected_basis_pole: B/A = q^-2")
+
+
 def test_qto1_precision_loss_is_a_failing_check_in_a_written_report(tmp_path):
     config = write_config(tmp_path, {
         "instances": [VALID_INSTANCE],

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhahn import linalg
-from qhahn.qcore import SingularSystem
+from qhahn.operators import Basis, GridVector, OpMatrix
+from qhahn.qcore import QParams, SingularSystem
 
 nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 any_frac = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -131,3 +132,133 @@ def test_cauchy_solve_rejects_coinciding_nodes():
 def test_mat_vec_skips_zeros_and_keeps_values():
     a = [[F(0), F(2), F(0)], [F(1, 3), F(0), F(-1)], [F(0), F(0), F(0)]]
     assert linalg.mat_vec(a, [F(5), F(0), F(7)]) == [F(0), F(5, 3) - 7, F(0)]
+
+
+P = 2**61 - 1
+
+
+class GF:
+    """An element of the prime field Z/P: a field other than Fraction that
+    mixes with ints only, so a Fraction or a float meeting it raises TypeError."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        self.v = v % P
+
+    @staticmethod
+    def _lift(x):
+        return x.v if isinstance(x, GF) else x if type(x) is int else None
+
+    def _op(f):
+        def op(self, other):
+            o = GF._lift(other)
+            return NotImplemented if o is None else GF(f(self.v, o))
+        return op
+
+    __add__ = __radd__ = _op(lambda a, b: a + b)
+    __mul__ = __rmul__ = _op(lambda a, b: a * b)
+    __sub__ = _op(lambda a, b: a - b)
+    __rsub__ = _op(lambda a, b: b - a)
+    __truediv__ = _op(lambda a, b: a * pow(b, -1, P))
+    __rtruediv__ = _op(lambda a, b: b * pow(a, -1, P))
+
+    def __neg__(self):
+        return GF(-self.v)
+
+    def __eq__(self, other):
+        o = GF._lift(other)
+        return NotImplemented if o is None else self.v == o % P
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __repr__(self):
+        return f"GF({self.v})"
+
+
+def mod_p(x):
+    """The image in GF of a Fraction or an int."""
+    return GF(x.numerator) / GF(x.denominator)
+
+
+def both(rows, cols, entries):
+    """A matrix from `linalg.zeros` with the given nonzero int entries, over
+    Fraction and over GF; every other entry stays the int 0."""
+    out = []
+    for field in (F, GF):
+        m = linalg.zeros(rows, cols)
+        for (i, j), v in entries.items():
+            m[i][j] = field(v)
+        out.append(m)
+    return out
+
+
+def assert_reduces(exact, modular):
+    """`modular` has the shape of `exact`, and each of its values is a GF
+    element or the int 0 or 1, equal to the Fraction value reduced mod P."""
+    if isinstance(exact, (list, tuple)):
+        assert isinstance(modular, (list, tuple)) and len(exact) == len(modular)
+        for a, b in zip(exact, modular):
+            assert_reduces(a, b)
+        return
+    assert type(modular) is GF or (type(modular) is int and modular in (0, 1)), modular
+    assert mod_p(exact) == modular
+
+
+def test_the_kernels_take_the_field_of_their_inputs():
+    # rank 2, with int-0 zeros at [0][0] and [1][2]; row 2 = row 0 + row 1
+    a = both(3, 4, {(0, 1): 2, (0, 2): -1, (0, 3): 4, (1, 0): 3, (1, 1): 1, (1, 3): 5,
+                    (2, 0): 3, (2, 1): 3, (2, 2): -1, (2, 3): 9})
+    sq = both(3, 3, {(0, 1): 2, (0, 2): 1, (1, 0): 3, (1, 2): 1, (2, 0): 1, (2, 1): 1})
+    low = both(3, 3, {(0, 0): 2, (1, 0): 1, (1, 1): 3, (2, 1): 4, (2, 2): 5})
+    rhs = both(3, 2, {(0, 1): 7, (1, 0): -2, (2, 0): 1, (2, 1): 3})
+    vec = both(1, 4, {(0, 0): 1, (0, 2): 6})
+    b = both(1, 3, {(0, 0): 1, (0, 2): 2})
+    # tridiagonal with int-0 diagonal at [0][0] and [2][2]: kernel (-3, 0, 1)
+    tri = both(3, 3, {(0, 1): 2, (1, 0): 1, (1, 1): 5, (1, 2): 3, (2, 1): 4})
+    tri_full = both(3, 3, {(0, 1): 2, (1, 0): 1, (1, 1): 5, (1, 2): 3, (2, 1): 4, (2, 2): 1})
+    zero1 = both(1, 1, {})
+    nodes = both(3, 3, {(0, 0): 1, (0, 1): 2, (0, 2): 5, (1, 0): 3, (1, 1): 4, (1, 2): 7,
+                        (2, 0): 1, (2, 2): 2})
+    node1 = both(3, 1, {(0, 0): 2, (1, 0): 5, (2, 0): 3})
+    runs = {
+        "mat_mul": lambda i: linalg.mat_mul(sq[i], a[i]),
+        "mat_vec": lambda i: linalg.mat_vec(a[i], vec[i][0]),
+        "rref": lambda i: linalg.rref(a[i])[0],
+        "solve_unique": lambda i: linalg.solve_unique(sq[i], b[i][0]),
+        "null_space": lambda i: linalg.null_space(a[i]),
+        "tridiagonal_null_space": lambda i: [linalg.tridiagonal_null_space(m[i])
+                                             for m in (tri, tri_full, zero1)],
+        "cauchy_solve": lambda i: [linalg.cauchy_solve(*nodes[i]),
+                                   linalg.cauchy_solve(*node1[i])],
+        "solve_lower_triangular": lambda i: linalg.solve_lower_triangular(low[i], rhs[i]),
+        "identity": lambda i: linalg.identity(3, (F, GF)[i](1)),
+    }
+    for run in runs.values():
+        assert_reduces(run(0), run(1))
+    assert linalg.rref(a[0])[1] == linalg.rref(a[1])[1] == [0, 1]
+    assert linalg.tridiagonal_null_space(tri[1]) == [[GF(-3), 0, 1]]
+    assert len(linalg.null_space(a[1])) == 2
+
+
+def test_grid_vectors_and_operator_matrices_take_the_field_of_their_entries():
+    p = QParams(F(1, 2), F(3), F(1, 5), 2)
+    m = both(3, 3, {(0, 1): 2, (1, 0): 3, (1, 2): 1, (2, 1): 1, (2, 2): 4})
+    v = both(1, 3, {(0, 1): 5, (0, 2): 6})
+    results = []
+    for i, field in enumerate((F, GF)):
+        a = OpMatrix(m[i], Basis.POINT, p)
+        f = GridVector(v[i][0], p)
+        c = field(7)
+        results.append([
+            (a @ a).entries, (a + a).entries, (a - a).entries, (-a).entries,
+            (c * a).entries, (a @ f).values, (f + f).values, (f - f).values,
+            (-f).values, (c * f).values, [(a - a).is_zero(), (f - f).is_zero()],
+        ])
+    exact, modular = results
+    assert exact[-1] == modular[-1] == [True, True]
+    assert_reduces(exact[:-1], modular[:-1])

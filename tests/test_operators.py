@@ -154,3 +154,18 @@ def test_operators_act_on_family_members(canonical):
     out = z @ fam.members[0]
     for x in range(canonical.N + 1):
         assert out[x] == sum(z.entries[x])
+
+
+@pytest.mark.parametrize("p", PANEL + [QParams(F(1, 2), F(3), F(1, 5), 0)],
+                         ids=[f"panel{i}" for i in range(len(PANEL))] + ["N0"])
+def test_no_float_reaches_the_exact_core(p):
+    # the core takes the field of the instance: every value built from an
+    # exact instance is a Fraction, or an int 0 or 1 that no arithmetic
+    # reached; an int / int division anywhere would leave a float here
+    inst = Instance(p)
+    phi = [build_operator(op, Basis.PHI, p) for op in Operator]
+    values = [v for m in (*inst.ops.values(), *phi) for row in m.entries for v in row]
+    values += [v for u in (*inst.family.members, *inst.partners, inst.weight) for v in u]
+    odd = {type(v).__name__ for v in values
+           if type(v) is not F and not (type(v) is int and v in (0, 1))}
+    assert not odd

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhahn.brf import partner_family
 from qhahn.qcore import (
     InvalidParams,
     QParams,
+    ZeroDenominator,
     frac_str,
     phi_series,
     qnum,
@@ -110,6 +112,37 @@ def test_validate_params_flags_basis_pole():
     assert not report.valid
     assert report.basis_pole is not None
     assert any("basis_pole" in issue for issue in report.issues())
+
+
+@pytest.mark.parametrize("p", [
+    QParams(F(1, 2), F(3), F(12), 3), QParams(F(1, 2), F(3), F(24), 3),
+    QParams(F(1, 2), F(3), F(48), 3), QParams(F(1, 2), F(5), F(20), 2),
+], ids=["A3-B12-N3", "A3-B24-N3", "A3-B48-N3", "A5-B20-N2"])
+def test_validate_params_flags_the_reflected_basis_pole(p):
+    # B/A = q^-2, q^-3, q^-4 put a basis pole of the reflected instance
+    # (1/q, A/(B q^2), 1/B) on its grid; no other guard sees it
+    report = validate_params(p, p.N)
+    assert report.issues() == [f"reflected_basis_pole: {report.reflected_basis_pole}"]
+    with pytest.raises(ZeroDenominator):
+        partner_family(p)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_reflected_basis_pole_flag_spans_exactly_the_partner_poles(N):
+    # B/A = q^e: the flag covers e in [-N-1, N-2]; where the weight guard
+    # does not (e <= -2) the partner family cannot be built, and an instance
+    # no guard flags builds it
+    q, A = F(1, 2), F(3)
+    for e in range(-N - 4, N + 2):
+        p = QParams(q, A, A * q**e, N)
+        report = validate_params(p, N)
+        assert (report.reflected_basis_pole is not None) == (-N - 1 <= e <= N - 2)
+        assert (report.weight_denominator is not None) == (-1 <= e <= N - 2)
+        if report.valid:
+            partner_family(p)
+        elif e <= -2:
+            with pytest.raises(ZeroDenominator):
+                partner_family(p)
 
 
 def test_validate_params_accepts_panel():

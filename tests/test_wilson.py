@@ -161,6 +161,25 @@ def test_wilson_limit_rejects_a_guard_flagged_instance():
         wilson_limit_check(QParams(F(1, 2), F(8), F(1, 32), 4), [8, 12], F(3))
 
 
+def test_wilson_limit_rejects_a_reflected_basis_pole():
+    # B/A = q^-2: limit_v is the series of the reflected instance, whose
+    # basis pole lands on the grid
+    with pytest.raises(InvalidParams, match="reflected_basis_pole"):
+        wilson_limit_check(QParams(F(1, 2), F(3), F(12), 3), [8, 12], F(3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda N: QParams(F(1, 2), F(3), F(1, 5), N),
+    lambda N: WilsonParams(F(1, 2), F(3), F(5), F(7), F(11), N),
+    lambda N: HahnParams(F(-5), F(9), N),
+], ids=["QParams", "WilsonParams", "HahnParams"])
+def test_parameter_classes_reject_a_bool_grid_size(make):
+    make(1)
+    for N in (True, False):
+        with pytest.raises(InvalidParams, match="N must be a nonnegative integer"):
+            make(N)
+
+
 def test_wilson_limit_skips_degenerate_members():
     # m = 0 makes qa = 1, a degenerate head; with fewer than two valid
     # members left the check reports a skip instead of a verdict
