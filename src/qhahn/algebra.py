@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 from . import linalg
 from .brf import Instance
-from .operators import Basis, OpMatrix, identity_matrix
+from .operators import Basis, OpMatrix
 from .qcore import (
     QHahnError,
     QParams,
@@ -257,37 +257,49 @@ def _mono(letters: str, coeff=1) -> NCPoly:
     return NCPoly.monomial(letters, coeff)
 
 
-def _anti(a: str, b: str) -> NCPoly:
-    return _mono(a + b) + _mono(b + a)
+# The three rational q-Hahn relations, keyed by ab for ab - q ba = right-hand
+# side.  Each right-hand term is (i, words): xi_i times the sum of the words,
+# or the fixed coefficient -1 when i is None.  The relation polynomials and
+# the solve-back both read this table.
+_RQHAHN_RELATIONS = {
+    "XZ": [(None, ("ZZ",)), (None, ("Z",)), (6, ("X",))],
+    "ZY": [(1, ("XX",)), (3, ("XZ", "ZX")), (4, ("ZZ",)), (5, ("X",)), (6, ("Y",)),
+           (7, ("Z",)), (0, ("",))],
+    "YX": [(3, ("XX",)), (4, ("XZ", "ZX")), (None, ("YZ", "ZY")), (2, ("ZZ",)), (7, ("X",)),
+           (None, ("Y",)), (8, ("Z",)), (0, ("",))],
+}
+
+
+def _relation_sides(name: str, p: QParams) -> tuple[NCPoly, list[NCPoly]]:
+    """The left side ab - q ba of the relation keyed ab, and the word sum of
+    each of its right-hand terms, in table order."""
+    return (NCPoly({name: 1, name[::-1]: -p.q}),
+            [NCPoly(dict.fromkeys(words, 1)) for _, words in _RQHAHN_RELATIONS[name]])
+
+
+def _rqhahn_relation(name: str, xi: tuple[Fraction, ...], p: QParams) -> NCPoly:
+    poly, sums = _relation_sides(name, p)
+    for (i, _), words in zip(_RQHAHN_RELATIONS[name], sums):
+        poly = poly - (-1 if i is None else xi[i]) * words
+    return poly
 
 
 def rqhahn_relation_polys(p: QParams) -> dict[str, NCPoly]:
     """Left-minus-right of the three rational q-Hahn relations, as free polynomials."""
     xi = structure_constants(p).xi
-    q = p.q
-    rel_xz = _mono("XZ") - q * _mono("ZX") + _mono("ZZ") + _mono("Z") - xi[6] * _mono("X")
-    rel_zy = (
-        _mono("ZY") - q * _mono("YZ")
-        - xi[1] * _mono("XX") - xi[3] * _anti("X", "Z") - xi[4] * _mono("ZZ")
-        - xi[5] * _mono("X") - xi[6] * _mono("Y") - xi[7] * _mono("Z") - xi[0] * _mono("")
-    )
-    rel_yx = (
-        _mono("YX") - q * _mono("XY")
-        - xi[3] * _mono("XX") - xi[4] * _anti("X", "Z") + _anti("Y", "Z")
-        - xi[2] * _mono("ZZ") - xi[7] * _mono("X") + _mono("Y") - xi[8] * _mono("Z")
-        - xi[0] * _mono("")
-    )
-    return {"XZ": rel_xz, "ZY": rel_zy, "YX": rel_yx}
+    return {name: _rqhahn_relation(name, xi, p) for name in _RQHAHN_RELATIONS}
 
 
 def meta_relation_polys(p: QParams) -> dict[str, NCPoly]:
-    """Left-minus-right of the three meta algebra relations (generators X, V, Z)."""
-    eta = structure_constants(p).eta
+    """Left-minus-right of the three meta algebra relations (generators X, V, Z);
+    the XZ relation is the rational q-Hahn one."""
+    sc = structure_constants(p)
+    eta = sc.eta
     q = p.q
-    rel_xz = _mono("XZ") - q * _mono("ZX") + _mono("ZZ") + _mono("Z") + (1 - q) * _mono("X")
+    rel_xz = _rqhahn_relation("XZ", sc.xi, p)
     rel_vx = (
         _mono("VX") - q * _mono("XV")
-        + _anti("V", "Z") - eta[1] * _mono("X") + _mono("V")
+        + _mono("VZ") + _mono("ZV") - eta[1] * _mono("X") + _mono("V")
         + (eta[1] / q) * _mono("Z") + eta[0] * _mono("")
     )
     rel_zv = (
@@ -485,48 +497,28 @@ def _solve_relation(lhs: OpMatrix, ansatz: list[OpMatrix], what: str) -> list[Fr
 def solve_structure_constants(inst: Instance) -> tuple[Fraction, ...]:
     """Recover xi_0..xi_8 from the matrices alone, by exact solves.
 
-    Every displayed coefficient is treated as unknown, including the ones
-    the presentation fixes (the Z^2, Z coefficients of the first relation
-    and the {Y,Z}, Y coefficients of the third); their solved values are
-    required to match the fixed constants, which guards the relation shape
-    itself.  The gamma and eta constants do not appear in these three
-    relations and are not solved for.
+    Every coefficient of the relation table is unknown, the fixed -1s too
+    (the Z^2, Z coefficients of the first relation and the {Y,Z}, Y
+    coefficients of the third): their solved values must be -1, which guards
+    the relation shape itself, and a xi solved in two relations must take one
+    value.  The gamma and eta constants are not solved for.
     """
     p = inst.p
-    X, Y, Z = inst.ops["X"], inst.ops["Y"], inst.ops["Z"]
-    ident = identity_matrix(p)
-    q = p.q
-
-    sol1 = _solve_relation(X @ Z - q * (Z @ X), [Z @ Z, Z, X], "relation XZ")
-    if sol1[0] != -1 or sol1[1] != -1:
-        raise QHahnError("relation XZ solved with unexpected fixed coefficients")
-    xi6 = sol1[2]
-
-    anti_xz = X @ Z + Z @ X
-    anti_yz = Y @ Z + Z @ Y
-    sol2 = _solve_relation(
-        Z @ Y - q * (Y @ Z),
-        [X @ X, anti_xz, Z @ Z, X, Y, Z, ident],
-        "relation ZY",
-    )
-    xi1, xi3, xi4, xi5, xi6_dup, xi7, xi0 = sol2
-    if xi6_dup != xi6:
-        raise QHahnError("xi_6 disagrees between the XZ and ZY solves")
-
-    sol3 = _solve_relation(
-        Y @ X - q * (X @ Y),
-        [X @ X, anti_xz, anti_yz, Z @ Z, X, Y, Z, ident],
-        "relation YX",
-    )
-    xi3_dup, xi4_dup, anti_yz_coeff, xi2, xi7_dup, y_coeff, xi8, xi0_dup = sol3
-    if anti_yz_coeff != -1 or y_coeff != -1:
-        raise QHahnError("relation YX solved with unexpected fixed coefficients")
-    for name, a, b in (("xi_3", xi3, xi3_dup), ("xi_4", xi4, xi4_dup),
-                       ("xi_7", xi7, xi7_dup), ("xi_0", xi0, xi0_dup)):
-        if a != b:
-            raise QHahnError(f"{name} disagrees between the ZY and YX solves")
-
-    return (xi0, xi1, xi2, xi3, xi4, xi5, xi6, xi7, xi8)
+    xi: dict[int, Fraction] = {}
+    solved_in: dict[int, str] = {}
+    for name, terms in _RQHAHN_RELATIONS.items():
+        lhs, sums = _relation_sides(name, p)
+        sol = _solve_relation(evaluate_poly(lhs, inst.ops, p),
+                              [evaluate_poly(s, inst.ops, p) for s in sums], f"relation {name}")
+        for (i, _), value in zip(terms, sol):
+            if i is None:
+                if value != -1:
+                    raise QHahnError(f"relation {name} solved with unexpected fixed coefficients")
+            elif i not in xi:
+                xi[i], solved_in[i] = value, name
+            elif xi[i] != value:
+                raise QHahnError(f"xi_{i} disagrees between the {solved_in[i]} and {name} solves")
+    return tuple(xi[i] for i in range(9))
 
 
 def check_structure_constants(inst: Instance) -> CheckReport:

@@ -39,6 +39,7 @@ from .qcore import (
     QHahnError,
     QParams,
     ZeroDenominator,
+    eigenvalue,
     frac_str,
     qnum,
     qpoch,
@@ -71,11 +72,6 @@ __all__ = [
     "check_partner",
     "check_partial_fractions",
 ]
-
-
-def eigenvalue(n: int, p: QParams) -> Fraction:
-    """lambda_n = [-n]_q [n + beta - N]_q."""
-    return qnum(p, -n) * qnum(p, n - p.N, 0, 1)
 
 
 def weight_scale(p: QParams) -> Fraction:

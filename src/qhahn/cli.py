@@ -149,16 +149,8 @@ SUITES = {
 }
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return frac_str(obj)
-    if isinstance(obj, (set, frozenset, tuple)):
-        return sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _dump_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def run_verify(config_path: str, suite_names: list[str] | None, out_path: str | None) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
-from .brf import Instance, eigenvalue
+from .brf import Instance
 from .operators import (
     Basis,
     GridVector,
@@ -32,7 +32,9 @@ from .qcore import (
     DegenerateDenominator,
     InvalidParams,
     QParams,
+    eigenvalue,
     frac_str,
+    mu_brackets,
     qnum,
     qpow,
     validate_params,
@@ -56,8 +58,9 @@ class MuCoefficients:
     """The nine coefficients of the tridiagonal actions of X, Y, Z on U_n.
 
     mu[0..2] expand X U_n over (U_{n+1}, U_n, U_{n-1}), mu[3..5] expand
-    Y U_n, mu[6..8] expand Z U_n.  mu[3+i] = lambda_n mu[i] and at n = N
-    the raising coefficients mu[0], mu[3], mu[6] are zero.
+    Y U_n, mu[6..8] expand Z U_n.  mu[3+i] = lambda_n mu[i], mu[0] =
+    -[n]_q mu[6], mu[2] = -[N-beta-n]_q mu[8], and at n = N the raising
+    coefficients mu[0], mu[3], mu[6] are zero.
     """
 
     mu: tuple
@@ -76,42 +79,26 @@ def mu_coefficients(n: int, p: QParams) -> MuCoefficients:
     if not 0 <= n <= p.N:
         raise InvalidParams(f"index n = {n} must lie in 0..N = {p.N}")
     N = p.N
-    d_mid = qnum(p, N - 2 * n, 0, -1)        # [N-beta-2n]_q
-    d_up = qnum(p, 2 * n + 1 - N, 0, 1)      # [2n+1+beta-N]_q
-    d_down = qnum(p, 2 * n - 1 - N, 0, 1)    # [2n-1+beta-N]_q
-    d_mid1 = qnum(p, N - 2 * n + 1, 0, -1)   # [N-beta-2n+1]_q
-    for label, d in (
-        ("[N-beta-2n]_q", d_mid),
-        ("[2n+1+beta-N]_q", d_up),
-        ("[2n-1+beta-N]_q", d_down),
-        ("[N-beta-2n+1]_q", d_mid1),
-    ):
+    brackets = mu_brackets(n, p)
+    for label, d in brackets:
         if d == 0:
             raise DegenerateDenominator(f"{label} vanishes at n = {n}")
+    d_mid, d_up, d_down, d_mid1 = (d for _, d in brackets)
 
     if n == N:
-        mu1 = mu7 = 0 * p.q
+        mu7 = 0 * p.q
     else:
-        mu1 = (
-            -qpow(p, -n, -1)
-            * qnum(p, n) * qnum(p, n + 1, 0, 1) * qnum(p, N - n, 0, -1)
-            / (d_mid * d_up)
-        )
         mu7 = (
             qpow(p, -n, -1)
             * qnum(p, n + 1, 0, 1) * qnum(p, N - n, 0, -1)
             / (d_mid * d_up)
         )
+    mu1 = -qnum(p, n) * mu7
     mu2 = qpow(p, 0, -1) * (
         -qnum(p, 0, 1)
         + qnum(p, -n)
         + qnum(p, n) * qnum(p, 1 - n) * qnum(p, n, 0, 1) / d_down
         - qnum(p, -n) * qnum(p, n + 1) * qnum(p, n + 1, 0, 1) / d_up
-    )
-    mu3 = (
-        -qpow(p, 0, -1)
-        * qnum(p, -n) * qnum(p, N - n, 0, -1) * qnum(p, N - n + 1)
-        / (d_mid * d_mid1)
     )
     # mu8 = sigma_n - sigma_{n+1} - 1 where sigma_n is the phi-coefficient
     # ratio q^{beta-alpha+n-N} [n]_q [N+1-n]_q / [2n-1+beta-N]_q; the edge
@@ -124,6 +111,7 @@ def mu_coefficients(n: int, p: QParams) -> MuCoefficients:
         * qnum(p, -n) * qnum(p, N - n + 1)
         / (d_mid * d_mid1)
     )
+    mu3 = -qnum(p, N - n, 0, -1) * mu9
     lam = eigenvalue(n, p)
     mu = (mu1, mu2, mu3, lam * mu1, lam * mu2, lam * mu3, mu7, mu8, mu9)
     return MuCoefficients(mu=mu, params=p, n=n)

@@ -41,6 +41,8 @@ __all__ = [
     "qnum",
     "qpoch",
     "phi_series",
+    "eigenvalue",
+    "mu_brackets",
     "ValidationReport",
     "validate_params",
 ]
@@ -138,6 +140,22 @@ def qnum(p: QParams, i: int = 0, j: int = 0, k: int = 0) -> Fraction:
     return (1 - p.q**i * p.A**j * p.B**k) / (1 - p.q)
 
 
+def eigenvalue(n: int, p: QParams) -> Fraction:
+    """lambda_n = [-n]_q [n + beta - N]_q."""
+    return qnum(p, -n) * qnum(p, n - p.N, 0, 1)
+
+
+def mu_brackets(n: int, p: QParams) -> tuple[tuple[str, Fraction], ...]:
+    """The four labelled q-brackets that the mu coefficients of index n divide by."""
+    N = p.N
+    return (
+        ("[N - beta - 2n]_q", qnum(p, N - 2 * n, 0, -1)),
+        ("[2n + 1 + beta - N]_q", qnum(p, 2 * n + 1 - N, 0, 1)),
+        ("[2n - 1 + beta - N]_q", qnum(p, 2 * n - 1 - N, 0, 1)),
+        ("[N - beta - 2n + 1]_q", qnum(p, N - 2 * n + 1, 0, -1)),
+    )
+
+
 def qpoch(base, k: int, q):
     """q-Pochhammer (base; q)_k = prod_{j=0}^{k-1} (1 - q^j * base).
 
@@ -195,8 +213,10 @@ class ValidationReport:
     """Outcome of the parameter guards; one witness string per triggered flag.
 
     Flags:
-      basis_pole            A equals a power q^m with m in [-(n_max-1), N], so a
-                            rational basis function has a pole on the grid.
+      basis_pole            A equals a power q^m with m in [-(n_max-1), N] or in
+                            [0, N]: a rational basis function has a pole on
+                            the grid, or (m = x) X's diagonal [x - alpha]_q
+                            vanishes, which it does at n_max = 0 too.
       reflected_basis_pole  B/A equals q^(m-2) with m in [-(n_max-1), N]: the
                             basis pole of the reflected instance
                             (1/q, A/(B q^2), 1/B) that the partner family and
@@ -230,27 +250,23 @@ def validate_params(p: QParams, n_max: int) -> ValidationReport:
         raise InvalidParams(f"n_max must lie in 0..N = {p.N}, got {n_max}")
     q, A, B, N = p.q, p.A, p.B, p.N
 
-    span = range(-(n_max - 1), N + 1)
-    basis_pole = next((f"A = q^{m} with {m} in [{span[0]}, {N}]"
-                       for m in span if A == q**m), None)
+    span = range(1 - n_max, N + 1)
+    pole_span = range(min(span.start, 0), N + 1)
+    basis_pole = next((f"A = q^{m} with {m} in [{pole_span[0]}, {N}]"
+                       for m in pole_span if A == q**m), None)
     reflected_basis_pole = next((
         f"B/A = q^{m - 2}, so the reflected A/(B q^2) = (1/q)^{m} with {m} in [{span[0]}, {N}]"
         for m in span if B == A * q ** (m - 2)), None)
 
     weight_denominator = None
-    for j in range(1, N + 1):
-        if q**j == 1:
-            weight_denominator = f"(q; q)_N factor 1 - q^{j} vanishes"
+    base = B / A * q ** (2 - N)
+    for j in range(N):
+        if base * q**j == 1:
+            weight_denominator = f"B/A = q^{N - 2 - j} makes a weight denominator vanish"
             break
-    if weight_denominator is None:
-        base = B / A * q ** (2 - N)
-        for j in range(N):
-            if base * q**j == 1:
-                weight_denominator = f"B/A = q^{N - 2 - j} makes a weight denominator vanish"
-                break
 
     eigenvalue_collision = None
-    lam = [qnum(p, -n) * qnum(p, n - N, 0, 1) for n in range(n_max + 1)]
+    lam = [eigenvalue(n, p) for n in range(n_max + 1)]
     for n in range(len(lam)):
         for m in range(n + 1, len(lam)):
             if lam[n] == lam[m]:
@@ -261,15 +277,9 @@ def validate_params(p: QParams, n_max: int) -> ValidationReport:
 
     bracket_denominator = None
     for n in range(n_max + 1):
-        checks = [
-            (f"[N - beta - 2n]_q at n={n}", qpow(p, N - 2 * n, 0, -1)),
-            (f"[2n + 1 + beta - N]_q at n={n}", qpow(p, 2 * n + 1 - N, 0, 1)),
-            (f"[2n - 1 + beta - N]_q at n={n}", qpow(p, 2 * n - 1 - N, 0, 1)),
-            (f"[N - beta - 2n + 1]_q at n={n}", qpow(p, N - 2 * n + 1, 0, -1)),
-        ]
-        for label, val in checks:
-            if val == 1:
-                bracket_denominator = f"{label} vanishes"
+        for label, d in mu_brackets(n, p):
+            if d == 0:
+                bracket_denominator = f"{label} at n={n} vanishes"
                 break
         if bracket_denominator:
             break

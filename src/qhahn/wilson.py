@@ -131,6 +131,11 @@ def _h_den_bases(q, qa, qb, qc, qd, qe, qf):
     return [qb * qf, q * qa / qc, q * qa / qd, q * qa / qe]
 
 
+def _h_tail_den(q, qa, qb, qe, qf, n: int):
+    """The (base, length) Pochhammer factors of the norm's n-dependent denominator."""
+    return [(q / (qe * qf), 2 * n), (qa * qb, n), (1 / (qb * qe), n), (1 / (qa * qf), n)]
+
+
 def _validate_denominators(wp: WilsonParams) -> None:
     q = wp.q
     if wp.qa * wp.qa == 1:
@@ -154,16 +159,11 @@ def _validate_denominators(wp: WilsonParams) -> None:
                             raise InvalidParams(
                                 f"series denominator vanishes at n={n}, x={x}, k={j + 1}")
     qa, qb, qc, qd, qe, qf = wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf
-    for base in _h_den_bases(q, qa, qb, qc, qd, qe, qf):
-        for j in range(wp.N):
-            if base * q**j == 1:
-                raise InvalidParams("norm denominator vanishes")
+    norm_den = [(base, wp.N) for base in _h_den_bases(q, qa, qb, qc, qd, qe, qf)]
     for n in range(wp.N + 1):
-        for base, length in ((q / (qe * qf), 2 * n), (qa * qb, n),
-                             (1 / (qb * qe), n), (1 / (qa * qf), n)):
-            for j in range(length):
-                if base * q**j == 1:
-                    raise InvalidParams("norm denominator vanishes")
+        norm_den += _h_tail_den(q, qa, qb, qe, qf, n)
+    if any(qpoch(base, length, q) == 0 for base, length in norm_den):
+        raise InvalidParams("norm denominator vanishes")
 
 
 def wilson_weight(x: int, wp: WilsonParams) -> Fraction:
@@ -222,10 +222,9 @@ def wilson_h(n: int, wp: WilsonParams) -> Fraction:
         qpoch(q, n, q) * qpoch(q**n / (qe * qf), n, q)
         * qpoch(qc * qd, n, q) * qpoch(q * qa / qe, n, q) * qpoch(q * qb / qf, n, q)
     )
-    tail_den = (
-        qpoch(q / (qe * qf), 2 * n, q) * qpoch(qa * qb, n, q)
-        * qpoch(1 / (qb * qe), n, q) * qpoch(1 / (qa * qf), n, q)
-    )
+    tail_den = 1
+    for base, length in _h_tail_den(q, qa, qb, qe, qf, n):
+        tail_den = tail_den * qpoch(base, length, q)
     if den == 0 or tail_den == 0:
         raise ZeroDenominator("norm denominator vanishes")
     return num / den * tail_num / tail_den * q ** (-n)
@@ -352,14 +351,12 @@ class HahnParams:
         if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
             raise InvalidParams("N must be a nonnegative integer")
         a, b, N = self.alpha, self.beta, self.N
-        for x in range(N + 1):
-            if x > 0 and (b - a - N + 2) + (x - 1) == 0:
-                raise InvalidParams("weight denominator vanishes")
-        for n in range(N + 1):
-            for x in range(N + 1):
-                for j in range(n):
-                    if (a - x) + j == 0 or (x - N + b - a + 2) + j == 0:
-                        raise InvalidParams("series denominator vanishes")
+        # the zero factors of (b-a-N+2)_x, (a-x)_n and (x-N+b-a+2)_n, x, n <= N
+        if (b - a).denominator == 1 and -1 <= b - a <= N - 2:
+            raise InvalidParams("weight denominator vanishes")
+        if N >= 1 and any(v.denominator == 1 and lo <= v <= hi
+                          for v, lo, hi in ((a, 1 - N, N), (b - a, -N - 1, N - 2))):
+            raise InvalidParams("series denominator vanishes")
         if _rising(a - b - 1, N) == 0 or _rising(1 + b - N, 2 * N) == 0:
             raise InvalidParams("norm denominator vanishes")
 

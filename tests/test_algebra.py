@@ -167,6 +167,20 @@ def test_relation_negative_control_eta2_sign(canonical, monkeypatch):
     assert [v["relation"] for v in report.violations] == ["ZV"]
 
 
+def test_relation_table_negative_control(canonical, monkeypatch):
+    # xi_8 in place of xi_5 on the X term of ZY, in the one table both the
+    # relation check and the solve-back read: both fail
+    table = dict(algebra._RQHAHN_RELATIONS)
+    table["ZY"] = [(8 if i == 5 else i, words) for i, words in table["ZY"]]
+    monkeypatch.setattr(algebra, "_RQHAHN_RELATIONS", table)
+    inst = Instance(canonical)
+    report = check_rqhahn_relations(inst)
+    assert report.status == "fail"
+    assert [v["relation"] for v in report.violations] == ["ZY"]
+    with pytest.raises(QHahnError, match="xi_8 disagrees between the ZY and YX solves"):
+        check_structure_constants(inst)
+
+
 def test_structure_constant_closed_forms(canonical):
     # spot anchors: xi_2 = q^-1 [beta - N], eta_1 = [beta - N + 1],
     # gamma_2 = [beta - N + 1]

@@ -1,8 +1,10 @@
 import csv
 import hashlib
+import importlib.util
 import inspect
 import io
 import json
+import pathlib
 import sys
 from collections import Counter
 from fractions import Fraction as F
@@ -112,6 +114,36 @@ def test_guard_skips_are_named_as_the_reports(tmp_path):
     passed = [r["check"] for r in reports if r["status"] == "pass"]
     assert len(skipped) == 6
     assert skipped == passed
+
+
+def test_unit_a_at_grid_size_zero_is_six_gevp_skips(tmp_path):
+    # A = 1 = q^0 zeroes X's only diagonal entry [0 - alpha]_q; the guard
+    # flags it instead of the factorization and contiguity checks raising
+    entry = {"q": "1/2", "A": "1", "B": "-8", "N": 0}
+    config = write_config(tmp_path, {"instances": [entry]})
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--config", config, "--suite", "gevp", "--out", str(out)])
+    assert code == 0
+    reports = json.loads(out.read_text())["suites"]["gevp"]
+    assert [r["status"] for r in reports] == ["skip"] * 6
+    assert all(r["reason"] == "basis_pole: A = q^0 with 0 in [0, 0]" for r in reports)
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
+    # perfbench/tracing.py wraps library names from outside the package; a
+    # refactor that moves one fails here with MissingTarget
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    config = write_config(tmp_path, MINIMAL)
+    tracer = tracing.Tracer()
+    with tracer.patch():
+        assert cli.run_verify(config, ["gevp"], str(tmp_path / "report.json")) == 0
+    tracer.summary()  # raises MissingTarget for a check that ran untraced
+    assert {span[0] for span in tracer.spans} >= {
+        "check.gevp", "check.factorization", "check.difference_equation",
+        "check.recurrence", "check.tridiagonal_actions", "check.contiguity"}
 
 
 def test_qparams_checks_are_plain_functions_named_after_their_reports():

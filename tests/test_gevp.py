@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import pytest
+
 from qhahn import brf, gevp
 from qhahn.brf import Instance, brf_family, eigenvalue
 from qhahn.gevp import (
@@ -11,7 +13,7 @@ from qhahn.gevp import (
     check_tridiagonal_actions,
     mu_coefficients,
 )
-from qhahn.qcore import QParams, qnum
+from qhahn.qcore import DegenerateDenominator, QParams, qnum, validate_params
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL
 
@@ -111,6 +113,25 @@ def test_mu_boundary_overrides():
         assert top[1] == 0 and top[4] == 0 and top[7] == 0
         bottom = mu_coefficients(0, p)
         assert bottom[3] == 0 and bottom[6] == 0 and bottom[9] == 0
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_bracket_guard_fires_exactly_where_mu_coefficients_raise(N):
+    # B = q^e over every e that zeroes a bracket, with a margin: the guard
+    # up to n flags bracket_denominator exactly when a mu table up to n raises
+    q, A = F(1, 2), F(3)
+    raised_at = []
+    for e in range(-2 * N - 3, 2 * N + 4):
+        p = QParams(q, A, q**e, N)
+        raised = False
+        for n in range(N + 1):
+            try:
+                mu_coefficients(n, p)
+            except DegenerateDenominator:
+                raised = True
+                raised_at.append((e, n))
+            assert (validate_params(p, n).bracket_denominator is not None) == raised
+    assert raised_at
 
 
 def test_contiguity_rejects_shift_onto_pole():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhahn.brf import partner_family
+from qhahn.brf import Instance, partner_family
+from qhahn.gevp import check_factorization
 from qhahn.qcore import (
     InvalidParams,
     QParams,
@@ -127,7 +128,7 @@ def test_validate_params_flags_the_reflected_basis_pole(p):
         partner_family(p)
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
 def test_reflected_basis_pole_flag_spans_exactly_the_partner_poles(N):
     # B/A = q^e: the flag covers e in [-N-1, N-2]; where the weight guard
     # does not (e <= -2) the partner family cannot be built, and an instance
@@ -143,6 +144,20 @@ def test_reflected_basis_pole_flag_spans_exactly_the_partner_poles(N):
         elif e <= -2:
             with pytest.raises(ZeroDenominator):
                 partner_family(p)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_basis_pole_flag_spans_the_family_poles_and_the_x_diagonal(N):
+    # A = q^e: the flag covers e in [1-N, N] and always [0, N], where X's
+    # diagonal [x - alpha]_q vanishes at x = e (A = 1 at N = 0 included);
+    # an instance no guard flags factors Y = X V
+    q, B = F(1, 2), F(1, 5)
+    for e in range(-N - 2, N + 3):
+        p = QParams(q, q**e, B, N)
+        report = validate_params(p, N)
+        assert (report.basis_pole is not None) == (min(1 - N, 0) <= e <= N)
+        if report.valid:
+            assert check_factorization(Instance(p)).status == "pass"
 
 
 def test_validate_params_accepts_panel():

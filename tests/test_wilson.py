@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction as F
 
 import mpmath
@@ -246,6 +247,44 @@ def test_hahn_biorthogonality_catches_a_mixed_partner(monkeypatch):
     report = check_hahn_biorthogonality(hp)
     assert report.status == "fail"
     assert report.violations == [{"n": 1, "m": 3, "residual": frac_str(hahn_h(1, hp))}]
+
+
+@functools.cache
+def _former_scans(N, a=None, c=None):
+    """The message of the loops HahnParams ran before its closed forms, norm
+    aside, for a or for c = b - a alone: the weight scan, which reads c only,
+    then the series scan over x, n <= N and j < n of (a - x) + j and of
+    (x - N + b - a + 2) + j."""
+    if c is not None:
+        for x in range(N + 1):
+            if x > 0 and (c - N + 2) + (x - 1) == 0:
+                return "weight denominator vanishes"
+    for n in range(N + 1):
+        for x in range(N + 1):
+            for j in range(n):
+                if ((a is not None and (a - x) + j == 0)
+                        or (c is not None and (x - N + c + 2) + j == 0)):
+                    return "series denominator vanishes"
+    return None
+
+
+def test_hahn_guard_closed_forms_match_the_former_scans(monkeypatch):
+    # the norm check is unchanged; switching it off keeps the 77k
+    # constructions cheap
+    monkeypatch.setattr(wilson, "_rising", lambda a, k: 1)
+    values = sorted({F(k, d) for k in range(-24, 25) for d in (1, 2, 3)})
+    mismatches = []
+    for N in range(7):
+        for a in values:
+            for b in values:
+                try:
+                    HahnParams(a, b, N)
+                    got = None
+                except InvalidParams as exc:
+                    got = str(exc)
+                if got != (_former_scans(N, c=b - a) or _former_scans(N, a=a)):
+                    mismatches.append((a, b, N, got))
+    assert mismatches == []
 
 
 def test_hahn_u0_is_one():
