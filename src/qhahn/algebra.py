@@ -525,8 +525,11 @@ def check_structure_constants(inst: Instance) -> CheckReport:
     """Solved-back xi constants agree with their closed forms.
 
     A rank-deficient ansatz (small N) marks the instance skipped rather
-    than failed; any disagreement is reported as a DISCREPANCY carrying
-    both values.
+    than failed.  A solve-back that fails otherwise (an inconsistent
+    system, a fixed coefficient solved to a value other than -1, a xi
+    solved to two values) is one violation carrying the exception class as
+    its kind and its message.  Any disagreement with a closed form is
+    reported as a DISCREPANCY carrying both values.
     """
     p = inst.p
     report = CheckReport(check="structure_constants", params=p.as_dict())
@@ -534,6 +537,9 @@ def check_structure_constants(inst: Instance) -> CheckReport:
         solved = solve_structure_constants(inst)
     except RankDeficient as exc:
         report.skipped = str(exc)
+        return report
+    except QHahnError as exc:
+        report.add_violation(kind=type(exc).__name__, message=str(exc))
         return report
     closed = structure_constants(p).xi
     for i in range(9):

@@ -19,6 +19,7 @@ in any field: over Fraction they build `weight_vector` and `norm_h`, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,6 +42,7 @@ from .qcore import (
     ZeroDenominator,
     eigenvalue,
     frac_str,
+    over_common_denominator,
     qnum,
     qpoch,
     qpow,
@@ -289,6 +291,11 @@ def partial_fraction(n: int, u: GridVector) -> tuple[Fraction, ...]:
     solved in O(n^2) by `linalg.cauchy_solve`.  The expansion is then
     verified on all N+1 grid points, so a wrong solve cannot pass.  Raises
     PoleOnGrid when a basis function has a pole on the grid (A q^{k-x} = 1).
+
+    The verification is integer arithmetic: eta_k = e_k / E over one
+    denominator, the basis values c_d / g_d as reduced pairs, and at each x
+    the reconstruction over E L_x, L_x the lcm of the n denominators g_d it
+    meets, is compared with u(x) cross-multiplied.
     """
     p = u.params
     if n == 0:
@@ -301,13 +308,17 @@ def partial_fraction(n: int, u: GridVector) -> tuple[Fraction, ...]:
         den = 1 - A * q**d
         if den == 0:
             raise PoleOnGrid(f"1/[alpha+k-x]_q has a pole on the grid: A q^{d} = 1")
-        basis[d] = (1 - q) / den
+        basis[d] = ((1 - q) / den).as_integer_ratio()
     s = [1 / (A * q**k) for k in range(n)]
     c = linalg.cauchy_solve(s, [q**-x for x in range(n)], [u[x] - 1 for x in range(n)])
     eta = [ck / ((1 - q) * sk) for ck, sk in zip(c, s)]
+    e, e_den = over_common_denominator(eta)
     for x in range(p.N + 1):
-        recon = 1 + sum(eta[k] * basis[k - x] for k in range(n))
-        if recon != u[x]:
+        terms = [basis[k - x] for k in range(n)]
+        l_x = math.lcm(*(g for _, g in terms))
+        recon = e_den * l_x + sum(ek * ck * (l_x // g) for ek, (ck, g) in zip(e, terms))
+        num, den = u[x].as_integer_ratio()
+        if recon * den != num * e_den * l_x:
             raise QHahnError(f"partial-fraction expansion of U_{n} fails at x = {x}")
     return tuple(eta)
 

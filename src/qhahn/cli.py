@@ -66,13 +66,22 @@ def _section(config: dict, key: str, kind: type, default):
     return value
 
 
+def _timed(seconds: dict[str, float], check, *args) -> CheckReport:
+    """check(*args), its wall seconds added to `seconds` under the report's name."""
+    t0 = time.monotonic()
+    report = check(*args)
+    seconds[report.check] = seconds.get(report.check, 0.0) + time.monotonic() - t0
+    return report
+
+
 def _qparams_suite(checks):
     """Suite over the main q-Hahn panel; the checks of one instance share one
     `brf.Instance`.  An instance that `QParams` rejects (the skip carries the
     raw entry) or that fails the guards is reported as one skip per check,
-    never silently dropped."""
+    never silently dropped.  Like every suite, it takes the config and a
+    dict it adds the seconds of each check that ran to, by report name."""
 
-    def run(config):
+    def run(config: dict, seconds: dict[str, float]) -> list[dict]:
         reports = []
         for entry in _section(config, "instances", list, []):
             try:
@@ -83,7 +92,7 @@ def _qparams_suite(checks):
                 params, inst = p.as_dict(), brf.Instance(p)
                 reason = "; ".join(validate_params(p, p.N).issues())
             for check in checks:
-                report = check(inst) if not reason else CheckReport(
+                report = _timed(seconds, check, inst) if not reason else CheckReport(
                     check=check.__name__.removeprefix("check_"), params=params, skipped=reason)
                 reports.append(report.as_dict())
         return reports
@@ -91,11 +100,12 @@ def _qparams_suite(checks):
     return run
 
 
-def _entry_report(name: str, entry: dict, parse, check, *args) -> dict:
-    """check(parse(entry), *args) as a report; an entry that its parameter
-    class or the check rejects (InvalidParams) is a skip carrying the raw entry."""
+def _entry_report(seconds, name: str, entry: dict, parse, check, *args) -> dict:
+    """check(parse(entry), *args) as a report, timed into `seconds`; an entry
+    that its parameter class or the check rejects (InvalidParams) is a skip
+    carrying the raw entry."""
     try:
-        return check(parse(entry), *args).as_dict()
+        return _timed(seconds, lambda: check(parse(entry), *args)).as_dict()
     except InvalidParams as exc:
         return CheckReport(check=name, params=dict(entry), skipped=str(exc)).as_dict()
 
@@ -103,11 +113,11 @@ def _entry_report(name: str, entry: dict, parse, check, *args) -> dict:
 def _entry_suite(section: str, parse, check):
     """Suite running one check per entry of a config section."""
     name = check.__name__.removeprefix("check_")
-    return lambda config: [_entry_report(name, entry, parse, check)
-                           for entry in _section(config, section, list, [])]
+    return lambda config, seconds: [_entry_report(seconds, name, entry, parse, check)
+                                    for entry in _section(config, section, list, [])]
 
 
-def _limits_suite(config):
+def _limits_suite(config: dict, seconds: dict[str, float]) -> list[dict]:
     """The two limit checks; an instance the parameter class, the guards or
     the check's preconditions reject is one skip carrying the raw entry."""
     reports = []
@@ -118,12 +128,12 @@ def _limits_suite(config):
         if not all(isinstance(m, int) and not isinstance(m, bool) for m in m_list):
             raise ConfigError(f"m_list must be integers: {m_list!r}")
         qc = _parse_scalar(wl.get("qc", "3"))
-        reports.append(_entry_report("wilson_limit", wl.get("instance", {}), _parse_qparams,
+        reports.append(_entry_report(seconds, "wilson_limit", wl.get("instance", {}), _parse_qparams,
                                      wilson.wilson_limit_check, m_list, qc))
     qt = _section(section, "qto1", dict, None)
     if qt is not None:
         h_list = [_parse_scalar(h) for h in _section(qt, "h_list", list, ["1/8", "1/16", "1/32"])]
-        reports.append(_entry_report("qto1_convergence", qt.get("instance", {}), _parse_hahn,
+        reports.append(_entry_report(seconds, "qto1_convergence", qt.get("instance", {}), _parse_hahn,
                                      wilson.qto1_convergence_check, h_list))
     return reports
 
@@ -176,10 +186,11 @@ def run_verify(config_path: str, suite_names: list[str] | None, out_path: str | 
 
     suites: dict[str, list] = {}
     timing: dict[str, float] = {}
+    per_check: dict[str, dict[str, float]] = {}
     t_total = time.monotonic()
     for name in sorted(set(selected)):
         t0 = time.monotonic()
-        suites[name] = SUITES[name](config)
+        suites[name] = SUITES[name](config, per_check.setdefault(name, {}))
         timing[name] = time.monotonic() - t0
 
     counts = {"pass": 0, "fail": 0, "skip": 0}
@@ -191,7 +202,7 @@ def run_verify(config_path: str, suite_names: list[str] | None, out_path: str | 
         "config_sha256": hashlib.sha256(raw).hexdigest(),
         "suites": suites,
         "summary": counts,
-        "timing": {"per_suite_seconds": timing,
+        "timing": {"per_suite_seconds": timing, "per_check_seconds": per_check,
                    "total_seconds": time.monotonic() - t_total},
     }
     text = _dump_json(payload)

@@ -166,10 +166,11 @@ def check_difference_equation(inst: Instance) -> CheckReport:
     p = inst.p
     report = CheckReport(check="difference_equation", params=p.as_dict())
     fam = inst.family
+    coeffs = [(*y_shift_coefficients(p, x), qnum(p, x, -1), qpow(p, 0, -1) * qnum(p, x))
+              for x in range(p.N + 1)]
     for n, u in enumerate(fam.members):
         lam = fam.lambdas[n]
-        for x in range(p.N + 1):
-            up, stay, down = y_shift_coefficients(p, x)
+        for x, (up, stay, down, diag, drop) in enumerate(coeffs):
             lhs = stay * u[x]
             if x < p.N:
                 lhs += up * u[x + 1]
@@ -181,8 +182,7 @@ def check_difference_equation(inst: Instance) -> CheckReport:
             elif down != 0:
                 report.add_violation(n=n, x=x, residual="off-grid lowering coefficient nonzero")
                 continue
-            rhs = lam * qnum(p, x, -1) * u[x]
-            drop = qpow(p, 0, -1) * qnum(p, x)
+            rhs = lam * diag * u[x]
             if x > 0:
                 rhs -= lam * drop * u[x - 1]
             elif drop != 0:

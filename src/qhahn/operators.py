@@ -235,9 +235,17 @@ def _z_point(p: QParams) -> linalg.Matrix:
 
 def _v_point(p: QParams) -> linalg.Matrix:
     # Lower Hessenberg: one raising term, a multiplicative term, and a full
-    # lowering tail whose k-th coefficient is proportional to phi_k(x).
+    # lowering tail whose k-th coefficient is tail q^k phi_k(x).  The tail
+    # is a running product over k of the factor ratio
+    # q (1 - q^d) / (1 - A q^d), d = k - 1 - x, tabulated once per d; None
+    # marks the d where phi_k(x) has a pole.
     n1 = p.N + 1
+    q, A = p.q, p.A
     m = linalg.zeros(n1, n1)
+    ratio = {}
+    for d in range(-p.N, 0):
+        den = 1 - A * q**d
+        ratio[d] = None if den == 0 else q * (1 - q**d) / den
     for x in range(n1):
         up = qpow(p, -x, 0, 1) * qnum(p, x - p.N) * qnum(p, x + 1, -1)
         if x < p.N:
@@ -247,9 +255,14 @@ def _v_point(p: QParams) -> linalg.Matrix:
             - up
             - qpow(p, -x) * qnum(p, x) * qnum(p, x - p.N, -1, 1)
         )
-        tail = qpow(p, 1 - x, -1, 1) * qnum(p, -1, 1, -1) * qnum(p, -1, 1)
+        entry = qpow(p, 1 - x, -1, 1) * qnum(p, -1, 1, -1) * qnum(p, -1, 1)
         for k in range(1, x + 1):
-            m[x][x - k] = tail * p.q**k * phi_function(p, k, x)
+            r = ratio[k - 1 - x]
+            if r is None:
+                raise PoleOnGrid(
+                    f"phi_{k}({x}) has a vanishing denominator (A is a grid power of q)")
+            entry *= r
+            m[x][x - k] = entry
     return m
 
 

@@ -5,6 +5,10 @@ store their values through `scalar`, which admits ints, "num/den" strings
 and Fractions and rejects floats.  The code past it (these primitives,
 `linalg`, the operators and the checks) uses only field operations and
 derives every constant from the instance, so it computes in its field.
+The exceptions are the integer kernels of `brf_u`, `brf.partial_fraction`
+and `reports.check_gram`: they take ints and Fractions apart with
+`as_integer_ratio` (the last two put a whole row over one denominator with
+`over_common_denominator`) and compare cross-multiplied integers.
 
 The deformation parameters enter only through the three base values q, A,
 B, where A and B play the role of the powers q^alpha and q^beta of two
@@ -19,6 +23,7 @@ over mpmath floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
@@ -36,6 +41,7 @@ __all__ = [
     "ConfigError",
     "scalar",
     "frac_str",
+    "over_common_denominator",
     "QParams",
     "qpow",
     "qnum",
@@ -99,6 +105,14 @@ def scalar(x) -> Fraction:
 def frac_str(x: Fraction) -> str:
     """Serialize an exact rational as "num/den" (denominator always shown)."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """Integers c_i and the least d > 0 with values[i] = c_i / d, for ints
+    and Fractions: the form the integer kernels compare cross-multiplied."""
+    pairs = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*(den for _, den in pairs))
+    return [num * (d // den) for num, den in pairs], d
 
 
 @dataclass(frozen=True)

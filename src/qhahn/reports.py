@@ -8,9 +8,11 @@ is kept out of CheckReport entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .qcore import frac_str
+from .qcore import frac_str, over_common_denominator
 
 
 @dataclass
@@ -53,16 +55,23 @@ def check_gram(report: CheckReport, weights: Sequence, us: Sequence[Sequence],
 
     `norms` holds the closed-form h_n, which must also be nonzero.  Every
     violation carries (n, m) and a residual, the Gram entry minus its
-    expected value; the closed-form norms go to details["norms"].
+    expected value; the closed-form norms go to details["norms"].  The
+    values are ints or Fractions.  Each row v_m and each row w u_n is put
+    over one integer denominator once, so a Gram entry is an integer dot
+    product compared with h_n cross-multiplied; only a violating entry
+    builds its Fraction residual.
     """
+    rows = [over_common_denominator(v) for v in vs]
     for n, hn in enumerate(norms):
         if hn == 0:
             report.add_violation(n=n, m=n, residual="diagonal norm vanishes")
-        wu = [w * a for w, a in zip(weights, us[n])]
-        for m, v in enumerate(vs):
-            total = sum(c * b for c, b in zip(wu, v))
+        wu, e = over_common_denominator([w * a for w, a in zip(weights, us[n])])
+        for m, (v, d) in enumerate(rows):
+            total = sum(map(mul, wu, v))
             expected = hn if n == m else 0
-            if total != expected:
-                report.add_violation(n=n, m=m, residual=frac_str(total - expected))
+            h_num, h_den = expected.as_integer_ratio()
+            if total * h_den != h_num * e * d:
+                report.add_violation(
+                    n=n, m=m, residual=frac_str(Fraction(total, e * d) - expected))
     report.details["norms"] = [frac_str(h) for h in norms]
     return report

@@ -144,7 +144,9 @@ def _validate_denominators(wp: WilsonParams) -> None:
         for j in range(wp.N):
             if den_base * q**j == 1:
                 raise InvalidParams(f"weight denominator vanishes at x={j + 1}")
-    # series denominators are needed for both the family and its partner
+    # series denominators are needed for both the family and its partner;
+    # (base; q)_n vanishes when base = q^-j for some j < n
+    inverse_powers = {q**-j: j for j in range(wp.N)}
     for qa, qb, qe, qf, grid_shift in (
             (wp.qa, wp.qb, wp.qe, wp.qf, Fraction(1)),
             (wp.qb, wp.qa, wp.qf, wp.qe, wp.qa / wp.qb)):
@@ -154,10 +156,10 @@ def _validate_denominators(wp: WilsonParams) -> None:
             for x in range(wp.N + 1):
                 _, den = _u_bases(q, qa, qb, wp.qc, wp.qd, qe, qf, n, q**x * grid_shift)
                 for base in den:
-                    for j in range(n):
-                        if base * q**j == 1:
-                            raise InvalidParams(
-                                f"series denominator vanishes at n={n}, x={x}, k={j + 1}")
+                    j = inverse_powers.get(base, n)
+                    if j < n:
+                        raise InvalidParams(
+                            f"series denominator vanishes at n={n}, x={x}, k={j + 1}")
     qa, qb, qc, qd, qe, qf = wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf
     norm_den = [(base, wp.N) for base in _h_den_bases(q, qa, qb, qc, qd, qe, qf)]
     for n in range(wp.N + 1):
@@ -351,13 +353,15 @@ class HahnParams:
         if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
             raise InvalidParams("N must be a nonnegative integer")
         a, b, N = self.alpha, self.beta, self.N
-        # the zero factors of (b-a-N+2)_x, (a-x)_n and (x-N+b-a+2)_n, x, n <= N
+        # the zero factors of (b-a-N+2)_x, (a-x)_n and (x-N+b-a+2)_n, x, n <= N,
+        # and of the norm's (1+b-N)_{2N}; its (a-b-1)_N vanishes exactly
+        # where the weight test fires
         if (b - a).denominator == 1 and -1 <= b - a <= N - 2:
             raise InvalidParams("weight denominator vanishes")
         if N >= 1 and any(v.denominator == 1 and lo <= v <= hi
                           for v, lo, hi in ((a, 1 - N, N), (b - a, -N - 1, N - 2))):
             raise InvalidParams("series denominator vanishes")
-        if _rising(a - b - 1, N) == 0 or _rising(1 + b - N, 2 * N) == 0:
+        if N >= 1 and b.denominator == 1 and -N <= b <= N - 1:
             raise InvalidParams("norm denominator vanishes")
 
     def as_dict(self) -> dict:

@@ -177,8 +177,24 @@ def test_relation_table_negative_control(canonical, monkeypatch):
     report = check_rqhahn_relations(inst)
     assert report.status == "fail"
     assert [v["relation"] for v in report.violations] == ["ZY"]
-    with pytest.raises(QHahnError, match="xi_8 disagrees between the ZY and YX solves"):
-        check_structure_constants(inst)
+    report = check_structure_constants(inst)
+    assert report.status == "fail"
+    assert report.violations == [
+        {"kind": "QHahnError", "message": "xi_8 disagrees between the ZY and YX solves"}]
+
+
+@pytest.mark.parametrize("xz, kind, message", [
+    # the X term dropped: X Z - q Z X is outside the span of the rest
+    ([(None, ("ZZ",)), (None, ("Z",))], "SingularSystem", "system is inconsistent"),
+    # xi_6 declared a fixed -1
+    ([(None, ("ZZ",)), (None, ("Z",)), (None, ("X",))], "QHahnError",
+     "relation XZ solved with unexpected fixed coefficients"),
+])
+def test_solve_back_failure_is_a_violation(canonical, monkeypatch, xz, kind, message):
+    monkeypatch.setattr(algebra, "_RQHAHN_RELATIONS", {**algebra._RQHAHN_RELATIONS, "XZ": xz})
+    report = check_structure_constants(Instance(canonical))
+    assert report.status == "fail"
+    assert report.violations == [{"kind": kind, "message": message}]
 
 
 def test_structure_constant_closed_forms(canonical):

@@ -243,6 +243,17 @@ def test_partial_fraction_rejects_a_perturbed_value_before_n(canonical):
             partial_fraction(n, bad)
 
 
+@pytest.mark.parametrize("p", [CANONICAL, QParams(F(1, 2), F(3), F(1, 5), 12)],
+                         ids=["canonical", "N12"])
+def test_partial_fraction_rejects_a_value_perturbed_at_the_last_point(p):
+    # x = N is never one of the solve's points, so only the verification sees it
+    for n in range(1, p.N + 1):
+        u = brf_u(n, p)
+        bad = GridVector(u.values[:-1] + (u[p.N] + F(1, 10**9),), p)
+        with pytest.raises(QHahnError, match=f"expansion of U_{n} fails at x = {p.N}"):
+            partial_fraction(n, bad)
+
+
 def test_partial_fraction_does_not_trust_the_solve(canonical, monkeypatch):
     # a wrong solution that still reproduces U_N at x = N, the only grid
     # point past the n = N solve, is caught at the solve's own points

@@ -12,7 +12,7 @@ from importlib import resources
 
 import pytest
 
-from qhahn import brf, cli, gevp, linalg, qcore
+from qhahn import algebra, brf, cli, gevp, linalg, qcore
 from qhahn.brf import Instance, brf_u, weight_vector
 from qhahn.operators import Basis, Operator, build_operator
 from qhahn.qcore import QParams
@@ -171,7 +171,7 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
     built = counting("operator", build_operator)
     for module in (brf, gevp):
         monkeypatch.setattr(module, "build_operator", built)
-    reports = cli.SUITES["gevp"](MINIMAL)
+    reports = cli.SUITES["gevp"](MINIMAL, {})
     assert [r["status"] for r in reports] == ["pass"] * 6
     p = CANONICAL
     assert [args for kind, args in calls if kind == "family"] == [
@@ -198,7 +198,7 @@ def test_biortho_suite_takes_the_structured_kernels(monkeypatch):
             if mod_name.startswith("qhahn") and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counting)
     generic = {"instances": [{"q": "1/2", "A": "-5", "B": "1/7", "N": 6}]}
-    reports = cli.SUITES["biortho"](generic)
+    reports = cli.SUITES["biortho"](generic, {})
     assert [r["status"] for r in reports] == ["pass"] * 4
     assert calls == Counter()
     # the counters are live: a pencil with a zero superdiagonal entry falls back
@@ -309,6 +309,43 @@ def test_qto1_precision_loss_is_a_failing_check_in_a_written_report(tmp_path):
     assert report["summary"] == {"pass": 6, "fail": 1, "skip": 0}
 
 
+def test_solve_back_disagreement_is_a_failing_check_in_a_written_report(
+        tmp_path, monkeypatch):
+    # xi_8 in place of xi_5 in the ZY row: the solve-back finds two values of xi_8
+    table = dict(algebra._RQHAHN_RELATIONS)
+    table["ZY"] = [(8 if i == 5 else i, words) for i, words in table["ZY"]]
+    monkeypatch.setattr(algebra, "_RQHAHN_RELATIONS", table)
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--config", write_config(tmp_path, MINIMAL),
+                     "--suite", "algebra", "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    status = {r["check"]: r["status"] for r in report["suites"]["algebra"]}
+    assert status == {"rqhahn_relations": "fail", "meta_relations": "pass",
+                      "structure_constants": "fail"}
+    [solve_back] = [r for r in report["suites"]["algebra"] if r["check"] == "structure_constants"]
+    assert solve_back["violations"] == [
+        {"kind": "QHahnError", "message": "xi_8 disagrees between the ZY and YX solves"}]
+
+
+def test_timing_has_the_seconds_of_each_check_that_ran(tmp_path):
+    config = write_config(tmp_path, {
+        "instances": [VALID_INSTANCE, VALID_INSTANCE, {"q": "1/2", "A": "1", "B": "1/512", "N": 3}],
+        "hahn_instances": [{"alpha": "-5", "beta": "9", "N": 3}],
+    })
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--config", config, "--suite", "biortho", "hahn",
+                     "--out", str(out)]) == 0
+    timing = json.loads(out.read_text())["timing"]
+    per_check = timing["per_check_seconds"]
+    assert {suite: sorted(checks) for suite, checks in per_check.items()} == {
+        "biortho": ["biorthogonality", "partial_fractions", "partner", "weight"],
+        "hahn": ["hahn_biorthogonality"]}
+    for suite, checks in per_check.items():
+        assert all(seconds >= 0 for seconds in checks.values())
+        assert sum(checks.values()) <= timing["per_suite_seconds"][suite]
+
+
 def test_instance_rejected_by_qparams_is_a_skip_per_check(tmp_path):
     # q = 1 is rejected by QParams itself: each gevp check of that entry is a
     # skip carrying the entry as given, and the next instance still runs
@@ -383,7 +420,7 @@ def test_missing_config_is_config_error(tmp_path):
 
 def test_failing_check_exits_one(tmp_path, monkeypatch):
     # exit-code plumbing: inject a suite that reports one failure
-    def broken_suite(config):
+    def broken_suite(config, seconds):
         report = CheckReport(check="synthetic", params={})
         report.add_violation(reason="synthetic failure")
         return [report.as_dict()]

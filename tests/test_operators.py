@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,7 @@ from qhahn.operators import (
     phi_function,
     weighted_adjoint,
 )
-from qhahn.qcore import QParams
+from qhahn.qcore import QParams, qnum, qpow
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL
 
@@ -169,3 +170,30 @@ def test_no_float_reaches_the_exact_core(p):
     odd = {type(v).__name__ for v in values
            if type(v) is not F and not (type(v) is int and v in (0, 1))}
     assert not odd
+
+
+def former_v_tail(p):
+    """The lowering tail of V in the point basis as its entries' display,
+    tail q^k phi_k(x) at [x][x - k], with phi_k(x) from `phi_function`."""
+    for x in range(p.N + 1):
+        tail = qpow(p, 1 - x, -1, 1) * qnum(p, -1, 1, -1) * qnum(p, -1, 1)
+        for k in range(1, x + 1):
+            yield x, k, tail * p.q**k * phi_function(p, k, x)
+
+
+@pytest.mark.parametrize("p", PANEL + [QParams(F(1, 2), F(3), F(1, 5), 24)],
+                         ids=[f"panel{i}" for i in range(len(PANEL))] + ["N24"])
+def test_v_tail_running_product_equals_its_display(p):
+    v = build_operator(Operator.V, Basis.POINT, p).entries
+    for x, k, value in former_v_tail(p):
+        assert v[x][x - k] == value
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_v_builder_raises_at_the_first_pole_of_the_display(m):
+    # A = q^m puts a pole of phi_k(x) on the grid for x >= m
+    p = QParams(F(1, 2), F(1, 2) ** m, F(1, 5), 3)
+    with pytest.raises(PoleOnGrid) as former:
+        list(former_v_tail(p))
+    with pytest.raises(PoleOnGrid, match=re.escape(str(former.value))):
+        build_operator(Operator.V, Basis.POINT, p)

@@ -1,4 +1,5 @@
 import functools
+from collections import Counter
 from fractions import Fraction as F
 
 import mpmath
@@ -268,10 +269,18 @@ def _former_scans(N, a=None, c=None):
     return None
 
 
-def test_hahn_guard_closed_forms_match_the_former_scans(monkeypatch):
-    # the norm check is unchanged; switching it off keeps the 77k
-    # constructions cheap
-    monkeypatch.setattr(wilson, "_rising", lambda a, k: 1)
+@functools.cache
+def _former_norm_scan(N, c=None, b=None):
+    """The former norm test, run after the scans above, for c = b - a or for
+    b alone: a zero factor of (a - b - 1)_N = (-c - 1)_N or of (1 + b - N)_{2N}."""
+    if c is not None and any(-c - 1 + j == 0 for j in range(N)):
+        return "norm denominator vanishes"
+    if b is not None and any(1 + b - N + j == 0 for j in range(2 * N)):
+        return "norm denominator vanishes"
+    return None
+
+
+def test_hahn_guard_closed_forms_match_the_former_scans():
     values = sorted({F(k, d) for k in range(-24, 25) for d in (1, 2, 3)})
     mismatches = []
     for N in range(7):
@@ -282,9 +291,63 @@ def test_hahn_guard_closed_forms_match_the_former_scans(monkeypatch):
                     got = None
                 except InvalidParams as exc:
                     got = str(exc)
-                if got != (_former_scans(N, c=b - a) or _former_scans(N, a=a)):
+                expected = (_former_scans(N, c=b - a) or _former_scans(N, a=a)
+                            or _former_norm_scan(N, c=b - a) or _former_norm_scan(N, b=b))
+                if got != expected:
                     mismatches.append((a, b, N, got))
     assert mismatches == []
+
+
+def _former_wilson_guard(q, qa, qc, qd, qe, N):
+    """The denominator guard WilsonParams ran before its lookup table, whose
+    series scan tested every base of every (n, x) against q^-j for each j < n."""
+    qb, qf = q**-N / qa, q ** (N + 1) / (qc * qd * qe)
+    if qa * qa == 1:
+        return "weight head 1 - qa^2 vanishes"
+    for _, den_base in wilson._weight_pairs(q, qa, qb, qc, qd, qe, qf):
+        for j in range(N):
+            if den_base * q**j == 1:
+                return f"weight denominator vanishes at x={j + 1}"
+    for a, b, e, f, grid_shift in ((qa, qb, qe, qf, 1), (qb, qa, qf, qe, qa / qb)):
+        if a == e:
+            return "very-well-poised head 1 - qa/qe vanishes"
+        for n in range(N + 1):
+            for x in range(N + 1):
+                _, den = wilson._u_bases(q, a, b, qc, qd, e, f, n, q**x * grid_shift)
+                for base in den:
+                    for j in range(n):
+                        if base * q**j == 1:
+                            return f"series denominator vanishes at n={n}, x={x}, k={j + 1}"
+    norm_den = [(base, N) for base in wilson._h_den_bases(q, qa, qb, qc, qd, qe, qf)]
+    for n in range(N + 1):
+        norm_den += wilson._h_tail_den(q, qa, qb, qe, qf, n)
+    if any(qpoch(base, length, q) == 0 for base, length in norm_den):
+        return "norm denominator vanishes"
+    return None
+
+
+def test_wilson_guard_lookup_matches_the_former_scan():
+    # powers of q for qa, qc, qe put the series bases on q^-j at several
+    # (n, x, k), and the weight tests before the scan fire too
+    outcomes, mismatches = Counter(), []
+    for q in (F(1, 2), F(-3, 2)):
+        powers = [q**e for e in range(-3, 4)]
+        for N in (1, 3):
+            for qa in powers:
+                for qc in (*powers[::2], F(3)):
+                    for qe in (*powers[1::2], F(-5)):
+                        try:
+                            WilsonParams(q, qa, qc, F(7), qe, N)
+                            got = None
+                        except InvalidParams as exc:
+                            got = str(exc)
+                        if got != _former_wilson_guard(q, qa, qc, F(7), qe, N):
+                            mismatches.append((q, qa, qc, qe, N, got))
+                        outcomes[got] += 1
+    assert mismatches == []
+    assert outcomes[None] and {
+        "series denominator vanishes at n=1, x=2, k=1",
+        "series denominator vanishes at n=3, x=0, k=3"} <= set(outcomes)
 
 
 def test_hahn_u0_is_one():
