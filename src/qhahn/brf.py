@@ -5,7 +5,11 @@ problem Y U_n = lambda_n X U_n with lambda_n = [-n]_q [n+beta-N]_q.  Each
 U_n is degree-n rational in the q-bracket variable with poles at the fixed
 locations [x-alpha-k]_q = 0, and is computed here along two independent
 routes (a terminating basic hypergeometric sum, `brf_u`, and the
-coefficient recurrence over the rational basis phi_k, `brf_u_recurrence`).
+coefficient recurrence over the rational basis phi_k, `phi_expansion`,
+summed on the grid by `brf_u_recurrence`).  `partial_fraction` reads the
+residues of U_n off the phi-coefficients, and `check_partial_fractions`
+verifies that expansion against the `brf_u` values on the whole grid, so
+a verify run compares the two routes.
 
 The biorthogonal partner family is a parameter reflection of the same
 family: partner_m(x) = -q^{-1} [alpha-beta-1]_q * U_m(N-x) evaluated at
@@ -285,17 +289,22 @@ def partial_fraction(n: int, u: GridVector) -> tuple[Fraction, ...]:
 
     `u` holds the grid values of U_n.  The basis functions 1/[alpha+k-x]_q
     carry the n simple poles of U_n and vanish in the x -> infinity
-    normalization limit, so the constant term is exactly 1.  In
-    t_x = q^-x and s_k = 1/(A q^k), 1/[alpha+k-x]_q = (1-q) s_k / (s_k - t_x),
-    so the first n grid points give a Cauchy system for (1-q) s_k eta_k,
-    solved in O(n^2) by `linalg.cauchy_solve`.  The expansion is then
-    verified on all N+1 grid points, so a wrong solve cannot pass.  Raises
-    PoleOnGrid when a basis function has a pole on the grid (A q^{k-x} = 1).
+    normalization limit, so the constant term is exactly 1.  eta is read off
+    the phi-coefficients C_{n,k} of `phi_expansion`: each phi_k splits into
+    simple fractions, phi_k = A^-k + sum_{j<k} rho_{k,j} / (1 - A q^{j-x}), with
+    rho_{j+1,j} = prod_{d=0..j} (1 - q^-d/A) / prod_{d=1..j} (1 - q^-d) and
+    rho_{k+1,j} = rho_{k,j} r_{k-j}, r_d = (1 - q^d/A) / (1 - q^d).  So
+    eta_j = sum_{k>j} C_{n,k} rho_{k,j} / (1 - q), summed in Horner form over
+    the one table of r_d, |d| < n.  Raises PoleOnGrid when a basis function
+    has a pole on the grid (A q^{k-x} = 1).
 
-    The verification is integer arithmetic: eta_k = e_k / E over one
-    denominator, the basis values c_d / g_d as reduced pairs, and at each x
-    the reconstruction over E L_x, L_x the lcm of the n denominators g_d it
-    meets, is compared with u(x) cross-multiplied.
+    The expansion is then verified against `u` on all N+1 grid points, so it
+    compares the recurrence route (`phi_expansion`) with the route that built
+    `u` (`brf_u` in `check_partial_fractions`).  The verification is integer
+    arithmetic: eta_k = e_k / E over one denominator, the basis values
+    c_d / g_d as reduced pairs, and at each x the reconstruction over E L_x,
+    L_x the lcm of the n denominators g_d it meets, is compared with u(x)
+    cross-multiplied.
     """
     p = u.params
     if n == 0:
@@ -309,9 +318,17 @@ def partial_fraction(n: int, u: GridVector) -> tuple[Fraction, ...]:
         if den == 0:
             raise PoleOnGrid(f"1/[alpha+k-x]_q has a pole on the grid: A q^{d} = 1")
         basis[d] = ((1 - q) / den).as_integer_ratio()
-    s = [1 / (A * q**k) for k in range(n)]
-    c = linalg.cauchy_solve(s, [q**-x for x in range(n)], [u[x] - 1 for x in range(n)])
-    eta = [ck / ((1 - q) * sk) for ck, sk in zip(c, s)]
+    coeffs = phi_expansion(n, p)
+    r = {d: (1 - q**d / A) / (1 - q**d) for d in range(1 - n, n) if d}
+    head = (1 - 1 / A) / (1 - q)  # rho_{j+1,j} / (1 - q)
+    eta = []
+    for j in range(n):
+        if j:
+            head *= r[-j]
+        acc = coeffs[n]
+        for k in range(n - 1, j, -1):
+            acc = coeffs[k] + r[k - j] * acc
+        eta.append(head * acc)
     e, e_den = over_common_denominator(eta)
     for x in range(p.N + 1):
         terms = [basis[k - x] for k in range(n)]
@@ -390,7 +407,9 @@ def check_partner(inst: Instance) -> CheckReport:
 
 
 def check_partial_fractions(inst: Instance) -> CheckReport:
-    """Partial-fraction expansion solves and reconstructs for every n."""
+    """For every n, the partial fractions read off `phi_expansion` reproduce
+    the `brf_u` values of U_n on the whole grid: the series route against
+    the recurrence route."""
     report = CheckReport(check="partial_fractions", params=inst.p.as_dict())
     sizes = []
     for n, u in enumerate(inst.family.members):

@@ -10,16 +10,14 @@ Everything here is sized for the desk scale of this package (dimension at
 most a few dozen).  The dense kernels (`rref`, `solve_unique`,
 `null_space`) are plain Gaussian elimination.  The structured ones exploit
 what the operators of this package look like: `mat_mul` and `mat_vec` skip
-zero entries, so a banded matrix costs O(bandwidth) per row;
-`tridiagonal_null_space` solves the three-term recurrence of a tridiagonal
-matrix and falls back to `null_space` when the matrix is not one it can
-prove a kernel for; and `cauchy_solve` inverts a Cauchy matrix by Lagrange
-interpolation.
+zero entries, so a banded matrix costs O(bandwidth) per row, and
+`tridiagonal_null_space` solves the three-term recurrence of a
+tridiagonal matrix and falls back to `null_space` when the matrix is not one
+it can prove a kernel for.
 """
 
 from __future__ import annotations
 
-from math import prod
 from typing import Sequence
 
 from .qcore import SingularSystem
@@ -197,33 +195,3 @@ def tridiagonal_null_space(a: Sequence[Sequence]) -> list[Vector]:
     last = next(x for x in reversed(v) if x)
     return [[x / last for x in v]]
 
-
-def cauchy_solve(s: Sequence, t: Sequence, y: Sequence) -> Vector:
-    """The c with sum_k c_k / (s_k - t_x) = y_x for every x, in O(n^2).
-
-    With Q(t) = prod_j (s_j - t) and W(t) = prod_x (t - t_x), the sum is
-    P(t)/Q(t) for the polynomial P of degree < n with P(t_x) = y_x Q(t_x).
-    Lagrange interpolation through the t_x gives P(s_k), and
-    c_k = P(s_k) / prod_{j != k} (s_j - s_k).  Raises SingularSystem when two
-    s or two t coincide, or an s coincides with a t.
-    """
-    n = len(s)
-    if len(t) != n or len(y) != n:
-        raise SingularSystem(f"a Cauchy system needs n = {n} nodes of each kind")
-    diff = [[sk - tx for sk in s] for tx in t]  # diff[x][k] = s_k - t_x
-    if any(not v for row in diff for v in row):
-        raise SingularSystem("a pole s coincides with a node t")
-    g = []  # g_x = y_x Q(t_x) / W'(t_x)
-    for x, tx in enumerate(t):
-        w_t = prod(tx - t[j] for j in range(n) if j != x)
-        if not w_t:
-            raise SingularSystem(f"node t_{x} = {tx} is repeated")
-        g.append(y[x] * prod(diff[x]) / w_t)
-    c = []
-    for k, sk in enumerate(s):
-        q_s = prod(s[j] - sk for j in range(n) if j != k)
-        if not q_s:
-            raise SingularSystem(f"pole s_{k} = {sk} is repeated")
-        w_s = prod(row[k] for row in diff)  # W(s_k)
-        c.append(w_s / q_s * sum(gx / row[k] for gx, row in zip(g, diff)))
-    return c

@@ -111,16 +111,20 @@ class WilsonParams:
         }
 
 
+def _u_den_bases(q, qa, qb, qc, qd, qe, qf, n: int, qz):
+    """The seven denominator bases of the 10phi9, all the guard reads."""
+    return [
+        qa * qb, qa * qc, qa * qd, q ** (n + 1) * qa / qe,
+        q ** (1 - n) * qa * qf, q / (qe * qa * qz), q * qz * qa / qe,
+    ]
+
+
 def _u_bases(q, qa, qb, qc, qd, qe, qf, n: int, qz):
     num = [
         q ** (-n), qa / qe, q / (qc * qe), q / (qd * qe),
         q / (qe * qb), q**n / (qe * qf), qa * qa * qz, 1 / qz,
     ]
-    den = [
-        qa * qb, qa * qc, qa * qd, q ** (n + 1) * qa / qe,
-        q ** (1 - n) * qa * qf, q / (qe * qa * qz), q * qz * qa / qe,
-    ]
-    return num, den
+    return num, _u_den_bases(q, qa, qb, qc, qd, qe, qf, n, qz)
 
 
 def _weight_pairs(q, qa, qb, qc, qd, qe, qf):
@@ -154,8 +158,7 @@ def _validate_denominators(wp: WilsonParams) -> None:
             raise InvalidParams("very-well-poised head 1 - qa/qe vanishes")
         for n in range(wp.N + 1):
             for x in range(wp.N + 1):
-                _, den = _u_bases(q, qa, qb, wp.qc, wp.qd, qe, qf, n, q**x * grid_shift)
-                for base in den:
+                for base in _u_den_bases(q, qa, qb, wp.qc, wp.qd, qe, qf, n, q**x * grid_shift):
                     j = inverse_powers.get(base, n)
                     if j < n:
                         raise InvalidParams(
@@ -289,12 +292,14 @@ def wilson_limit_check(
     successive ratio recorded (below 1, as only a decreasing step gives a
     ratio).  A correct target leaves a deviation of order |q|^m, so the last
     ratio d_{m1}/d_{m0} must also be at most |q|^{(m1 - m0)/2}; a target off
-    by a constant stalls it near 1.  Raises InvalidParams when |q| >= 1 or
-    `validate_params` flags p.
+    by a constant stalls it near 1.  Raises InvalidParams when |q| >= 1,
+    qc = 0 (the path divides by it) or `validate_params` flags p.
     """
     report = CheckReport(check="wilson_limit", params=p.as_dict())
     if not -1 < p.q < 1:
         raise InvalidParams("the limit path needs |q| < 1")
+    if scalar(qc) == 0:
+        raise InvalidParams("the limit path needs qc != 0")
     issues = validate_params(p, p.N).issues()
     if issues:
         raise InvalidParams("; ".join(issues))
@@ -428,6 +433,7 @@ def _qto1_table(hp: HahnParams, h: Fraction, prec: int):
 def qto1_convergence_check(hp: HahnParams, h_list: list[Fraction]) -> CheckReport:
     """Deviation of the q-side quantities at q = e^h from their q = 1 values
     decreases along h_list with measured order about 1 (window [1/2, 2]).
+    With fewer than two h values no order can be measured: a skip.
 
     Each evaluation runs at 200-bit and 53-bit precision; the spread between
     the two estimates roundoff.  An h whose roundoff is not safely below the
@@ -439,6 +445,9 @@ def qto1_convergence_check(hp: HahnParams, h_list: list[Fraction]) -> CheckRepor
     h_list = [scalar(h) for h in h_list]
     if any(h <= 0 for h in h_list):
         raise InvalidParams("h values must be positive")
+    if len(h_list) < 2:
+        report.skipped = "fewer than two h values to measure an order"
+        return report
     exact = _flat(_table(hahn_weight, hahn_u, hahn_v, hahn_h, hp.N, hp))
     with mpmath.workprec(220):
         exact_f = [mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator) for v in exact]

@@ -232,21 +232,21 @@ def test_factored_series_equals_the_direct_sum(p):
 
 
 def test_partial_fraction_rejects_a_perturbed_value_before_n(canonical):
-    # the perturbed point is one the solve uses, so only the check of the
-    # other grid points can see it
+    # eta comes from the phi-coefficients, not from u, so the verification
+    # sees the perturbation at the point itself
     n = canonical.N
     u = brf_u(n, canonical)
     for x in range(n):
         bad = GridVector(
             tuple(v + (F(1, 7) if y == x else 0) for y, v in enumerate(u)), canonical)
-        with pytest.raises(QHahnError, match=f"expansion of U_{n} fails"):
+        with pytest.raises(QHahnError, match=f"expansion of U_{n} fails at x = {x}$"):
             partial_fraction(n, bad)
 
 
 @pytest.mark.parametrize("p", [CANONICAL, QParams(F(1, 2), F(3), F(1, 5), 12)],
                          ids=["canonical", "N12"])
 def test_partial_fraction_rejects_a_value_perturbed_at_the_last_point(p):
-    # x = N is never one of the solve's points, so only the verification sees it
+    # the verification runs over the whole grid, its last point included
     for n in range(1, p.N + 1):
         u = brf_u(n, p)
         bad = GridVector(u.values[:-1] + (u[p.N] + F(1, 10**9),), p)
@@ -254,21 +254,38 @@ def test_partial_fraction_rejects_a_value_perturbed_at_the_last_point(p):
             partial_fraction(n, bad)
 
 
-def test_partial_fraction_does_not_trust_the_solve(canonical, monkeypatch):
-    # a wrong solution that still reproduces U_N at x = N, the only grid
-    # point past the n = N solve, is caught at the solve's own points
-    p, good = canonical, linalg.cauchy_solve
-    t_last = p.q ** -p.N
+@pytest.mark.parametrize("p", [p for p in PANEL if validate_params(p, p.N).valid]
+                         + [QParams(F(1, 2), F(3), F(1, 5), 12)],
+                         ids=lambda p: f"N{p.N}-A{p.A}")
+def test_partial_fraction_equals_the_dense_solve(p):
+    # the residues read off the phi-coefficients against Gaussian elimination
+    # on the first n grid points of U_n = 1 + sum_k eta_k / [alpha+k-x]_q
+    for n in range(1, p.N + 1):
+        u = brf_u(n, p)
+        system = [[1 / qnum(p, k - x, 1) for k in range(n)] for x in range(n)]
+        assert list(partial_fraction(n, u)) == linalg.solve_unique(
+            system, [u[x] - 1 for x in range(n)])
 
-    def off(s, t, y):
-        c = good(s, t, y)
-        c[0] += 1 / (s[1] - t_last)
-        c[1] -= 1 / (s[0] - t_last)
-        return c
 
-    monkeypatch.setattr(linalg, "cauchy_solve", off)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_partial_fraction_catches_a_perturbed_phi_coefficient(canonical, monkeypatch, k):
+    # the partial fractions come from the recurrence route, so one wrong
+    # coefficient C_{N,k} must fail against the series values of U_N; C_0 is
+    # the prefactor, which both routes share
+    p, good = canonical, brf.phi_expansion
+
+    def off(n, params):
+        coeffs = list(good(n, params))
+        if n == p.N:
+            coeffs[k] += F(1, 10**6)
+        return tuple(coeffs)
+
+    monkeypatch.setattr(brf, "phi_expansion", off)
     with pytest.raises(QHahnError, match=f"expansion of U_{p.N} fails"):
         partial_fraction(p.N, brf_u(p.N, p))
+    report = check_partial_fractions(Instance(p))
+    assert report.status == "fail"
+    assert [v["n"] for v in report.violations] == [p.N]
 
 
 @pytest.mark.parametrize("power", [2, -2])

@@ -184,7 +184,7 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
 def test_biortho_suite_takes_the_structured_kernels(monkeypatch):
     # on a generic instance the family, the partner kernels and the partial
     # fractions come from the factored series, the three-term recurrence and
-    # the Cauchy solve: no dense elimination and no generic series
+    # the phi-coefficients: no dense elimination and no generic series
     calls = Counter()
     for module, name in ((linalg, "null_space"), (linalg, "solve_unique"),
                          (qcore, "phi_series")):
@@ -257,6 +257,23 @@ def test_invalid_limit_instance_is_a_skip_carrying_the_entry(
     assert skip["reason"].startswith(reason)
     assert skip == {"check": check, "params": entry, "status": "skip",
                     "reason": skip["reason"], "violations": [], "details": {}}
+
+
+def test_wilson_limit_with_qc_zero_is_a_skip_carrying_the_entry(tmp_path):
+    # the limit path divides by qc: a rejected parameter, not a traceback
+    entry = {"q": "1/2", "A": "3", "B": "1/5", "N": 2}
+    config = write_config(tmp_path, {
+        "instances": [VALID_INSTANCE], "limits": {"wilson": {"instance": entry, "qc": "0"}},
+    })
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--config", config, "--suite", "limits", "gevp",
+                     "--out", str(out)])
+    assert code == 0
+    suites = json.loads(out.read_text())["suites"]
+    assert [r["status"] for r in suites["gevp"]] == ["pass"] * 6
+    assert suites["limits"] == [{
+        "check": "wilson_limit", "params": entry, "status": "skip",
+        "reason": "the limit path needs qc != 0", "violations": [], "details": {}}]
 
 
 REFLECTED_POLE = {"q": "1/2", "A": "3", "B": "12", "N": 3}

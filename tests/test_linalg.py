@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qhahn import linalg
 from qhahn.operators import Basis, GridVector, OpMatrix
-from qhahn.qcore import QParams, SingularSystem
+from qhahn.qcore import QParams
 
 nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 any_frac = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -108,27 +108,6 @@ def test_entry_outside_the_band_falls_back_to_elimination(a, data, value):
     assert kernel == linalg.null_space(a)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.lists(any_frac, min_size=2 * n, max_size=2 * n, unique=True),
-    st.lists(any_frac, min_size=n, max_size=n))))
-def test_cauchy_solve_matches_elimination(draw):
-    nodes, y = draw
-    n = len(y)
-    s, t = nodes[:n], nodes[n:]
-    c = linalg.cauchy_solve(s, t, y)
-    assert c == linalg.solve_unique([[1 / (sk - tx) for sk in s] for tx in t], y)
-
-
-def test_cauchy_solve_rejects_coinciding_nodes():
-    with pytest.raises(SingularSystem, match="coincides"):
-        linalg.cauchy_solve([F(1), F(2)], [F(3), F(2)], [F(1), F(1)])
-    with pytest.raises(SingularSystem, match="repeated"):
-        linalg.cauchy_solve([F(1), F(2)], [F(3), F(3)], [F(1), F(1)])
-    with pytest.raises(SingularSystem, match="repeated"):
-        linalg.cauchy_solve([F(1), F(1)], [F(3), F(4)], [F(1), F(1)])
-
-
 def test_mat_vec_skips_zeros_and_keeps_values():
     a = [[F(0), F(2), F(0)], [F(1, 3), F(0), F(-1)], [F(0), F(0), F(0)]]
     assert linalg.mat_vec(a, [F(5), F(0), F(7)]) == [F(0), F(5, 3) - 7, F(0)]
@@ -222,9 +201,6 @@ def test_the_kernels_take_the_field_of_their_inputs():
     tri = both(3, 3, {(0, 1): 2, (1, 0): 1, (1, 1): 5, (1, 2): 3, (2, 1): 4})
     tri_full = both(3, 3, {(0, 1): 2, (1, 0): 1, (1, 1): 5, (1, 2): 3, (2, 1): 4, (2, 2): 1})
     zero1 = both(1, 1, {})
-    nodes = both(3, 3, {(0, 0): 1, (0, 1): 2, (0, 2): 5, (1, 0): 3, (1, 1): 4, (1, 2): 7,
-                        (2, 0): 1, (2, 2): 2})
-    node1 = both(3, 1, {(0, 0): 2, (1, 0): 5, (2, 0): 3})
     runs = {
         "mat_mul": lambda i: linalg.mat_mul(sq[i], a[i]),
         "mat_vec": lambda i: linalg.mat_vec(a[i], vec[i][0]),
@@ -233,8 +209,6 @@ def test_the_kernels_take_the_field_of_their_inputs():
         "null_space": lambda i: linalg.null_space(a[i]),
         "tridiagonal_null_space": lambda i: [linalg.tridiagonal_null_space(m[i])
                                              for m in (tri, tri_full, zero1)],
-        "cauchy_solve": lambda i: [linalg.cauchy_solve(*nodes[i]),
-                                   linalg.cauchy_solve(*node1[i])],
         "solve_lower_triangular": lambda i: linalg.solve_lower_triangular(low[i], rhs[i]),
         "identity": lambda i: linalg.identity(3, (F, GF)[i](1)),
     }

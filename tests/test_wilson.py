@@ -399,6 +399,14 @@ def test_qto1_requires_positive_h():
         qto1_convergence_check(HahnParams(F(-3), F(5), 2), [F(1, 8), F(-1, 16)])
 
 
+@pytest.mark.parametrize("h_list", [[], [F(1, 8)]], ids=["empty", "one"])
+def test_qto1_with_fewer_than_two_h_values_is_a_skip(h_list):
+    # no pair of deviations, so no order: the check must not pass vacuously
+    report = qto1_convergence_check(HahnParams(F(-3), F(5), 2), h_list)
+    assert report.status == "skip"
+    assert report.skipped == "fewer than two h values to measure an order"
+
+
 def test_qto1_precision_loss_is_a_violation_left_out_of_the_fit():
     # at h = 10^-12 the 53-bit roundoff swamps the deviation being measured
     hp = HahnParams(F(-3), F(5), 2)
