@@ -5,11 +5,10 @@ problem Y U_n = lambda_n X U_n with lambda_n = [-n]_q [n+beta-N]_q.  Each
 U_n is degree-n rational in the q-bracket variable with poles at the fixed
 locations [x-alpha-k]_q = 0, and is computed here along two independent
 routes (a terminating basic hypergeometric sum, `brf_u`, and the
-coefficient recurrence over the rational basis phi_k, `phi_expansion`,
-summed on the grid by `brf_u_recurrence`).  `partial_fraction` reads the
-residues of U_n off the phi-coefficients, and `check_partial_fractions`
-verifies that expansion against the `brf_u` values on the whole grid, so
-a verify run compares the two routes.
+coefficient recurrence over the rational basis phi_k, `phi_expansion`).
+`partial_fraction` reads the residues of U_n off the phi-coefficients, and
+`check_partial_fractions` verifies that expansion against the `brf_u`
+values on the whole grid, so a verify run compares the two routes.
 
 The biorthogonal partner family is a parameter reflection of the same
 family: partner_m(x) = -q^{-1} [alpha-beta-1]_q * U_m(N-x) evaluated at
@@ -35,7 +34,6 @@ from .operators import (
     OpMatrix,
     Operator,
     build_operator,
-    phi_function,
     weighted_adjoint,
 )
 from .qcore import (
@@ -63,7 +61,6 @@ __all__ = [
     "partner_scale",
     "phi_expansion",
     "brf_u",
-    "brf_u_recurrence",
     "brf_partner",
     "BRFFamily",
     "brf_family",
@@ -159,7 +156,7 @@ def brf_u(n: int, p: QParams) -> GridVector:
     denominator, reduced once.  The denominators 1 - A q^d for every
     d = k - x the untruncated sums would meet are checked first:
     ZeroDenominator if one vanishes, whatever x it belongs to.
-    `brf_u_recurrence` is the independent second route.
+    `phi_expansion` is the independent second route.
     """
     if not 0 <= n <= p.N:
         raise InvalidParams(f"family index n = {n} must lie in 0..N = {p.N}")
@@ -188,14 +185,6 @@ def brf_u(n: int, p: QParams) -> GridVector:
             num, den = ad * rd * den + an * rn * num, ad * rd * den
         vals.append(pref * Fraction(num, den))
     return GridVector(tuple(vals), p)
-
-
-def brf_u_recurrence(n: int, p: QParams) -> GridVector:
-    """Grid values of U_n summed over the rational basis phi_k with the
-    coefficients of `phi_expansion`: the route independent of `brf_u`."""
-    coeffs = phi_expansion(n, p)
-    return GridVector(tuple(sum(c * phi_function(p, k, x) for k, c in enumerate(coeffs))
-                            for x in range(p.N + 1)), p)
 
 
 def brf_partner(m: int, p: QParams) -> GridVector:
@@ -252,6 +241,26 @@ class Instance:
         """Point-basis matrices of X, Y, Z and V, keyed by letter."""
         return {op.value: build_operator(op, Basis.POINT, self.p) for op in Operator}
 
+    @cached_property
+    def family_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, d): the family over one common denominator, U_n(x) = rows[n][x] / d."""
+        n1 = self.p.N + 1
+        ints, d = over_common_denominator([v for u in self.family.members for v in u])
+        return tuple(tuple(ints[i:i + n1]) for i in range(0, n1 * n1, n1)), d
+
+    @cached_property
+    def op_rows(self) -> dict[str, list[tuple[dict[int, int], int]]]:
+        """X, Y and Z of `ops` as integer rows: row x is ({y: a_y}, e) with
+        M[x][y] = a_y / e on the nonzero entries, so a banded row is short."""
+        out = {}
+        for g in "XYZ":
+            out[g] = []
+            for row in self.ops[g]:
+                entries = {y: v for y, v in enumerate(row) if v}
+                ints, e = over_common_denominator(entries.values())
+                out[g].append((dict(zip(entries, ints)), e))
+        return out
+
 
 def inner_product(f: GridVector, g: GridVector, w: GridVector) -> Fraction:
     """(f, g)_w = sum_x w_x f(x) g(x), exactly."""
@@ -263,25 +272,34 @@ def inner_product(f: GridVector, g: GridVector, w: GridVector) -> Fraction:
 def bare_norm(n: int, q, A, B, N: int):
     """Bare diagonal norm in q's field, as `bare_weight`:
 
-        q^{N(alpha-1-n)} (q; q)_n (1/B; q)_N / (A/(Bq); q)_N
-        * (qB; q)_n / (q^-N; q)_n * (q^{n-N} B; q)_n / (q^{1-N} B; q)_{2n}.
+        q^{N(alpha-1)} (1/B; q)_N / (A/(Bq); q)_N * `_bare_norm_n`.
     """
-    den = qpoch(A / (q * B), N, q) * qpoch(q ** (-N), n, q) * qpoch(q ** (1 - N) * B, 2 * n, q)
+    den = qpoch(A / (q * B), N, q)
     if den == 0:
         raise ZeroDenominator("norm denominator vanishes")
-    return (
-        A**N * q ** (-N * (1 + n)) * qpoch(q, n, q) * qpoch(1 / B, N, q)
-        * qpoch(q * B, n, q) * qpoch(q ** (n - N) * B, n, q) / den
-    )
+    return A**N * q ** (-N) * qpoch(1 / B, N, q) / den * _bare_norm_n(n, q, B, N)
+
+
+def _bare_norm_n(n: int, q, B, N: int):
+    """The factor of `bare_norm` that depends on n, 1 at n = 0:
+
+        q^{-Nn} (q; q)_n (qB; q)_n (q^{n-N} B; q)_n / ((q^-N; q)_n (q^{1-N} B; q)_{2n}).
+    """
+    den = qpoch(q ** (-N), n, q) * qpoch(q ** (1 - N) * B, 2 * n, q)
+    if den == 0:
+        raise ZeroDenominator("norm denominator vanishes")
+    return q ** (-N * n) * qpoch(q, n, q) * qpoch(q * B, n, q) * qpoch(q ** (n - N) * B, n, q) / den
 
 
 def norm_h(n: int, p: QParams) -> Fraction:
     """Biorthogonality norm H_n with (U_n, partner_n)_w = H_n, in closed form:
     the product of the partner constant, the two series prefactors (the
     partner's at the reflected instance), the weight normalization and the
-    bare diagonal norm.  `check_biorthogonality` compares it with the sum."""
+    bare diagonal norm.  The weight normalization is the reciprocal of the
+    n-independent head of `bare_norm`, so only its n-dependent factor
+    remains.  `check_biorthogonality` compares H_n with the sum."""
     return (partner_scale(p) * u_prefactor(n, p) * u_prefactor(n, reflected_params(p))
-            * weight_scale(p) * bare_norm(n, p.q, p.A, p.B, p.N))
+            * _bare_norm_n(n, p.q, p.B, p.N))
 
 
 def partial_fraction(n: int, u: GridVector) -> tuple[Fraction, ...]:

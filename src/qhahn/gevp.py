@@ -9,6 +9,11 @@ actions of X, Y, Z on the U_n basis with the mu coefficient table.
 The factorization Y = X V of the pencil is checked here too, in both
 bases.
 
+The five banded checks run on `Instance.family_rows` and `Instance.op_rows`:
+each identity at (n, x) is an integer band product compared cross-multiplied
+with its Fraction coefficients, and only a violating entry builds its
+Fraction residual.
+
 Boundary convention: values off the grid (U_n at x = -1 or x = N+1, and
 family members U_{-1}, U_{N+1}) never enter because their coefficients
 vanish; the checkers verify that vanishing instead of assuming it.
@@ -16,14 +21,15 @@ vanish; the checkers verify that vanishing instead of assuming it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .brf import Instance
 from .operators import (
     Basis,
-    GridVector,
     Operator,
     build_operator,
     y_shift_coefficients,
@@ -35,6 +41,7 @@ from .qcore import (
     eigenvalue,
     frac_str,
     mu_brackets,
+    over_common_denominator,
     qnum,
     qpow,
     validate_params,
@@ -117,19 +124,41 @@ def mu_coefficients(n: int, p: QParams) -> MuCoefficients:
     return MuCoefficients(mu=mu, params=p, n=n)
 
 
+def _apply(op_rows, c) -> list[tuple[int, int]]:
+    """(M c)(x) as integer pairs (numerator, e_x) for a matrix given as
+    integer rows ({y: a_y}, e_x), the form of `Instance.op_rows`."""
+    return [(sum(a * c[y] for y, a in entries.items()), e) for entries, e in op_rows]
+
+
+def _residuals(lhs, rhs, lam, den) -> list:
+    """(a/b - lam c/d) / den for each pair of integer pairs (a, b), (c, d),
+    or None where it vanishes.  A passing entry is one cross-multiplied
+    integer comparison; only a violating one builds its Fraction."""
+    ln, ld = lam.as_integer_ratio()
+    return [None if a * ld * d == ln * c * b else (Fraction(a, b) - lam * Fraction(c, d)) / den
+            for (a, b), (c, d) in zip(lhs, rhs)]
+
+
+def _flag_worst(report: CheckReport, resid: list, **where) -> str:
+    """max |residual| of a `_residuals` list as a string (0/1 when all
+    vanish), added as a violation at `where` when it is not zero."""
+    worst = max((abs(r) for r in resid if r is not None), default=0)
+    if worst:
+        report.add_violation(**where, residual=frac_str(worst))
+    return frac_str(worst)
+
+
 def check_gevp(inst: Instance) -> CheckReport:
     """Y U_n = lambda_n X U_n with exactly zero residual for every n."""
     p = inst.p
     report = CheckReport(check="gevp", params=p.as_dict())
     fam = inst.family
-    x_op, y_op = inst.ops["X"], inst.ops["Y"]
+    rows, den = inst.family_rows
     residuals = []
-    for n, u in enumerate(fam.members):
-        resid = (y_op @ u) - fam.lambdas[n] * (x_op @ u)
-        worst = max(abs(v) for v in resid)
-        residuals.append(frac_str(worst))
-        if not resid.is_zero():
-            report.add_violation(n=n, residual=frac_str(worst))
+    for n, c in enumerate(rows):
+        resid = _residuals(_apply(inst.op_rows["Y"], c), _apply(inst.op_rows["X"], c),
+                           fam.lambdas[n], den)
+        residuals.append(_flag_worst(report, resid, n=n))
     report.details["residuals"] = residuals
     report.details["lambdas"] = [frac_str(v) for v in fam.lambdas]
     return report
@@ -163,51 +192,44 @@ def check_difference_equation(inst: Instance) -> CheckReport:
     A_1(x) U_n(x+1) + A_0(x) U_n(x) + A_2(x) U_n(x-1)
       = lambda_n ([x-alpha]_q U_n(x) - q^{-alpha} [x]_q U_n(x-1)).
     """
-    p = inst.p
+    p, N = inst.p, inst.p.N
     report = CheckReport(check="difference_equation", params=p.as_dict())
-    fam = inst.family
-    coeffs = [(*y_shift_coefficients(p, x), qnum(p, x, -1), qpow(p, 0, -1) * qnum(p, x))
-              for x in range(p.N + 1)]
-    for n, u in enumerate(fam.members):
-        lam = fam.lambdas[n]
-        for x, (up, stay, down, diag, drop) in enumerate(coeffs):
-            lhs = stay * u[x]
-            if x < p.N:
-                lhs += up * u[x + 1]
-            elif up != 0:
-                report.add_violation(n=n, x=x, residual="off-grid raising coefficient nonzero")
-                continue
-            if x > 0:
-                lhs += down * u[x - 1]
-            elif down != 0:
-                report.add_violation(n=n, x=x, residual="off-grid lowering coefficient nonzero")
-                continue
-            rhs = lam * diag * u[x]
-            if x > 0:
-                rhs -= lam * drop * u[x - 1]
-            elif drop != 0:
-                report.add_violation(n=n, x=x, residual="off-grid [x]_q coefficient nonzero")
-                continue
-            if lhs != rhs:
-                report.add_violation(n=n, x=x, residual=frac_str(lhs - rhs))
+    problems, lhs_rows, rhs_rows = [], [], []
+    for x in range(N + 1):
+        up, stay, down = y_shift_coefficients(p, x)
+        diag, drop = qnum(p, x, -1), qpow(p, 0, -1) * qnum(p, x)
+        problems.append("off-grid raising coefficient nonzero" if x == N and up
+                        else "off-grid lowering coefficient nonzero" if x == 0 and down
+                        else "off-grid [x]_q coefficient nonzero" if x == 0 and drop else None)
+        (iu, istay, idown, idiag, idrop), e = over_common_denominator((up, stay, down, diag, drop))
+        lhs_rows.append(({y: a for y, a in ((x + 1, iu), (x, istay), (x - 1, idown))
+                          if 0 <= y <= N}, e))
+        rhs_rows.append(({y: a for y, a in ((x, idiag), (x - 1, -idrop)) if y >= 0}, e))
+    rows, den = inst.family_rows
+    for n, c in enumerate(rows):
+        resid = _residuals(_apply(lhs_rows, c), _apply(rhs_rows, c), inst.family.lambdas[n], den)
+        for x, (problem, r) in enumerate(zip(problems, resid)):
+            if problem:
+                report.add_violation(n=n, x=x, residual=problem)
+            elif r is not None:
+                report.add_violation(n=n, x=x, residual=frac_str(r))
     return report
 
 
-def _three_term(members: Sequence[GridVector], mu3: Sequence, n: int,
-                N: int) -> tuple[GridVector | None, str | None]:
-    """Combine mu-weighted neighbors of U_n, dropping absent members only
-    when their coefficient vanishes.  Returns (vector, problem)."""
+def _three_term(mu3: Sequence, n: int, cols: Sequence[Sequence[int]]):
+    """mu3[0] U_{n+1} + mu3[1] U_n + mu3[2] U_{n-1} at every x, as integer
+    pairs (numerator, E) over the family denominator; `cols[x]` holds the
+    family's integer values at x.  An absent member is dropped only when its
+    coefficient vanishes.  Returns (pairs, problem)."""
+    N = len(cols[0]) - 1
     raising, diag, lowering = mu3
-    out = diag * members[n]
-    if n < N:
-        out = out + raising * members[n + 1]
-    elif raising != 0:
+    if n == N and raising != 0:
         return None, "raising coefficient nonzero at n = N"
-    if n > 0:
-        out = out + lowering * members[n - 1]
-    elif lowering != 0:
+    if n == 0 and lowering != 0:
         return None, "lowering coefficient nonzero at n = 0"
-    return out, None
+    terms = {m: c for m, c in ((n + 1, raising), (n, diag), (n - 1, lowering)) if 0 <= m <= N}
+    ints, e = over_common_denominator(terms.values())
+    return [(sum(w * col[m] for m, w in zip(terms, ints)), e) for col in cols], None
 
 
 def check_recurrence(inst: Instance) -> CheckReport:
@@ -218,21 +240,23 @@ def check_recurrence(inst: Instance) -> CheckReport:
     """
     p = inst.p
     report = CheckReport(check="recurrence", params=p.as_dict())
-    fam = inst.family
+    rows, den = inst.family_rows
+    cols = list(zip(*rows))
+    brackets = [inst.ops["X"][x][x].as_integer_ratio() for x in range(p.N + 1)]  # [x-alpha]_q
     for n in range(p.N + 1):
         mu = mu_coefficients(n, p)
-        lhs, problem = _three_term(fam.members, (mu[1], mu[2], mu[3]), n, p.N)
+        lhs, problem = _three_term((mu[1], mu[2], mu[3]), n, cols)
         if problem:
             report.add_violation(n=n, residual=problem)
             continue
-        zside, problem = _three_term(fam.members, (mu[7], mu[8], mu[9]), n, p.N)
+        zside, problem = _three_term((mu[7], mu[8], mu[9]), n, cols)
         if problem:
             report.add_violation(n=n, residual=problem)
             continue
-        for x in range(p.N + 1):
-            rhs = -qnum(p, x, -1) * zside[x]
-            if lhs[x] != rhs:
-                report.add_violation(n=n, x=x, residual=frac_str(lhs[x] - rhs))
+        rhs = [(-xd * z, ex * e) for (z, e), (xd, ex) in zip(zside, brackets)]
+        for x, r in enumerate(_residuals(lhs, rhs, 1, den)):
+            if r is not None:
+                report.add_violation(n=n, x=x, residual=frac_str(r))
     return report
 
 
@@ -240,21 +264,17 @@ def check_tridiagonal_actions(inst: Instance) -> CheckReport:
     """X, Y, Z applied to U_n match their three-term mu expansions exactly."""
     p = inst.p
     report = CheckReport(check="tridiagonal_actions", params=p.as_dict())
-    fam = inst.family
+    rows, den = inst.family_rows
+    cols = list(zip(*rows))
     table = [mu_coefficients(n, p) for n in range(p.N + 1)]
     for name, labels in (("X", (1, 2, 3)), ("Y", (4, 5, 6)), ("Z", (7, 8, 9))):
-        op = inst.ops[name]
         for n in range(p.N + 1):
-            mu = table[n]
-            expansion, problem = _three_term(
-                fam.members, tuple(mu[ell] for ell in labels), n, p.N)
+            expansion, problem = _three_term(tuple(table[n][ell] for ell in labels), n, cols)
             if problem:
                 report.add_violation(op=name, n=n, residual=problem)
                 continue
-            resid = (op @ fam.members[n]) - expansion
-            if not resid.is_zero():
-                worst = max(abs(v) for v in resid)
-                report.add_violation(op=name, n=n, residual=frac_str(worst))
+            resid = _residuals(_apply(inst.op_rows[name], rows[n]), expansion, 1, den)
+            _flag_worst(report, resid, op=name, n=n)
     return report
 
 
@@ -274,23 +294,21 @@ def check_contiguity(inst: Instance) -> CheckReport:
         if issues:
             report.skipped = f"{tag} instance invalid for contiguity: " + "; ".join(issues)
             return report
-    fam = inst.family
-    fam_shift = Instance(shifted).family
+    rows, den = inst.family_rows
+    rows_shift, den_shift = Instance(shifted).family_rows
     scale = qnum(p, 0, -1)  # [-alpha]_q
     report.details["scale"] = frac_str(scale)
-    x_op, y_op, z_op = inst.ops["X"], inst.ops["Y"], inst.ops["Z"]
+    # both sides are compared over lcm(den, den_shift), which each lift completes
+    g = math.gcd(den, den_shift)
+    lift, lift_shift = den_shift // g, den // g
+    brackets = [inst.ops["X"][x][x].as_integer_ratio() for x in range(p.N + 1)]  # [x-alpha]_q
     for n in range(p.N + 1):
-        u, u_shift = fam.members[n], fam_shift.members[n]
-        lam = fam.lambdas[n]
-        resid_x = (x_op @ u) - scale * u_shift
-        if not resid_x.is_zero():
-            report.add_violation(op="X", n=n, residual=frac_str(max(abs(v) for v in resid_x)))
-        resid_y = (y_op @ u) - (scale * lam) * u_shift
-        if not resid_y.is_zero():
-            report.add_violation(op="Y", n=n, residual=frac_str(max(abs(v) for v in resid_y)))
-        zu = z_op @ u
-        for x in range(p.N + 1):
-            rhs = -scale / qnum(p, x, -1) * u_shift[x]
-            if zu[x] != rhs:
-                report.add_violation(op="Z", n=n, x=x, residual=frac_str(zu[x] - rhs))
+        image = {g: [(a * lift, e) for a, e in _apply(inst.op_rows[g], rows[n])] for g in "XYZ"}
+        u_shift = [(v * lift_shift, 1) for v in rows_shift[n]]
+        for name, factor in (("X", scale), ("Y", scale * inst.family.lambdas[n])):
+            _flag_worst(report, _residuals(image[name], u_shift, factor, den * lift), op=name, n=n)
+        rhs = [(-ex * v, xd) for (v, _), (xd, ex) in zip(u_shift, brackets)]
+        for x, r in enumerate(_residuals(image["Z"], rhs, scale, den * lift)):
+            if r is not None:
+                report.add_violation(op="Z", n=n, x=x, residual=frac_str(r))
     return report

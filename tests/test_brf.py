@@ -5,11 +5,11 @@ import pytest
 from qhahn import brf, linalg
 from qhahn.brf import (
     Instance,
+    bare_norm,
     brf_family,
     partner_scale,
     brf_partner,
     brf_u,
-    brf_u_recurrence,
     check_biorthogonality,
     check_partial_fractions,
     check_partner,
@@ -22,6 +22,7 @@ from qhahn.brf import (
     phi_expansion,
     reflected_params,
     u_prefactor,
+    weight_scale,
     weight_vector,
 )
 from qhahn.operators import GridVector, phi_function
@@ -50,10 +51,18 @@ def test_u1_frozen_values(canonical):
     ]
 
 
+def recurrence_u(n, p):
+    """Grid values of U_n summed over the rational basis phi_k with the
+    coefficients of `phi_expansion`: the route independent of `brf_u`."""
+    coeffs = phi_expansion(n, p)
+    return tuple(sum(c * phi_function(p, k, x) for k, c in enumerate(coeffs))
+                 for x in range(p.N + 1))
+
+
 def test_series_and_recurrence_routes_agree():
     for p in SMALL_PANEL:
         for n in range(p.N + 1):
-            assert brf_u(n, p).values == brf_u_recurrence(n, p).values
+            assert brf_u(n, p).values == recurrence_u(n, p)
 
 
 def test_family_eigenvalues_match_closed_form():
@@ -213,6 +222,17 @@ def test_norm_closed_form_matches_direct_sum():
         w = weight_vector(p)
         for n in range(p.N + 1):
             assert norm_h(n, p) == inner_product(brf_u(n, p), brf_partner(n, p), w)
+
+
+def test_norm_h_equals_the_product_with_the_weight_normalization():
+    # the weight normalization cancels the n-independent head of bare_norm,
+    # which norm_h therefore leaves out
+    for p in PANEL + [QParams(F(1, 2), F(-5), F(1, 7), 12)]:
+        assert weight_scale(p) * bare_norm(0, p.q, p.A, p.B, p.N) == 1
+        for n in range(p.N + 1):
+            assert norm_h(n, p) == (
+                partner_scale(p) * u_prefactor(n, p) * u_prefactor(n, reflected_params(p))
+                * weight_scale(p) * bare_norm(n, p.q, p.A, p.B, p.N))
 
 
 def direct_series_u(n, p):

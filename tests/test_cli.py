@@ -8,6 +8,7 @@ import pathlib
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from functools import cached_property
 from importlib import resources
 
 import pytest
@@ -171,14 +172,30 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
     built = counting("operator", build_operator)
     for module in (brf, gevp):
         monkeypatch.setattr(module, "build_operator", built)
+    for name in ("family_rows", "op_rows"):
+        rows = cached_property(counting(name, getattr(Instance, name).func))
+        rows.__set_name__(Instance, name)
+        monkeypatch.setattr(Instance, name, rows)
     reports = cli.SUITES["gevp"](MINIMAL, {})
     assert [r["status"] for r in reports] == ["pass"] * 6
     p = CANONICAL
-    assert [args for kind, args in calls if kind == "family"] == [
-        (p,), (QParams(p.q, p.q * p.A, p.B, p.N),)]
+    shifted = QParams(p.q, p.q * p.A, p.B, p.N)
+    assert [args for kind, args in calls if kind == "family"] == [(p,), (shifted,)]
     operators = Counter(args for kind, args in calls if kind == "operator")
     assert operators == Counter([(op, Basis.POINT, p) for op in Operator]
                                 + [(Operator(g), Basis.PHI, p) for g in "XYV"])
+    # the integer rows: the family's at both instances, the operators' at the base
+    assert [(kind, args[0].p) for kind, args in calls if kind.endswith("_rows")] == [
+        ("family_rows", p), ("op_rows", p), ("family_rows", shifted)]
+
+
+def test_gevp_suite_passes_on_a_generic_instance_at_n16():
+    # multi-word family values, which the panel's N <= 8 never reaches here
+    generic = {"instances": [{"q": "1/2", "A": "-5", "B": "1/7", "N": 16}]}
+    reports = cli.SUITES["gevp"](generic, {})
+    assert [(r["check"], r["status"]) for r in reports] == [
+        (check, "pass") for check in ("gevp", "factorization", "difference_equation",
+                                      "recurrence", "tridiagonal_actions", "contiguity")]
 
 
 def test_biortho_suite_takes_the_structured_kernels(monkeypatch):

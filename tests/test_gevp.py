@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qhahn import brf, gevp
-from qhahn.brf import Instance, brf_family, eigenvalue
+from qhahn.brf import BRFFamily, Instance, brf_family, eigenvalue
 from qhahn.gevp import (
     MuCoefficients,
     check_contiguity,
@@ -13,7 +15,9 @@ from qhahn.gevp import (
     check_tridiagonal_actions,
     mu_coefficients,
 )
-from qhahn.qcore import DegenerateDenominator, QParams, qnum, validate_params
+from qhahn.operators import GridVector, y_shift_coefficients
+from qhahn.qcore import DegenerateDenominator, QParams, frac_str, qnum, qpow, validate_params
+from qhahn.reports import CheckReport
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL
 
@@ -155,3 +159,227 @@ def test_recurrence_connects_neighbors(canonical):
         mu[7] * fam.members[2][x] + mu[8] * fam.members[1][x]
         + mu[9] * fam.members[0][x])
     assert lhs == rhs
+
+
+# The five banded checks as they were before their integer kernels: Fraction
+# mat-vecs and vector sums, kept as the oracles of the integer form.
+
+def fraction_gevp(inst):
+    p = inst.p
+    report = CheckReport(check="gevp", params=p.as_dict())
+    fam = inst.family
+    x_op, y_op = inst.ops["X"], inst.ops["Y"]
+    residuals = []
+    for n, u in enumerate(fam.members):
+        resid = (y_op @ u) - fam.lambdas[n] * (x_op @ u)
+        worst = max(abs(v) for v in resid)
+        residuals.append(frac_str(worst))
+        if not resid.is_zero():
+            report.add_violation(n=n, residual=frac_str(worst))
+    report.details["residuals"] = residuals
+    report.details["lambdas"] = [frac_str(v) for v in fam.lambdas]
+    return report
+
+
+def fraction_difference_equation(inst):
+    p = inst.p
+    report = CheckReport(check="difference_equation", params=p.as_dict())
+    fam = inst.family
+    coeffs = [(*y_shift_coefficients(p, x), qnum(p, x, -1), qpow(p, 0, -1) * qnum(p, x))
+              for x in range(p.N + 1)]
+    for n, u in enumerate(fam.members):
+        lam = fam.lambdas[n]
+        for x, (up, stay, down, diag, drop) in enumerate(coeffs):
+            lhs = stay * u[x]
+            if x < p.N:
+                lhs += up * u[x + 1]
+            elif up != 0:
+                report.add_violation(n=n, x=x, residual="off-grid raising coefficient nonzero")
+                continue
+            if x > 0:
+                lhs += down * u[x - 1]
+            elif down != 0:
+                report.add_violation(n=n, x=x, residual="off-grid lowering coefficient nonzero")
+                continue
+            rhs = lam * diag * u[x]
+            if x > 0:
+                rhs -= lam * drop * u[x - 1]
+            elif drop != 0:
+                report.add_violation(n=n, x=x, residual="off-grid [x]_q coefficient nonzero")
+                continue
+            if lhs != rhs:
+                report.add_violation(n=n, x=x, residual=frac_str(lhs - rhs))
+    return report
+
+
+def fraction_three_term(members, mu3, n, N):
+    raising, diag, lowering = mu3
+    out = diag * members[n]
+    if n < N:
+        out = out + raising * members[n + 1]
+    elif raising != 0:
+        return None, "raising coefficient nonzero at n = N"
+    if n > 0:
+        out = out + lowering * members[n - 1]
+    elif lowering != 0:
+        return None, "lowering coefficient nonzero at n = 0"
+    return out, None
+
+
+def fraction_recurrence(inst):
+    p = inst.p
+    report = CheckReport(check="recurrence", params=p.as_dict())
+    fam = inst.family
+    for n in range(p.N + 1):
+        mu = gevp.mu_coefficients(n, p)
+        lhs, problem = fraction_three_term(fam.members, (mu[1], mu[2], mu[3]), n, p.N)
+        if problem:
+            report.add_violation(n=n, residual=problem)
+            continue
+        zside, problem = fraction_three_term(fam.members, (mu[7], mu[8], mu[9]), n, p.N)
+        if problem:
+            report.add_violation(n=n, residual=problem)
+            continue
+        for x in range(p.N + 1):
+            rhs = -qnum(p, x, -1) * zside[x]
+            if lhs[x] != rhs:
+                report.add_violation(n=n, x=x, residual=frac_str(lhs[x] - rhs))
+    return report
+
+
+def fraction_tridiagonal_actions(inst):
+    p = inst.p
+    report = CheckReport(check="tridiagonal_actions", params=p.as_dict())
+    fam = inst.family
+    table = [gevp.mu_coefficients(n, p) for n in range(p.N + 1)]
+    for name, labels in (("X", (1, 2, 3)), ("Y", (4, 5, 6)), ("Z", (7, 8, 9))):
+        op = inst.ops[name]
+        for n in range(p.N + 1):
+            expansion, problem = fraction_three_term(
+                fam.members, tuple(table[n][ell] for ell in labels), n, p.N)
+            if problem:
+                report.add_violation(op=name, n=n, residual=problem)
+                continue
+            resid = (op @ fam.members[n]) - expansion
+            if not resid.is_zero():
+                report.add_violation(op=name, n=n, residual=frac_str(max(abs(v) for v in resid)))
+    return report
+
+
+def fraction_contiguity(inst):
+    p = inst.p
+    report = CheckReport(check="contiguity", params=p.as_dict())
+    shifted = QParams(p.q, p.q * p.A, p.B, p.N)
+    for params, tag in ((p, "base"), (shifted, "shifted")):
+        issues = validate_params(params, p.N).issues()
+        if issues:
+            report.skipped = f"{tag} instance invalid for contiguity: " + "; ".join(issues)
+            return report
+    fam = inst.family
+    fam_shift = Instance(shifted).family
+    scale = qnum(p, 0, -1)
+    report.details["scale"] = frac_str(scale)
+    x_op, y_op, z_op = inst.ops["X"], inst.ops["Y"], inst.ops["Z"]
+    for n in range(p.N + 1):
+        u, u_shift = fam.members[n], fam_shift.members[n]
+        lam = fam.lambdas[n]
+        resid_x = (x_op @ u) - scale * u_shift
+        if not resid_x.is_zero():
+            report.add_violation(op="X", n=n, residual=frac_str(max(abs(v) for v in resid_x)))
+        resid_y = (y_op @ u) - (scale * lam) * u_shift
+        if not resid_y.is_zero():
+            report.add_violation(op="Y", n=n, residual=frac_str(max(abs(v) for v in resid_y)))
+        zu = z_op @ u
+        for x in range(p.N + 1):
+            rhs = -scale / qnum(p, x, -1) * u_shift[x]
+            if zu[x] != rhs:
+                report.add_violation(op="Z", n=n, x=x, residual=frac_str(zu[x] - rhs))
+    return report
+
+
+BANDED = [
+    (check_gevp, fraction_gevp),
+    (check_difference_equation, fraction_difference_equation),
+    (check_recurrence, fraction_recurrence),
+    (check_tridiagonal_actions, fraction_tridiagonal_actions),
+    (check_contiguity, fraction_contiguity),
+]
+
+
+def bumped_family(target, n_bump, x_bump, delta):
+    """brf_family with U_n(x) + delta at the target instance only."""
+    good = brf.brf_family
+
+    def family(p):
+        fam = good(p)
+        if p != target:
+            return fam
+        members = list(fam.members)
+        values = list(members[n_bump].values)
+        values[x_bump] += delta
+        members[n_bump] = GridVector(tuple(values), p)
+        return BRFFamily(params=p, members=tuple(members), lambdas=fam.lambdas)
+
+    return family
+
+
+QS = [F(1, 2), F(-1, 2), F(2), F(2, 3), F(3, 2), F(-3)]
+
+
+@st.composite
+def banded_cases(draw):
+    """A guard-valid instance with A, B signed powers of q (where coefficients
+    vanish) or small rationals, and one family entry bumped, or none."""
+    q = draw(st.sampled_from(QS))
+    base = st.one_of(
+        st.builds(lambda s, e: s * q**e, st.sampled_from([1, -1]), st.integers(-6, 6)),
+        st.fractions(min_value=-7, max_value=7, max_denominator=7).filter(bool))
+    p = QParams(q, draw(base), draw(base), draw(st.integers(0, 5)))
+    assume(validate_params(p, p.N).valid)
+    bump = None
+    if draw(st.booleans()):
+        bump = (draw(st.integers(0, p.N)), draw(st.integers(0, p.N)),
+                draw(st.sampled_from([1, -1, F(1, 7), F(-5, 3)])))
+    return p, bump
+
+
+@settings(max_examples=80, deadline=None)
+@given(banded_cases())
+def test_integer_checks_report_as_the_fraction_checks(case):
+    p, bump = case
+    with pytest.MonkeyPatch.context() as mp:
+        if bump:
+            mp.setattr(brf, "brf_family", bumped_family(p, *bump))
+        inst = Instance(p)
+        for check, oracle in BANDED:
+            assert check(inst).as_dict() == oracle(inst).as_dict()
+
+
+def test_each_banded_check_catches_a_bumped_family_value(canonical, monkeypatch):
+    n_bump, x_bump = 2, 1
+    monkeypatch.setattr(brf, "brf_family", bumped_family(canonical, n_bump, x_bump, F(1, 1000)))
+    inst = Instance(canonical)
+    for check, _ in BANDED:
+        report = check(inst)
+        assert report.status == "fail", report.check
+        assert n_bump in {v["n"] for v in report.violations}, report.check
+        with_x = [v["x"] for v in report.violations if "x" in v]
+        assert not with_x or x_bump in with_x, report.check
+    # the x-resolved reports name the bumped point and only the rows it enters
+    assert {(v["n"], v["x"]) for v in check_recurrence(inst).violations} == {
+        (n, x_bump) for n in (n_bump - 1, n_bump, n_bump + 1)}
+    assert {v["n"] for v in check_contiguity(inst).violations} == {n_bump}
+    assert ("Z", n_bump, x_bump) in {
+        (v["op"], v["n"], v.get("x")) for v in check_contiguity(inst).violations}
+
+
+def test_passing_entries_build_no_fraction_residual(monkeypatch):
+    # a passing (n, x) is an integer comparison: the residual Fraction is
+    # built only for a violating entry
+    def no_residual(*args):
+        raise AssertionError("a residual Fraction was built on a passing entry")
+
+    monkeypatch.setattr(gevp, "Fraction", no_residual)
+    for p in PANEL:
+        for check, _ in BANDED:
+            assert check(Instance(p)).status == "pass"
