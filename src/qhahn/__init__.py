@@ -39,9 +39,7 @@ from .operators import (
     OpMatrix,
     Operator,
     basis_change,
-    build_adjoint_operator,
     build_operator,
-    identity_matrix,
     phi_function,
     weighted_adjoint,
 )
@@ -52,7 +50,6 @@ from .brf import (
     brf_partner,
     brf_u,
     eigenvalue,
-    inner_product,
     norm_h,
     partial_fraction,
     partner_family,

@@ -206,7 +206,6 @@ class StructureConstants:
     xi: tuple[Fraction, ...]
     gamma: tuple[Fraction, ...]
     eta: tuple[Fraction, ...]
-    params: QParams
 
 
 def structure_constants(p: QParams) -> StructureConstants:
@@ -249,7 +248,6 @@ def structure_constants(p: QParams) -> StructureConstants:
         xi=(xi0, xi1, xi2, xi3, xi4, xi5, xi6, xi7, xi8),
         gamma=(g1, g2, g3, g4, g5),
         eta=(e0, e1, e2, e3),
-        params=p,
     )
 
 

@@ -66,7 +66,6 @@ __all__ = [
     "brf_family",
     "partner_family",
     "Instance",
-    "inner_product",
     "bare_norm",
     "norm_h",
     "partial_fraction",
@@ -199,7 +198,6 @@ def brf_partner(m: int, p: QParams) -> GridVector:
 class BRFFamily:
     """All members U_0..U_N with their eigenvalues, for one instance."""
 
-    params: QParams
     members: tuple[GridVector, ...]
     lambdas: tuple[Fraction, ...]
 
@@ -207,7 +205,7 @@ class BRFFamily:
 def brf_family(p: QParams) -> BRFFamily:
     members = tuple(brf_u(n, p) for n in range(p.N + 1))
     lambdas = tuple(eigenvalue(n, p) for n in range(p.N + 1))
-    return BRFFamily(params=p, members=members, lambdas=lambdas)
+    return BRFFamily(members=members, lambdas=lambdas)
 
 
 def partner_family(p: QParams) -> tuple[GridVector, ...]:
@@ -218,8 +216,9 @@ def partner_family(p: QParams) -> tuple[GridVector, ...]:
 class Instance:
     """One instance and the objects its checks share, each built on first use.
 
-    The builders are called through this module's globals, so a substitute
-    installed there (a test's monkeypatch, a tracer) is what gets cached.
+    The builders are called through their modules' globals, looked up at
+    call time, so a substitute installed there (a test's monkeypatch, a
+    tracer) is what gets cached.
     """
 
     p: QParams
@@ -242,6 +241,13 @@ class Instance:
         return {op.value: build_operator(op, Basis.POINT, self.p) for op in Operator}
 
     @cached_property
+    def mu(self) -> tuple:
+        """The mu table: mu[n] is `gevp.mu_coefficients(n, p)` for n = 0..N."""
+        from . import gevp  # gevp imports this module
+
+        return tuple(gevp.mu_coefficients(n, self.p) for n in range(self.p.N + 1))
+
+    @cached_property
     def family_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(rows, d): the family over one common denominator, U_n(x) = rows[n][x] / d."""
         n1 = self.p.N + 1
@@ -260,13 +266,6 @@ class Instance:
                 ints, e = over_common_denominator(entries.values())
                 out[g].append((dict(zip(entries, ints)), e))
         return out
-
-
-def inner_product(f: GridVector, g: GridVector, w: GridVector) -> Fraction:
-    """(f, g)_w = sum_x w_x f(x) g(x), exactly."""
-    if len(f) != len(g) or len(f) != len(w):
-        raise QHahnError("inner product operands live on different grids")
-    return sum(w[x] * f[x] * g[x] for x in range(len(f)))
 
 
 def bare_norm(n: int, q, A, B, N: int):
@@ -394,9 +393,7 @@ def check_partner(inst: Instance) -> CheckReport:
     p = inst.p
     report = CheckReport(check="partner", params=p.as_dict())
     xs, ys, vs = (weighted_adjoint(inst.ops[g], inst.weight) for g in "XYV")
-    for m in range(p.N + 1):
-        lam = eigenvalue(m, p)
-        pm = inst.partners[m]
+    for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners)):
         resid = (vs @ pm) - lam * pm
         if not resid.is_zero():
             report.add_violation(m=m, kind="eigen", residual=frac_str(max(abs(v) for v in resid)))

@@ -9,10 +9,10 @@ actions of X, Y, Z on the U_n basis with the mu coefficient table.
 The factorization Y = X V of the pencil is checked here too, in both
 bases.
 
-The five banded checks run on `Instance.family_rows` and `Instance.op_rows`:
-each identity at (n, x) is an integer band product compared cross-multiplied
-with its Fraction coefficients, and only a violating entry builds its
-Fraction residual.
+The five banded checks run on `Instance.family_rows`, `Instance.op_rows`
+and the `Instance.mu` table: each identity at (n, x) is an integer band
+product compared cross-multiplied with its Fraction coefficients, and only
+a violating entry builds its Fraction residual.
 
 Boundary convention: values off the grid (U_n at x = -1 or x = N+1, and
 family members U_{-1}, U_{N+1}) never enter because their coefficients
@@ -71,8 +71,6 @@ class MuCoefficients:
     """
 
     mu: tuple
-    params: QParams
-    n: int
 
     def __getitem__(self, ell: int):
         """1-based accessor matching the superscript labels (1..9)."""
@@ -121,7 +119,7 @@ def mu_coefficients(n: int, p: QParams) -> MuCoefficients:
     mu3 = -qnum(p, N - n, 0, -1) * mu9
     lam = eigenvalue(n, p)
     mu = (mu1, mu2, mu3, lam * mu1, lam * mu2, lam * mu3, mu7, mu8, mu9)
-    return MuCoefficients(mu=mu, params=p, n=n)
+    return MuCoefficients(mu)
 
 
 def _apply(op_rows, c) -> list[tuple[int, int]]:
@@ -148,19 +146,20 @@ def _flag_worst(report: CheckReport, resid: list, **where) -> str:
     return frac_str(worst)
 
 
+def _pencil_residuals(inst: Instance) -> list[list]:
+    """The `_residuals` of Y U_n = lambda_n X U_n for each n, on the rows of
+    `Instance.op_rows`."""
+    rows, den = inst.family_rows
+    return [_residuals(_apply(inst.op_rows["Y"], c), _apply(inst.op_rows["X"], c), lam, den)
+            for c, lam in zip(rows, inst.family.lambdas)]
+
+
 def check_gevp(inst: Instance) -> CheckReport:
     """Y U_n = lambda_n X U_n with exactly zero residual for every n."""
-    p = inst.p
-    report = CheckReport(check="gevp", params=p.as_dict())
-    fam = inst.family
-    rows, den = inst.family_rows
-    residuals = []
-    for n, c in enumerate(rows):
-        resid = _residuals(_apply(inst.op_rows["Y"], c), _apply(inst.op_rows["X"], c),
-                           fam.lambdas[n], den)
-        residuals.append(_flag_worst(report, resid, n=n))
-    report.details["residuals"] = residuals
-    report.details["lambdas"] = [frac_str(v) for v in fam.lambdas]
+    report = CheckReport(check="gevp", params=inst.p.as_dict())
+    report.details["residuals"] = [_flag_worst(report, resid, n=n)
+                                   for n, resid in enumerate(_pencil_residuals(inst))]
+    report.details["lambdas"] = [frac_str(v) for v in inst.family.lambdas]
     return report
 
 
@@ -190,24 +189,23 @@ def check_difference_equation(inst: Instance) -> CheckReport:
     """Three-term difference equation in x for every (n, x), exactly.
 
     A_1(x) U_n(x+1) + A_0(x) U_n(x) + A_2(x) U_n(x-1)
-      = lambda_n ([x-alpha]_q U_n(x) - q^{-alpha} [x]_q U_n(x-1)).
+      = lambda_n ([x-alpha]_q U_n(x) - q^{-alpha} [x]_q U_n(x-1)),
+
+    row x of Y U_n = lambda_n X U_n, as in `check_gevp`, with a violation
+    per (n, x).  A matrix row cannot show a coefficient that would reach off
+    the grid, so those three are read from their formulas and must vanish:
+    A_1 at x = N, A_2 and q^{-alpha} [x]_q at x = 0.
     """
     p, N = inst.p, inst.p.N
     report = CheckReport(check="difference_equation", params=p.as_dict())
-    problems, lhs_rows, rhs_rows = [], [], []
-    for x in range(N + 1):
-        up, stay, down = y_shift_coefficients(p, x)
-        diag, drop = qnum(p, x, -1), qpow(p, 0, -1) * qnum(p, x)
-        problems.append("off-grid raising coefficient nonzero" if x == N and up
-                        else "off-grid lowering coefficient nonzero" if x == 0 and down
-                        else "off-grid [x]_q coefficient nonzero" if x == 0 and drop else None)
-        (iu, istay, idown, idiag, idrop), e = over_common_denominator((up, stay, down, diag, drop))
-        lhs_rows.append(({y: a for y, a in ((x + 1, iu), (x, istay), (x - 1, idown))
-                          if 0 <= y <= N}, e))
-        rhs_rows.append(({y: a for y, a in ((x, idiag), (x - 1, -idrop)) if y >= 0}, e))
-    rows, den = inst.family_rows
-    for n, c in enumerate(rows):
-        resid = _residuals(_apply(lhs_rows, c), _apply(rhs_rows, c), inst.family.lambdas[n], den)
+    problems = [None] * (N + 1)
+    if qpow(p, 0, -1) * qnum(p, 0):
+        problems[0] = "off-grid [x]_q coefficient nonzero"
+    if y_shift_coefficients(p, 0)[2]:
+        problems[0] = "off-grid lowering coefficient nonzero"
+    if y_shift_coefficients(p, N)[0]:
+        problems[N] = "off-grid raising coefficient nonzero"
+    for n, resid in enumerate(_pencil_residuals(inst)):
         for x, (problem, r) in enumerate(zip(problems, resid)):
             if problem:
                 report.add_violation(n=n, x=x, residual=problem)
@@ -243,8 +241,7 @@ def check_recurrence(inst: Instance) -> CheckReport:
     rows, den = inst.family_rows
     cols = list(zip(*rows))
     brackets = [inst.ops["X"][x][x].as_integer_ratio() for x in range(p.N + 1)]  # [x-alpha]_q
-    for n in range(p.N + 1):
-        mu = mu_coefficients(n, p)
+    for n, mu in enumerate(inst.mu):
         lhs, problem = _three_term((mu[1], mu[2], mu[3]), n, cols)
         if problem:
             report.add_violation(n=n, residual=problem)
@@ -262,14 +259,12 @@ def check_recurrence(inst: Instance) -> CheckReport:
 
 def check_tridiagonal_actions(inst: Instance) -> CheckReport:
     """X, Y, Z applied to U_n match their three-term mu expansions exactly."""
-    p = inst.p
-    report = CheckReport(check="tridiagonal_actions", params=p.as_dict())
+    report = CheckReport(check="tridiagonal_actions", params=inst.p.as_dict())
     rows, den = inst.family_rows
     cols = list(zip(*rows))
-    table = [mu_coefficients(n, p) for n in range(p.N + 1)]
     for name, labels in (("X", (1, 2, 3)), ("Y", (4, 5, 6)), ("Z", (7, 8, 9))):
-        for n in range(p.N + 1):
-            expansion, problem = _three_term(tuple(table[n][ell] for ell in labels), n, cols)
+        for n, mu in enumerate(inst.mu):
+            expansion, problem = _three_term(tuple(mu[ell] for ell in labels), n, cols)
             if problem:
                 report.add_violation(op=name, n=n, residual=problem)
                 continue

@@ -28,7 +28,6 @@ from . import linalg
 from .qcore import (
     DimensionMismatch,
     PoleOnGrid,
-    QHahnError,
     QParams,
     ZeroWeight,
     qnum,
@@ -46,7 +45,6 @@ __all__ = [
     "y_shift_coefficients",
     "nu_coefficients",
     "build_operator",
-    "build_adjoint_operator",
     "basis_change",
     "weighted_adjoint",
 ]
@@ -165,10 +163,6 @@ class OpMatrix:
 
     def max_abs(self):
         return linalg.max_abs(self.entries)
-
-
-def identity_matrix(p: QParams) -> OpMatrix:
-    return OpMatrix(linalg.identity(p.N + 1, p.q**0), Basis.POINT, p)
 
 
 def phi_function(p: QParams, n: int, x: int):
@@ -353,50 +347,3 @@ def weighted_adjoint(m: OpMatrix, w: GridVector) -> OpMatrix:
             if m[c][r]:
                 out[r][c] = w[c] * m[c][r] / w[r]
     return OpMatrix(out, Basis.POINT, m.params)
-
-
-def build_adjoint_operator(which: Operator, p: QParams) -> OpMatrix:
-    """Closed-form point-basis adjoints of X, Y, Z (used as test oracles)."""
-    n1 = p.N + 1
-    N = p.N
-    m = linalg.zeros(n1, n1)
-    if which is Operator.X:
-        for x in range(n1):
-            m[x][x] = qnum(p, x, -1)
-            if x < N:
-                m[x][x + 1] = (
-                    -qpow(p, 1, -1, 1)
-                    * qnum(p, x - N)
-                    * qnum(p, x + 1, -1)
-                    / qnum(p, x - N + 2, -1, 1)
-                )
-    elif which is Operator.Z:
-        for x in range(n1):
-            m[x][x] = -p.q**0
-            if x < N:
-                m[x][x + 1] = qpow(p, 1, -1, 1) * qnum(p, x - N) / qnum(p, x - N + 2, -1, 1)
-    elif which is Operator.Y:
-        for x in range(n1):
-            _, stay, _ = y_shift_coefficients(p, x)
-            m[x][x] = stay
-            if x > 0:
-                up_prev, _, _ = y_shift_coefficients(p, x - 1)
-                m[x][x - 1] = (
-                    qpow(p, -1, 0, -1)
-                    * qnum(p, x)
-                    * qnum(p, x - N + 1, -1, 1)
-                    / (qnum(p, x - N - 1) * qnum(p, x, -1))
-                    * up_prev
-                )
-            if x < N:
-                _, _, down_next = y_shift_coefficients(p, x + 1)
-                m[x][x + 1] = (
-                    qpow(p, 1, 0, 1)
-                    * qnum(p, x - N)
-                    * qnum(p, x + 1, -1)
-                    / (qnum(p, x + 1) * qnum(p, x - N + 2, -1, 1))
-                    * down_next
-                )
-    else:
-        raise QHahnError("no closed-form adjoint is provided for V")
-    return OpMatrix(m, Basis.POINT, p)

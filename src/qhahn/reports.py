@@ -14,6 +14,8 @@ from typing import Sequence
 
 from .qcore import frac_str, over_common_denominator
 
+__all__ = ["CheckReport", "check_gram"]
+
 
 @dataclass
 class CheckReport:

@@ -70,7 +70,7 @@ def test_c04_bispectral_pair_with_negative_controls(monkeypatch):
         def bumped(n, q):
             mu = list(mu_coefficients(n, q).mu)
             mu[7] += 1 if n == 1 else 0
-            return gevp.MuCoefficients(tuple(mu), q, n)
+            return gevp.MuCoefficients(tuple(mu))
 
         m.setattr(gevp, "mu_coefficients", bumped)
         ok = ok and gevp.check_recurrence(Instance(p)).status == "fail"

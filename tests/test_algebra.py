@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhahn import algebra
+from qhahn import algebra, linalg
 from qhahn.algebra import (
     NCPoly,
     casimir_meta,
@@ -27,7 +27,7 @@ from qhahn.algebra import (
     structure_constants,
 )
 from qhahn.brf import Instance
-from qhahn.operators import Basis, Operator, build_operator, identity_matrix
+from qhahn.operators import Basis, Operator, OpMatrix, build_operator
 from qhahn.qcore import QHahnError, qnum, qpow
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL
@@ -114,9 +114,10 @@ CANONICAL_MATS = {g.value: build_operator(g, Basis.POINT, CANONICAL) for g in Op
 @given(prefix_closed_polys)
 @settings(max_examples=30, deadline=None)
 def test_evaluate_poly_equals_an_identity_started_fold(poly):
-    acc = 0 * identity_matrix(CANONICAL)
+    identity = OpMatrix(linalg.identity(CANONICAL.N + 1, CANONICAL.q**0), Basis.POINT, CANONICAL)
+    acc = 0 * identity
     for word, coeff in poly.terms.items():
-        prod = identity_matrix(CANONICAL)
+        prod = identity
         for letter in word:
             prod = prod @ CANONICAL_MATS[letter]
         acc = acc + coeff * prod
@@ -288,6 +289,20 @@ def test_potentials_give_relations_with_unit_scale():
             report = check(Instance(p))
             assert report.status == "pass"
             assert set(report.details["scales"].values()) == {"-1/1"}
+
+
+@pytest.mark.parametrize("name, check, word", [
+    ("potential_rqhahn", check_potential_rqhahn, "XXY"),
+    ("potential_meta", check_potential_meta, "XVV"),
+])
+def test_potential_catches_an_extra_word(canonical, monkeypatch, name, check, word):
+    # one extra cyclic word puts a stray word into two derivatives
+    good = getattr(algebra, name)
+    monkeypatch.setattr(algebra, name, lambda p: good(p) + NCPoly.cyclic_word(word))
+    report = check(Instance(canonical))
+    assert report.status == "fail"
+    assert len(report.violations) == 2
+    assert all(v["word"] and v["residual"] == "1/1" for v in report.violations)
 
 
 def test_potential_words_are_cyclic(canonical):

@@ -15,7 +15,6 @@ from qhahn.brf import (
     check_partner,
     check_weight,
     eigenvalue,
-    inner_product,
     norm_h,
     partial_fraction,
     partner_family,
@@ -38,6 +37,11 @@ from qhahn.qcore import (
 )
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL
+
+
+def inner_product(f, g, w):
+    """(f, g)_w = sum_x w_x f(x) g(x), the direct pairing."""
+    return sum(w[x] * f[x] * g[x] for x in range(len(w)))
 
 
 def test_u0_is_constant_one():
@@ -86,6 +90,22 @@ def test_weight_reflection_pointwise(canonical):
     refl = weight_vector(reflected_params(canonical))
     for x in range(canonical.N + 1):
         assert w[x] == refl[canonical.N - x]
+
+
+def test_weight_catches_swapped_values(canonical, monkeypatch):
+    # w_0 and w_1 swapped at both instances keeps the total but breaks the
+    # reflection at every grid point
+    good = brf.weight_vector
+
+    def swapped(p):
+        w = list(good(p))
+        w[0], w[1] = w[1], w[0]
+        return GridVector(tuple(w), p)
+
+    monkeypatch.setattr(brf, "weight_vector", swapped)
+    report = check_weight(Instance(canonical))
+    assert report.details["total"] == "1/1"
+    assert [v["x"] for v in report.violations] == [0, 1, 2, 3]
 
 
 def test_weight_frozen_head(canonical):
@@ -158,6 +178,31 @@ def test_norms_frozen_and_nonzero(canonical):
 def test_partner_is_reflected_family():
     for p in SMALL_PANEL:
         assert check_partner(Instance(p)).status == "pass"
+
+
+def test_partner_catches_a_mixed_partner(canonical, monkeypatch):
+    # partner_2 + partner_1 is no eigenvector of V*, and X* of the kernel is
+    # not proportional to it
+    good = brf.partner_family
+
+    def mixed(p):
+        partners = list(good(p))
+        partners[2] = partners[2] + partners[1]
+        return tuple(partners)
+
+    monkeypatch.setattr(brf, "partner_family", mixed)
+    report = check_partner(Instance(canonical))
+    assert [(v["m"], v["kind"]) for v in report.violations] == [(2, "eigen"), (2, "collinearity")]
+
+
+def test_partner_catches_a_wrong_eigenvalue(canonical, monkeypatch):
+    # lambda_2 + 1 is no eigenvalue: V* partner_2 misses it, and the pencil
+    # Y* - lambda X* has a trivial kernel
+    good = brf.eigenvalue
+    monkeypatch.setattr(brf, "eigenvalue", lambda n, p: good(n, p) + (1 if n == 2 else 0))
+    report = check_partner(Instance(canonical))
+    assert [(v["m"], v["kind"]) for v in report.violations] == [(2, "eigen"), (2, "kernel")]
+    assert report.violations[1]["residual"] == "dimension 0"
 
 
 def test_partner_values_from_reflection(canonical):

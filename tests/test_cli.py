@@ -169,6 +169,7 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(brf, "brf_family", counting("family", brf.brf_family))
+    monkeypatch.setattr(gevp, "mu_coefficients", counting("mu", gevp.mu_coefficients))
     built = counting("operator", build_operator)
     for module in (brf, gevp):
         monkeypatch.setattr(module, "build_operator", built)
@@ -187,6 +188,8 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
     # the integer rows: the family's at both instances, the operators' at the base
     assert [(kind, args[0].p) for kind, args in calls if kind.endswith("_rows")] == [
         ("family_rows", p), ("op_rows", p), ("family_rows", shifted)]
+    # one mu table, shared by the recurrence and the tridiagonal actions
+    assert [args for kind, args in calls if kind == "mu"] == [(n, p) for n in range(p.N + 1)]
 
 
 def test_gevp_suite_passes_on_a_generic_instance_at_n16():

@@ -67,6 +67,26 @@ def test_difference_equation_detects_wrong_eigenvalue(canonical, monkeypatch):
     assert {v["n"] for v in report.violations} == {2}
 
 
+@pytest.mark.parametrize("slot, x, problem", [
+    (0, 3, "off-grid raising coefficient nonzero"),
+    (2, 0, "off-grid lowering coefficient nonzero"),
+])
+def test_difference_equation_reads_the_off_grid_coefficients(canonical, monkeypatch,
+                                                             slot, x, problem):
+    # no matrix row holds the coefficient of U_n(N+1) or U_n(-1): the check
+    # reads it from its formula, so a nonzero one fails every n at that x
+    good = gevp.y_shift_coefficients
+
+    def reaching(p, at):
+        coeffs = list(good(p, at))
+        coeffs[slot] += at == x
+        return tuple(coeffs)
+
+    monkeypatch.setattr(gevp, "y_shift_coefficients", reaching)
+    report = check_difference_equation(Instance(canonical))
+    assert report.violations == [{"n": n, "x": x, "residual": problem} for n in range(4)]
+
+
 def _tamper_mu(monkeypatch, n_tamper, slot, delta):
     good = gevp.mu_coefficients
 
@@ -76,7 +96,7 @@ def _tamper_mu(monkeypatch, n_tamper, slot, delta):
             return mu
         bumped = list(mu.mu)
         bumped[slot] += delta
-        return MuCoefficients(tuple(bumped), p, n)
+        return MuCoefficients(tuple(bumped))
 
     monkeypatch.setattr(gevp, "mu_coefficients", tampered)
 
@@ -318,7 +338,7 @@ def bumped_family(target, n_bump, x_bump, delta):
         values = list(members[n_bump].values)
         values[x_bump] += delta
         members[n_bump] = GridVector(tuple(values), p)
-        return BRFFamily(params=p, members=tuple(members), lambdas=fam.lambdas)
+        return BRFFamily(members=tuple(members), lambdas=fam.lambdas)
 
     return family
 

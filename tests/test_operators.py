@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhahn import linalg
+from qhahn import brf, linalg
 from qhahn.brf import Instance, brf_family, eigenvalue, weight_vector
 from qhahn.gevp import check_factorization
 from qhahn.operators import (
@@ -14,10 +14,9 @@ from qhahn.operators import (
     OpMatrix,
     PoleOnGrid,
     basis_change,
-    build_adjoint_operator,
     build_operator,
-    identity_matrix,
     phi_function,
+    y_shift_coefficients,
     weighted_adjoint,
 )
 from qhahn.qcore import QParams, qnum, qpow
@@ -94,6 +93,26 @@ def test_factorization_exact_everywhere():
         assert check_factorization(Instance(p)).status == "pass"
 
 
+def test_factorization_catches_a_bumped_v_entry(canonical, monkeypatch):
+    # the shared point-basis V with V[2][0] + 1/1000: X V = Y and the
+    # forward substitution fail there, while the phi basis, built apart, holds
+    good = brf.build_operator
+
+    def bumped(which, basis, p):
+        m = good(which, basis, p)
+        if (which, basis) != (Operator.V, Basis.POINT):
+            return m
+        rows = m.rows()
+        rows[2][0] += F(1, 1000)
+        return OpMatrix(rows, basis, p)
+
+    monkeypatch.setattr(brf, "build_operator", bumped)
+    report = check_factorization(Instance(canonical))
+    assert [v["basis"] for v in report.violations] == ["point", "point"]
+    assert report.violations[1]["residual"] == "forward substitution mismatch"
+    assert report.details["phi_residual"] == "0/1"
+
+
 def test_factorization_direct_product(canonical):
     for basis in (Basis.POINT, Basis.PHI):
         x = build_operator(Operator.X, basis, canonical)
@@ -103,7 +122,7 @@ def test_factorization_direct_product(canonical):
 
 
 def test_identity_is_neutral(canonical):
-    ident = identity_matrix(canonical)
+    ident = OpMatrix(linalg.identity(canonical.N + 1, canonical.q**0), Basis.POINT, canonical)
     z = build_operator(Operator.Z, Basis.POINT, canonical)
     assert (ident @ z).entries == z.entries
     assert (z @ ident).entries == z.entries
@@ -139,13 +158,39 @@ def test_weighted_adjoint_pairing_contract():
                 assert lhs == rhs
 
 
+def closed_form_adjoint(which, p):
+    """Closed-form point-basis weighted adjoint of X, Y or Z."""
+    n1, N = p.N + 1, p.N
+    m = linalg.zeros(n1, n1)
+    for x in range(n1):
+        if which is Operator.X:
+            m[x][x] = qnum(p, x, -1)
+            if x < N:
+                m[x][x + 1] = (-qpow(p, 1, -1, 1) * qnum(p, x - N) * qnum(p, x + 1, -1)
+                               / qnum(p, x - N + 2, -1, 1))
+        elif which is Operator.Z:
+            m[x][x] = -p.q**0
+            if x < N:
+                m[x][x + 1] = qpow(p, 1, -1, 1) * qnum(p, x - N) / qnum(p, x - N + 2, -1, 1)
+        else:
+            m[x][x] = y_shift_coefficients(p, x)[1]
+            if x > 0:
+                m[x][x - 1] = (qpow(p, -1, 0, -1) * qnum(p, x) * qnum(p, x - N + 1, -1, 1)
+                               / (qnum(p, x - N - 1) * qnum(p, x, -1))
+                               * y_shift_coefficients(p, x - 1)[0])
+            if x < N:
+                m[x][x + 1] = (qpow(p, 1, 0, 1) * qnum(p, x - N) * qnum(p, x + 1, -1)
+                               / (qnum(p, x + 1) * qnum(p, x - N + 2, -1, 1))
+                               * y_shift_coefficients(p, x + 1)[2])
+    return m
+
+
 def test_closed_form_adjoints_match():
     for p in SMALL_PANEL:
         w = weight_vector(p)
         for op in (Operator.X, Operator.Y, Operator.Z):
             direct = weighted_adjoint(build_operator(op, Basis.POINT, p), w)
-            closed = build_adjoint_operator(op, p)
-            assert direct.entries == closed.entries
+            assert direct.rows() == closed_form_adjoint(op, p)
 
 
 def test_operators_act_on_family_members(canonical):
