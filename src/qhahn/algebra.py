@@ -413,12 +413,22 @@ def check_casimir_rqhahn(inst: Instance) -> CheckReport:
     return report
 
 
+def _casimir_meta_value(p: QParams):
+    """The scalar the meta Casimir takes in the grid realization,
+    q^{-N-alpha+beta} [alpha]_q - [-alpha]_q [beta-alpha]_q - [1-alpha+beta]_q."""
+    return (qpow(p, -p.N, -1, 1) * qnum(p, 0, 1) - qnum(p, 0, -1) * qnum(p, 0, -1, 1)
+            - qnum(p, 1, -1, 1))
+
+
 def check_casimir_meta(inst: Instance) -> CheckReport:
-    """The meta Casimir commutes with X, V and Z and is a scalar matrix; its
-    value has no closed form here and is only recorded, as the diagonal."""
-    report, _ = _casimir_report("casimir_meta", inst, casimir_meta(inst.p), "XVZ")
+    """The meta Casimir commutes with X, V and Z and is a scalar matrix, the
+    scalar `_casimir_meta_value`; the diagonal is recorded."""
+    report, q_mat = _casimir_report("casimir_meta", inst, casimir_meta(inst.p), "XVZ")
+    value = _casimir_meta_value(inst.p)
     if not report.details["is_scalar"]:
         report.add_violation(claim="scalar", residual="not a scalar matrix")
+    elif q_mat[0][0] != value:
+        report.add_violation(claim="value", residual=frac_str(abs(q_mat[0][0] - value)))
     return report
 
 

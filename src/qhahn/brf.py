@@ -403,20 +403,12 @@ def check_partner(inst: Instance) -> CheckReport:
         if len(kernel) != 1:
             report.add_violation(m=m, kind="kernel", residual=f"dimension {len(kernel)}")
             continue
-        image = GridVector(tuple(linalg.mat_vec(xs.entries, kernel[0])), p)
-        # collinearity: image = c * partner_m for a single nonzero constant
-        ratio = None
-        ok = True
-        for x in range(p.N + 1):
-            if pm[x] == 0:
-                ok = ok and image[x] == 0
-                continue
-            r = image[x] / pm[x]
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                ok = False
-        if not ok or ratio is None or ratio == 0:
+        image = linalg.mat_vec(xs.entries, kernel[0])
+        # collinearity: image = r partner_m, r read at partner_m's first
+        # nonzero entry; r = 0 also when partner_m is zero
+        x0 = next((x for x, v in enumerate(pm) if v), None)
+        r = 0 if x0 is None else image[x0] / pm[x0]
+        if r == 0 or image != [r * v for v in pm]:
             report.add_violation(m=m, kind="collinearity", residual="not proportional")
     return report
 

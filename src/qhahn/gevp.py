@@ -28,12 +28,7 @@ from typing import Sequence
 
 from . import linalg
 from .brf import Instance
-from .operators import (
-    Basis,
-    Operator,
-    build_operator,
-    y_shift_coefficients,
-)
+from .operators import Basis, Operator, band_coefficients, build_operator
 from .qcore import (
     DegenerateDenominator,
     InvalidParams,
@@ -193,17 +188,18 @@ def check_difference_equation(inst: Instance) -> CheckReport:
 
     row x of Y U_n = lambda_n X U_n, as in `check_gevp`, with a violation
     per (n, x).  A matrix row cannot show a coefficient that would reach off
-    the grid, so those three are read from their formulas and must vanish:
-    A_1 at x = N, A_2 and q^{-alpha} [x]_q at x = 0.
+    the grid, so those three are read from the `band_coefficients`
+    declarations and must vanish: A_1 at x = N, A_2 and q^{-alpha} [x]_q
+    (X's lowering coefficient) at x = 0.
     """
     p, N = inst.p, inst.p.N
     report = CheckReport(check="difference_equation", params=p.as_dict())
     problems = [None] * (N + 1)
-    if qpow(p, 0, -1) * qnum(p, 0):
+    if band_coefficients(Operator.X, Basis.POINT, p, 0)[2]:
         problems[0] = "off-grid [x]_q coefficient nonzero"
-    if y_shift_coefficients(p, 0)[2]:
+    if band_coefficients(Operator.Y, Basis.POINT, p, 0)[2]:
         problems[0] = "off-grid lowering coefficient nonzero"
-    if y_shift_coefficients(p, N)[0]:
+    if band_coefficients(Operator.Y, Basis.POINT, p, N)[0]:
         problems[N] = "off-grid raising coefficient nonzero"
     for n, resid in enumerate(_pencil_residuals(inst)):
         for x, (problem, r) in enumerate(zip(problems, resid)):

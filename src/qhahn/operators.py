@@ -13,6 +13,13 @@ x = 0..N and are materialized as exact (N+1)x(N+1) matrices in two bases:
 phi_{N+1} vanishes identically on the grid, which is what truncates the
 raising terms at n = N exactly.
 
+Where the coefficients are declared: X, Y and Z in both bases, and V in
+the phi basis, are three-term actions, each one (raise, stay, lower) entry
+of `_BANDS` that `band_coefficients` reads and one placement puts into the
+matrix.  V in the point basis has a full lowering tail and keeps its own
+formulas in `_v_point`, so that Y = X V checks two independent
+declarations.
+
 Every entry is derived from (q, A, B), so the matrices live in their field;
 `GridVector` and `OpMatrix` store the values they are given, and an entry
 no term reaches stays the int 0 of `linalg.zeros`.
@@ -42,8 +49,7 @@ __all__ = [
     "GridVector",
     "OpMatrix",
     "phi_function",
-    "y_shift_coefficients",
-    "nu_coefficients",
+    "band_coefficients",
     "build_operator",
     "basis_change",
     "weighted_adjoint",
@@ -173,57 +179,65 @@ def phi_function(p: QParams, n: int, x: int):
     return qpoch(p.q**-x, n, p.q) / den
 
 
-def y_shift_coefficients(p: QParams, x: int) -> tuple:
-    """Coefficients (up, stay, down) of f(x+1), f(x), f(x-1) in (Y f)(x).
-
-    up vanishes at x = N and down vanishes at x = 0, so Y never reaches
-    outside the grid.
-    """
+def _y_point(p: QParams, x: int) -> tuple:
     up = qpow(p, -x, 0, 1) * qnum(p, x - p.N) * qnum(p, x + 1, -1) * qnum(p, x, -1)
     down = qpow(p, -x) * qnum(p, x) * qnum(p, x - p.N, -1, 1) * qnum(p, x, -1)
     return up, -(up + down), down
 
 
-def nu_coefficients(p: QParams, n: int) -> tuple:
-    """Expansion coefficients of Y phi_n over (phi_{n+1}, phi_n, phi_{n-1})."""
+def _z_point(p: QParams, x: int) -> tuple:
+    # lower is [-x]_q / [alpha - x]_q; its numerator vanishes at x = 0, which
+    # spares the off-grid term the division by [alpha]_q (zero at A = 1)
+    num = qnum(p, -x)
+    return 0, -p.q**0, num and num / qnum(p, -x, 1)
+
+
+def _y_phi(p: QParams, n: int) -> tuple:
     nu1 = -qnum(p, -n) * qnum(p, n) * qnum(p, n - p.N, 0, 1)
-    nu2 = qnum(p, -n) * qnum(p, n - p.N, 0, 1) * qnum(p, n, -1) + qpow(p, 0, -1, 1) * qnum(
-        p, n
-    ) * qnum(p, n - p.N - 1) * qnum(p, 1 - n)
+    nu2 = (qnum(p, -n) * qnum(p, n - p.N, 0, 1) * qnum(p, n, -1)
+           + qpow(p, 0, -1, 1) * qnum(p, n) * qnum(p, n - p.N - 1) * qnum(p, 1 - n))
     nu3 = -qpow(p, 0, -2, 1) * qnum(p, n) * qnum(p, n - p.N - 1) * qnum(p, 1 - n, 1)
     return nu1, nu2, nu3
 
 
-def _x_point(p: QParams) -> linalg.Matrix:
+# The banded operators: for each (operator, basis) the coefficients
+# (raise, stay, lower) at index i, as a function of (p, i).  In the point
+# basis they multiply f(x+1), f(x), f(x-1) in (M f)(x), row i = x; in the
+# phi basis phi_{n+1}, phi_n, phi_{n-1} in M phi_n, column i = n.  An
+# operator without a term declares the int 0.
+_BANDS = {
+    (Operator.X, Basis.POINT): lambda p, x: (0, qnum(p, x, -1), -qpow(p, 0, -1) * qnum(p, x)),
+    (Operator.Y, Basis.POINT): _y_point,
+    (Operator.Z, Basis.POINT): _z_point,
+    (Operator.X, Basis.PHI): lambda p, n: (-qnum(p, n), qnum(p, n, -1), 0),
+    (Operator.Y, Basis.PHI): _y_phi,
+    (Operator.Z, Basis.PHI): lambda p, n: (p.q**0, -p.q**0, 0),
+    (Operator.V, Basis.PHI): lambda p, n: (
+        0, qnum(p, -n) * qnum(p, n - p.N, 0, 1),
+        qpow(p, 1 - n, -1, 1) * qnum(p, n) * qnum(p, n - p.N - 1)),
+}
+
+
+def band_coefficients(which: Operator, basis: Basis, p: QParams, i: int) -> tuple:
+    """The declared (raise, stay, lower) coefficients of `which` at index i,
+    row i in the point basis and column i in the phi basis, including those
+    the matrix drops off the grid.  V in the point basis is lower
+    Hessenberg, not banded, and raises KeyError."""
+    return _BANDS[(which, basis)](p, i)
+
+
+def _place(which: Operator, basis: Basis, p: QParams) -> linalg.Matrix:
+    """The matrix of a `_BANDS` declaration, without the terms that would
+    reach off the grid: raise at i = N and lower at i = 0."""
     n1 = p.N + 1
     m = linalg.zeros(n1, n1)
-    for x in range(n1):
-        m[x][x] = qnum(p, x, -1)
-        if x > 0:
-            m[x][x - 1] = -qpow(p, 0, -1) * qnum(p, x)
-    return m
-
-
-def _y_point(p: QParams) -> linalg.Matrix:
-    n1 = p.N + 1
-    m = linalg.zeros(n1, n1)
-    for x in range(n1):
-        up, stay, down = y_shift_coefficients(p, x)
-        if x < p.N:
-            m[x][x + 1] = up
-        m[x][x] = stay
-        if x > 0:
-            m[x][x - 1] = down
-    return m
-
-
-def _z_point(p: QParams) -> linalg.Matrix:
-    n1 = p.N + 1
-    m = linalg.zeros(n1, n1)
-    for x in range(n1):
-        m[x][x] = -p.q**0
-        if x > 0:
-            m[x][x - 1] = qnum(p, -x) / qnum(p, -x, 1)
+    for i in range(n1):
+        for j, c in zip((i + 1, i, i - 1), band_coefficients(which, basis, p, i)):
+            if 0 <= j < n1:
+                if basis is Basis.POINT:
+                    m[i][j] = c
+                else:
+                    m[j][i] = c
     return m
 
 
@@ -260,64 +274,11 @@ def _v_point(p: QParams) -> linalg.Matrix:
     return m
 
 
-def _x_phi(p: QParams) -> linalg.Matrix:
-    n1 = p.N + 1
-    m = linalg.zeros(n1, n1)
-    for n in range(n1):
-        m[n][n] = qnum(p, n, -1)
-        if n < p.N:
-            m[n + 1][n] = -qnum(p, n)
-    return m
-
-
-def _y_phi(p: QParams) -> linalg.Matrix:
-    n1 = p.N + 1
-    m = linalg.zeros(n1, n1)
-    for n in range(n1):
-        nu1, nu2, nu3 = nu_coefficients(p, n)
-        if n < p.N:
-            m[n + 1][n] = nu1
-        m[n][n] = nu2
-        if n > 0:
-            m[n - 1][n] = nu3
-    return m
-
-
-def _z_phi(p: QParams) -> linalg.Matrix:
-    n1 = p.N + 1
-    m = linalg.zeros(n1, n1)
-    for n in range(n1):
-        m[n][n] = -p.q**0
-        if n < p.N:
-            m[n + 1][n] = p.q**0
-    return m
-
-
-def _v_phi(p: QParams) -> linalg.Matrix:
-    n1 = p.N + 1
-    m = linalg.zeros(n1, n1)
-    for n in range(n1):
-        m[n][n] = qnum(p, -n) * qnum(p, n - p.N, 0, 1)
-        if n > 0:
-            m[n - 1][n] = qpow(p, 1 - n, -1, 1) * qnum(p, n) * qnum(p, n - p.N - 1)
-    return m
-
-
-_BUILDERS = {
-    (Operator.X, Basis.POINT): _x_point,
-    (Operator.Y, Basis.POINT): _y_point,
-    (Operator.Z, Basis.POINT): _z_point,
-    (Operator.V, Basis.POINT): _v_point,
-    (Operator.X, Basis.PHI): _x_phi,
-    (Operator.Y, Basis.PHI): _y_phi,
-    (Operator.Z, Basis.PHI): _z_phi,
-    (Operator.V, Basis.PHI): _v_phi,
-}
-
-
 def build_operator(which: Operator, basis: Basis, p: QParams) -> OpMatrix:
     """Exact matrix of one of the four operators in the requested basis."""
-    return OpMatrix(_BUILDERS[(which, basis)](p), basis, p)
+    if (which, basis) == (Operator.V, Basis.POINT):
+        return OpMatrix(_v_point(p), basis, p)
+    return OpMatrix(_place(which, basis, p), basis, p)
 
 
 def basis_change(p: QParams) -> OpMatrix:

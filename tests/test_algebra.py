@@ -28,7 +28,7 @@ from qhahn.algebra import (
 )
 from qhahn.brf import Instance
 from qhahn.operators import Basis, Operator, OpMatrix, build_operator
-from qhahn.qcore import QHahnError, qnum, qpow
+from qhahn.qcore import QHahnError, QParams, frac_str, qnum, qpow
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL
 
@@ -252,8 +252,8 @@ def test_casimir_reports_scalar_flag(canonical):
 
 def test_casimir_rqhahn_must_vanish_not_only_commute(canonical, monkeypatch):
     # Q + I still commutes with every generator; the claim for the rational
-    # q-Hahn Casimir is Q = 0, so only that claim fails, while the meta
-    # Casimir plus I is still the scalar it must be; the empty word is I
+    # q-Hahn Casimir is Q = 0 and for the meta one a given scalar, so only
+    # those claims fail; the empty word is I
     for name in ("casimir_rqhahn", "casimir_meta"):
         good = getattr(algebra, name)
         monkeypatch.setattr(algebra, name, lambda p, good=good: good(p) + NCPoly.monomial(""))
@@ -261,7 +261,32 @@ def test_casimir_rqhahn_must_vanish_not_only_commute(canonical, monkeypatch):
     report = check_casimir_rqhahn(inst)
     assert report.status == "fail"
     assert report.violations == [{"claim": "zero", "residual": "1/1"}]
-    assert check_casimir_meta(inst).status == "pass"
+    assert check_casimir_meta(inst).violations == [{"claim": "value", "residual": "1/1"}]
+
+
+@pytest.mark.parametrize("p", [
+    CANONICAL,
+    QParams(F(1, 2), F(3), F(1, 5), 7),
+    QParams(F(-2, 3), F(-5), F(1, 7), 7),
+    QParams(F(2), F(3, 7), F(-5, 11), 9),
+])
+def test_casimir_meta_takes_its_value(p):
+    # the scalar against its expanded form over one denominator
+    q, A, B, N = p.q, p.A, p.B, p.N
+    c = -(A * B * (1 - q) * (A - 1)
+          + q**N * (A**2 * (2 - q) + A * B * (q**2 - q - 1) + B - A)) / (A**2 * q**N * (1 - q)**2)
+    report = check_casimir_meta(Instance(p))
+    assert report.status == "pass"
+    assert set(report.details["diagonal"]) == {frac_str(c)}
+
+
+def test_casimir_meta_value_is_asserted(canonical, monkeypatch):
+    # a value shifted by 1/3 fails only the value claim
+    good = algebra._casimir_meta_value
+    monkeypatch.setattr(algebra, "_casimir_meta_value", lambda p: good(p) + F(1, 3))
+    report = check_casimir_meta(Instance(canonical))
+    assert report.violations == [{"claim": "value", "residual": "1/3"}]
+    assert report.details["is_scalar"] is True
 
 
 @pytest.mark.parametrize("i", range(5))

@@ -15,7 +15,7 @@ from qhahn.gevp import (
     check_tridiagonal_actions,
     mu_coefficients,
 )
-from qhahn.operators import GridVector, y_shift_coefficients
+from qhahn.operators import Basis, GridVector, Operator, band_coefficients
 from qhahn.qcore import DegenerateDenominator, QParams, frac_str, qnum, qpow, validate_params
 from qhahn.reports import CheckReport
 
@@ -67,6 +67,18 @@ def test_difference_equation_detects_wrong_eigenvalue(canonical, monkeypatch):
     assert {v["n"] for v in report.violations} == {2}
 
 
+def _reach_off_grid(monkeypatch, op, slot, x):
+    """Make the declared point-basis coefficient `slot` of `op` at x nonzero."""
+    good = gevp.band_coefficients
+
+    def reaching(which, basis, p, at):
+        coeffs = list(good(which, basis, p, at))
+        coeffs[slot] += which is op and at == x
+        return tuple(coeffs)
+
+    monkeypatch.setattr(gevp, "band_coefficients", reaching)
+
+
 @pytest.mark.parametrize("slot, x, problem", [
     (0, 3, "off-grid raising coefficient nonzero"),
     (2, 0, "off-grid lowering coefficient nonzero"),
@@ -74,17 +86,18 @@ def test_difference_equation_detects_wrong_eigenvalue(canonical, monkeypatch):
 def test_difference_equation_reads_the_off_grid_coefficients(canonical, monkeypatch,
                                                              slot, x, problem):
     # no matrix row holds the coefficient of U_n(N+1) or U_n(-1): the check
-    # reads it from its formula, so a nonzero one fails every n at that x
-    good = gevp.y_shift_coefficients
-
-    def reaching(p, at):
-        coeffs = list(good(p, at))
-        coeffs[slot] += at == x
-        return tuple(coeffs)
-
-    monkeypatch.setattr(gevp, "y_shift_coefficients", reaching)
+    # reads Y's from its declaration, so a nonzero one fails every n at that x
+    _reach_off_grid(monkeypatch, Operator.Y, slot, x)
     report = check_difference_equation(Instance(canonical))
     assert report.violations == [{"n": n, "x": x, "residual": problem} for n in range(4)]
+
+
+def test_difference_equation_reads_the_off_grid_x_coefficient(canonical, monkeypatch):
+    # X's lowering coefficient q^-alpha [x]_q at x = 0 multiplies U_n(-1)
+    _reach_off_grid(monkeypatch, Operator.X, 2, 0)
+    report = check_difference_equation(Instance(canonical))
+    assert report.violations == [
+        {"n": n, "x": 0, "residual": "off-grid [x]_q coefficient nonzero"} for n in range(4)]
 
 
 def _tamper_mu(monkeypatch, n_tamper, slot, delta):
@@ -205,8 +218,8 @@ def fraction_difference_equation(inst):
     p = inst.p
     report = CheckReport(check="difference_equation", params=p.as_dict())
     fam = inst.family
-    coeffs = [(*y_shift_coefficients(p, x), qnum(p, x, -1), qpow(p, 0, -1) * qnum(p, x))
-              for x in range(p.N + 1)]
+    coeffs = [(*band_coefficients(Operator.Y, Basis.POINT, p, x), qnum(p, x, -1),
+               qpow(p, 0, -1) * qnum(p, x)) for x in range(p.N + 1)]
     for n, u in enumerate(fam.members):
         lam = fam.lambdas[n]
         for x, (up, stay, down, diag, drop) in enumerate(coeffs):

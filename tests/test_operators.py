@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhahn import brf, linalg
+from qhahn import brf, linalg, operators
 from qhahn.brf import Instance, brf_family, eigenvalue, weight_vector
 from qhahn.gevp import check_factorization
 from qhahn.operators import (
@@ -13,10 +13,10 @@ from qhahn.operators import (
     Operator,
     OpMatrix,
     PoleOnGrid,
+    band_coefficients,
     basis_change,
     build_operator,
     phi_function,
-    y_shift_coefficients,
     weighted_adjoint,
 )
 from qhahn.qcore import QParams, qnum, qpow
@@ -64,6 +64,33 @@ def test_point_basis_shapes():
                 for j in range(p.N + 1):
                     if (low is not None and i - j > low) or j - i > up:
                         assert m.entries[i][j] == 0
+
+
+BANDED = [(op, basis) for op in Operator for basis in Basis
+          if (op, basis) != (Operator.V, Basis.POINT)]
+
+
+def _terms_reaching_off_grid(p):
+    """(operator, basis, slot) of each declared coefficient that is nonzero
+    where its entry would leave the grid: raise at x = N and lower at x = 0
+    in the point basis, lower at n = 0 in the phi basis (the raise at n = N
+    multiplies phi_{N+1}, which vanishes on the grid)."""
+    edges = {Basis.POINT: ((0, p.N), (2, 0)), Basis.PHI: ((2, 0),)}
+    return [(op, basis, slot) for op, basis in BANDED for slot, i in edges[basis]
+            if band_coefficients(op, basis, p, i)[slot]]
+
+
+@pytest.mark.parametrize("p", PANEL + [QParams(F(1, 2), F(3), F(1, 5), 0)])
+def test_band_declarations_vanish_off_the_grid(p):
+    assert _terms_reaching_off_grid(p) == []
+
+
+def test_off_grid_scan_catches_a_reaching_declaration(canonical, monkeypatch):
+    # X has no raising term; declaring one makes it reach f(N+1) at x = N
+    good = operators._BANDS[(Operator.X, Basis.POINT)]
+    monkeypatch.setitem(operators._BANDS, (Operator.X, Basis.POINT),
+                        lambda p, x: (p.q**0, *good(p, x)[1:]))
+    assert _terms_reaching_off_grid(canonical) == [(Operator.X, Basis.POINT, 0)]
 
 
 def test_phi_basis_z_is_raising(canonical):
@@ -161,6 +188,7 @@ def test_weighted_adjoint_pairing_contract():
 def closed_form_adjoint(which, p):
     """Closed-form point-basis weighted adjoint of X, Y or Z."""
     n1, N = p.N + 1, p.N
+    y = [band_coefficients(Operator.Y, Basis.POINT, p, x) for x in range(n1)]
     m = linalg.zeros(n1, n1)
     for x in range(n1):
         if which is Operator.X:
@@ -173,15 +201,13 @@ def closed_form_adjoint(which, p):
             if x < N:
                 m[x][x + 1] = qpow(p, 1, -1, 1) * qnum(p, x - N) / qnum(p, x - N + 2, -1, 1)
         else:
-            m[x][x] = y_shift_coefficients(p, x)[1]
+            m[x][x] = y[x][1]
             if x > 0:
                 m[x][x - 1] = (qpow(p, -1, 0, -1) * qnum(p, x) * qnum(p, x - N + 1, -1, 1)
-                               / (qnum(p, x - N - 1) * qnum(p, x, -1))
-                               * y_shift_coefficients(p, x - 1)[0])
+                               / (qnum(p, x - N - 1) * qnum(p, x, -1)) * y[x - 1][0])
             if x < N:
                 m[x][x + 1] = (qpow(p, 1, 0, 1) * qnum(p, x - N) * qnum(p, x + 1, -1)
-                               / (qnum(p, x + 1) * qnum(p, x - N + 2, -1, 1))
-                               * y_shift_coefficients(p, x + 1)[2])
+                               / (qnum(p, x + 1) * qnum(p, x - N + 2, -1, 1)) * y[x + 1][2])
     return m
 
 
