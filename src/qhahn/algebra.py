@@ -15,6 +15,12 @@ the matrices by exact linear algebra and compared with their closed-form
 expressions (the eta and gamma constants are not solved back).  The potential
 claim is checked symbolically at the word level (NCPoly), not through
 matrices, so that it cannot hold by representation-specific accident.
+
+The builders read one `brf.Instance`: its constants (`Instance.constants`,
+built once) and its point-basis matrices (`Instance.ops`).  NCPoly does not
+decide the number type: it stores the coefficients it is given, so the
+relations, Casimirs and potentials live in the field of the instance, over
+Fraction for a verify run and over any other field of (q, A, B) as well.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .qcore import (
     frac_str,
     qnum,
     qpow,
-    scalar,
 )
 from .reports import CheckReport
 
@@ -70,24 +75,25 @@ def _min_rotation(word: Word) -> Word:
 
 
 class NCPoly:
-    """Polynomial in a free associative algebra over exact rationals.
+    """Polynomial in a free associative algebra over the field of its
+    coefficients.
 
     Words are tuples of generator letters; the empty word is the unit.
+    Coefficients are stored as given (Fractions from an instance, ints, or
+    elements of any other field) and a zero coefficient is never stored.
     With cyclic=True the element lives in the cyclic quotient: words are
-    identified under rotation (stored via their minimal rotation) and the
-    concatenation product is undefined.
+    identified under rotation (stored via their minimal rotation).
     """
 
     __slots__ = ("terms", "cyclic")
 
-    def __init__(self, terms: Mapping[Word, Fraction] | None = None, cyclic: bool = False):
-        normal: dict[Word, Fraction] = {}
+    def __init__(self, terms: Mapping[Word, object] | None = None, cyclic: bool = False):
+        normal: dict[Word, object] = {}
         for word, coeff in (terms or {}).items():
-            c = scalar(coeff)
-            if c == 0:
+            if coeff == 0:
                 continue
             key = _min_rotation(tuple(word)) if cyclic else tuple(word)
-            total = normal.get(key, Fraction(0)) + c
+            total = normal.get(key, 0) + coeff
             if total == 0:
                 normal.pop(key, None)
             else:
@@ -97,19 +103,11 @@ class NCPoly:
 
     @classmethod
     def monomial(cls, letters: str, coeff=1) -> "NCPoly":
-        return cls({tuple(letters): scalar(coeff)})
+        return cls({tuple(letters): coeff})
 
     @classmethod
     def cyclic_word(cls, letters: str, coeff=1) -> "NCPoly":
-        return cls({tuple(letters): scalar(coeff)}, cyclic=True)
-
-    @classmethod
-    def zero(cls, cyclic: bool = False) -> "NCPoly":
-        return cls({}, cyclic=cyclic)
-
-    def coefficient(self, letters: str) -> Fraction:
-        key = _min_rotation(tuple(letters)) if self.cyclic else tuple(letters)
-        return self.terms.get(key, Fraction(0))
+        return cls({tuple(letters): coeff}, cyclic=True)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -124,7 +122,7 @@ class NCPoly:
             raise QHahnError("cannot mix cyclic and ordinary polynomials")
         merged = dict(self.terms)
         for word, coeff in other.terms.items():
-            merged[word] = merged.get(word, Fraction(0)) + coeff
+            merged[word] = merged.get(word, 0) + coeff
         return NCPoly(merged, cyclic=self.cyclic)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
@@ -134,20 +132,7 @@ class NCPoly:
         return NCPoly({w: -c for w, c in self.terms.items()}, cyclic=self.cyclic)
 
     def __rmul__(self, coeff) -> "NCPoly":
-        c = scalar(coeff)
-        return NCPoly({w: c * v for w, v in self.terms.items()}, cyclic=self.cyclic)
-
-    def __mul__(self, other: "NCPoly") -> "NCPoly":
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        if self.cyclic or other.cyclic:
-            raise QHahnError("concatenation product is undefined on cyclic words")
-        out: dict[Word, Fraction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                out[word] = out.get(word, Fraction(0)) + c1 * c2
-        return NCPoly(out)
+        return NCPoly({w: coeff * v for w, v in self.terms.items()}, cyclic=self.cyclic)
 
     def __repr__(self) -> str:
         kind = "cyclic" if self.cyclic else "free"
@@ -166,18 +151,19 @@ def cyclic_derivative(phi: NCPoly, gen: str) -> NCPoly:
     """
     if not phi.cyclic:
         raise QHahnError("cyclic derivative is defined on cyclic elements only")
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, object] = {}
     for word, coeff in phi.terms.items():
         for s, letter in enumerate(word):
             if letter != gen:
                 continue
             rest = word[s + 1:] + word[:s]
-            out[rest] = out.get(rest, Fraction(0)) + coeff
+            out[rest] = out.get(rest, 0) + coeff
     return NCPoly(out)
 
 
-def evaluate_poly(poly: NCPoly, matrices: Mapping[str, OpMatrix], p: QParams) -> OpMatrix:
-    """Evaluate an ordinary polynomial at concrete point-basis matrices.
+def evaluate_poly(poly: NCPoly, inst: Instance) -> OpMatrix:
+    """Evaluate an ordinary polynomial at the instance's point-basis
+    matrices `inst.ops`.
 
     Each word is multiplied out from its first letter, and the product of
     every prefix is kept, so words sharing a prefix share its products.
@@ -185,6 +171,7 @@ def evaluate_poly(poly: NCPoly, matrices: Mapping[str, OpMatrix], p: QParams) ->
     """
     if poly.cyclic:
         raise QHahnError("cyclic elements have no single matrix value")
+    p, matrices = inst.p, inst.ops
     size = p.N + 1
     prods = {(): linalg.identity(size, p.q**0)} | {(g,): m.entries for g, m in matrices.items()}
     acc = linalg.zeros(size, size)
@@ -251,8 +238,7 @@ def structure_constants(p: QParams) -> StructureConstants:
     )
 
 
-def _mono(letters: str, coeff=1) -> NCPoly:
-    return NCPoly.monomial(letters, coeff)
+_mono = NCPoly.monomial
 
 
 # The three rational q-Hahn relations, keyed by ab for ab - q ba = right-hand
@@ -282,19 +268,17 @@ def _rqhahn_relation(name: str, xi: tuple[Fraction, ...], p: QParams) -> NCPoly:
     return poly
 
 
-def rqhahn_relation_polys(p: QParams) -> dict[str, NCPoly]:
+def rqhahn_relation_polys(inst: Instance) -> dict[str, NCPoly]:
     """Left-minus-right of the three rational q-Hahn relations, as free polynomials."""
-    xi = structure_constants(p).xi
-    return {name: _rqhahn_relation(name, xi, p) for name in _RQHAHN_RELATIONS}
+    return {name: _rqhahn_relation(name, inst.constants.xi, inst.p) for name in _RQHAHN_RELATIONS}
 
 
-def meta_relation_polys(p: QParams) -> dict[str, NCPoly]:
+def meta_relation_polys(inst: Instance) -> dict[str, NCPoly]:
     """Left-minus-right of the three meta algebra relations (generators X, V, Z);
     the XZ relation is the rational q-Hahn one."""
-    sc = structure_constants(p)
+    sc, q = inst.constants, inst.p.q
     eta = sc.eta
-    q = p.q
-    rel_xz = _rqhahn_relation("XZ", sc.xi, p)
+    rel_xz = _rqhahn_relation("XZ", sc.xi, inst.p)
     rel_vx = (
         _mono("VX") - q * _mono("XV")
         + _mono("VZ") + _mono("ZV") - eta[1] * _mono("X") + _mono("V")
@@ -308,9 +292,8 @@ def meta_relation_polys(p: QParams) -> dict[str, NCPoly]:
     return {"XZ": rel_xz, "VX": rel_vx, "ZV": rel_zv}
 
 
-def potential_rqhahn(p: QParams) -> NCPoly:
-    xi = structure_constants(p).xi
-    q = p.q
+def potential_rqhahn(inst: Instance) -> NCPoly:
+    xi, q = inst.constants.xi, inst.p.q
     cw = NCPoly.cyclic_word
     return (
         q * cw("XYZ") - cw("YXZ")
@@ -321,9 +304,8 @@ def potential_rqhahn(p: QParams) -> NCPoly:
     )
 
 
-def potential_meta(p: QParams) -> NCPoly:
-    eta = structure_constants(p).eta
-    q = p.q
+def potential_meta(inst: Instance) -> NCPoly:
+    eta, q = inst.constants.eta, inst.p.q
     cw = NCPoly.cyclic_word
     # [Z] carries -eta_0: the derivative in Z must reproduce the second
     # relation, whose constant term is pinned by the grid realization, and
@@ -337,9 +319,9 @@ def potential_meta(p: QParams) -> NCPoly:
     )
 
 
-def casimir_rqhahn(p: QParams) -> NCPoly:
+def casimir_rqhahn(inst: Instance) -> NCPoly:
     """Cubic Casimir element of the rational q-Hahn algebra on (X, Y, Z)."""
-    g = structure_constants(p).gamma
+    p, g = inst.p, inst.constants.gamma
     q = p.q
     return (
         (1 - q) * _mono("XYZ") + qpow(p, 1 - p.N, 0, 1) * _mono("XXX")
@@ -349,10 +331,9 @@ def casimir_rqhahn(p: QParams) -> NCPoly:
     )
 
 
-def casimir_meta(p: QParams) -> NCPoly:
+def casimir_meta(inst: Instance) -> NCPoly:
     """Cubic Casimir element of the meta algebra on (X, V, Z)."""
-    sc = structure_constants(p)
-    g, eta = sc.gamma, sc.eta
+    p, g, eta = inst.p, inst.constants.gamma, inst.constants.eta
     q = p.q
     return (
         (1 - q) * _mono("XVZ") + q * _mono("VZZ") + qpow(p, 1 - p.N, 0, 1) * _mono("XX")
@@ -366,7 +347,7 @@ def _relation_report(check: str, inst: Instance, polys: dict[str, NCPoly]) -> Ch
     report = CheckReport(check=check, params=inst.p.as_dict())
     norms = {}
     for name, poly in polys.items():
-        resid = evaluate_poly(poly, inst.ops, inst.p)
+        resid = evaluate_poly(poly, inst)
         norms[name] = frac_str(resid.max_abs())
         if not resid.is_zero():
             report.add_violation(relation=name, residual=frac_str(resid.max_abs()))
@@ -376,12 +357,12 @@ def _relation_report(check: str, inst: Instance, polys: dict[str, NCPoly]) -> Ch
 
 def check_rqhahn_relations(inst: Instance) -> CheckReport:
     """The three rational q-Hahn relations as exact matrix identities."""
-    return _relation_report("rqhahn_relations", inst, rqhahn_relation_polys(inst.p))
+    return _relation_report("rqhahn_relations", inst, rqhahn_relation_polys(inst))
 
 
 def check_meta_relations(inst: Instance) -> CheckReport:
     """The three meta algebra relations as exact matrix identities."""
-    return _relation_report("meta_relations", inst, meta_relation_polys(inst.p))
+    return _relation_report("meta_relations", inst, meta_relation_polys(inst))
 
 
 def _casimir_report(check: str, inst: Instance, casimir: NCPoly,
@@ -391,7 +372,7 @@ def _casimir_report(check: str, inst: Instance, casimir: NCPoly,
     its value is the caller's.  Returns the report and the matrix."""
     p = inst.p
     report = CheckReport(check=check, params=p.as_dict())
-    q_mat = evaluate_poly(casimir, inst.ops, p)
+    q_mat = evaluate_poly(casimir, inst)
     for g in generators:
         m = inst.ops[g]
         comm = q_mat @ m - m @ q_mat
@@ -407,7 +388,7 @@ def _casimir_report(check: str, inst: Instance, casimir: NCPoly,
 def check_casimir_rqhahn(inst: Instance) -> CheckReport:
     """The rational q-Hahn Casimir commutes with X, Y and Z and is the zero
     matrix: the grid realization sits on its zero surface."""
-    report, q_mat = _casimir_report("casimir_rqhahn", inst, casimir_rqhahn(inst.p), "XYZ")
+    report, q_mat = _casimir_report("casimir_rqhahn", inst, casimir_rqhahn(inst), "XYZ")
     if not q_mat.is_zero():
         report.add_violation(claim="zero", residual=frac_str(q_mat.max_abs()))
     return report
@@ -423,7 +404,7 @@ def _casimir_meta_value(p: QParams):
 def check_casimir_meta(inst: Instance) -> CheckReport:
     """The meta Casimir commutes with X, V and Z and is a scalar matrix, the
     scalar `_casimir_meta_value`; the diagonal is recorded."""
-    report, q_mat = _casimir_report("casimir_meta", inst, casimir_meta(inst.p), "XVZ")
+    report, q_mat = _casimir_report("casimir_meta", inst, casimir_meta(inst), "XVZ")
     value = _casimir_meta_value(inst.p)
     if not report.details["is_scalar"]:
         report.add_violation(claim="scalar", residual="not a scalar matrix")
@@ -438,19 +419,21 @@ def _potential_report(check: str, inst: Instance, phi: NCPoly, rels: dict[str, N
 
     For each (generator, relation) pair the unique scale c with
     d(Phi)/d(gen) = c * (relation left-minus-right) is determined from the
-    leading word and then every coefficient is compared exactly; c must be
-    a nonzero constant.
+    least word and then every coefficient is compared exactly; c must be
+    a nonzero constant.  c is computed in the instance's field, so that two
+    int coefficients never divide into a float.
     """
     report = CheckReport(check=check, params=inst.p.as_dict())
+    one = inst.p.q**0
     scales = {}
     for gen, rel_name in pairs:
         deriv = cyclic_derivative(phi, gen)
         rel = rels[rel_name]
-        ref_word = next((w for w, c in sorted(rel.terms.items()) if c != 0), None)
-        if ref_word is None:
+        if rel.is_zero():
             report.add_violation(generator=gen, relation=rel_name, residual="relation is zero")
             continue
-        c = deriv.terms.get(ref_word, Fraction(0)) / rel.terms[ref_word]
+        ref_word = min(rel.terms)
+        c = one * deriv.terms.get(ref_word, 0) / rel.terms[ref_word]
         if c == 0:
             report.add_violation(generator=gen, relation=rel_name, residual="zero scale")
             continue
@@ -470,17 +453,15 @@ def _potential_report(check: str, inst: Instance, phi: NCPoly, rels: dict[str, N
 def check_potential_rqhahn(inst: Instance) -> CheckReport:
     """The derivatives of the rational q-Hahn potential in Y, X and Z give
     the XZ, ZY and YX relations."""
-    p = inst.p
-    return _potential_report("potential_rqhahn", inst, potential_rqhahn(p),
-                             rqhahn_relation_polys(p), (("Y", "XZ"), ("X", "ZY"), ("Z", "YX")))
+    return _potential_report("potential_rqhahn", inst, potential_rqhahn(inst),
+                             rqhahn_relation_polys(inst), (("Y", "XZ"), ("X", "ZY"), ("Z", "YX")))
 
 
 def check_potential_meta(inst: Instance) -> CheckReport:
     """The derivatives of the meta potential in V, X and Z give the XZ, ZV
     and VX relations."""
-    p = inst.p
-    return _potential_report("potential_meta", inst, potential_meta(p),
-                             meta_relation_polys(p), (("V", "XZ"), ("X", "ZV"), ("Z", "VX")))
+    return _potential_report("potential_meta", inst, potential_meta(inst),
+                             meta_relation_polys(inst), (("V", "XZ"), ("X", "ZV"), ("Z", "VX")))
 
 
 def _flatten(mats: Iterable[OpMatrix]) -> list[list[Fraction]]:
@@ -511,13 +492,12 @@ def solve_structure_constants(inst: Instance) -> tuple[Fraction, ...]:
     the relation shape itself, and a xi solved in two relations must take one
     value.  The gamma and eta constants are not solved for.
     """
-    p = inst.p
     xi: dict[int, Fraction] = {}
     solved_in: dict[int, str] = {}
     for name, terms in _RQHAHN_RELATIONS.items():
-        lhs, sums = _relation_sides(name, p)
-        sol = _solve_relation(evaluate_poly(lhs, inst.ops, p),
-                              [evaluate_poly(s, inst.ops, p) for s in sums], f"relation {name}")
+        lhs, sums = _relation_sides(name, inst.p)
+        sol = _solve_relation(evaluate_poly(lhs, inst),
+                              [evaluate_poly(s, inst) for s in sums], f"relation {name}")
         for (i, _), value in zip(terms, sol):
             if i is None:
                 if value != -1:
@@ -539,8 +519,7 @@ def check_structure_constants(inst: Instance) -> CheckReport:
     its kind and its message.  Any disagreement with a closed form is
     reported as a DISCREPANCY carrying both values.
     """
-    p = inst.p
-    report = CheckReport(check="structure_constants", params=p.as_dict())
+    report = CheckReport(check="structure_constants", params=inst.p.as_dict())
     try:
         solved = solve_structure_constants(inst)
     except RankDeficient as exc:
@@ -549,7 +528,7 @@ def check_structure_constants(inst: Instance) -> CheckReport:
     except QHahnError as exc:
         report.add_violation(kind=type(exc).__name__, message=str(exc))
         return report
-    closed = structure_constants(p).xi
+    closed = inst.constants.xi
     for i in range(9):
         if solved[i] != closed[i]:
             report.add_violation(

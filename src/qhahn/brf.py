@@ -248,6 +248,13 @@ class Instance:
         return tuple(gevp.mu_coefficients(n, self.p) for n in range(self.p.N + 1))
 
     @cached_property
+    def constants(self):
+        """The closed-form structure constants, `algebra.structure_constants(p)`."""
+        from . import algebra  # algebra imports this module
+
+        return algebra.structure_constants(self.p)
+
+    @cached_property
     def family_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(rows, d): the family over one common denominator, U_n(x) = rows[n][x] / d."""
         n1 = self.p.N + 1

@@ -187,9 +187,12 @@ def _y_point(p: QParams, x: int) -> tuple:
 
 def _z_point(p: QParams, x: int) -> tuple:
     # lower is [-x]_q / [alpha - x]_q; its numerator vanishes at x = 0, which
-    # spares the off-grid term the division by [alpha]_q (zero at A = 1)
-    num = qnum(p, -x)
-    return 0, -p.q**0, num and num / qnum(p, -x, 1)
+    # spares the off-grid term the division by [alpha]_q (zero at A = 1);
+    # at x >= 1 a zero denominator is a pole on the grid, as in V's tail
+    num, den = qnum(p, -x), qnum(p, -x, 1)
+    if num and not den:
+        raise PoleOnGrid(f"Z's lowering term has a pole at x = {x}: [alpha - {x}]_q = 0")
+    return 0, -p.q**0, num and num / den
 
 
 def _y_phi(p: QParams, n: int) -> tuple:

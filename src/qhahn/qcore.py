@@ -3,8 +3,9 @@
 The number type is decided here, at the boundary: the parameter classes
 store their values through `scalar`, which admits ints, "num/den" strings
 and Fractions and rejects floats.  The code past it (these primitives,
-`linalg`, the operators and the checks) uses only field operations and
-derives every constant from the instance, so it computes in its field.
+`linalg`, the operators, the free-algebra polynomials `algebra.NCPoly` and
+the checks) uses only field operations and derives every constant from the
+instance, so it computes in its field.
 The exceptions are the integer kernels of `brf_u`, `brf.partial_fraction`,
 `reports.check_gram` and the banded checks of `gevp`: they take ints and
 Fractions apart with `as_integer_ratio` (all but `brf_u` put a whole row

@@ -192,6 +192,17 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
     assert [args for kind, args in calls if kind == "mu"] == [(n, p) for n in range(p.N + 1)]
 
 
+@pytest.mark.parametrize("suite", ["algebra", "casimir", "potential"])
+def test_algebra_suites_build_the_structure_constants_once(monkeypatch, suite):
+    # every builder of the suite reads the one `Instance.constants`
+    calls = []
+    good = algebra.structure_constants
+    monkeypatch.setattr(algebra, "structure_constants", lambda p: calls.append(p) or good(p))
+    reports = cli.SUITES[suite](MINIMAL, {})
+    assert {r["status"] for r in reports} == {"pass"}
+    assert calls == [CANONICAL]
+
+
 def test_gevp_suite_passes_on_a_generic_instance_at_n16():
     # multi-word family values, which the panel's N <= 8 never reaches here
     generic = {"instances": [{"q": "1/2", "A": "-5", "B": "1/7", "N": 16}]}

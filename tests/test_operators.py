@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhahn import brf, linalg, operators
+from qhahn import algebra, brf, linalg, operators
 from qhahn.brf import Instance, brf_family, eigenvalue, weight_vector
 from qhahn.gevp import check_factorization
 from qhahn.operators import (
@@ -230,7 +230,7 @@ def test_operators_act_on_family_members(canonical):
 
 @pytest.mark.parametrize("p", PANEL + [QParams(F(1, 2), F(3), F(1, 5), 0)],
                          ids=[f"panel{i}" for i in range(len(PANEL))] + ["N0"])
-def test_no_float_reaches_the_exact_core(p):
+def test_no_float_reaches_the_exact_core(p, monkeypatch):
     # the core takes the field of the instance: every value built from an
     # exact instance is a Fraction, or an int 0 or 1 that no arithmetic
     # reached; an int / int division anywhere would leave a float here
@@ -240,6 +240,26 @@ def test_no_float_reaches_the_exact_core(p):
     values += [v for u in (*inst.family.members, *inst.partners, inst.weight) for v in u]
     odd = {type(v).__name__ for v in values
            if type(v) is not F and not (type(v) is int and v in (0, 1))}
+    # the algebra layer: its polynomials carry int coefficients as written
+    # (1, -1), so any int passes there; their matrix values, and every value
+    # an algebra report serializes (the potential scales among them), too
+    polys = [*algebra.rqhahn_relation_polys(inst).values(),
+             *algebra.meta_relation_polys(inst).values(),
+             algebra.potential_rqhahn(inst), algebra.potential_meta(inst),
+             algebra.casimir_rqhahn(inst), algebra.casimir_meta(inst)]
+    values = [c for poly in polys for c in poly.terms.values()]
+    values += [v for poly in polys if not poly.cyclic
+               for row in algebra.evaluate_poly(poly, inst).entries for v in row]
+    serialized = []
+    monkeypatch.setattr(algebra, "frac_str", lambda v, good=algebra.frac_str: (
+        serialized.append(v) or good(v)))
+    for check in (algebra.check_rqhahn_relations, algebra.check_meta_relations,
+                  algebra.check_casimir_rqhahn, algebra.check_casimir_meta,
+                  algebra.check_potential_rqhahn, algebra.check_potential_meta):
+        assert check(inst).status == "pass"
+    # three residual norms and three scales per pair of checks, two diagonals
+    assert len(serialized) == 3 * 2 + 2 * (p.N + 1) + 3 * 2
+    odd |= {type(v).__name__ for v in values + serialized if type(v) not in (F, int)}
     assert not odd
 
 
@@ -258,6 +278,45 @@ def test_v_tail_running_product_equals_its_display(p):
     v = build_operator(Operator.V, Basis.POINT, p).entries
     for x, k, value in former_v_tail(p):
         assert v[x][x - k] == value
+
+
+def unguarded_instances(count=400, seed=20261018):
+    """Seeded instances the guards were never asked about: N <= 6, about 15 %
+    with A = 1 and 30 % with A a power of q near the grid."""
+    rng = random.Random(seed)
+    qs = [F(1, 2), F(-1, 2), F(2), F(2, 3), F(3, 2), F(-3), F(5, 7)]
+    for _ in range(count):
+        q, N, u = rng.choice(qs), rng.randint(0, 6), rng.random()
+        if u < 0.15:
+            A = F(1)
+        elif u < 0.45:
+            A = q ** rng.randint(-N - 1, N + 1)
+        else:
+            A = F(rng.choice([-7, -3, -1, 2, 5, 9]), rng.randint(1, 7))
+        yield QParams(q, A, F(rng.choice([-5, -1, 1, 3]), rng.randint(1, 9)), N)
+
+
+def test_z_and_v_raise_pole_on_grid_on_the_same_instances():
+    # Z's lowering term [-x]_q / [alpha - x]_q and V's tail both have a pole
+    # on the grid exactly when A = q^m, 1 <= m <= N; A = 1 (m = 0) builds both
+    raised = {Operator.Z: [], Operator.V: []}
+    poles = []
+    for p in unguarded_instances():
+        for op in raised:
+            try:
+                build_operator(op, Basis.POINT, p)
+            except PoleOnGrid:
+                raised[op].append(p)
+        if any(p.A == p.q**m for m in range(1, p.N + 1)):
+            poles.append(p)
+    assert raised[Operator.Z] == raised[Operator.V] == poles
+    assert len(poles) >= 20
+
+
+def test_z_pole_names_its_row():
+    p = QParams(F(1, 2), F(1, 4), F(1, 5), 3)
+    with pytest.raises(PoleOnGrid, match=re.escape("pole at x = 2: [alpha - 2]_q = 0")):
+        build_operator(Operator.Z, Basis.POINT, p)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
