@@ -248,6 +248,13 @@ class Instance:
         return tuple(gevp.mu_coefficients(n, self.p) for n in range(self.p.N + 1))
 
     @cached_property
+    def pencil_residuals(self) -> list[list]:
+        """`gevp._pencil_residuals`, shared by the gevp and difference-equation checks."""
+        from . import gevp  # gevp imports this module
+
+        return gevp._pencil_residuals(self)
+
+    @cached_property
     def constants(self):
         """The closed-form structure constants, `algebra.structure_constants(p)`."""
         from . import algebra  # algebra imports this module

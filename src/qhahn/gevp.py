@@ -153,7 +153,7 @@ def check_gevp(inst: Instance) -> CheckReport:
     """Y U_n = lambda_n X U_n with exactly zero residual for every n."""
     report = CheckReport(check="gevp", params=inst.p.as_dict())
     report.details["residuals"] = [_flag_worst(report, resid, n=n)
-                                   for n, resid in enumerate(_pencil_residuals(inst))]
+                                   for n, resid in enumerate(inst.pencil_residuals)]
     report.details["lambdas"] = [frac_str(v) for v in inst.family.lambdas]
     return report
 
@@ -201,7 +201,7 @@ def check_difference_equation(inst: Instance) -> CheckReport:
         problems[0] = "off-grid lowering coefficient nonzero"
     if band_coefficients(Operator.Y, Basis.POINT, p, N)[0]:
         problems[N] = "off-grid raising coefficient nonzero"
-    for n, resid in enumerate(_pencil_residuals(inst)):
+    for n, resid in enumerate(inst.pencil_residuals):
         for x, (problem, r) in enumerate(zip(problems, resid)):
             if problem:
                 report.add_violation(n=n, x=x, residual=problem)

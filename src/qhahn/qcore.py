@@ -6,11 +6,11 @@ and Fractions and rejects floats.  The code past it (these primitives,
 `linalg`, the operators, the free-algebra polynomials `algebra.NCPoly` and
 the checks) uses only field operations and derives every constant from the
 instance, so it computes in its field.
-The exceptions are the integer kernels of `brf_u`, `brf.partial_fraction`,
-`reports.check_gram` and the banded checks of `gevp`: they take ints and
-Fractions apart with `as_integer_ratio` (all but `brf_u` put a whole row
-over one denominator with `over_common_denominator`) and compare
-cross-multiplied integers.
+The exceptions are the integer kernels of `brf_u`, `wilson._series_rows`,
+`brf.partial_fraction`, `reports.check_gram` and the banded checks of
+`gevp`: they take ints and Fractions apart with `as_integer_ratio` (all but
+the two series kernels put a whole row over one denominator with
+`over_common_denominator`) and compare cross-multiplied integers.
 
 The deformation parameters enter only through the three base values q, A,
 B, where A and B play the role of the powers q^alpha and q^beta of two

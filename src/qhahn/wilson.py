@@ -1,25 +1,24 @@
 """Terminating very-well-poised 10phi9 biorthogonal family and its limits.
 
 The family u_n, v_n is biorthogonal on x = 0..N against the weight w_x,
-with diagonal norms h_n; all four quantities are evaluated in exact
-rational arithmetic.  The half-exponent parameter pair of the
-very-well-poised series never materializes on its own: the four factors
-are combined per term into (1 - h q^{2k}) / (1 - h) with h = qa/qe, which
-is rational in the stored parameters.  Split as 1/(1 - h) - h q^{2k}/(1 - h),
-that factor turns the 10phi9 into two `phi_series` sums over the same
-8 + 7 bases, at z = q and z = q^3.  The q = 1 Hahn 3F2 is summed by its
-term ratio as well.
+with diagonal norms h_n, all in exact rational arithmetic.  Each of the 15
+bases of the 10phi9 is c q^{dn n + dx x}, dn and dx in {-1, 0, 1}, declared
+once in `WilsonParams._series_bases`, so its term ratio is q times a part
+tabulated in k and one part per dx tabulated in k + dx x.  `_series_rows`
+sums a whole row u_n(0..N) from those tables in integer Horner form, with the
+very-well-poised factor (1 - h q^{2k}) / (1 - h), h = qa/qe, as the weight.
+The q = 1 Hahn 3F2 splits the same way and goes through the same kernel.
 
 Two degenerations are verified.  Sending qa -> infinity along qa = q^{-m}
 (|q| < 1) collapses the family onto the rational functions of the brf
 module.  The limit targets are brf's bare weight and norm (`bare_weight`,
-`bare_norm`) and the 3phi2 series `limit_u`/`limit_v`, summed here from
-their own display as a route independent of `brf.brf_u`.  Exact deviations
-from them must decrease, with the last ratio at most |q|^{(m1 - m0)/2}.
-Sending q -> 1 with integer exponents yields an ordinary hypergeometric
-family (Hahn type) whose biorthogonality is checked exactly, with a
-floating-point convergence certificate for the q -> 1 approach itself,
-through the same targets over mpmath.
+`bare_norm`) and the 3phi2 series `limit_u`/`limit_v`, summed here by the
+field-generic `phi_series` from their own display, a route independent of
+`brf.brf_u`.  Exact deviations from them must decrease, with the last ratio
+at most |q|^{(m1 - m0)/2}.  Sending q -> 1 with integer exponents yields an
+ordinary hypergeometric family (Hahn type) whose biorthogonality is checked
+exactly, with a floating-point convergence certificate for the q -> 1
+approach itself, through the same targets over mpmath.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 
@@ -104,27 +104,42 @@ class WilsonParams:
         swaps back automatically through the constraints)."""
         return WilsonParams(self.q, self.qb, self.qc, self.qd, self.qf, self.N)
 
+    @cached_property
+    def _series_bases(self) -> tuple:
+        """(h, num, den) of u_n and of its partner v_n: the very-well-poised
+        h = qa/qe and the 8 numerator and 7 denominator bases of the 10phi9
+        ((q; q)_k aside), each a triple (c, dn, dx) for the base
+        c q^{dn n + dx x}.  The partner swaps a <-> b and e <-> f, but its
+        grid stays anchored to the original head, so its series variable
+        q^x s has s = qa/qb.  The one declaration the row kernel, the guard
+        and the tests read."""
+        q, qc, qd, out = self.q, self.qc, self.qd, []
+        for qa, qb, qe, qf, s in ((self.qa, self.qb, self.qe, self.qf, Fraction(1)),
+                                  (self.qb, self.qa, self.qf, self.qe, self.qa / self.qb)):
+            num = ((1, -1, 0), (qa / qe, 0, 0), (q / (qc * qe), 0, 0), (q / (qd * qe), 0, 0),
+                   (q / (qe * qb), 0, 0), (1 / (qe * qf), 1, 0), (qa * qa * s, 0, 1),
+                   (1 / s, 0, -1))
+            den = ((qa * qb, 0, 0), (qa * qc, 0, 0), (qa * qd, 0, 0), (q * qa / qe, 1, 0),
+                   (q * qa * qf, -1, 0), (q / (qe * qa * s), 0, -1), (q * s * qa / qe, 0, 1))
+            out.append((qa / qe, num, den))
+        return tuple(out)
+
+    @cached_property
+    def _norm_head(self) -> Fraction:
+        """The n-independent factor of `wilson_h`, built once per instance."""
+        q, qa, qb, qc, qd, qe, qf = self.q, self.qa, self.qb, self.qc, self.qd, self.qe, self.qf
+        num = math.prod(qpoch(base, self.N, q)
+                        for base in (q * qa * qa, q / (qc * qd), q / (qc * qe), q / (qd * qe)))
+        den = math.prod(qpoch(base, self.N, q) for base in _h_den_bases(q, qa, qb, qc, qd, qe, qf))
+        if den == 0:
+            raise ZeroDenominator("norm denominator vanishes")
+        return num / den
+
     def as_dict(self) -> dict:
         return {
             "q": frac_str(self.q), "qa": frac_str(self.qa), "qc": frac_str(self.qc),
             "qd": frac_str(self.qd), "qe": frac_str(self.qe), "N": self.N,
         }
-
-
-def _u_den_bases(q, qa, qb, qc, qd, qe, qf, n: int, qz):
-    """The seven denominator bases of the 10phi9, all the guard reads."""
-    return [
-        qa * qb, qa * qc, qa * qd, q ** (n + 1) * qa / qe,
-        q ** (1 - n) * qa * qf, q / (qe * qa * qz), q * qz * qa / qe,
-    ]
-
-
-def _u_bases(q, qa, qb, qc, qd, qe, qf, n: int, qz):
-    num = [
-        q ** (-n), qa / qe, q / (qc * qe), q / (qd * qe),
-        q / (qe * qb), q**n / (qe * qf), qa * qa * qz, 1 / qz,
-    ]
-    return num, _u_den_bases(q, qa, qb, qc, qd, qe, qf, n, qz)
 
 
 def _weight_pairs(q, qa, qb, qc, qd, qe, qf):
@@ -149,18 +164,18 @@ def _validate_denominators(wp: WilsonParams) -> None:
             if den_base * q**j == 1:
                 raise InvalidParams(f"weight denominator vanishes at x={j + 1}")
     # series denominators are needed for both the family and its partner;
-    # (base; q)_n vanishes when base = q^-j for some j < n
-    inverse_powers = {q**-j: j for j in range(wp.N)}
-    for qa, qb, qe, qf, grid_shift in (
-            (wp.qa, wp.qb, wp.qe, wp.qf, Fraction(1)),
-            (wp.qb, wp.qa, wp.qf, wp.qe, wp.qa / wp.qb)):
-        if qa == qe:
+    # (c q^{dn n + dx x}; q)_n vanishes when c = q^m with j = -m - dn n - dx x
+    # in [0, n), so m lies in [-2N, N]
+    exponents = {q**m: m for m in range(-2 * wp.N, wp.N + 1)}
+    for h, _, den in wp._series_bases:
+        if h == 1:
             raise InvalidParams("very-well-poised head 1 - qa/qe vanishes")
+        powers = [(exponents[c], dn, dx) for c, dn, dx in den if c in exponents]
         for n in range(wp.N + 1):
             for x in range(wp.N + 1):
-                for base in _u_den_bases(q, qa, qb, wp.qc, wp.qd, qe, qf, n, q**x * grid_shift):
-                    j = inverse_powers.get(base, n)
-                    if j < n:
+                for m, dn, dx in powers:
+                    j = -m - dn * n - dx * x
+                    if 0 <= j < n:
                         raise InvalidParams(
                             f"series denominator vanishes at n={n}, x={x}, k={j + 1}")
     qa, qb, qc, qd, qe, qf = wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf
@@ -185,65 +200,108 @@ def wilson_weight(x: int, wp: WilsonParams) -> Fraction:
     return out
 
 
-def _u_value(q, qa, qb, qc, qd, qe, qf, n: int, qz):
-    """The 10phi9 as (S(q) - h S(q^3)) / (1 - h), h = qa/qe, where S(z) is
-    the `phi_series` over the `_u_bases`: term by term this is the
-    very-well-poised factor (1 - h q^{2k}) / (1 - h) times q^k."""
-    h = qa / qe
+def _series_rows(num, den, factor, z, weights, n: int, N: int) -> list[Fraction]:
+    """The terminating sums  sum_{k <= n} w_k t_k  at x = 0..N, where t_0 = 1 and
+
+        t_{k+1} / t_k = z prod_num factor(c, d) / prod_den factor(c, d),
+
+    d = k + dn n + dx x for each base (c, dn, dx), dn and dx in {-1, 0, 1};
+    `den` holds the k! base.  `factor` and the weights w_0..w_n are integer
+    pairs.  The ratio is z times one table per dx, indexed by k + dx x, of
+    unreduced pairs.  Each sum stops at its first zero ratio and is summed in
+    Horner form, w_0 + rho_0 (w_1 + rho_1 (...)), on integers, reduced once.
+    A tabulated denominator factor that vanishes raises ZeroDenominator,
+    whatever x it belongs to.
+    """
+    if n == 0:
+        return [Fraction(*weights[0])] * (N + 1)
+    tables = {0: dict.fromkeys(range(n), z.as_integer_ratio())}  # dx -> {k + dx x: pair}
+    for bases, below in ((num, False), (den, True)):
+        for c, dn, dx in bases:
+            table = tables.setdefault(dx, {})
+            for e in range(min(0, dx * N), n + max(0, dx * N)):
+                fn, fd = factor(c, e + dn * n)
+                if below:
+                    if not fn:
+                        raise ZeroDenominator(f"series denominator vanishes at n={n}: "
+                                              f"base ({c}, {dn}, {dx}) at k + {dx} x = {e}")
+                    fn, fd = fd, fn
+                tn, td = table.get(e, (1, 1))
+                table[e] = (tn * fn, td * fd)
+    rows = []
+    for x in range(N + 1):
+        rhos = []
+        for k in range(n):
+            rn = rd = 1
+            for dx, table in tables.items():
+                tn, td = table[k + dx * x]
+                rn, rd = rn * tn, rd * td
+            if not rn:
+                break
+            rhos.append((rn, rd))
+        top, bottom = weights[len(rhos)]
+        for (rn, rd), (wn, wd) in zip(reversed(rhos), reversed(weights[:len(rhos)])):
+            top, bottom = wn * rd * bottom + wd * rn * top, wd * rd * bottom
+        rows.append(Fraction(top, bottom))
+    return rows
+
+
+def _q_factor(q):
+    """The `_series_rows` factor of a basic series: 1 - c q^d as an unreduced
+    integer pair."""
+    qn, qd = q.as_integer_ratio()
+
+    def factor(c, d):
+        cn, cd = c.as_integer_ratio()
+        up, down = (qn**d, qd**d) if d >= 0 else (qd**-d, qn**-d)
+        return cd * down - cn * up, cd * down
+    return factor
+
+
+def _wilson_rows(n: int, wp: WilsonParams, h, num, den) -> list[Fraction]:
+    """The 10phi9 of one `WilsonParams._series_bases` entry at x = 0..N, with
+    (q; q)_k and z = q, and the very-well-poised factor (1 - h q^{2k}) / (1 - h)
+    as the Horner weight."""
     if h == 1:
         raise ZeroDenominator("very-well-poised head vanishes")
-    num, den = _u_bases(q, qa, qb, qc, qd, qe, qf, n, qz)
-    return (phi_series(num, den, q, q, n + 1) - h * phi_series(num, den, q**3, q, n + 1)) / (1 - h)
+    factor = _q_factor(wp.q)
+    hn, hd = factor(h, 0)
+    weights = [(wn * hd, wd * hn) for wn, wd in (factor(h, 2 * k) for k in range(n + 1))]
+    return _series_rows(num, [(wp.q, 0, 0), *den], factor, wp.q, weights, n, wp.N)
 
 
-def wilson_u(n: int, x: int, wp: WilsonParams) -> Fraction:
-    return _u_value(wp.q, wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf, n, wp.q**x)
+def wilson_u(n: int, wp: WilsonParams) -> list[Fraction]:
+    return _wilson_rows(n, wp, *wp._series_bases[0])
 
 
-def wilson_v(n: int, x: int, wp: WilsonParams) -> Fraction:
-    """Partner series: parameter roles a <-> b and e <-> f swap, but the
-    grid stays anchored to the original head, so the series variable
-    (an offset from the swapped head) picks up qa/qb."""
-    return _u_value(wp.q, wp.qb, wp.qa, wp.qc, wp.qd, wp.qf, wp.qe, n,
-                    wp.q**x * wp.qa / wp.qb)
+def wilson_v(n: int, wp: WilsonParams) -> list[Fraction]:
+    return _wilson_rows(n, wp, *wp._series_bases[1])
 
 
 def wilson_h(n: int, wp: WilsonParams) -> Fraction:
-    """Diagonal norm.  It carries three corrections to the printed formula:
+    """Diagonal norm: the n-independent head `WilsonParams._norm_head` times
+    its tail in n.  It carries three corrections to the printed formula:
     the q^{-n} factor, the (q*qa^2; q)_N head (printed (q*qa; q)_N) and the
     (q*qa/qe; q)_n tail factor (printed (q*qc/qe; q)_n).  Reverting any one
     of them breaks a diagonal identity on a generic instance.
     """
     q, qa, qb, qc, qd, qe, qf = wp.q, wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf
-    N = wp.N
-    num = (
-        qpoch(q * qa * qa, N, q) * qpoch(q / (qc * qd), N, q)
-        * qpoch(q / (qc * qe), N, q) * qpoch(q / (qd * qe), N, q)
-    )
-    den = 1
-    for base in _h_den_bases(q, qa, qb, qc, qd, qe, qf):
-        den = den * qpoch(base, N, q)
-    tail_num = (
-        qpoch(q, n, q) * qpoch(q**n / (qe * qf), n, q)
-        * qpoch(qc * qd, n, q) * qpoch(q * qa / qe, n, q) * qpoch(q * qb / qf, n, q)
-    )
-    tail_den = 1
-    for base, length in _h_tail_den(q, qa, qb, qe, qf, n):
-        tail_den = tail_den * qpoch(base, length, q)
-    if den == 0 or tail_den == 0:
+    tail_num = math.prod(qpoch(base, n, q) for base in (
+        q, q**n / (qe * qf), qc * qd, q * qa / qe, q * qb / qf))
+    tail_den = math.prod(qpoch(base, length, q)
+                         for base, length in _h_tail_den(q, qa, qb, qe, qf, n))
+    if tail_den == 0:
         raise ZeroDenominator("norm denominator vanishes")
-    return num / den * tail_num / tail_den * q ** (-n)
+    return wp._norm_head * tail_num / tail_den * q ** (-n)
 
 
 def _table(weight, u, v, h, N: int, *params):
     """One family on the grid x, n = 0..N as (w, u, v, h): the lists w[x],
-    u[n][x], v[n][x] and h[n] of weight(x, *params), u(n, x, *params),
-    v(n, x, *params) and h(n, *params)."""
+    u[n], v[n] and h[n] of weight(x, *params), the rows u(n, *params) and
+    v(n, *params) over x, and h(n, *params)."""
     grid = range(N + 1)
-    return ([weight(x, *params) for x in grid],
-            [[u(n, x, *params) for x in grid] for n in grid],
-            [[v(n, x, *params) for x in grid] for n in grid],
-            [h(n, *params) for n in grid])
+    return ([weight(x, *params) for x in grid], [u(n, *params) for n in grid],
+            [v(n, *params) for n in grid], [h(n, *params) for n in grid])
 
 
 def _flat(table) -> list:
@@ -258,20 +316,15 @@ def check_wilson_biorthogonality(wp: WilsonParams) -> CheckReport:
                       *_table(wilson_weight, wilson_u, wilson_v, wilson_h, wp.N, wp))
 
 
-def limit_u(n: int, x: int, q, A, B, N: int):
-    return phi_series(
-        [q ** (-n), q ** (n - N) * B, q ** (-x)],
-        [q ** (-N), q ** (-x) * A],
-        A / B, q, n + 1,
-    )
+def limit_u(n: int, q, A, B, N: int) -> list:
+    return [phi_series([q ** (-n), q ** (n - N) * B, q ** (-x)], [q ** (-N), q ** (-x) * A],
+                       A / B, q, n + 1) for x in range(N + 1)]
 
 
-def limit_v(n: int, x: int, q, A, B, N: int):
-    return phi_series(
-        [q ** (-n), q ** (n - N) * B, q ** (x - N)],
-        [q ** (-N), q ** (x - N + 2) * B / A],
-        q, q, n + 1,
-    )
+def limit_v(n: int, q, A, B, N: int) -> list:
+    return [phi_series([q ** (-n), q ** (n - N) * B, q ** (x - N)],
+                       [q ** (-N), q ** (x - N + 2) * B / A], q, q, n + 1)
+            for x in range(N + 1)]
 
 
 def induced_wilson_params(p: QParams, m: int, qc: Fraction) -> WilsonParams:
@@ -369,6 +422,14 @@ class HahnParams:
         if N >= 1 and b.denominator == 1 and -N <= b <= N - 1:
             raise InvalidParams("norm denominator vanishes")
 
+    @cached_property
+    def _norm_head(self) -> Fraction:
+        """The n-independent factor of `hahn_h`, built once per instance."""
+        den = _rising(self.alpha - self.beta - 1, self.N)
+        if den == 0:
+            raise ZeroDenominator("norm denominator vanishes")
+        return Fraction(_rising(-self.beta, self.N)) / den
+
     def as_dict(self) -> dict:
         return {"alpha": frac_str(self.alpha), "beta": frac_str(self.beta), "N": self.N}
 
@@ -380,37 +441,36 @@ def hahn_weight(x: int, hp: HahnParams) -> Fraction:
     return Fraction(_rising(-hp.N, x)) * _rising(1 - hp.alpha, x) / den
 
 
-def _f32(top, bottom, terms: int) -> Fraction:
-    """sum_{k < terms} prod (t)_k / (k! prod (b)_k), by its term ratio
-    prod (t + k) / ((k + 1) prod (b + k))."""
-    total = term = Fraction(1)
-    for k in range(terms - 1):
-        den = (k + 1) * math.prod(b + k for b in bottom)
-        if den == 0:
-            raise ZeroDenominator(f"series denominator vanishes at k={k + 1}")
-        term = term * math.prod(t + k for t in top) / den
-        total += term
-    return total
+def _hahn_bases(hp: HahnParams):
+    """The top and bottom parameters of the 3F2 of u_n and of its partner
+    v_n, (1)_k first below, each a triple (c, dn, dx) for c + dn n + dx x."""
+    a, b, N = hp.alpha, hp.beta, hp.N
+    top, bottom = [(0, -1, 0), (b - N, 1, 0)], [(1, 0, 0), (-N, 0, 0)]
+    return ((top + [(0, 0, -1)], bottom + [(a, 0, -1)]),
+            (top + [(-N, 0, 1)], bottom + [(b - a + 2 - N, 0, 1)]))
 
 
-def hahn_u(n: int, x: int, hp: HahnParams) -> Fraction:
-    return _f32([-n, n + hp.beta - hp.N, -x], [-hp.N, hp.alpha - x], n + 1)
+def _shifted(c, d):
+    """The `_series_rows` factor of an ordinary series: c + d as an integer pair."""
+    cn, cd = c.as_integer_ratio()
+    return cn + d * cd, cd
 
 
-def hahn_v(n: int, x: int, hp: HahnParams) -> Fraction:
-    return _f32([-n, n + hp.beta - hp.N, x - hp.N],
-                [-hp.N, x - hp.N + hp.beta - hp.alpha + 2], n + 1)
+def hahn_u(n: int, hp: HahnParams) -> list[Fraction]:
+    return _series_rows(*_hahn_bases(hp)[0], _shifted, 1, [(1, 1)] * (n + 1), n, hp.N)
+
+
+def hahn_v(n: int, hp: HahnParams) -> list[Fraction]:
+    return _series_rows(*_hahn_bases(hp)[1], _shifted, 1, [(1, 1)] * (n + 1), n, hp.N)
 
 
 def hahn_h(n: int, hp: HahnParams) -> Fraction:
-    a, b, N = hp.alpha, hp.beta, hp.N
-    den = _rising(a - b - 1, N) * _rising(-N, n) * _rising(1 + b - N, 2 * n)
+    """Diagonal norm: the head `HahnParams._norm_head` times its tail in n."""
+    b, N = hp.beta, hp.N
+    den = _rising(-N, n) * _rising(1 + b - N, 2 * n)
     if den == 0:
         raise ZeroDenominator("norm denominator vanishes")
-    return (
-        Fraction(_rising(1, n)) * _rising(-b, N) * _rising(b + 1, n)
-        * _rising(n + b - N, n) / den
-    )
+    return hp._norm_head * _rising(1, n) * _rising(b + 1, n) * _rising(n + b - N, n) / den
 
 
 def check_hahn_biorthogonality(hp: HahnParams) -> CheckReport:

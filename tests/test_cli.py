@@ -192,6 +192,16 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
     assert [args for kind, args in calls if kind == "mu"] == [(n, p) for n in range(p.N + 1)]
 
 
+def test_gevp_suite_computes_the_pencil_residuals_once(monkeypatch):
+    # the gevp and difference-equation checks read the one Instance.pencil_residuals
+    calls = []
+    good = gevp._pencil_residuals
+    monkeypatch.setattr(gevp, "_pencil_residuals", lambda inst: calls.append(inst.p) or good(inst))
+    reports = cli.SUITES["gevp"](MINIMAL, {})
+    assert [r["status"] for r in reports] == ["pass"] * 6
+    assert calls == [CANONICAL]
+
+
 @pytest.mark.parametrize("suite", ["algebra", "casimir", "potential"])
 def test_algebra_suites_build_the_structure_constants_once(monkeypatch, suite):
     # every builder of the suite reads the one `Instance.constants`

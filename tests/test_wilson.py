@@ -1,4 +1,5 @@
 import functools
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhahn import brf, wilson
-from qhahn.qcore import InvalidParams, QParams, ZeroDenominator, frac_str, qpoch
+from qhahn.qcore import InvalidParams, QParams, ZeroDenominator, frac_str, phi_series, qpoch
 from qhahn.wilson import (
     HahnParams,
     WilsonParams,
@@ -62,9 +63,7 @@ def test_swapped_exchanges_the_two_families():
 
 def test_u0_and_v0_are_one():
     wp = WILSON_PANEL[0]
-    for x in range(wp.N + 1):
-        assert wilson_u(0, x, wp) == 1
-        assert wilson_v(0, x, wp) == 1
+    assert wilson_u(0, wp) == wilson_v(0, wp) == [1] * (wp.N + 1)
 
 
 def test_wilson_biorthogonality_exact():
@@ -88,10 +87,8 @@ def test_n0_instance_reduces_to_total_mass():
 def test_gram_diagonal_matches_h_directly():
     wp = WILSON_PANEL[0]
     for n in range(wp.N + 1):
-        gram = sum(
-            wilson_weight(x, wp) * wilson_u(n, x, wp) * wilson_v(n, x, wp)
-            for x in range(wp.N + 1)
-        )
+        gram = sum(wilson_weight(x, wp) * u * v
+                   for x, (u, v) in enumerate(zip(wilson_u(n, wp), wilson_v(n, wp))))
         assert gram == wilson_h(n, wp)
 
 
@@ -200,20 +197,16 @@ def test_induced_params_satisfy_wilson_constraints():
 def test_limit_targets_match_brf_series():
     for p in (CANONICAL, LIMIT_INSTANCE):
         for n in range(p.N + 1):
-            u = brf.brf_u(n, p)
             pref = brf.u_prefactor(n, p)
-            for x in range(p.N + 1):
-                assert pref * limit_u(n, x, p.q, p.A, p.B, p.N) == u[x]
+            assert [pref * y for y in limit_u(n, p.q, p.A, p.B, p.N)] == list(brf.brf_u(n, p))
 
 
 def test_limit_v_is_reflected_u():
     for p in (CANONICAL, LIMIT_INSTANCE):
         refl = brf.reflected_params(p)
         for n in range(p.N + 1):
-            for x in range(p.N + 1):
-                assert limit_v(n, x, p.q, p.A, p.B, p.N) == limit_u(
-                    n, p.N - x, refl.q, refl.A, refl.B, refl.N
-                )
+            assert limit_v(n, p.q, p.A, p.B, p.N) == limit_u(
+                n, refl.q, refl.A, refl.B, refl.N)[::-1]
 
 
 def test_limit_u0_is_one_even_in_floating_point():
@@ -221,8 +214,7 @@ def test_limit_u0_is_one_even_in_floating_point():
     # exactly at every h
     with mpmath.workprec(60):
         q = mpmath.exp(mpmath.mpf(1) / 8)
-        for x in range(3):
-            assert limit_u(0, x, q, q**-5, q**9, 2) == 1
+        assert limit_u(0, q, q**-5, q**9, 2) == [1] * 3
 
 
 def test_hahn_biorthogonality_exact():
@@ -244,7 +236,8 @@ def test_hahn_biorthogonality_catches_a_mixed_partner(monkeypatch):
     hp = HAHN_PANEL[0]
     monkeypatch.setattr(
         wilson, "hahn_v",
-        lambda m, x, hp: hahn_v(m, x, hp) + (hahn_v(1, x, hp) if m == 3 else 0))
+        lambda m, hp: [a + b for a, b in zip(hahn_v(m, hp), hahn_v(1, hp) if m == 3
+                                             else [0] * (hp.N + 1))])
     report = check_hahn_biorthogonality(hp)
     assert report.status == "fail"
     assert report.violations == [{"n": 1, "m": 3, "residual": frac_str(hahn_h(1, hp))}]
@@ -308,12 +301,13 @@ def _former_wilson_guard(q, qa, qc, qd, qe, N):
         for j in range(N):
             if den_base * q**j == 1:
                 return f"weight denominator vanishes at x={j + 1}"
-    for a, b, e, f, grid_shift in ((qa, qb, qe, qf, 1), (qb, qa, qf, qe, qa / qb)):
+    wp = _unguarded(WilsonParams, q=q, qa=qa, qc=qc, qd=qd, qe=qe, N=N)
+    for role, (a, e) in enumerate(((qa, qe), (qb, qf))):
         if a == e:
             return "very-well-poised head 1 - qa/qe vanishes"
         for n in range(N + 1):
             for x in range(N + 1):
-                _, den = wilson._u_bases(q, a, b, qc, qd, e, f, n, q**x * grid_shift)
+                _, den = _bases_at(wp, role, n, x)
                 for base in den:
                     for j in range(n):
                         if base * q**j == 1:
@@ -352,7 +346,7 @@ def test_wilson_guard_lookup_matches_the_former_scan():
 
 def test_hahn_u0_is_one():
     for hp in HAHN_PANEL:
-        assert all(hahn_u(0, x, hp) == 1 for x in range(hp.N + 1))
+        assert hahn_u(0, hp) == [1] * (hp.N + 1)
 
 
 def test_hahn_total_mass_is_h0():
@@ -365,9 +359,7 @@ def test_hahn_total_mass_is_h0():
 def test_hahn_values_are_rational_and_finite():
     hp = HAHN_PANEL[0]
     for n in range(hp.N + 1):
-        for x in range(hp.N + 1):
-            assert isinstance(hahn_u(n, x, hp), F)
-            assert isinstance(hahn_v(n, x, hp), F)
+        assert all(isinstance(y, F) for y in hahn_u(n, hp) + hahn_v(n, hp))
 
 
 def test_qto1_convergence_order_one():
@@ -418,13 +410,30 @@ def test_qto1_precision_loss_is_a_violation_left_out_of_the_fit():
     assert report.details["orders"] == []
 
 
-def _u_value_direct(q, qa, qb, qc, qd, qe, qf, n, qz):
+def _bases_at(wp, role, n, x):
+    """The declared 10phi9 bases of u_n (role 0) or v_n (role 1) at (n, x),
+    as `phi_series` takes them."""
+    _, *bases = wp._series_bases[role]
+    return tuple([c * wp.q ** (dn * n + dx * x) for c, dn, dx in b] for b in bases)
+
+
+def _u_value(wp, role, n, x):
+    """The 10phi9 as (S(q) - h S(q^3)) / (1 - h), h = qa/qe, where S(z) is the
+    `phi_series` over the declared bases: term by term this is the
+    very-well-poised factor (1 - h q^{2k}) / (1 - h) times q^k."""
+    q, h = wp.q, wp.qa / wp.qe if role == 0 else wp.qb / wp.qf
+    num, den = _bases_at(wp, role, n, x)
+    return (phi_series(num, den, q, q, n + 1) - h * phi_series(num, den, q**3, q, n + 1)) / (1 - h)
+
+
+def _u_value_direct(wp, role, n, x):
     """The 10phi9 summed term by term, every Pochhammer symbol rebuilt."""
-    head = qa / qe
+    q = wp.q
+    head = wp.qa / wp.qe if role == 0 else wp.qb / wp.qf
     head_den = 1 - head
     if head_den == 0:
         raise ZeroDenominator("very-well-poised head vanishes")
-    num_bases, den_bases = wilson._u_bases(q, qa, qb, qc, qd, qe, qf, n, qz)
+    num_bases, den_bases = _bases_at(wp, role, n, x)
     total = q * 0
     for k in range(n + 1):
         den = qpoch(q, k, q)
@@ -436,6 +445,25 @@ def _u_value_direct(q, qa, qb, qc, qd, qe, qf, n, qz):
         for base in num_bases:
             num = num * qpoch(base, k, q)
         total = total + num / den
+    return total
+
+
+def _hahn_parameters(hp, n, x):
+    """The 3F2 top and bottom parameters of u_n(x) and of its partner v_n(x)."""
+    a, b, N = hp.alpha, hp.beta, hp.N
+    return (([-n, n + b - N, -x], [-N, a - x]),
+            ([-n, n + b - N, x - N], [-N, x - N + b - a + 2]))
+
+
+def _f32(top, bottom, terms):
+    """The 3F2 by a running term, multiplied by prod (t + k) / ((k + 1) prod (b + k))."""
+    total = term = F(1)
+    for k in range(terms - 1):
+        den = (k + 1) * math.prod(b + k for b in bottom)
+        if den == 0:
+            raise ZeroDenominator(f"series denominator vanishes at k={k + 1}")
+        term = term * math.prod(t + k for t in top) / den
+        total += term
     return total
 
 
@@ -453,6 +481,25 @@ def _f32_direct(top, bottom, terms):
             num = num * wilson._rising(t, k)
         total = total + num / den
     return total
+
+
+def assert_wilson_rows_match_the_oracles(wp):
+    grid = range(wp.N + 1)
+    for role, row in enumerate((wilson_u, wilson_v)):
+        for n in grid:
+            got = row(n, wp)
+            assert got == [_u_value(wp, role, n, x) for x in grid], (wp, n)
+            assert got == [_u_value_direct(wp, role, n, x) for x in grid], (wp, n)
+
+
+def assert_hahn_rows_match_the_oracles(hp):
+    grid = range(hp.N + 1)
+    for which, row in enumerate((hahn_u, hahn_v)):
+        for n in grid:
+            got = row(n, hp)
+            for oracle in (_f32, _f32_direct):
+                assert got == [oracle(*_hahn_parameters(hp, n, x)[which], n + 1)
+                               for x in grid], (hp, n)
 
 
 small_rationals = st.builds(F, st.integers(-13, 13).filter(bool), st.integers(1, 5))
@@ -479,20 +526,70 @@ def hahn_params(draw):
 @settings(max_examples=40, deadline=None)
 @given(wilson_params())
 def test_wilson_series_equal_the_direct_term_sum(wp):
-    q, qa, qb, qc, qd, qe, qf = wp.q, wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf
-    for n in range(wp.N + 1):
-        for x in range(wp.N + 1):
-            assert wilson_u(n, x, wp) == _u_value_direct(q, qa, qb, qc, qd, qe, qf, n, q**x)
-            assert wilson_v(n, x, wp) == _u_value_direct(
-                q, qb, qa, qc, qd, qf, qe, n, q**x * qa / qb)
+    assert_wilson_rows_match_the_oracles(wp)
 
 
 @settings(max_examples=40, deadline=None)
 @given(hahn_params())
 def test_hahn_series_equal_the_direct_term_sum(hp):
-    a, b, N = hp.alpha, hp.beta, hp.N
-    for n in range(N + 1):
-        for x in range(N + 1):
-            assert hahn_u(n, x, hp) == _f32_direct([-n, n + b - N, -x], [-N, a - x], n + 1)
-            assert hahn_v(n, x, hp) == _f32_direct(
-                [-n, n + b - N, x - N], [-N, x - N + b - a + 2], n + 1)
+    assert_hahn_rows_match_the_oracles(hp)
+
+
+def test_rows_equal_both_oracles_at_workload_size():
+    # multi-word values: a 10phi9 at N = 10 and a Hahn 3F2 at N = 16
+    assert_wilson_rows_match_the_oracles(WilsonParams(F(1, 2), F(-3), F(5), F(-7), F(11), 10))
+    assert_hahn_rows_match_the_oracles(HahnParams(F(-7, 2), F(27, 2), 16))
+
+
+@pytest.mark.parametrize("m", range(8, 21))
+def test_rows_equal_both_oracles_on_the_limit_path(m):
+    # qa = q^-m is tall: the integer pairs of the kernel carry big numbers
+    assert_wilson_rows_match_the_oracles(induced_wilson_params(LIMIT_INSTANCE, m, F(3)))
+
+
+def _unguarded(cls, **fields):
+    """An instance of a frozen parameter class built past its guard."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+@pytest.mark.parametrize("row, params, n", [
+    # qa qc = q^-1: the constant factor 1 - qa qc q^k vanishes at k = 1
+    (wilson_u, _unguarded(WilsonParams, q=F(1, 2), qa=F(3), qc=F(2, 3), qd=F(7), qe=F(11), N=3), 2),
+    # qa/qe = q^-2: the x-part 1 - q^{1+k+x} qa/qe vanishes at k + x = 1
+    (wilson_u, _unguarded(WilsonParams, q=F(1, 2), qa=F(4), qc=F(5), qd=F(7), qe=F(1), N=3), 1),
+    # qb qc = q^-1 in the partner's roles
+    (wilson_v, _unguarded(WilsonParams, q=F(1, 2), qa=F(3), qc=F(3, 4), qd=F(7), qe=F(11), N=3), 2),
+    # alpha = 2: the bottom alpha - x + k vanishes at x = 2, k = 0
+    (hahn_u, _unguarded(HahnParams, alpha=F(2), beta=F(17, 2), N=3), 1),
+    # beta = alpha: the bottom x - N + 2 + k vanishes at x = 1, k = 0
+    (hahn_v, _unguarded(HahnParams, alpha=F(1, 2), beta=F(1, 2), N=3), 1),
+], ids=["wilson_u-constant", "wilson_u-x-part", "wilson_v-constant", "hahn_u", "hahn_v"])
+def test_a_vanishing_denominator_is_a_zero_denominator(row, params, n):
+    # the guards reject these instances; past them, a tabulated denominator
+    # that vanishes for some k < n raises ZeroDenominator, not ZeroDivisionError,
+    # and the row below, which never reaches that k, is still summed
+    with pytest.raises(ZeroDenominator, match="series denominator vanishes"):
+        row(n, params)
+    assert len(row(n - 1, params)) == params.N + 1
+
+
+def test_norm_heads_are_built_once_per_instance(monkeypatch):
+    # the n-independent heads of wilson_h and hahn_h, not one per n; fresh
+    # instances, since each caches its head
+    wp, hp = WilsonParams(F(1, 2), F(3), F(5), F(7), F(11), 4), HahnParams(F(-7), F(12), 6)
+    calls = []
+    good_bases, good_rising = wilson._h_den_bases, wilson._rising
+
+    def rising(a, k):
+        if (a, k) == (hp.alpha - hp.beta - 1, hp.N):
+            calls.append("hahn")
+        return good_rising(a, k)
+
+    monkeypatch.setattr(wilson, "_h_den_bases", lambda *a: calls.append("wilson") or good_bases(*a))
+    monkeypatch.setattr(wilson, "_rising", rising)
+    assert check_wilson_biorthogonality(wp).status == "pass"
+    assert check_hahn_biorthogonality(hp).status == "pass"
+    assert calls == ["wilson", "hahn"]
