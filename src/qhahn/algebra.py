@@ -16,11 +16,12 @@ expressions (the eta and gamma constants are not solved back).  The potential
 claim is checked symbolically at the word level (NCPoly), not through
 matrices, so that it cannot hold by representation-specific accident.
 
-The builders read one `brf.Instance`: its constants (`Instance.constants`,
-built once) and its point-basis matrices (`Instance.ops`).  NCPoly does not
-decide the number type: it stores the coefficients it is given, so the
-relations, Casimirs and potentials live in the field of the instance, over
-Fraction for a verify run and over any other field of (q, A, B) as well.
+The builders read one `brf.Instance`, whose constants, point-basis matrices
+and their products by word (`constants`, `ops`, `words`) are built once.
+NCPoly does not decide the number type: it stores the coefficients it is
+given, so the relations, Casimirs and potentials live in the field of the
+instance, over Fraction for a verify run and over any other field of
+(q, A, B) as well.
 """
 
 from __future__ import annotations
@@ -165,20 +166,18 @@ def evaluate_poly(poly: NCPoly, inst: Instance) -> OpMatrix:
     """Evaluate an ordinary polynomial at the instance's point-basis
     matrices `inst.ops`.
 
-    Each word is multiplied out from its first letter, and the product of
-    every prefix is kept, so words sharing a prefix share its products.
-    The empty word is the identity.
+    A word's matrix is its longest proper prefix's times its last letter's,
+    kept in `inst.words`: each word is multiplied out once per instance and
+    shared by every polynomial evaluated there.
     """
     if poly.cyclic:
         raise QHahnError("cyclic elements have no single matrix value")
-    p, matrices = inst.p, inst.ops
-    size = p.N + 1
-    prods = {(): linalg.identity(size, p.q**0)} | {(g,): m.entries for g, m in matrices.items()}
-    acc = linalg.zeros(size, size)
+    p, prods = inst.p, inst.words
+    acc = linalg.zeros(p.N + 1, p.N + 1)
     for word, coeff in poly.terms.items():
         for k in range(2, len(word) + 1):
             if word[:k] not in prods:
-                prods[word[:k]] = linalg.mat_mul(prods[word[:k - 1]], matrices[word[k - 1]].entries)
+                prods[word[:k]] = linalg.mat_mul(prods[word[:k - 1]], prods[word[k - 1:k]])
         for arow, prow in zip(acc, prods[word]):
             for j, v in enumerate(prow):
                 if v:

@@ -214,11 +214,11 @@ def partner_family(p: QParams) -> tuple[GridVector, ...]:
 
 @dataclass(frozen=True)
 class Instance:
-    """One instance and the objects its checks share, each built on first use.
+    """One instance and the objects its checks share, each built on first use;
+    a verify run builds one per `instances` entry for all five q-Hahn suites.
 
-    The builders are called through their modules' globals, looked up at
-    call time, so a substitute installed there (a test's monkeypatch, a
-    tracer) is what gets cached.
+    The builders are called through their modules' globals, looked up at call
+    time, so a substitute installed there (a monkeypatch, a tracer) is cached.
     """
 
     p: QParams
@@ -239,6 +239,12 @@ class Instance:
     def ops(self) -> dict[str, OpMatrix]:
         """Point-basis matrices of X, Y, Z and V, keyed by letter."""
         return {op.value: build_operator(op, Basis.POINT, self.p) for op in Operator}
+
+    @cached_property
+    def words(self) -> dict[tuple[str, ...], list[list]]:
+        """Products of `ops` by word, from the identity; `evaluate_poly` adds the rest."""
+        identity = linalg.identity(self.p.N + 1, self.p.q**0)
+        return {(): identity} | {(g,): m.entries for g, m in self.ops.items()}
 
     @cached_property
     def mu(self) -> tuple:

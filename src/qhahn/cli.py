@@ -74,23 +74,30 @@ def _timed(seconds: dict[str, float], check, *args) -> CheckReport:
     return report
 
 
-def _qparams_suite(checks):
-    """Suite over the main q-Hahn panel; the checks of one instance share one
-    `brf.Instance`.  An instance that `QParams` rejects (the skip carries the
-    raw entry) or that fails the guards is reported as one skip per check,
-    never silently dropped.  Like every suite, it takes the config and a
-    dict it adds the seconds of each check that ran to, by report name."""
+def _instance_entries(config: dict) -> list[tuple[dict, str, brf.Instance | None]]:
+    """The `instances` section as (params, skip reason, Instance) entries, parsed
+    once per run; an entry `QParams` rejects keeps the raw entry and no Instance."""
+    entries = []
+    for entry in _section(config, "instances", list, []):
+        try:
+            p = _parse_qparams(entry)
+        except InvalidParams as exc:
+            entries.append((dict(entry), str(exc), None))
+        else:
+            reason = "; ".join(validate_params(p, p.N).issues())
+            entries.append((p.as_dict(), reason, brf.Instance(p)))
+    return entries
 
-    def run(config: dict, seconds: dict[str, float]) -> list[dict]:
+
+def _qparams_suite(checks):
+    """Suite over the run's `_instance_entries`: an entry's checks read its one
+    `brf.Instance`, and an entry with a skip reason is one skip per check.  Every
+    suite takes the config, a dict it adds each check's seconds to by report
+    name, and the entries, which the other suites ignore."""
+
+    def run(config: dict, seconds: dict[str, float], entries: list) -> list[dict]:
         reports = []
-        for entry in _section(config, "instances", list, []):
-            try:
-                p = _parse_qparams(entry)
-            except InvalidParams as exc:
-                params, reason, inst = dict(entry), str(exc), None
-            else:
-                params, inst = p.as_dict(), brf.Instance(p)
-                reason = "; ".join(validate_params(p, p.N).issues())
+        for params, reason, inst in entries:
             for check in checks:
                 report = _timed(seconds, check, inst) if not reason else CheckReport(
                     check=check.__name__.removeprefix("check_"), params=params, skipped=reason)
@@ -113,11 +120,11 @@ def _entry_report(seconds, name: str, entry: dict, parse, check, *args) -> dict:
 def _entry_suite(section: str, parse, check):
     """Suite running one check per entry of a config section."""
     name = check.__name__.removeprefix("check_")
-    return lambda config, seconds: [_entry_report(seconds, name, entry, parse, check)
-                                    for entry in _section(config, section, list, [])]
+    return lambda config, seconds, entries: [_entry_report(seconds, name, entry, parse, check)
+                                             for entry in _section(config, section, list, [])]
 
 
-def _limits_suite(config: dict, seconds: dict[str, float]) -> list[dict]:
+def _limits_suite(config: dict, seconds: dict[str, float], entries) -> list[dict]:
     """The two limit checks; an instance the parameter class, the guards or
     the check's preconditions reject is one skip carrying the raw entry."""
     reports = []
@@ -138,7 +145,7 @@ def _limits_suite(config: dict, seconds: dict[str, float]) -> list[dict]:
     return reports
 
 
-SUITES = {
+_QHAHN_SUITES = {
     "gevp": _qparams_suite([
         gevp.check_gevp, gevp.check_factorization, gevp.check_difference_equation,
         gevp.check_recurrence, gevp.check_tridiagonal_actions, gevp.check_contiguity,
@@ -153,6 +160,8 @@ SUITES = {
     ]),
     "casimir": _qparams_suite([algebra.check_casimir_rqhahn, algebra.check_casimir_meta]),
     "potential": _qparams_suite([algebra.check_potential_rqhahn, algebra.check_potential_meta]),
+}
+SUITES = _QHAHN_SUITES | {
     "wilson": _entry_suite("wilson_instances", _parse_wilson, wilson.check_wilson_biorthogonality),
     "hahn": _entry_suite("hahn_instances", _parse_hahn, wilson.check_hahn_biorthogonality),
     "limits": _limits_suite,
@@ -187,10 +196,13 @@ def run_verify(config_path: str, suite_names: list[str] | None, out_path: str | 
     suites: dict[str, list] = {}
     timing: dict[str, float] = {}
     per_check: dict[str, dict[str, float]] = {}
+    entries = None  # parsed for the first q-Hahn suite: no other suite reads `instances`
     t_total = time.monotonic()
     for name in sorted(set(selected)):
         t0 = time.monotonic()
-        suites[name] = SUITES[name](config, per_check.setdefault(name, {}))
+        if entries is None and name in _QHAHN_SUITES:
+            entries = _instance_entries(config)
+        suites[name] = SUITES[name](config, per_check.setdefault(name, {}), entries)
         timing[name] = time.monotonic() - t0
 
     counts = {"pass": 0, "fail": 0, "skip": 0}

@@ -9,8 +9,10 @@ division has two int operands, as int / int is a float.
 Everything here is sized for the desk scale of this package (dimension at
 most a few dozen).  The dense kernels (`rref`, `solve_unique`,
 `null_space`) are plain Gaussian elimination.  The structured ones exploit
-what the operators of this package look like: `mat_mul` and `mat_vec` skip
-zero entries, so a banded matrix costs O(bandwidth) per row, and
+what the operators of this package look like: `mat_vec` skips zero entries
+and `mat_mul` pairs each nonzero entry with the nonzero (column, value) pairs
+of one right-factor row, listed once per call, so a banded matrix costs
+O(bandwidth) per row, and
 `tridiagonal_null_space` solves the three-term recurrence of a
 tridiagonal matrix and falls back to `null_space` when the matrix is not one
 it can prove a kernel for.
@@ -36,20 +38,16 @@ def identity(n: int, one) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
+    k, m = len(b), len(b[0])
     assert all(len(row) == k for row in a), "inner dimensions must agree"
-    out = zeros(n, m)
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for t in range(k):
-            av = arow[t]
+    nonzeros = [[(j, v) for j, v in enumerate(brow) if v] for brow in b]
+    out = zeros(len(a), m)
+    for arow, orow in zip(a, out):
+        for av, pairs in zip(arow, nonzeros):
             if av == 0:
                 continue
-            brow = b[t]
-            for j in range(m):
-                if brow[j]:
-                    orow[j] += av * brow[j]
+            for j, v in pairs:
+                orow[j] += av * v
     return out
 
 

@@ -37,6 +37,22 @@ MINIMAL = {
 }
 
 
+QHAHN_CHECKS = {
+    "algebra": ["rqhahn_relations", "meta_relations", "structure_constants"],
+    "biortho": ["weight", "biorthogonality", "partner", "partial_fractions"],
+    "casimir": ["casimir_rqhahn", "casimir_meta"],
+    "gevp": ["gevp", "factorization", "difference_equation", "recurrence",
+             "tridiagonal_actions", "contiguity"],
+    "potential": ["potential_rqhahn", "potential_meta"],
+}
+QHAHN_SUITES = sorted(QHAHN_CHECKS)
+
+
+def run_suite(name, config):
+    """One suite alone, on entries parsed for it: every Instance is fresh."""
+    return cli.SUITES[name](config, {}, cli._instance_entries(config))
+
+
 def test_default_panel_runs_clean(tmp_path):
     out = tmp_path / "report.json"
     code = cli.main(["verify", "--config", default_panel_path(), "--out", str(out)])
@@ -132,19 +148,26 @@ def test_unit_a_at_grid_size_zero_is_six_gevp_skips(tmp_path):
 
 def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     # perfbench/tracing.py wraps library names from outside the package; a
-    # refactor that moves one fails here with MissingTarget
+    # refactor that moves one fails here with MissingTarget.  It finds a
+    # q-Hahn suite's checks in the list the suite's closure holds, and so
+    # does perfbench/workloads.check_count.
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    checks = {name: [c.__name__.removeprefix("check_")
+                     for c in tracing.suite_checks(cli.SUITES[name])] for name in QHAHN_SUITES}
+    assert checks == QHAHN_CHECKS
     config = write_config(tmp_path, MINIMAL)
     tracer = tracing.Tracer()
     with tracer.patch():
-        assert cli.run_verify(config, ["gevp"], str(tmp_path / "report.json")) == 0
+        assert cli.run_verify(config, QHAHN_SUITES, str(tmp_path / "report.json")) == 0
     tracer.summary()  # raises MissingTarget for a check that ran untraced
-    assert {span[0] for span in tracer.spans} >= {
-        "check.gevp", "check.factorization", "check.difference_equation",
-        "check.recurrence", "check.tridiagonal_actions", "check.contiguity"}
+    assert {span[0] for span in tracer.spans} >= (
+        {"check." + c for names in checks.values() for c in names}
+        | {"cli.suite." + name for name in QHAHN_SUITES}
+        | {"brf.brf_family", "algebra.structure_constants", "algebra.evaluate_poly",
+           "linalg.mat_mul", "operators.build_operator", "qcore.validate_params"})
 
 
 def test_qparams_checks_are_plain_functions_named_after_their_reports():
@@ -177,7 +200,7 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
         rows = cached_property(counting(name, getattr(Instance, name).func))
         rows.__set_name__(Instance, name)
         monkeypatch.setattr(Instance, name, rows)
-    reports = cli.SUITES["gevp"](MINIMAL, {})
+    reports = run_suite("gevp", MINIMAL)
     assert [r["status"] for r in reports] == ["pass"] * 6
     p = CANONICAL
     shifted = QParams(p.q, p.q * p.A, p.B, p.N)
@@ -197,7 +220,7 @@ def test_gevp_suite_computes_the_pencil_residuals_once(monkeypatch):
     calls = []
     good = gevp._pencil_residuals
     monkeypatch.setattr(gevp, "_pencil_residuals", lambda inst: calls.append(inst.p) or good(inst))
-    reports = cli.SUITES["gevp"](MINIMAL, {})
+    reports = run_suite("gevp", MINIMAL)
     assert [r["status"] for r in reports] == ["pass"] * 6
     assert calls == [CANONICAL]
 
@@ -208,15 +231,113 @@ def test_algebra_suites_build_the_structure_constants_once(monkeypatch, suite):
     calls = []
     good = algebra.structure_constants
     monkeypatch.setattr(algebra, "structure_constants", lambda p: calls.append(p) or good(p))
-    reports = cli.SUITES[suite](MINIMAL, {})
+    reports = run_suite(suite, MINIMAL)
     assert {r["status"] for r in reports} == {"pass"}
     assert calls == [CANONICAL]
+
+
+def test_one_verify_run_builds_each_object_once_per_entry(tmp_path, monkeypatch):
+    # the five q-Hahn suites of one run share one Instance per entry
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append((name, sys._getframe(1).f_code.co_name, args))
+            return fn(*args)
+        return wrapper
+
+    for fn in (brf.brf_family, algebra.structure_constants, build_operator, linalg.mat_mul):
+        wrapper = counting(fn.__name__, fn)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("qhahn") and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapper)
+    entries = MINIMAL["instances"] + [{"q": "1/2", "A": "-5", "B": "1/7", "N": 6}]
+    out = tmp_path / "report.json"
+    assert cli.run_verify(write_config(tmp_path, {"instances": entries}), QHAHN_SUITES,
+                          str(out)) == 0
+    assert json.loads(out.read_text())["summary"] == {"pass": 34, "fail": 0, "skip": 0}
+    made = list(calls)
+    ps = [cli._parse_qparams(entry) for entry in entries]
+
+    def made_by(name):
+        return Counter(args for kind, _, args in made if kind == name)
+
+    # one family per entry, and one at the shifted instance of check_contiguity
+    assert made_by("brf_family") == Counter(
+        [(p,) for p in ps] + [(QParams(p.q, p.q * p.A, p.B, p.N),) for p in ps])
+    assert made_by("structure_constants") == Counter((p,) for p in ps)
+    # the point-basis X, Y, Z, V of each entry, and the phi-basis X, Y, V of
+    # check_factorization
+    assert made_by("build_operator") == Counter(
+        [(op, Basis.POINT, p) for p in ps for op in Operator]
+        + [(Operator(g), Basis.PHI, p) for p in ps for g in "XYV"])
+    # evaluate_poly multiplies out each word prefix once per entry (the
+    # entries' sizes tell them apart)
+    expected = Counter()
+    for p in ps:
+        inst = Instance(p)
+        polys = [*algebra.rqhahn_relation_polys(inst).values(),
+                 *algebra.meta_relation_polys(inst).values(),
+                 algebra.casimir_rqhahn(inst), algebra.casimir_meta(inst)]
+        for name in algebra._RQHAHN_RELATIONS:
+            lhs, sums = algebra._relation_sides(name, p)
+            polys += [lhs, *sums]
+        expected[p.N + 1] = len({word[:k] for poly in polys for word in poly.terms
+                                 for k in range(2, len(word) + 1)})
+    assert Counter(len(args[0]) for kind, caller, args in made
+                   if kind == "mat_mul" and caller == "evaluate_poly") == expected
+
+
+def each_check_on_its_own_instance(name, instances):
+    """The reports of suite `name` with every check of every entry run on an
+    Instance of its own, built for that check alone."""
+    checks = next(cell.cell_contents for cell in cli.SUITES[name].__closure__
+                  if isinstance(cell.cell_contents, list))
+    return [report for entry in instances for check in checks
+            for report in cli._qparams_suite([check])(
+                {}, {}, cli._instance_entries({"instances": [entry]}))]
+
+
+@pytest.mark.parametrize("instances", [
+    json.loads(pathlib.Path(default_panel_path()).read_text())["instances"],
+    [{"q": "1/2", "A": "-5", "B": "1/7", "N": 16}],
+], ids=["panel", "generic-n16"])
+def test_shared_instances_report_what_fresh_ones_do(tmp_path, instances):
+    # a check that mutates an object its Instance caches (pencil_residuals,
+    # op_rows, the word products, ...) changes what a later check of the run
+    # reads, in its own suite or another; run alone, no check reads a
+    # neighbour's leftovers
+    out = tmp_path / "report.json"
+    cli.run_verify(write_config(tmp_path, {"instances": instances}), QHAHN_SUITES, str(out))
+    shared = json.loads(out.read_text())["suites"]
+    fresh = {name: each_check_on_its_own_instance(name, instances) for name in QHAHN_SUITES}
+    assert json.loads(json.dumps(fresh)) == shared
+
+
+@pytest.mark.parametrize("instances, message", [
+    ("not a list", "instances must be a list, got 'not a list'"),
+    ([{"A": "3", "B": "1/5", "N": 2}],
+     "instance needs keys q, A, B, N: {'A': '3', 'B': '1/5', 'N': 2}"),
+], ids=["not-a-list", "no-q"])
+def test_malformed_instances_fail_only_a_run_that_reads_them(tmp_path, capsys,
+                                                             instances, message):
+    # only the q-Hahn suites read `instances`: without one of them a malformed
+    # section is never parsed, and with one the run is a config error
+    wilson_entry = {"q": "1/2", "qa": "3", "qc": "5", "qd": "7", "qe": "11", "N": 2}
+    config = write_config(tmp_path, {"instances": instances, "wilson_instances": [wilson_entry]})
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--config", config, "--suite", "wilson", "hahn", "limits",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"] == {"pass": 1, "fail": 0, "skip": 0}
+    assert capsys.readouterr().err == ""
+    assert cli.main(["verify", "--config", config, "--suite", "hahn", "potential"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_gevp_suite_passes_on_a_generic_instance_at_n16():
     # multi-word family values, which the panel's N <= 8 never reaches here
     generic = {"instances": [{"q": "1/2", "A": "-5", "B": "1/7", "N": 16}]}
-    reports = cli.SUITES["gevp"](generic, {})
+    reports = run_suite("gevp", generic)
     assert [(r["check"], r["status"]) for r in reports] == [
         (check, "pass") for check in ("gevp", "factorization", "difference_equation",
                                       "recurrence", "tridiagonal_actions", "contiguity")]
@@ -239,7 +360,7 @@ def test_biortho_suite_takes_the_structured_kernels(monkeypatch):
             if mod_name.startswith("qhahn") and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counting)
     generic = {"instances": [{"q": "1/2", "A": "-5", "B": "1/7", "N": 6}]}
-    reports = cli.SUITES["biortho"](generic, {})
+    reports = run_suite("biortho", generic)
     assert [r["status"] for r in reports] == ["pass"] * 4
     assert calls == Counter()
     # the counters are live: a pencil with a zero superdiagonal entry falls back
@@ -478,7 +599,7 @@ def test_missing_config_is_config_error(tmp_path):
 
 def test_failing_check_exits_one(tmp_path, monkeypatch):
     # exit-code plumbing: inject a suite that reports one failure
-    def broken_suite(config, seconds):
+    def broken_suite(config, seconds, entries):
         report = CheckReport(check="synthetic", params={})
         report.add_violation(reason="synthetic failure")
         return [report.as_dict()]

@@ -236,3 +236,39 @@ def test_grid_vectors_and_operator_matrices_take_the_field_of_their_entries():
     exact, modular = results
     assert exact[-1] == modular[-1] == [True, True]
     assert_reduces(exact[:-1], modular[:-1])
+
+
+def dense_mat_mul(a, b):
+    """The triple loop over every (i, t, j), zero factors included."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), 0) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+@st.composite
+def sparse_factors(draw):
+    """(a, b), n x k and k x m with n, k, m in 1..5, whose entries are int 0s
+    and Fractions (F(0) among them), each with a drawn set of its rows and
+    of its columns all int 0."""
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    out = []
+    for rows, cols in ((n, k), (k, m)):
+        mat = [[draw(st.one_of(st.just(0), any_frac)) for _ in range(cols)] for _ in range(rows)]
+        for i in draw(st.sets(st.integers(0, rows - 1))):
+            mat[i] = [0] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1))):
+            for row in mat:
+                row[j] = 0
+        out.append(mat)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_factors())
+def test_mat_mul_equals_the_dense_triple_loop(factors):
+    # over Fraction and over GF: the same sums, and an entry no product
+    # reached is the int 0
+    for field, lift in ((F, F), (GF, mod_p)):
+        a, b = ([[x if type(x) is int else lift(x) for x in row] for row in m] for m in factors)
+        out = linalg.mat_mul(a, b)
+        assert out == dense_mat_mul(a, b)
+        assert all(type(v) is field or (type(v) is int and v == 0) for row in out for v in row)
