@@ -4,8 +4,10 @@ The family U_0..U_N on the grid x = 0..N solves the generalized eigenvalue
 problem Y U_n = lambda_n X U_n with lambda_n = [-n]_q [n+beta-N]_q.  Each
 U_n is degree-n rational in the q-bracket variable with poles at the fixed
 locations [x-alpha-k]_q = 0, and is computed here along two independent
-routes (a terminating basic hypergeometric sum, `brf_u`, and the
-coefficient recurrence over the rational basis phi_k, `phi_expansion`).
+routes (a terminating basic hypergeometric sum, `brf_u`, summed by the
+integer kernel `qcore._series_rows` that the 10phi9 and Hahn rows share,
+and the coefficient recurrence over the rational basis phi_k,
+`phi_expansion`).
 `partial_fraction` reads the residues of U_n off the phi-coefficients, and
 `check_partial_fractions` verifies that expansion against the `brf_u`
 values on the whole grid, so a verify run compares the two routes.
@@ -42,6 +44,8 @@ from .qcore import (
     QHahnError,
     QParams,
     ZeroDenominator,
+    _q_factor,
+    _series_rows,
     eigenvalue,
     frac_str,
     over_common_denominator,
@@ -146,44 +150,22 @@ def brf_u(n: int, p: QParams) -> GridVector:
 
         3phi2(q^-n, q^{n-N} B, q^-x; q^-N, A q^-x; q, A/B),
 
-    summed by its term ratio.  The ratio splits into an n-part
-    a_k = (A/B)(1 - q^{k-n})(1 - q^{k+n-N} B) / ((1 - q^{k+1})(1 - q^{k-N}))
-    and an x-part r_{k-x} = (1 - q^{k-x}) / (1 - A q^{k-x}) that depends on
-    k - x only, so both are tabulated once per n.  r_0 = 0 ends the sum at
-    k = x, and a zero a_k ends every sum.  Each sum is evaluated in Horner
-    form, 1 + rho_0 (1 + rho_1 (1 + ...)), on one integer numerator and
-    denominator, reduced once.  The denominators 1 - A q^d for every
-    d = k - x the untruncated sums would meet are checked first:
-    ZeroDenominator if one vanishes, whatever x it belongs to.
-    `phi_expansion` is the independent second route.
+    summed at x = 0..N by the shared integer kernel `qcore._series_rows`,
+    with each base declared as a triple (c, dn, dx) for c q^{dn n + dx x}.
+    The q^-x base ends the sum at k = x and q^-n ends it at k = n.  A
+    denominator 1 - A q^d that vanishes for some d in [-N, n-1], the values
+    of k - x the untruncated sums would meet, raises ZeroDenominator,
+    whatever x it belongs to.  `phi_expansion` is the independent second
+    route.
     """
     if not 0 <= n <= p.N:
         raise InvalidParams(f"family index n = {n} must lie in 0..N = {p.N}")
     pref = u_prefactor(n, p)
-    q, A, N = p.q, p.A, p.N
-    if n == 0:
-        return GridVector((pref,) * (N + 1), p)
-    for d in range(n):  # never summed, since the sum stops at k = x, but checked
-        if A * q**d == 1:
-            raise ZeroDenominator(f"(A q^-x; q)_k vanishes: A = q^{-d}")
-    (qn, qd), (An, Ad) = q.as_integer_ratio(), A.as_integer_ratio()
-    r = {}  # d = -e < 0: r_d = Ad (qn^e - qd^e) / (Ad qn^e - An qd^e), unreduced
-    for e in range(1, N + 1):
-        den = Ad * qn**e - An * qd**e
-        if den == 0:
-            raise ZeroDenominator(f"(A q^-x; q)_k vanishes: A = q^{e}")
-        r[-e] = (Ad * (qn**e - qd**e), den)
-    a = [(A / p.B * (1 - q ** (k - n)) * (1 - qpow(p, k + n - N, 0, 1))
-          / ((1 - q ** (k + 1)) * (1 - q ** (k - N)))).as_integer_ratio() for k in range(n)]
-    stop = next((k for k, (an, _) in enumerate(a) if not an), n)
-    vals = []
-    for x in range(N + 1):
-        num = den = 1
-        for k in reversed(range(min(stop, x))):
-            (an, ad), (rn, rd) = a[k], r[k - x]
-            num, den = ad * rd * den + an * rn * num, ad * rd * den
-        vals.append(pref * Fraction(num, den))
-    return GridVector(tuple(vals), p)
+    q, N = p.q, p.N
+    rows = _series_rows([(1, -1, 0), (qpow(p, -N, 0, 1), 1, 0), (1, 0, -1)],
+                        [(q, 0, 0), (qpow(p, -N), 0, 0), (p.A, 0, -1)],
+                        _q_factor(q), p.A / p.B, [(1, 1)] * (n + 1), n, N)
+    return GridVector(tuple(pref * v for v in rows), p)
 
 
 def brf_partner(m: int, p: QParams) -> GridVector:

@@ -6,10 +6,10 @@ and Fractions and rejects floats.  The code past it (these primitives,
 `linalg`, the operators, the free-algebra polynomials `algebra.NCPoly` and
 the checks) uses only field operations and derives every constant from the
 instance, so it computes in its field.
-The exceptions are the integer kernels of `brf_u`, `wilson._series_rows`,
+The exceptions are the integer kernels, `_series_rows`,
 `brf.partial_fraction`, `reports.check_gram` and the banded checks of
 `gevp`: they take ints and Fractions apart with `as_integer_ratio` (all but
-the two series kernels put a whole row over one denominator with
+the series kernel put a whole row over one denominator with
 `over_common_denominator`) and compare cross-multiplied integers.
 
 The deformation parameters enter only through the three base values q, A,
@@ -20,7 +20,9 @@ expression q^(i + j*alpha + k*beta) is evaluated exactly as
 
 `qpoch` and `phi_series` are field-generic: they use only ring operations
 and division on their arguments, so the same code runs over Fraction and
-over mpmath floats.
+over mpmath floats.  `_series_rows` is the one integer Horner kernel of the
+three terminating series, U_n's 3phi2 (`brf.brf_u`), the 10phi9 and the
+Hahn 3F2 (`wilson`); each declares its bases and calls it once per row.
 """
 
 from __future__ import annotations
@@ -222,6 +224,69 @@ def phi_series(num: Sequence, den: Sequence, z, q, terms: int):
         term = term * ratio / denom
         qk = qk1
     return total
+
+
+def _series_rows(num, den, factor, z, weights, n: int, N: int) -> list[Fraction]:
+    """The terminating sums  sum_{k <= n} w_k t_k  at x = 0..N, where t_0 = 1 and
+
+        t_{k+1} / t_k = z prod_num factor(c, d) / prod_den factor(c, d),
+
+    d = k + dn n + dx x for each base (c, dn, dx), dn and dx in {-1, 0, 1};
+    `den` holds the k! base.  `factor` and the weights w_0..w_n are integer
+    pairs.  The ratio is z times one table per dx, indexed by k + dx x, of
+    pairs, each entry reduced once by one gcd after its factors are
+    multiplied.  Each sum stops at its first zero ratio and is summed in
+    Horner form, w_0 + rho_0 (w_1 + rho_1 (...)), on integers, reduced once.
+    A tabulated denominator factor that vanishes raises ZeroDenominator,
+    whatever x it belongs to.
+    """
+    if n == 0:
+        return [Fraction(*weights[0])] * (N + 1)
+    tables = {0: dict.fromkeys(range(n), z.as_integer_ratio())}  # dx -> {k + dx x: pair}
+    for bases, below in ((num, False), (den, True)):
+        for c, dn, dx in bases:
+            table = tables.setdefault(dx, {})
+            for e in range(min(0, dx * N), n + max(0, dx * N)):
+                fn, fd = factor(c, e + dn * n)
+                if below:
+                    if not fn:
+                        raise ZeroDenominator(f"series denominator vanishes at n={n}: "
+                                              f"base ({c}, {dn}, {dx}) at k + {dx} x = {e}")
+                    fn, fd = fd, fn
+                tn, td = table.get(e, (1, 1))
+                table[e] = (tn * fn, td * fd)
+    for table in tables.values():
+        for e, (tn, td) in table.items():
+            g = math.gcd(tn, td)
+            table[e] = (tn // g, td // g)
+    rows = []
+    for x in range(N + 1):
+        rhos = []
+        for k in range(n):
+            rn = rd = 1
+            for dx, table in tables.items():
+                tn, td = table[k + dx * x]
+                rn, rd = rn * tn, rd * td
+            if not rn:
+                break
+            rhos.append((rn, rd))
+        top, bottom = weights[len(rhos)]
+        for (rn, rd), (wn, wd) in zip(reversed(rhos), reversed(weights[:len(rhos)])):
+            top, bottom = wn * rd * bottom + wd * rn * top, wd * rd * bottom
+        rows.append(Fraction(top, bottom))
+    return rows
+
+
+def _q_factor(q):
+    """The `_series_rows` factor of a basic series: 1 - c q^d as an unreduced
+    integer pair."""
+    qn, qd = q.as_integer_ratio()
+
+    def factor(c, d):
+        cn, cd = c.as_integer_ratio()
+        up, down = (qn**d, qd**d) if d >= 0 else (qd**-d, qn**-d)
+        return cd * down - cn * up, cd * down
+    return factor
 
 
 @dataclass(frozen=True)

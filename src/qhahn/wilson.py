@@ -4,10 +4,11 @@ The family u_n, v_n is biorthogonal on x = 0..N against the weight w_x,
 with diagonal norms h_n, all in exact rational arithmetic.  Each of the 15
 bases of the 10phi9 is c q^{dn n + dx x}, dn and dx in {-1, 0, 1}, declared
 once in `WilsonParams._series_bases`, so its term ratio is q times a part
-tabulated in k and one part per dx tabulated in k + dx x.  `_series_rows`
-sums a whole row u_n(0..N) from those tables in integer Horner form, with the
-very-well-poised factor (1 - h q^{2k}) / (1 - h), h = qa/qe, as the weight.
-The q = 1 Hahn 3F2 splits the same way and goes through the same kernel.
+tabulated in k and one part per dx tabulated in k + dx x.  The shared kernel
+`qcore._series_rows` sums a whole row u_n(0..N) from those tables in integer
+Horner form, with the very-well-poised factor (1 - h q^{2k}) / (1 - h),
+h = qa/qe, as the weight.  The q = 1 Hahn 3F2 splits the same way and goes
+through the same kernel, as does `brf.brf_u`'s 3phi2.
 
 Two degenerations are verified.  Sending qa -> infinity along qa = q^{-m}
 (|q| < 1) collapses the family onto the rational functions of the brf
@@ -35,6 +36,8 @@ from .qcore import (
     InvalidParams,
     QParams,
     ZeroDenominator,
+    _q_factor,
+    _series_rows,
     frac_str,
     phi_series,
     qpoch,
@@ -98,11 +101,6 @@ class WilsonParams:
     @property
     def qf(self) -> Fraction:
         return self.q ** (self.N + 1) / (self.qc * self.qd * self.qe)
-
-    def swapped(self) -> "WilsonParams":
-        """Partner parameters: qa <-> qb and qe <-> qf (the derived pair
-        swaps back automatically through the constraints)."""
-        return WilsonParams(self.q, self.qb, self.qc, self.qd, self.qf, self.N)
 
     @cached_property
     def _series_bases(self) -> tuple:
@@ -198,64 +196,6 @@ def wilson_weight(x: int, wp: WilsonParams) -> Fraction:
             raise ZeroDenominator("weight denominator vanishes")
         out = out * qpoch(num_base, x, q) / den
     return out
-
-
-def _series_rows(num, den, factor, z, weights, n: int, N: int) -> list[Fraction]:
-    """The terminating sums  sum_{k <= n} w_k t_k  at x = 0..N, where t_0 = 1 and
-
-        t_{k+1} / t_k = z prod_num factor(c, d) / prod_den factor(c, d),
-
-    d = k + dn n + dx x for each base (c, dn, dx), dn and dx in {-1, 0, 1};
-    `den` holds the k! base.  `factor` and the weights w_0..w_n are integer
-    pairs.  The ratio is z times one table per dx, indexed by k + dx x, of
-    unreduced pairs.  Each sum stops at its first zero ratio and is summed in
-    Horner form, w_0 + rho_0 (w_1 + rho_1 (...)), on integers, reduced once.
-    A tabulated denominator factor that vanishes raises ZeroDenominator,
-    whatever x it belongs to.
-    """
-    if n == 0:
-        return [Fraction(*weights[0])] * (N + 1)
-    tables = {0: dict.fromkeys(range(n), z.as_integer_ratio())}  # dx -> {k + dx x: pair}
-    for bases, below in ((num, False), (den, True)):
-        for c, dn, dx in bases:
-            table = tables.setdefault(dx, {})
-            for e in range(min(0, dx * N), n + max(0, dx * N)):
-                fn, fd = factor(c, e + dn * n)
-                if below:
-                    if not fn:
-                        raise ZeroDenominator(f"series denominator vanishes at n={n}: "
-                                              f"base ({c}, {dn}, {dx}) at k + {dx} x = {e}")
-                    fn, fd = fd, fn
-                tn, td = table.get(e, (1, 1))
-                table[e] = (tn * fn, td * fd)
-    rows = []
-    for x in range(N + 1):
-        rhos = []
-        for k in range(n):
-            rn = rd = 1
-            for dx, table in tables.items():
-                tn, td = table[k + dx * x]
-                rn, rd = rn * tn, rd * td
-            if not rn:
-                break
-            rhos.append((rn, rd))
-        top, bottom = weights[len(rhos)]
-        for (rn, rd), (wn, wd) in zip(reversed(rhos), reversed(weights[:len(rhos)])):
-            top, bottom = wn * rd * bottom + wd * rn * top, wd * rd * bottom
-        rows.append(Fraction(top, bottom))
-    return rows
-
-
-def _q_factor(q):
-    """The `_series_rows` factor of a basic series: 1 - c q^d as an unreduced
-    integer pair."""
-    qn, qd = q.as_integer_ratio()
-
-    def factor(c, d):
-        cn, cd = c.as_integer_ratio()
-        up, down = (qn**d, qd**d) if d >= 0 else (qd**-d, qn**-d)
-        return cd * down - cn * up, cd * down
-    return factor
 
 
 def _wilson_rows(n: int, wp: WilsonParams, h, num, den) -> list[Fraction]:

@@ -289,7 +289,8 @@ def direct_series_u(n, p):
 
 
 @pytest.mark.parametrize("p", [p for p in PANEL if validate_params(p, p.N).valid]
-                         + [QParams(F(1, 2), F(-5), F(1, 7), 24)],
+                         + [QParams(F(1, 2), F(-5), F(1, 7), 24),
+                            QParams(F(-2, 3), F(7, 3), F(5, 11), 16)],
                          ids=lambda p: f"N{p.N}-A{p.A}")
 def test_factored_series_equals_the_direct_sum(p):
     for n in range(p.N + 1):

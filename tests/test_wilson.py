@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhahn import brf, wilson
+from qhahn import brf, qcore, wilson
 from qhahn.qcore import InvalidParams, QParams, ZeroDenominator, frac_str, phi_series, qpoch
 from qhahn.wilson import (
     HahnParams,
@@ -50,15 +50,6 @@ def test_parameter_constraints_hold_by_construction():
     for wp in WILSON_PANEL:
         assert wp.qa * wp.qb == wp.q ** -wp.N
         assert wp.qa * wp.qb * wp.qc * wp.qd * wp.qe * wp.qf == wp.q
-
-
-def test_swapped_exchanges_the_two_families():
-    wp = WILSON_PANEL[0]
-    sw = wp.swapped()
-    assert sw.qa == wp.qb and sw.qb == wp.qa
-    assert sw.qe == wp.qf and sw.qf == wp.qe
-    assert sw.qc == wp.qc and sw.qd == wp.qd
-    assert sw.swapped() == wp
 
 
 def test_u0_and_v0_are_one():
@@ -566,7 +557,10 @@ def _unguarded(cls, **fields):
     (hahn_u, _unguarded(HahnParams, alpha=F(2), beta=F(17, 2), N=3), 1),
     # beta = alpha: the bottom x - N + 2 + k vanishes at x = 1, k = 0
     (hahn_v, _unguarded(HahnParams, alpha=F(1, 2), beta=F(1, 2), N=3), 1),
-], ids=["wilson_u-constant", "wilson_u-x-part", "wilson_v-constant", "hahn_u", "hahn_v"])
+    # A = q^-1: the bottom 1 - A q^{k-x} of U_n's 3phi2 vanishes at k - x = 1
+    (brf.brf_u, QParams(F(1, 2), F(2), F(1, 5), 3), 2),
+], ids=["wilson_u-constant", "wilson_u-x-part", "wilson_v-constant", "hahn_u", "hahn_v",
+        "brf_u"])
 def test_a_vanishing_denominator_is_a_zero_denominator(row, params, n):
     # the guards reject these instances; past them, a tabulated denominator
     # that vanishes for some k < n raises ZeroDenominator, not ZeroDivisionError,
@@ -574,6 +568,28 @@ def test_a_vanishing_denominator_is_a_zero_denominator(row, params, n):
     with pytest.raises(ZeroDenominator, match="series denominator vanishes"):
         row(n, params)
     assert len(row(n - 1, params)) == params.N + 1
+
+
+@pytest.mark.parametrize("row, params", [
+    (brf.brf_u, CANONICAL), (wilson_u, WILSON_PANEL[1]), (wilson_v, WILSON_PANEL[1]),
+    (hahn_u, HAHN_PANEL[1]), (hahn_v, HAHN_PANEL[1]),
+], ids=["brf_u", "wilson_u", "wilson_v", "hahn_u", "hahn_v"])
+def test_each_terminating_series_is_one_call_to_the_qcore_kernel(row, params, monkeypatch):
+    # the 3phi2 of U_n, the 10phi9 and the Hahn 3F2 share one integer Horner
+    # kernel: each row of n >= 1 is one call to it, and a second kernel
+    # summing a row would show as a missing call
+    kernel, calls = qcore._series_rows, []
+
+    def counted(*args):
+        calls.append(args[-2])
+        return kernel(*args)
+
+    for module in (qcore, brf, wilson):
+        assert module._series_rows is kernel
+        monkeypatch.setattr(module, "_series_rows", counted)
+    for n in range(1, params.N + 1):
+        row(n, params)
+    assert calls == list(range(1, params.N + 1))
 
 
 def test_norm_heads_are_built_once_per_instance(monkeypatch):
