@@ -37,7 +37,6 @@ from .qcore import (
     QHahnError,
     QParams,
     RankDeficient,
-    SingularSystem,
     frac_str,
     qnum,
     qpow,
@@ -113,11 +112,6 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.cyclic == other.cyclic and self.terms == other.terms
-
     def __add__(self, other: "NCPoly") -> "NCPoly":
         if self.cyclic != other.cyclic:
             raise QHahnError("cannot mix cyclic and ordinary polynomials")
@@ -134,14 +128,6 @@ class NCPoly:
 
     def __rmul__(self, coeff) -> "NCPoly":
         return NCPoly({w: coeff * v for w, v in self.terms.items()}, cyclic=self.cyclic)
-
-    def __repr__(self) -> str:
-        kind = "cyclic" if self.cyclic else "free"
-        body = " + ".join(
-            f"{coeff}*[{''.join(word) or '1'}]"
-            for word, coeff in sorted(self.terms.items())
-        )
-        return f"NCPoly<{kind}>({body or '0'})"
 
 
 def cyclic_derivative(phi: NCPoly, gen: str) -> NCPoly:
@@ -469,17 +455,12 @@ def _flatten(mats: Iterable[OpMatrix]) -> list[list[Fraction]]:
 
 
 def _solve_relation(lhs: OpMatrix, ansatz: list[OpMatrix], what: str) -> list[Fraction]:
-    """The unique coefficients c with lhs = sum_i c_i ansatz_i, from one
-    elimination of [ansatz | lhs]: a missing pivot among the ansatz columns
-    is a rank deficiency, a pivot in the lhs column an inconsistency."""
-    cols = len(ansatz)
-    b = [v for row in lhs.entries for v in row]
-    red, pivots = linalg.rref([row + [v] for row, v in zip(_flatten(ansatz), b)])
-    if pivots[:cols] != list(range(cols)):
-        raise RankDeficient(f"ansatz for {what} is linearly dependent at this instance")
-    if cols in pivots:
-        raise SingularSystem("system is inconsistent")
-    return [red[r][cols] for r in range(cols)]
+    """The unique coefficients c with lhs = sum_i c_i ansatz_i; a dependent
+    ansatz is a RankDeficient naming `what`."""
+    try:
+        return linalg.solve_unique(_flatten(ansatz), [v for row in lhs.entries for v in row])
+    except RankDeficient:
+        raise RankDeficient(f"ansatz for {what} is linearly dependent at this instance") from None
 
 
 def solve_structure_constants(inst: Instance) -> tuple[Fraction, ...]:

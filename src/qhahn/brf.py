@@ -396,8 +396,8 @@ def check_partner(inst: Instance) -> CheckReport:
     report = CheckReport(check="partner", params=p.as_dict())
     xs, ys, vs = (weighted_adjoint(inst.ops[g], inst.weight) for g in "XYV")
     for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners)):
-        resid = (vs @ pm) - lam * pm
-        if not resid.is_zero():
+        resid = [a - lam * b for a, b in zip(vs @ pm, pm)]
+        if any(resid):
             report.add_violation(m=m, kind="eigen", residual=frac_str(max(abs(v) for v in resid)))
         pencil = [[y - lam * x if x else y for x, y in zip(rx, ry)]
                   for rx, ry in zip(xs.entries, ys.entries)]

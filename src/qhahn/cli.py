@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -26,21 +27,24 @@ __all__ = ["ConfigError", "main", "run_verify", "run_export", "SUITES"]
 
 
 def _parse_scalar(text) -> Fraction:
+    if isinstance(text, float):
+        raise ConfigError(f"bad rational {text!r}: a float is not exact; write it as \"num/den\"")
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad rational {text!r}: {exc}") from None
 
 
-def _instance_parser(make, keys: tuple[str, ...], label: str):
-    """Parser for one kind of instance: the rationals under `keys`, then the
-    integer N, passed in that order to the parameter class `make`."""
+def _instance_parser(make, label: str):
+    """Parser for one kind of instance: the fields of the parameter class
+    `make`, its rationals and then the integer N, passed in that order."""
+    keys = [f.name for f in dataclasses.fields(make)]
 
     def parse(entry: dict):
         try:
-            *rationals, n = (entry[k] for k in (*keys, "N"))
+            *rationals, n = (entry[k] for k in keys)
         except (KeyError, TypeError):
-            raise ConfigError(f"{label} needs keys {', '.join(keys)}, N: {entry!r}") from None
+            raise ConfigError(f"{label} needs keys {', '.join(keys)}: {entry!r}") from None
         if not isinstance(n, int) or isinstance(n, bool):
             raise ConfigError(f"N must be an integer: {n!r}")
         return make(*map(_parse_scalar, rationals), n)
@@ -48,10 +52,9 @@ def _instance_parser(make, keys: tuple[str, ...], label: str):
     return parse
 
 
-_parse_qparams = _instance_parser(QParams, ("q", "A", "B"), "instance")
-_parse_wilson = _instance_parser(
-    wilson.WilsonParams, ("q", "qa", "qc", "qd", "qe"), "wilson instance")
-_parse_hahn = _instance_parser(wilson.HahnParams, ("alpha", "beta"), "hahn instance")
+_parse_qparams = _instance_parser(QParams, "instance")
+_parse_wilson = _instance_parser(wilson.WilsonParams, "wilson instance")
+_parse_hahn = _instance_parser(wilson.HahnParams, "hahn instance")
 
 
 def _section(config: dict, key: str, kind: type, default):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .qcore import SingularSystem
+from .qcore import RankDeficient, SingularSystem
 
 Matrix = list[list]
 Vector = list
@@ -62,16 +62,8 @@ def transpose(a: Sequence[Sequence]) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def mat_add(a, b) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a) -> Matrix:
-    return [[c * x for x in row] for row in a]
 
 
 def is_zero(a) -> bool:
@@ -108,23 +100,19 @@ def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
 
 def solve_unique(a: Sequence[Sequence], b: Sequence) -> Vector:
-    """Exact solution of a linear system with a unique solution.
+    """The unique x with a x = b, from one elimination of [a | b].
 
-    Accepts rectangular (over-determined) systems; raises SingularSystem if
-    the system is inconsistent or the solution is not unique.
+    Accepts rectangular (over-determined) systems.  A missing pivot among
+    the columns of a raises RankDeficient, whether or not the system is
+    consistent; a pivot in the b column then raises SingularSystem.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
+    cols = len(a[0]) if a else 0
+    red, pivots = rref([list(row) + [v] for row, v in zip(a, b)])
+    if pivots[:cols] != list(range(cols)):
+        raise RankDeficient("solution is not unique")
     if cols in pivots:
         raise SingularSystem("system is inconsistent")
-    if len(pivots) < cols:
-        raise SingularSystem("solution is not unique")
-    x = [0] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
-    return x
+    return [red[r][cols] for r in range(cols)]
 
 
 def null_space(a: Sequence[Sequence]) -> list[Vector]:

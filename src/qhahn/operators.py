@@ -82,35 +82,11 @@ class GridVector:
                 f"expected {self.params.N + 1} values, got {len(self.values)}"
             )
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def __getitem__(self, x: int):
         return self.values[x]
 
     def __iter__(self) -> Iterator:
         return iter(self.values)
-
-    def __add__(self, other: "GridVector") -> "GridVector":
-        self._compat(other)
-        return GridVector(tuple(a + b for a, b in zip(self, other)), self.params)
-
-    def __sub__(self, other: "GridVector") -> "GridVector":
-        self._compat(other)
-        return GridVector(tuple(a - b for a, b in zip(self, other)), self.params)
-
-    def __rmul__(self, c) -> "GridVector":
-        return GridVector(tuple(c * v for v in self.values), self.params)
-
-    def __neg__(self) -> "GridVector":
-        return GridVector(tuple(-v for v in self.values), self.params)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
-    def _compat(self, other: "GridVector") -> None:
-        if len(self) != len(other):
-            raise DimensionMismatch("grid sizes differ")
 
 
 @dataclass(frozen=True)
@@ -150,19 +126,9 @@ class OpMatrix:
             return GridVector(tuple(linalg.mat_vec(self.entries, other.values)), self.params)
         return NotImplemented
 
-    def __add__(self, other: "OpMatrix") -> "OpMatrix":
-        self._compat(other)
-        return OpMatrix(linalg.mat_add(self.entries, other.entries), self.basis, self.params)
-
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
         self._compat(other)
         return OpMatrix(linalg.mat_sub(self.entries, other.entries), self.basis, self.params)
-
-    def __neg__(self) -> "OpMatrix":
-        return OpMatrix(linalg.mat_scale(-1, self.entries), self.basis, self.params)
-
-    def __rmul__(self, c) -> "OpMatrix":
-        return OpMatrix(linalg.mat_scale(c, self.entries), self.basis, self.params)
 
     def is_zero(self) -> bool:
         return linalg.is_zero(self.entries)

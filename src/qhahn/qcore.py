@@ -89,8 +89,9 @@ class SingularSystem(QHahnError):
     """An exact linear system has no unique solution."""
 
 
-class RankDeficient(QHahnError):
-    """A coefficient-recovery ansatz does not have full column rank."""
+class RankDeficient(SingularSystem):
+    """A linear system, such as a coefficient-recovery ansatz, does not have
+    full column rank."""
 
 
 class ConfigError(QHahnError):
@@ -120,7 +121,23 @@ def over_common_denominator(values) -> tuple[list[int], int]:
 
 
 @dataclass(frozen=True)
-class QParams:
+class _ExactParams:
+    """Base of the frozen parameter classes: each field but the last, N, is
+    an exact rational stored through `scalar`, and N is a nonnegative int."""
+
+    def __post_init__(self):
+        for f in fields(self)[:-1]:
+            object.__setattr__(self, f.name, scalar(getattr(self, f.name)))
+        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
+            raise InvalidParams(f"N must be a nonnegative integer, got {self.N!r}")
+
+    def as_dict(self) -> dict:
+        """The fields, rationals as "num/den"; derived values stay out."""
+        return {f.name: frac_str(getattr(self, f.name)) for f in fields(self)[:-1]} | {"N": self.N}
+
+
+@dataclass(frozen=True)
+class QParams(_ExactParams):
     """One exact parameter instance (q, A, B, N) on the grid x = 0..N."""
 
     q: Fraction
@@ -129,23 +146,11 @@ class QParams:
     N: int
 
     def __post_init__(self):
-        object.__setattr__(self, "q", scalar(self.q))
-        object.__setattr__(self, "A", scalar(self.A))
-        object.__setattr__(self, "B", scalar(self.B))
+        super().__post_init__()
         if self.q in (0, 1, -1):
             raise InvalidParams(f"q must avoid 0 and +-1, got {self.q}")
         if self.A == 0 or self.B == 0:
             raise InvalidParams("A and B must be nonzero")
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
-            raise InvalidParams(f"N must be a nonnegative integer, got {self.N!r}")
-
-    def as_dict(self) -> dict:
-        return {
-            "q": frac_str(self.q),
-            "A": frac_str(self.A),
-            "B": frac_str(self.B),
-            "N": self.N,
-        }
 
 
 def qpow(p: QParams, i: int = 0, j: int = 0, k: int = 0) -> Fraction:

@@ -36,6 +36,7 @@ from .qcore import (
     InvalidParams,
     QParams,
     ZeroDenominator,
+    _ExactParams,
     _q_factor,
     _series_rows,
     frac_str,
@@ -68,7 +69,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class WilsonParams:
+class WilsonParams(_ExactParams):
     """Free parameters (q, qa, qc, qd, qe, N); qb and qf are derived.
 
     The products qa*qb = q^{-N} and qa*qb*qc*qd*qe*qf = q hold by
@@ -84,10 +85,7 @@ class WilsonParams:
     N: int
 
     def __post_init__(self):
-        for name in ("q", "qa", "qc", "qd", "qe"):
-            object.__setattr__(self, name, scalar(getattr(self, name)))
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
-            raise InvalidParams("N must be a nonnegative integer")
+        super().__post_init__()
         if self.q == 0 or self.q == 1 or self.q == -1:
             raise InvalidParams("q must avoid 0, 1, -1")
         if 0 in (self.qa, self.qc, self.qd, self.qe):
@@ -132,12 +130,6 @@ class WilsonParams:
         if den == 0:
             raise ZeroDenominator("norm denominator vanishes")
         return num / den
-
-    def as_dict(self) -> dict:
-        return {
-            "q": frac_str(self.q), "qa": frac_str(self.qa), "qc": frac_str(self.qc),
-            "qd": frac_str(self.qd), "qe": frac_str(self.qe), "N": self.N,
-        }
 
 
 def _weight_pairs(q, qa, qb, qc, qd, qe, qf):
@@ -277,9 +269,7 @@ def induced_wilson_params(p: QParams, m: int, qc: Fraction) -> WilsonParams:
     return WilsonParams(p.q, qa, scalar(qc), qd, qe, p.N)
 
 
-def wilson_limit_check(
-    p: QParams, m_list: list[int], qc: Fraction = Fraction(3)
-) -> CheckReport:
+def wilson_limit_check(p: QParams, m_list: list[int], qc: Fraction) -> CheckReport:
     """Exact deviations of (w, u, v, h) from their limit targets shrink
     geometrically along qa = q^{-m}: strictly decreasing, with the largest
     successive ratio recorded (below 1, as only a decreasing step gives a
@@ -338,7 +328,7 @@ def _rising(a, k: int):
 
 
 @dataclass(frozen=True)
-class HahnParams:
+class HahnParams(_ExactParams):
     """Rational exponents (alpha, beta) and grid size N for the q = 1 family."""
 
     alpha: Fraction
@@ -346,10 +336,7 @@ class HahnParams:
     N: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", scalar(self.alpha))
-        object.__setattr__(self, "beta", scalar(self.beta))
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 0:
-            raise InvalidParams("N must be a nonnegative integer")
+        super().__post_init__()
         a, b, N = self.alpha, self.beta, self.N
         # the zero factors of (b-a-N+2)_x, (a-x)_n and (x-N+b-a+2)_n, x, n <= N,
         # and of the norm's (1+b-N)_{2N}; its (a-b-1)_N vanishes exactly
@@ -369,9 +356,6 @@ class HahnParams:
         if den == 0:
             raise ZeroDenominator("norm denominator vanishes")
         return Fraction(_rising(-self.beta, self.N)) / den
-
-    def as_dict(self) -> dict:
-        return {"alpha": frac_str(self.alpha), "beta": frac_str(self.beta), "N": self.N}
 
 
 def hahn_weight(x: int, hp: HahnParams) -> Fraction:

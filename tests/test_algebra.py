@@ -42,18 +42,23 @@ cyclic_polys = st.dictionaries(words, coeffs, max_size=3).map(
 )
 
 
+def same(a, b):
+    """Two NCPolys are one element: the same kind and the same terms."""
+    return a.cyclic == b.cyclic and a.terms == b.terms
+
+
 @given(polys, polys, polys)
 @settings(max_examples=30)
 def test_ncpoly_ring_laws(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-    assert a - a == NCPoly()
+    assert same((a + b) + c, a + (b + c))
+    assert same(a + b, b + a)
+    assert (a - a).is_zero()
 
 
 @given(polys, coeffs)
 @settings(max_examples=30)
 def test_ncpoly_scalar_action(a, c):
-    assert c * a == NCPoly({w: c * v for w, v in a.terms.items()})
+    assert same(c * a, NCPoly({w: c * v for w, v in a.terms.items()}))
 
 
 def test_ncpoly_unit_and_monomials():
@@ -61,16 +66,16 @@ def test_ncpoly_unit_and_monomials():
     # one is never stored
     assert NCPoly.monomial("").terms == {(): 1}
     assert NCPoly.monomial("XY", F(1, 3)).terms == {("X", "Y"): F(1, 3)}
-    assert NCPoly.monomial("X", 0) == NCPoly()
+    assert NCPoly.monomial("X", 0).terms == {}
     assert NCPoly({"X": 1, "Y": F(0)}).terms == {("X",): 1}
     assert type(NCPoly.monomial("X").terms[("X",)]) is int
 
 
 def test_cyclic_words_identify_rotations():
-    assert NCPoly.cyclic_word("XYZ") == NCPoly.cyclic_word("YZX")
-    assert NCPoly.cyclic_word("XYZ") == NCPoly.cyclic_word("ZXY")
-    assert NCPoly.cyclic_word("XYZ") != NCPoly.cyclic_word("XZY")
-    assert NCPoly.cyclic_word("XXY") + NCPoly.cyclic_word("XYX") == NCPoly.cyclic_word("XXY", 2)
+    assert same(NCPoly.cyclic_word("XYZ"), NCPoly.cyclic_word("YZX"))
+    assert same(NCPoly.cyclic_word("XYZ"), NCPoly.cyclic_word("ZXY"))
+    assert not same(NCPoly.cyclic_word("XYZ"), NCPoly.cyclic_word("XZY"))
+    assert same(NCPoly.cyclic_word("XXY") + NCPoly.cyclic_word("XYX"), NCPoly.cyclic_word("XXY", 2))
 
 
 def test_cyclic_and_plain_do_not_mix():
@@ -80,10 +85,10 @@ def test_cyclic_and_plain_do_not_mix():
 
 def test_cyclic_derivative_displayed_rule():
     # d[XY]/dX = Y, d[XXX]/dX = 3 X^2, d[XYZ]/dY = ZX
-    assert cyclic_derivative(NCPoly.cyclic_word("XY"), "X") == NCPoly.monomial("Y")
-    assert cyclic_derivative(NCPoly.cyclic_word("XXX"), "X") == NCPoly.monomial("XX", 3)
-    assert cyclic_derivative(NCPoly.cyclic_word("XYZ"), "Y") == NCPoly.monomial("ZX")
-    assert cyclic_derivative(NCPoly.cyclic_word("XY"), "Z") == NCPoly()
+    assert same(cyclic_derivative(NCPoly.cyclic_word("XY"), "X"), NCPoly.monomial("Y"))
+    assert same(cyclic_derivative(NCPoly.cyclic_word("XXX"), "X"), NCPoly.monomial("XX", 3))
+    assert same(cyclic_derivative(NCPoly.cyclic_word("XYZ"), "Y"), NCPoly.monomial("ZX"))
+    assert same(cyclic_derivative(NCPoly.cyclic_word("XY"), "Z"), NCPoly())
 
 
 @given(cyclic_polys, cyclic_polys, coeffs, st.sampled_from("XYZV"))
@@ -91,7 +96,7 @@ def test_cyclic_derivative_displayed_rule():
 def test_cyclic_derivative_is_linear(a, b, c, gen):
     lhs = cyclic_derivative(a + c * b, gen)
     rhs = cyclic_derivative(a, gen) + c * cyclic_derivative(b, gen)
-    assert lhs == rhs
+    assert same(lhs, rhs)
 
 
 # words over X, Y, Z, V with all their prefixes, the empty word included, so
@@ -106,20 +111,21 @@ CANONICAL_INST = Instance(CANONICAL)
 @settings(max_examples=30, deadline=None)
 def test_evaluate_poly_equals_an_identity_started_fold(poly):
     identity = OpMatrix(linalg.identity(CANONICAL.N + 1, CANONICAL.q**0), Basis.POINT, CANONICAL)
-    acc = 0 * identity
+    acc = linalg.zeros(CANONICAL.N + 1, CANONICAL.N + 1)
     for word, coeff in poly.terms.items():
         prod = identity
         for letter in word:
             prod = prod @ CANONICAL_INST.ops[letter]
-        acc = acc + coeff * prod
-    assert evaluate_poly(poly, CANONICAL_INST) == acc
+        acc = [[a + coeff * v for a, v in zip(ra, rp)] for ra, rp in zip(acc, prod.entries)]
+    assert evaluate_poly(poly, CANONICAL_INST) == OpMatrix(acc, Basis.POINT, CANONICAL)
 
 
 def test_evaluate_poly_matches_matrix_products(canonical):
     mats = {g.value: build_operator(g, Basis.POINT, canonical) for g in Operator}
     poly = NCPoly.monomial("XZ", F(2)) + NCPoly.monomial("Y", F(-1, 3))
-    direct = F(2) * (mats["X"] @ mats["Z"]) + F(-1, 3) * mats["Y"]
-    assert evaluate_poly(poly, Instance(canonical)).entries == direct.entries
+    direct = [[F(2) * a + F(-1, 3) * b for a, b in zip(ra, rb)]
+              for ra, rb in zip((mats["X"] @ mats["Z"]).entries, mats["Y"].entries)]
+    assert evaluate_poly(poly, Instance(canonical)).rows() == direct
 
 
 def test_rqhahn_relations_exact_on_panel():
@@ -345,14 +351,14 @@ def test_potential_derivative_matches_relation_poly(canonical):
     inst = Instance(canonical)
     phi = potential_rqhahn(inst)
     rel = rqhahn_relation_polys(inst)["XZ"]
-    assert cyclic_derivative(phi, "Y") + rel == NCPoly()
+    assert (cyclic_derivative(phi, "Y") + rel).is_zero()
 
 
 def test_meta_potential_derivative_matches_relation_poly(canonical):
     inst = Instance(canonical)
     psi = potential_meta(inst)
     rel = meta_relation_polys(inst)["XZ"]
-    assert cyclic_derivative(psi, "V") + rel == NCPoly()
+    assert (cyclic_derivative(psi, "V") + rel).is_zero()
 
 
 def test_relation_polys_evaluate_to_zero(canonical):

@@ -83,7 +83,7 @@ def test_potentials_give_their_relations_over_the_field(N):
             ref = min(rel.terms)
             scale = deriv.terms.get(ref, 0) / rel.terms[ref]
             assert scale == -1
-            assert deriv == scale * rel
+            assert deriv.terms == (scale * rel).terms
 
 
 def test_field_certification_catches_a_shifted_constant(monkeypatch):

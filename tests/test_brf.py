@@ -41,7 +41,7 @@ from conftest import CANONICAL, PANEL, SMALL_PANEL
 
 def inner_product(f, g, w):
     """(f, g)_w = sum_x w_x f(x) g(x), the direct pairing."""
-    return sum(w[x] * f[x] * g[x] for x in range(len(w)))
+    return sum(w[x] * f[x] * g[x] for x in range(len(w.values)))
 
 
 def test_u0_is_constant_one():
@@ -152,7 +152,7 @@ def test_biorthogonality_catches_a_mixed_partner(canonical, monkeypatch):
 
     def mixed(p):
         partners = list(good(p))
-        partners[3] = partners[3] + partners[1]
+        partners[3] = GridVector(tuple(a + b for a, b in zip(partners[3], partners[1])), p)
         return tuple(partners)
 
     monkeypatch.setattr(brf, "partner_family", mixed)
@@ -187,7 +187,7 @@ def test_partner_catches_a_mixed_partner(canonical, monkeypatch):
 
     def mixed(p):
         partners = list(good(p))
-        partners[2] = partners[2] + partners[1]
+        partners[2] = GridVector(tuple(a + b for a, b in zip(partners[2], partners[1])), p)
         return tuple(partners)
 
     monkeypatch.setattr(brf, "partner_family", mixed)

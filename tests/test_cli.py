@@ -385,7 +385,7 @@ def test_invalid_wilson_and_hahn_entries_are_skips_carrying_the_entry(tmp_path):
     }]
     assert suites["hahn"] == [{
         "check": "hahn_biorthogonality", "params": hahn_entry, "status": "skip",
-        "reason": "N must be a nonnegative integer", "violations": [], "details": {},
+        "reason": "N must be a nonnegative integer, got -1", "violations": [], "details": {},
     }]
 
 
@@ -595,6 +595,20 @@ def test_malformed_json_is_config_error(tmp_path):
 
 def test_missing_config_is_config_error(tmp_path):
     assert cli.main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize("suite, payload, value", [
+    ("gevp", {"instances": [{**VALID_INSTANCE, "q": 1 / 3}]}, 1 / 3),
+    ("limits", {"limits": {"wilson": {"instance": VALID_INSTANCE, "qc": 0.5}}}, 0.5),
+    ("limits", {"limits": {"qto1": {"instance": {"alpha": "-3", "beta": "5", "N": 2},
+                                    "h_list": ["1/8", 0.0625]}}}, 0.0625),
+], ids=["instance-q", "wilson-qc", "qto1-h_list"])
+def test_a_json_float_is_a_config_error_naming_it(tmp_path, capsys, suite, payload, value):
+    # rationals are "num/den" strings or ints: a float such as 1/3 would
+    # otherwise be read as its 16-digit decimal
+    config = write_config(tmp_path, payload)
+    assert cli.main(["verify", "--config", config, "--suite", suite]) == 2
+    assert f"bad rational {value!r}" in capsys.readouterr().err
 
 
 def test_failing_check_exits_one(tmp_path, monkeypatch):

@@ -1,8 +1,15 @@
 """The public surface: what the package exports is what its modules declare."""
 
+import ast
 import importlib
+import json
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 import types
+from importlib import resources
 
 import pytest
 
@@ -29,3 +36,68 @@ def test_every_reexport_is_declared_by_its_home_module():
         if name not in getattr(home, "__all__", ()):
             undeclared.append(f"{home.__name__}.{name}")
     assert undeclared == []
+
+
+# Functions the default panel and the export targets never enter, each with
+# the reason it stays.
+UNREACHED = {
+    "linalg.null_space": "the dense fallback of `tridiagonal_null_space`: it proves a kernel "
+                         "dimension when a pencil has a zero superdiagonal entry",
+    "operators.basis_change": "the change to the phi basis, for the third basis of the roadmap",
+    "operators.phi_function": "the phi basis functions that `basis_change` tabulates",
+    "reports.CheckReport.add_violation": "runs only when a check fails",
+}
+
+
+def defined_functions() -> dict[tuple[str, int, str], str]:
+    """Every def in the package, methods and nested functions included, as
+    (file name, first line, name) -> dotted name.  The first line is that of
+    the first decorator, as a code object counts it."""
+    out = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[(path.name, first, child.name)] = f"{path.stem}.{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(pathlib.Path(qhahn.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, "")
+    return out
+
+
+# Runs the CLI commands given as JSON in argv[1] under a profiler set before
+# qhahn is imported, so that functions its import calls count too, and
+# prints each function entered as (file name, first line, name).
+PROFILED_RUNS = """
+import json, pathlib, sys
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
+from qhahn import cli
+codes = [cli.main(run) for run in json.loads(sys.argv[1])]
+sys.setprofile(None)
+assert codes == [0] * len(codes), codes
+print(json.dumps([(pathlib.Path(c.co_filename).name, c.co_firstlineno, c.co_name) for c in entered]))
+"""
+
+
+def test_verify_and_export_reach_every_function(tmp_path):
+    # the default panel, then every export target in both bases and both formats
+    out = ["--out", str(tmp_path / "out")]
+    runs = [["verify", "--config", str(resources.files("qhahn").joinpath("data/default_panel.json")),
+             *out]]
+    for what, which in [("matrix", op) for op in "XYZV"] + [("brf", "2"), ("weight", "w")]:
+        for basis, fmt in (("point", "json"), ("phi", "csv")):
+            runs.append(["export", "--what", what, "--which", which, "--basis", basis,
+                         "--format", fmt, "--params", "1/2,32,1/512,3", *out])
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(qhahn.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", PROFILED_RUNS, json.dumps(runs)],
+                           capture_output=True, text=True, check=True, env=env)
+    entered = {tuple(key) for key in json.loads(child.stdout)}
+    unreached = sorted(name for key, name in defined_functions().items() if key not in entered)
+    assert unreached == sorted(UNREACHED)

@@ -567,7 +567,7 @@ def test_a_vanishing_denominator_is_a_zero_denominator(row, params, n):
     # and the row below, which never reaches that k, is still summed
     with pytest.raises(ZeroDenominator, match="series denominator vanishes"):
         row(n, params)
-    assert len(row(n - 1, params)) == params.N + 1
+    assert len(list(row(n - 1, params))) == params.N + 1
 
 
 @pytest.mark.parametrize("row, params", [
