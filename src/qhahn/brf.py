@@ -18,8 +18,10 @@ family: partner_m(x) = -q^{-1} [alpha-beta-1]_q * U_m(N-x) evaluated at
 two families pair diagonally: (U_n, partner_m)_w = delta_{nm} H_n.
 
 The bare weight and bare norm (`bare_weight`, `bare_norm`) take (q, A, B, N)
-in any field: over Fraction they build `weight_vector` and `norm_h`, and
-`qhahn.wilson` uses them as the targets of both limit checks.
+in any field: over Fraction the bare weight builds `weight_vector`, and
+`qhahn.wilson` uses both as the targets of both limit checks.  `norm_h`
+takes all N+1 norms at once as running products over n, the factors that
+cancel against the weight normalization and the prefactors left out.
 """
 
 from __future__ import annotations
@@ -292,15 +294,40 @@ def _bare_norm_n(n: int, q, B, N: int):
     return q ** (-N * n) * qpoch(q, n, q) * qpoch(q * B, n, q) * qpoch(q ** (n - N) * B, n, q) / den
 
 
-def norm_h(n: int, p: QParams) -> Fraction:
-    """Biorthogonality norm H_n with (U_n, partner_n)_w = H_n, in closed form:
-    the product of the partner constant, the two series prefactors (the
-    partner's at the reflected instance), the weight normalization and the
-    bare diagonal norm.  The weight normalization is the reciprocal of the
-    n-independent head of `bare_norm`, so only its n-dependent factor
-    remains.  `check_biorthogonality` compares H_n with the sum."""
-    return (partner_scale(p) * u_prefactor(n, p) * u_prefactor(n, reflected_params(p))
-            * _bare_norm_n(n, p.q, p.B, p.N))
+def norm_h(p: QParams) -> tuple[Fraction, ...]:
+    """Biorthogonality norms H_0..H_N, (U_n, partner_n)_w = H_n, in closed form.
+
+    H_n is the product of the partner constant, the two series prefactors
+    (the partner's at the reflected instance), the weight normalization and
+    the bare diagonal norm.  The weight normalization is the reciprocal of
+    the n-independent head of `bare_norm`, so only `_bare_norm_n` remains,
+    and (q^-N; q)_n and (qB; q)_n cancel between it and the prefactors:
+
+        H_n = c q^{-Nn} (q; q)_n (q^N; 1/q)_n / ((q^{-n}/B; q)_n E_n f_{2n}),
+
+    with c = `partner_scale(p)`, f_j = 1 - q^{j-N} B, E_n = f_1 ... f_{n-1}
+    (the factors of (q^{1-N} B; q)_{2n} that (q^{n-N} B; q)_n leaves), and
+    H_0 = c.  Each factor is a running product over n, so all N+1 norms take
+    O(N) products.  A cancelled denominator still raises ZeroDenominator at
+    the first n where it vanishes, in the order the factors appear: the
+    prefactor at p, at the reflected instance, then the bare norm.
+    `check_biorthogonality` compares H_n with the sum.
+    """
+    q, B, N = p.q, p.B, p.N
+    c = partner_scale(p)
+    out = [c]
+    t, e = c, q**0  # c q^{-Nn} (q; q)_n (q^N; 1/q)_n / (q^{-n}/B; q)_n, and E_n
+    for n in range(1, N + 1):
+        pre = 1 - q**-n / B  # the new factor of (q^{-n}/B; q)_n = prod_{j<=n} (1 - q^-j/B)
+        if pre == 0 or 1 - q**n * B == 0:  # the latter is the reflected one, of (qB; q)_n
+            raise ZeroDenominator("(q^{-n}/B; q)_n vanishes in the U_n prefactor")
+        f_odd, f_even = (1 - q**(j - N) * B for j in (2 * n - 1, 2 * n))
+        if 1 - q**(n - 1 - N) == 0 or f_odd == 0 or f_even == 0:  # (q^-N; q)_n (q^{1-N} B; q)_{2n}
+            raise ZeroDenominator("norm denominator vanishes")
+        t *= q**-N * (1 - q**n) * (1 - q**(N - n + 1)) / pre
+        out.append(t / (e * f_even))
+        e *= 1 - q**(n - N) * B
+    return tuple(out)
 
 
 def partial_fraction(n: int, u: GridVector) -> tuple[Fraction, ...]:
@@ -377,30 +404,55 @@ def check_biorthogonality(inst: Instance) -> CheckReport:
     p = inst.p
     return check_gram(
         CheckReport(check="biorthogonality", params=p.as_dict()),
-        inst.weight, inst.family.members, inst.partners,
-        [norm_h(n, p) for n in range(p.N + 1)])
+        inst.weight, inst.family.members, inst.partners, norm_h(p))
 
 
 def check_partner(inst: Instance) -> CheckReport:
     """Adjoint characterization of the partner family.
 
-    For each m the null space of the pencil Y* - lambda_m X* is
-    one-dimensional and X* applied to it is collinear with partner_m;
-    moreover V* partner_m = lambda_m partner_m.  X* is upper bidiagonal and
-    Y* tridiagonal, so the pencil is tridiagonal and its kernel comes from
-    the three-term recurrence of `linalg.tridiagonal_null_space`, which
-    proves the dimension; a pencil with a zero superdiagonal entry goes to
-    dense elimination instead.
+    For each m, V* partner_m = lambda_m partner_m, and the null space of the
+    pencil Y* - lambda_m X* is one-dimensional with X* applied to it
+    collinear with partner_m.
+
+    The eigen part is tested as V^T g_m = lambda_m g_m with g_m = w partner_m,
+    equivalent since V* = W^-1 V^T W and W is diagonal with nonzero entries,
+    in integers: column y of V is a_y / e_y over one denominator, taken apart
+    once per call, g_m is h_m / d, and (V^T g_m)(y) = sum_x a_y(x) h_m(x) /
+    (e_y d) is compared with lambda_m h_m(y) / d cross-multiplied.  Only a
+    failing m builds V* (`weighted_adjoint`) for the residual
+    max |V* partner_m - lambda_m partner_m| it reports.
+
+    X* is upper bidiagonal and Y* tridiagonal, so only the three diagonals
+    of the pencil are filled, and its kernel comes from the three-term
+    recurrence of `linalg.tridiagonal_null_space`, which proves the
+    dimension; a pencil with a zero superdiagonal entry goes to dense
+    elimination instead.
     """
     p = inst.p
+    n1 = p.N + 1
     report = CheckReport(check="partner", params=p.as_dict())
-    xs, ys, vs = (weighted_adjoint(inst.ops[g], inst.weight) for g in "XYV")
+    xs, ys = (weighted_adjoint(inst.ops[g], inst.weight) for g in "XY")
+    vm = inst.ops["V"]
+    columns = []  # column y of V as ({x: a_x}, e_y) with V[x][y] = a_x / e_y
+    for y in range(n1):
+        entries = {x: vm[x][y] for x in range(n1) if vm[x][y]}
+        ints, e = over_common_denominator(entries.values())
+        columns.append((dict(zip(entries, ints)), e))
+    vs = None
     for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners)):
-        resid = [a - lam * b for a, b in zip(vs @ pm, pm)]
-        if any(resid):
-            report.add_violation(m=m, kind="eigen", residual=frac_str(max(abs(v) for v in resid)))
-        pencil = [[y - lam * x if x else y for x, y in zip(rx, ry)]
-                  for rx, ry in zip(xs.entries, ys.entries)]
+        h, _ = over_common_denominator([w * f for w, f in zip(inst.weight, pm)])
+        num, den = lam.as_integer_ratio()
+        if any(den * sum(a * h[x] for x, a in col.items()) != num * h[y] * e
+               for y, (col, e) in enumerate(columns)):
+            if vs is None:
+                vs = weighted_adjoint(vm, inst.weight)
+            resid = [a - lam * b for a, b in zip(vs @ pm, pm)]
+            report.add_violation(m=m, kind="eigen", residual=frac_str(max(abs(r) for r in resid)))
+        pencil = linalg.zeros(n1, n1)
+        for i in range(n1):
+            for j in range(max(i - 1, 0), min(i + 2, n1)):
+                x, y = xs[i][j], ys[i][j]
+                pencil[i][j] = y - lam * x if x else y
         kernel = linalg.tridiagonal_null_space(pencil)
         if len(kernel) != 1:
             report.add_violation(m=m, kind="kernel", residual=f"dimension {len(kernel)}")

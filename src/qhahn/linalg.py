@@ -8,7 +8,12 @@ division has two int operands, as int / int is a float.
 
 Everything here is sized for the desk scale of this package (dimension at
 most a few dozen).  The dense kernels (`rref`, `solve_unique`,
-`null_space`) are plain Gaussian elimination.  The structured ones exploit
+`null_space`) share one Gauss-Jordan loop, `_reduce`, which takes the rows
+one at a time and skips zero entries: `rref`, and so `null_space`, reduce
+every row, and `solve_unique` stops at the row that makes the column rank
+full and checks the rows left by substituting its solution, so a tall
+system of many dependent rows costs one substitution per extra row.  The
+structured ones exploit
 what the operators of this package look like: `mat_vec` skips zero entries
 and `mat_mul` pairs each nonzero entry with the nonzero (column, value) pairs
 of one right-factor row, listed once per call, so a banded matrix costs
@@ -20,7 +25,8 @@ it can prove a kernel for.
 
 from __future__ import annotations
 
-from typing import Sequence
+import bisect
+from typing import Iterator, Sequence
 
 from .qcore import RankDeficient, SingularSystem
 
@@ -74,45 +80,78 @@ def max_abs(a):
     return max((abs(x) for row in a for x in row), default=0)
 
 
+def _reduce(a: Sequence[Sequence]) -> Iterator[tuple[Matrix, list[int], Vector | None]]:
+    """Gauss-Jordan elimination of the rows of `a`, one row at a time.
+
+    After each row it yields (basis, pivots, zero): the nonzero rows of the
+    reduced row echelon form of the rows taken so far, in pivot order, their
+    pivot columns, and the row just taken if it reduced to zero (else None).
+    A new row is cleared of every pivot column, scaled to 1 at its first
+    nonzero entry, and then cleared from the basis rows, so the basis stays
+    reduced after each step and the caller may stop at any row.
+    """
+    basis: Matrix = []
+    pivots: list[int] = []
+    for row in a:
+        row = list(row)
+        for c, brow in zip(pivots, basis):
+            f = row[c]
+            if f != 0:
+                row = [x - f * y if y else x for x, y in zip(row, brow)]
+        c = next((j for j, x in enumerate(row) if x != 0), None)
+        if c is None:
+            yield basis, pivots, row
+            continue
+        inv = 1 / row[c]
+        row = [x * inv if x else x for x in row]
+        for i, brow in enumerate(basis):
+            f = brow[c]
+            if f != 0:
+                basis[i] = [x - f * y if y else x for x, y in zip(brow, row)]
+        k = bisect.bisect(pivots, c)
+        pivots.insert(k, c)
+        basis.insert(k, row)
+        yield basis, pivots, None
+
+
 def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
-    m = [list(row) for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    basis: Matrix = []
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    zero_rows = []
+    for basis, pivots, zero in _reduce(a):
+        if zero is not None:
+            zero_rows.append(zero)
+    return basis + zero_rows, pivots
 
 
 def solve_unique(a: Sequence[Sequence], b: Sequence) -> Vector:
-    """The unique x with a x = b, from one elimination of [a | b].
+    """The unique x with a x = b, from [a | b] reduced row by row.
 
-    Accepts rectangular (over-determined) systems.  A missing pivot among
-    the columns of a raises RankDeficient, whether or not the system is
-    consistent; a pivot in the b column then raises SingularSystem.
+    Accepts rectangular (over-determined) systems.  The reduction stops at
+    the first row that brings the column rank of a to full: the basis then
+    holds x, and every row not yet taken is checked by substituting x, in
+    the field of the entries.  A column rank of a below full after all rows
+    raises RankDeficient, whether or not the system is consistent; a pivot
+    in the b column or a row that x does not satisfy then raises
+    SingularSystem.
     """
     cols = len(a[0]) if a else 0
-    red, pivots = rref([list(row) + [v] for row, v in zip(a, b)])
-    if pivots[:cols] != list(range(cols)):
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    full = list(range(cols))
+    basis: Matrix = []
+    pivots: list[int] = []
+    taken = 0
+    for taken, (basis, pivots, _) in enumerate(_reduce(rows), 1):
+        if pivots[:cols] == full:
+            break
+    if pivots[:cols] != full:
         raise RankDeficient("solution is not unique")
-    if cols in pivots:
+    x = [row[cols] for row in basis[:cols]]
+    if cols in pivots or any(sum(c * v for c, v in zip(row, x) if c) != row[cols]
+                             for row in rows[taken:]):
         raise SingularSystem("system is inconsistent")
-    return [red[r][cols] for r in range(cols)]
+    return x
 
 
 def null_space(a: Sequence[Sequence]) -> list[Vector]:

@@ -24,11 +24,12 @@ from qhahn.brf import (
     weight_scale,
     weight_vector,
 )
-from qhahn.operators import GridVector, phi_function
+from qhahn.operators import Basis, GridVector, OpMatrix, phi_function, weighted_adjoint
 from qhahn.qcore import (
     PoleOnGrid,
     QHahnError,
     QParams,
+    ZeroDenominator,
     frac_str,
     phi_series,
     qnum,
@@ -130,7 +131,7 @@ def test_biorthogonality_directly(canonical):
         for m in range(canonical.N + 1):
             ip = inner_product(fam.members[n], partners[m], w)
             if n == m:
-                assert ip == norm_h(n, canonical)
+                assert ip == norm_h(canonical)[n]
             else:
                 assert ip == 0
 
@@ -139,7 +140,7 @@ def test_biorthogonality_catches_a_wrong_norm(canonical, monkeypatch):
     # one closed-form norm off by 1 fails the diagonal entry (2, 2) only
     good = brf.norm_h
     monkeypatch.setattr(
-        brf, "norm_h", lambda n, p: good(n, p) + (1 if n == 2 else 0))
+        brf, "norm_h", lambda p: tuple(h + (1 if n == 2 else 0) for n, h in enumerate(good(p))))
     report = check_biorthogonality(Instance(canonical))
     assert report.status == "fail"
     assert report.violations == [{"n": 2, "m": 2, "residual": "-1/1"}]
@@ -147,7 +148,7 @@ def test_biorthogonality_catches_a_wrong_norm(canonical, monkeypatch):
 
 def test_biorthogonality_catches_a_mixed_partner(canonical, monkeypatch):
     # partner_3 + partner_1 pairs with U_1 to H_1: one off-diagonal violation
-    h1 = norm_h(1, canonical)
+    h1 = norm_h(canonical)[1]
     good = brf.partner_family
 
     def mixed(p):
@@ -168,11 +169,9 @@ def test_norms_frozen_and_nonzero(canonical):
         F(969801728, 975143719),
         F(-70934069248, 83184978108375),
     ]
-    for n in range(4):
-        assert norm_h(n, canonical) == frozen[n]
+    assert list(norm_h(canonical)) == frozen
     for p in SMALL_PANEL:
-        for n in range(p.N + 1):
-            assert norm_h(n, p) != 0
+        assert 0 not in norm_h(p)
 
 
 def test_partner_is_reflected_family():
@@ -205,6 +204,37 @@ def test_partner_catches_a_wrong_eigenvalue(canonical, monkeypatch):
     assert report.violations[1]["residual"] == "dimension 0"
 
 
+
+def test_partner_catches_a_wrong_entry_in_the_tail_of_v():
+    # V[N][0] + 1 leaves the pencil alone and breaks V* partner_m = lambda_m
+    # partner_m for every m; the integer test reports the residual of the
+    # dense V* for each failing m
+    p = QParams(F(1, 2), F(3), F(1, 5), 6)
+    inst = Instance(p)
+    v = inst.ops["V"].rows()
+    v[p.N][0] += 1
+    inst.ops["V"] = OpMatrix(v, Basis.POINT, p)
+    vs = weighted_adjoint(inst.ops["V"], inst.weight)
+    expected = []
+    for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners)):
+        resid = [a - lam * b for a, b in zip(vs @ pm, pm)]
+        if any(resid):
+            expected.append({"m": m, "kind": "eigen",
+                             "residual": frac_str(max(abs(r) for r in resid))})
+    assert len(expected) == 7
+    assert check_partner(inst).violations == expected
+
+
+def test_partner_builds_the_adjoints_of_x_and_y_only(monkeypatch):
+    # a passing instance never forms V*: its eigen test runs on V's columns
+    calls = []
+    good = brf.weighted_adjoint
+    monkeypatch.setattr(brf, "weighted_adjoint", lambda m, w: calls.append(m) or good(m, w))
+    inst = Instance(QParams(F(1, 2), F(-5), F(1, 7), 8))
+    assert check_partner(inst).status == "pass"
+    assert len(calls) == 2
+    assert calls[0] is inst.ops["X"] and calls[1] is inst.ops["Y"]
+
 def test_partner_values_from_reflection(canonical):
     # partner_n(x) is the reflected-instance U_n read backwards, times one
     # instance-wide constant
@@ -221,7 +251,7 @@ def test_h0_equals_partner_scale():
     # U_0 and the bare reflected series are both 1, the weight sums to 1,
     # so the n = 0 norm collapses to the partner constant alone
     for p in SMALL_PANEL:
-        assert norm_h(0, p) == partner_scale(p)
+        assert norm_h(p)[0] == partner_scale(p)
 
 
 def test_phi_expansion_reconstructs(canonical):
@@ -265,8 +295,9 @@ def test_norm_closed_form_matches_direct_sum():
     # the closed form against the direct sum (U_n, partner_n)_w
     for p in SMALL_PANEL:
         w = weight_vector(p)
+        h = norm_h(p)
         for n in range(p.N + 1):
-            assert norm_h(n, p) == inner_product(brf_u(n, p), brf_partner(n, p), w)
+            assert h[n] == inner_product(brf_u(n, p), brf_partner(n, p), w)
 
 
 def test_norm_h_equals_the_product_with_the_weight_normalization():
@@ -274,11 +305,33 @@ def test_norm_h_equals_the_product_with_the_weight_normalization():
     # which norm_h therefore leaves out
     for p in PANEL + [QParams(F(1, 2), F(-5), F(1, 7), 12)]:
         assert weight_scale(p) * bare_norm(0, p.q, p.A, p.B, p.N) == 1
+        h = norm_h(p)
         for n in range(p.N + 1):
-            assert norm_h(n, p) == (
+            assert h[n] == (
                 partner_scale(p) * u_prefactor(n, p) * u_prefactor(n, reflected_params(p))
                 * weight_scale(p) * bare_norm(n, p.q, p.A, p.B, p.N))
 
+
+
+@pytest.mark.parametrize("k", range(-7, 5))
+def test_norm_h_raises_at_the_first_n_the_per_n_products_do(k):
+    # B = q^k puts a zero into the prefactor denominators (k in -N..-1) or
+    # into (q^{1-N} B; q)_{2n} (k in -N..N-1); the running products raise the
+    # error the per-n Pochhammer products raise first, or give their values
+    p = QParams(F(1, 2), F(3), F(1, 2) ** k, 4)
+
+    def per_n(n):
+        return (partner_scale(p) * u_prefactor(n, p) * u_prefactor(n, reflected_params(p))
+                * brf._bare_norm_n(n, p.q, p.B, p.N))
+
+    def outcome(norms):
+        try:
+            return norms()
+        except ZeroDenominator as exc:
+            return str(exc)
+
+    expected = outcome(lambda: tuple(per_n(n) for n in range(p.N + 1)))
+    assert outcome(lambda: norm_h(p)) == expected
 
 def direct_series_u(n, p):
     """U_n(x) as its prefactor times the 3phi2 summed term by term by phi_series."""

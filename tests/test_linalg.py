@@ -134,6 +134,96 @@ def test_solve_unique_checks_rank_before_consistency(a, b, exc, message):
                                [F(1), F(2), F(3)]) == [F(1), F(2)]
 
 
+
+def solve_by_rref(a, b):
+    """The former `solve_unique`: one full `rref` of [a | b], then the rank
+    test before the consistency test."""
+    cols = len(a[0])
+    red, pivots = linalg.rref([list(row) + [v] for row, v in zip(a, b)])
+    if pivots[:cols] != list(range(cols)):
+        raise RankDeficient("solution is not unique")
+    if cols in pivots:
+        raise SingularSystem("system is inconsistent")
+    return [red[r][cols] for r in range(cols)]
+
+
+def outcome(solve, a, b):
+    """The solution, or the exception class and message."""
+    try:
+        return solve(a, b)
+    except SingularSystem as exc:
+        return type(exc), str(exc)
+
+
+small = st.integers(-3, 3).map(F)
+
+
+@st.composite
+def tall_systems(draw):
+    """a x = b with 1-10 rows and 1-4 columns of small ints; some a have a
+    column forced to a multiple of another, and b is a x, a x with one entry
+    moved (inconsistent unless a has full row rank), or drawn freely."""
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(small, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    if cols > 1 and draw(st.booleans()):
+        j, k = draw(st.permutations(range(cols)))[:2]
+        c = draw(small)
+        for row in a:
+            row[j] = c * row[k]
+    x = draw(st.lists(small, min_size=cols, max_size=cols))
+    b = [sum(u * v for u, v in zip(row, x)) for row in a]
+    kind = draw(st.sampled_from(["consistent", "moved", "free"]))
+    if kind == "moved":
+        b[draw(st.integers(0, rows - 1))] += draw(small.filter(bool))
+    elif kind == "free":
+        b = draw(st.lists(small, min_size=rows, max_size=rows))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(tall_systems())
+def test_solve_unique_matches_the_full_reduction(system):
+    a, b = system
+    assert outcome(linalg.solve_unique, a, b) == outcome(solve_by_rref, a, b)
+
+
+@contextmanager
+def counting_rows():
+    """Count the rows `solve_unique` takes from the row reducer."""
+    taken = []
+    good = linalg._reduce
+
+    def counted(a):
+        for step in good(a):
+            taken.append(1)
+            yield step
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_reduce", counted)
+        yield taken
+
+
+def test_solve_unique_stops_at_full_rank_and_substitutes_the_rest():
+    # the independent rows come last: the reduction takes every row
+    a = [[F(0), F(0)], [F(1), F(1)], [F(2), F(2)], [F(1), F(0)]]
+    with counting_rows() as taken:
+        assert linalg.solve_unique(a, [F(0), F(2), F(4), F(3)]) == [F(3), F(-1)]
+    assert len(taken) == 4
+    # the inconsistency of rows 1 and 2 is a pivot in the b column
+    for solve in (linalg.solve_unique, solve_by_rref):
+        assert outcome(solve, a, [F(0), F(2), F(5), F(3)]) == (
+            SingularSystem, "system is inconsistent")
+    # full rank after two rows: the other three are checked by substitution
+    a = [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)], [F(2), F(0)], [F(0), F(0)]]
+    for b, expected in (([F(1), F(2), F(3), F(2), F(0)], [F(1), F(2)]),
+                        ([F(1), F(2), F(3), F(2), F(1)], (SingularSystem,
+                                                           "system is inconsistent"))):
+        with counting_rows() as taken:
+            assert outcome(linalg.solve_unique, a, b) == expected
+        assert len(taken) == 2
+        assert outcome(solve_by_rref, a, b) == expected
+
 P = 2**61 - 1
 
 

@@ -43,6 +43,8 @@ def test_every_reexport_is_declared_by_its_home_module():
 UNREACHED = {
     "linalg.null_space": "the dense fallback of `tridiagonal_null_space`: it proves a kernel "
                          "dimension when a pencil has a zero superdiagonal entry",
+    "linalg.rref": "the full reduction, entered only through `null_space`; `solve_unique` "
+                   "stops the row reducer at full column rank",
     "operators.basis_change": "the change to the phi basis, for the third basis of the roadmap",
     "operators.phi_function": "the phi basis functions that `basis_change` tabulates",
     "reports.CheckReport.add_violation": "runs only when a check fails",
