@@ -7,10 +7,12 @@ locations [x-alpha-k]_q = 0, and is computed here along two independent
 routes (a terminating basic hypergeometric sum, `brf_u`, summed by the
 integer kernel `qcore._series_rows` that the 10phi9 and Hahn rows share,
 and the coefficient recurrence over the rational basis phi_k,
-`phi_expansion`).
-`partial_fraction` reads the residues of U_n off the phi-coefficients, and
-`check_partial_fractions` verifies that expansion against the `brf_u`
-values on the whole grid, so a verify run compares the two routes.
+`phi_expansion`, which gives the coefficients of all N+1 members at once).
+`partial_fraction` reads the residues of U_n off its row in integer Horner
+form, and `check_partial_fractions` verifies that expansion against the
+`brf_u` values on the whole grid, so a verify run compares the two routes.
+`check_partner` tests the adjoint statements on the transposes, on the
+integer columns of X, Y and V, and forms an adjoint only on failure.
 
 The biorthogonal partner family is a parameter reflection of the same
 family: partner_m(x) = -q^{-1} [alpha-beta-1]_q * U_m(N-x) evaluated at
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from . import linalg
 from .operators import (
@@ -131,20 +134,23 @@ def partner_scale(p: QParams) -> Fraction:
     return -qpow(p, -1) * qnum(p, -1, 1, -1)
 
 
-def phi_expansion(n: int, p: QParams) -> tuple[Fraction, ...]:
-    """Coefficients C_{n,0..n} of U_n over the rational basis phi_k.
+def phi_expansion(p: QParams) -> tuple[tuple[Fraction, ...], ...]:
+    """Coefficients of U_0..U_N over the rational basis phi_k: row n holds
+    C_{n,0..n}, the coefficients of U_n.
 
     C_{n,0} is the prefactor and the rest follow the two-term recurrence
-    C_{n,k+1} = (lambda_n - lambda_k) / (q^{beta-alpha-k} [k+1]_q [k-N]_q) C_{n,k}.
+    C_{n,k+1} = (lambda_n - lambda_k) / (q^{beta-alpha-k} [k+1]_q [k-N]_q) C_{n,k},
+    read from one table of lambda_k and one of the steps, built once for all n.
     """
-    if not 0 <= n <= p.N:
-        raise InvalidParams(f"family index n = {n} must lie in 0..N = {p.N}")
-    coeffs = [u_prefactor(n, p)]
-    lam_n = eigenvalue(n, p)
-    for k in range(n):
-        step = qpow(p, -k, -1, 1) * qnum(p, k + 1) * qnum(p, k - p.N)
-        coeffs.append((lam_n - eigenvalue(k, p)) / step * coeffs[-1])
-    return tuple(coeffs)
+    lams = [eigenvalue(n, p) for n in range(p.N + 1)]
+    steps = [qpow(p, -k, -1, 1) * qnum(p, k + 1) * qnum(p, k - p.N) for k in range(p.N)]
+    rows = []
+    for n, lam in enumerate(lams):
+        row = [u_prefactor(n, p)]
+        for k in range(n):
+            row.append((lam - lams[k]) / steps[k] * row[-1])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def brf_u(n: int, p: QParams) -> GridVector:
@@ -260,16 +266,18 @@ class Instance:
 
     @cached_property
     def op_rows(self) -> dict[str, list[tuple[dict[int, int], int]]]:
-        """X, Y and Z of `ops` as integer rows: row x is ({y: a_y}, e) with
-        M[x][y] = a_y / e on the nonzero entries, so a banded row is short."""
-        out = {}
-        for g in "XYZ":
-            out[g] = []
-            for row in self.ops[g]:
-                entries = {y: v for y, v in enumerate(row) if v}
-                ints, e = over_common_denominator(entries.values())
-                out[g].append((dict(zip(entries, ints)), e))
-        return out
+        """X, Y and Z of `ops` as `_integer_rows`, so a banded row is short."""
+        return {g: _integer_rows(self.ops[g]) for g in "XYZ"}
+
+
+def _integer_rows(rows) -> list[tuple[dict[int, int], int]]:
+    """Each row as ({j: a_j}, e) with row[j] = a_j / e on its nonzero entries."""
+    out = []
+    for row in rows:
+        entries = {j: v for j, v in enumerate(row) if v}
+        ints, e = over_common_denominator(entries.values())
+        out.append((dict(zip(entries, ints)), e))
+    return out
 
 
 def bare_norm(n: int, q, A, B, N: int):
@@ -330,19 +338,21 @@ def norm_h(p: QParams) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def partial_fraction(n: int, u: GridVector) -> tuple[Fraction, ...]:
+def partial_fraction(coeffs: Sequence[Fraction], u: GridVector) -> tuple[Fraction, ...]:
     """Residue coefficients eta_{n,0..n-1} with U_n = 1 + sum_k eta_k/[alpha+k-x]_q.
 
-    `u` holds the grid values of U_n.  The basis functions 1/[alpha+k-x]_q
-    carry the n simple poles of U_n and vanish in the x -> infinity
-    normalization limit, so the constant term is exactly 1.  eta is read off
-    the phi-coefficients C_{n,k} of `phi_expansion`: each phi_k splits into
-    simple fractions, phi_k = A^-k + sum_{j<k} rho_{k,j} / (1 - A q^{j-x}), with
-    rho_{j+1,j} = prod_{d=0..j} (1 - q^-d/A) / prod_{d=1..j} (1 - q^-d) and
-    rho_{k+1,j} = rho_{k,j} r_{k-j}, r_d = (1 - q^d/A) / (1 - q^d).  So
-    eta_j = sum_{k>j} C_{n,k} rho_{k,j} / (1 - q), summed in Horner form over
-    the one table of r_d, |d| < n.  Raises PoleOnGrid when a basis function
-    has a pole on the grid (A q^{k-x} = 1).
+    `coeffs` is row n of `phi_expansion`, C_{n,0..n}, and `u` holds the grid
+    values of U_n.  The basis functions 1/[alpha+k-x]_q carry the n simple
+    poles of U_n and vanish in the x -> infinity normalization limit, so the
+    constant term is exactly 1.  eta is read off the C_{n,k}: each phi_k
+    splits into simple fractions, phi_k = A^-k + sum_{j<k} rho_{k,j} /
+    (1 - A q^{j-x}), with rho_{j+1,j} = prod_{d=0..j} (1 - q^-d/A) /
+    prod_{d=1..j} (1 - q^-d) and rho_{k+1,j} = rho_{k,j} r_{k-j}, r_d =
+    (1 - q^d/A) / (1 - q^d).  So eta_j = sum_{k>j} C_{n,k} rho_{k,j} / (1 - q),
+    summed in Horner form on integers: the C_{n,k} over one denominator, r_d
+    and the basis values as integer pairs from integer powers of q, and one
+    Fraction per eta_j.  Raises PoleOnGrid when a basis function has a pole
+    on the grid (A q^{k-x} = 1).
 
     The expansion is then verified against `u` on all N+1 grid points, so it
     compares the recurrence route (`phi_expansion`) with the route that built
@@ -353,28 +363,32 @@ def partial_fraction(n: int, u: GridVector) -> tuple[Fraction, ...]:
     cross-multiplied.
     """
     p = u.params
+    n = len(coeffs) - 1
     if n == 0:
         if any(v != 1 for v in u):
             raise QHahnError("U_0 is not identically 1")
         return ()
-    q, A = p.q, p.A
-    basis = {}  # 1/[alpha+k-x]_q depends on d = k - x only
-    for d in range(-p.N, n):
-        den = 1 - A * q**d
+    (a, b), (an, ad) = p.q.as_integer_ratio(), p.A.as_integer_ratio()
+    basis, r = {}, {}  # and r_d = (1 - q^d/A) / (1 - q^d) as an unreduced pair, 0 < |d| < n
+    for d in range(-p.N, n):  # 1/[alpha+k-x]_q = (1 - q) / (1 - A q^d) depends on d = k - x only
+        top, bottom = (a**d, b**d) if d >= 0 else (b**-d, a**-d)  # q^d
+        den = ad * bottom - an * top
         if den == 0:
             raise PoleOnGrid(f"1/[alpha+k-x]_q has a pole on the grid: A q^{d} = 1")
-        basis[d] = ((1 - q) / den).as_integer_ratio()
-    coeffs = phi_expansion(n, p)
-    r = {d: (1 - q**d / A) / (1 - q**d) for d in range(1 - n, n) if d}
-    head = (1 - 1 / A) / (1 - q)  # rho_{j+1,j} / (1 - q)
+        basis[d] = Fraction((b - a) * ad * bottom, b * den).as_integer_ratio()
+        if d and d > -n:
+            r[d] = (an * bottom - ad * top, an * (bottom - top))
+    c, c_den = over_common_denominator(coeffs)
+    hn, hd = b * (an - ad), an * (b - a)  # rho_{j+1,j} / (1 - q)
     eta = []
     for j in range(n):
         if j:
-            head *= r[-j]
-        acc = coeffs[n]
+            hn, hd = hn * r[-j][0], hd * r[-j][1]
+        top, bottom = c[n], 1
         for k in range(n - 1, j, -1):
-            acc = coeffs[k] + r[k - j] * acc
-        eta.append(head * acc)
+            rn, rd = r[k - j]
+            top, bottom = c[k] * rd * bottom + rn * top, rd * bottom
+        eta.append(Fraction(hn * top, hd * bottom * c_den))
     e, e_den = over_common_denominator(eta)
     for x in range(p.N + 1):
         terms = [basis[k - x] for k in range(n)]
@@ -414,68 +428,68 @@ def check_partner(inst: Instance) -> CheckReport:
     pencil Y* - lambda_m X* is one-dimensional with X* applied to it
     collinear with partner_m.
 
-    The eigen part is tested as V^T g_m = lambda_m g_m with g_m = w partner_m,
-    equivalent since V* = W^-1 V^T W and W is diagonal with nonzero entries,
-    in integers: column y of V is a_y / e_y over one denominator, taken apart
-    once per call, g_m is h_m / d, and (V^T g_m)(y) = sum_x a_y(x) h_m(x) /
-    (e_y d) is compared with lambda_m h_m(y) / d cross-multiplied.  Only a
-    failing m builds V* (`weighted_adjoint`) for the residual
-    max |V* partner_m - lambda_m partner_m| it reports.
-
-    X* is upper bidiagonal and Y* tridiagonal, so only the three diagonals
-    of the pencil are filled, and its kernel comes from the three-term
-    recurrence of `linalg.tridiagonal_null_space`, which proves the
-    dimension; a pencil with a zero superdiagonal entry goes to dense
-    elimination instead.
+    As M* = W^-1 M^T W, W the diagonal of nonzero weights, each part is
+    tested on transposes with g_m = w partner_m = h_m / d, in integers: the
+    columns of X, Y and V go over one denominator each (a_y / e_y) once per
+    call, and every comparison is cross-multiplied.
+    - Eigen: V^T g_m = lambda_m g_m.  Only a failing m builds V*
+      (`weighted_adjoint`) for the residual max |V* partner_m - lambda_m
+      partner_m| it reports.
+    - Kernel: ker(Y* - lambda_m X*) = W^-1 ker((Y - lambda_m X)^T), whose
+      rows, the columns of Y - lambda_m X over integers, are read on their
+      three diagonals only (X is lower bidiagonal, Y tridiagonal).
+      `linalg.tridiagonal_kernel` gives its vector g and proves the
+      dimension; a zero superdiagonal entry sends the band, as Fractions, to
+      `linalg.null_space` instead.
+    - Collinearity: X* W^-1 g is collinear with partner_m exactly when X^T g
+      is collinear with g_m.
     """
     p = inst.p
     n1 = p.N + 1
     report = CheckReport(check="partner", params=p.as_dict())
-    xs, ys = (weighted_adjoint(inst.ops[g], inst.weight) for g in "XY")
-    vm = inst.ops["V"]
-    columns = []  # column y of V as ({x: a_x}, e_y) with V[x][y] = a_x / e_y
-    for y in range(n1):
-        entries = {x: vm[x][y] for x in range(n1) if vm[x][y]}
-        ints, e = over_common_denominator(entries.values())
-        columns.append((dict(zip(entries, ints)), e))
+    xc, yc, vc = (_integer_rows(zip(*inst.ops[g])) for g in "XYV")  # the columns
     vs = None
     for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners)):
         h, _ = over_common_denominator([w * f for w, f in zip(inst.weight, pm)])
         num, den = lam.as_integer_ratio()
         if any(den * sum(a * h[x] for x, a in col.items()) != num * h[y] * e
-               for y, (col, e) in enumerate(columns)):
+               for y, (col, e) in enumerate(vc)):
             if vs is None:
-                vs = weighted_adjoint(vm, inst.weight)
+                vs = weighted_adjoint(inst.ops["V"], inst.weight)
             resid = [a - lam * b for a, b in zip(vs @ pm, pm)]
             report.add_violation(m=m, kind="eigen", residual=frac_str(max(abs(r) for r in resid)))
-        pencil = linalg.zeros(n1, n1)
-        for i in range(n1):
-            for j in range(max(i - 1, 0), min(i + 2, n1)):
-                x, y = xs[i][j], ys[i][j]
-                pencil[i][j] = y - lam * x if x else y
-        kernel = linalg.tridiagonal_null_space(pencil)
+        band = [[den * ex * ycol.get(j, 0) - num * ey * xcol.get(j, 0) for j in (i - 1, i, i + 1)]
+                for i, ((xcol, ex), (ycol, ey)) in enumerate(zip(xc, yc))]
+        sub, diag, sup = [t[0] for t in band[1:]], [t[1] for t in band], [t[2] for t in band[:-1]]
+        if all(sup):
+            g, residual = linalg.tridiagonal_kernel(sub, diag, sup)
+            kernel = [] if residual else [g]
+        else:
+            dense = [[Fraction(band[i][j - i + 1]) if abs(i - j) < 2 else 0 for j in range(n1)]
+                     for i in range(n1)]
+            kernel = [over_common_denominator(v)[0] for v in linalg.null_space(dense)]
         if len(kernel) != 1:
             report.add_violation(m=m, kind="kernel", residual=f"dimension {len(kernel)}")
             continue
-        image = linalg.mat_vec(xs.entries, kernel[0])
-        # collinearity: image = r partner_m, r read at partner_m's first
-        # nonzero entry; r = 0 also when partner_m is zero
-        x0 = next((x for x, v in enumerate(pm) if v), None)
-        r = 0 if x0 is None else image[x0] / pm[x0]
-        if r == 0 or image != [r * v for v in pm]:
+        s = [sum(a * kernel[0][x] for x, a in col.items()) for col, _ in xc]  # e_y (X^T g)(y)
+        # collinearity: X^T g = r g_m, r read at g_m's first nonzero entry y0;
+        # r = 0 also when g_m is zero
+        y0 = next((y for y, v in enumerate(h) if v), None)
+        if (y0 is None or s[y0] == 0
+                or any(s[y] * xc[y0][1] * h[y0] != s[y0] * e * h[y] for y, (_, e) in enumerate(xc))):
             report.add_violation(m=m, kind="collinearity", residual="not proportional")
     return report
 
 
 def check_partial_fractions(inst: Instance) -> CheckReport:
-    """For every n, the partial fractions read off `phi_expansion` reproduce
-    the `brf_u` values of U_n on the whole grid: the series route against
-    the recurrence route."""
+    """For every n, the partial fractions read off row n of `phi_expansion`,
+    built once per call, reproduce the `brf_u` values of U_n on the whole
+    grid: the series route against the recurrence route."""
     report = CheckReport(check="partial_fractions", params=inst.p.as_dict())
     sizes = []
-    for n, u in enumerate(inst.family.members):
+    for n, (u, coeffs) in enumerate(zip(inst.family.members, phi_expansion(inst.p))):
         try:
-            eta = partial_fraction(n, u)
+            eta = partial_fraction(coeffs, u)
         except QHahnError as exc:
             report.add_violation(n=n, residual=str(exc))
             continue

@@ -3,8 +3,9 @@
 Matrices are lists of lists of field elements, row major; the code uses
 only +, -, *, / and comparison with 0.  Two ints may also appear, and
 every field absorbs them: the 0 of an entry no arithmetic reached
-(`zeros`, an empty sum) and the 1 of a free `null_space` coordinate.  No
-division has two int operands, as int / int is a float.
+(`zeros`, an empty sum) and the 1 of a free `null_space` coordinate or of
+the seed of `tridiagonal_kernel`.  No division has two int operands, as
+int / int is a float.
 
 Everything here is sized for the desk scale of this package (dimension at
 most a few dozen).  The dense kernels (`rref`, `solve_unique`,
@@ -18,9 +19,11 @@ what the operators of this package look like: `mat_vec` skips zero entries
 and `mat_mul` pairs each nonzero entry with the nonzero (column, value) pairs
 of one right-factor row, listed once per call, so a banded matrix costs
 O(bandwidth) per row, and
-`tridiagonal_null_space` solves the three-term recurrence of a
-tridiagonal matrix and falls back to `null_space` when the matrix is not one
-it can prove a kernel for.
+`tridiagonal_kernel` runs the fraction-free three-term recurrence of a
+tridiagonal matrix, on integers when its bands are integers, and
+`tridiagonal_null_space` scales its vector to `null_space`'s basis, falling
+back to `null_space` when the matrix is not one the recurrence proves a
+kernel for.
 """
 
 from __future__ import annotations
@@ -189,18 +192,38 @@ def solve_lower_triangular(
     return w
 
 
+def tridiagonal_kernel(sub: Sequence, diag: Sequence, sup: Sequence) -> tuple[Vector, object]:
+    """The fraction-free three-term recurrence of the tridiagonal matrix with
+    subdiagonal `sub`, diagonal `diag` and superdiagonal `sup`, every `sup`
+    entry nonzero (Bareiss 1968): n_0 = 1 and
+
+        n_{i+1} = -(sub_{i-1} sup_{i-1} n_{i-1} + diag_i n_i),
+
+    so v_i = n_i sup_i ... sup_{n-2} satisfies rows 0..n-2.  Returns (v, r),
+    r the last row's residual of v: the kernel is span(v) when r is 0 and
+    {0} otherwise.  Ring operations only, so integer bands give integers.
+    """
+    n = len(diag)
+    nums = [1]
+    for i in range(n):
+        nums.append(-(diag[i] * nums[i] + (sub[i - 1] * sup[i - 1] * nums[i - 1] if i else 0)))
+    v, scale = [nums[n - 1]], 1
+    for i in range(n - 2, -1, -1):
+        scale *= sup[i]
+        v.append(nums[i] * scale)
+    return v[::-1], -nums[n]
+
+
 def tridiagonal_null_space(a: Sequence[Sequence]) -> list[Vector]:
-    """The basis `null_space(a)` returns, by the three-term recurrence when it can.
+    """The basis `null_space(a)` returns, by `tridiagonal_kernel` when it can.
 
     When `a` is square, zero outside its three central diagonals, and every
     superdiagonal entry is nonzero, rows 0..n-2 fix v_{i+1} from v_{i-1} and
-    v_i, so the kernel is at most one-dimensional and every kernel vector is
-    a multiple of the v with v_0 = 1, taken as a[0][1] / a[0][1] so that v
-    lives in the field of the entries.  The last row's residual then decides:
-    the kernel is span(v) when it is 0 and {0} otherwise, so the dimension
-    is proved, not sampled.  v is scaled to the basis `null_space` returns
-    (1 at its last nonzero entry, the free column of the echelon form).
-    Any other matrix goes to `null_space`.
+    v_i, so the kernel is at most one-dimensional and the last row's residual
+    decides it: the dimension is proved, not sampled.  The kernel vector is
+    scaled to the basis `null_space` returns (1 at its last nonzero entry,
+    the free column of the echelon form).  Any other matrix goes to
+    `null_space`.
     """
     n = len(a)
     if (n == 0 or any(len(row) != n for row in a)
@@ -209,14 +232,10 @@ def tridiagonal_null_space(a: Sequence[Sequence]) -> list[Vector]:
         return null_space(a)
     if n == 1:  # [[d]] has no a[0][1]: no kernel, or the free coordinate 1 of `null_space`
         return [] if a[0][0] else [[1]]
-    v = [a[0][1] / a[0][1]]
-    for i in range(n):
-        acc = a[i][i] * v[i] + (a[i][i - 1] * v[i - 1] if i else 0)
-        if i == n - 1:
-            break
-        v.append(-acc / a[i][i + 1])
-    if acc:  # the last row's residual
+    v, residual = tridiagonal_kernel([a[i + 1][i] for i in range(n - 1)],
+                                     [a[i][i] for i in range(n)],
+                                     [a[i][i + 1] for i in range(n - 1)])
+    if residual:
         return []
     last = next(x for x in reversed(v) if x)
     return [[x / last for x in v]]
-

@@ -104,10 +104,6 @@ class OpMatrix:
         if len(rows) != n1 or any(len(r) != n1 for r in rows):
             raise DimensionMismatch(f"operator matrix must be {n1}x{n1}")
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
     def __getitem__(self, i: int) -> tuple:
         return self.entries[i]
 
@@ -270,7 +266,7 @@ def weighted_adjoint(m: OpMatrix, w: GridVector) -> OpMatrix:
         raise DimensionMismatch("weighted adjoints are defined in the point basis")
     if any(v == 0 for v in w):
         raise ZeroWeight("weight vector has a zero entry")
-    n1 = m.n
+    n1 = m.params.N + 1
     out = linalg.zeros(n1, n1)
     for r in range(n1):
         for c in range(n1):

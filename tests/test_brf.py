@@ -59,7 +59,7 @@ def test_u1_frozen_values(canonical):
 def recurrence_u(n, p):
     """Grid values of U_n summed over the rational basis phi_k with the
     coefficients of `phi_expansion`: the route independent of `brf_u`."""
-    coeffs = phi_expansion(n, p)
+    coeffs = phi_expansion(p)[n]
     return tuple(sum(c * phi_function(p, k, x) for k, c in enumerate(coeffs))
                  for x in range(p.N + 1))
 
@@ -179,41 +179,55 @@ def test_partner_is_reflected_family():
         assert check_partner(Instance(p)).status == "pass"
 
 
-def test_partner_catches_a_mixed_partner(canonical, monkeypatch):
-    # partner_2 + partner_1 is no eigenvector of V*, and X* of the kernel is
-    # not proportional to it
+def mixed_partner_2(monkeypatch, p):
+    """An `Instance` of p whose partner_2 is partner_2 + partner_1."""
     good = brf.partner_family
 
-    def mixed(p):
-        partners = list(good(p))
-        partners[2] = GridVector(tuple(a + b for a, b in zip(partners[2], partners[1])), p)
+    def mixed(params):
+        partners = list(good(params))
+        partners[2] = GridVector(tuple(a + b for a, b in zip(partners[2], partners[1])), params)
         return tuple(partners)
 
     monkeypatch.setattr(brf, "partner_family", mixed)
-    report = check_partner(Instance(canonical))
+    return Instance(p)
+
+
+def wrong_lambda_2(monkeypatch, p):
+    """An `Instance` of p whose lambda_2 is off by 1."""
+    good = brf.eigenvalue
+    monkeypatch.setattr(brf, "eigenvalue", lambda n, params: good(n, params) + (1 if n == 2 else 0))
+    return Instance(p)
+
+
+def perturbed_entry(p, g, i, j, delta):
+    """An `Instance` of p whose point-basis `g` has delta added at [i][j]."""
+    inst = Instance(p)
+    rows = inst.ops[g].rows()
+    rows[i][j] += delta
+    inst.ops[g] = OpMatrix(rows, Basis.POINT, p)
+    return inst
+
+
+def test_partner_catches_a_mixed_partner(canonical, monkeypatch):
+    # partner_2 + partner_1 is no eigenvector of V*, and X* of the kernel is
+    # not proportional to it
+    report = check_partner(mixed_partner_2(monkeypatch, canonical))
     assert [(v["m"], v["kind"]) for v in report.violations] == [(2, "eigen"), (2, "collinearity")]
 
 
 def test_partner_catches_a_wrong_eigenvalue(canonical, monkeypatch):
     # lambda_2 + 1 is no eigenvalue: V* partner_2 misses it, and the pencil
     # Y* - lambda X* has a trivial kernel
-    good = brf.eigenvalue
-    monkeypatch.setattr(brf, "eigenvalue", lambda n, p: good(n, p) + (1 if n == 2 else 0))
-    report = check_partner(Instance(canonical))
+    report = check_partner(wrong_lambda_2(monkeypatch, canonical))
     assert [(v["m"], v["kind"]) for v in report.violations] == [(2, "eigen"), (2, "kernel")]
     assert report.violations[1]["residual"] == "dimension 0"
-
 
 
 def test_partner_catches_a_wrong_entry_in_the_tail_of_v():
     # V[N][0] + 1 leaves the pencil alone and breaks V* partner_m = lambda_m
     # partner_m for every m; the integer test reports the residual of the
     # dense V* for each failing m
-    p = QParams(F(1, 2), F(3), F(1, 5), 6)
-    inst = Instance(p)
-    v = inst.ops["V"].rows()
-    v[p.N][0] += 1
-    inst.ops["V"] = OpMatrix(v, Basis.POINT, p)
+    inst = perturbed_entry(QParams(F(1, 2), F(3), F(1, 5), 6), "V", 6, 0, 1)
     vs = weighted_adjoint(inst.ops["V"], inst.weight)
     expected = []
     for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners)):
@@ -226,14 +240,69 @@ def test_partner_catches_a_wrong_entry_in_the_tail_of_v():
 
 
 def test_partner_builds_the_adjoints_of_x_and_y_only(monkeypatch):
-    # a passing instance never forms V*: its eigen test runs on V's columns
+    # a passing instance forms no adjoint: every part runs on the integer
+    # columns of X, Y and V
     calls = []
     good = brf.weighted_adjoint
     monkeypatch.setattr(brf, "weighted_adjoint", lambda m, w: calls.append(m) or good(m, w))
     inst = Instance(QParams(F(1, 2), F(-5), F(1, 7), 8))
     assert check_partner(inst).status == "pass"
-    assert len(calls) == 2
-    assert calls[0] is inst.ops["X"] and calls[1] is inst.ops["Y"]
+    assert calls == []
+
+
+def dense_partner_violations(inst):
+    """(m, kind, residual) of every violation by the dense route: V*, X* and
+    Y* from `weighted_adjoint`, the pencil Y* - lambda_m X* on its three
+    diagonals, its kernel from `tridiagonal_null_space`, and X* of it."""
+    n1 = inst.p.N + 1
+    xs, ys, vs = (weighted_adjoint(inst.ops[g], inst.weight) for g in "XYV")
+    out = []
+    for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners)):
+        resid = [a - lam * b for a, b in zip(vs @ pm, pm)]
+        if any(resid):
+            out.append((m, "eigen", frac_str(max(abs(r) for r in resid))))
+        pencil = linalg.zeros(n1, n1)
+        for i in range(n1):
+            for j in range(max(i - 1, 0), min(i + 2, n1)):
+                pencil[i][j] = ys[i][j] - lam * xs[i][j]
+        kernel = linalg.tridiagonal_null_space(pencil)
+        if len(kernel) != 1:
+            out.append((m, "kernel", f"dimension {len(kernel)}"))
+            continue
+        image = linalg.mat_vec(xs.entries, kernel[0])
+        x0 = next((x for x, v in enumerate(pm) if v), None)
+        r = 0 if x0 is None else image[x0] / pm[x0]
+        if r == 0 or image != [r * v for v in pm]:
+            out.append((m, "collinearity", "not proportional"))
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    wrong_lambda_2,
+    mixed_partner_2,
+    lambda mp, p: perturbed_entry(p, "Y", 3, 3, F(1, 7)),
+    lambda mp, p: perturbed_entry(p, "X", 4, 3, F(1, 7)),
+], ids=["wrong-lambda-2", "mixed-partner", "y-diagonal", "x-subdiagonal"])
+def test_partner_integer_route_equals_the_dense_route(monkeypatch, make):
+    inst = make(monkeypatch, QParams(F(1, 2), F(3), F(1, 5), 6))
+    expected = dense_partner_violations(inst)
+    assert expected
+    assert [(v["m"], v["kind"], v["residual"]) for v in check_partner(inst).violations] == expected
+
+
+def test_partner_pencil_with_a_zero_superdiagonal_entry_reaches_null_space(monkeypatch):
+    # Y[4][3] = lambda_2 X[4][3] zeroes the superdiagonal entry (3, 4) of
+    # (Y - lambda_2 X)^T, and of no other m's pencil
+    p = QParams(F(1, 2), F(3), F(1, 5), 6)
+    ops = Instance(p).ops
+    inst = perturbed_entry(p, "Y", 4, 3, brf.eigenvalue(2, p) * ops["X"][4][3] - ops["Y"][4][3])
+    calls = []
+    good = linalg.null_space
+    monkeypatch.setattr(linalg, "null_space", lambda a: calls.append(a) or good(a))
+    report = check_partner(inst)
+    assert len(calls) == 1
+    assert [(v["m"], v["kind"], v["residual"]) for v in report.violations] == (
+        dense_partner_violations(inst))
 
 def test_partner_values_from_reflection(canonical):
     # partner_n(x) is the reflected-instance U_n read backwards, times one
@@ -255,8 +324,7 @@ def test_h0_equals_partner_scale():
 
 
 def test_phi_expansion_reconstructs(canonical):
-    for n in range(canonical.N + 1):
-        coeffs = phi_expansion(n, canonical)
+    for n, coeffs in enumerate(phi_expansion(canonical)):
         assert len(coeffs) == n + 1
         u = brf_u(n, canonical)
         for x in range(canonical.N + 1):
@@ -270,9 +338,53 @@ def test_u_prefactor_scales_series_head(canonical):
     assert u_prefactor(0, canonical) == 1
 
 
+def residues(n, u):
+    """`partial_fraction` of U_n from row n of `phi_expansion`."""
+    return partial_fraction(phi_expansion(u.params)[n], u)
+
+
+def phi_row_oracle(n, p):
+    """C_{n,0..n} by the per-n recurrence in Fraction, every lambda_k and step
+    computed afresh."""
+    coeffs = [u_prefactor(n, p)]
+    for k in range(n):
+        step = qpow(p, -k, -1, 1) * qnum(p, k + 1) * qnum(p, k - p.N)
+        coeffs.append((eigenvalue(n, p) - eigenvalue(k, p)) / step * coeffs[-1])
+    return tuple(coeffs)
+
+
+def eta_oracle(coeffs, p):
+    """eta_j = sum_{k>j} C_{n,k} rho_{k,j} / (1 - q) in Fraction Horner form,
+    over r_d = (1 - q^d/A) / (1 - q^d) and the head rho_{j+1,j} / (1 - q)."""
+    n, q, A = len(coeffs) - 1, p.q, p.A
+    r = {d: (1 - q**d / A) / (1 - q**d) for d in range(1 - n, n) if d}
+    head, eta = (1 - 1 / A) / (1 - q), []
+    for j in range(n):
+        if j:
+            head *= r[-j]
+        acc = coeffs[n]
+        for k in range(n - 1, j, -1):
+            acc = coeffs[k] + r[k - j] * acc
+        eta.append(head * acc)
+    return tuple(eta)
+
+
+@pytest.mark.parametrize("p", [p for p in PANEL if validate_params(p, p.N).valid]
+                         + [QParams(F(1, 2), F(3), F(1, 5), 12),
+                            QParams(F(1, 2), F(-5), F(1, 7), 24)],
+                         ids=lambda p: f"N{p.N}-A{p.A}")
+def test_phi_rows_and_residues_equal_the_fraction_oracles(p):
+    # the one-table rows and the integer Horner residues against the per-n
+    # Fraction recurrence and the Fraction Horner sum
+    rows = phi_expansion(p)
+    assert rows == tuple(phi_row_oracle(n, p) for n in range(p.N + 1))
+    for coeffs, u in zip(rows, brf_family(p).members):
+        assert partial_fraction(coeffs, u) == eta_oracle(coeffs, p)
+
+
 def test_partial_fractions_frozen(canonical):
-    assert partial_fraction(0, brf_u(0, canonical)) == ()
-    assert partial_fraction(1, brf_u(1, canonical)) == (F(2032, 33),)
+    assert residues(0, brf_u(0, canonical)) == ()
+    assert residues(1, brf_u(1, canonical)) == (F(2032, 33),)
 
 
 def test_partial_fractions_verified_on_panel():
@@ -280,13 +392,13 @@ def test_partial_fractions_verified_on_panel():
         assert check_partial_fractions(Instance(p)).status == "pass"
         # the expansion itself raises if the reconstruction fails off-support
         for n in range(p.N + 1):
-            partial_fraction(n, brf_u(n, p))
+            residues(n, brf_u(n, p))
 
 
 def test_partial_fraction_basis_has_the_right_poles(canonical):
     # the n = 1 expansion must reproduce U_1 through 1/[alpha + k - x]
     u = brf_u(1, canonical)
-    eta = partial_fraction(1, u)
+    eta = residues(1, u)
     for x in range(canonical.N + 1):
         assert 1 + eta[0] / qnum(canonical, -x, 1) == u[x]
 
@@ -359,7 +471,7 @@ def test_partial_fraction_rejects_a_perturbed_value_before_n(canonical):
         bad = GridVector(
             tuple(v + (F(1, 7) if y == x else 0) for y, v in enumerate(u)), canonical)
         with pytest.raises(QHahnError, match=f"expansion of U_{n} fails at x = {x}$"):
-            partial_fraction(n, bad)
+            residues(n, bad)
 
 
 @pytest.mark.parametrize("p", [CANONICAL, QParams(F(1, 2), F(3), F(1, 5), 12)],
@@ -370,7 +482,7 @@ def test_partial_fraction_rejects_a_value_perturbed_at_the_last_point(p):
         u = brf_u(n, p)
         bad = GridVector(u.values[:-1] + (u[p.N] + F(1, 10**9),), p)
         with pytest.raises(QHahnError, match=f"expansion of U_{n} fails at x = {p.N}"):
-            partial_fraction(n, bad)
+            residues(n, bad)
 
 
 @pytest.mark.parametrize("p", [p for p in PANEL if validate_params(p, p.N).valid]
@@ -382,7 +494,7 @@ def test_partial_fraction_equals_the_dense_solve(p):
     for n in range(1, p.N + 1):
         u = brf_u(n, p)
         system = [[1 / qnum(p, k - x, 1) for k in range(n)] for x in range(n)]
-        assert list(partial_fraction(n, u)) == linalg.solve_unique(
+        assert list(residues(n, u)) == linalg.solve_unique(
             system, [u[x] - 1 for x in range(n)])
 
 
@@ -393,15 +505,14 @@ def test_partial_fraction_catches_a_perturbed_phi_coefficient(canonical, monkeyp
     # the prefactor, which both routes share
     p, good = canonical, brf.phi_expansion
 
-    def off(n, params):
-        coeffs = list(good(n, params))
-        if n == p.N:
-            coeffs[k] += F(1, 10**6)
-        return tuple(coeffs)
+    def off(params):
+        rows = [list(row) for row in good(params)]
+        rows[p.N][k] += F(1, 10**6)
+        return tuple(map(tuple, rows))
 
     monkeypatch.setattr(brf, "phi_expansion", off)
     with pytest.raises(QHahnError, match=f"expansion of U_{p.N} fails"):
-        partial_fraction(p.N, brf_u(p.N, p))
+        partial_fraction(off(p)[p.N], brf_u(p.N, p))
     report = check_partial_fractions(Instance(p))
     assert report.status == "fail"
     assert [v["n"] for v in report.violations] == [p.N]
@@ -413,4 +524,4 @@ def test_partial_fraction_pole_on_the_grid_is_a_library_error(power):
     p = QParams(F(1, 2), F(1, 2) ** power, F(1, 5), 4)
     u = GridVector((F(2),) * (p.N + 1), p)
     with pytest.raises(PoleOnGrid):
-        partial_fraction(3, u)
+        residues(3, u)

@@ -41,10 +41,16 @@ def test_every_reexport_is_declared_by_its_home_module():
 # Functions the default panel and the export targets never enter, each with
 # the reason it stays.
 UNREACHED = {
-    "linalg.null_space": "the dense fallback of `tridiagonal_null_space`: it proves a kernel "
+    "linalg.null_space": "the dense fallback of `check_partner` and `tridiagonal_null_space`: "
+                         "it proves a kernel "
                          "dimension when a pencil has a zero superdiagonal entry",
+    "linalg.mat_vec": "applies V* to a partner, only when the partner eigen part fails",
     "linalg.rref": "the full reduction, entered only through `null_space`; `solve_unique` "
                    "stops the row reducer at full column rank",
+    "linalg.tridiagonal_null_space": "`tridiagonal_kernel` scaled to `null_space`'s basis over a "
+                                     "field, for the tests that compare the two; `check_partner` "
+                                     "runs the kernel on integer bands",
+    "operators.weighted_adjoint": "forms V* only when the partner eigen part fails",
     "operators.basis_change": "the change to the phi basis, for the third basis of the roadmap",
     "operators.phi_function": "the phi basis functions that `basis_change` tabulates",
     "reports.CheckReport.add_violation": "runs only when a check fails",
