@@ -451,7 +451,7 @@ def check_potential_meta(inst: Instance) -> CheckReport:
 
 def _flatten(mats: Iterable[OpMatrix]) -> list[list[Fraction]]:
     # rows are matrix entries, columns are ansatz members
-    return linalg.transpose([[v for row in m.entries for v in row] for m in mats])
+    return [list(col) for col in zip(*([v for row in m.entries for v in row] for m in mats))]
 
 
 def _solve_relation(lhs: OpMatrix, ansatz: list[OpMatrix], what: str) -> list[Fraction]:

@@ -49,6 +49,8 @@ from .qcore import (
     QHahnError,
     QParams,
     ZeroDenominator,
+    _apply,
+    _integer_rows,
     _q_factor,
     _series_rows,
     eigenvalue,
@@ -270,16 +272,6 @@ class Instance:
         return {g: _integer_rows(self.ops[g]) for g in "XYZ"}
 
 
-def _integer_rows(rows) -> list[tuple[dict[int, int], int]]:
-    """Each row as ({j: a_j}, e) with row[j] = a_j / e on its nonzero entries."""
-    out = []
-    for row in rows:
-        entries = {j: v for j, v in enumerate(row) if v}
-        ints, e = over_common_denominator(entries.values())
-        out.append((dict(zip(entries, ints)), e))
-    return out
-
-
 def bare_norm(n: int, q, A, B, N: int):
     """Bare diagonal norm in q's field, as `bare_weight`:
 
@@ -452,8 +444,7 @@ def check_partner(inst: Instance) -> CheckReport:
     for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners)):
         h, _ = over_common_denominator([w * f for w, f in zip(inst.weight, pm)])
         num, den = lam.as_integer_ratio()
-        if any(den * sum(a * h[x] for x, a in col.items()) != num * h[y] * e
-               for y, (col, e) in enumerate(vc)):
+        if any(den * s != num * h[y] * e for y, (s, e) in enumerate(_apply(vc, h))):
             if vs is None:
                 vs = weighted_adjoint(inst.ops["V"], inst.weight)
             resid = [a - lam * b for a, b in zip(vs @ pm, pm)]
@@ -471,12 +462,13 @@ def check_partner(inst: Instance) -> CheckReport:
         if len(kernel) != 1:
             report.add_violation(m=m, kind="kernel", residual=f"dimension {len(kernel)}")
             continue
-        s = [sum(a * kernel[0][x] for x, a in col.items()) for col, _ in xc]  # e_y (X^T g)(y)
+        image = _apply(xc, kernel[0])  # (X^T g)(y) = s / e
         # collinearity: X^T g = r g_m, r read at g_m's first nonzero entry y0;
         # r = 0 also when g_m is zero
         y0 = next((y for y, v in enumerate(h) if v), None)
-        if (y0 is None or s[y0] == 0
-                or any(s[y] * xc[y0][1] * h[y0] != s[y0] * e * h[y] for y, (_, e) in enumerate(xc))):
+        if (y0 is None or image[y0][0] == 0
+                or any(s * image[y0][1] * h[y0] != image[y0][0] * e * h[y]
+                       for y, (s, e) in enumerate(image))):
             report.add_violation(m=m, kind="collinearity", residual="not proportional")
     return report
 

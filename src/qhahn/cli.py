@@ -270,6 +270,8 @@ def _export_csv(payload: dict) -> str:
 
 
 def run_export(args: argparse.Namespace) -> int:
+    if args.basis is not None and args.what != "matrix":
+        raise ConfigError(f"--basis applies to matrices only; --what {args.what} is point values")
     parts = args.params.split(",")
     if len(parts) != 4:
         raise ConfigError(f"--params must be q,A,B,N, got {args.params!r}")
@@ -281,7 +283,7 @@ def run_export(args: argparse.Namespace) -> int:
     guard = validate_params(p, p.N)
     if not guard.valid:
         raise InvalidParams("; ".join(guard.issues()))
-    basis = Basis.POINT if args.basis == "point" else Basis.PHI
+    basis = Basis.PHI if args.basis == "phi" else Basis.POINT
     payload = _export_payload(args.what, args.which, p, basis)
     text = _dump_json(payload) if args.format == "json" else _export_csv(payload)
     if args.out:
@@ -310,7 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="X|Y|Z|V for matrices, index n for brf (ignored for weight)")
     p_export.add_argument("--params", required=True, help="q,A,B,N with rationals as num/den")
     p_export.add_argument("--format", default="json", choices=["json", "csv"])
-    p_export.add_argument("--basis", default="point", choices=["point", "phi"])
+    p_export.add_argument("--basis", default=None, choices=["point", "phi"],
+                          help="matrices only (default: point)")
     p_export.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
 

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
 from .brf import Instance
 from .operators import Basis, Operator, band_coefficients, build_operator
 from .qcore import (
     DegenerateDenominator,
     InvalidParams,
     QParams,
+    SingularSystem,
+    _apply,
     eigenvalue,
     frac_str,
     mu_brackets,
@@ -117,12 +118,6 @@ def mu_coefficients(n: int, p: QParams) -> MuCoefficients:
     return MuCoefficients(mu)
 
 
-def _apply(op_rows, c) -> list[tuple[int, int]]:
-    """(M c)(x) as integer pairs (numerator, e_x) for a matrix given as
-    integer rows ({y: a_y}, e_x), the form of `Instance.op_rows`."""
-    return [(sum(a * c[y] for y, a in entries.items()), e) for entries, e in op_rows]
-
-
 def _residuals(lhs, rhs, lam, den) -> list:
     """(a/b - lam c/d) / den for each pair of integer pairs (a, b), (c, d),
     or None where it vanishes.  A passing entry is one cross-multiplied
@@ -162,7 +157,8 @@ def check_factorization(inst: Instance) -> CheckReport:
     """Check Y = X V exactly in both bases, plus a forward-substitution oracle.
 
     The oracle recomputes V in the point basis as the bidiagonal solve
-    X W = Y and compares W with the constructed V entry by entry.
+    X W = Y, W_i = (Y_i - X_{i,i-1} W_{i-1}) / X_{i,i} row by row, and
+    compares W with the constructed V entry by entry.
     """
     p = inst.p
     report = CheckReport(check="factorization", params=p.as_dict())
@@ -172,7 +168,13 @@ def check_factorization(inst: Instance) -> CheckReport:
         report.details[f"{basis.value}_residual"] = frac_str(resid.max_abs())
         if not resid.is_zero():
             report.add_violation(basis=basis.value, residual=frac_str(resid.max_abs()))
-    solved = linalg.solve_lower_triangular(inst.ops["X"].rows(), inst.ops["Y"].rows())
+    x, solved = inst.ops["X"], []
+    for i, row in enumerate(inst.ops["Y"]):
+        if x[i][i] == 0:
+            raise SingularSystem(f"zero diagonal entry at row {i}")
+        if i and x[i][i - 1]:
+            row = [a - x[i][i - 1] * w if w else a for a, w in zip(row, solved[-1])]
+        solved.append([a / x[i][i] for a in row])
     forward_ok = solved == inst.ops["V"].rows()
     report.details["forward_solve_matches"] = forward_ok
     if not forward_ok:

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the field of its inputs, dense and structured.
+"""Exact linear algebra over the field of its inputs: the shared kernels.
 
 Matrices are lists of lists of field elements, row major; the code uses
 only +, -, *, / and comparison with 0.  Two ints may also appear, and
@@ -8,22 +8,18 @@ the seed of `tridiagonal_kernel`.  No division has two int operands, as
 int / int is a float.
 
 Everything here is sized for the desk scale of this package (dimension at
-most a few dozen).  The dense kernels (`rref`, `solve_unique`,
-`null_space`) share one Gauss-Jordan loop, `_reduce`, which takes the rows
-one at a time and skips zero entries: `rref`, and so `null_space`, reduce
-every row, and `solve_unique` stops at the row that makes the column rank
-full and checks the rows left by substituting its solution, so a tall
-system of many dependent rows costs one substitution per extra row.  The
-structured ones exploit
-what the operators of this package look like: `mat_vec` skips zero entries
-and `mat_mul` pairs each nonzero entry with the nonzero (column, value) pairs
-of one right-factor row, listed once per call, so a banded matrix costs
-O(bandwidth) per row, and
-`tridiagonal_kernel` runs the fraction-free three-term recurrence of a
-tridiagonal matrix, on integers when its bands are integers, and
-`tridiagonal_null_space` scales its vector to `null_space`'s basis, falling
-back to `null_space` when the matrix is not one the recurrence proves a
-kernel for.
+most a few dozen).  `mat_mul`, the product of `OpMatrix` and of the word
+products of `algebra.evaluate_poly`, pairs each nonzero entry with the
+nonzero (column, value) pairs of one right-factor row, listed once per
+call, so a banded matrix costs O(bandwidth) per row.  The dense kernels
+(`rref`, `solve_unique`, `null_space`) share one Gauss-Jordan loop,
+`_reduce`, which takes the rows one at a time and skips zero entries:
+`rref`, and so `null_space`, reduce every row, and `solve_unique` stops at
+the row that makes the column rank full and checks the rows left by
+substituting its solution, so a tall system of many dependent rows costs
+one substitution per extra row.  `tridiagonal_kernel` runs the
+fraction-free three-term recurrence of a tridiagonal matrix, on integers
+when its bands are integers, for the kernels of `brf.check_partner`.
 """
 
 from __future__ import annotations
@@ -32,6 +28,9 @@ import bisect
 from typing import Iterator, Sequence
 
 from .qcore import RankDeficient, SingularSystem
+
+__all__ = ["zeros", "identity", "mat_mul", "rref", "solve_unique", "null_space",
+           "tridiagonal_kernel"]
 
 Matrix = list[list]
 Vector = list
@@ -58,29 +57,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
             for j, v in pairs:
                 orow[j] += av * v
     return out
-
-
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> Vector:
-    """a @ v, multiplying only where both the entry and the component are
-    nonzero, so a banded matrix costs O(bandwidth) products per row."""
-    assert all(len(row) == len(v) for row in a)
-    return [sum(x * y for x, y in zip(row, v) if x and y) for row in a]
-
-
-def transpose(a: Sequence[Sequence]) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
-def mat_sub(a, b) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def is_zero(a) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def max_abs(a):
-    return max((abs(x) for row in a for x in row), default=0)
 
 
 def _reduce(a: Sequence[Sequence]) -> Iterator[tuple[Matrix, list[int], Vector | None]]:
@@ -173,25 +149,6 @@ def null_space(a: Sequence[Sequence]) -> list[Vector]:
     return basis
 
 
-def solve_lower_triangular(
-    lower: Sequence[Sequence], rhs: Sequence[Sequence]
-) -> Matrix:
-    """Solve lower @ W = rhs column by column by forward substitution."""
-    n = len(lower)
-    m = len(rhs[0])
-    w = zeros(n, m)
-    for j in range(m):
-        for i in range(n):
-            if lower[i][i] == 0:
-                raise SingularSystem(f"zero diagonal entry at row {i}")
-            acc = rhs[i][j]
-            for t in range(i):
-                if lower[i][t] and w[t][j]:
-                    acc -= lower[i][t] * w[t][j]
-            w[i][j] = acc / lower[i][i]
-    return w
-
-
 def tridiagonal_kernel(sub: Sequence, diag: Sequence, sup: Sequence) -> tuple[Vector, object]:
     """The fraction-free three-term recurrence of the tridiagonal matrix with
     subdiagonal `sub`, diagonal `diag` and superdiagonal `sup`, every `sup`
@@ -212,30 +169,3 @@ def tridiagonal_kernel(sub: Sequence, diag: Sequence, sup: Sequence) -> tuple[Ve
         scale *= sup[i]
         v.append(nums[i] * scale)
     return v[::-1], -nums[n]
-
-
-def tridiagonal_null_space(a: Sequence[Sequence]) -> list[Vector]:
-    """The basis `null_space(a)` returns, by `tridiagonal_kernel` when it can.
-
-    When `a` is square, zero outside its three central diagonals, and every
-    superdiagonal entry is nonzero, rows 0..n-2 fix v_{i+1} from v_{i-1} and
-    v_i, so the kernel is at most one-dimensional and the last row's residual
-    decides it: the dimension is proved, not sampled.  The kernel vector is
-    scaled to the basis `null_space` returns (1 at its last nonzero entry,
-    the free column of the echelon form).  Any other matrix goes to
-    `null_space`.
-    """
-    n = len(a)
-    if (n == 0 or any(len(row) != n for row in a)
-            or any(a[i][j] for i in range(n) for j in range(n) if abs(i - j) > 1)
-            or not all(a[i][i + 1] for i in range(n - 1))):
-        return null_space(a)
-    if n == 1:  # [[d]] has no a[0][1]: no kernel, or the free coordinate 1 of `null_space`
-        return [] if a[0][0] else [[1]]
-    v, residual = tridiagonal_kernel([a[i + 1][i] for i in range(n - 1)],
-                                     [a[i][i] for i in range(n)],
-                                     [a[i][i + 1] for i in range(n - 1)])
-    if residual:
-        return []
-    last = next(x for x in reversed(v) if x)
-    return [[x / last for x in v]]

@@ -119,18 +119,22 @@ class OpMatrix:
             self._compat(other)
             return OpMatrix(linalg.mat_mul(self.entries, other.entries), self.basis, self.params)
         if isinstance(other, GridVector):
-            return GridVector(tuple(linalg.mat_vec(self.entries, other.values)), self.params)
+            if self.basis is not Basis.POINT or self.params != other.params:
+                raise DimensionMismatch("grid values take a point-basis matrix of their instance")
+            return GridVector(tuple(sum(a * v for a, v in zip(row, other.values) if a and v)
+                                    for row in self.entries), self.params)
         return NotImplemented
 
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
         self._compat(other)
-        return OpMatrix(linalg.mat_sub(self.entries, other.entries), self.basis, self.params)
+        return OpMatrix([[a - b for a, b in zip(ra, rb)]
+                         for ra, rb in zip(self.entries, other.entries)], self.basis, self.params)
 
     def is_zero(self) -> bool:
-        return linalg.is_zero(self.entries)
+        return all(v == 0 for row in self.entries for v in row)
 
     def max_abs(self):
-        return linalg.max_abs(self.entries)
+        return max((abs(v) for row in self.entries for v in row), default=0)
 
 
 def phi_function(p: QParams, n: int, x: int):

@@ -7,10 +7,14 @@ and Fractions and rejects floats.  The code past it (these primitives,
 the checks) uses only field operations and derives every constant from the
 instance, so it computes in its field.
 The exceptions are the integer kernels, `_series_rows`,
-`brf.partial_fraction`, `reports.check_gram` and the banded checks of
-`gevp`: they take ints and Fractions apart with `as_integer_ratio` (all but
-the series kernel put a whole row over one denominator with
-`over_common_denominator`) and compare cross-multiplied integers.
+`brf.partial_fraction`, `brf.check_partner`, `reports.check_gram` and the
+banded checks of `gevp`: they take ints and Fractions apart with
+`as_integer_ratio` (all but the series kernel put a whole row over one
+denominator with `over_common_denominator`) and compare cross-multiplied
+integers.  The integer row form of a matrix is `_integer_rows`, each row
+as its nonzero entries over one denominator, and `_apply` multiplies it
+with an integer vector; the banded `gevp` checks apply X, Y and Z
+(`brf.Instance.op_rows`) and `check_partner` the columns of X and V.
 
 The deformation parameters enter only through the three base values q, A,
 B, where A and B play the role of the powers q^alpha and q^beta of two
@@ -118,6 +122,23 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     pairs = [v.as_integer_ratio() for v in values]
     d = math.lcm(*(den for _, den in pairs))
     return [num * (d // den) for num, den in pairs], d
+
+
+def _integer_rows(rows) -> list[tuple[dict[int, int], int]]:
+    """Each row as ({j: a_j}, e) with row[j] = a_j / e on its nonzero
+    entries, so a banded row is short."""
+    out = []
+    for row in rows:
+        entries = {j: v for j, v in enumerate(row) if v}
+        ints, e = over_common_denominator(entries.values())
+        out.append((dict(zip(entries, ints)), e))
+    return out
+
+
+def _apply(rows, c) -> list[tuple[int, int]]:
+    """(M c)(i) as integer pairs (numerator, e_i), for M given as
+    `_integer_rows` and c a list of ints."""
+    return [(sum(a * c[j] for j, a in entries.items()), e) for entries, e in rows]
 
 
 @dataclass(frozen=True)

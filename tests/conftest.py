@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhahn import wilson
+from qhahn import linalg, wilson
 from qhahn.qcore import QParams, qpoch
 
 # Canonical instance used wherever a single generic instance suffices.
@@ -45,6 +45,34 @@ def revert_norm_correction(monkeypatch, knob):
     """Substitute the printed norm with one correction reverted for wilson_h."""
     good, factor = wilson.wilson_h, NORM_REVERSIONS[knob]
     monkeypatch.setattr(wilson, "wilson_h", lambda n, wp: good(n, wp) * factor(n, wp))
+
+
+def tridiagonal_null_space(a):
+    """The basis `linalg.null_space(a)` returns, by `linalg.tridiagonal_kernel`
+    when it can: the oracle that ties the recurrence to elimination.
+
+    When `a` is square, zero outside its three central diagonals, and every
+    superdiagonal entry is nonzero, rows 0..n-2 fix v_{i+1} from v_{i-1} and
+    v_i, so the kernel is at most one-dimensional and the last row's residual
+    decides it.  The kernel vector is scaled to the basis `null_space` returns
+    (1 at its last nonzero entry, the free column of the echelon form).  Any
+    other matrix goes to `linalg.null_space`, looked up at call time so that a
+    counting substitute sees the call.
+    """
+    n = len(a)
+    if (n == 0 or any(len(row) != n for row in a)
+            or any(a[i][j] for i in range(n) for j in range(n) if abs(i - j) > 1)
+            or not all(a[i][i + 1] for i in range(n - 1))):
+        return linalg.null_space(a)
+    if n == 1:  # [[d]] has no a[0][1]: no kernel, or the free coordinate 1 of `null_space`
+        return [] if a[0][0] else [[1]]
+    v, residual = linalg.tridiagonal_kernel([a[i + 1][i] for i in range(n - 1)],
+                                            [a[i][i] for i in range(n)],
+                                            [a[i][i + 1] for i in range(n - 1)])
+    if residual:
+        return []
+    last = next(x for x in reversed(v) if x)
+    return [[x / last for x in v]]
 
 
 @pytest.fixture

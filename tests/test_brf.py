@@ -37,7 +37,7 @@ from qhahn.qcore import (
     validate_params,
 )
 
-from conftest import CANONICAL, PANEL, SMALL_PANEL
+from conftest import CANONICAL, PANEL, SMALL_PANEL, tridiagonal_null_space
 
 
 def inner_product(f, g, w):
@@ -265,11 +265,11 @@ def dense_partner_violations(inst):
         for i in range(n1):
             for j in range(max(i - 1, 0), min(i + 2, n1)):
                 pencil[i][j] = ys[i][j] - lam * xs[i][j]
-        kernel = linalg.tridiagonal_null_space(pencil)
+        kernel = tridiagonal_null_space(pencil)
         if len(kernel) != 1:
             out.append((m, "kernel", f"dimension {len(kernel)}"))
             continue
-        image = linalg.mat_vec(xs.entries, kernel[0])
+        image = list(xs @ GridVector(kernel[0], inst.p))
         x0 = next((x for x, v in enumerate(pm) if v), None)
         r = 0 if x0 is None else image[x0] / pm[x0]
         if r == 0 or image != [r * v for v in pm]:

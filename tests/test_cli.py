@@ -19,7 +19,7 @@ from qhahn.operators import Basis, Operator, build_operator
 from qhahn.qcore import QParams
 from qhahn.reports import CheckReport
 
-from conftest import CANONICAL
+from conftest import CANONICAL, tridiagonal_null_space
 
 
 def default_panel_path():
@@ -364,7 +364,7 @@ def test_biortho_suite_takes_the_structured_kernels(monkeypatch):
     assert [r["status"] for r in reports] == ["pass"] * 4
     assert calls == Counter()
     # the counters are live: a pencil with a zero superdiagonal entry falls back
-    linalg.tridiagonal_null_space([[F(0), F(0)], [F(1), F(0)]])
+    tridiagonal_null_space([[F(0), F(0)], [F(1), F(0)]])
     assert calls == Counter({"null_space": 1})
 
 
@@ -722,6 +722,18 @@ def test_export_rejects_bad_arguments():
                      "--params", "1/2,32,1/512,3"]) == 2
     assert cli.main(["export", "--what", "brf", "--which", "1",
                      "--params", "1/2,32,1/512"]) == 2
+
+
+@pytest.mark.parametrize("basis", ["point", "phi"])
+@pytest.mark.parametrize("what, which", [("brf", "2"), ("weight", "w")])
+def test_export_basis_applies_to_matrices_only(capsys, what, which, basis):
+    # point values have no basis: the flag is a usage error, not ignored
+    assert cli.main(["export", "--what", what, "--which", which, "--basis", basis,
+                     "--params", "1/2,32,1/512,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --basis applies to matrices only; --what {what} "
+                            "is point values\n")
 
 
 def test_fraction_serialization_always_carries_denominator(tmp_path):

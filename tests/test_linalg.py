@@ -9,6 +9,8 @@ from qhahn import linalg
 from qhahn.operators import Basis, GridVector, OpMatrix
 from qhahn.qcore import QParams, RankDeficient, SingularSystem
 
+from conftest import tridiagonal_null_space
+
 nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 any_frac = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
@@ -54,7 +56,7 @@ def singular_tridiagonal(draw):
 @given(singular_tridiagonal())
 def test_tridiagonal_kernel_of_dimension_one_matches_elimination(a):
     with counting_null_space() as calls:
-        kernel = linalg.tridiagonal_null_space(a)
+        kernel = tridiagonal_null_space(a)
     assert calls == []
     assert len(kernel) == 1
     assert kernel == linalg.null_space(a)
@@ -66,7 +68,7 @@ def test_tridiagonal_kernel_of_dimension_zero_matches_elimination(a):
     # moving the last diagonal entry leaves a nonzero last-row residual
     a[-1][-1] += 1
     with counting_null_space() as calls:
-        kernel = linalg.tridiagonal_null_space(a)
+        kernel = tridiagonal_null_space(a)
     assert calls == []
     assert kernel == [] == linalg.null_space(a)
 
@@ -79,7 +81,7 @@ def test_tridiagonal_kernel_of_dimension_zero_matches_elimination(a):
 def test_random_tridiagonal_kernel_matches_elimination(bands):
     a = tridiagonal(*bands)
     with counting_null_space() as calls:
-        kernel = linalg.tridiagonal_null_space(a)
+        kernel = tridiagonal_null_space(a)
     assert calls == []
     assert kernel == linalg.null_space(a)
 
@@ -90,7 +92,7 @@ def test_zero_superdiagonal_entry_falls_back_to_elimination(a, data):
     i = data.draw(st.integers(0, len(a) - 2))
     a[i][i + 1] = F(0)
     with counting_null_space() as calls:
-        kernel = linalg.tridiagonal_null_space(a)
+        kernel = tridiagonal_null_space(a)
     assert len(calls) == 1
     assert kernel == linalg.null_space(a)
 
@@ -103,14 +105,18 @@ def test_entry_outside_the_band_falls_back_to_elimination(a, data, value):
                      .filter(lambda ij: abs(ij[0] - ij[1]) > 1))
     a[i][j] = value
     with counting_null_space() as calls:
-        kernel = linalg.tridiagonal_null_space(a)
+        kernel = tridiagonal_null_space(a)
     assert len(calls) == 1
     assert kernel == linalg.null_space(a)
 
 
 def test_mat_vec_skips_zeros_and_keeps_values():
-    a = [[F(0), F(2), F(0)], [F(1, 3), F(0), F(-1)], [F(0), F(0), F(0)]]
-    assert linalg.mat_vec(a, [F(5), F(0), F(7)]) == [F(0), F(5, 3) - 7, F(0)]
+    # OpMatrix @ GridVector: a row with no nonzero product is the int 0
+    p = QParams(F(1, 2), F(3), F(1, 5), 2)
+    a = OpMatrix([[F(0), F(2), F(0)], [F(1, 3), F(0), F(-1)], [F(0), F(0), F(0)]], Basis.POINT, p)
+    out = (a @ GridVector([F(5), F(0), F(7)], p)).values
+    assert out == (0, F(5, 3) - 7, 0)
+    assert [type(v) for v in out] == [int, F, int]
 
 
 @pytest.mark.parametrize("a, b, exc, message", [
@@ -304,9 +310,6 @@ def test_the_kernels_take_the_field_of_their_inputs():
     a = both(3, 4, {(0, 1): 2, (0, 2): -1, (0, 3): 4, (1, 0): 3, (1, 1): 1, (1, 3): 5,
                     (2, 0): 3, (2, 1): 3, (2, 2): -1, (2, 3): 9})
     sq = both(3, 3, {(0, 1): 2, (0, 2): 1, (1, 0): 3, (1, 2): 1, (2, 0): 1, (2, 1): 1})
-    low = both(3, 3, {(0, 0): 2, (1, 0): 1, (1, 1): 3, (2, 1): 4, (2, 2): 5})
-    rhs = both(3, 2, {(0, 1): 7, (1, 0): -2, (2, 0): 1, (2, 1): 3})
-    vec = both(1, 4, {(0, 0): 1, (0, 2): 6})
     b = both(1, 3, {(0, 0): 1, (0, 2): 2})
     # tridiagonal with int-0 diagonal at [0][0] and [2][2]: kernel (-3, 0, 1)
     tri = both(3, 3, {(0, 1): 2, (1, 0): 1, (1, 1): 5, (1, 2): 3, (2, 1): 4})
@@ -314,19 +317,17 @@ def test_the_kernels_take_the_field_of_their_inputs():
     zero1 = both(1, 1, {})
     runs = {
         "mat_mul": lambda i: linalg.mat_mul(sq[i], a[i]),
-        "mat_vec": lambda i: linalg.mat_vec(a[i], vec[i][0]),
         "rref": lambda i: linalg.rref(a[i])[0],
         "solve_unique": lambda i: linalg.solve_unique(sq[i], b[i][0]),
         "null_space": lambda i: linalg.null_space(a[i]),
-        "tridiagonal_null_space": lambda i: [linalg.tridiagonal_null_space(m[i])
+        "tridiagonal_null_space": lambda i: [tridiagonal_null_space(m[i])
                                              for m in (tri, tri_full, zero1)],
-        "solve_lower_triangular": lambda i: linalg.solve_lower_triangular(low[i], rhs[i]),
         "identity": lambda i: linalg.identity(3, (F, GF)[i](1)),
     }
     for run in runs.values():
         assert_reduces(run(0), run(1))
     assert linalg.rref(a[0])[1] == linalg.rref(a[1])[1] == [0, 1]
-    assert linalg.tridiagonal_null_space(tri[1]) == [[GF(-3), 0, 1]]
+    assert tridiagonal_null_space(tri[1]) == [[GF(-3), 0, 1]]
     assert len(linalg.null_space(a[1])) == 2
 
 

@@ -19,7 +19,7 @@ from qhahn.operators import (
     phi_function,
     weighted_adjoint,
 )
-from qhahn.qcore import QParams, qnum, qpow
+from qhahn.qcore import DimensionMismatch, QParams, SingularSystem, qnum, qpow
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL
 
@@ -140,6 +140,14 @@ def test_factorization_catches_a_bumped_v_entry(canonical, monkeypatch):
     assert report.details["phi_residual"] == "0/1"
 
 
+@pytest.mark.parametrize("N", [0, 3])
+def test_forward_solve_raises_on_a_zero_diagonal_entry_of_x(N):
+    # A = 1 makes X[0][0] = [-alpha]_q vanish: the row-0 step divides by it
+    with pytest.raises(SingularSystem) as info:
+        check_factorization(Instance(QParams(F(1, 2), F(1), F(1, 5), N)))
+    assert str(info.value) == "zero diagonal entry at row 0"
+
+
 def test_factorization_direct_product(canonical):
     for basis in (Basis.POINT, Basis.PHI):
         x = build_operator(Operator.X, basis, canonical)
@@ -164,6 +172,19 @@ def test_matrix_ring_laws(canonical):
         return [[u + v for u, v in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
 
     assert (x @ OpMatrix(add(y, z), Basis.POINT, canonical)).rows() == add(x @ y, x @ z)
+
+
+@pytest.mark.parametrize("basis, p", [
+    (Basis.POINT, QParams(F(1, 2), F(3), F(1, 5), CANONICAL.N)),
+    (Basis.POINT, QParams(CANONICAL.q, CANONICAL.A, CANONICAL.B, CANONICAL.N + 1)),
+    (Basis.PHI, CANONICAL),
+], ids=["other-instance-same-n", "other-n", "phi-basis"])
+def test_matrix_times_grid_vector_checks_its_operands(basis, p):
+    # grid values take a point-basis matrix of their own instance, as
+    # OpMatrix @ OpMatrix takes operands of one basis and instance
+    m = build_operator(Operator.Y, basis, CANONICAL)
+    with pytest.raises(DimensionMismatch):
+        m @ GridVector([F(1)] * (p.N + 1), p)
 
 
 def _random_vector(rng, p):

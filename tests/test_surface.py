@@ -41,15 +41,10 @@ def test_every_reexport_is_declared_by_its_home_module():
 # Functions the default panel and the export targets never enter, each with
 # the reason it stays.
 UNREACHED = {
-    "linalg.null_space": "the dense fallback of `check_partner` and `tridiagonal_null_space`: "
-                         "it proves a kernel "
+    "linalg.null_space": "the dense fallback of `check_partner`: it proves a kernel "
                          "dimension when a pencil has a zero superdiagonal entry",
-    "linalg.mat_vec": "applies V* to a partner, only when the partner eigen part fails",
     "linalg.rref": "the full reduction, entered only through `null_space`; `solve_unique` "
                    "stops the row reducer at full column rank",
-    "linalg.tridiagonal_null_space": "`tridiagonal_kernel` scaled to `null_space`'s basis over a "
-                                     "field, for the tests that compare the two; `check_partner` "
-                                     "runs the kernel on integer bands",
     "operators.weighted_adjoint": "forms V* only when the partner eigen part fails",
     "operators.basis_change": "the change to the phi basis, for the third basis of the roadmap",
     "operators.phi_function": "the phi basis functions that `basis_change` tabulates",
@@ -95,13 +90,15 @@ print(json.dumps([(pathlib.Path(c.co_filename).name, c.co_firstlineno, c.co_name
 
 
 def test_verify_and_export_reach_every_function(tmp_path):
-    # the default panel, then every export target in both bases and both formats
+    # the default panel, then every export target in both formats, the
+    # matrices in both bases
     out = ["--out", str(tmp_path / "out")]
     runs = [["verify", "--config", str(resources.files("qhahn").joinpath("data/default_panel.json")),
              *out]]
     for what, which in [("matrix", op) for op in "XYZV"] + [("brf", "2"), ("weight", "w")]:
         for basis, fmt in (("point", "json"), ("phi", "csv")):
-            runs.append(["export", "--what", what, "--which", which, "--basis", basis,
+            flags = ["--basis", basis] if what == "matrix" else []
+            runs.append(["export", "--what", what, "--which", which, *flags,
                          "--format", fmt, "--params", "1/2,32,1/512,3", *out])
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(qhahn.__file__).parents[1])}
     child = subprocess.run([sys.executable, "-c", PROFILED_RUNS, json.dumps(runs)],
