@@ -17,11 +17,11 @@ claim is checked symbolically at the word level (NCPoly), not through
 matrices, so that it cannot hold by representation-specific accident.
 
 The builders read one `brf.Instance`, whose constants, point-basis matrices
-and their products by word (`constants`, `ops`, `words`) are built once.
-NCPoly does not decide the number type: it stores the coefficients it is
-given, so the relations, Casimirs and potentials live in the field of the
-instance, over Fraction for a verify run and over any other field of
-(q, A, B) as well.
+and their products by word as integer rows (`constants`, `ops`, `words`)
+are built once.  NCPoly does not decide the number type: it stores the
+coefficients it is given, so the relations, Casimirs and potentials live in
+the field of the instance, any field of (q, A, B); their matrix values, by
+the integer kernel `evaluate_poly`, are over Fraction.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .qcore import (
     QHahnError,
     QParams,
     RankDeficient,
+    _mul_rows,
+    _sum_rows,
     frac_str,
     qnum,
     qpow,
@@ -150,25 +152,29 @@ def cyclic_derivative(phi: NCPoly, gen: str) -> NCPoly:
 
 def evaluate_poly(poly: NCPoly, inst: Instance) -> OpMatrix:
     """Evaluate an ordinary polynomial at the instance's point-basis
-    matrices `inst.ops`.
+    matrices `inst.ops`, over Fraction.
 
     A word's matrix is its longest proper prefix's times its last letter's,
-    kept in `inst.words`: each word is multiplied out once per instance and
-    shared by every polynomial evaluated there.
+    as integer rows kept in `inst.words`: each word is multiplied out once
+    per instance and shared by every polynomial evaluated there.  A row of
+    the sum is one `_sum_rows`, so only its nonzero entries become Fractions.
     """
     if poly.cyclic:
         raise QHahnError("cyclic elements have no single matrix value")
-    p, prods = inst.p, inst.words
-    acc = linalg.zeros(p.N + 1, p.N + 1)
-    for word, coeff in poly.terms.items():
-        for k in range(2, len(word) + 1):
+    prods = inst.words
+    for word in poly.terms:
+        for k, g in enumerate(word, 1):
             if word[:k] not in prods:
-                prods[word[:k]] = linalg.mat_mul(prods[word[:k - 1]], prods[word[k - 1:k]])
-        for arow, prow in zip(acc, prods[word]):
-            for j, v in enumerate(prow):
-                if v:
-                    arow[j] += coeff * v
-    return OpMatrix(acc, Basis.POINT, p)
+                if g not in inst.ops:
+                    raise QHahnError(f"word {''.join(word)!r}: letter {g!r} is not X, Y, Z or V")
+                prods[word[:k]] = _mul_rows(prods[word[:k - 1]], prods[(g,)])
+    acc = linalg.zeros(inst.p.N + 1, inst.p.N + 1)
+    for i, arow in enumerate(acc):
+        sums, lcm = _sum_rows([(*c.as_integer_ratio(), prods[w][i])
+                               for w, c in poly.terms.items() if prods[w][i][0]])
+        for j, v in sums.items():
+            arow[j] = Fraction(v, lcm)
+    return OpMatrix(acc, Basis.POINT, inst.p)
 
 
 @dataclass(frozen=True)

@@ -233,10 +233,11 @@ class Instance:
         return {op.value: build_operator(op, Basis.POINT, self.p) for op in Operator}
 
     @cached_property
-    def words(self) -> dict[tuple[str, ...], list[list]]:
-        """Products of `ops` by word, from the identity; `evaluate_poly` adds the rest."""
-        identity = linalg.identity(self.p.N + 1, self.p.q**0)
-        return {(): identity} | {(g,): m.entries for g, m in self.ops.items()}
+    def words(self) -> dict[tuple[str, ...], list[tuple[dict[int, int], int]]]:
+        """Products of `ops` by word as `_integer_rows`, from the identity and
+        the letters' `op_rows`; `evaluate_poly` adds the rest."""
+        return {(): [({i: 1}, 1) for i in range(self.p.N + 1)]} | {
+            (g,): rows for g, rows in self.op_rows.items()}
 
     @cached_property
     def mu(self) -> tuple:
@@ -268,8 +269,8 @@ class Instance:
 
     @cached_property
     def op_rows(self) -> dict[str, list[tuple[dict[int, int], int]]]:
-        """X, Y and Z of `ops` as `_integer_rows`, so a banded row is short."""
-        return {g: _integer_rows(self.ops[g]) for g in "XYZ"}
+        """X, Y, Z and V of `ops` as `_integer_rows`, so a banded row is short."""
+        return {g: _integer_rows(m) for g, m in self.ops.items()}
 
 
 def bare_norm(n: int, q, A, B, N: int):

@@ -8,18 +8,19 @@ the seed of `tridiagonal_kernel`.  No division has two int operands, as
 int / int is a float.
 
 Everything here is sized for the desk scale of this package (dimension at
-most a few dozen).  `mat_mul`, the product of `OpMatrix` and of the word
-products of `algebra.evaluate_poly`, pairs each nonzero entry with the
-nonzero (column, value) pairs of one right-factor row, listed once per
-call, so a banded matrix costs O(bandwidth) per row.  The dense kernels
-(`rref`, `solve_unique`, `null_space`) share one Gauss-Jordan loop,
-`_reduce`, which takes the rows one at a time and skips zero entries:
-`rref`, and so `null_space`, reduce every row, and `solve_unique` stops at
-the row that makes the column rank full and checks the rows left by
-substituting its solution, so a tall system of many dependent rows costs
-one substitution per extra row.  `tridiagonal_kernel` runs the
-fraction-free three-term recurrence of a tridiagonal matrix, on integers
-when its bands are integers, for the kernels of `brf.check_partner`.
+most a few dozen).  `mat_mul`, the product of `OpMatrix` (not of the word
+products of `algebra.evaluate_poly`, which are `qcore._mul_rows`), pairs
+each nonzero entry with the nonzero (column, value) pairs of one
+right-factor row, listed once per call, so a banded matrix costs
+O(bandwidth) per row.  The dense kernels (`rref`, `solve_unique`,
+`null_space`) share one Gauss-Jordan loop, `_reduce`, which takes the rows
+one at a time and skips zero entries: `rref`, and so `null_space`, reduce
+every row, and `solve_unique` stops at the row that makes the column rank
+full and checks the rows left by substituting its solution, so a tall
+system of many dependent rows costs one substitution per extra row.
+`tridiagonal_kernel` runs the fraction-free three-term recurrence of a
+tridiagonal matrix, on integers when its bands are integers, for the
+kernels of `brf.check_partner`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from typing import Iterator, Sequence
 
 from .qcore import RankDeficient, SingularSystem
 
-__all__ = ["zeros", "identity", "mat_mul", "rref", "solve_unique", "null_space",
-           "tridiagonal_kernel"]
+__all__ = ["zeros", "mat_mul", "rref", "solve_unique", "null_space", "tridiagonal_kernel"]
 
 Matrix = list[list]
 Vector = list
@@ -38,11 +38,6 @@ Vector = list
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
-
-
-def identity(n: int, one) -> Matrix:
-    """The n x n identity with the field's `one` on its diagonal."""
-    return [[one if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:

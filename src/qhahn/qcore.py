@@ -7,14 +7,14 @@ and Fractions and rejects floats.  The code past it (these primitives,
 the checks) uses only field operations and derives every constant from the
 instance, so it computes in its field.
 The exceptions are the integer kernels, `_series_rows`,
-`brf.partial_fraction`, `brf.check_partner`, `reports.check_gram` and the
-banded checks of `gevp`: they take ints and Fractions apart with
-`as_integer_ratio` (all but the series kernel put a whole row over one
-denominator with `over_common_denominator`) and compare cross-multiplied
-integers.  The integer row form of a matrix is `_integer_rows`, each row
-as its nonzero entries over one denominator, and `_apply` multiplies it
-with an integer vector; the banded `gevp` checks apply X, Y and Z
-(`brf.Instance.op_rows`) and `check_partner` the columns of X and V.
+`brf.partial_fraction`, `brf.check_partner`, `reports.check_gram`,
+`algebra.evaluate_poly` and the banded checks of `gevp`: they take ints
+and Fractions apart with `as_integer_ratio` and work on integers, most on
+rows over one denominator (`over_common_denominator`).  The integer row
+form of a matrix is `_integer_rows`, each row as its nonzero entries over
+one denominator; `_apply` applies it to an integer vector, `_sum_rows`
+sums its rows and `_mul_rows` multiplies two (`brf.Instance.op_rows` and
+`words`, for the banded `gevp` checks and `evaluate_poly`).
 
 The deformation parameters enter only through the three base values q, A,
 B, where A and B play the role of the powers q^alpha and q^beta of two
@@ -139,6 +139,24 @@ def _apply(rows, c) -> list[tuple[int, int]]:
     """(M c)(i) as integer pairs (numerator, e_i), for M given as
     `_integer_rows` and c a list of ints."""
     return [(sum(a * c[j] for j, a in entries.items()), e) for entries, e in rows]
+
+
+def _sum_rows(terms, den: int = 1) -> tuple[dict[int, int], int]:
+    """sum_t (n_t / d_t) row_t / den for terms (n_t, d_t, row_t) of ints and
+    `_integer_rows` rows, as one such row over one lcm, reduced by one gcd."""
+    lcm = math.lcm(*(d * e for _, d, (_, e) in terms))
+    acc: dict[int, int] = {}
+    for n, d, (row, e) in terms:
+        f = n * (lcm // (d * e))
+        for j, a in row.items():
+            acc[j] = acc.get(j, 0) + f * a
+    g = math.gcd(*acc.values(), den * lcm)
+    return {j: v // g for j, v in acc.items() if v}, den * lcm // g
+
+
+def _mul_rows(a, b) -> list[tuple[dict[int, int], int]]:
+    """The product of two matrices given as `_integer_rows`, in that form."""
+    return [_sum_rows([(x, 1, b[k]) for k, x in entries.items()], e) for entries, e in a]
 
 
 @dataclass(frozen=True)

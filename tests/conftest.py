@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from qhahn import linalg, wilson
+from qhahn.operators import Basis, OpMatrix
 from qhahn.qcore import QParams, qpoch
 
 # Canonical instance used wherever a single generic instance suffices.
@@ -73,6 +74,34 @@ def tridiagonal_null_space(a):
         return []
     last = next(x for x in reversed(v) if x)
     return [[x / last for x in v]]
+
+
+def identity(n, one):
+    """The n x n identity with the field's `one` on its diagonal."""
+    return [[one if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def dense_evaluate_poly(poly, inst):
+    """`algebra.evaluate_poly` on dense matrices in the field of the
+    instance: the oracle of its integer rows, and the evaluator of the
+    algebra over any field of (q, A, B).
+
+    A word's matrix is its longest proper prefix's times its last letter's,
+    by `linalg.mat_mul` from the identity and `inst.ops`, and the sum
+    c_w W_w is taken entry by entry.
+    """
+    p = inst.p
+    prods = {(): identity(p.N + 1, p.q**0)} | {(g,): m.entries for g, m in inst.ops.items()}
+    acc = linalg.zeros(p.N + 1, p.N + 1)
+    for word, coeff in poly.terms.items():
+        for k in range(2, len(word) + 1):
+            if word[:k] not in prods:
+                prods[word[:k]] = linalg.mat_mul(prods[word[:k - 1]], prods[word[k - 1:k]])
+        for arow, prow in zip(acc, prods[word]):
+            for j, v in enumerate(prow):
+                if v:
+                    arow[j] += coeff * v
+    return OpMatrix(acc, Basis.POINT, p)
 
 
 @pytest.fixture

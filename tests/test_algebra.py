@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhahn import algebra, linalg
+from qhahn import algebra
 from qhahn.algebra import (
     NCPoly,
     casimir_meta,
@@ -30,7 +30,7 @@ from qhahn.brf import Instance
 from qhahn.operators import Basis, Operator, OpMatrix, build_operator
 from qhahn.qcore import QHahnError, QParams, frac_str, qnum, qpow
 
-from conftest import CANONICAL, PANEL, SMALL_PANEL
+from conftest import CANONICAL, PANEL, SMALL_PANEL, dense_evaluate_poly, identity
 
 words = st.text(alphabet="XYZV", min_size=0, max_size=3)
 coeffs = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=6)
@@ -110,14 +110,85 @@ CANONICAL_INST = Instance(CANONICAL)
 @given(prefix_closed_polys)
 @settings(max_examples=30, deadline=None)
 def test_evaluate_poly_equals_an_identity_started_fold(poly):
-    identity = OpMatrix(linalg.identity(CANONICAL.N + 1, CANONICAL.q**0), Basis.POINT, CANONICAL)
-    acc = linalg.zeros(CANONICAL.N + 1, CANONICAL.N + 1)
+    one = OpMatrix(identity(CANONICAL.N + 1, CANONICAL.q**0), Basis.POINT, CANONICAL)
+    acc = [[0] * (CANONICAL.N + 1) for _ in range(CANONICAL.N + 1)]
     for word, coeff in poly.terms.items():
-        prod = identity
+        prod = one
         for letter in word:
             prod = prod @ CANONICAL_INST.ops[letter]
         acc = [[a + coeff * v for a, v in zip(ra, rp)] for ra, rp in zip(acc, prod.entries)]
-    assert evaluate_poly(poly, CANONICAL_INST) == OpMatrix(acc, Basis.POINT, CANONICAL)
+    fold = OpMatrix(acc, Basis.POINT, CANONICAL)
+    assert dense_evaluate_poly(poly, CANONICAL_INST) == fold
+    assert evaluate_poly(poly, CANONICAL_INST) == fold
+
+
+# words of length 0..4 over X, Y, Z, V, V-heavy ones among them (V is lower
+# Hessenberg, so its products fill the lower triangle)
+ORACLE_WORDS = ["", "X", "Y", "Z", "V", "XX", "XY", "YX", "XZ", "ZX", "ZZ", "ZV", "VZ", "VV",
+                "YV", "XYZ", "VZZ", "ZVX", "VVV", "XYZV", "VVVV", "YXVZ", "ZZZZ", "VXYV"]
+ORACLE_COEFFS = [1, -2, F(3, 7), F(-5, 11), 3, F(1, 2)]
+
+
+@pytest.mark.parametrize("p", PANEL + [QParams(F(1, 2), F(3), F(1, 5), 0),
+                                       QParams(F(1, 2), F(-5), F(1, 7), 24)],
+                         ids=[f"panel{i}" for i in range(len(PANEL))] + ["N0", "N24"])
+def test_evaluate_poly_equals_the_dense_oracle(p):
+    # the integer rows against dense Fraction products: one polynomial over
+    # every word, one int-only, and the relations and Casimirs, whose sums
+    # cancel to zero or to a scalar
+    inst = Instance(p)
+    polys = [NCPoly({tuple(w): ORACLE_COEFFS[i % len(ORACLE_COEFFS)]
+                     for i, w in enumerate(ORACLE_WORDS)}),
+             NCPoly({tuple(w): (-1) ** i * i for i, w in enumerate(ORACLE_WORDS)}),
+             *rqhahn_relation_polys(inst).values(), *meta_relation_polys(inst).values(),
+             casimir_rqhahn(inst), casimir_meta(inst)]
+    for poly in polys:
+        value = evaluate_poly(poly, inst)
+        assert value == dense_evaluate_poly(poly, inst)
+        # one Fraction per nonzero entry; an entry the sum cancels stays the int 0
+        assert all(type(v) is (F if v else int) for row in value.entries for v in row)
+
+
+def _bump_v(inst):
+    # V[2][1] + 1/7, before any integer rows or word products are read from it
+    v = inst.ops["V"].rows()
+    v[2][1] += F(1, 7)
+    inst.ops["V"] = OpMatrix(v, Basis.POINT, inst.p)
+
+
+FAILING_CHECKS = [check_rqhahn_relations, check_meta_relations, check_casimir_rqhahn,
+                  check_casimir_meta]
+
+
+@pytest.mark.parametrize("perturb, Ns, failing", [
+    (lambda mp, inst: _tamper_constants(mp, "xi", 5, lambda v: v + 1), (0, 1, 3, 8),
+     {"rqhahn_relations"}),
+    (lambda mp, inst: _tamper_constants(mp, "gamma", 1, lambda v: v + F(1, 3)), (0, 1, 3, 8),
+     {"casimir_rqhahn"}),
+    (lambda mp, inst: _bump_v(inst), (3,), {"meta_relations", "casimir_meta"}),
+], ids=["xi5+1", "gamma2+1/3", "V21+1/7"])
+def test_failing_reports_are_those_of_the_dense_oracle(monkeypatch, perturb, Ns, failing):
+    # a failing report carries its residuals: the integer rows must give the
+    # ones dense Fraction products give, violations and residual norms
+    # included.  V[2][1] is interior: a bump of V[N][0] is not seen by
+    # casimir_meta
+    for N in Ns:
+        p = QParams(F(1, 2), F(3), F(1, 5), N)
+        runs = []
+        for evaluate in (evaluate_poly, dense_evaluate_poly):
+            with monkeypatch.context() as mp:
+                mp.setattr(algebra, "evaluate_poly", evaluate)
+                inst = Instance(p)
+                perturb(mp, inst)
+                runs.append([check(inst).as_dict() for check in FAILING_CHECKS])
+        assert runs[0] == runs[1]
+        assert {report["check"] for report in runs[0] if report["status"] == "fail"} == failing
+
+
+@pytest.mark.parametrize("word, letter", [("W", "W"), ("XWZ", "W"), ("Xx", "x")])
+def test_evaluate_poly_names_an_unknown_letter(word, letter):
+    with pytest.raises(QHahnError, match=f"word '{word}': letter '{letter}' is not X, Y, Z or V"):
+        evaluate_poly(NCPoly.monomial(word), Instance(CANONICAL))
 
 
 def test_evaluate_poly_matches_matrix_products(canonical):

@@ -3,8 +3,10 @@
 The builders read an `Instance` and compute in the field of its parameters,
 so over sympy's field of rational functions in q, A, B the relations, the
 Casimir values and the potentials are identities in the parameters, not
-only at the panel's rational points.  sympy is a test-only dependency: the
-library never imports it.
+only at the panel's rational points.  The library's `evaluate_poly` works on
+integer rows, over Fraction only, so the matrices here are evaluated by the
+field-generic oracle `dense_evaluate_poly` of `tests/conftest.py`.  sympy
+is a test-only dependency: the library never imports it.
 """
 
 import dataclasses
@@ -23,13 +25,14 @@ from qhahn.algebra import (  # noqa: E402
     casimir_meta,
     casimir_rqhahn,
     cyclic_derivative,
-    evaluate_poly,
     meta_relation_polys,
     potential_meta,
     potential_rqhahn,
     rqhahn_relation_polys,
 )
 from qhahn.brf import Instance  # noqa: E402
+
+from conftest import dense_evaluate_poly  # noqa: E402
 
 _, Q, A, B = sympy.field("q,A,B", sympy.QQ)
 
@@ -55,16 +58,16 @@ def test_relations_vanish_over_the_field(N):
     relations = [*rqhahn_relation_polys(inst).values(), *meta_relation_polys(inst).values()]
     assert len(relations) == 6
     for poly in relations:
-        assert evaluate_poly(poly, inst).is_zero()
+        assert dense_evaluate_poly(poly, inst).is_zero()
 
 
 @pytest.mark.parametrize("N", range(4))
 def test_casimirs_take_their_values_over_the_field(N):
     inst = symbolic(N)
-    assert evaluate_poly(casimir_rqhahn(inst), inst).is_zero()
+    assert dense_evaluate_poly(casimir_rqhahn(inst), inst).is_zero()
     value = algebra._casimir_meta_value(inst.p)
     assert value != 0
-    meta = evaluate_poly(casimir_meta(inst), inst)
+    meta = dense_evaluate_poly(casimir_meta(inst), inst)
     assert all(v == (value if i == j else 0)
                for i, row in enumerate(meta.entries) for j, v in enumerate(row))
 
@@ -99,7 +102,7 @@ def test_field_certification_catches_a_shifted_constant(monkeypatch):
     monkeypatch.setattr(algebra, "structure_constants", shifted)
     inst = symbolic(2)
     broken = [name for name, poly in rqhahn_relation_polys(inst).items()
-              if not evaluate_poly(poly, inst).is_zero()]
+              if not dense_evaluate_poly(poly, inst).is_zero()]
     assert broken == ["ZY"]
 
 

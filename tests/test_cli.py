@@ -246,7 +246,7 @@ def test_one_verify_run_builds_each_object_once_per_entry(tmp_path, monkeypatch)
             return fn(*args)
         return wrapper
 
-    for fn in (brf.brf_family, algebra.structure_constants, build_operator, linalg.mat_mul):
+    for fn in (brf.brf_family, algebra.structure_constants, build_operator, qcore._mul_rows):
         wrapper = counting(fn.__name__, fn)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("qhahn") and getattr(mod, fn.__name__, None) is fn:
@@ -271,8 +271,8 @@ def test_one_verify_run_builds_each_object_once_per_entry(tmp_path, monkeypatch)
     assert made_by("build_operator") == Counter(
         [(op, Basis.POINT, p) for p in ps for op in Operator]
         + [(Operator(g), Basis.PHI, p) for p in ps for g in "XYV"])
-    # evaluate_poly multiplies out each word prefix once per entry (the
-    # entries' sizes tell them apart)
+    # evaluate_poly multiplies out each word prefix once per entry, as
+    # integer rows (the entries' sizes tell them apart)
     expected = Counter()
     for p in ps:
         inst = Instance(p)
@@ -285,7 +285,7 @@ def test_one_verify_run_builds_each_object_once_per_entry(tmp_path, monkeypatch)
         expected[p.N + 1] = len({word[:k] for poly in polys for word in poly.terms
                                  for k in range(2, len(word) + 1)})
     assert Counter(len(args[0]) for kind, caller, args in made
-                   if kind == "mat_mul" and caller == "evaluate_poly") == expected
+                   if kind == "_mul_rows" and caller == "evaluate_poly") == expected
 
 
 def each_check_on_its_own_instance(name, instances):

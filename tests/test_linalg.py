@@ -9,7 +9,7 @@ from qhahn import linalg
 from qhahn.operators import Basis, GridVector, OpMatrix
 from qhahn.qcore import QParams, RankDeficient, SingularSystem
 
-from conftest import tridiagonal_null_space
+from conftest import identity, tridiagonal_null_space
 
 nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 any_frac = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -322,7 +322,7 @@ def test_the_kernels_take_the_field_of_their_inputs():
         "null_space": lambda i: linalg.null_space(a[i]),
         "tridiagonal_null_space": lambda i: [tridiagonal_null_space(m[i])
                                              for m in (tri, tri_full, zero1)],
-        "identity": lambda i: linalg.identity(3, (F, GF)[i](1)),
+        "identity": lambda i: identity(3, (F, GF)[i](1)),
     }
     for run in runs.values():
         assert_reduces(run(0), run(1))

@@ -21,7 +21,7 @@ from qhahn.operators import (
 )
 from qhahn.qcore import DimensionMismatch, QParams, SingularSystem, qnum, qpow
 
-from conftest import CANONICAL, PANEL, SMALL_PANEL
+from conftest import CANONICAL, PANEL, SMALL_PANEL, dense_evaluate_poly, identity
 
 
 def test_phi_function_degree_zero_is_one(canonical):
@@ -157,7 +157,7 @@ def test_factorization_direct_product(canonical):
 
 
 def test_identity_is_neutral(canonical):
-    ident = OpMatrix(linalg.identity(canonical.N + 1, canonical.q**0), Basis.POINT, canonical)
+    ident = OpMatrix(identity(canonical.N + 1, canonical.q**0), Basis.POINT, canonical)
     z = build_operator(Operator.Z, Basis.POINT, canonical)
     assert (ident @ z).entries == z.entries
     assert (z @ ident).entries == z.entries
@@ -264,15 +264,17 @@ def test_no_float_reaches_the_exact_core(p, monkeypatch):
     odd = {type(v).__name__ for v in values
            if type(v) is not F and not (type(v) is int and v in (0, 1))}
     # the algebra layer: its polynomials carry int coefficients as written
-    # (1, -1), so any int passes there; their matrix values, and every value
-    # an algebra report serializes (the potential scales among them), too
+    # (1, -1), so any int passes there; their matrix values in the field of
+    # the instance (the dense oracle: the library's integer rows build
+    # Fractions from ints), and every value an algebra report serializes
+    # (the potential scales among them), too
     polys = [*algebra.rqhahn_relation_polys(inst).values(),
              *algebra.meta_relation_polys(inst).values(),
              algebra.potential_rqhahn(inst), algebra.potential_meta(inst),
              algebra.casimir_rqhahn(inst), algebra.casimir_meta(inst)]
     values = [c for poly in polys for c in poly.terms.values()]
     values += [v for poly in polys if not poly.cyclic
-               for row in algebra.evaluate_poly(poly, inst).entries for v in row]
+               for row in dense_evaluate_poly(poly, inst).entries for v in row]
     serialized = []
     monkeypatch.setattr(algebra, "frac_str", lambda v, good=algebra.frac_str: (
         serialized.append(v) or good(v)))
