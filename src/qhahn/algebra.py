@@ -37,6 +37,7 @@ from .qcore import (
     QHahnError,
     QParams,
     RankDeficient,
+    _integer_rows,
     _mul_rows,
     _sum_rows,
     frac_str,
@@ -364,11 +365,13 @@ def _casimir_report(check: str, inst: Instance, casimir: NCPoly,
     p = inst.p
     report = CheckReport(check=check, params=p.as_dict())
     q_mat = evaluate_poly(casimir, inst)
+    q_rows = _integer_rows(q_mat)
     for g in generators:
-        m = inst.ops[g]
-        comm = q_mat @ m - m @ q_mat
-        if not comm.is_zero():
-            report.add_violation(generator=g, residual=frac_str(comm.max_abs()))
+        left, right = _mul_rows(q_rows, inst.op_rows[g]), _mul_rows(inst.op_rows[g], q_rows)
+        if left != right:
+            comm = [_sum_rows([(1, 1, a), (-1, 1, b)]) for a, b in zip(left, right)]
+            residual = max(abs(Fraction(v, e)) for row, e in comm for v in row.values())
+            report.add_violation(generator=g, residual=frac_str(residual))
     diag = [q_mat.entries[i][i] for i in range(p.N + 1)]
     report.details["diagonal"] = [frac_str(v) for v in diag]
     report.details["is_scalar"] = len(set(diag)) == 1 and all(

@@ -20,10 +20,10 @@ family: partner_m(x) = -q^{-1} [alpha-beta-1]_q * U_m(N-x) evaluated at
 two families pair diagonally: (U_n, partner_m)_w = delta_{nm} H_n.
 
 The bare weight and bare norm (`bare_weight`, `bare_norm`) take (q, A, B, N)
-in any field: over Fraction the bare weight builds `weight_vector`, and
-`qhahn.wilson` uses both as the targets of both limit checks.  `norm_h`
-takes all N+1 norms at once as running products over n, the factors that
-cancel against the weight normalization and the prefactors left out.
+in any field, and `qhahn.wilson` uses both as the targets of its limit checks.
+Over Fraction, `weight_vector`, the U_n prefactors (built once per instance)
+and `norm_h` are running products over x or n, O(N) products for N+1 values;
+`norm_h` leaves out the factors that cancel against the weight normalization.
 """
 
 from __future__ import annotations
@@ -44,14 +44,15 @@ from .operators import (
     weighted_adjoint,
 )
 from .qcore import (
-    InvalidParams,
     PoleOnGrid,
     QHahnError,
     QParams,
     ZeroDenominator,
     _apply,
+    _entry,
     _integer_rows,
     _q_factor,
+    _running,
     _series_rows,
     eigenvalue,
     frac_str,
@@ -105,9 +106,14 @@ def bare_weight(x: int, q, A, B, N: int):
 
 
 def weight_vector(p: QParams) -> GridVector:
-    """Normalized biorthogonality weight on the grid; sum is exactly 1."""
-    c = weight_scale(p)
-    w = [c * bare_weight(x, p.q, p.A, p.B, p.N) for x in range(p.N + 1)]
+    """Normalized biorthogonality weight on the grid; sum is exactly 1: over Fraction,
+    the second display of `weight_scale(p)` times `bare_weight`, stepped in x."""
+    q, A, B, N = p.q, p.A, p.B, p.N
+    w = _running(weight_scale(p), ((q * B * (1 - q**(x - 1 - N)) * (1 - q**x / A),
+                                    (1 - q**x) * (1 - q**(x + 1 - N) * B / A))
+                                   for x in range(1, N + 1)))
+    if len(w) <= N:
+        raise ZeroDenominator(f"weight denominator vanishes at x = {len(w)}")
     total = sum(w)
     if total != 1:
         raise QHahnError(f"weight normalization failed: sum = {total}")
@@ -125,10 +131,8 @@ def reflected_params(p: QParams) -> QParams:
 
 def u_prefactor(n: int, p: QParams) -> Fraction:
     """(q^-N; q)_n / (q^{-n-beta}; q)_n, the normalization making U_n(x) -> 1."""
-    den = qpoch(qpow(p, -n, 0, -1), n, p.q)
-    if den == 0:
-        raise ZeroDenominator("(q^{-n}/B; q)_n vanishes in the U_n prefactor")
-    return qpoch(qpow(p, -p.N), n, p.q) / den
+    return _entry(p._u_prefactors, n, p.N, "family index n",
+                  "(q^{-n}/B; q)_n vanishes in the U_n prefactor")
 
 
 def partner_scale(p: QParams) -> Fraction:
@@ -168,9 +172,7 @@ def brf_u(n: int, p: QParams) -> GridVector:
     whatever x it belongs to.  `phi_expansion` is the independent second
     route.
     """
-    if not 0 <= n <= p.N:
-        raise InvalidParams(f"family index n = {n} must lie in 0..N = {p.N}")
-    pref = u_prefactor(n, p)
+    pref = u_prefactor(n, p)  # raises InvalidParams for n outside 0..N
     q, N = p.q, p.N
     rows = _series_rows([(1, -1, 0), (qpow(p, -N, 0, 1), 1, 0), (1, 0, -1)],
                         [(q, 0, 0), (qpow(p, -N), 0, 0), (p.A, 0, -1)],
@@ -178,10 +180,9 @@ def brf_u(n: int, p: QParams) -> GridVector:
     return GridVector(tuple(pref * v for v in rows), p)
 
 
-def brf_partner(m: int, p: QParams) -> GridVector:
-    """Grid values of the biorthogonal partner family member m."""
-    refl = reflected_params(p)
-    base = brf_u(m, refl)
+def brf_partner(m: int, p: QParams, refl: QParams | None = None) -> GridVector:
+    """Grid values of the biorthogonal partner family member m; refl = `reflected_params(p)`."""
+    base = brf_u(m, refl or reflected_params(p))
     c = partner_scale(p)
     return GridVector(tuple(c * base[p.N - x] for x in range(p.N + 1)), p)
 
@@ -201,7 +202,8 @@ def brf_family(p: QParams) -> BRFFamily:
 
 
 def partner_family(p: QParams) -> tuple[GridVector, ...]:
-    return tuple(brf_partner(m, p) for m in range(p.N + 1))
+    refl = reflected_params(p)
+    return tuple(brf_partner(m, p, refl) for m in range(p.N + 1))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 __all__ = [
@@ -190,6 +191,31 @@ class QParams(_ExactParams):
             raise InvalidParams(f"q must avoid 0 and +-1, got {self.q}")
         if self.A == 0 or self.B == 0:
             raise InvalidParams("A and B must be nonzero")
+
+    @cached_property
+    def _u_prefactors(self) -> list[Fraction]:
+        """The `_running` table of `brf.u_prefactor`; (q^{-n}/B; q)_n = prod_{i<=n} (1 - q^-i/B)."""
+        q, B, N = self.q, self.B, self.N
+        return _running(q**0, ((1 - q**(n - 1 - N), 1 - q**-n / B) for n in range(1, N + 1)))
+
+
+def _running(start, steps) -> list:
+    """[start, ...] by the ratios num/den of `steps` (num, den, *tested), up to a zero factor."""
+    out = [start]
+    for num, den, *tested in steps:
+        if den == 0 or 0 in tested:
+            break
+        out.append(out[-1] * num / den)
+    return out
+
+
+def _entry(table: list, i: int, N: int, index: str, message: str):
+    """Entry i of a `_running` table of N + 1 values, ZeroDenominator(message) past its end."""
+    if not 0 <= i <= N:
+        raise InvalidParams(f"{index} = {i} must lie in 0..N = {N}")
+    if i >= len(table):
+        raise ZeroDenominator(message)
+    return table[i]
 
 
 def qpow(p: QParams, i: int = 0, j: int = 0, k: int = 0) -> Fraction:

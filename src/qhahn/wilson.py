@@ -1,14 +1,15 @@
 """Terminating very-well-poised 10phi9 biorthogonal family and its limits.
 
 The family u_n, v_n is biorthogonal on x = 0..N against the weight w_x,
-with diagonal norms h_n, all in exact rational arithmetic.  Each of the 15
-bases of the 10phi9 is c q^{dn n + dx x}, dn and dx in {-1, 0, 1}, declared
-once in `WilsonParams._series_bases`, so its term ratio is q times a part
-tabulated in k and one part per dx tabulated in k + dx x.  The shared kernel
+with diagonal norms h_n, all in exact rational arithmetic; w_x and h_n are
+running products over x and n, built once per parameter object.  Each of
+the 15 bases of the 10phi9 is c q^{dn n + dx x}, dn, dx in {-1, 0, 1},
+declared once in `WilsonParams._series_bases`, so its term ratio is q times
+a part tabulated in k and one part per dx tabulated in k + dx x.  The kernel
 `qcore._series_rows` sums a whole row u_n(0..N) from those tables in integer
 Horner form, with the very-well-poised factor (1 - h q^{2k}) / (1 - h),
-h = qa/qe, as the weight.  The q = 1 Hahn 3F2 splits the same way and goes
-through the same kernel, as does `brf.brf_u`'s 3phi2.
+h = qa/qe, as the weight.  The q = 1 Hahn 3F2, weight and norms are built
+the same ways, and `brf.brf_u`'s 3phi2 goes through the same kernel.
 
 Two degenerations are verified.  Sending qa -> infinity along qa = q^{-m}
 (|q| < 1) collapses the family onto the rational functions of the brf
@@ -36,8 +37,10 @@ from .qcore import (
     InvalidParams,
     QParams,
     ZeroDenominator,
+    _entry,
     _ExactParams,
     _q_factor,
+    _running,
     _series_rows,
     frac_str,
     phi_series,
@@ -121,15 +124,33 @@ class WilsonParams(_ExactParams):
         return tuple(out)
 
     @cached_property
-    def _norm_head(self) -> Fraction:
-        """The n-independent factor of `wilson_h`, built once per instance."""
+    def _weights(self) -> list[Fraction]:
+        """The `_running` table of `wilson_weight`, stepped by (qa^2, `_weight_pairs`)."""
+        q, qa = self.q, self.qa
+        if qa * qa == 1:
+            raise ZeroDenominator("weight head denominator vanishes")
+        pairs = [(qa * qa, q), *_weight_pairs(q, qa, self.qb, self.qc, self.qd, self.qe, self.qf)]
+        run = _running(q**0, ((q * math.prod(1 - a * q**j for a, _ in pairs),
+                               math.prod(1 - b * q**j for _, b in pairs)) for j in range(self.N)))
+        return [r * (1 - qa * qa * q ** (2 * x)) / (1 - qa * qa) for x, r in enumerate(run)]
+
+    @cached_property
+    def _norms(self) -> list[Fraction]:
+        """The `_running` table of `wilson_h`, tested on `_h_tail_den`; with c = q/(qe qf),
+        (q^n/(qe qf); q)_n / (c; q)_{2n} is (1 - c q^{n-1}) / ((c; q)_n (1 - c q^{2n-1}))."""
         q, qa, qb, qc, qd, qe, qf = self.q, self.qa, self.qb, self.qc, self.qd, self.qe, self.qf
-        num = math.prod(qpoch(base, self.N, q)
-                        for base in (q * qa * qa, q / (qc * qd), q / (qc * qe), q / (qd * qe)))
         den = math.prod(qpoch(base, self.N, q) for base in _h_den_bases(q, qa, qb, qc, qd, qe, qf))
         if den == 0:
             raise ZeroDenominator("norm denominator vanishes")
-        return num / den
+        head = math.prod(qpoch(base, self.N, q) for base in (
+            q * qa * qa, q / (qc * qd), q / (qc * qe), q / (qd * qe))) / den
+        (c, _), *dens = _h_tail_den(q, qa, qb, qe, qf, 1)
+        nums = (q, qc * qd, q * qa / qe, q * qb / qf)
+        run = _running(head, ((math.prod(1 - b * q**j for b in nums),
+                               q * (1 - c * q**j) * math.prod(1 - b * q**j for b, _ in dens),
+                               1 - c * q**(2 * j), 1 - c * q**(2 * j + 1)) for j in range(self.N)))
+        return [s * (1 - c * q ** (n - 1)) / (1 - c * q ** (2 * n - 1)) if n else s
+                for n, s in enumerate(run)]
 
 
 def _weight_pairs(q, qa, qb, qc, qd, qe, qf):
@@ -168,26 +189,16 @@ def _validate_denominators(wp: WilsonParams) -> None:
                     if 0 <= j < n:
                         raise InvalidParams(
                             f"series denominator vanishes at n={n}, x={x}, k={j + 1}")
+    # the tail's factor sets nest in n, so the n = N list holds all of them
     qa, qb, qc, qd, qe, qf = wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf
     norm_den = [(base, wp.N) for base in _h_den_bases(q, qa, qb, qc, qd, qe, qf)]
-    for n in range(wp.N + 1):
-        norm_den += _h_tail_den(q, qa, qb, qe, qf, n)
-    if any(qpoch(base, length, q) == 0 for base, length in norm_den):
+    if any(qpoch(base, length, q) == 0
+           for base, length in norm_den + _h_tail_den(q, qa, qb, qe, qf, wp.N)):
         raise InvalidParams("norm denominator vanishes")
 
 
 def wilson_weight(x: int, wp: WilsonParams) -> Fraction:
-    q, qa = wp.q, wp.qa
-    head_den = qpoch(q, x, q) * (1 - qa * qa)
-    if head_den == 0:
-        raise ZeroDenominator("weight head denominator vanishes")
-    out = q**x * qpoch(qa * qa, x, q) * (1 - qa * qa * q ** (2 * x)) / head_den
-    for num_base, den_base in _weight_pairs(q, qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf):
-        den = qpoch(den_base, x, q)
-        if den == 0:
-            raise ZeroDenominator("weight denominator vanishes")
-        out = out * qpoch(num_base, x, q) / den
-    return out
+    return _entry(wp._weights, x, wp.N, "grid point x", "weight denominator vanishes")
 
 
 def _wilson_rows(n: int, wp: WilsonParams, h, num, den) -> list[Fraction]:
@@ -211,20 +222,13 @@ def wilson_v(n: int, wp: WilsonParams) -> list[Fraction]:
 
 
 def wilson_h(n: int, wp: WilsonParams) -> Fraction:
-    """Diagonal norm: the n-independent head `WilsonParams._norm_head` times
-    its tail in n.  It carries three corrections to the printed formula:
+    """Diagonal norm: the n-independent head times its tail in n, from the
+    table `WilsonParams._norms`.  It carries three corrections to the printed formula:
     the q^{-n} factor, the (q*qa^2; q)_N head (printed (q*qa; q)_N) and the
     (q*qa/qe; q)_n tail factor (printed (q*qc/qe; q)_n).  Reverting any one
     of them breaks a diagonal identity on a generic instance.
     """
-    q, qa, qb, qc, qd, qe, qf = wp.q, wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf
-    tail_num = math.prod(qpoch(base, n, q) for base in (
-        q, q**n / (qe * qf), qc * qd, q * qa / qe, q * qb / qf))
-    tail_den = math.prod(qpoch(base, length, q)
-                         for base, length in _h_tail_den(q, qa, qb, qe, qf, n))
-    if tail_den == 0:
-        raise ZeroDenominator("norm denominator vanishes")
-    return wp._norm_head * tail_num / tail_den * q ** (-n)
+    return _entry(wp._norms, n, wp.N, "norm index n", "norm denominator vanishes")
 
 
 def _table(weight, u, v, h, N: int, *params):
@@ -350,19 +354,28 @@ class HahnParams(_ExactParams):
             raise InvalidParams("norm denominator vanishes")
 
     @cached_property
-    def _norm_head(self) -> Fraction:
-        """The n-independent factor of `hahn_h`, built once per instance."""
-        den = _rising(self.alpha - self.beta - 1, self.N)
+    def _weights(self) -> list[Fraction]:
+        """The `_running` table of `hahn_weight`."""
+        a, b, N = self.alpha, self.beta, self.N
+        return _running(Fraction(1), (((x - 1 - N) * (x - a), x * (b - a - N + 1 + x))
+                                      for x in range(1, N + 1)))
+
+    @cached_property
+    def _norms(self) -> list[Fraction]:
+        """The `_running` table of `hahn_h`, tested on (1 + b - N)_{2n}; with f_i = b - N + i,
+        (n + b - N)_n / (1 + b - N)_{2n} is f_n / ((1 + b - N)_n f_{2n})."""
+        a, b, N = self.alpha, self.beta, self.N
+        den = _rising(a - b - 1, N)
         if den == 0:
             raise ZeroDenominator("norm denominator vanishes")
-        return Fraction(_rising(-self.beta, self.N)) / den
+        run = _running(Fraction(_rising(-b, N)) / den, (
+            (n * (b + n), (n - 1 - N) * (b - N + n), b - N + 2 * n - 1, b - N + 2 * n)
+            for n in range(1, N + 1)))
+        return [s * (b - N + n) / (b - N + 2 * n) if n else s for n, s in enumerate(run)]
 
 
 def hahn_weight(x: int, hp: HahnParams) -> Fraction:
-    den = _rising(1, x) * _rising(hp.beta - hp.alpha - hp.N + 2, x)
-    if den == 0:
-        raise ZeroDenominator("weight denominator vanishes")
-    return Fraction(_rising(-hp.N, x)) * _rising(1 - hp.alpha, x) / den
+    return _entry(hp._weights, x, hp.N, "grid point x", "weight denominator vanishes")
 
 
 def _hahn_bases(hp: HahnParams):
@@ -389,12 +402,8 @@ def hahn_v(n: int, hp: HahnParams) -> list[Fraction]:
 
 
 def hahn_h(n: int, hp: HahnParams) -> Fraction:
-    """Diagonal norm: the head `HahnParams._norm_head` times its tail in n."""
-    b, N = hp.beta, hp.N
-    den = _rising(-N, n) * _rising(1 + b - N, 2 * n)
-    if den == 0:
-        raise ZeroDenominator("norm denominator vanishes")
-    return hp._norm_head * _rising(1, n) * _rising(b + 1, n) * _rising(n + b - N, n) / den
+    """Diagonal norm: the head times its tail in n, from `HahnParams._norms`."""
+    return _entry(hp._norms, n, hp.N, "norm index n", "norm denominator vanishes")
 
 
 def check_hahn_biorthogonality(hp: HahnParams) -> CheckReport:

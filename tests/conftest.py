@@ -1,3 +1,6 @@
+import functools
+import importlib.util
+import pathlib
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +29,26 @@ PANEL = [
 
 # Subset with q on both sides of 1 and a non-q-power A, for slower checks.
 SMALL_PANEL = [PANEL[0], PANEL[2], PANEL[3], PANEL[5], PANEL[9]]
+
+# Seeds of the benchmark's seeded workloads: its default, one more, and its held-out seed.
+WORKLOAD_SEEDS = (1, 7, 104729)
+
+
+@functools.cache
+def wilson_workload(seed: int):
+    """The instances of the benchmark's `wilson` workload at `seed`, drawn by
+    the unedited perfbench/workloads.py: its 10phi9 instances, its Hahn
+    instances, and its Wilson-limit instance with the path's (m_list, qc)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = workloads.make_config("wilson", seed, root / "src")
+    limit = config["limits"]["wilson"]
+    return ([wilson.WilsonParams(**entry) for entry in config["wilson_instances"]],
+            [wilson.HahnParams(**entry) for entry in config["hahn_instances"]],
+            QParams(**limit["instance"]), limit["m_list"], F(limit["qc"]))
 
 
 # The three printed-formula corrections built into the 10phi9 norm, each as
@@ -102,6 +125,15 @@ def dense_evaluate_poly(poly, inst):
                 if v:
                     arow[j] += coeff * v
     return OpMatrix(acc, Basis.POINT, p)
+
+
+def count_builds(monkeypatch, cls, name: str, calls: list) -> None:
+    """Append `name` to `calls` each time the cached property cls.name is
+    built, that is once per instance unless something rebuilds it."""
+    good = vars(cls)[name].func
+    prop = functools.cached_property(lambda self: calls.append(name) or good(self))
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
 
 
 @pytest.fixture

@@ -368,6 +368,32 @@ def test_casimir_rqhahn_negative_control_each_gamma(canonical, monkeypatch, i):
     assert report.violations[-1]["claim"] == "zero"
 
 
+def _dense_commutator_violations(casimir, inst, generators):
+    """The violations of the commutators Q g - g Q as dense Fraction products
+    of `OpMatrix`: the oracle of the integer-row commutators."""
+    q_mat = evaluate_poly(casimir, inst)
+    out = []
+    for g in generators:
+        comm = q_mat @ inst.ops[g] - inst.ops[g] @ q_mat
+        if not comm.is_zero():
+            out.append({"generator": g, "residual": frac_str(comm.max_abs())})
+    return out
+
+
+@pytest.mark.parametrize("i", range(5))
+@pytest.mark.parametrize("N", [1, 3, 6])
+def test_casimir_commutator_residuals_are_those_of_dense_products(monkeypatch, i, N):
+    # gamma_i + 1 adds a word that is not central; the failing commutators
+    # report the max |entry| that dense products report
+    _tamper_constants(monkeypatch, "gamma", i, lambda v: v + 1)
+    inst = Instance(QParams(F(1, 2), F(3), F(1, 5), N))
+    report = check_casimir_rqhahn(inst)
+    expected = _dense_commutator_violations(casimir_rqhahn(inst), inst, "XYZ")
+    assert [v for v in report.violations if "generator" in v] == expected
+    if N > 1:
+        assert expected
+
+
 def test_casimir_meta_must_be_scalar(canonical, monkeypatch):
     # adding the word XZ fails the scalar claim as well as centrality
     good = algebra.casimir_meta
@@ -376,6 +402,9 @@ def test_casimir_meta_must_be_scalar(canonical, monkeypatch):
     assert report.status == "fail"
     assert report.details["is_scalar"] is False
     assert [v.get("generator") for v in report.violations] == ["X", "V", "Z", None]
+    inst = Instance(canonical)
+    assert report.violations[:3] == _dense_commutator_violations(
+        algebra.casimir_meta(inst), inst, "XVZ")
     assert report.violations[-1] == {"claim": "scalar", "residual": "not a scalar matrix"}
 
 

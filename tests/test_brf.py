@@ -6,6 +6,7 @@ from qhahn import brf, linalg
 from qhahn.brf import (
     Instance,
     bare_norm,
+    bare_weight,
     brf_family,
     partner_scale,
     brf_partner,
@@ -26,6 +27,7 @@ from qhahn.brf import (
 )
 from qhahn.operators import Basis, GridVector, OpMatrix, phi_function, weighted_adjoint
 from qhahn.qcore import (
+    InvalidParams,
     PoleOnGrid,
     QHahnError,
     QParams,
@@ -33,11 +35,20 @@ from qhahn.qcore import (
     frac_str,
     phi_series,
     qnum,
+    qpoch,
     qpow,
     validate_params,
 )
 
-from conftest import CANONICAL, PANEL, SMALL_PANEL, tridiagonal_null_space
+from conftest import (
+    CANONICAL,
+    PANEL,
+    SMALL_PANEL,
+    WORKLOAD_SEEDS,
+    count_builds,
+    tridiagonal_null_space,
+    wilson_workload,
+)
 
 
 def inner_product(f, g, w):
@@ -444,6 +455,97 @@ def test_norm_h_raises_at_the_first_n_the_per_n_products_do(k):
 
     expected = outcome(lambda: tuple(per_n(n) for n in range(p.N + 1)))
     assert outcome(lambda: norm_h(p)) == expected
+
+
+def former_u_prefactor(n, p):
+    """u_prefactor as it was before its table, both Pochhammer products
+    rebuilt from their first factor at each n: the oracle of the running product."""
+    den = qpoch(qpow(p, -n, 0, -1), n, p.q)
+    if den == 0:
+        raise ZeroDenominator("(q^{-n}/B; q)_n vanishes in the U_n prefactor")
+    return qpoch(qpow(p, -p.N), n, p.q) / den
+
+
+def weight_oracle(p):
+    """c bare_weight(x) at x = 0..N, c = weight_scale(p): the per-x display
+    that `weight_vector` steps through."""
+    c = weight_scale(p)
+    return [c * bare_weight(x, p.q, p.A, p.B, p.N) for x in range(p.N + 1)]
+
+
+def outcome(value):
+    try:
+        return value()
+    except ZeroDenominator as exc:
+        return str(exc)
+
+
+TABLE_INSTANCES = ([p for p in PANEL if validate_params(p, p.N).valid]
+                   + [wilson_workload(seed)[2] for seed in WORKLOAD_SEEDS]
+                   + [QParams(F(1, 2), F(3), F(1, 5), N) for N in (0, 1)]
+                   + [QParams(F(-2, 3), F(7, 3), F(5, 11), N) for N in (0, 1)])
+
+
+@pytest.mark.parametrize("p", TABLE_INSTANCES, ids=lambda p: f"N{p.N}-A{p.A}-B{p.B}")
+def test_prefactors_and_weight_equal_their_per_index_oracles(p):
+    # the 11 valid panel instances, the limit instances of the benchmark's
+    # wilson workload, and N = 0, 1; the reflected instance's prefactors too
+    for r in (p, reflected_params(p)):
+        assert [u_prefactor(n, r) for n in range(r.N + 1)] == [
+            former_u_prefactor(n, r) for n in range(r.N + 1)]
+    assert list(weight_vector(p).values) == weight_oracle(p)
+
+
+@pytest.mark.parametrize("N", [1, 3, 5])
+def test_weight_vector_raises_where_bare_weight_does(N):
+    # B/A = q^e with e in [-1, N-2]: validate_params flags a weight
+    # denominator; weight_vector raises bare_weight's error at the same x
+    q, A = F(1, 2), F(3)
+    seen = 0
+    for e in range(-N - 2, N + 1):
+        p = QParams(q, A, A * q**e, N)
+        flagged = validate_params(p, N).weight_denominator is not None
+        expected = outcome(lambda: weight_oracle(p))
+        assert flagged == isinstance(expected, str)
+        if flagged:
+            assert expected.startswith("weight denominator vanishes at x = ")
+            with pytest.raises(ZeroDenominator, match=f"^{expected}$"):
+                weight_vector(p)
+            seen += 1
+        else:
+            assert list(weight_vector(p).values) == expected
+    assert seen == N
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_a_vanishing_prefactor_raises_from_its_first_n(k):
+    # B = q^-k puts 1 - q^-k/B = 0 into (q^{-n}/B; q)_n for every n >= k
+    p = QParams(F(1, 2), F(3), F(2) ** k, 4)
+    got = [outcome(lambda: u_prefactor(n, p)) for n in range(p.N + 1)]
+    assert got == [outcome(lambda: former_u_prefactor(n, p)) for n in range(p.N + 1)]
+    assert got[k - 1] != got[k] == "(q^{-n}/B; q)_n vanishes in the U_n prefactor"
+    with pytest.raises(ZeroDenominator, match="U_n prefactor"):
+        brf_u(k, p)
+
+
+def test_a_prefactor_index_outside_the_grid_is_invalid(canonical):
+    for n in (-1, canonical.N + 1):
+        with pytest.raises(InvalidParams, match=f"family index n = {n} must lie in 0..N"):
+            u_prefactor(n, canonical)
+
+
+def test_prefactor_tables_are_built_once_per_instance(monkeypatch):
+    # the family and the phi-expansion share p's table; the partner family
+    # builds one for its reflected instance, not one per m
+    built = []
+    count_builds(monkeypatch, QParams, "_u_prefactors", built)
+    p = QParams(F(1, 2), F(-5), F(1, 7), 6)
+    brf_family(p)
+    phi_expansion(p)
+    assert len(built) == 1
+    partner_family(p)
+    assert len(built) == 2
+
 
 def direct_series_u(n, p):
     """U_n(x) as its prefactor times the 3phi2 summed term by term by phi_series."""

@@ -30,7 +30,14 @@ from qhahn.wilson import (
     wilson_weight,
 )
 
-from conftest import CANONICAL, NORM_REVERSIONS, revert_norm_correction
+from conftest import (
+    CANONICAL,
+    NORM_REVERSIONS,
+    WORKLOAD_SEEDS,
+    count_builds,
+    revert_norm_correction,
+    wilson_workload,
+)
 
 WILSON_PANEL = [
     WilsonParams(F(1, 2), F(3), F(5), F(7), F(11), 2),
@@ -593,19 +600,201 @@ def test_each_terminating_series_is_one_call_to_the_qcore_kernel(row, params, mo
 
 
 def test_norm_heads_are_built_once_per_instance(monkeypatch):
-    # the n-independent heads of wilson_h and hahn_h, not one per n; fresh
-    # instances, since each caches its head
+    # the n-independent heads of wilson_h and hahn_h, not one per n, and the
+    # weight and norm tables, not one per x or n; fresh instances, since each
+    # caches its tables
     wp, hp = WilsonParams(F(1, 2), F(3), F(5), F(7), F(11), 4), HahnParams(F(-7), F(12), 6)
     calls = []
     good_bases, good_rising = wilson._h_den_bases, wilson._rising
 
     def rising(a, k):
         if (a, k) == (hp.alpha - hp.beta - 1, hp.N):
-            calls.append("hahn")
+            calls.append("hahn head")
         return good_rising(a, k)
 
-    monkeypatch.setattr(wilson, "_h_den_bases", lambda *a: calls.append("wilson") or good_bases(*a))
+    monkeypatch.setattr(wilson, "_h_den_bases", lambda *a: calls.append("wilson head") or good_bases(*a))
     monkeypatch.setattr(wilson, "_rising", rising)
-    assert check_wilson_biorthogonality(wp).status == "pass"
-    assert check_hahn_biorthogonality(hp).status == "pass"
-    assert calls == ["wilson", "hahn"]
+    for cls in (WilsonParams, HahnParams):
+        for name in ("_weights", "_norms"):
+            count_builds(monkeypatch, cls, name, calls)
+    for _ in range(2):
+        assert check_wilson_biorthogonality(wp).status == "pass"
+        assert check_hahn_biorthogonality(hp).status == "pass"
+    assert calls == ["_weights", "_norms", "wilson head", "_weights", "_norms", "hahn head"]
+
+
+def former_wilson_weight(x, wp):
+    """wilson_weight as it was before its table, every Pochhammer product
+    rebuilt from its first factor at each x: the oracle of the running product."""
+    q, qa = wp.q, wp.qa
+    head_den = qpoch(q, x, q) * (1 - qa * qa)
+    if head_den == 0:
+        raise ZeroDenominator("weight head denominator vanishes")
+    out = q**x * qpoch(qa * qa, x, q) * (1 - qa * qa * q ** (2 * x)) / head_den
+    for num_base, den_base in wilson._weight_pairs(q, qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf):
+        den = qpoch(den_base, x, q)
+        if den == 0:
+            raise ZeroDenominator("weight denominator vanishes")
+        out = out * qpoch(num_base, x, q) / den
+    return out
+
+
+def former_wilson_h(n, wp):
+    """wilson_h as it was before its table: the head, then the tail at n."""
+    q, qa, qb, qc, qd, qe, qf = wp.q, wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf
+    tail_num = math.prod(qpoch(base, n, q) for base in (
+        q, q**n / (qe * qf), qc * qd, q * qa / qe, q * qb / qf))
+    tail_den = math.prod(qpoch(base, length, q)
+                         for base, length in wilson._h_tail_den(q, qa, qb, qe, qf, n))
+    if tail_den == 0:
+        raise ZeroDenominator("norm denominator vanishes")
+    num = math.prod(qpoch(base, wp.N, q)
+                    for base in (q * qa * qa, q / (qc * qd), q / (qc * qe), q / (qd * qe)))
+    den = math.prod(qpoch(base, wp.N, q) for base in wilson._h_den_bases(q, qa, qb, qc, qd, qe, qf))
+    if den == 0:
+        raise ZeroDenominator("norm denominator vanishes")
+    return num / den * tail_num / tail_den * q ** (-n)
+
+
+def former_hahn_weight(x, hp):
+    """hahn_weight as it was before its table."""
+    den = wilson._rising(1, x) * wilson._rising(hp.beta - hp.alpha - hp.N + 2, x)
+    if den == 0:
+        raise ZeroDenominator("weight denominator vanishes")
+    return F(wilson._rising(-hp.N, x)) * wilson._rising(1 - hp.alpha, x) / den
+
+
+def former_hahn_h(n, hp):
+    """hahn_h as it was before its table."""
+    b, N = hp.beta, hp.N
+    den = wilson._rising(-N, n) * wilson._rising(1 + b - N, 2 * n)
+    if den == 0:
+        raise ZeroDenominator("norm denominator vanishes")
+    head_den = wilson._rising(hp.alpha - b - 1, N)
+    if head_den == 0:
+        raise ZeroDenominator("norm denominator vanishes")
+    head = F(wilson._rising(-b, N)) / head_den
+    return head * wilson._rising(1, n) * wilson._rising(b + 1, n) * wilson._rising(n + b - N, n) / den
+
+
+def _outcome(value):
+    try:
+        return value()
+    except ZeroDenominator as exc:
+        return str(exc)
+
+
+def _tables_against_the_former_bodies(wp_list, hp_list):
+    for wp in wp_list:
+        for i in range(wp.N + 1):
+            assert _outcome(lambda: wilson_weight(i, wp)) == _outcome(lambda: former_wilson_weight(i, wp))
+            assert _outcome(lambda: wilson_h(i, wp)) == _outcome(lambda: former_wilson_h(i, wp))
+    for hp in hp_list:
+        for i in range(hp.N + 1):
+            assert _outcome(lambda: hahn_weight(i, hp)) == _outcome(lambda: former_hahn_weight(i, hp))
+            assert _outcome(lambda: hahn_h(i, hp)) == _outcome(lambda: former_hahn_h(i, hp))
+
+
+SMALL_N = ([WilsonParams(F(1, 2), F(3), F(5), F(7), F(11), N) for N in (0, 1)]
+           + [WilsonParams(F(-2, 3), F(5), F(-7), F(11), F(13), N) for N in (0, 1)],
+           [HahnParams(F(-5), F(9), N) for N in (0, 1)]
+           + [HahnParams(F(-7, 2), F(17, 2), N) for N in (0, 1)])
+
+
+def test_tables_equal_the_former_bodies_on_the_panels_and_at_small_n():
+    _tables_against_the_former_bodies(WILSON_PANEL + SMALL_N[0], HAHN_PANEL + SMALL_N[1])
+
+
+@pytest.mark.parametrize("seed", WORKLOAD_SEEDS)
+def test_tables_equal_the_former_bodies_on_the_workload_draws(seed):
+    # the benchmark's 10phi9 and Hahn draws, and the 10phi9 instances of its
+    # limit path, whose qa = q^-m make the largest numbers
+    wp_list, hp_list, limit, m_list, qc = wilson_workload(seed)
+    induced = [induced_wilson_params(limit, m, qc) for m in m_list]
+    _tables_against_the_former_bodies(wp_list + induced, hp_list)
+
+
+def test_a_vanishing_table_factor_raises_where_the_former_bodies_do():
+    # past the guards: a weight denominator (q qa/qe; q)_x with qa/qe = q^-2,
+    # the weight head 1 - qa^2, a norm tail denominator (q/(qe qf); q)_{2n}
+    # with qe qf = q^4, the Hahn weight's (b - a - N + 2)_x and the Hahn
+    # norm's (1 + b - N)_{2n}; each raises at the x or n it raised at before
+    # the tables, with the message it raised, and keeps the values below it
+    q = F(1, 2)
+    wp_list = [_unguarded(WilsonParams, q=q, qa=F(4), qc=F(5), qd=F(7), qe=F(1), N=4),
+               _unguarded(WilsonParams, q=q, qa=F(-1), qc=F(5), qd=F(7), qe=F(11), N=3),
+               _unguarded(WilsonParams, q=q, qa=F(3), qc=q / 7, qd=F(7), qe=F(11), N=4)]
+    hp_list = [_unguarded(HahnParams, alpha=F(1, 2), beta=F(3, 2), N=4),
+               _unguarded(HahnParams, alpha=F(-7, 2), beta=F(1), N=4)]
+    _tables_against_the_former_bodies(wp_list, hp_list)
+    assert [_outcome(lambda: wilson_weight(x, wp_list[0])) for x in (1, 2)][1] == (
+        "weight denominator vanishes")
+    assert isinstance(_outcome(lambda: wilson_h(1, wp_list[2])), F)
+    assert _outcome(lambda: wilson_h(2, wp_list[2])) == "norm denominator vanishes"
+    assert isinstance(_outcome(lambda: hahn_h(1, hp_list[1])), F)
+    assert _outcome(lambda: hahn_h(2, hp_list[1])) == "norm denominator vanishes"
+
+
+def test_a_norm_denominator_vanishing_only_at_n_equal_n_is_rejected():
+    # qc qd = q^{1-N} puts qe qf = q^{2N}, so only the last factor of
+    # (q/(qe qf); q)_{2N} vanishes: the guard, which reads the n = N factor
+    # list alone, still sees it
+    q, qa, qd, qe, N = F(1, 2), F(3), F(7), F(11), 3
+    qc = q ** (1 - N) / qd
+    qb, qf = q**-N / qa, q ** (N + 1) / (qc * qd * qe)
+    bases = [(b, N) for b in wilson._h_den_bases(q, qa, qb, qc, qd, qe, qf)]
+    assert all(qpoch(b, k, q) for b, k in bases + wilson._h_tail_den(q, qa, qb, qe, qf, N - 1))
+    with pytest.raises(InvalidParams, match="norm denominator vanishes"):
+        WilsonParams(q, qa, qc, qd, qe, N)
+
+
+@pytest.mark.parametrize("fn, params", [
+    (wilson_weight, WILSON_PANEL[0]), (wilson_h, WILSON_PANEL[0]),
+    (hahn_weight, HAHN_PANEL[0]), (hahn_h, HAHN_PANEL[0]),
+], ids=["wilson_weight", "wilson_h", "hahn_weight", "hahn_h"])
+def test_an_index_outside_the_grid_is_invalid(fn, params):
+    # a table lookup would wrap -1 to the last entry
+    for i in (-1, params.N + 1):
+        with pytest.raises(InvalidParams, match=f"= {i} must lie in 0..N = {params.N}"):
+            fn(i, params)
+
+
+def _pochhammer_lengths(monkeypatch, build):
+    """The sum of the lengths passed to qpoch and to the Hahn rising factorial
+    while `build()` runs, in every module that calls them."""
+    lengths = []
+    good_qpoch, good_rising = qcore.qpoch, wilson._rising
+
+    def counted_qpoch(base, k, q):
+        lengths.append(k)
+        return good_qpoch(base, k, q)
+
+    def counted_rising(a, k):
+        lengths.append(k)
+        return good_rising(a, k)
+
+    with monkeypatch.context() as mp:
+        for module in (qcore, brf, wilson):
+            if getattr(module, "qpoch", None) is good_qpoch:
+                mp.setattr(module, "qpoch", counted_qpoch)
+        mp.setattr(wilson, "_rising", counted_rising)
+        build()
+    return sum(lengths)
+
+
+def test_pochhammer_work_grows_linearly_in_n(monkeypatch):
+    # one instance's Wilson and Hahn Gram inputs (guards included) and the
+    # q-Hahn weight, family and partners: doubling N may at most about double
+    # the Pochhammer factors built; per-index products quadruple it
+    def build(N):
+        wp = WilsonParams(F(1, 2), F(3), F(5), F(7), F(11), N)
+        hp = HahnParams(F(-53, 2), F(19), N)
+        wilson._table(wilson_weight, wilson_u, wilson_v, wilson_h, N, wp)
+        wilson._table(hahn_weight, hahn_u, hahn_v, hahn_h, N, hp)
+        p = QParams(F(1, 2), F(-5), F(1, 7), N)
+        brf.weight_vector(p)
+        brf.brf_family(p)
+        brf.partner_family(p)
+
+    small, large = (_pochhammer_lengths(monkeypatch, lambda: build(N)) for N in (8, 16))
+    assert 0 < large <= 2.5 * small
