@@ -12,7 +12,7 @@ and the coefficient recurrence over the rational basis phi_k,
 form, and `check_partial_fractions` verifies that expansion against the
 `brf_u` values on the whole grid, so a verify run compares the two routes.
 `check_partner` tests the adjoint statements on the transposes, on the
-integer columns of X, Y and V, and forms an adjoint only on failure.
+integer columns of X, Y and V, and forms no adjoint, passing or failing.
 
 The biorthogonal partner family is a parameter reflection of the same
 family: partner_m(x) = -q^{-1} [alpha-beta-1]_q * U_m(N-x) evaluated at
@@ -41,7 +41,6 @@ from .operators import (
     OpMatrix,
     Operator,
     build_operator,
-    weighted_adjoint,
 )
 from .qcore import (
     PoleOnGrid,
@@ -61,7 +60,7 @@ from .qcore import (
     qpoch,
     qpow,
 )
-from .reports import CheckReport, check_gram
+from .reports import CheckReport, _flag_worst, _residuals, check_gram
 
 __all__ = [
     "eigenvalue",
@@ -426,10 +425,11 @@ def check_partner(inst: Instance) -> CheckReport:
     As M* = W^-1 M^T W, W the diagonal of nonzero weights, each part is
     tested on transposes with g_m = w partner_m = h_m / d, in integers: the
     columns of X, Y and V go over one denominator each (a_y / e_y) once per
-    call, and every comparison is cross-multiplied.
-    - Eigen: V^T g_m = lambda_m g_m.  Only a failing m builds V*
-      (`weighted_adjoint`) for the residual max |V* partner_m - lambda_m
-      partner_m| it reports.
+    call, and every comparison is `reports._residuals`.
+    - Eigen: V^T g_m = lambda_m g_m.  With (V^T h_m)_y = s_y / e_y, the
+      residual (V* partner_m - lambda_m partner_m)_y is exactly
+      (s_y / e_y - lambda_m h_y) / (d w_y), so a failing m reports its
+      max |.| from the integers the test holds, with no adjoint formed.
     - Kernel: ker(Y* - lambda_m X*) = W^-1 ker((Y - lambda_m X)^T), whose
       rows, the columns of Y - lambda_m X over integers, are read on their
       three diagonals only (X is lower bidiagonal, Y tridiagonal).
@@ -443,15 +443,13 @@ def check_partner(inst: Instance) -> CheckReport:
     n1 = p.N + 1
     report = CheckReport(check="partner", params=p.as_dict())
     xc, yc, vc = (_integer_rows(zip(*inst.ops[g])) for g in "XYV")  # the columns
-    vs = None
     for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners)):
-        h, _ = over_common_denominator([w * f for w, f in zip(inst.weight, pm)])
+        h, d = over_common_denominator([w * f for w, f in zip(inst.weight, pm)])
+        hs = [(v, 1) for v in h]
+        resid = _residuals(_apply(vc, h), hs, lam, 1)
+        _flag_worst(report, [r and r / (d * w) for r, w in zip(resid, inst.weight)],
+                    m=m, kind="eigen")
         num, den = lam.as_integer_ratio()
-        if any(den * s != num * h[y] * e for y, (s, e) in enumerate(_apply(vc, h))):
-            if vs is None:
-                vs = weighted_adjoint(inst.ops["V"], inst.weight)
-            resid = [a - lam * b for a, b in zip(vs @ pm, pm)]
-            report.add_violation(m=m, kind="eigen", residual=frac_str(max(abs(r) for r in resid)))
         band = [[den * ex * ycol.get(j, 0) - num * ey * xcol.get(j, 0) for j in (i - 1, i, i + 1)]
                 for i, ((xcol, ex), (ycol, ey)) in enumerate(zip(xc, yc))]
         sub, diag, sup = [t[0] for t in band[1:]], [t[1] for t in band], [t[2] for t in band[:-1]]
@@ -469,9 +467,8 @@ def check_partner(inst: Instance) -> CheckReport:
         # collinearity: X^T g = r g_m, r read at g_m's first nonzero entry y0;
         # r = 0 also when g_m is zero
         y0 = next((y for y, v in enumerate(h) if v), None)
-        if (y0 is None or image[y0][0] == 0
-                or any(s * image[y0][1] * h[y0] != image[y0][0] * e * h[y]
-                       for y, (s, e) in enumerate(image))):
+        r = 0 if y0 is None else Fraction(image[y0][0], image[y0][1] * h[y0])
+        if r == 0 or any(v is not None for v in _residuals(image, hs, r, 1)):
             report.add_violation(m=m, kind="collinearity", residual="not proportional")
     return report
 

@@ -11,8 +11,9 @@ bases.
 
 The five banded checks run on `Instance.family_rows`, `Instance.op_rows`
 and the `Instance.mu` table: each identity at (n, x) is an integer band
-product compared cross-multiplied with its Fraction coefficients, and only
-a violating entry builds its Fraction residual.
+product compared with its Fraction coefficients by `reports._residuals`,
+the comparison the Gram and partner checks share, and only a violating
+entry builds its Fraction residual.
 
 Boundary convention: values off the grid (U_n at x = -1 or x = N+1, and
 family members U_{-1}, U_{N+1}) never enter because their coefficients
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .brf import Instance
@@ -42,7 +42,7 @@ from .qcore import (
     qpow,
     validate_params,
 )
-from .reports import CheckReport
+from .reports import CheckReport, _flag_worst, _residuals
 
 __all__ = [
     "MuCoefficients",
@@ -116,24 +116,6 @@ def mu_coefficients(n: int, p: QParams) -> MuCoefficients:
     lam = eigenvalue(n, p)
     mu = (mu1, mu2, mu3, lam * mu1, lam * mu2, lam * mu3, mu7, mu8, mu9)
     return MuCoefficients(mu)
-
-
-def _residuals(lhs, rhs, lam, den) -> list:
-    """(a/b - lam c/d) / den for each pair of integer pairs (a, b), (c, d),
-    or None where it vanishes.  A passing entry is one cross-multiplied
-    integer comparison; only a violating one builds its Fraction."""
-    ln, ld = lam.as_integer_ratio()
-    return [None if a * ld * d == ln * c * b else (Fraction(a, b) - lam * Fraction(c, d)) / den
-            for (a, b), (c, d) in zip(lhs, rhs)]
-
-
-def _flag_worst(report: CheckReport, resid: list, **where) -> str:
-    """max |residual| of a `_residuals` list as a string (0/1 when all
-    vanish), added as a violation at `where` when it is not zero."""
-    worst = max((abs(r) for r in resid if r is not None), default=0)
-    if worst:
-        report.add_violation(**where, residual=frac_str(worst))
-    return frac_str(worst)
 
 
 def _pencil_residuals(inst: Instance) -> list[list]:

@@ -10,11 +10,13 @@ The exceptions are the integer kernels, `_series_rows`,
 `brf.partial_fraction`, `brf.check_partner`, `reports.check_gram`,
 `algebra.evaluate_poly` and the banded checks of `gevp`: they take ints
 and Fractions apart with `as_integer_ratio` and work on integers, most on
-rows over one denominator (`over_common_denominator`).  The integer row
-form of a matrix is `_integer_rows`, each row as its nonzero entries over
-one denominator; `_apply` applies it to an integer vector, `_sum_rows`
-sums its rows and `_mul_rows` multiplies two (`brf.Instance.op_rows` and
-`words`, for the banded `gevp` checks and `evaluate_poly`).
+rows over one denominator (`over_common_denominator`).  The checks among
+them, `check_partner`, `check_gram` and the `gevp` ones, compare through
+one kernel, `reports._residuals`.  The integer row form of a matrix is
+`_integer_rows`, each row as its nonzero entries over one denominator;
+`_apply` applies it to an integer vector, `_sum_rows` sums its rows and
+`_mul_rows` multiplies two (`brf.Instance.op_rows` and `words`, for the
+banded `gevp` checks and `evaluate_poly`).
 
 The deformation parameters enter only through the three base values q, A,
 B, where A and B play the role of the powers q^alpha and q^beta of two
@@ -409,31 +411,14 @@ def validate_params(p: QParams, n_max: int) -> ValidationReport:
         f"B/A = q^{m - 2}, so the reflected A/(B q^2) = (1/q)^{m} with {m} in [{span[0]}, {N}]"
         for m in span if B == A * q ** (m - 2)), None)
 
-    weight_denominator = None
     base = B / A * q ** (2 - N)
-    for j in range(N):
-        if base * q**j == 1:
-            weight_denominator = f"B/A = q^{N - 2 - j} makes a weight denominator vanish"
-            break
-
-    eigenvalue_collision = None
+    weight_denominator = next((f"B/A = q^{N - 2 - j} makes a weight denominator vanish"
+                               for j in range(N) if base * q**j == 1), None)
     lam = [eigenvalue(n, p) for n in range(n_max + 1)]
-    for n in range(len(lam)):
-        for m in range(n + 1, len(lam)):
-            if lam[n] == lam[m]:
-                eigenvalue_collision = f"lambda_{n} = lambda_{m} = {lam[n]}"
-                break
-        if eigenvalue_collision:
-            break
-
-    bracket_denominator = None
-    for n in range(n_max + 1):
-        for label, d in mu_brackets(n, p):
-            if d == 0:
-                bracket_denominator = f"{label} at n={n} vanishes"
-                break
-        if bracket_denominator:
-            break
+    eigenvalue_collision = next((f"lambda_{n} = lambda_{m} = {lam[n]}" for n in range(n_max + 1)
+                                 for m in range(n + 1, n_max + 1) if lam[n] == lam[m]), None)
+    bracket_denominator = next((f"{label} at n={n} vanishes" for n in range(n_max + 1)
+                                for label, d in mu_brackets(n, p) if d == 0), None)
 
     return ValidationReport(
         basis_pole=basis_pole,

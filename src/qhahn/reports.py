@@ -1,8 +1,15 @@
-"""Structured results for the verification checks.
+"""Structured results for the verification checks, and the one exact
+comparison they share.
 
 Every checker returns a CheckReport.  Exact residuals are serialized as
 "num/den" strings so reports are bit-reproducible; anything timing-related
 is kept out of CheckReport entirely.
+
+`_residuals` is the comparison of the q-Hahn identities: integer pairs
+compared cross-multiplied, with a Fraction residual built only for a
+violating entry.  The banded `gevp` checks, `check_gram` and both integer
+parts of `brf.check_partner` compare through it, and `_flag_worst` reports
+the largest residual of a row.
 """
 
 from __future__ import annotations
@@ -51,6 +58,24 @@ class CheckReport:
         return out
 
 
+def _residuals(lhs, rhs, lam, den) -> list:
+    """(a/b - lam c/d) / den for each pair of integer pairs (a, b), (c, d),
+    or None where it vanishes.  A passing entry is one cross-multiplied
+    integer comparison; only a violating one builds its Fraction."""
+    ln, ld = lam.as_integer_ratio()
+    return [None if a * ld * d == ln * c * b else (Fraction(a, b) - lam * Fraction(c, d)) / den
+            for (a, b), (c, d) in zip(lhs, rhs)]
+
+
+def _flag_worst(report: CheckReport, resid: list, **where) -> str:
+    """max |residual| of a `_residuals` list as a string (0/1 when all
+    vanish), added as a violation at `where` when it is not zero."""
+    worst = max((abs(r) for r in resid if r is not None), default=0)
+    if worst:
+        report.add_violation(**where, residual=frac_str(worst))
+    return frac_str(worst)
+
+
 def check_gram(report: CheckReport, weights: Sequence, us: Sequence[Sequence],
                vs: Sequence[Sequence], norms: Sequence) -> CheckReport:
     """Biorthogonality sum_x w_x u_n(x) v_m(x) = delta_{nm} h_n, all pairs, exact.
@@ -60,20 +85,17 @@ def check_gram(report: CheckReport, weights: Sequence, us: Sequence[Sequence],
     expected value; the closed-form norms go to details["norms"].  The
     values are ints or Fractions.  Each row v_m and each row w u_n is put
     over one integer denominator once, so a Gram entry is an integer dot
-    product compared with h_n cross-multiplied; only a violating entry
-    builds its Fraction residual.
+    product, compared with h_n delta_{nm} by `_residuals`.
     """
     rows = [over_common_denominator(v) for v in vs]
     for n, hn in enumerate(norms):
         if hn == 0:
             report.add_violation(n=n, m=n, residual="diagonal norm vanishes")
         wu, e = over_common_denominator([w * a for w, a in zip(weights, us[n])])
-        for m, (v, d) in enumerate(rows):
-            total = sum(map(mul, wu, v))
-            expected = hn if n == m else 0
-            h_num, h_den = expected.as_integer_ratio()
-            if total * h_den != h_num * e * d:
-                report.add_violation(
-                    n=n, m=m, residual=frac_str(Fraction(total, e * d) - expected))
+        sums = [(sum(map(mul, wu, v)), e * d) for v, d in rows]
+        expected = [hn.as_integer_ratio() if m == n else (0, 1) for m in range(len(rows))]
+        for m, r in enumerate(_residuals(sums, expected, 1, 1)):
+            if r is not None:
+                report.add_violation(n=n, m=m, residual=frac_str(r))
     report.details["norms"] = [frac_str(h) for h in norms]
     return report

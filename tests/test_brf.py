@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhahn import brf, linalg
+from qhahn import brf, linalg, operators
 from qhahn.brf import (
     Instance,
     bare_norm,
@@ -250,15 +250,22 @@ def test_partner_catches_a_wrong_entry_in_the_tail_of_v():
     assert check_partner(inst).violations == expected
 
 
-def test_partner_builds_the_adjoints_of_x_and_y_only(monkeypatch):
-    # a passing instance forms no adjoint: every part runs on the integer
-    # columns of X, Y and V
-    calls = []
-    good = brf.weighted_adjoint
-    monkeypatch.setattr(brf, "weighted_adjoint", lambda m, w: calls.append(m) or good(m, w))
-    inst = Instance(QParams(F(1, 2), F(-5), F(1, 7), 8))
-    assert check_partner(inst).status == "pass"
-    assert calls == []
+def test_partner_forms_no_adjoint_passing_or_failing(monkeypatch):
+    # with weighted_adjoint raising wherever the package binds it, the V-tail
+    # control still reports the dense route's eigen residuals, read off the
+    # integers the check holds, and a passing instance still passes
+    failing = perturbed_entry(QParams(F(1, 2), F(3), F(1, 5), 6), "V", 6, 0, 1)
+    expected = dense_partner_violations(failing)
+
+    def refuse(*args):
+        raise AssertionError("check_partner formed a dense adjoint")
+
+    monkeypatch.setattr(operators, "weighted_adjoint", refuse)
+    monkeypatch.setattr(brf, "weighted_adjoint", refuse, raising=False)
+    report = check_partner(failing)
+    assert len(expected) == 7 and {kind for _, kind, _ in expected} == {"eigen"}
+    assert [(v["m"], v["kind"], v["residual"]) for v in report.violations] == expected
+    assert check_partner(Instance(QParams(F(1, 2), F(-5), F(1, 7), 8))).status == "pass"
 
 
 def dense_partner_violations(inst):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhahn import brf, gevp
+from qhahn import brf, gevp, reports
 from qhahn.brf import BRFFamily, Instance, brf_family, eigenvalue
 from qhahn.gevp import (
     MuCoefficients,
@@ -408,11 +408,11 @@ def test_each_banded_check_catches_a_bumped_family_value(canonical, monkeypatch)
 
 def test_passing_entries_build_no_fraction_residual(monkeypatch):
     # a passing (n, x) is an integer comparison: the residual Fraction is
-    # built only for a violating entry
+    # built only for a violating entry, by the shared kernel in reports
     def no_residual(*args):
         raise AssertionError("a residual Fraction was built on a passing entry")
 
-    monkeypatch.setattr(gevp, "Fraction", no_residual)
+    monkeypatch.setattr(reports, "Fraction", no_residual)
     for p in PANEL:
         for check, _ in BANDED:
             assert check(Instance(p)).status == "pass"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhahn.qcore import frac_str
-from qhahn.reports import CheckReport, check_gram
+from qhahn.reports import CheckReport, _residuals, check_gram
 
 VALUES = st.one_of(st.integers(-3, 3), st.just(0),
                    st.fractions(min_value=-4, max_value=4, max_denominator=12))
@@ -61,3 +61,38 @@ def test_integer_gram_kernel_reports_as_the_fraction_sums(tables):
     got = check_gram(CheckReport(check="gram", params={}), *tables)
     expected = fraction_gram(CheckReport(check="gram", params={}), *tables)
     assert got.as_dict() == expected.as_dict()
+
+
+SCALARS = st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=9))
+SMALL, NONZERO_INT = st.integers(-9, 9), st.integers(-9, 9).filter(bool)
+
+
+@st.composite
+def residual_rows(draw):
+    """(lhs, rhs, lam, den) for `_residuals`: pairs of either sign, each lhs
+    pair either arbitrary or an unreduced multiple of lam c/d."""
+    lam, den = draw(SCALARS), draw(SCALARS.filter(bool))
+    lhs, rhs = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        c, d = draw(SMALL), draw(NONZERO_INT)
+        if draw(st.booleans()):
+            t, k = lam * F(c, d), draw(st.integers(-4, 4).filter(bool))
+            lhs.append((t.numerator * k, t.denominator * k))
+        else:
+            lhs.append((draw(SMALL), draw(NONZERO_INT)))
+        rhs.append((c, d))
+    return lhs, rhs, lam, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(residual_rows())
+def test_residual_kernel_is_the_fraction_difference(rows):
+    # entry i is None exactly when a/b = lam c/d, and else (a/b - lam c/d) / den
+    lhs, rhs, lam, den = rows
+    got = _residuals(lhs, rhs, lam, den)
+    assert len(got) == len(lhs)
+    for r, (a, b), (c, d) in zip(got, lhs, rhs):
+        diff = F(a, b) - lam * F(c, d)
+        assert (r is None) == (diff == 0)
+        if r is not None:
+            assert isinstance(r, F) and r == diff / den

@@ -45,7 +45,8 @@ UNREACHED = {
                          "dimension when a pencil has a zero superdiagonal entry",
     "linalg.rref": "the full reduction, entered only through `null_space`; `solve_unique` "
                    "stops the row reducer at full column rank",
-    "operators.weighted_adjoint": "forms V* only when the partner eigen part fails",
+    "operators.weighted_adjoint": "public dense V*, the reference the partner tests "
+                                  "compare against; no check forms it",
     "operators.basis_change": "the change to the phi basis, for the third basis of the roadmap",
     "operators.phi_function": "the phi basis functions that `basis_change` tabulates",
     "reports.CheckReport.add_violation": "runs only when a check fails",
