@@ -84,6 +84,8 @@ class NCPoly:
     Words are tuples of generator letters; the empty word is the unit.
     Coefficients are stored as given (Fractions from an instance, ints, or
     elements of any other field) and a zero coefficient is never stored.
+    A coefficient is added only to one that its word already holds, so a
+    word met once keeps its coefficient object and costs no addition.
     With cyclic=True the element lives in the cyclic quotient: words are
     identified under rotation (stored via their minimal rotation).
     """
@@ -96,9 +98,10 @@ class NCPoly:
             if coeff == 0:
                 continue
             key = _min_rotation(tuple(word)) if cyclic else tuple(word)
-            total = normal.get(key, 0) + coeff
-            if total == 0:
-                normal.pop(key, None)
+            if key not in normal:
+                normal[key] = coeff
+            elif (total := normal[key] + coeff) == 0:
+                del normal[key]
             else:
                 normal[key] = total
         self.terms = normal
@@ -120,7 +123,7 @@ class NCPoly:
             raise QHahnError("cannot mix cyclic and ordinary polynomials")
         merged = dict(self.terms)
         for word, coeff in other.terms.items():
-            merged[word] = merged.get(word, 0) + coeff
+            merged[word] = merged[word] + coeff if word in merged else coeff
         return NCPoly(merged, cyclic=self.cyclic)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
@@ -147,7 +150,7 @@ def cyclic_derivative(phi: NCPoly, gen: str) -> NCPoly:
             if letter != gen:
                 continue
             rest = word[s + 1:] + word[:s]
-            out[rest] = out.get(rest, 0) + coeff
+            out[rest] = out[rest] + coeff if rest in out else coeff
     return NCPoly(out)
 
 

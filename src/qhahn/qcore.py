@@ -22,7 +22,10 @@ The deformation parameters enter only through the three base values q, A,
 B, where A and B play the role of the powers q^alpha and q^beta of two
 formal exponents alpha, beta; no logarithm is ever taken.  An exponent
 expression q^(i + j*alpha + k*beta) is evaluated exactly as
-`qpow(p, i, j, k)` = q**i * A**j * B**k.
+`qpow(p, i, j, k)` = q**i * A**j * B**k, and its bracket as `qnum`; each
+value is computed once per parameter object, in a table keyed by (i, j, k)
+that lives on the object (not in a global cache, which would keep every
+instance alive) and stays out of its ==, hash, repr and `as_dict`.
 
 `qpoch` and `phi_series` are field-generic: they use only ring operations
 and division on their arguments, so the same code runs over Fraction and
@@ -221,13 +224,21 @@ def _entry(table: list, i: int, N: int, index: str, message: str):
 
 
 def qpow(p: QParams, i: int = 0, j: int = 0, k: int = 0) -> Fraction:
-    """The monomial q^(i + j*alpha + k*beta) = q^i A^j B^k, exactly."""
-    return p.q**i * p.A**j * p.B**k
+    """The monomial q^(i + j*alpha + k*beta) = q^i A^j B^k, exactly; each
+    (i, j, k) is computed once, in a table on p."""
+    table = vars(p).setdefault("_qpow", {})
+    if (i, j, k) not in table:
+        table[i, j, k] = p.q**i * p.A**j * p.B**k
+    return table[i, j, k]
 
 
 def qnum(p: QParams, i: int = 0, j: int = 0, k: int = 0) -> Fraction:
-    """q-number [i + j*alpha + k*beta]_q = (1 - q^i A^j B^k)/(1 - q)."""
-    return (1 - p.q**i * p.A**j * p.B**k) / (1 - p.q)
+    """q-number [i + j*alpha + k*beta]_q = (1 - q^i A^j B^k)/(1 - q); each
+    (i, j, k) is computed once, in a table on p."""
+    table = vars(p).setdefault("_qnum", {})
+    if (i, j, k) not in table:
+        table[i, j, k] = (1 - p.q**i * p.A**j * p.B**k) / (1 - p.q)
+    return table[i, j, k]
 
 
 def eigenvalue(n: int, p: QParams) -> Fraction:

@@ -61,6 +61,61 @@ def test_ncpoly_scalar_action(a, c):
     assert same(c * a, NCPoly({w: c * v for w, v in a.terms.items()}))
 
 
+def former_terms(terms, cyclic=False):
+    """The former constructor, which added every coefficient to the stored
+    one or 0: the oracle of the terms an NCPoly holds."""
+    normal = {}
+    for word, coeff in terms.items():
+        if coeff == 0:
+            continue
+        key = algebra._min_rotation(tuple(word)) if cyclic else tuple(word)
+        total = normal.get(key, 0) + coeff
+        if total == 0:
+            normal.pop(key, None)
+        else:
+            normal[key] = total
+    return normal
+
+
+def former_sum(a, b):
+    merged = dict(a.terms)
+    for word, coeff in b.terms.items():
+        merged[word] = merged.get(word, 0) + coeff
+    return former_terms(merged, a.cyclic)
+
+
+def typed(terms):
+    return [(word, coeff, type(coeff)) for word, coeff in terms.items()]
+
+
+# A word given as a str and as a tuple is one word twice, and so is a rotation
+# in a cyclic element; the small values cancel often, and zeros are given too.
+term_maps = st.dictionaries(
+    st.text(alphabet="XY", max_size=3).flatmap(lambda w: st.sampled_from([w, tuple(w)])),
+    st.one_of(st.sampled_from([0, 1, -1, 2, F(0), F(1), F(-1), F(1, 2), F(-1, 2)]),
+              st.integers(-3, 3), coeffs),
+    max_size=8)
+
+
+@given(term_maps, term_maps, st.booleans())
+@settings(max_examples=200)
+def test_ncpoly_terms_are_those_of_the_former_constructor(t, u, cyclic):
+    # values, types and order: a report that prints or sums the terms is unchanged
+    a, b = NCPoly(t, cyclic), NCPoly(u, cyclic)
+    assert typed(a.terms) == typed(former_terms(t, cyclic))
+    assert typed((a + b).terms) == typed(former_sum(a, b))
+    assert typed((a - b).terms) == typed(former_sum(a, NCPoly(former_terms(
+        {w: -c for w, c in b.terms.items()}, cyclic), cyclic)))
+    if cyclic:
+        former = {}
+        for word, coeff in a.terms.items():
+            for s, letter in enumerate(word):
+                if letter == "X":
+                    rest = word[s + 1:] + word[:s]
+                    former[rest] = former.get(rest, 0) + coeff
+        assert typed(cyclic_derivative(a, "X").terms) == typed(former_terms(former))
+
+
 def test_ncpoly_unit_and_monomials():
     # the empty word is the unit; coefficients are kept as given, and a zero
     # one is never stored

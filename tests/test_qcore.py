@@ -1,10 +1,13 @@
+import inspect
+import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhahn.brf import Instance, partner_family
+from qhahn import cli
+from qhahn.brf import Instance, partner_family, reflected_params
 from qhahn.gevp import check_factorization
 from qhahn.qcore import (
     InvalidParams,
@@ -66,6 +69,87 @@ def test_qnum_hand_value():
 def test_qpow_is_monomial():
     p = CANONICAL
     assert qpow(p, 2, 1, -1) == p.q**2 * p.A / p.B
+
+
+# The panel, each instance's reflection and its shift A -> qA (the partner
+# family's and the contiguity check's instances), and q = -2/3 and q = 2.
+TABLED = [r for p in PANEL
+          for r in (p, reflected_params(p), QParams(p.q, p.q * p.A, p.B, p.N))] + [
+    QParams(F(-2, 3), F(7, 3), F(5, 11), 5), QParams(F(2), F(-5), F(1, 7), 4)]
+
+
+def assert_tables_hold_the_direct_formulas(p, one):
+    q, A, B, N = p.q, p.A, p.B, p.N
+    for i in range(-2 * N - 2, 2 * N + 3):
+        for j in range(-2, 3):
+            for k in range(-2, 3):
+                mono = q**i * A**j * B**k
+                for _ in range(2):  # the miss, then the table
+                    assert qpow(p, i, j, k) == mono
+                    assert qnum(p, i, j, k) == (one - mono) / (one - q)
+                assert type(qpow(p, i, j, k)) is type(mono)
+                assert qnum(p, i, j, k) is vars(p)["_qnum"][i, j, k]
+
+
+@pytest.mark.parametrize("p", TABLED, ids=lambda p: f"q{p.q}-A{p.A}-N{p.N}")
+def test_tabulated_brackets_equal_the_direct_formulas(p):
+    assert_tables_hold_the_direct_formulas(p, 1)
+
+
+def test_tabulated_brackets_stay_field_generic():
+    # the same tables over Q(q, A, B), through the algebra tests' stand-in
+    sympy = pytest.importorskip("sympy")
+    from test_algebra_field import FieldParams
+
+    _, q, A, B = sympy.field("q,A,B", sympy.QQ)
+    assert_tables_hold_the_direct_formulas(FieldParams(q, A, B, 2), q**0)
+
+
+class MissLog(dict):
+    """A bracket table that records the key of every value stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.misses = []
+
+    def __setitem__(self, key, value):
+        self.misses.append(key)
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("p", [PANEL[0], PANEL[4], QParams(F(-2, 3), F(7, 3), F(5, 11), 5)],
+                         ids=lambda p: f"q{p.q}-N{p.N}")
+def test_each_bracket_is_computed_once_per_parameter_object(p):
+    p = QParams(p.q, p.A, p.B, p.N)  # tables of its own
+    logs = {name: vars(p).setdefault(name, MissLog()) for name in ("_qpow", "_qnum")}
+
+    def build():
+        inst = Instance(p)
+        return inst.ops, inst.mu, inst.constants, inst.family
+
+    build()
+    for log in logs.values():
+        assert log.misses and len(log.misses) == len(set(log.misses))
+    counts = {name: len(log.misses) for name, log in logs.items()}
+    build()  # a second instance on the same p computes no bracket again
+    assert {name: len(log.misses) for name, log in logs.items()} == counts
+
+
+def test_filled_tables_change_no_parameter_view_and_reach_no_report():
+    p, fresh = (QParams(F(1, 2), F(-5), F(1, 7), 4) for _ in range(2))
+    checks = [check for name in ("gevp", "biortho", "algebra", "casimir", "potential")
+              for check in inspect.getclosurevars(cli.SUITES[name]).nonlocals["checks"]]
+
+    def reports():
+        inst = Instance(p)
+        return json.dumps([check(inst).as_dict() for check in checks], sort_keys=True)
+
+    first = reports()
+    assert vars(p)["_qpow"] and vars(p)["_qnum"] and "_qnum" not in vars(fresh)
+    assert p == fresh and hash(p) == hash(fresh)
+    assert repr(p) == repr(fresh) and p.as_dict() == fresh.as_dict()
+    assert "_qpow" not in first and "_qnum" not in first
+    assert reports() == first  # read from the filled tables
 
 
 @given(st.integers(-6, 6), st.integers(-6, 6))
