@@ -24,6 +24,7 @@ from .qcore import (
     ValidationReport,
     ZeroDenominator,
     ZeroWeight,
+    eigenvalue,
     frac_str,
     phi_series,
     qnum,
@@ -47,9 +48,7 @@ from .brf import (
     BRFFamily,
     Instance,
     brf_family,
-    brf_partner,
     brf_u,
-    eigenvalue,
     norm_h,
     partial_fraction,
     partner_family,

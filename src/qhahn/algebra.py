@@ -21,30 +21,28 @@ and their products by word as integer rows (`constants`, `ops`, `words`)
 are built once.  NCPoly does not decide the number type: it stores the
 coefficients it is given, so the relations, Casimirs and potentials live in
 the field of the instance, any field of (q, A, B); their matrix values, by
-the integer kernel `evaluate_poly`, are over Fraction.
+the integer kernel `evaluate_poly`, are integer rows over Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import linalg
 from .brf import Instance
-from .operators import Basis, OpMatrix
 from .qcore import (
     QHahnError,
     QParams,
     RankDeficient,
-    _integer_rows,
     _mul_rows,
     _sum_rows,
     frac_str,
     qnum,
     qpow,
 )
-from .reports import CheckReport
+from .reports import CheckReport, _flag_worst
 
 __all__ = [
     "NCPoly",
@@ -154,14 +152,14 @@ def cyclic_derivative(phi: NCPoly, gen: str) -> NCPoly:
     return NCPoly(out)
 
 
-def evaluate_poly(poly: NCPoly, inst: Instance) -> OpMatrix:
+def evaluate_poly(poly: NCPoly, inst: Instance) -> list[tuple[dict[int, int], int]]:
     """Evaluate an ordinary polynomial at the instance's point-basis
-    matrices `inst.ops`, over Fraction.
+    matrices `inst.ops`, over Fraction, as rows of `qcore._integer_rows`.
 
     A word's matrix is its longest proper prefix's times its last letter's,
     as integer rows kept in `inst.words`: each word is multiplied out once
     per instance and shared by every polynomial evaluated there.  A row of
-    the sum is one `_sum_rows`, so only its nonzero entries become Fractions.
+    the sum is one `_sum_rows`, and no entry becomes a Fraction.
     """
     if poly.cyclic:
         raise QHahnError("cyclic elements have no single matrix value")
@@ -172,13 +170,14 @@ def evaluate_poly(poly: NCPoly, inst: Instance) -> OpMatrix:
                 if g not in inst.ops:
                     raise QHahnError(f"word {''.join(word)!r}: letter {g!r} is not X, Y, Z or V")
                 prods[word[:k]] = _mul_rows(prods[word[:k - 1]], prods[(g,)])
-    acc = linalg.zeros(inst.p.N + 1, inst.p.N + 1)
-    for i, arow in enumerate(acc):
-        sums, lcm = _sum_rows([(*c.as_integer_ratio(), prods[w][i])
-                               for w, c in poly.terms.items() if prods[w][i][0]])
-        for j, v in sums.items():
-            arow[j] = Fraction(v, lcm)
-    return OpMatrix(acc, Basis.POINT, inst.p)
+    return [_sum_rows([(*c.as_integer_ratio(), prods[w][i])
+                       for w, c in poly.terms.items() if prods[w][i][0]])
+            for i in range(inst.p.N + 1)]
+
+
+def _fractions(rows) -> list[Fraction]:
+    """The nonzero entries of integer rows as Fractions."""
+    return [Fraction(v, e) for row, e in rows for v in row.values()]
 
 
 @dataclass(frozen=True)
@@ -340,13 +339,9 @@ def casimir_meta(inst: Instance) -> NCPoly:
 
 def _relation_report(check: str, inst: Instance, polys: dict[str, NCPoly]) -> CheckReport:
     report = CheckReport(check=check, params=inst.p.as_dict())
-    norms = {}
-    for name, poly in polys.items():
-        resid = evaluate_poly(poly, inst)
-        norms[name] = frac_str(resid.max_abs())
-        if not resid.is_zero():
-            report.add_violation(relation=name, residual=frac_str(resid.max_abs()))
-    report.details["residual_norms"] = norms
+    report.details["residual_norms"] = {
+        name: _flag_worst(report, _fractions(evaluate_poly(poly, inst)), relation=name)
+        for name, poly in polys.items()}
     return report
 
 
@@ -361,33 +356,31 @@ def check_meta_relations(inst: Instance) -> CheckReport:
 
 
 def _casimir_report(check: str, inst: Instance, casimir: NCPoly,
-                    generators: str) -> tuple[CheckReport, OpMatrix]:
+                    generators: str) -> tuple[CheckReport, list]:
     """Report on the Casimir's matrix in the grid realization, with a
     violation for each generator it fails to commute with; the claim about
-    its value is the caller's.  Returns the report and the matrix."""
-    p = inst.p
-    report = CheckReport(check=check, params=p.as_dict())
-    q_mat = evaluate_poly(casimir, inst)
-    q_rows = _integer_rows(q_mat)
+    its value is the caller's.  Returns the report and the matrix as
+    `evaluate_poly` rows."""
+    report = CheckReport(check=check, params=inst.p.as_dict())
+    q_rows = evaluate_poly(casimir, inst)
     for g in generators:
         left, right = _mul_rows(q_rows, inst.op_rows[g]), _mul_rows(inst.op_rows[g], q_rows)
         if left != right:
-            comm = [_sum_rows([(1, 1, a), (-1, 1, b)]) for a, b in zip(left, right)]
-            residual = max(abs(Fraction(v, e)) for row, e in comm for v in row.values())
-            report.add_violation(generator=g, residual=frac_str(residual))
-    diag = [q_mat.entries[i][i] for i in range(p.N + 1)]
+            _flag_worst(report, _fractions(_sum_rows([(1, 1, a), (-1, 1, b)])
+                                           for a, b in zip(left, right)), generator=g)
+    diag = [Fraction(row.get(i, 0), e) for i, (row, e) in enumerate(q_rows)]
     report.details["diagonal"] = [frac_str(v) for v in diag]
     report.details["is_scalar"] = len(set(diag)) == 1 and all(
-        not v for r, row in enumerate(q_mat.entries) for c, v in enumerate(row) if c != r)
-    return report, q_mat
+        row.keys() <= {i} for i, (row, _) in enumerate(q_rows))
+    return report, q_rows
 
 
 def check_casimir_rqhahn(inst: Instance) -> CheckReport:
     """The rational q-Hahn Casimir commutes with X, Y and Z and is the zero
     matrix: the grid realization sits on its zero surface."""
-    report, q_mat = _casimir_report("casimir_rqhahn", inst, casimir_rqhahn(inst), "XYZ")
-    if not q_mat.is_zero():
-        report.add_violation(claim="zero", residual=frac_str(q_mat.max_abs()))
+    report, q_rows = _casimir_report("casimir_rqhahn", inst, casimir_rqhahn(inst), "XYZ")
+    if any(row for row, _ in q_rows):
+        _flag_worst(report, _fractions(q_rows), claim="zero")
     return report
 
 
@@ -401,12 +394,12 @@ def _casimir_meta_value(p: QParams):
 def check_casimir_meta(inst: Instance) -> CheckReport:
     """The meta Casimir commutes with X, V and Z and is a scalar matrix, the
     scalar `_casimir_meta_value`; the diagonal is recorded."""
-    report, q_mat = _casimir_report("casimir_meta", inst, casimir_meta(inst), "XVZ")
-    value = _casimir_meta_value(inst.p)
+    report, q_rows = _casimir_report("casimir_meta", inst, casimir_meta(inst), "XVZ")
+    gap = Fraction(q_rows[0][0].get(0, 0), q_rows[0][1]) - _casimir_meta_value(inst.p)
     if not report.details["is_scalar"]:
         report.add_violation(claim="scalar", residual="not a scalar matrix")
-    elif q_mat[0][0] != value:
-        report.add_violation(claim="value", residual=frac_str(abs(q_mat[0][0] - value)))
+    elif gap:
+        report.add_violation(claim="value", residual=frac_str(abs(gap)))
     return report
 
 
@@ -461,16 +454,18 @@ def check_potential_meta(inst: Instance) -> CheckReport:
                              meta_relation_polys(inst), (("V", "XZ"), ("X", "ZV"), ("Z", "VX")))
 
 
-def _flatten(mats: Iterable[OpMatrix]) -> list[list[Fraction]]:
-    # rows are matrix entries, columns are ansatz members
-    return [list(col) for col in zip(*([v for row in m.entries for v in row] for m in mats))]
+def _flatten(rows) -> list:
+    """The entries of `evaluate_poly` rows, row by row: a Fraction for each
+    nonzero entry and the int 0 for the others."""
+    return [Fraction(row[j], e) if j in row else 0 for row, e in rows for j in range(len(rows))]
 
 
-def _solve_relation(lhs: OpMatrix, ansatz: list[OpMatrix], what: str) -> list[Fraction]:
-    """The unique coefficients c with lhs = sum_i c_i ansatz_i; a dependent
-    ansatz is a RankDeficient naming `what`."""
-    try:
-        return linalg.solve_unique(_flatten(ansatz), [v for row in lhs.entries for v in row])
+def _solve_relation(lhs: list, ansatz: list[list], what: str) -> list[Fraction]:
+    """The unique coefficients c with lhs = sum_i c_i ansatz_i, all `evaluate_poly`
+    rows; a dependent ansatz is a RankDeficient naming `what`."""
+    try:  # rows of the system are matrix entries, columns are ansatz members
+        return linalg.solve_unique([list(col) for col in zip(*map(_flatten, ansatz))],
+                                   _flatten(lhs))
     except RankDeficient:
         raise RankDeficient(f"ansatz for {what} is linearly dependent at this instance") from None
 

@@ -7,17 +7,19 @@ locations [x-alpha-k]_q = 0, and is computed here along two independent
 routes (a terminating basic hypergeometric sum, `brf_u`, summed by the
 integer kernel `qcore._series_rows` that the 10phi9 and Hahn rows share,
 and the coefficient recurrence over the rational basis phi_k,
-`phi_expansion`, which gives the coefficients of all N+1 members at once).
+`phi_expansion`, which gives the coefficients of all N+1 members at once
+and reads its eigenvalues and steps from V's phi band).
 `partial_fraction` reads the residues of U_n off its row in integer Horner
 form, and `check_partial_fractions` verifies that expansion against the
 `brf_u` values on the whole grid, so a verify run compares the two routes.
 `check_partner` tests the adjoint statements on the transposes, on the
 integer columns of X, Y and V, and forms no adjoint, passing or failing.
 
-The biorthogonal partner family is a parameter reflection of the same
-family: partner_m(x) = -q^{-1} [alpha-beta-1]_q * U_m(N-x) evaluated at
-(q, A, B) -> (1/q, A/(B q^2), 1/B).  Against the normalized weight w the
-two families pair diagonally: (U_n, partner_m)_w = delta_{nm} H_n.
+The biorthogonal partner family, `partner_family`, is a parameter
+reflection of the same family: partner_m(x) = -q^{-1} [alpha-beta-1]_q *
+U_m(N-x) evaluated at (q, A, B) -> (1/q, A/(B q^2), 1/B).  Against the
+normalized weight w the two families pair diagonally:
+(U_n, partner_m)_w = delta_{nm} H_n.
 
 The bare weight and bare norm (`bare_weight`, `bare_norm`) take (q, A, B, N)
 in any field, and `qhahn.wilson` uses both as the targets of its limit checks.
@@ -40,6 +42,7 @@ from .operators import (
     GridVector,
     OpMatrix,
     Operator,
+    band_coefficients,
     build_operator,
 )
 from .qcore import (
@@ -63,7 +66,6 @@ from .qcore import (
 from .reports import CheckReport, _flag_worst, _residuals, check_gram
 
 __all__ = [
-    "eigenvalue",
     "bare_weight",
     "weight_vector",
     "weight_scale",
@@ -72,7 +74,6 @@ __all__ = [
     "partner_scale",
     "phi_expansion",
     "brf_u",
-    "brf_partner",
     "BRFFamily",
     "brf_family",
     "partner_family",
@@ -143,17 +144,17 @@ def phi_expansion(p: QParams) -> tuple[tuple[Fraction, ...], ...]:
     """Coefficients of U_0..U_N over the rational basis phi_k: row n holds
     C_{n,0..n}, the coefficients of U_n.
 
-    C_{n,0} is the prefactor and the rest follow the two-term recurrence
-    C_{n,k+1} = (lambda_n - lambda_k) / (q^{beta-alpha-k} [k+1]_q [k-N]_q) C_{n,k},
-    read from one table of lambda_k and one of the steps, built once for all n.
+    V phi_k = lambda_k phi_k + s_k phi_{k-1}, V's phi band, so V U_n = lambda_n U_n
+    is the two-term recurrence C_{n,k+1} = (lambda_n - lambda_k) / s_{k+1} C_{n,k}
+    from C_{n,0}, the prefactor, read from one table of
+    `band_coefficients(Operator.V, Basis.PHI, p, k)` built once for all n.
     """
-    lams = [eigenvalue(n, p) for n in range(p.N + 1)]
-    steps = [qpow(p, -k, -1, 1) * qnum(p, k + 1) * qnum(p, k - p.N) for k in range(p.N)]
+    band = [band_coefficients(Operator.V, Basis.PHI, p, k) for k in range(p.N + 1)]
     rows = []
-    for n, lam in enumerate(lams):
+    for n, (_, lam, _) in enumerate(band):
         row = [u_prefactor(n, p)]
         for k in range(n):
-            row.append((lam - lams[k]) / steps[k] * row[-1])
+            row.append((lam - band[k][1]) / band[k + 1][2] * row[-1])
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -179,13 +180,6 @@ def brf_u(n: int, p: QParams) -> GridVector:
     return GridVector(tuple(pref * v for v in rows), p)
 
 
-def brf_partner(m: int, p: QParams, refl: QParams | None = None) -> GridVector:
-    """Grid values of the biorthogonal partner family member m; refl = `reflected_params(p)`."""
-    base = brf_u(m, refl or reflected_params(p))
-    c = partner_scale(p)
-    return GridVector(tuple(c * base[p.N - x] for x in range(p.N + 1)), p)
-
-
 @dataclass(frozen=True)
 class BRFFamily:
     """All members U_0..U_N with their eigenvalues, for one instance."""
@@ -201,8 +195,11 @@ def brf_family(p: QParams) -> BRFFamily:
 
 
 def partner_family(p: QParams) -> tuple[GridVector, ...]:
-    refl = reflected_params(p)
-    return tuple(brf_partner(m, p, refl) for m in range(p.N + 1))
+    """Grid values of the partner family, partner_m(x) = `partner_scale(p)`
+    U_m(N - x) at `reflected_params(p)`, for m = 0..N."""
+    refl, c = reflected_params(p), partner_scale(p)
+    return tuple(GridVector(tuple(c * v for v in reversed(brf_u(m, refl).values)), p)
+                 for m in range(p.N + 1))
 
 
 @dataclass(frozen=True)

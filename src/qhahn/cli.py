@@ -23,7 +23,7 @@ from .operators import Basis, Operator, build_operator
 from .qcore import ConfigError, InvalidParams, QParams, frac_str, validate_params
 from .reports import CheckReport
 
-__all__ = ["ConfigError", "main", "run_verify", "run_export", "SUITES"]
+__all__ = ["main", "run_verify", "run_export", "SUITES"]
 
 
 def _parse_scalar(text) -> Fraction:
@@ -229,7 +229,9 @@ def run_verify(config_path: str, suite_names: list[str] | None, out_path: str | 
     return 1 if counts["fail"] else 0
 
 
-def _export_payload(what: str, which: str, p: QParams, basis: Basis) -> dict:
+def _export_payload(what: str, which: str | None, p: QParams, basis: Basis) -> dict:
+    if which is None and what in ("matrix", "brf"):
+        raise ConfigError(f"--what {what} needs --which")
     if what == "matrix":
         try:
             op = Operator(which)
@@ -308,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="export a matrix or function values exactly")
     p_export.add_argument("--what", required=True, choices=["matrix", "brf", "weight"])
-    p_export.add_argument("--which", default="w",
+    p_export.add_argument("--which", default=None,
                           help="X|Y|Z|V for matrices, index n for brf (ignored for weight)")
     p_export.add_argument("--params", required=True, help="q,A,B,N with rationals as num/den")
     p_export.add_argument("--format", default="json", choices=["json", "csv"])

@@ -16,9 +16,10 @@ raising terms at n = N exactly.
 Where the coefficients are declared: X, Y and Z in both bases, and V in
 the phi basis, are three-term actions, each one (raise, stay, lower) entry
 of `_BANDS` that `band_coefficients` reads and one placement puts into the
-matrix.  V in the point basis has a full lowering tail and keeps its own
-formulas in `_v_point`, so that Y = X V checks two independent
-declarations.
+matrix; V's phi band is `qcore.eigenvalue` and the lowering step of the
+recurrence `brf.phi_expansion` reads from it.  V in the point basis has a
+full lowering tail and keeps its own formulas in `_v_point`, so that
+Y = X V checks two independent declarations.
 
 Every entry is derived from (q, A, B), so the matrices live in their field;
 `GridVector` and `OpMatrix` store the values they are given, and an entry
@@ -37,6 +38,7 @@ from .qcore import (
     PoleOnGrid,
     QParams,
     ZeroWeight,
+    eigenvalue,
     qnum,
     qpoch,
     qpow,
@@ -182,8 +184,7 @@ _BANDS = {
     (Operator.Y, Basis.PHI): _y_phi,
     (Operator.Z, Basis.PHI): lambda p, n: (p.q**0, -p.q**0, 0),
     (Operator.V, Basis.PHI): lambda p, n: (
-        0, qnum(p, -n) * qnum(p, n - p.N, 0, 1),
-        qpow(p, 1 - n, -1, 1) * qnum(p, n) * qnum(p, n - p.N - 1)),
+        0, eigenvalue(n, p), qpow(p, 1 - n, -1, 1) * qnum(p, n) * qnum(p, n - p.N - 1)),
 }
 
 

@@ -28,7 +28,7 @@ from qhahn.algebra import (
 )
 from qhahn.brf import Instance
 from qhahn.operators import Basis, Operator, OpMatrix, build_operator
-from qhahn.qcore import QHahnError, QParams, frac_str, qnum, qpow
+from qhahn.qcore import QHahnError, QParams, _integer_rows, frac_str, qnum, qpow
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL, dense_evaluate_poly, identity
 
@@ -174,7 +174,7 @@ def test_evaluate_poly_equals_an_identity_started_fold(poly):
         acc = [[a + coeff * v for a, v in zip(ra, rp)] for ra, rp in zip(acc, prod.entries)]
     fold = OpMatrix(acc, Basis.POINT, CANONICAL)
     assert dense_evaluate_poly(poly, CANONICAL_INST) == fold
-    assert evaluate_poly(poly, CANONICAL_INST) == fold
+    assert evaluate_poly(poly, CANONICAL_INST) == _integer_rows(fold)
 
 
 # words of length 0..4 over X, Y, Z, V, V-heavy ones among them (V is lower
@@ -199,9 +199,20 @@ def test_evaluate_poly_equals_the_dense_oracle(p):
              casimir_rqhahn(inst), casimir_meta(inst)]
     for poly in polys:
         value = evaluate_poly(poly, inst)
-        assert value == dense_evaluate_poly(poly, inst)
-        # one Fraction per nonzero entry; an entry the sum cancels stays the int 0
-        assert all(type(v) is (F if v else int) for row in value.entries for v in row)
+        assert value == _integer_rows(dense_evaluate_poly(poly, inst))
+        # ints only, and only the nonzero entries: an entry the sum cancels is left out
+        assert all(type(e) is int and all(type(a) is int and a for a in row.values())
+                   for row, e in value)
+
+
+def dense_integer_rows(poly, inst):
+    """`dense_evaluate_poly` in the form `evaluate_poly` returns."""
+    return _integer_rows(dense_evaluate_poly(poly, inst))
+
+
+def zero_rows(p):
+    """The zero matrix of p's grid in the form `evaluate_poly` returns."""
+    return [({}, 1)] * (p.N + 1)
 
 
 def _bump_v(inst):
@@ -230,7 +241,7 @@ def test_failing_reports_are_those_of_the_dense_oracle(monkeypatch, perturb, Ns,
     for N in Ns:
         p = QParams(F(1, 2), F(3), F(1, 5), N)
         runs = []
-        for evaluate in (evaluate_poly, dense_evaluate_poly):
+        for evaluate in (evaluate_poly, dense_integer_rows):
             with monkeypatch.context() as mp:
                 mp.setattr(algebra, "evaluate_poly", evaluate)
                 inst = Instance(p)
@@ -251,7 +262,7 @@ def test_evaluate_poly_matches_matrix_products(canonical):
     poly = NCPoly.monomial("XZ", F(2)) + NCPoly.monomial("Y", F(-1, 3))
     direct = [[F(2) * a + F(-1, 3) * b for a, b in zip(ra, rb)]
               for ra, rb in zip((mats["X"] @ mats["Z"]).entries, mats["Y"].entries)]
-    assert evaluate_poly(poly, Instance(canonical)).rows() == direct
+    assert evaluate_poly(poly, Instance(canonical)) == _integer_rows(direct)
 
 
 def test_rqhahn_relations_exact_on_panel():
@@ -358,13 +369,9 @@ def test_casimir_matrices_shape(canonical):
     # the realization sits on the zero surface of the cubic Casimir and
     # maps the meta Casimir to a nonzero scalar
     inst = Instance(canonical)
-    assert evaluate_poly(casimir_rqhahn(inst), inst).is_zero()
-    meta = evaluate_poly(casimir_meta(inst), inst)
-    scalarval = meta.entries[0][0]
-    assert scalarval == F(-773977, 131072)
-    for i in range(canonical.N + 1):
-        for j in range(canonical.N + 1):
-            assert meta.entries[i][j] == (scalarval if i == j else 0)
+    assert evaluate_poly(casimir_rqhahn(inst), inst) == zero_rows(canonical)
+    scalar = identity(canonical.N + 1, F(-773977, 131072))
+    assert evaluate_poly(casimir_meta(inst), inst) == _integer_rows(scalar)
 
 
 def test_casimir_reports_scalar_flag(canonical):
@@ -426,7 +433,7 @@ def test_casimir_rqhahn_negative_control_each_gamma(canonical, monkeypatch, i):
 def _dense_commutator_violations(casimir, inst, generators):
     """The violations of the commutators Q g - g Q as dense Fraction products
     of `OpMatrix`: the oracle of the integer-row commutators."""
-    q_mat = evaluate_poly(casimir, inst)
+    q_mat = dense_evaluate_poly(casimir, inst)
     out = []
     for g in generators:
         comm = q_mat @ inst.ops[g] - inst.ops[g] @ q_mat
@@ -460,6 +467,17 @@ def test_casimir_meta_must_be_scalar(canonical, monkeypatch):
     inst = Instance(canonical)
     assert report.violations[:3] == _dense_commutator_violations(
         algebra.casimir_meta(inst), inst, "XVZ")
+    assert report.violations[-1] == {"claim": "scalar", "residual": "not a scalar matrix"}
+
+
+def test_casimir_meta_scalar_flag_reads_the_off_diagonal(canonical, monkeypatch):
+    # the word Z adds -1 to every diagonal entry, which stays constant, and
+    # Z's lowering entries below it: the matrix is no scalar
+    good = algebra.casimir_meta
+    monkeypatch.setattr(algebra, "casimir_meta", lambda inst: good(inst) + NCPoly.monomial("Z"))
+    report = check_casimir_meta(Instance(canonical))
+    assert len(set(report.details["diagonal"])) == 1
+    assert report.details["is_scalar"] is False
     assert report.violations[-1] == {"claim": "scalar", "residual": "not a scalar matrix"}
 
 
@@ -519,9 +537,9 @@ def test_meta_potential_derivative_matches_relation_poly(canonical):
 def test_relation_polys_evaluate_to_zero(canonical):
     inst = Instance(canonical)
     for poly in rqhahn_relation_polys(inst).values():
-        assert evaluate_poly(poly, inst).is_zero()
+        assert evaluate_poly(poly, inst) == zero_rows(canonical)
     for poly in meta_relation_polys(inst).values():
-        assert evaluate_poly(poly, inst).is_zero()
+        assert evaluate_poly(poly, inst) == zero_rows(canonical)
 
 
 def test_casimir_poly_has_cubic_leading_terms(canonical):

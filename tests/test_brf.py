@@ -9,13 +9,11 @@ from qhahn.brf import (
     bare_weight,
     brf_family,
     partner_scale,
-    brf_partner,
     brf_u,
     check_biorthogonality,
     check_partial_fractions,
     check_partner,
     check_weight,
-    eigenvalue,
     norm_h,
     partial_fraction,
     partner_family,
@@ -25,13 +23,22 @@ from qhahn.brf import (
     weight_scale,
     weight_vector,
 )
-from qhahn.operators import Basis, GridVector, OpMatrix, phi_function, weighted_adjoint
+from qhahn.gevp import check_factorization
+from qhahn.operators import (
+    Basis,
+    GridVector,
+    OpMatrix,
+    Operator,
+    phi_function,
+    weighted_adjoint,
+)
 from qhahn.qcore import (
     InvalidParams,
     PoleOnGrid,
     QHahnError,
     QParams,
     ZeroDenominator,
+    eigenvalue,
     frac_str,
     phi_series,
     qnum,
@@ -327,8 +334,7 @@ def test_partner_values_from_reflection(canonical):
     # instance-wide constant
     refl = reflected_params(canonical)
     c = partner_scale(canonical)
-    for n in range(canonical.N + 1):
-        partner = brf_partner(n, canonical)
+    for n, partner in enumerate(partner_family(canonical)):
         mirrored = brf_u(n, refl)
         for x in range(canonical.N + 1):
             assert partner[x] == c * mirrored[canonical.N - x]
@@ -426,8 +432,8 @@ def test_norm_closed_form_matches_direct_sum():
     for p in SMALL_PANEL:
         w = weight_vector(p)
         h = norm_h(p)
-        for n in range(p.N + 1):
-            assert h[n] == inner_product(brf_u(n, p), brf_partner(n, p), w)
+        for n, partner in enumerate(partner_family(p)):
+            assert h[n] == inner_product(brf_u(n, p), partner, w)
 
 
 def test_norm_h_equals_the_product_with_the_weight_normalization():
@@ -625,6 +631,19 @@ def test_partial_fraction_catches_a_perturbed_phi_coefficient(canonical, monkeyp
     report = check_partial_fractions(Instance(p))
     assert report.status == "fail"
     assert [v["n"] for v in report.violations] == [p.N]
+
+
+def test_phi_expansion_reads_its_step_from_the_v_phi_band(monkeypatch):
+    # one declaration: V's phi lower coefficient at n = 2, doubled, is the
+    # step to C_{n,2}, so the recurrence route fails for every U_n that
+    # reaches phi_2, and the factorization fails in the phi basis only
+    p = QParams(F(1, 2), F(3), F(1, 5), 4)
+    good = operators._BANDS[(Operator.V, Basis.PHI)]
+    monkeypatch.setitem(operators._BANDS, (Operator.V, Basis.PHI), lambda params, i: (
+        *good(params, i)[:2], good(params, i)[2] * (2 if i == 2 else 1)))
+    inst = Instance(p)
+    assert [v["n"] for v in check_partial_fractions(inst).violations] == [2, 3, 4]
+    assert [v["basis"] for v in check_factorization(inst).violations] == ["phi"]
 
 
 @pytest.mark.parametrize("power", [2, -2])

@@ -724,6 +724,16 @@ def test_export_rejects_bad_arguments():
                      "--params", "1/2,32,1/512"]) == 2
 
 
+@pytest.mark.parametrize("what", ["matrix", "brf"])
+def test_export_names_a_missing_which(capsys, what):
+    # a matrix or a family member needs --which: the error names the flag,
+    # not a default the user never typed
+    assert cli.main(["export", "--what", what, "--params", "1/2,32,1/512,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --what {what} needs --which\n"
+
+
 @pytest.mark.parametrize("basis", ["point", "phi"])
 @pytest.mark.parametrize("what, which", [("brf", "2"), ("weight", "w")])
 def test_export_basis_applies_to_matrices_only(capsys, what, which, basis):

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhahn import brf, gevp, reports
-from qhahn.brf import BRFFamily, Instance, brf_family, eigenvalue
+from qhahn.brf import BRFFamily, Instance, brf_family
 from qhahn.gevp import (
     MuCoefficients,
     check_contiguity,
@@ -16,7 +16,15 @@ from qhahn.gevp import (
     mu_coefficients,
 )
 from qhahn.operators import Basis, GridVector, Operator, band_coefficients
-from qhahn.qcore import DegenerateDenominator, QParams, frac_str, qnum, qpow, validate_params
+from qhahn.qcore import (
+    DegenerateDenominator,
+    QParams,
+    eigenvalue,
+    frac_str,
+    qnum,
+    qpow,
+    validate_params,
+)
 from qhahn.reports import CheckReport
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhahn import algebra, brf, linalg, operators
-from qhahn.brf import Instance, brf_family, eigenvalue, weight_vector
+from qhahn import algebra, brf, linalg, operators, reports
+from qhahn.brf import Instance, brf_family, weight_vector
 from qhahn.gevp import check_factorization
 from qhahn.operators import (
     Basis,
@@ -19,7 +19,7 @@ from qhahn.operators import (
     phi_function,
     weighted_adjoint,
 )
-from qhahn.qcore import DimensionMismatch, QParams, SingularSystem, qnum, qpow
+from qhahn.qcore import DimensionMismatch, QParams, SingularSystem, eigenvalue, qnum, qpow
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL, dense_evaluate_poly, identity
 
@@ -276,8 +276,9 @@ def test_no_float_reaches_the_exact_core(p, monkeypatch):
     values += [v for poly in polys if not poly.cyclic
                for row in dense_evaluate_poly(poly, inst).entries for v in row]
     serialized = []
-    monkeypatch.setattr(algebra, "frac_str", lambda v, good=algebra.frac_str: (
-        serialized.append(v) or good(v)))
+    for module in (algebra, reports):
+        monkeypatch.setattr(module, "frac_str", lambda v, good=module.frac_str: (
+            serialized.append(v) or good(v)))
     for check in (algebra.check_rqhahn_relations, algebra.check_meta_relations,
                   algebra.check_casimir_rqhahn, algebra.check_casimir_meta,
                   algebra.check_potential_rqhahn, algebra.check_potential_meta):

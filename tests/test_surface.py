@@ -26,6 +26,15 @@ def test_every_declared_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+@pytest.mark.parametrize("module", [m for m in MODULES if hasattr(m, "__all__")],
+                         ids=lambda m: m.__name__)
+def test_every_declared_function_or_class_is_defined_there(module):
+    # a module declares what it defines, not what it imports
+    objs = {name: getattr(module, name) for name in module.__all__}
+    assert [name for name, obj in objs.items() if isinstance(obj, (type, types.FunctionType))
+            and obj.__module__ != module.__name__] == []
+
+
 def test_every_reexport_is_declared_by_its_home_module():
     undeclared = []
     for name in dir(qhahn):
