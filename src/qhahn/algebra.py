@@ -5,8 +5,9 @@ by (X, Y, Z) with three q-commutator relations whose structure constants
 xi_0..xi_8 are explicit rationals in (q, A, B, N); the meta algebra is
 generated by (X, V, Z) with constants eta_0..eta_3.  Each algebra carries
 a cubic Casimir element (gamma constants) and derives from a potential:
-a cyclic-word functional whose noncommutative partial derivatives
-reproduce the defining relations up to one overall scale per pair.
+an ordinary polynomial whose cyclic derivatives, which read each word
+cyclically, reproduce the defining relations up to one overall scale per
+pair.
 
 Verification is double-tracked on purpose: the relations are checked as
 exact matrix identities in the grid realization, and independently the
@@ -69,33 +70,28 @@ __all__ = [
 Word = tuple[str, ...]
 
 
-def _min_rotation(word: Word) -> Word:
-    if len(word) < 2:
-        return word
-    return min(word[i:] + word[:i] for i in range(len(word)))
-
-
 class NCPoly:
     """Polynomial in a free associative algebra over the field of its
     coefficients.
 
-    Words are tuples of generator letters; the empty word is the unit.
-    Coefficients are stored as given (Fractions from an instance, ints, or
-    elements of any other field) and a zero coefficient is never stored.
-    A coefficient is added only to one that its word already holds, so a
-    word met once keeps its coefficient object and costs no addition.
-    With cyclic=True the element lives in the cyclic quotient: words are
-    identified under rotation (stored via their minimal rotation).
+    Words are tuples of generator letters; the empty word is the unit.  A
+    word given as a str is its tuple of letters.  Coefficients are stored as
+    given (Fractions from an instance, ints, or elements of any other field)
+    and a zero coefficient is never stored.  A coefficient is added only to
+    one that its word already holds, so a word met once keeps its
+    coefficient object and costs no addition.  The potentials are NCPolys
+    too: `cyclic_derivative` reads each of their words cyclically, so any
+    rotation of a word stands for it.
     """
 
-    __slots__ = ("terms", "cyclic")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, object] | None = None, cyclic: bool = False):
+    def __init__(self, terms: Mapping[Word, object] | None = None):
         normal: dict[Word, object] = {}
         for word, coeff in (terms or {}).items():
             if coeff == 0:
                 continue
-            key = _min_rotation(tuple(word)) if cyclic else tuple(word)
+            key = tuple(word)
             if key not in normal:
                 normal[key] = coeff
             elif (total := normal[key] + coeff) == 0:
@@ -103,45 +99,37 @@ class NCPoly:
             else:
                 normal[key] = total
         self.terms = normal
-        self.cyclic = cyclic
 
     @classmethod
     def monomial(cls, letters: str, coeff=1) -> "NCPoly":
         return cls({tuple(letters): coeff})
 
-    @classmethod
-    def cyclic_word(cls, letters: str, coeff=1) -> "NCPoly":
-        return cls({tuple(letters): coeff}, cyclic=True)
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
-        if self.cyclic != other.cyclic:
-            raise QHahnError("cannot mix cyclic and ordinary polynomials")
         merged = dict(self.terms)
         for word, coeff in other.terms.items():
             merged[word] = merged[word] + coeff if word in merged else coeff
-        return NCPoly(merged, cyclic=self.cyclic)
+        return NCPoly(merged)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly({w: -c for w, c in self.terms.items()}, cyclic=self.cyclic)
+        return NCPoly({w: -c for w, c in self.terms.items()})
 
     def __rmul__(self, coeff) -> "NCPoly":
-        return NCPoly({w: coeff * v for w, v in self.terms.items()}, cyclic=self.cyclic)
+        return NCPoly({w: coeff * v for w, v in self.terms.items()})
 
 
 def cyclic_derivative(phi: NCPoly, gen: str) -> NCPoly:
-    """Noncommutative partial derivative of a cyclic element.
+    """Noncommutative cyclic partial derivative.
 
-    For each occurrence of gen at position s in a cyclic word, contribute
-    the linear word read cyclically starting just after s.
+    For each occurrence of gen at position s in a word, contribute the word
+    read cyclically starting just after s.  Every rotation of a word has the
+    same derivative, so phi may store any one of them.
     """
-    if not phi.cyclic:
-        raise QHahnError("cyclic derivative is defined on cyclic elements only")
     out: dict[Word, object] = {}
     for word, coeff in phi.terms.items():
         for s, letter in enumerate(word):
@@ -161,8 +149,6 @@ def evaluate_poly(poly: NCPoly, inst: Instance) -> list[tuple[dict[int, int], in
     per instance and shared by every polynomial evaluated there.  A row of
     the sum is one `_sum_rows`, and no entry becomes a Fraction.
     """
-    if poly.cyclic:
-        raise QHahnError("cyclic elements have no single matrix value")
     prods = inst.words
     for word in poly.terms:
         for k, g in enumerate(word, 1):
@@ -288,28 +274,26 @@ def meta_relation_polys(inst: Instance) -> dict[str, NCPoly]:
 
 def potential_rqhahn(inst: Instance) -> NCPoly:
     xi, q = inst.constants.xi, inst.p.q
-    cw = NCPoly.cyclic_word
     return (
-        q * cw("XYZ") - cw("YXZ")
-        + (xi[1] / 3) * cw("XXX") + (xi[2] / 3) * cw("ZZZ")
-        + xi[3] * cw("XXZ") + xi[4] * cw("XZZ") - cw("YZZ")
-        + (xi[5] / 2) * cw("XX") + xi[6] * cw("XY") + xi[7] * cw("XZ") - cw("YZ")
-        + (xi[8] / 2) * cw("ZZ") + xi[0] * cw("X") + xi[0] * cw("Z")
+        q * _mono("XYZ") - _mono("YXZ")
+        + (xi[1] / 3) * _mono("XXX") + (xi[2] / 3) * _mono("ZZZ")
+        + xi[3] * _mono("XXZ") + xi[4] * _mono("XZZ") - _mono("YZZ")
+        + (xi[5] / 2) * _mono("XX") + xi[6] * _mono("XY") + xi[7] * _mono("XZ") - _mono("YZ")
+        + (xi[8] / 2) * _mono("ZZ") + xi[0] * _mono("X") + xi[0] * _mono("Z")
     )
 
 
 def potential_meta(inst: Instance) -> NCPoly:
     eta, q = inst.constants.eta, inst.p.q
-    cw = NCPoly.cyclic_word
     # [Z] carries -eta_0: the derivative in Z must reproduce the second
     # relation, whose constant term is pinned by the grid realization, and
     # the word-level solve returns -eta_0 uniquely (all other coefficients
     # land on their displayed values).
     return (
-        q * cw("XVZ") - cw("VXZ") - cw("VZZ")
-        - (1 - q) * cw("XV") - cw("VZ") + eta[1] * cw("XZ")
-        - (eta[1] / (2 * q)) * cw("ZZ") - (eta[2] / 2) * cw("XX")
-        - eta[0] * cw("Z") + eta[3] * cw("X")
+        q * _mono("XVZ") - _mono("VXZ") - _mono("VZZ")
+        - (1 - q) * _mono("XV") - _mono("VZ") + eta[1] * _mono("XZ")
+        - (eta[1] / (2 * q)) * _mono("ZZ") - (eta[2] / 2) * _mono("XX")
+        - eta[0] * _mono("Z") + eta[3] * _mono("X")
     )
 
 

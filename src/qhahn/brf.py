@@ -432,7 +432,8 @@ def check_partner(inst: Instance) -> CheckReport:
       three diagonals only (X is lower bidiagonal, Y tridiagonal).
       `linalg.tridiagonal_kernel` gives its vector g and proves the
       dimension; a zero superdiagonal entry sends the band, as Fractions, to
-      `linalg.null_space` instead.
+      `linalg.null_space` instead.  A valid instance can have one: at
+      B = A q^(N-1), Y[1][0] = [1 - N - alpha + beta]_q = 0 and lambda_0 = 0.
     - Collinearity: X* W^-1 g is collinear with partner_m exactly when X^T g
       is collinear with g_m.
     """

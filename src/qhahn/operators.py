@@ -158,9 +158,9 @@ def _z_point(p: QParams, x: int) -> tuple:
     # spares the off-grid term the division by [alpha]_q (zero at A = 1);
     # at x >= 1 a zero denominator is a pole on the grid, as in V's tail
     num, den = qnum(p, -x), qnum(p, -x, 1)
-    if num and not den:
+    if num != 0 and den == 0:
         raise PoleOnGrid(f"Z's lowering term has a pole at x = {x}: [alpha - {x}]_q = 0")
-    return 0, -p.q**0, num and num / den
+    return 0, -p.q**0, num / den if num != 0 else num
 
 
 def _y_phi(p: QParams, n: int) -> tuple:

@@ -33,14 +33,10 @@ class CheckReport:
     skipped: str | None = None
 
     @property
-    def ok(self) -> bool:
-        return self.skipped is None and not self.violations
-
-    @property
     def status(self) -> str:
         if self.skipped is not None:
             return "skip"
-        return "pass" if self.ok else "fail"
+        return "fail" if self.violations else "pass"
 
     def add_violation(self, **fields) -> None:
         self.violations.append(dict(fields))

@@ -37,14 +37,11 @@ coeffs = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=6)
 polys = st.dictionaries(words, coeffs, max_size=3).map(
     lambda d: NCPoly({tuple(w): c for w, c in d.items()})
 )
-cyclic_polys = st.dictionaries(words, coeffs, max_size=3).map(
-    lambda d: NCPoly({tuple(w): c for w, c in d.items()}, cyclic=True)
-)
 
 
 def same(a, b):
-    """Two NCPolys are one element: the same kind and the same terms."""
-    return a.cyclic == b.cyclic and a.terms == b.terms
+    """Two NCPolys are one element: the same terms."""
+    return a.terms == b.terms
 
 
 @given(polys, polys, polys)
@@ -61,14 +58,14 @@ def test_ncpoly_scalar_action(a, c):
     assert same(c * a, NCPoly({w: c * v for w, v in a.terms.items()}))
 
 
-def former_terms(terms, cyclic=False):
+def former_terms(terms):
     """The former constructor, which added every coefficient to the stored
     one or 0: the oracle of the terms an NCPoly holds."""
     normal = {}
     for word, coeff in terms.items():
         if coeff == 0:
             continue
-        key = algebra._min_rotation(tuple(word)) if cyclic else tuple(word)
+        key = tuple(word)
         total = normal.get(key, 0) + coeff
         if total == 0:
             normal.pop(key, None)
@@ -81,15 +78,15 @@ def former_sum(a, b):
     merged = dict(a.terms)
     for word, coeff in b.terms.items():
         merged[word] = merged.get(word, 0) + coeff
-    return former_terms(merged, a.cyclic)
+    return former_terms(merged)
 
 
 def typed(terms):
     return [(word, coeff, type(coeff)) for word, coeff in terms.items()]
 
 
-# A word given as a str and as a tuple is one word twice, and so is a rotation
-# in a cyclic element; the small values cancel often, and zeros are given too.
+# A word given as a str and as a tuple is one word twice; the small values
+# cancel often, and zeros are given too.
 term_maps = st.dictionaries(
     st.text(alphabet="XY", max_size=3).flatmap(lambda w: st.sampled_from([w, tuple(w)])),
     st.one_of(st.sampled_from([0, 1, -1, 2, F(0), F(1), F(-1), F(1, 2), F(-1, 2)]),
@@ -97,23 +94,22 @@ term_maps = st.dictionaries(
     max_size=8)
 
 
-@given(term_maps, term_maps, st.booleans())
+@given(term_maps, term_maps)
 @settings(max_examples=200)
-def test_ncpoly_terms_are_those_of_the_former_constructor(t, u, cyclic):
+def test_ncpoly_terms_are_those_of_the_former_constructor(t, u):
     # values, types and order: a report that prints or sums the terms is unchanged
-    a, b = NCPoly(t, cyclic), NCPoly(u, cyclic)
-    assert typed(a.terms) == typed(former_terms(t, cyclic))
+    a, b = NCPoly(t), NCPoly(u)
+    assert typed(a.terms) == typed(former_terms(t))
     assert typed((a + b).terms) == typed(former_sum(a, b))
     assert typed((a - b).terms) == typed(former_sum(a, NCPoly(former_terms(
-        {w: -c for w, c in b.terms.items()}, cyclic), cyclic)))
-    if cyclic:
-        former = {}
-        for word, coeff in a.terms.items():
-            for s, letter in enumerate(word):
-                if letter == "X":
-                    rest = word[s + 1:] + word[:s]
-                    former[rest] = former.get(rest, 0) + coeff
-        assert typed(cyclic_derivative(a, "X").terms) == typed(former_terms(former))
+        {w: -c for w, c in b.terms.items()}))))
+    former = {}
+    for word, coeff in a.terms.items():
+        for s, letter in enumerate(word):
+            if letter == "X":
+                rest = word[s + 1:] + word[:s]
+                former[rest] = former.get(rest, 0) + coeff
+    assert typed(cyclic_derivative(a, "X").terms) == typed(former_terms(former))
 
 
 def test_ncpoly_unit_and_monomials():
@@ -126,27 +122,25 @@ def test_ncpoly_unit_and_monomials():
     assert type(NCPoly.monomial("X").terms[("X",)]) is int
 
 
-def test_cyclic_words_identify_rotations():
-    assert same(NCPoly.cyclic_word("XYZ"), NCPoly.cyclic_word("YZX"))
-    assert same(NCPoly.cyclic_word("XYZ"), NCPoly.cyclic_word("ZXY"))
-    assert not same(NCPoly.cyclic_word("XYZ"), NCPoly.cyclic_word("XZY"))
-    assert same(NCPoly.cyclic_word("XXY") + NCPoly.cyclic_word("XYX"), NCPoly.cyclic_word("XXY", 2))
-
-
-def test_cyclic_and_plain_do_not_mix():
-    with pytest.raises(QHahnError):
-        NCPoly.cyclic_word("XY") + NCPoly.monomial("XY")
-
-
 def test_cyclic_derivative_displayed_rule():
     # d[XY]/dX = Y, d[XXX]/dX = 3 X^2, d[XYZ]/dY = ZX
-    assert same(cyclic_derivative(NCPoly.cyclic_word("XY"), "X"), NCPoly.monomial("Y"))
-    assert same(cyclic_derivative(NCPoly.cyclic_word("XXX"), "X"), NCPoly.monomial("XX", 3))
-    assert same(cyclic_derivative(NCPoly.cyclic_word("XYZ"), "Y"), NCPoly.monomial("ZX"))
-    assert same(cyclic_derivative(NCPoly.cyclic_word("XY"), "Z"), NCPoly())
+    assert same(cyclic_derivative(NCPoly.monomial("XY"), "X"), NCPoly.monomial("Y"))
+    assert same(cyclic_derivative(NCPoly.monomial("XXX"), "X"), NCPoly.monomial("XX", 3))
+    assert same(cyclic_derivative(NCPoly.monomial("XYZ"), "Y"), NCPoly.monomial("ZX"))
+    assert same(cyclic_derivative(NCPoly.monomial("XY"), "Z"), NCPoly())
 
 
-@given(cyclic_polys, cyclic_polys, coeffs, st.sampled_from("XYZV"))
+@given(st.text(alphabet="XYZV", max_size=5), st.sampled_from("XYZV"))
+@settings(max_examples=50)
+def test_cyclic_derivative_reads_every_rotation_alike(word, gen):
+    # the derivative reads a word cyclically, so a potential may store any
+    # rotation of each of its words
+    deriv = cyclic_derivative(NCPoly.monomial(word), gen)
+    for i in range(len(word)):
+        assert same(cyclic_derivative(NCPoly.monomial(word[i:] + word[:i]), gen), deriv)
+
+
+@given(polys, polys, coeffs, st.sampled_from("XYZV"))
 @settings(max_examples=30)
 def test_cyclic_derivative_is_linear(a, b, c, gen):
     lhs = cyclic_derivative(a + c * b, gen)
@@ -493,7 +487,7 @@ def test_potential_scale_of_int_coefficients_is_exact(canonical):
     # d[XY]/dX = Y against the relation 2Y: the scale 1/2 divides two int
     # coefficients, which must give a Fraction, not the float 0.5
     report = algebra._potential_report(
-        "potential", Instance(canonical), NCPoly.cyclic_word("XY"),
+        "potential", Instance(canonical), NCPoly.monomial("XY"),
         {"r": NCPoly.monomial("Y", 2)}, (("X", "r"),))
     assert report.status == "pass"
     assert report.details["scales"] == {"X->r": "1/2"}
@@ -504,19 +498,13 @@ def test_potential_scale_of_int_coefficients_is_exact(canonical):
     ("potential_meta", check_potential_meta, "XVV"),
 ])
 def test_potential_catches_an_extra_word(canonical, monkeypatch, name, check, word):
-    # one extra cyclic word puts a stray word into two derivatives
+    # one extra word puts a stray word into two derivatives
     good = getattr(algebra, name)
-    monkeypatch.setattr(algebra, name, lambda inst: good(inst) + NCPoly.cyclic_word(word))
+    monkeypatch.setattr(algebra, name, lambda inst: good(inst) + NCPoly.monomial(word))
     report = check(Instance(canonical))
     assert report.status == "fail"
     assert len(report.violations) == 2
     assert all(v["word"] and v["residual"] == "1/1" for v in report.violations)
-
-
-def test_potential_words_are_cyclic(canonical):
-    inst = Instance(canonical)
-    assert potential_rqhahn(inst).cyclic
-    assert potential_meta(inst).cyclic
 
 
 def test_potential_derivative_matches_relation_poly(canonical):

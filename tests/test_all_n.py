@@ -7,6 +7,7 @@ stand-in for `QParams` whose q, A, B and N are sympy symbols, `qpow` and
 `qnum` form q**(a n + b N + c), and writing T = q^n and S = q^N turns each
 coefficient into a rational function of (q, A, B, T, S).  An identity whose
 coefficients vanish in Q(q, A, B, T, S) then holds at every n and every N.
+A second index k is written K = q^k.
 sympy is a test-only dependency: the library never imports it.
 """
 
@@ -19,8 +20,8 @@ sympy = pytest.importorskip("sympy")
 from qhahn import operators  # noqa: E402
 from qhahn.operators import Basis, Operator, band_coefficients  # noqa: E402
 
-q, A, B, T, S = sympy.symbols("q A B T S")
-n, N = sympy.symbols("n N", integer=True)
+q, A, B, T, K, S = sympy.symbols("q A B T K S")
+n, k, x, N = sympy.symbols("n k x N", integer=True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,10 +39,10 @@ P = SymbolicParams(q, A, B, N)
 
 def phi_band(op, i):
     """The declared (raise, stay, lower) phi-basis coefficients of `op` at
-    the symbolic index i, as rational functions of (q, A, B, T, S)."""
-    out = [sympy.expand_power_exp(c).subs({q**n: T, q**N: S})
+    the symbolic index i, as rational functions of (q, A, B, T, K, S)."""
+    out = [sympy.expand_power_exp(c).subs({q**n: T, q**k: K, q**N: S})
            for c in band_coefficients(op, Basis.PHI, P, i)]
-    assert all(c.free_symbols <= {q, A, B, T, S} for c in out)
+    assert all(c.free_symbols <= {q, A, B, T, K, S} for c in out)
     return out
 
 
@@ -80,3 +81,47 @@ def test_a_shifted_v_coefficient_fails_for_every_n_and_N(monkeypatch):
     monkeypatch.setitem(operators._BANDS, (Operator.V, Basis.PHI),
                         lambda p, i: (*good(p, i)[:2], good(p, i)[2] + sympy.Rational(1, 7)))
     assert [r != 0 for r in factorization_residuals()] == [False, True, True]
+
+
+def gevp_residual(step_shift=0):
+    """The coefficient of phi_k in (Y - lambda_n X) U_n, divided by C_{n,k},
+    cancelled in Q(q, A, B, T, K, S).
+
+    `brf.phi_expansion` builds U_n = sum_k C_{n,k} phi_k by C_{n,k+1} / C_{n,k}
+    = (lambda_n - lambda_k) / s_{k+1}, with lambda_k and s_k the diagonal and
+    lower coefficients of V's phi band; so C_{n,k-1} / C_{n,k} = s_k /
+    (lambda_n - lambda_{k-1}).  Column m of a phi-basis matrix sends phi_m to
+    phi_{m+1}, phi_m and phi_{m-1}, so phi_k gathers the raise of column k-1,
+    the stay of column k and the lower of column k+1.  `step_shift` is added
+    to s_{k+1}, the negative control.
+    """
+    lam_n = phi_band(Operator.V, n)[1]
+    _, lam_k, s_k = phi_band(Operator.V, k)
+    lam_below = phi_band(Operator.V, k - 1)[1]
+    s_above = phi_band(Operator.V, k + 1)[2] + step_shift
+
+    def pencil(m):
+        return [y - lam_n * c for y, c in zip(phi_band(Operator.Y, m), phi_band(Operator.X, m))]
+
+    return sympy.cancel(pencil(k - 1)[0] * s_k / (lam_n - lam_below) + pencil(k)[1]
+                        + pencil(k + 1)[2] * (lam_n - lam_k) / s_above)
+
+
+def test_gevp_holds_on_the_expansion_coefficients_for_every_n_and_N():
+    # Y U_n = lambda_n X U_n, coefficient by coefficient in the phi basis
+    assert gevp_residual() == 0
+
+
+def test_a_shifted_expansion_step_fails_the_gevp_for_every_n_and_N():
+    assert gevp_residual(sympy.Rational(1, 7)) != 0
+
+
+def test_z_lowering_in_the_point_basis_is_a_ratio_of_brackets():
+    # [-x]_q / [alpha - x]_q at symbolic x, a value and not a truthiness
+    # test; at x = 0 its numerator [0]_q is 0, also at A = 1, where the
+    # denominator [alpha]_q is 0 too
+    raise_, stay, lower = band_coefficients(Operator.Z, Basis.POINT, P, x)
+    assert (raise_, stay) == (0, -1)
+    assert sympy.cancel(lower - (1 - q**-x) / (1 - A * q**-x)) == 0
+    for p in (P, SymbolicParams(q, 1, B, N)):
+        assert band_coefficients(Operator.Z, Basis.POINT, p, 0)[2] == 0

@@ -329,6 +329,25 @@ def test_partner_pencil_with_a_zero_superdiagonal_entry_reaches_null_space(monke
     assert [(v["m"], v["kind"], v["residual"]) for v in report.violations] == (
         dense_partner_violations(inst))
 
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-2, 3)])
+@pytest.mark.parametrize("N", range(2, 6))
+def test_valid_instance_with_b_equal_to_a_q_n_minus_1_passes_through_null_space(
+        monkeypatch, q, N):
+    # B = A q^(N-1): Y[1][0] carries [1 - N - alpha + beta]_q = [0]_q and
+    # lambda_0 = 0, so (Y - lambda_0 X)^T has a zero superdiagonal entry at
+    # m = 0 and no other; the dense fallback proves that kernel on its own
+    p = QParams(q, F(3), 3 * q ** (N - 1), N)
+    assert validate_params(p, N).valid
+    inst = Instance(p)
+    assert inst.ops["Y"][1][0] == 0 and inst.family.lambdas[0] == 0
+    calls = []
+    good = linalg.null_space
+    monkeypatch.setattr(linalg, "null_space", lambda a: calls.append(a) or good(a))
+    assert check_partner(inst).status == "pass"
+    assert len(calls) == 1
+
+
 def test_partner_values_from_reflection(canonical):
     # partner_n(x) is the reflected-instance U_n read backwards, times one
     # instance-wide constant

@@ -273,8 +273,7 @@ def test_no_float_reaches_the_exact_core(p, monkeypatch):
              algebra.potential_rqhahn(inst), algebra.potential_meta(inst),
              algebra.casimir_rqhahn(inst), algebra.casimir_meta(inst)]
     values = [c for poly in polys for c in poly.terms.values()]
-    values += [v for poly in polys if not poly.cyclic
-               for row in dense_evaluate_poly(poly, inst).entries for v in row]
+    values += [v for poly in polys for row in dense_evaluate_poly(poly, inst).entries for v in row]
     serialized = []
     for module in (algebra, reports):
         monkeypatch.setattr(module, "frac_str", lambda v, good=module.frac_str: (

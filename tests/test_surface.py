@@ -51,7 +51,9 @@ def test_every_reexport_is_declared_by_its_home_module():
 # the reason it stays.
 UNREACHED = {
     "linalg.null_space": "the dense fallback of `check_partner`: it proves a kernel "
-                         "dimension when a pencil has a zero superdiagonal entry",
+                         "dimension when a pencil has a zero superdiagonal entry, as "
+                         "at m = 0 of a valid instance with B = A q^(N-1), where "
+                         "Y[1][0] = [0]_q and lambda_0 = 0; no panel instance has one",
     "linalg.rref": "the full reduction, entered only through `null_space`; `solve_unique` "
                    "stops the row reducer at full column rank",
     "operators.weighted_adjoint": "public dense V*, the reference the partner tests "
