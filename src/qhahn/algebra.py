@@ -27,6 +27,7 @@ the integer kernel `evaluate_poly`, are integer rows over Fraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -438,18 +439,24 @@ def check_potential_meta(inst: Instance) -> CheckReport:
                              meta_relation_polys(inst), (("V", "XZ"), ("X", "ZV"), ("Z", "VX")))
 
 
-def _flatten(rows) -> list:
-    """The entries of `evaluate_poly` rows, row by row: a Fraction for each
-    nonzero entry and the int 0 for the others."""
-    return [Fraction(row[j], e) if j in row else 0 for row, e in rows for j in range(len(rows))]
-
-
 def _solve_relation(lhs: list, ansatz: list[list], what: str) -> list[Fraction]:
-    """The unique coefficients c with lhs = sum_i c_i ansatz_i, all `evaluate_poly`
-    rows; a dependent ansatz is a RankDeficient naming `what`."""
-    try:  # rows of the system are matrix entries, columns are ansatz members
-        return linalg.solve_unique([list(col) for col in zip(*map(_flatten, ansatz))],
-                                   _flatten(lhs))
+    """The unique coefficients c with lhs = sum_k c_k ansatz_k, all `evaluate_poly`
+    rows; a dependent ansatz is a RankDeficient naming `what`.
+
+    Each entry (i, j) that lhs or an ansatz member touches is one equation,
+    on integers: scaled by the lcm of row i's denominators.  An entry none
+    of them touches is 0 = 0, so it is never formed.
+    """
+    a, b = [], []
+    for i, (row, e) in enumerate(lhs):
+        members = [m[i] for m in ansatz]
+        lcm = math.lcm(e, *(f for _, f in members))
+        scaled = [(r, lcm // f) for r, f in members]
+        for j in sorted(set(row).union(*(r for r, _ in members))):
+            a.append([r.get(j, 0) * s for r, s in scaled])
+            b.append(row.get(j, 0) * (lcm // e))
+    try:  # columns of the system are the ansatz members
+        return linalg.solve_unique(a, b)
     except RankDeficient:
         raise RankDeficient(f"ansatz for {what} is linearly dependent at this instance") from None
 

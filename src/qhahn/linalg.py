@@ -1,7 +1,8 @@
-"""Exact linear algebra over the field of its inputs: the shared kernels.
+"""Exact linear algebra: the shared kernels.
 
-Matrices are lists of lists of field elements, row major; the code uses
-only +, -, *, / and comparison with 0.  Two ints may also appear, and
+All but `solve_unique` compute over the field of their inputs.  Matrices
+are lists of lists of field elements, row major; the code uses only
++, -, *, / and comparison with 0.  Two ints may also appear, and
 every field absorbs them: the 0 of an entry no arithmetic reached
 (`zeros`, an empty sum) and the 1 of a free `null_space` coordinate or of
 the seed of `tridiagonal_kernel`.  No division has two int operands, as
@@ -12,12 +13,13 @@ most a few dozen).  `mat_mul`, the product of `OpMatrix` (not of the word
 products of `algebra.evaluate_poly`, which are `qcore._mul_rows`), pairs
 each nonzero entry with the nonzero (column, value) pairs of one
 right-factor row, listed once per call, so a banded matrix costs
-O(bandwidth) per row.  The dense kernels (`rref`, `solve_unique`,
-`null_space`) share one Gauss-Jordan loop, `_reduce`, which takes the rows
-one at a time and skips zero entries: `rref`, and so `null_space`, reduce
-every row, and `solve_unique` stops at the row that makes the column rank
-full and checks the rows left by substituting its solution, so a tall
-system of many dependent rows costs one substitution per extra row.
+O(bandwidth) per row.  `rref`, and so `null_space`, run Gauss-Jordan
+elimination one row at a time and skip zero entries.  `solve_unique` is an
+integer kernel for ints and Fractions: it clears each row of [a | b] to
+integers once, eliminates fraction-free (Bareiss 1968) up to the row that
+makes the column rank full, and checks the rows left by substituting its
+solution on integers, so a tall system of many dependent rows costs one
+integer dot product per extra row.
 `tridiagonal_kernel` runs the fraction-free three-term recurrence of a
 tridiagonal matrix, on integers when its bands are integers, for the
 kernels of `brf.check_partner`.
@@ -26,9 +28,11 @@ kernels of `brf.check_partner`.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, Sequence
+from fractions import Fraction
+from math import gcd
+from typing import Sequence
 
-from .qcore import RankDeficient, SingularSystem
+from .qcore import QHahnError, RankDeficient, SingularSystem, over_common_denominator
 
 __all__ = ["zeros", "mat_mul", "rref", "solve_unique", "null_space", "tridiagonal_kernel"]
 
@@ -54,18 +58,11 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     return out
 
 
-def _reduce(a: Sequence[Sequence]) -> Iterator[tuple[Matrix, list[int], Vector | None]]:
-    """Gauss-Jordan elimination of the rows of `a`, one row at a time.
-
-    After each row it yields (basis, pivots, zero): the nonzero rows of the
-    reduced row echelon form of the rows taken so far, in pivot order, their
-    pivot columns, and the row just taken if it reduced to zero (else None).
-    A new row is cleared of every pivot column, scaled to 1 at its first
-    nonzero entry, and then cleared from the basis rows, so the basis stays
-    reduced after each step and the caller may stop at any row.
-    """
+def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (R, pivot column indices)."""
     basis: Matrix = []
     pivots: list[int] = []
+    zero_rows = []
     for row in a:
         row = list(row)
         for c, brow in zip(pivots, basis):
@@ -74,7 +71,7 @@ def _reduce(a: Sequence[Sequence]) -> Iterator[tuple[Matrix, list[int], Vector |
                 row = [x - f * y if y else x for x, y in zip(row, brow)]
         c = next((j for j, x in enumerate(row) if x != 0), None)
         if c is None:
-            yield basis, pivots, row
+            zero_rows.append(row)
             continue
         inv = 1 / row[c]
         row = [x * inv if x else x for x in row]
@@ -85,47 +82,60 @@ def _reduce(a: Sequence[Sequence]) -> Iterator[tuple[Matrix, list[int], Vector |
         k = bisect.bisect(pivots, c)
         pivots.insert(k, c)
         basis.insert(k, row)
-        yield basis, pivots, None
-
-
-def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    basis: Matrix = []
-    pivots: list[int] = []
-    zero_rows = []
-    for basis, pivots, zero in _reduce(a):
-        if zero is not None:
-            zero_rows.append(zero)
     return basis + zero_rows, pivots
 
 
-def solve_unique(a: Sequence[Sequence], b: Sequence) -> Vector:
-    """The unique x with a x = b, from [a | b] reduced row by row.
+def _integer_row(row: list) -> list[int]:
+    """The row times the lcm of its denominators, for ints and Fractions."""
+    kinds = set(map(type, row)) - {int}
+    for kind in kinds:
+        if not issubclass(kind, (int, Fraction)):
+            raise QHahnError(f"solve_unique takes ints and Fractions, not {kind.__name__}")
+    return over_common_denominator(row)[0] if kinds else row
 
-    Accepts rectangular (over-determined) systems.  The reduction stops at
-    the first row that brings the column rank of a to full: the basis then
-    holds x, and every row not yet taken is checked by substituting x, in
-    the field of the entries.  A column rank of a below full after all rows
-    raises RankDeficient, whether or not the system is consistent; a pivot
-    in the b column or a row that x does not satisfy then raises
-    SingularSystem.
+
+def solve_unique(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
+    """The unique x with a x = b, as Fractions, for a and b of ints and
+    Fractions; a may be rectangular (over-determined).
+
+    A new row is cleared of each pivot column by an integer combination with
+    that pivot's row, in pivot order, and its content is divided out.  A
+    column rank of a below full after all rows raises RankDeficient, whether
+    or not the system is consistent; a row that reduces to its b entry alone
+    or that x does not satisfy then raises SingularSystem.
     """
     cols = len(a[0]) if a else 0
-    rows = [list(row) + [v] for row, v in zip(a, b)]
-    full = list(range(cols))
-    basis: Matrix = []
+    rows = map(_integer_row, ([*row, v] for row, v in zip(a, b)))
+    basis: Matrix = []  # in pivot order, each row zero left of its pivot
     pivots: list[int] = []
-    taken = 0
-    for taken, (basis, pivots, _) in enumerate(_reduce(rows), 1):
-        if pivots[:cols] == full:
+    inconsistent = False
+    for row in rows:
+        for c, brow in zip(pivots, basis):
+            if f := row[c]:
+                row = [brow[c] * x - f * y for x, y in zip(row, brow)]
+        if not (g := gcd(*row)):
+            continue
+        c = next(j for j, x in enumerate(row) if x)
+        if c == cols:
+            inconsistent = True
+            continue
+        k = bisect.bisect(pivots, c)
+        pivots.insert(k, c)
+        basis.insert(k, [x // g for x in row])
+        if len(pivots) == cols:
             break
-    if pivots[:cols] != full:
+    if len(pivots) < cols:
         raise RankDeficient("solution is not unique")
-    x = [row[cols] for row in basis[:cols]]
-    if cols in pivots or any(sum(c * v for c, v in zip(row, x) if c) != row[cols]
-                             for row in rows[taken:]):
+    nums, den = [0] * cols, 1  # x = nums / den, by back substitution
+    for j in reversed(range(cols)):
+        row = basis[j]
+        t = row[cols] * den - sum(u * n for u, n in zip(row[j + 1:cols], nums[j + 1:]))
+        nums = [n * row[j] for n in nums]
+        nums[j], den = t, den * row[j]
+    if inconsistent or any(sum(u * n for u, n in zip(row, nums) if u) != row[cols] * den
+                           for row in rows):
         raise SingularSystem("system is inconsistent")
-    return x
+    return [Fraction(n, den) for n in nums]
 
 
 def null_space(a: Sequence[Sequence]) -> list[Vector]:

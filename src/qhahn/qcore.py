@@ -8,9 +8,10 @@ the checks) uses only field operations and derives every constant from the
 instance, so it computes in its field.
 The exceptions are the integer kernels, `_series_rows`,
 `brf.partial_fraction`, `brf.check_partner`, `reports.check_gram`,
-`algebra.evaluate_poly` and the banded checks of `gevp`: they take ints
-and Fractions apart with `as_integer_ratio` and work on integers, most on
-rows over one denominator (`over_common_denominator`).  The checks among
+`algebra.evaluate_poly`, `linalg.solve_unique` and the banded checks of
+`gevp`: they take ints and Fractions apart with `as_integer_ratio` and
+work on integers, most on rows over one denominator
+(`over_common_denominator`).  The checks among
 them, `check_partner`, `check_gram` and the `gevp` ones, compare through
 one kernel, `reports._residuals`.  The integer row form of a matrix is
 `_integer_rows`, each row as its nonzero entries over one denominator;

@@ -7,7 +7,7 @@ import pytest
 
 from qhahn import linalg, wilson
 from qhahn.operators import Basis, OpMatrix
-from qhahn.qcore import QParams, qpoch
+from qhahn.qcore import QHahnError, QParams, RankDeficient, SingularSystem, qpoch
 
 # Canonical instance used wherever a single generic instance suffices.
 CANONICAL = QParams(F(1, 2), F(32), F(1, 512), 3)
@@ -97,6 +97,27 @@ def tridiagonal_null_space(a):
         return []
     last = next(x for x in reversed(v) if x)
     return [[x / last for x in v]]
+
+
+def solve_by_rref(a, b):
+    """A `Fraction` solve of a x = b, the oracle of the fraction-free
+    `linalg.solve_unique`: one full `rref` of [a | b], then the rank test
+    before the consistency test."""
+    cols = len(a[0])
+    red, pivots = linalg.rref([list(row) + [v] for row, v in zip(a, b)])
+    if pivots[:cols] != list(range(cols)):
+        raise RankDeficient("solution is not unique")
+    if cols in pivots:
+        raise SingularSystem("system is inconsistent")
+    return [red[r][cols] for r in range(cols)]
+
+
+def outcome(fn, *args):
+    """What fn(*args) returns, or the class and message of the QHahnError it raises."""
+    try:
+        return fn(*args)
+    except QHahnError as exc:
+        return type(exc), str(exc)
 
 
 def identity(n, one):

@@ -28,9 +28,17 @@ from qhahn.algebra import (
 )
 from qhahn.brf import Instance
 from qhahn.operators import Basis, Operator, OpMatrix, build_operator
-from qhahn.qcore import QHahnError, QParams, _integer_rows, frac_str, qnum, qpow
+from qhahn.qcore import QHahnError, QParams, RankDeficient, _integer_rows, frac_str, qnum, qpow
 
-from conftest import CANONICAL, PANEL, SMALL_PANEL, dense_evaluate_poly, identity
+from conftest import (
+    CANONICAL,
+    PANEL,
+    SMALL_PANEL,
+    dense_evaluate_poly,
+    identity,
+    outcome,
+    solve_by_rref,
+)
 
 words = st.text(alphabet="XYZV", min_size=0, max_size=3)
 coeffs = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=6)
@@ -312,18 +320,67 @@ def test_relation_table_negative_control(canonical, monkeypatch):
         {"kind": "QHahnError", "message": "xi_8 disagrees between the ZY and YX solves"}]
 
 
+# Tampered XZ rows of the relation table: the X term dropped, so that
+# X Z - q Z X is outside the span of the rest; xi_6 declared a fixed -1; and
+# Z^2 read as the unit, which leaves X Z - q Z X in the span on the diagonal
+# and the subdiagonal, the entries the ansatz touches, and outside it on the
+# second subdiagonal, which only the left side touches.
+TAMPERED_XZ = [[(None, ("ZZ",)), (None, ("Z",))],
+               [(None, ("ZZ",)), (None, ("Z",)), (None, ("X",))],
+               [(None, ("",)), (None, ("Z",)), (6, ("X",))]]
+
+
 @pytest.mark.parametrize("xz, kind, message", [
-    # the X term dropped: X Z - q Z X is outside the span of the rest
-    ([(None, ("ZZ",)), (None, ("Z",))], "SingularSystem", "system is inconsistent"),
-    # xi_6 declared a fixed -1
-    ([(None, ("ZZ",)), (None, ("Z",)), (None, ("X",))], "QHahnError",
-     "relation XZ solved with unexpected fixed coefficients"),
+    (TAMPERED_XZ[0], "SingularSystem", "system is inconsistent"),
+    (TAMPERED_XZ[1], "QHahnError", "relation XZ solved with unexpected fixed coefficients"),
+    (TAMPERED_XZ[2], "SingularSystem", "system is inconsistent"),
 ])
 def test_solve_back_failure_is_a_violation(canonical, monkeypatch, xz, kind, message):
     monkeypatch.setattr(algebra, "_RQHAHN_RELATIONS", {**algebra._RQHAHN_RELATIONS, "XZ": xz})
     report = check_structure_constants(Instance(canonical))
     assert report.status == "fail"
     assert report.violations == [{"kind": kind, "message": message}]
+
+
+def dense_solve_relation(lhs, ansatz, what):
+    """The dense solve of one relation, the oracle of `algebra._solve_relation`:
+    every one of the (N+1)^2 entries of the `evaluate_poly` matrices is an
+    equation of a `Fraction` system, solved by `solve_by_rref`."""
+    def flatten(rows):
+        return [F(row[j], e) if j in row else 0 for row, e in rows for j in range(len(rows))]
+
+    try:
+        return solve_by_rref([list(col) for col in zip(*map(flatten, ansatz))], flatten(lhs))
+    except RankDeficient:
+        raise RankDeficient(f"ansatz for {what} is linearly dependent at this instance") from None
+
+
+@pytest.mark.parametrize("p, xz", [(p, None) for p in PANEL]
+                         + [(QParams(F(1, 2), F(3), F(1, 5), n), None) for n in range(13)]
+                         + [(CANONICAL, xz) for xz in TAMPERED_XZ]
+                         # Z^2 + Z beside Z^2 and Z: a dependent ansatz at every N
+                         + [(CANONICAL, [(None, ("ZZ",)), (None, ("Z",)), (6, ("X",)),
+                                         (None, ("ZZ", "Z"))])],
+                         ids=[f"panel{i}" for i in range(len(PANEL))]
+                         + [f"N{n}" for n in range(13)]
+                         + ["X-dropped", "xi6-fixed", "ZZ-as-unit", "dependent"])
+def test_solve_back_equals_the_dense_fraction_solve(monkeypatch, p, xz):
+    # the same solution, or the same exception class and message
+    if xz is not None:
+        monkeypatch.setattr(algebra, "_RQHAHN_RELATIONS", {**algebra._RQHAHN_RELATIONS, "XZ": xz})
+    inst = Instance(p)
+    solved = outcome(solve_structure_constants, inst)
+    monkeypatch.setattr(algebra, "_solve_relation", dense_solve_relation)
+    assert solved == outcome(solve_structure_constants, inst)
+
+
+@pytest.mark.parametrize("n, relation", [(0, "XZ"), (1, "ZY"), (2, "YX")])
+def test_solve_back_skips_a_dependent_ansatz_at_small_n(n, relation):
+    # the first relation whose ansatz is dependent names the skip
+    report = check_structure_constants(Instance(QParams(F(1, 2), F(3), F(1, 5), n)))
+    assert report.status == "skip"
+    assert report.skipped == f"ansatz for relation {relation} is linearly dependent at this instance"
+    assert report.violations == []
 
 
 def test_structure_constant_closed_forms(canonical):

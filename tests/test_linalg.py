@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from qhahn import linalg
 from qhahn.operators import Basis, GridVector, OpMatrix
-from qhahn.qcore import QParams, RankDeficient, SingularSystem
+from qhahn.qcore import QHahnError, QParams, RankDeficient, SingularSystem
 
-from conftest import identity, tridiagonal_null_space
+from conftest import identity, outcome, solve_by_rref, tridiagonal_null_space
 
 nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 any_frac = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -140,35 +140,15 @@ def test_solve_unique_checks_rank_before_consistency(a, b, exc, message):
                                [F(1), F(2), F(3)]) == [F(1), F(2)]
 
 
-
-def solve_by_rref(a, b):
-    """The former `solve_unique`: one full `rref` of [a | b], then the rank
-    test before the consistency test."""
-    cols = len(a[0])
-    red, pivots = linalg.rref([list(row) + [v] for row, v in zip(a, b)])
-    if pivots[:cols] != list(range(cols)):
-        raise RankDeficient("solution is not unique")
-    if cols in pivots:
-        raise SingularSystem("system is inconsistent")
-    return [red[r][cols] for r in range(cols)]
-
-
-def outcome(solve, a, b):
-    """The solution, or the exception class and message."""
-    try:
-        return solve(a, b)
-    except SingularSystem as exc:
-        return type(exc), str(exc)
-
-
-small = st.integers(-3, 3).map(F)
+small = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
 
 
 @st.composite
 def tall_systems(draw):
-    """a x = b with 1-10 rows and 1-4 columns of small ints; some a have a
-    column forced to a multiple of another, and b is a x, a x with one entry
-    moved (inconsistent unless a has full row rank), or drawn freely."""
+    """a x = b with 1-10 rows and 1-4 columns of small Fractions, denominators
+    1 to 3; some a have a column forced to a multiple of another, and b is
+    a x, a x with one entry moved (inconsistent unless a has full row rank),
+    or drawn freely."""
     rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 4))
     a = draw(st.lists(st.lists(small, min_size=cols, max_size=cols),
                       min_size=rows, max_size=rows))
@@ -196,22 +176,17 @@ def test_solve_unique_matches_the_full_reduction(system):
 
 @contextmanager
 def counting_rows():
-    """Count the rows `solve_unique` takes from the row reducer."""
+    """Count the rows `solve_unique` eliminates: each has its content, one
+    `gcd`, divided out, and a row checked by substitution has none."""
     taken = []
-    good = linalg._reduce
-
-    def counted(a):
-        for step in good(a):
-            taken.append(1)
-            yield step
-
+    good = linalg.gcd
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_reduce", counted)
+        mp.setattr(linalg, "gcd", lambda *row: taken.append(row) or good(*row))
         yield taken
 
 
 def test_solve_unique_stops_at_full_rank_and_substitutes_the_rest():
-    # the independent rows come last: the reduction takes every row
+    # the independent rows come last: the elimination takes every row
     a = [[F(0), F(0)], [F(1), F(1)], [F(2), F(2)], [F(1), F(0)]]
     with counting_rows() as taken:
         assert linalg.solve_unique(a, [F(0), F(2), F(4), F(3)]) == [F(3), F(-1)]
@@ -310,7 +285,6 @@ def test_the_kernels_take_the_field_of_their_inputs():
     a = both(3, 4, {(0, 1): 2, (0, 2): -1, (0, 3): 4, (1, 0): 3, (1, 1): 1, (1, 3): 5,
                     (2, 0): 3, (2, 1): 3, (2, 2): -1, (2, 3): 9})
     sq = both(3, 3, {(0, 1): 2, (0, 2): 1, (1, 0): 3, (1, 2): 1, (2, 0): 1, (2, 1): 1})
-    b = both(1, 3, {(0, 0): 1, (0, 2): 2})
     # tridiagonal with int-0 diagonal at [0][0] and [2][2]: kernel (-3, 0, 1)
     tri = both(3, 3, {(0, 1): 2, (1, 0): 1, (1, 1): 5, (1, 2): 3, (2, 1): 4})
     tri_full = both(3, 3, {(0, 1): 2, (1, 0): 1, (1, 1): 5, (1, 2): 3, (2, 1): 4, (2, 2): 1})
@@ -318,7 +292,6 @@ def test_the_kernels_take_the_field_of_their_inputs():
     runs = {
         "mat_mul": lambda i: linalg.mat_mul(sq[i], a[i]),
         "rref": lambda i: linalg.rref(a[i])[0],
-        "solve_unique": lambda i: linalg.solve_unique(sq[i], b[i][0]),
         "null_space": lambda i: linalg.null_space(a[i]),
         "tridiagonal_null_space": lambda i: [tridiagonal_null_space(m[i])
                                              for m in (tri, tri_full, zero1)],
@@ -329,6 +302,19 @@ def test_the_kernels_take_the_field_of_their_inputs():
     assert linalg.rref(a[0])[1] == linalg.rref(a[1])[1] == [0, 1]
     assert tridiagonal_null_space(tri[1]) == [[GF(-3), 0, 1]]
     assert len(linalg.null_space(a[1])) == 2
+
+
+@pytest.mark.parametrize("value", [GF(1), 1.0], ids=["GF", "float"])
+def test_solve_unique_takes_only_ints_and_fractions(value):
+    # the fraction-free kernel clears rows to integers: any other entry, in
+    # a or in b, is a QHahnError that names the kernel, not an AttributeError
+    # or a float taken as an exact binary fraction
+    for a, b in (([[value, F(1)], [F(1), 0]], [F(1), F(2)]),
+                 ([[F(1), F(0)], [F(0), F(1)]], [F(1), value])):
+        with pytest.raises(QHahnError) as info:
+            linalg.solve_unique(a, b)
+        assert str(info.value) == (
+            f"solve_unique takes ints and Fractions, not {type(value).__name__}")
 
 
 def test_grid_vectors_and_operator_matrices_take_the_field_of_their_entries():

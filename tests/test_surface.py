@@ -54,8 +54,8 @@ UNREACHED = {
                          "dimension when a pencil has a zero superdiagonal entry, as "
                          "at m = 0 of a valid instance with B = A q^(N-1), where "
                          "Y[1][0] = [0]_q and lambda_0 = 0; no panel instance has one",
-    "linalg.rref": "the full reduction, entered only through `null_space`; `solve_unique` "
-                   "stops the row reducer at full column rank",
+    "linalg.rref": "the full reduction over the field of its input, entered only through "
+                   "`null_space`; `solve_unique` eliminates on integers",
     "operators.weighted_adjoint": "public dense V*, the reference the partner tests "
                                   "compare against; no check forms it",
     "operators.basis_change": "the change to the phi basis, for the third basis of the roadmap",
