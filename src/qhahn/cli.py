@@ -137,12 +137,16 @@ def _limits_suite(config: dict, seconds: dict[str, float], entries) -> list[dict
         m_list = _section(wl, "m_list", list, [8, 12, 16, 20])
         if not all(isinstance(m, int) and not isinstance(m, bool) for m in m_list):
             raise ConfigError(f"m_list must be integers: {m_list!r}")
+        if any(m0 >= m1 for m0, m1 in zip(m_list, m_list[1:])):
+            raise ConfigError(f"m_list must be strictly increasing: {m_list!r}")
         qc = _parse_scalar(wl.get("qc", "3"))
         reports.append(_entry_report(seconds, "wilson_limit", wl.get("instance", {}), _parse_qparams,
                                      wilson.wilson_limit_check, m_list, qc))
     qt = _section(section, "qto1", dict, None)
     if qt is not None:
         h_list = [_parse_scalar(h) for h in _section(qt, "h_list", list, ["1/8", "1/16", "1/32"])]
+        if any(h0 <= h1 for h0, h1 in zip(h_list, h_list[1:])):
+            raise ConfigError(f"h_list must be strictly decreasing: {[str(h) for h in h_list]}")
         reports.append(_entry_report(seconds, "qto1_convergence", qt.get("instance", {}), _parse_hahn,
                                      wilson.qto1_convergence_check, h_list))
     return reports

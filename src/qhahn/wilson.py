@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import mpmath
-
 from .brf import bare_norm, bare_weight
 from .qcore import (
     InvalidParams,
@@ -415,6 +413,7 @@ def check_hahn_biorthogonality(hp: HahnParams) -> CheckReport:
 
 def _qto1_table(hp: HahnParams, h: Fraction, prec: int):
     """All (w, u, v, h) q-side values at q = e^h with the given precision."""
+    import mpmath
     with mpmath.workprec(prec):
         q = mpmath.exp(mpmath.mpf(h.numerator) / mpmath.mpf(h.denominator))
         A = q ** int(hp.alpha)
@@ -432,6 +431,7 @@ def qto1_convergence_check(hp: HahnParams, h_list: list[Fraction]) -> CheckRepor
     the two estimates roundoff.  An h whose roundoff is not safely below the
     deviation being measured is a violation and stays out of the order fit.
     """
+    import mpmath
     report = CheckReport(check="qto1_convergence", params=hp.as_dict())
     if hp.alpha.denominator != 1 or hp.beta.denominator != 1:
         raise InvalidParams("the q -> 1 sweep needs integer exponents")

@@ -4,7 +4,9 @@ import importlib.util
 import inspect
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as F
@@ -554,6 +556,58 @@ def test_malformed_config_shape_is_config_error(tmp_path, capsys, config, suite)
     argv = ["verify", "--config", path] + (["--suite", suite] if suite else [])
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+WILSON_LIMIT = {"instance": {"q": "1/2", "A": "8", "B": "1/32", "N": 2}}
+QTO1 = {"instance": {"alpha": "-3", "beta": "5", "N": 2}}
+
+
+@pytest.mark.parametrize("limits, message", [
+    ({"wilson": {**WILSON_LIMIT, "m_list": [20, 16, 12, 8]}}, "m_list must be strictly increasing"),
+    ({"wilson": {**WILSON_LIMIT, "m_list": [8, 12, 12, 16]}}, "m_list must be strictly increasing"),
+    ({"qto1": {**QTO1, "h_list": ["1/32", "1/16", "1/8"]}}, "h_list must be strictly decreasing"),
+    ({"qto1": {**QTO1, "h_list": ["1/8", "2/16", "1/32"]}}, "h_list must be strictly decreasing"),
+], ids=["m_list-reversed", "m_list-duplicate", "h_list-reversed", "h_list-duplicate"])
+def test_a_misordered_limit_list_is_a_config_error_naming_it(tmp_path, capsys, limits, message):
+    # a list in the wrong order would read as a limit whose deviations fail
+    # to decrease; the config is at fault, so the exit code is 2, not 1
+    config = write_config(tmp_path, {"limits": limits})
+    assert cli.main(["verify", "--config", config, "--suite", "limits"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_only_the_qto1_check_imports_mpmath(tmp_path):
+    # the exact suites and export run without mpmath; the same run with a
+    # q -> 1 entry added must load it, so the probe can fail
+    exact = {"instances": [VALID_INSTANCE],
+             "wilson_instances": [{"q": "1/2", "qa": "3", "qc": "5", "qd": "7", "qe": "11", "N": 2}],
+             "hahn_instances": [{"alpha": "-5", "beta": "9", "N": 3}],
+             "limits": {"wilson": WILSON_LIMIT}}
+    paths = [write_config(tmp_path, exact, "exact.json"),
+             write_config(tmp_path, {**exact, "limits": {"wilson": WILSON_LIMIT, "qto1": QTO1}},
+                          "qto1.json")]
+    reports = [tmp_path / "exact_report.json", tmp_path / "qto1_report.json"]
+    code = f"""
+import sys
+before = set(sys.modules)
+import qhahn, qhahn.cli
+new = {{m.split('.')[0] for m in set(sys.modules) - before}}
+print(sorted(new - set(sys.stdlib_module_names) - {{'qhahn'}}))
+print(qhahn.cli.run_verify({paths[0]!r}, None, {str(reports[0])!r}))
+print(qhahn.cli.main(['export', '--what', 'matrix', '--which', 'Z', '--params', '1/2,32,1/512,3',
+                      '--format', 'json', '--out', {str(tmp_path / 'z.json')!r}]))
+print('mpmath' in sys.modules)
+print(qhahn.cli.run_verify({paths[1]!r}, None, {str(reports[1])!r}))
+print('mpmath' in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
+    assert out.stdout.split() == ["[]", "0", "0", "False", "0", "True"]
+    [wilson_limit] = json.loads(reports[0].read_text())["suites"]["limits"]
+    assert wilson_limit["check"] == "wilson_limit" and wilson_limit["status"] == "pass"
+    [_, qto1] = json.loads(reports[1].read_text())["suites"]["limits"]
+    assert qto1["check"] == "qto1_convergence" and qto1["status"] == "pass"
 
 
 def test_report_is_deterministic(tmp_path):
