@@ -6,7 +6,7 @@ U_n is degree-n rational in the q-bracket variable with poles at the fixed
 locations [x-alpha-k]_q = 0, and is computed here along two independent
 routes (a terminating basic hypergeometric sum, `brf_u`, summed by the
 integer kernel `qcore._series_rows` that the 10phi9 and Hahn rows share,
-and the coefficient recurrence over the rational basis phi_k,
+from tables built once per instance, and the recurrence over the basis phi_k,
 `phi_expansion`, which gives the coefficients of all N+1 members at once
 and reads its eigenvalues and steps from V's phi band).
 `partial_fraction` reads the residues of U_n off its row in integer Horner
@@ -53,7 +53,6 @@ from .qcore import (
     _apply,
     _entry,
     _integer_rows,
-    _q_factor,
     _running,
     _series_rows,
     eigenvalue,
@@ -164,20 +163,15 @@ def brf_u(n: int, p: QParams) -> GridVector:
 
         3phi2(q^-n, q^{n-N} B, q^-x; q^-N, A q^-x; q, A/B),
 
-    summed at x = 0..N by the shared integer kernel `qcore._series_rows`,
-    with each base declared as a triple (c, dn, dx) for c q^{dn n + dx x}.
-    The q^-x base ends the sum at k = x and q^-n ends it at k = n.  A
-    denominator 1 - A q^d that vanishes for some d in [-N, n-1], the values
-    of k - x the untruncated sums would meet, raises ZeroDenominator,
-    whatever x it belongs to.  `phi_expansion` is the independent second
-    route.
+    summed at x = 0..N by the shared integer kernel `qcore._series_rows` from
+    the tables `QParams._row_tables`, built once per instance, with the
+    prefactor folded in.  The q^-x base ends the sum at k = x and q^-n at
+    k = n.  A denominator 1 - A q^d that vanishes for some d in [-N, n-1]
+    raises ZeroDenominator, whatever x it belongs to.  `phi_expansion` is
+    the independent second route.
     """
     pref = u_prefactor(n, p)  # raises InvalidParams for n outside 0..N
-    q, N = p.q, p.N
-    rows = _series_rows([(1, -1, 0), (qpow(p, -N, 0, 1), 1, 0), (1, 0, -1)],
-                        [(q, 0, 0), (qpow(p, -N), 0, 0), (p.A, 0, -1)],
-                        _q_factor(q), p.A / p.B, [(1, 1)] * (n + 1), n, N)
-    return GridVector(tuple(pref * v for v in rows), p)
+    return GridVector(tuple(_series_rows(p._row_tables, n, pref)), p)
 
 
 @dataclass(frozen=True)
@@ -198,7 +192,8 @@ def partner_family(p: QParams) -> tuple[GridVector, ...]:
     """Grid values of the partner family, partner_m(x) = `partner_scale(p)`
     U_m(N - x) at `reflected_params(p)`, for m = 0..N."""
     refl, c = reflected_params(p), partner_scale(p)
-    return tuple(GridVector(tuple(c * v for v in reversed(brf_u(m, refl).values)), p)
+    return tuple(GridVector(tuple(reversed(_series_rows(refl._row_tables, m,
+                                                        c * u_prefactor(m, refl)))), p)
                  for m in range(p.N + 1))
 
 

@@ -32,7 +32,9 @@ instance alive) and stays out of its ==, hash, repr and `as_dict`.
 and division on their arguments, so the same code runs over Fraction and
 over mpmath floats.  `_series_rows` is the one integer Horner kernel of the
 three terminating series, U_n's 3phi2 (`brf.brf_u`), the 10phi9 and the
-Hahn 3F2 (`wilson`); each declares its bases and calls it once per row.
+Hahn 3F2 (`wilson`): each parameter class keeps the `_series_tables` of its
+series as `_row_tables`, built once per object like `qpow`'s, and each row
+is one call.  It takes ints and Fractions only.
 """
 
 from __future__ import annotations
@@ -204,6 +206,14 @@ class QParams(_ExactParams):
         q, B, N = self.q, self.B, self.N
         return _running(q**0, ((1 - q**(n - 1 - N), 1 - q**-n / B) for n in range(1, N + 1)))
 
+    @cached_property
+    def _row_tables(self) -> tuple:
+        """The `_series_tables` of `brf.brf_u`'s 3phi2, base c q^{dn n + dx x} as (c, dn, dx)."""
+        q, N = self.q, self.N
+        return _series_tables([(1, -1, 0), (qpow(self, -N, 0, 1), 1, 0), (1, 0, -1)],
+                              [(q, 0, 0), (qpow(self, -N), 0, 0), (self.A, 0, -1)],
+                              q, self.A / self.B, N)
+
 
 def _running(start, steps) -> list:
     """[start, ...] by the ratios num/den of `steps` (num, den, *tested), up to a zero factor."""
@@ -310,67 +320,91 @@ def phi_series(num: Sequence, den: Sequence, z, q, terms: int):
     return total
 
 
-def _series_rows(num, den, factor, z, weights, n: int, N: int) -> list[Fraction]:
-    """The terminating sums  sum_{k <= n} w_k t_k  at x = 0..N, where t_0 = 1 and
+def _pair(v) -> tuple[int, int]:
+    """v as an integer pair, for an int or a Fraction, the types `_series_rows` takes."""
+    if not isinstance(v, (int, Fraction)):
+        raise QHahnError(f"_series_rows takes ints and Fractions, not {type(v).__name__}")
+    return v.as_integer_ratio()
 
-        t_{k+1} / t_k = z prod_num factor(c, d) / prod_den factor(c, d),
 
-    d = k + dn n + dx x for each base (c, dn, dx), dn and dx in {-1, 0, 1};
-    `den` holds the k! base.  `factor` and the weights w_0..w_n are integer
-    pairs.  The ratio is z times one table per dx, indexed by k + dx x, of
-    pairs, each entry reduced once by one gcd after its factors are
-    multiplied.  Each sum stops at its first zero ratio and is summed in
-    Horner form, w_0 + rho_0 (w_1 + rho_1 (...)), on integers, reduced once.
-    A tabulated denominator factor that vanishes raises ZeroDenominator,
-    whatever x it belongs to.
+def _factor(q, c, d: int) -> tuple[int, int]:
+    """1 - c q^d, the factor of a basic series, or c + d, that of an ordinary
+    one (q None), as an unreduced integer pair."""
+    cn, cd = _pair(c)
+    if q is None:
+        return cn + d * cd, cd
+    qn, qd = _pair(q)
+    up, down = (qn**d, qd**d) if d >= 0 else (qd**-d, qn**-d)
+    return cd * down - cn * up, cd * down
+
+
+def _ratios(tables, i: int, length: int) -> list[tuple[int, int]]:
+    """[prod_s tables[s][k + s i] for k < length] as integer pairs, each
+    reduced once by one gcd, up to the first zero."""
+    out = []
+    for k in range(length):
+        pn = pd = 1
+        for s, table in tables.items():
+            tn, td = table[k + s * i]
+            pn, pd = pn * tn, pd * td
+        if not pn:
+            break
+        out.append((pn // (g := math.gcd(pn, pd)), pd // g))
+    return out
+
+
+def _series_tables(num, den, q, z, N: int, weights=None) -> tuple:
+    """The tables, built once per parameter object, that `_series_rows` sums
+    the rows n = 0..N of one terminating series from.  Its term ratio
+    t_{k+1} / t_k = z prod_num `_factor`(q, c, d) / prod_den `_factor`(q, c, d),
+    with d = k + dn n + dx x for each base (c, dn, dx), dn, dx in {-1, 0, 1}
+    not both nonzero, splits as alpha_n(k) beta_x(k): one table per dn by
+    k + dn n, z in the dn = 0 one, and for every x the `_ratios` of one table
+    per dx.  `den` holds the k! base; the weights w_0..w_N (all 1 if None) are
+    integer pairs.  A vanishing denominator factor is only recorded here.
     """
-    if n == 0:
-        return [Fraction(*weights[0])] * (N + 1)
-    tables = {0: dict.fromkeys(range(n), z.as_integer_ratio())}  # dx -> {k + dx x: pair}
+    parts, zeros = ({0: dict.fromkeys(range(N), _pair(z))}, {}), []  # n-, x-part: s -> d -> pair
     for bases, below in ((num, False), (den, True)):
         for c, dn, dx in bases:
-            table = tables.setdefault(dx, {})
-            for e in range(min(0, dx * N), n + max(0, dx * N)):
-                fn, fd = factor(c, e + dn * n)
-                if below:
-                    if not fn:
-                        raise ZeroDenominator(f"series denominator vanishes at n={n}: "
-                                              f"base ({c}, {dn}, {dx}) at k + {dx} x = {e}")
-                    fn, fd = fd, fn
-                tn, td = table.get(e, (1, 1))
-                table[e] = (tn * fn, td * fd)
-    for table in tables.values():
-        for e, (tn, td) in table.items():
-            g = math.gcd(tn, td)
-            table[e] = (tn // g, td // g)
-    rows = []
-    for x in range(N + 1):
-        rhos = []
-        for k in range(n):
-            rn = rd = 1
-            for dx, table in tables.items():
-                tn, td = table[k + dx * x]
-                rn, rd = rn * tn, rd * td
-            if not rn:
-                break
-            rhos.append((rn, rd))
-        top, bottom = weights[len(rhos)]
-        for (rn, rd), (wn, wd) in zip(reversed(rhos), reversed(weights[:len(rhos)])):
-            top, bottom = wn * rd * bottom + wd * rn * top, wd * rd * bottom
-        rows.append(Fraction(top, bottom))
+            if dn and dx:
+                raise QHahnError(f"series base ({c}, {dn}, {dx}) depends on both n and x")
+            table = parts[bool(dx)].setdefault(s := dn or dx, {})
+            for d in range(min(0, s * N), N + max(0, s * N)):
+                fn, fd = _factor(q, c, d)
+                if below and not fn:
+                    zeros.append((c, dn, dx, d))
+                tn, td = table.get(d, (1, 1))
+                table[d] = (tn * fd, td * fn) if below else (tn * fn, td * fd)
+    return N, parts[0], [_ratios(parts[1], x, N) for x in range(N + 1)], zeros, weights
+
+
+def _series_rows(tables, n: int, scale) -> list[Fraction]:
+    """Row n of a series of `_series_tables`: scale sum_{k <= n} w_k t_k at
+    x = 0..N, each in Horner form w_0 + rho_0 (w_1 + rho_1 (...)) on integers
+    up to its first zero ratio, as one Fraction.  A tabulated denominator that
+    vanishes at some k < n raises ZeroDenominator, whatever x it belongs to;
+    a row below it is still summed."""
+    N, alphas, betas, zeros, weights = tables
+    sn, sd = _pair(scale)
+    for c, dn, dx, d in zeros:  # d - dn n is k + dx x
+        if n and min(0, dx * N) <= d - dn * n < n + max(0, dx * N):
+            raise ZeroDenominator(f"series denominator vanishes at n={n}: "
+                                  f"base ({c}, {dn}, {dx}) at k + {dx} x = {d - dn * n}")
+    alpha, rows = _ratios(alphas, n, n), []
+    for beta in betas:
+        m = min(len(alpha), len(beta))
+        pairs = zip(reversed(alpha[:m]), reversed(beta[:m]))
+        if weights:
+            top, bottom = weights[m]
+            for ((an, ad), (bn, bd)), (wn, wd) in zip(pairs, reversed(weights[:m])):
+                top, bottom = wn * ad * bd * bottom + wd * an * bn * top, wd * ad * bd * bottom
+        else:
+            top = bottom = 1
+            for (an, ad), (bn, bd) in pairs:
+                rb = ad * bd * bottom
+                top, bottom = rb + an * bn * top, rb
+        rows.append(Fraction(sn * top, sd * bottom))
     return rows
-
-
-def _q_factor(q):
-    """The `_series_rows` factor of a basic series: 1 - c q^d as an unreduced
-    integer pair."""
-    qn, qd = q.as_integer_ratio()
-
-    def factor(c, d):
-        cn, cd = c.as_integer_ratio()
-        up, down = (qn**d, qd**d) if d >= 0 else (qd**-d, qn**-d)
-        return cd * down - cn * up, cd * down
-    return factor
 
 
 @dataclass(frozen=True)

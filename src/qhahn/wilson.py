@@ -3,13 +3,13 @@
 The family u_n, v_n is biorthogonal on x = 0..N against the weight w_x,
 with diagonal norms h_n, all in exact rational arithmetic; w_x and h_n are
 running products over x and n, built once per parameter object.  Each of
-the 15 bases of the 10phi9 is c q^{dn n + dx x}, dn, dx in {-1, 0, 1},
-declared once in `WilsonParams._series_bases`, so its term ratio is q times
-a part tabulated in k and one part per dx tabulated in k + dx x.  The kernel
-`qcore._series_rows` sums a whole row u_n(0..N) from those tables in integer
-Horner form, with the very-well-poised factor (1 - h q^{2k}) / (1 - h),
-h = qa/qe, as the weight.  The q = 1 Hahn 3F2, weight and norms are built
-the same ways, and `brf.brf_u`'s 3phi2 goes through the same kernel.
+the 15 bases of the 10phi9 is c q^{dn n + dx x}, dn, dx in {-1, 0, 1}, dn dx = 0,
+declared once in `WilsonParams._series_bases`, so its term ratio is a part
+in k + dn n times a part in k + dx x, both tabulated once per parameter object
+(`WilsonParams._row_tables`).  The kernel `qcore._series_rows` sums a whole
+row u_n(0..N) from them in integer Horner form, with the very-well-poised
+factor (1 - h q^{2k}) / (1 - h), h = qa/qe, as the weight.  The q = 1 Hahn
+3F2, weight and norms are built the same ways, and so is `brf.brf_u`'s 3phi2.
 
 Two degenerations are verified.  Sending qa -> infinity along qa = q^{-m}
 (|q| < 1) collapses the family onto the rational functions of the brf
@@ -37,9 +37,10 @@ from .qcore import (
     ZeroDenominator,
     _entry,
     _ExactParams,
-    _q_factor,
+    _factor,
     _running,
     _series_rows,
+    _series_tables,
     frac_str,
     phi_series,
     qpoch,
@@ -122,6 +123,15 @@ class WilsonParams(_ExactParams):
         return tuple(out)
 
     @cached_property
+    def _row_tables(self) -> tuple:
+        """The `_series_tables` of u_n and v_n: each `_series_bases` entry with (q; q)_k,
+        z = q and the weights 1 - h q^{2k}, which `_wilson_rows` divides by 1 - h."""
+        q = self.q
+        return tuple(_series_tables(num, [(q, 0, 0), *den], q, q, self.N,
+                                    [_factor(q, h, 2 * k) for k in range(self.N + 1)])
+                     for h, num, den in self._series_bases)
+
+    @cached_property
     def _weights(self) -> list[Fraction]:
         """The `_running` table of `wilson_weight`, stepped by (qa^2, `_weight_pairs`)."""
         q, qa = self.q, self.qa
@@ -199,24 +209,20 @@ def wilson_weight(x: int, wp: WilsonParams) -> Fraction:
     return _entry(wp._weights, x, wp.N, "grid point x", "weight denominator vanishes")
 
 
-def _wilson_rows(n: int, wp: WilsonParams, h, num, den) -> list[Fraction]:
-    """The 10phi9 of one `WilsonParams._series_bases` entry at x = 0..N, with
-    (q; q)_k and z = q, and the very-well-poised factor (1 - h q^{2k}) / (1 - h)
-    as the Horner weight."""
+def _wilson_rows(n: int, wp: WilsonParams, i: int) -> list[Fraction]:
+    """Row n of `WilsonParams._row_tables`[i], the weights divided by 1 - h."""
+    h = wp._series_bases[i][0]
     if h == 1:
         raise ZeroDenominator("very-well-poised head vanishes")
-    factor = _q_factor(wp.q)
-    hn, hd = factor(h, 0)
-    weights = [(wn * hd, wd * hn) for wn, wd in (factor(h, 2 * k) for k in range(n + 1))]
-    return _series_rows(num, [(wp.q, 0, 0), *den], factor, wp.q, weights, n, wp.N)
+    return _series_rows(wp._row_tables[i], n, 1 / (1 - h))
 
 
 def wilson_u(n: int, wp: WilsonParams) -> list[Fraction]:
-    return _wilson_rows(n, wp, *wp._series_bases[0])
+    return _wilson_rows(n, wp, 0)
 
 
 def wilson_v(n: int, wp: WilsonParams) -> list[Fraction]:
-    return _wilson_rows(n, wp, *wp._series_bases[1])
+    return _wilson_rows(n, wp, 1)
 
 
 def wilson_h(n: int, wp: WilsonParams) -> Fraction:
@@ -352,6 +358,16 @@ class HahnParams(_ExactParams):
             raise InvalidParams("norm denominator vanishes")
 
     @cached_property
+    def _row_tables(self) -> tuple:
+        """The `_series_tables` of the 3F2 of u_n and of its partner v_n, (1)_k
+        first below, each parameter a triple (c, dn, dx) for c + dn n + dx x."""
+        a, b, N = self.alpha, self.beta, self.N
+        top, bottom = [(0, -1, 0), (b - N, 1, 0)], [(1, 0, 0), (-N, 0, 0)]
+        return tuple(_series_tables(num, den, None, 1, N)
+                     for num, den in ((top + [(0, 0, -1)], bottom + [(a, 0, -1)]),
+                                      (top + [(-N, 0, 1)], bottom + [(b - a + 2 - N, 0, 1)])))
+
+    @cached_property
     def _weights(self) -> list[Fraction]:
         """The `_running` table of `hahn_weight`."""
         a, b, N = self.alpha, self.beta, self.N
@@ -376,27 +392,12 @@ def hahn_weight(x: int, hp: HahnParams) -> Fraction:
     return _entry(hp._weights, x, hp.N, "grid point x", "weight denominator vanishes")
 
 
-def _hahn_bases(hp: HahnParams):
-    """The top and bottom parameters of the 3F2 of u_n and of its partner
-    v_n, (1)_k first below, each a triple (c, dn, dx) for c + dn n + dx x."""
-    a, b, N = hp.alpha, hp.beta, hp.N
-    top, bottom = [(0, -1, 0), (b - N, 1, 0)], [(1, 0, 0), (-N, 0, 0)]
-    return ((top + [(0, 0, -1)], bottom + [(a, 0, -1)]),
-            (top + [(-N, 0, 1)], bottom + [(b - a + 2 - N, 0, 1)]))
-
-
-def _shifted(c, d):
-    """The `_series_rows` factor of an ordinary series: c + d as an integer pair."""
-    cn, cd = c.as_integer_ratio()
-    return cn + d * cd, cd
-
-
 def hahn_u(n: int, hp: HahnParams) -> list[Fraction]:
-    return _series_rows(*_hahn_bases(hp)[0], _shifted, 1, [(1, 1)] * (n + 1), n, hp.N)
+    return _series_rows(hp._row_tables[0], n, 1)
 
 
 def hahn_v(n: int, hp: HahnParams) -> list[Fraction]:
-    return _series_rows(*_hahn_bases(hp)[1], _shifted, 1, [(1, 1)] * (n + 1), n, hp.N)
+    return _series_rows(hp._row_tables[1], n, 1)
 
 
 def hahn_h(n: int, hp: HahnParams) -> Fraction:

@@ -1,13 +1,22 @@
 import functools
 import importlib.util
+import math
 import pathlib
 from fractions import Fraction as F
 
 import pytest
 
-from qhahn import linalg, wilson
+from qhahn import brf, linalg, wilson
 from qhahn.operators import Basis, OpMatrix
-from qhahn.qcore import QHahnError, QParams, RankDeficient, SingularSystem, qpoch
+from qhahn.qcore import (
+    QHahnError,
+    QParams,
+    RankDeficient,
+    SingularSystem,
+    ZeroDenominator,
+    qpoch,
+    qpow,
+)
 
 # Canonical instance used wherever a single generic instance suffices.
 CANONICAL = QParams(F(1, 2), F(32), F(1, 512), 3)
@@ -160,3 +169,106 @@ def count_builds(monkeypatch, cls, name: str, calls: list) -> None:
 @pytest.fixture
 def canonical():
     return CANONICAL
+
+
+def former_series_rows(num, den, factor, z, weights, n: int, N: int) -> list[F]:
+    """The series kernel as it was when every row rebuilt its tables: the
+    oracle of `qcore._series_tables` and `qcore._series_rows`.
+
+    The terminating sums  sum_{k <= n} w_k t_k  at x = 0..N, where t_0 = 1 and
+
+        t_{k+1} / t_k = z prod_num factor(c, d) / prod_den factor(c, d),
+
+    d = k + dn n + dx x for each base (c, dn, dx); `den` holds the k! base.
+    `factor` and the weights w_0..w_n are integer pairs.  The ratio is z times
+    one table per dx, indexed by k + dx x, built for this row alone.  Each sum
+    stops at its first zero ratio and is summed in Horner form on integers.
+    A tabulated denominator factor that vanishes raises ZeroDenominator,
+    whatever x it belongs to.
+    """
+    if n == 0:
+        return [F(*weights[0])] * (N + 1)
+    tables = {0: dict.fromkeys(range(n), z.as_integer_ratio())}  # dx -> {k + dx x: pair}
+    for bases, below in ((num, False), (den, True)):
+        for c, dn, dx in bases:
+            table = tables.setdefault(dx, {})
+            for e in range(min(0, dx * N), n + max(0, dx * N)):
+                fn, fd = factor(c, e + dn * n)
+                if below:
+                    if not fn:
+                        raise ZeroDenominator(f"series denominator vanishes at n={n}: "
+                                              f"base ({c}, {dn}, {dx}) at k + {dx} x = {e}")
+                    fn, fd = fd, fn
+                tn, td = table.get(e, (1, 1))
+                table[e] = (tn * fn, td * fd)
+    for table in tables.values():
+        for e, (tn, td) in table.items():
+            g = math.gcd(tn, td)
+            table[e] = (tn // g, td // g)
+    rows = []
+    for x in range(N + 1):
+        rhos = []
+        for k in range(n):
+            rn = rd = 1
+            for dx, table in tables.items():
+                tn, td = table[k + dx * x]
+                rn, rd = rn * tn, rd * td
+            if not rn:
+                break
+            rhos.append((rn, rd))
+        top, bottom = weights[len(rhos)]
+        for (rn, rd), (wn, wd) in zip(reversed(rhos), reversed(weights[:len(rhos)])):
+            top, bottom = wn * rd * bottom + wd * rn * top, wd * rd * bottom
+        rows.append(F(top, bottom))
+    return rows
+
+
+def former_q_factor(q):
+    """The factor of a basic series for `former_series_rows`: 1 - c q^d."""
+    qn, qd = q.as_integer_ratio()
+
+    def factor(c, d):
+        cn, cd = c.as_integer_ratio()
+        up, down = (qn**d, qd**d) if d >= 0 else (qd**-d, qn**-d)
+        return cd * down - cn * up, cd * down
+    return factor
+
+
+def former_brf_u(n, p):
+    """The values of `brf.brf_u` by `former_series_rows`, times the prefactor."""
+    pref, q, N = brf.u_prefactor(n, p), p.q, p.N
+    rows = former_series_rows([(1, -1, 0), (qpow(p, -N, 0, 1), 1, 0), (1, 0, -1)],
+                              [(q, 0, 0), (qpow(p, -N), 0, 0), (p.A, 0, -1)],
+                              former_q_factor(q), p.A / p.B, [(1, 1)] * (n + 1), n, N)
+    return [pref * v for v in rows]
+
+
+def former_partner_family(p):
+    """The values of `brf.partner_family` from `former_brf_u` at the reflected instance."""
+    refl, c = brf.reflected_params(p), brf.partner_scale(p)
+    return [[c * v for v in reversed(former_brf_u(m, refl))] for m in range(p.N + 1)]
+
+
+def former_wilson_row(n, wp, role):
+    """Row n of u (role 0) or v (role 1) of a 10phi9 by `former_series_rows`,
+    from `WilsonParams._series_bases`, with the very-well-poised factor
+    (1 - h q^{2k}) / (1 - h) as the weight."""
+    h, num, den = wp._series_bases[role]
+    if h == 1:
+        raise ZeroDenominator("very-well-poised head vanishes")
+    factor = former_q_factor(wp.q)
+    hn, hd = factor(h, 0)
+    weights = [(wn * hd, wd * hn) for wn, wd in (factor(h, 2 * k) for k in range(n + 1))]
+    return former_series_rows(num, [(wp.q, 0, 0), *den], factor, wp.q, weights, n, wp.N)
+
+
+def former_hahn_row(n, hp, role):
+    """Row n of u (role 0) or v (role 1) of the Hahn 3F2 by `former_series_rows`,
+    each parameter a triple (c, dn, dx) for c + dn n + dx x, (1)_k first below."""
+    a, b, N = hp.alpha, hp.beta, hp.N
+    top, bottom = [(0, -1, 0), (b - N, 1, 0)], [(1, 0, 0), (-N, 0, 0)]
+    num, den = ((top + [(0, 0, -1)], bottom + [(a, 0, -1)]),
+                (top + [(-N, 0, 1)], bottom + [(b - a + 2 - N, 0, 1)]))[role]
+    return former_series_rows(num, den, lambda c, d: (c.numerator + d * c.denominator,
+                                                      c.denominator),
+                              1, [(1, 1)] * (n + 1), n, N)

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -9,7 +10,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhahn import brf, qcore, wilson
-from qhahn.qcore import InvalidParams, QParams, ZeroDenominator, frac_str, phi_series, qpoch
+from qhahn.qcore import (
+    InvalidParams,
+    QHahnError,
+    QParams,
+    ZeroDenominator,
+    frac_str,
+    phi_series,
+    qpoch,
+    validate_params,
+)
 from qhahn.wilson import (
     HahnParams,
     WilsonParams,
@@ -35,6 +45,11 @@ from conftest import (
     NORM_REVERSIONS,
     WORKLOAD_SEEDS,
     count_builds,
+    former_brf_u,
+    former_hahn_row,
+    former_partner_family,
+    former_wilson_row,
+    outcome,
     revert_norm_correction,
     wilson_workload,
 )
@@ -553,7 +568,7 @@ def _unguarded(cls, **fields):
     return obj
 
 
-@pytest.mark.parametrize("row, params, n", [
+VANISHING_DENOMINATORS = [
     # qa qc = q^-1: the constant factor 1 - qa qc q^k vanishes at k = 1
     (wilson_u, _unguarded(WilsonParams, q=F(1, 2), qa=F(3), qc=F(2, 3), qd=F(7), qe=F(11), N=3), 2),
     # qa/qe = q^-2: the x-part 1 - q^{1+k+x} qa/qe vanishes at k + x = 1
@@ -566,8 +581,21 @@ def _unguarded(cls, **fields):
     (hahn_v, _unguarded(HahnParams, alpha=F(1, 2), beta=F(1, 2), N=3), 1),
     # A = q^-1: the bottom 1 - A q^{k-x} of U_n's 3phi2 vanishes at k - x = 1
     (brf.brf_u, QParams(F(1, 2), F(2), F(1, 5), 3), 2),
-], ids=["wilson_u-constant", "wilson_u-x-part", "wilson_v-constant", "hahn_u", "hahn_v",
-        "brf_u"])
+]
+VANISHING_IDS = ["wilson_u-constant", "wilson_u-x-part", "wilson_v-constant", "hahn_u", "hahn_v",
+                 "brf_u"]
+
+# Each row function and its `former_series_rows` oracle, as (n, params) -> values.
+FORMER_ROWS = {
+    wilson_u: lambda n, wp: former_wilson_row(n, wp, 0),
+    wilson_v: lambda n, wp: former_wilson_row(n, wp, 1),
+    hahn_u: lambda n, hp: former_hahn_row(n, hp, 0),
+    hahn_v: lambda n, hp: former_hahn_row(n, hp, 1),
+    brf.brf_u: former_brf_u,
+}
+
+
+@pytest.mark.parametrize("row, params, n", VANISHING_DENOMINATORS, ids=VANISHING_IDS)
 def test_a_vanishing_denominator_is_a_zero_denominator(row, params, n):
     # the guards reject these instances; past them, a tabulated denominator
     # that vanishes for some k < n raises ZeroDenominator, not ZeroDivisionError,
@@ -575,6 +603,102 @@ def test_a_vanishing_denominator_is_a_zero_denominator(row, params, n):
     with pytest.raises(ZeroDenominator, match="series denominator vanishes"):
         row(n, params)
     assert len(list(row(n - 1, params))) == params.N + 1
+
+
+@pytest.mark.parametrize("row, params, n", VANISHING_DENOMINATORS, ids=VANISHING_IDS)
+def test_a_vanishing_denominator_raises_the_former_kernels_message(row, params, n):
+    # the row that reads the vanishing factor raises the per-row kernel's
+    # exact message, and the row below has its values
+    expected = outcome(FORMER_ROWS[row], n, params)
+    assert expected[0] is ZeroDenominator
+    assert outcome(row, n, params) == expected
+    assert list(row(n - 1, params)) == FORMER_ROWS[row](n - 1, params)
+
+
+def seeded_qparams(seed: int, q: F, N: int) -> QParams:
+    """A generic q-Hahn instance drawn the way the benchmark draws its
+    `large_n` one (A, B signed ratios of distinct odd primes), at a given q."""
+    rng = random.Random(seed)
+    while True:
+        a, b = rng.sample((3, 5, 7, 11), 2)
+        p = QParams(q, F(rng.choice((1, -1)) * a), F(rng.choice((1, -1)), b), N)
+        if validate_params(p, N).valid:
+            return p
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-1, 2), F(2), F(-2)], ids=str)
+@pytest.mark.parametrize("seed", WORKLOAD_SEEDS)
+def test_qhahn_rows_equal_the_former_kernel_at_workload_size(seed, q):
+    # every row of U_n and of the partner family at N = 24, as equal Fractions
+    p = seeded_qparams(seed, q, 24)
+    assert [list(brf.brf_u(n, p)) for n in range(p.N + 1)] == [
+        former_brf_u(n, p) for n in range(p.N + 1)]
+    assert [list(v) for v in brf.partner_family(p)] == former_partner_family(p)
+
+
+@pytest.mark.parametrize("seed", WORKLOAD_SEEDS)
+def test_wilson_and_hahn_rows_equal_the_former_kernel_at_workload_size(seed):
+    # the benchmark's 10phi9 (N = 10) and Hahn (N = 16) instances and its
+    # limit path at m = 8..20
+    wps, hps, limit, _, qc = wilson_workload(seed)
+    for wp in wps + [induced_wilson_params(limit, m, qc) for m in range(8, 21)]:
+        for row in (wilson_u, wilson_v):
+            for n in range(wp.N + 1):
+                assert row(n, wp) == FORMER_ROWS[row](n, wp), (wp, n)
+    for hp in hps:
+        for row in (hahn_u, hahn_v):
+            for n in range(hp.N + 1):
+                assert row(n, hp) == FORMER_ROWS[row](n, hp), (hp, n)
+
+
+def test_a_base_depending_on_both_n_and_x_is_rejected():
+    # the kernel splits each term ratio into an n-part and an x-part
+    q = F(1, 2)
+    with pytest.raises(QHahnError, match=r"series base \(3, 1, -1\) depends on both n and x"):
+        qcore._series_tables([(1, -1, 0), (3, 1, -1)], [(q, 0, 0)], q, q, 3)
+
+
+def test_the_series_kernel_takes_only_ints_and_fractions():
+    # a float q would otherwise be read as the binary fraction it stores
+    p = _unguarded(QParams, q=0.5, A=F(3), B=F(1, 5), N=3)
+    with pytest.raises(QHahnError, match="_series_rows takes ints and Fractions, not float"):
+        brf.brf_u(1, p)
+    tables = QParams(F(1, 2), F(3), F(1, 5), 3)._row_tables
+    with pytest.raises(QHahnError, match="_series_rows takes ints and Fractions, not float"):
+        qcore._series_rows(tables, 1, 0.5)
+
+
+def test_row_tables_are_built_once_per_instance_and_series(monkeypatch):
+    # one build per parameter object across the family, later rows and the
+    # Gram tables, one `_series_tables` call per series; the partner family
+    # builds its reflected instance's
+    built, series = [], []
+    for cls in (QParams, WilsonParams, HahnParams):
+        count_builds(monkeypatch, cls, "_row_tables", built)
+    for module in (qcore, wilson):
+        monkeypatch.setattr(module, "_series_tables",
+                            functools.partial(lambda good, *a: series.append(1) or good(*a),
+                                              module._series_tables))
+    fresh = (lambda: QParams(F(1, 2), F(-5), F(1, 7), 6),
+             lambda: WilsonParams(F(1, 2), F(3), F(5), F(7), F(11), 4),
+             lambda: HahnParams(F(-7), F(12), 6))
+    p, wp, hp = (make() for make in fresh)
+    brf.brf_family(p)
+    for n in range(p.N + 1):
+        brf.brf_u(n, p)
+    assert (len(built), len(series)) == (1, 1)
+    brf.partner_family(p)
+    assert (len(built), len(series)) == (2, 2)
+    for _ in range(2):
+        wilson._table(wilson_weight, wilson_u, wilson_v, wilson_h, wp.N, wp)
+        wilson._table(hahn_weight, hahn_u, hahn_v, hahn_h, hp.N, hp)
+    assert (len(built), len(series)) == (4, 6)
+    # the tables live on the object and stay out of ==, hash, repr and as_dict
+    for obj, make in zip((p, wp, hp), fresh):
+        twin = make()
+        assert "_row_tables" in vars(obj) and "_row_tables" not in vars(twin)
+        assert (obj, hash(obj), repr(obj), obj.as_dict()) == (twin, hash(twin), repr(twin),
+                                                              twin.as_dict())
 
 
 @pytest.mark.parametrize("row, params", [
