@@ -55,6 +55,5 @@ from .brf import (
     reflected_params,
     weight_vector,
 )
-from .gevp import check_factorization
 
 __version__ = "0.1.0"

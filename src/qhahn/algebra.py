@@ -39,12 +39,13 @@ from .qcore import (
     QParams,
     RankDeficient,
     _mul_rows,
+    _sub_rows,
     _sum_rows,
     frac_str,
     qnum,
     qpow,
 )
-from .reports import CheckReport, _flag_worst
+from .reports import CheckReport, _flag_worst, _fractions
 
 __all__ = [
     "NCPoly",
@@ -160,11 +161,6 @@ def evaluate_poly(poly: NCPoly, inst: Instance) -> list[tuple[dict[int, int], in
     return [_sum_rows([(*c.as_integer_ratio(), prods[w][i])
                        for w, c in poly.terms.items() if prods[w][i][0]])
             for i in range(inst.p.N + 1)]
-
-
-def _fractions(rows) -> list[Fraction]:
-    """The nonzero entries of integer rows as Fractions."""
-    return [Fraction(v, e) for row, e in rows for v in row.values()]
 
 
 @dataclass(frozen=True)
@@ -351,8 +347,7 @@ def _casimir_report(check: str, inst: Instance, casimir: NCPoly,
     for g in generators:
         left, right = _mul_rows(q_rows, inst.op_rows[g]), _mul_rows(inst.op_rows[g], q_rows)
         if left != right:
-            _flag_worst(report, _fractions(_sum_rows([(1, 1, a), (-1, 1, b)])
-                                           for a, b in zip(left, right)), generator=g)
+            _flag_worst(report, _fractions(_sub_rows(left, right)), generator=g)
     diag = [Fraction(row.get(i, 0), e) for i, (row, e) in enumerate(q_rows)]
     report.details["diagonal"] = [frac_str(v) for v in diag]
     report.details["is_scalar"] = len(set(diag)) == 1 and all(

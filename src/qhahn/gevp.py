@@ -7,7 +7,8 @@ x-dependent eigenvalue -[x-alpha]_q.  Both reduce to the tridiagonal
 actions of X, Y, Z on the U_n basis with the mu coefficient table.
 
 The factorization Y = X V of the pencil is checked here too, in both
-bases.
+bases, as a product of integer rows (`qcore._mul_rows`), with a
+forward-substitution oracle on the dense Fraction rows.
 
 The five banded checks run on `Instance.family_rows`, `Instance.op_rows`
 and the `Instance.mu` table: each identity at (n, x) is an integer band
@@ -34,6 +35,9 @@ from .qcore import (
     QParams,
     SingularSystem,
     _apply,
+    _integer_rows,
+    _mul_rows,
+    _sub_rows,
     eigenvalue,
     frac_str,
     mu_brackets,
@@ -42,7 +46,7 @@ from .qcore import (
     qpow,
     validate_params,
 )
-from .reports import CheckReport, _flag_worst, _residuals
+from .reports import CheckReport, _flag_worst, _fractions, _residuals
 
 __all__ = [
     "MuCoefficients",
@@ -138,18 +142,17 @@ def check_gevp(inst: Instance) -> CheckReport:
 def check_factorization(inst: Instance) -> CheckReport:
     """Check Y = X V exactly in both bases, plus a forward-substitution oracle.
 
-    The oracle recomputes V in the point basis as the bidiagonal solve
-    X W = Y, W_i = (Y_i - X_{i,i-1} W_{i-1}) / X_{i,i} row by row, and
-    compares W with the constructed V entry by entry.
+    X V - Y is formed on integer rows.  The oracle, a second algorithm in a
+    second arithmetic, works on the dense Fraction rows: it recomputes V in
+    the point basis as the bidiagonal solve X W = Y, W_i = (Y_i - X_{i,i-1}
+    W_{i-1}) / X_{i,i} row by row, and compares W with V entry by entry.
     """
     p = inst.p
     report = CheckReport(check="factorization", params=p.as_dict())
-    phi = {g: build_operator(Operator(g), Basis.PHI, p) for g in "XYV"}
-    for basis, ops in ((Basis.POINT, inst.ops), (Basis.PHI, phi)):
-        resid = (ops["X"] @ ops["V"]) - ops["Y"]
-        report.details[f"{basis.value}_residual"] = frac_str(resid.max_abs())
-        if not resid.is_zero():
-            report.add_violation(basis=basis.value, residual=frac_str(resid.max_abs()))
+    phi = {g: _integer_rows(build_operator(Operator(g), Basis.PHI, p)) for g in "XYV"}
+    for basis, rows in ((Basis.POINT, inst.op_rows), (Basis.PHI, phi)):
+        resid = _fractions(_sub_rows(_mul_rows(rows["X"], rows["V"]), rows["Y"]))
+        report.details[f"{basis.value}_residual"] = _flag_worst(report, resid, basis=basis.value)
     x, solved = inst.ops["X"], []
     for i, row in enumerate(inst.ops["Y"]):
         if x[i][i] == 0:

@@ -9,12 +9,13 @@ the seed of `tridiagonal_kernel`.  No division has two int operands, as
 int / int is a float.
 
 Everything here is sized for the desk scale of this package (dimension at
-most a few dozen).  `mat_mul`, the product of `OpMatrix` (not of the word
-products of `algebra.evaluate_poly`, which are `qcore._mul_rows`), pairs
-each nonzero entry with the nonzero (column, value) pairs of one
-right-factor row, listed once per call, so a banded matrix costs
-O(bandwidth) per row.  `rref`, and so `null_space`, run Gauss-Jordan
-elimination one row at a time and skip zero entries.  `solve_unique` is an
+most a few dozen).  `mat_mul`, the dense product of `OpMatrix`, is the
+reference the tests compare the checks' integer-row products
+(`qcore._mul_rows`) against; no check calls it.  It pairs each nonzero
+entry with the nonzero (column, value) pairs of one right-factor row,
+listed once per call, so a banded matrix costs O(bandwidth) per row.
+`rref`, and so `null_space`, run Gauss-Jordan elimination one row at a
+time and skip zero entries.  `solve_unique` is an
 integer kernel for ints and Fractions: it clears each row of [a | b] to
 integers once, eliminates fraction-free (Bareiss 1968) up to the row that
 makes the column rank full, and checks the rows left by substituting its

@@ -23,7 +23,8 @@ Y = X V checks two independent declarations.
 
 Every entry is derived from (q, A, B), so the matrices live in their field;
 `GridVector` and `OpMatrix` store the values they are given, and an entry
-no term reaches stays the int 0 of `linalg.zeros`.
+no term reaches stays the int 0 of `linalg.zeros`.  `OpMatrix @ OpMatrix`
+is the dense `linalg.mat_mul`, the tests' reference; no check calls it.
 """
 
 from __future__ import annotations
@@ -112,13 +113,10 @@ class OpMatrix:
     def rows(self) -> list[list]:
         return [list(r) for r in self.entries]
 
-    def _compat(self, other: "OpMatrix") -> None:
-        if self.basis is not other.basis or self.params != other.params:
-            raise DimensionMismatch("operands live in different bases or instances")
-
     def __matmul__(self, other: Union["OpMatrix", GridVector]):
         if isinstance(other, OpMatrix):
-            self._compat(other)
+            if self.basis is not other.basis or self.params != other.params:
+                raise DimensionMismatch("operands live in different bases or instances")
             return OpMatrix(linalg.mat_mul(self.entries, other.entries), self.basis, self.params)
         if isinstance(other, GridVector):
             if self.basis is not Basis.POINT or self.params != other.params:
@@ -126,17 +124,6 @@ class OpMatrix:
             return GridVector(tuple(sum(a * v for a, v in zip(row, other.values) if a and v)
                                     for row in self.entries), self.params)
         return NotImplemented
-
-    def __sub__(self, other: "OpMatrix") -> "OpMatrix":
-        self._compat(other)
-        return OpMatrix([[a - b for a, b in zip(ra, rb)]
-                         for ra, rb in zip(self.entries, other.entries)], self.basis, self.params)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
-
-    def max_abs(self):
-        return max((abs(v) for row in self.entries for v in row), default=0)
 
 
 def phi_function(p: QParams, n: int, x: int):

@@ -15,9 +15,9 @@ work on integers, most on rows over one denominator
 them, `check_partner`, `check_gram` and the `gevp` ones, compare through
 one kernel, `reports._residuals`.  The integer row form of a matrix is
 `_integer_rows`, each row as its nonzero entries over one denominator;
-`_apply` applies it to an integer vector, `_sum_rows` sums its rows and
-`_mul_rows` multiplies two (`brf.Instance.op_rows` and `words`, for the
-banded `gevp` checks and `evaluate_poly`).
+`_apply` applies it to an integer vector, `_sum_rows` sums its rows,
+`_mul_rows` multiplies two and `_sub_rows` subtracts two, for every
+matrix identity a check proves (`brf.Instance.op_rows` and `words`).
 
 The deformation parameters enter only through the three base values q, A,
 B, where A and B play the role of the powers q^alpha and q^beta of two
@@ -168,6 +168,11 @@ def _mul_rows(a, b) -> list[tuple[dict[int, int], int]]:
     return [_sum_rows([(x, 1, b[k]) for k, x in entries.items()], e) for entries, e in a]
 
 
+def _sub_rows(a, b) -> list[tuple[dict[int, int], int]]:
+    """The difference of two matrices given as `_integer_rows`, in that form."""
+    return [_sum_rows([(1, 1, x), (-1, 1, y)]) for x, y in zip(a, b)]
+
+
 @dataclass(frozen=True)
 class _ExactParams:
     """Base of the frozen parameter classes: each field but the last, N, is
@@ -248,7 +253,7 @@ def qnum(p: QParams, i: int = 0, j: int = 0, k: int = 0) -> Fraction:
     (i, j, k) is computed once, in a table on p."""
     table = vars(p).setdefault("_qnum", {})
     if (i, j, k) not in table:
-        table[i, j, k] = (1 - p.q**i * p.A**j * p.B**k) / (1 - p.q)
+        table[i, j, k] = (1 - qpow(p, i, j, k)) / (1 - p.q)
     return table[i, j, k]
 
 

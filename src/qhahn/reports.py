@@ -63,6 +63,11 @@ def _residuals(lhs, rhs, lam, den) -> list:
             for (a, b), (c, d) in zip(lhs, rhs)]
 
 
+def _fractions(rows) -> list[Fraction]:
+    """The nonzero entries of `qcore._integer_rows` rows as Fractions."""
+    return [Fraction(v, e) for row, e in rows for v in row.values()]
+
+
 def _flag_worst(report: CheckReport, resid: list, **where) -> str:
     """max |residual| of a `_residuals` list as a string (0/1 when all
     vanish), added as a violation at `where` when it is not zero."""

@@ -7,16 +7,18 @@ from fractions import Fraction as F
 import pytest
 
 from qhahn import brf, linalg, wilson
-from qhahn.operators import Basis, OpMatrix
+from qhahn.operators import Basis, OpMatrix, Operator, build_operator
 from qhahn.qcore import (
     QHahnError,
     QParams,
     RankDeficient,
     SingularSystem,
     ZeroDenominator,
+    frac_str,
     qpoch,
     qpow,
 )
+from qhahn.reports import CheckReport
 
 # Canonical instance used wherever a single generic instance suffices.
 CANONICAL = QParams(F(1, 2), F(32), F(1, 512), 3)
@@ -155,6 +157,47 @@ def dense_evaluate_poly(poly, inst):
                 if v:
                     arow[j] += coeff * v
     return OpMatrix(acc, Basis.POINT, p)
+
+
+def dense_difference(a, b):
+    """a - b entry by entry, for two dense matrices given as rows."""
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_max_abs(rows):
+    """max |entry| of a dense matrix, the int 0 when it is empty."""
+    return max((abs(v) for row in rows for v in row), default=0)
+
+
+def dense_is_zero(rows):
+    """Every entry of a dense matrix vanishes."""
+    return all(v == 0 for row in rows for v in row)
+
+
+def dense_check_factorization(inst):
+    """`gevp.check_factorization` on dense `OpMatrix` products: X @ V - Y
+    entry by entry from `.entries` in both bases, then the same
+    forward-substitution oracle.  The oracle of the integer-row check."""
+    p = inst.p
+    report = CheckReport(check="factorization", params=p.as_dict())
+    phi = {g: build_operator(Operator(g), Basis.PHI, p) for g in "XYV"}
+    for basis, ops in ((Basis.POINT, inst.ops), (Basis.PHI, phi)):
+        resid = dense_difference((ops["X"] @ ops["V"]).entries, ops["Y"].entries)
+        report.details[f"{basis.value}_residual"] = frac_str(dense_max_abs(resid))
+        if not dense_is_zero(resid):
+            report.add_violation(basis=basis.value, residual=frac_str(dense_max_abs(resid)))
+    x, solved = inst.ops["X"], []
+    for i, row in enumerate(inst.ops["Y"]):
+        if x[i][i] == 0:
+            raise SingularSystem(f"zero diagonal entry at row {i}")
+        if i and x[i][i - 1]:
+            row = [a - x[i][i - 1] * w if w else a for a, w in zip(row, solved[-1])]
+        solved.append([a / x[i][i] for a in row])
+    forward_ok = solved == inst.ops["V"].rows()
+    report.details["forward_solve_matches"] = forward_ok
+    if not forward_ok:
+        report.add_violation(basis="point", residual="forward substitution mismatch")
+    return report
 
 
 def count_builds(monkeypatch, cls, name: str, calls: list) -> None:

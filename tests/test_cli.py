@@ -169,7 +169,7 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
         {"check." + c for names in checks.values() for c in names}
         | {"cli.suite." + name for name in QHAHN_SUITES}
         | {"brf.brf_family", "algebra.structure_constants", "algebra.evaluate_poly",
-           "linalg.mat_mul", "operators.build_operator", "qcore.validate_params"})
+           "linalg.solve_unique", "operators.build_operator", "qcore.validate_params"})
 
 
 def test_qparams_checks_are_plain_functions_named_after_their_reports():

@@ -1,21 +1,23 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhahn import brf, gevp, reports
+from qhahn import brf, gevp, operators, reports
 from qhahn.brf import BRFFamily, Instance, brf_family
 from qhahn.gevp import (
     MuCoefficients,
     check_contiguity,
     check_difference_equation,
+    check_factorization,
     check_gevp,
     check_recurrence,
     check_tridiagonal_actions,
     mu_coefficients,
 )
-from qhahn.operators import Basis, GridVector, Operator, band_coefficients
+from qhahn.operators import Basis, GridVector, Operator, OpMatrix, band_coefficients
 from qhahn.qcore import (
     DegenerateDenominator,
     QParams,
@@ -27,7 +29,7 @@ from qhahn.qcore import (
 )
 from qhahn.reports import CheckReport
 
-from conftest import CANONICAL, PANEL, SMALL_PANEL
+from conftest import CANONICAL, PANEL, SMALL_PANEL, dense_check_factorization, outcome
 
 
 def test_gevp_exact_on_panel():
@@ -367,20 +369,30 @@ def bumped_family(target, n_bump, x_bump, delta):
 QS = [F(1, 2), F(-1, 2), F(2), F(2, 3), F(3, 2), F(-3)]
 
 
+BUMPS = [1, -1, F(1, 7), F(-5, 3)]
+
+
 @st.composite
-def banded_cases(draw):
+def guarded_instances(draw):
     """A guard-valid instance with A, B signed powers of q (where coefficients
-    vanish) or small rationals, and one family entry bumped, or none."""
+    vanish) or small rationals."""
     q = draw(st.sampled_from(QS))
     base = st.one_of(
         st.builds(lambda s, e: s * q**e, st.sampled_from([1, -1]), st.integers(-6, 6)),
         st.fractions(min_value=-7, max_value=7, max_denominator=7).filter(bool))
     p = QParams(q, draw(base), draw(base), draw(st.integers(0, 5)))
     assume(validate_params(p, p.N).valid)
+    return p
+
+
+@st.composite
+def banded_cases(draw):
+    """A `guarded_instances` instance and one family entry bumped, or none."""
+    p = draw(guarded_instances())
     bump = None
     if draw(st.booleans()):
         bump = (draw(st.integers(0, p.N)), draw(st.integers(0, p.N)),
-                draw(st.sampled_from([1, -1, F(1, 7), F(-5, 3)])))
+                draw(st.sampled_from(BUMPS)))
     return p, bump
 
 
@@ -394,6 +406,63 @@ def test_integer_checks_report_as_the_fraction_checks(case):
         inst = Instance(p)
         for check, oracle in BANDED:
             assert check(inst).as_dict() == oracle(inst).as_dict()
+
+
+def bump_v(mp, p, basis, data):
+    """Add a `BUMPS` value to one entry of V in `basis`, drawn from `data`:
+    in the point basis to the shared matrix, as `build_operator` returns it
+    to `brf`; in the phi basis to a coefficient of its band declaration that
+    the matrix keeps (stay at column i, or lower at column i >= 1)."""
+    delta = data.draw(st.sampled_from(BUMPS))
+    if basis is Basis.POINT:
+        i, j = data.draw(st.integers(0, p.N)), data.draw(st.integers(0, p.N))
+        good = brf.build_operator
+
+        def bumped(which, b, params):
+            m = good(which, b, params)
+            if (which, b) != (Operator.V, Basis.POINT):
+                return m
+            rows = m.rows()
+            rows[i][j] += delta
+            return OpMatrix(rows, b, params)
+
+        mp.setattr(brf, "build_operator", bumped)
+    else:
+        i, slot = data.draw(st.sampled_from(
+            [(n, 1) for n in range(p.N + 1)] + [(n, 2) for n in range(1, p.N + 1)]))
+        good = operators._BANDS[(Operator.V, Basis.PHI)]
+
+        def band(params, n):
+            c = list(good(params, n))
+            if n == i:
+                c[slot] += delta
+            return tuple(c)
+
+        mp.setitem(operators._BANDS, (Operator.V, Basis.PHI), band)
+
+
+def report_json(result):
+    """A report as its serialized `as_dict`, key order included; an error
+    as `outcome` gives it."""
+    return json.dumps(result.as_dict()) if isinstance(result, CheckReport) else result
+
+
+@settings(max_examples=60, deadline=None)
+@given(guarded_instances(), st.sampled_from([None, Basis.POINT, Basis.PHI]), st.data())
+def test_integer_factorization_reports_as_the_dense_check(p, basis, data):
+    # passing, or with one V entry bumped in either basis, the integer-row
+    # check writes the report the dense OpMatrix products wrote, residual
+    # strings and violation order included
+    with pytest.MonkeyPatch.context() as mp:
+        if basis is not None:
+            bump_v(mp, p, basis, data)
+        inst = Instance(p)
+        result = outcome(check_factorization, inst)
+        assert report_json(result) == report_json(outcome(dense_check_factorization, inst))
+    if isinstance(result, CheckReport):
+        assert result.status == ("pass" if basis is None else "fail")
+        assert [v["basis"] for v in result.violations][:1] == (
+            [] if basis is None else [basis.value])
 
 
 def test_each_banded_check_catches_a_bumped_family_value(canonical, monkeypatch):

@@ -185,6 +185,8 @@ def test_matrix_times_grid_vector_checks_its_operands(basis, p):
     m = build_operator(Operator.Y, basis, CANONICAL)
     with pytest.raises(DimensionMismatch):
         m @ GridVector([F(1)] * (p.N + 1), p)
+    with pytest.raises(DimensionMismatch):
+        m @ build_operator(Operator.X, Basis.POINT, p)
 
 
 def _random_vector(rng, p):
@@ -206,6 +208,30 @@ def test_weighted_adjoint_pairing_contract():
                 lhs = sum(w[x] * (m @ f)[x] * g[x] for x in range(p.N + 1))
                 rhs = sum(w[x] * f[x] * (adj @ g)[x] for x in range(p.N + 1))
                 assert lhs == rhs
+
+
+def reflected_adjoint_mismatches(p, scale=1, tail_step=1):
+    """The (x, y) where (R V* R)[x][y] differs from c V'[x][y], entry by
+    entry in plain Fractions: V* = `weighted_adjoint`(V, w), R the reversal
+    x -> N - x, V' the point-basis V at `reflected_params(p)` and
+    c = B q^(-N-2).  The controls take c times `scale`, or the tail entry
+    [x][x - k] of V' times `tail_step`**k, its running step off by that
+    factor."""
+    N = p.N
+    adj = weighted_adjoint(build_operator(Operator.V, Basis.POINT, p), weight_vector(p)).entries
+    refl = build_operator(Operator.V, Basis.POINT, brf.reflected_params(p)).entries
+    c = scale * qpow(p, -N - 2, 0, 1)
+    return [(x, y) for x in range(N + 1) for y in range(N + 1)
+            if adj[N - x][N - y] != c * refl[x][y] * tail_step ** max(x - y, 0)]
+
+
+@pytest.mark.parametrize("p", PANEL, ids=[f"panel{i}" for i in range(len(PANEL))])
+def test_v_adjoint_is_reflected_v(p):
+    # V* = B q^(-N-2) V' after the reversal, at every entry; a constant off
+    # by q, or a tail whose step is off by the reflected instance's q, fails
+    assert reflected_adjoint_mismatches(p) == []
+    assert reflected_adjoint_mismatches(p, scale=p.q)
+    assert reflected_adjoint_mismatches(p, tail_step=brf.reflected_params(p).q)
 
 
 def closed_form_adjoint(which, p):

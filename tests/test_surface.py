@@ -54,8 +54,14 @@ UNREACHED = {
                          "dimension when a pencil has a zero superdiagonal entry, as "
                          "at m = 0 of a valid instance with B = A q^(N-1), where "
                          "Y[1][0] = [0]_q and lambda_0 = 0; no panel instance has one",
+    "linalg.mat_mul": "the dense product of `OpMatrix` and the tests' reference for the "
+                      "integer-row products of the checks, kept while the benchmark's "
+                      "tracer wraps it",
     "linalg.rref": "the full reduction over the field of its input, entered only through "
                    "`null_space`; `solve_unique` eliminates on integers",
+    "operators.OpMatrix.__matmul__": "the documented dense product `@` and the tests' "
+                                     "reference; no check multiplies matrices with it, and "
+                                     "it stays while the benchmark's tracer wraps it",
     "operators.weighted_adjoint": "public dense V*, the reference the partner tests "
                                   "compare against; no check forms it",
     "operators.basis_change": "the change to the phi basis, for the third basis of the roadmap",
