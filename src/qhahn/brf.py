@@ -13,7 +13,8 @@ and reads its eigenvalues and steps from V's phi band).
 form, and `check_partial_fractions` verifies that expansion against the
 `brf_u` values on the whole grid, so a verify run compares the two routes.
 `check_partner` tests the adjoint statements on the transposes, on the
-integer columns of X, Y and V, and forms no adjoint, passing or failing.
+integer columns of X, Y and V, and forms no adjoint, passing or failing;
+it and the Gram read the weighted partner rows, built once per instance.
 
 The biorthogonal partner family, `partner_family`, is a parameter
 reflection of the same family: partner_m(x) = -q^{-1} [alpha-beta-1]_q *
@@ -30,10 +31,10 @@ and `norm_h` are running products over x or n, O(N) products for N+1 values;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -62,7 +63,7 @@ from .qcore import (
     qpoch,
     qpow,
 )
-from .reports import CheckReport, _flag_worst, _residuals, check_gram
+from .reports import CheckReport, _content_free, _flag_worst, _gram, _gram_rows, _residuals
 
 __all__ = [
     "bare_weight",
@@ -221,6 +222,11 @@ class Instance:
         return weight_vector(self.p)
 
     @cached_property
+    def partner_rows(self) -> list[tuple[list[int], Fraction]]:
+        """w partner_m = t_m h_m for m = 0..N as `reports._gram_rows` (h_m, t_m)."""
+        return _gram_rows(self.partners, self.weight)
+
+    @cached_property
     def ops(self) -> dict[str, OpMatrix]:
         """Point-basis matrices of X, Y, Z and V, keyed by letter."""
         return {op.value: build_operator(op, Basis.POINT, self.p) for op in Operator}
@@ -337,16 +343,16 @@ def partial_fraction(coeffs: Sequence[Fraction], u: GridVector) -> tuple[Fractio
     (1 - q^d/A) / (1 - q^d).  So eta_j = sum_{k>j} C_{n,k} rho_{k,j} / (1 - q),
     summed in Horner form on integers: the C_{n,k} over one denominator, r_d
     and the basis values as integer pairs from integer powers of q, and one
-    Fraction per eta_j.  Raises PoleOnGrid when a basis function has a pole
-    on the grid (A q^{k-x} = 1).
+    Fraction per eta_j.  Raises PoleOnGrid when a basis function of U_n has
+    a pole on the grid (A q^{k-x} = 1, k < n).
 
     The expansion is then verified against `u` on all N+1 grid points, so it
     compares the recurrence route (`phi_expansion`) with the route that built
     `u` (`brf_u` in `check_partial_fractions`).  The verification is integer
-    arithmetic: eta_k = e_k / E over one denominator, the basis values
-    c_d / g_d as reduced pairs, and at each x the reconstruction over E L_x,
-    L_x the lcm of the n denominators g_d it meets, is compared with u(x)
-    cross-multiplied.
+    arithmetic: eta_k = e_k / E over one denominator, and at each x the
+    reconstruction over E L_x, one integer dot product with the basis row of
+    `QParams._basis_grid` (built once per instance for all n), is compared
+    with u(x) cross-multiplied.
     """
     p = u.params
     n = len(coeffs) - 1
@@ -354,16 +360,10 @@ def partial_fraction(coeffs: Sequence[Fraction], u: GridVector) -> tuple[Fractio
         if any(v != 1 for v in u):
             raise QHahnError("U_0 is not identically 1")
         return ()
+    poles, r, grid = p._basis_grid
+    if poles and poles[0] < n:  # row n meets d = k - x in [-N, n-1]
+        raise PoleOnGrid(f"1/[alpha+k-x]_q has a pole on the grid: A q^{poles[0]} = 1")
     (a, b), (an, ad) = p.q.as_integer_ratio(), p.A.as_integer_ratio()
-    basis, r = {}, {}  # and r_d = (1 - q^d/A) / (1 - q^d) as an unreduced pair, 0 < |d| < n
-    for d in range(-p.N, n):  # 1/[alpha+k-x]_q = (1 - q) / (1 - A q^d) depends on d = k - x only
-        top, bottom = (a**d, b**d) if d >= 0 else (b**-d, a**-d)  # q^d
-        den = ad * bottom - an * top
-        if den == 0:
-            raise PoleOnGrid(f"1/[alpha+k-x]_q has a pole on the grid: A q^{d} = 1")
-        basis[d] = Fraction((b - a) * ad * bottom, b * den).as_integer_ratio()
-        if d and d > -n:
-            r[d] = (an * bottom - ad * top, an * (bottom - top))
     c, c_den = over_common_denominator(coeffs)
     hn, hd = b * (an - ad), an * (b - a)  # rho_{j+1,j} / (1 - q)
     eta = []
@@ -376,10 +376,8 @@ def partial_fraction(coeffs: Sequence[Fraction], u: GridVector) -> tuple[Fractio
             top, bottom = c[k] * rd * bottom + rn * top, rd * bottom
         eta.append(Fraction(hn * top, hd * bottom * c_den))
     e, e_den = over_common_denominator(eta)
-    for x in range(p.N + 1):
-        terms = [basis[k - x] for k in range(n)]
-        l_x = math.lcm(*(g for _, g in terms))
-        recon = e_den * l_x + sum(ek * ck * (l_x // g) for ek, (ck, g) in zip(e, terms))
+    for x, (l_x, basis) in enumerate(grid):
+        recon = e_den * l_x + sum(map(mul, e, basis))  # zip stops at k = n - 1
         num, den = u[x].as_integer_ratio()
         if recon * den != num * e_den * l_x:
             raise QHahnError(f"partial-fraction expansion of U_{n} fails at x = {x}")
@@ -401,10 +399,9 @@ def check_weight(inst: Instance) -> CheckReport:
 
 def check_biorthogonality(inst: Instance) -> CheckReport:
     """(U_n, partner_m)_w = delta_{nm} H_n with H_n nonzero, all pairs."""
-    p = inst.p
-    return check_gram(
-        CheckReport(check="biorthogonality", params=p.as_dict()),
-        inst.weight, inst.family.members, inst.partners, norm_h(p))
+    rows, d = inst.family_rows
+    return _gram(CheckReport(check="biorthogonality", params=inst.p.as_dict()),
+                 [_content_free(row, d) for row in rows], inst.partner_rows, norm_h(inst.p))
 
 
 def check_partner(inst: Instance) -> CheckReport:
@@ -415,12 +412,12 @@ def check_partner(inst: Instance) -> CheckReport:
     collinear with partner_m.
 
     As M* = W^-1 M^T W, W the diagonal of nonzero weights, each part is
-    tested on transposes with g_m = w partner_m = h_m / d, in integers: the
-    columns of X, Y and V go over one denominator each (a_y / e_y) once per
-    call, and every comparison is `reports._residuals`.
+    tested on transposes with g_m = w partner_m = t_m h_m (`partner_rows`)
+    in integers: the columns of X, Y and V go over one denominator each
+    (a_y / e_y) once per call, and every comparison is `reports._residuals`.
     - Eigen: V^T g_m = lambda_m g_m.  With (V^T h_m)_y = s_y / e_y, the
       residual (V* partner_m - lambda_m partner_m)_y is exactly
-      (s_y / e_y - lambda_m h_y) / (d w_y), so a failing m reports its
+      (s_y / e_y - lambda_m h_y) t_m / w_y, so a failing m reports its
       max |.| from the integers the test holds, with no adjoint formed.
     - Kernel: ker(Y* - lambda_m X*) = W^-1 ker((Y - lambda_m X)^T), whose
       rows, the columns of Y - lambda_m X over integers, are read on their
@@ -436,11 +433,10 @@ def check_partner(inst: Instance) -> CheckReport:
     n1 = p.N + 1
     report = CheckReport(check="partner", params=p.as_dict())
     xc, yc, vc = (_integer_rows(zip(*inst.ops[g])) for g in "XYV")  # the columns
-    for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners)):
-        h, d = over_common_denominator([w * f for w, f in zip(inst.weight, pm)])
+    for m, (lam, (h, t)) in enumerate(zip(inst.family.lambdas, inst.partner_rows)):
         hs = [(v, 1) for v in h]
         resid = _residuals(_apply(vc, h), hs, lam, 1)
-        _flag_worst(report, [r and r / (d * w) for r, w in zip(resid, inst.weight)],
+        _flag_worst(report, [r and r * t / w for r, w in zip(resid, inst.weight)],
                     m=m, kind="eigen")
         num, den = lam.as_integer_ratio()
         band = [[den * ex * ycol.get(j, 0) - num * ey * xcol.get(j, 0) for j in (i - 1, i, i + 1)]

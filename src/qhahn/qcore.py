@@ -7,13 +7,13 @@ and Fractions and rejects floats.  The code past it (these primitives,
 the checks) uses only field operations and derives every constant from the
 instance, so it computes in its field.
 The exceptions are the integer kernels, `_series_rows`,
-`brf.partial_fraction`, `brf.check_partner`, `reports.check_gram`,
-`algebra.evaluate_poly`, `linalg.solve_unique` and the banded checks of
-`gevp`: they take ints and Fractions apart with `as_integer_ratio` and
-work on integers, most on rows over one denominator
-(`over_common_denominator`).  The checks among
-them, `check_partner`, `check_gram` and the `gevp` ones, compare through
-one kernel, `reports._residuals`.  The integer row form of a matrix is
+`brf.partial_fraction` (on `QParams._basis_grid`), `brf.check_partner`,
+`reports.check_gram`, `algebra.evaluate_poly`, `linalg.solve_unique` and
+the banded checks of `gevp`: they take ints and Fractions apart with
+`as_integer_ratio` and work on integers, most on rows over one denominator
+(`over_common_denominator`), the Gram rows also content free.  The checks
+among them, `check_partner`, `check_gram` and the `gevp` ones, compare
+through one kernel, `reports._residuals`.  The integer row form of a matrix is
 `_integer_rows`, each row as its nonzero entries over one denominator;
 `_apply` applies it to an integer vector, `_sum_rows` sums its rows,
 `_mul_rows` multiplies two and `_sub_rows` subtracts two, for every
@@ -218,6 +218,27 @@ class QParams(_ExactParams):
         return _series_tables([(1, -1, 0), (qpow(self, -N, 0, 1), 1, 0), (1, 0, -1)],
                               [(q, 0, 0), (qpow(self, -N), 0, 0), (self.A, 0, -1)],
                               q, self.A / self.B, N)
+
+    @cached_property
+    def _basis_grid(self) -> tuple:
+        """`brf.partial_fraction`'s tables for all n: the poles, d in [-N, N)
+        with A q^d = 1; r_d = (1 - q^d/A) / (1 - q^d) as pairs, 0 < |d| < N; and
+        per x, L_x and c_{k-x} L_x / g_{k-x} for k < N, with c_d / g_d =
+        1/[alpha+d]_q reduced (0/1 at a pole) and L_x the lcm of the g_d."""
+        (a, b), (an, ad) = self.q.as_integer_ratio(), self.A.as_integer_ratio()
+        basis, r = {}, {}
+        for d in range(-self.N, self.N):
+            top, bottom = (a**d, b**d) if d >= 0 else (b**-d, a**-d)  # q^d
+            den = ad * bottom - an * top
+            basis[d] = Fraction((b - a) * ad * bottom, b * den).as_integer_ratio() if den else None
+            if d:
+                r[d] = (an * bottom - ad * top, an * (bottom - top))
+        grid = []
+        for x in range(self.N + 1):
+            terms = [basis[k - x] or (0, 1) for k in range(self.N)]
+            l_x = math.lcm(*(g for _, g in terms))
+            grid.append((l_x, [c * (l_x // g) for c, g in terms]))
+        return [d for d, v in basis.items() if v is None], r, grid
 
 
 def _running(start, steps) -> list:

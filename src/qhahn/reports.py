@@ -7,13 +7,15 @@ is kept out of CheckReport entirely.
 
 `_residuals` is the comparison of the q-Hahn identities: integer pairs
 compared cross-multiplied, with a Fraction residual built only for a
-violating entry.  The banded `gevp` checks, `check_gram` and both integer
-parts of `brf.check_partner` compare through it, and `_flag_worst` reports
-the largest residual of a row.
+violating entry.  The banded `gevp` checks, the Gram diagonals of `_gram`
+(content-free rows, each off-diagonal entry one dot product tested
+against 0) and both integer parts of `brf.check_partner` compare through
+it, and `_flag_worst` reports the largest residual of a row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -77,6 +79,39 @@ def _flag_worst(report: CheckReport, resid: list, **where) -> str:
     return frac_str(worst)
 
 
+def _content_free(ints: Sequence[int], den: int) -> tuple[list[int], Fraction]:
+    """ints / den as (ints / c, c / den), c = gcd(ints), or 1 for a zero row."""
+    c = math.gcd(*ints) or 1
+    return [v // c for v in ints], Fraction(c, den)
+
+
+def _gram_rows(rows: Sequence[Sequence], weights: Sequence) -> list:
+    """Each row times `weights` entrywise as a `_content_free` row: the
+    weights over one denominator, each row over its own."""
+    w, e = over_common_denominator(weights)
+    return [_content_free(list(map(mul, w, ints)), d * e)
+            for ints, d in map(over_common_denominator, rows)]
+
+
+def _gram(report: CheckReport, left: list, right: list, norms: Sequence) -> CheckReport:
+    """`check_gram` on `_content_free` rows (a_n, s_n), (b_m, t_m): entry (n, m)
+    is s_n t_m (a_n . b_m), so it holds off the diagonal when the dot is 0."""
+    for n, hn in enumerate(norms):
+        if hn == 0:
+            report.add_violation(n=n, m=n, residual="diagonal norm vanishes")
+        a, s = left[n]
+        for m, (b, t) in enumerate(right):
+            dot = sum(map(mul, a, b))
+            if m == n:
+                (r,) = _residuals([(s * t * dot).as_integer_ratio()], [hn.as_integer_ratio()], 1, 1)
+            else:
+                r = s * t * dot if dot else None
+            if r is not None:
+                report.add_violation(n=n, m=m, residual=frac_str(r))
+    report.details["norms"] = [frac_str(h) for h in norms]
+    return report
+
+
 def check_gram(report: CheckReport, weights: Sequence, us: Sequence[Sequence],
                vs: Sequence[Sequence], norms: Sequence) -> CheckReport:
     """Biorthogonality sum_x w_x u_n(x) v_m(x) = delta_{nm} h_n, all pairs, exact.
@@ -84,19 +119,7 @@ def check_gram(report: CheckReport, weights: Sequence, us: Sequence[Sequence],
     `norms` holds the closed-form h_n, which must also be nonzero.  Every
     violation carries (n, m) and a residual, the Gram entry minus its
     expected value; the closed-form norms go to details["norms"].  The
-    values are ints or Fractions.  Each row v_m and each row w u_n is put
-    over one integer denominator once, so a Gram entry is an integer dot
-    product, compared with h_n delta_{nm} by `_residuals`.
+    values are ints or Fractions, and the rows w u_n and v_m go to `_gram`
+    as `_gram_rows`, each built once.
     """
-    rows = [over_common_denominator(v) for v in vs]
-    for n, hn in enumerate(norms):
-        if hn == 0:
-            report.add_violation(n=n, m=n, residual="diagonal norm vanishes")
-        wu, e = over_common_denominator([w * a for w, a in zip(weights, us[n])])
-        sums = [(sum(map(mul, wu, v)), e * d) for v, d in rows]
-        expected = [hn.as_integer_ratio() if m == n else (0, 1) for m in range(len(rows))]
-        for m, r in enumerate(_residuals(sums, expected, 1, 1)):
-            if r is not None:
-                report.add_violation(n=n, m=m, residual=frac_str(r))
-    report.details["norms"] = [frac_str(h) for h in norms]
-    return report
+    return _gram(report, _gram_rows(us, weights), _gram_rows(vs, [1] * len(weights)), norms)

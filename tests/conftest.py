@@ -200,6 +200,21 @@ def dense_check_factorization(inst):
     return report
 
 
+def fraction_gram(report, weights, us, vs, norms):
+    """check_gram as it was before its integer kernel: a Fraction sum per entry."""
+    for n, hn in enumerate(norms):
+        if hn == 0:
+            report.add_violation(n=n, m=n, residual="diagonal norm vanishes")
+        wu = [w * a for w, a in zip(weights, us[n])]
+        for m, v in enumerate(vs):
+            total = sum(c * b for c, b in zip(wu, v))
+            expected = hn if n == m else 0
+            if total != expected:
+                report.add_violation(n=n, m=m, residual=frac_str(total - expected))
+    report.details["norms"] = [frac_str(h) for h in norms]
+    return report
+
+
 def count_builds(monkeypatch, cls, name: str, calls: list) -> None:
     """Append `name` to `calls` each time the cached property cls.name is
     built, that is once per instance unless something rebuilds it."""

@@ -46,6 +46,7 @@ from qhahn.qcore import (
     qpow,
     validate_params,
 )
+from qhahn.reports import CheckReport
 
 from conftest import (
     CANONICAL,
@@ -53,6 +54,7 @@ from conftest import (
     SMALL_PANEL,
     WORKLOAD_SEEDS,
     count_builds,
+    fraction_gram,
     tridiagonal_null_space,
     wilson_workload,
 )
@@ -313,6 +315,38 @@ def test_partner_integer_route_equals_the_dense_route(monkeypatch, make):
     expected = dense_partner_violations(inst)
     assert expected
     assert [(v["m"], v["kind"], v["residual"]) for v in check_partner(inst).violations] == expected
+
+
+def bumped(vector, x):
+    """`vector` with 1/7 added at x."""
+    return GridVector(tuple(v + (F(1, 7) if y == x else 0) for y, v in enumerate(vector)),
+                      vector.params)
+
+
+@pytest.mark.parametrize("p", [QParams(F(1, 2), F(-5), F(1, 7), 16),
+                               QParams(F(-2, 3), F(7, 3), F(5, 11), 18)],
+                         ids=lambda p: f"N{p.N}-A{p.A}")
+@pytest.mark.parametrize("bump", ["none", "partner", "weight"])
+def test_instance_rows_report_as_the_fraction_and_dense_routes(p, bump):
+    # the Gram on the family rows and the weighted partner rows against the
+    # Fraction sums, and check_partner against the dense adjoints, on values
+    # many machine words long; a partner value or a weight off by 1/7 fails both
+    assert validate_params(p, p.N).valid
+    inst = Instance(p)
+    if bump == "partner":
+        vars(inst)["partners"] = tuple(bumped(v, 9) if m == 5 else v
+                                       for m, v in enumerate(inst.partners))
+    elif bump == "weight":
+        vars(inst)["weight"] = bumped(inst.weight, 9)
+    assert max(abs(v.numerator).bit_length() for u in inst.partners for v in u) > 128
+    gram = check_biorthogonality(inst)
+    assert gram.as_dict() == fraction_gram(
+        CheckReport(check="biorthogonality", params=p.as_dict()),
+        inst.weight, inst.family.members, inst.partners, norm_h(p)).as_dict()
+    partner = check_partner(inst)
+    assert [(v["m"], v["kind"], v["residual"]) for v in partner.violations] == (
+        dense_partner_violations(inst))
+    assert {gram.status, partner.status} == {"pass" if bump == "none" else "fail"}
 
 
 def test_partner_pencil_with_a_zero_superdiagonal_entry_reaches_null_space(monkeypatch):
@@ -663,6 +697,21 @@ def test_phi_expansion_reads_its_step_from_the_v_phi_band(monkeypatch):
     inst = Instance(p)
     assert [v["n"] for v in check_partial_fractions(inst).violations] == [2, 3, 4]
     assert [v["basis"] for v in check_factorization(inst).violations] == ["phi"]
+
+
+def test_partial_fraction_raises_pole_on_grid_only_where_row_n_meets_the_pole():
+    # A = q^-2 puts the pole at d = k - x = 2: the basis table spans k < N and
+    # holds it, but rows n <= 2 meet d in [-N, n-1] only, so they fail just
+    # their expansion, and rows 3 and 4 raise PoleOnGrid
+    p = QParams(F(1, 2), F(4), F(1, 5), 4)
+    u = GridVector((F(2),) * (p.N + 1), p)
+    for n in (1, 2):
+        with pytest.raises(QHahnError, match=f"expansion of U_{n} fails") as exc:
+            residues(n, u)
+        assert not isinstance(exc.value, PoleOnGrid)
+    for n in (3, 4):
+        with pytest.raises(PoleOnGrid, match="A q\\^2 = 1"):
+            residues(n, u)
 
 
 @pytest.mark.parametrize("power", [2, -2])

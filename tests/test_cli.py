@@ -217,6 +217,28 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
     assert [args for kind, args in calls if kind == "mu"] == [(n, p) for n in range(p.N + 1)]
 
 
+def test_biortho_suite_builds_the_partner_rows_and_the_basis_grid_once(monkeypatch):
+    # the Gram and check_partner share Instance.partner_rows, and every n's
+    # partial_fraction reads the one basis grid of the instance's QParams
+    calls = []
+    for cls, name in ((Instance, "partner_rows"), (QParams, "_basis_grid")):
+        good = vars(cls)[name].func
+        rows = cached_property(lambda self, name=name, good=good: (
+            calls.append((name, getattr(self, "p", self))) or good(self)))
+        rows.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, rows)
+    good = brf.partial_fraction
+    monkeypatch.setattr(brf, "partial_fraction", lambda coeffs, u: (
+        calls.append(("partial_fraction", u.params, len(coeffs) - 1)) or good(coeffs, u)))
+    config = {"instances": MINIMAL["instances"] + [{"q": "1/2", "A": "-5", "B": "1/7", "N": 6}]}
+    reports = run_suite("biortho", config)
+    assert [r["status"] for r in reports] == ["pass"] * 8
+    instances = [CANONICAL, QParams(F(1, 2), F(-5), F(1, 7), 6)]
+    assert Counter(calls) == Counter(
+        [(name, p) for p in instances for name in ("partner_rows", "_basis_grid")]
+        + [("partial_fraction", p, n) for p in instances for n in range(p.N + 1)])
+
+
 def test_gevp_suite_computes_the_pencil_residuals_once(monkeypatch):
     # the gevp and difference-equation checks read the one Instance.pencil_residuals
     calls = []

@@ -1,29 +1,17 @@
+import math
 from fractions import Fraction as F
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhahn.qcore import frac_str
-from qhahn.reports import CheckReport, _residuals, check_gram
+from qhahn.reports import CheckReport, _gram, _gram_rows, _residuals, check_gram
+
+from conftest import fraction_gram
 
 VALUES = st.one_of(st.integers(-3, 3), st.just(0),
                    st.fractions(min_value=-4, max_value=4, max_denominator=12))
 NONZERO = VALUES.filter(bool)
-
-
-def fraction_gram(report, weights, us, vs, norms):
-    """check_gram as it was before its integer kernel: a Fraction sum per entry."""
-    for n, hn in enumerate(norms):
-        if hn == 0:
-            report.add_violation(n=n, m=n, residual="diagonal norm vanishes")
-        wu = [w * a for w, a in zip(weights, us[n])]
-        for m, v in enumerate(vs):
-            total = sum(c * b for c, b in zip(wu, v))
-            expected = hn if n == m else 0
-            if total != expected:
-                report.add_violation(n=n, m=m, residual=frac_str(total - expected))
-    report.details["norms"] = [frac_str(h) for h in norms]
-    return report
+NONZERO_INT = st.integers(-9, 9).filter(bool)
 
 
 @st.composite
@@ -63,8 +51,46 @@ def test_integer_gram_kernel_reports_as_the_fraction_sums(tables):
     assert got.as_dict() == expected.as_dict()
 
 
+@st.composite
+def content_tables(draw):
+    """`gram_tables` with one row of u or v made integral with content k > 1,
+    then the weight, a row of u or a row of v set to zero, or none, and the
+    norms set to the new exact diagonal or left as they are."""
+    w, us, vs, norms = draw(gram_tables())
+    size = len(w)
+    k = draw(st.integers(2, 6))
+    rows, i = draw(st.sampled_from([us, vs])), draw(st.integers(0, size - 1))
+    rows[i] = [k * v for v in draw(st.lists(NONZERO_INT, min_size=size, max_size=size))]
+    zero, j = draw(st.sampled_from(["none", "w", "u", "v"])), draw(st.integers(0, size - 1))
+    if zero == "w":
+        w = [0] * size
+    elif zero != "none":
+        (us if zero == "u" else vs)[j] = [0] * size
+    if draw(st.booleans()):
+        norms = [sum(a * b * c for a, b, c in zip(w, us[n], vs[n])) for n in range(size)]
+    return w, us, vs, norms
+
+
+@settings(max_examples=150, deadline=None)
+@given(content_tables())
+def test_content_free_gram_rows_report_as_the_fraction_sums(tables):
+    # the row kernel with the weight on either side, and check_gram, against
+    # the Fraction sums; a zero row or weight has gcd 0 and divides by nothing
+    w, us, vs, norms = tables
+    expected = fraction_gram(CheckReport(check="gram", params={}), *tables).as_dict()
+    assert check_gram(CheckReport(check="gram", params={}), *tables).as_dict() == expected
+    ones = [1] * len(w)
+    for left, right in [(_gram_rows(us, w), _gram_rows(vs, ones)),
+                        (_gram_rows(us, ones), _gram_rows(vs, w))]:
+        assert _gram(CheckReport(check="gram", params={}), left, right, norms).as_dict() == expected
+    # each row is content free and scales back to the values it stands for
+    for (ints, s), row in zip(_gram_rows(vs, w), vs):
+        assert math.gcd(*ints) in (0, 1)
+        assert [s * v for v in ints] == [a * b for a, b in zip(w, row)]
+
+
 SCALARS = st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=9))
-SMALL, NONZERO_INT = st.integers(-9, 9), st.integers(-9, 9).filter(bool)
+SMALL = st.integers(-9, 9)
 
 
 @st.composite
