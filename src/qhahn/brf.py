@@ -62,6 +62,7 @@ from .qcore import (
     qnum,
     qpoch,
     qpow,
+    validate_params,
 )
 from .reports import CheckReport, _content_free, _flag_worst, _gram, _gram_rows, _residuals
 
@@ -208,6 +209,11 @@ class Instance:
     """
 
     p: QParams
+
+    @cached_property
+    def issues(self) -> list[str]:
+        """The `validate_params` issues of p at n_max = N, empty when p is valid."""
+        return validate_params(self.p, self.p.N).issues()
 
     @cached_property
     def family(self) -> BRFFamily:

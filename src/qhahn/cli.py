@@ -87,8 +87,8 @@ def _instance_entries(config: dict) -> list[tuple[dict, str, brf.Instance | None
         except InvalidParams as exc:
             entries.append((dict(entry), str(exc), None))
         else:
-            reason = "; ".join(validate_params(p, p.N).issues())
-            entries.append((p.as_dict(), reason, brf.Instance(p)))
+            inst = brf.Instance(p)
+            entries.append((p.as_dict(), "; ".join(inst.issues), inst))
     return entries
 
 

@@ -44,7 +44,6 @@ from .qcore import (
     over_common_denominator,
     qnum,
     qpow,
-    validate_params,
 )
 from .reports import CheckReport, _flag_worst, _fractions, _residuals
 
@@ -266,14 +265,13 @@ def check_contiguity(inst: Instance) -> CheckReport:
     """
     p = inst.p
     report = CheckReport(check="contiguity", params=p.as_dict())
-    shifted = QParams(p.q, p.q * p.A, p.B, p.N)
-    for params, tag in ((p, "base"), (shifted, "shifted")):
-        issues = validate_params(params, p.N).issues()
-        if issues:
-            report.skipped = f"{tag} instance invalid for contiguity: " + "; ".join(issues)
+    shifted = Instance(QParams(p.q, p.q * p.A, p.B, p.N))
+    for target, tag in ((inst, "base"), (shifted, "shifted")):
+        if target.issues:
+            report.skipped = f"{tag} instance invalid for contiguity: " + "; ".join(target.issues)
             return report
     rows, den = inst.family_rows
-    rows_shift, den_shift = Instance(shifted).family_rows
+    rows_shift, den_shift = shifted.family_rows
     scale = qnum(p, 0, -1)  # [-alpha]_q
     report.details["scale"] = frac_str(scale)
     # both sides are compared over lcm(den, den_shift), which each lift completes

@@ -6,12 +6,14 @@ and Fractions and rejects floats.  The code past it (these primitives,
 `linalg`, the operators, the free-algebra polynomials `algebra.NCPoly` and
 the checks) uses only field operations and derives every constant from the
 instance, so it computes in its field.
-The exceptions are the integer kernels, `_series_rows`,
-`brf.partial_fraction` (on `QParams._basis_grid`), `brf.check_partner`,
-`reports.check_gram`, `algebra.evaluate_poly`, `linalg.solve_unique` and
-the banded checks of `gevp`: they take ints and Fractions apart with
-`as_integer_ratio` and work on integers, most on rows over one denominator
-(`over_common_denominator`), the Gram rows also content free.  The checks
+The exceptions are the integer kernels, `_series_rows`, `_factors` (the
+products of factors 1 - c q^d that the series tables and the 10phi9 weight
+and norm tables step by), `brf.partial_fraction` (on `QParams._basis_grid`),
+`brf.check_partner`, `reports.check_gram`, `algebra.evaluate_poly`,
+`linalg.solve_unique` and the banded checks of `gevp`: they take ints and
+Fractions apart with `as_integer_ratio` and work on integers, most on rows
+over one denominator (`over_common_denominator`), the Gram rows also content
+free.  The checks
 among them, `check_partner`, `check_gram` and the `gevp` ones, compare
 through one kernel, `reports._residuals`.  The integer row form of a matrix is
 `_integer_rows`, each row as its nonzero entries over one denominator;
@@ -353,15 +355,22 @@ def _pair(v) -> tuple[int, int]:
     return v.as_integer_ratio()
 
 
-def _factor(q, c, d: int) -> tuple[int, int]:
-    """1 - c q^d, the factor of a basic series, or c + d, that of an ordinary
-    one (q None), as an unreduced integer pair."""
-    cn, cd = _pair(c)
-    if q is None:
-        return cn + d * cd, cd
+def _powers(q, lo: int, hi: int) -> dict[int, tuple[int, int]]:
+    """q^d = up / down for lo <= d < hi, up and down powers of q's numerator
+    and denominator."""
     qn, qd = _pair(q)
-    up, down = (qn**d, qd**d) if d >= 0 else (qd**-d, qn**-d)
-    return cd * down - cn * up, cd * down
+    return {d: (qn**d, qd**d) if d >= 0 else (qd**-d, qn**-d) for d in range(lo, hi)}
+
+
+def _factors(powers, pairs, ds) -> tuple[int, int]:
+    """prod (1 - c q^d) over the bases c, as integer pairs, and the d in ds,
+    as one unreduced integer pair, q^d from `_powers`: (c; q)_L for range(L)."""
+    pn = pd = 1
+    for d in ds:
+        up, down = powers[d]
+        for cn, cd in pairs:
+            pn, pd = pn * (cd * down - cn * up), pd * cd * down
+    return pn, pd
 
 
 def _ratios(tables, i: int, length: int) -> list[tuple[int, int]]:
@@ -382,21 +391,23 @@ def _ratios(tables, i: int, length: int) -> list[tuple[int, int]]:
 def _series_tables(num, den, q, z, N: int, weights=None) -> tuple:
     """The tables, built once per parameter object, that `_series_rows` sums
     the rows n = 0..N of one terminating series from.  Its term ratio
-    t_{k+1} / t_k = z prod_num `_factor`(q, c, d) / prod_den `_factor`(q, c, d),
-    with d = k + dn n + dx x for each base (c, dn, dx), dn, dx in {-1, 0, 1}
-    not both nonzero, splits as alpha_n(k) beta_x(k): one table per dn by
-    k + dn n, z in the dn = 0 one, and for every x the `_ratios` of one table
-    per dx.  `den` holds the k! base; the weights w_0..w_N (all 1 if None) are
+    t_{k+1} / t_k = z prod_num f / prod_den f, f = 1 - c q^d (c + d for q None,
+    an ordinary series), with d = k + dn n + dx x for each base (c, dn, dx),
+    dn, dx in {-1, 0, 1} not both nonzero, splits as alpha_n(k) beta_x(k): one
+    table per dn by k + dn n, z in the dn = 0 one, and for every x the `_ratios`
+    of one table per dx.  `den` holds the k! base; the weights w_0..w_N (all 1 if None) are
     integer pairs.  A vanishing denominator factor is only recorded here.
     """
     parts, zeros = ({0: dict.fromkeys(range(N), _pair(z))}, {}), []  # n-, x-part: s -> d -> pair
+    powers = None if q is None else _powers(q, -N, 2 * N)
     for bases, below in ((num, False), (den, True)):
         for c, dn, dx in bases:
             if dn and dx:
                 raise QHahnError(f"series base ({c}, {dn}, {dx}) depends on both n and x")
             table = parts[bool(dx)].setdefault(s := dn or dx, {})
+            cn, cd = pair = _pair(c)
             for d in range(min(0, s * N), N + max(0, s * N)):
-                fn, fd = _factor(q, c, d)
+                fn, fd = (cn + d * cd, cd) if q is None else _factors(powers, [pair], (d,))
                 if below and not fn:
                     zeros.append((c, dn, dx, d))
                 tn, td = table.get(d, (1, 1))

@@ -2,7 +2,8 @@
 
 The family u_n, v_n is biorthogonal on x = 0..N against the weight w_x,
 with diagonal norms h_n, all in exact rational arithmetic; w_x and h_n are
-running products over x and n, built once per parameter object.  Each of
+running products over x and n, built once per parameter object, each step's
+factors 1 - c q^j multiplied as one integer pair (`qcore._factors`).  Each of
 the 15 bases of the 10phi9 is c q^{dn n + dx x}, dn, dx in {-1, 0, 1}, dn dx = 0,
 declared once in `WilsonParams._series_bases`, so its term ratio is a part
 in k + dn n times a part in k + dx x, both tabulated once per parameter object
@@ -25,7 +26,6 @@ approach itself, through the same targets over mpmath.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,13 +37,14 @@ from .qcore import (
     ZeroDenominator,
     _entry,
     _ExactParams,
-    _factor,
+    _factors,
+    _pair,
+    _powers,
     _running,
     _series_rows,
     _series_tables,
     frac_str,
     phi_series,
-    qpoch,
     scalar,
     validate_params,
 )
@@ -126,39 +127,52 @@ class WilsonParams(_ExactParams):
     def _row_tables(self) -> tuple:
         """The `_series_tables` of u_n and v_n: each `_series_bases` entry with (q; q)_k,
         z = q and the weights 1 - h q^{2k}, which `_wilson_rows` divides by 1 - h."""
-        q = self.q
+        q, powers = self.q, _powers(self.q, 0, 2 * self.N + 1)
         return tuple(_series_tables(num, [(q, 0, 0), *den], q, q, self.N,
-                                    [_factor(q, h, 2 * k) for k in range(self.N + 1)])
+                                    [_factors(powers, [_pair(h)], (2 * k,))
+                                     for k in range(self.N + 1)])
                      for h, num, den in self._series_bases)
 
     @cached_property
     def _weights(self) -> list[Fraction]:
-        """The `_running` table of `wilson_weight`, stepped by (qa^2, `_weight_pairs`)."""
-        q, qa = self.q, self.qa
+        """The `_running` table of `wilson_weight`, stepped by (qa^2, `_weight_pairs`),
+        each step's products of factors 1 - c q^j one `_factors` pair."""
+        q, qa, N = self.q, self.qa, self.N
         if qa * qa == 1:
             raise ZeroDenominator("weight head denominator vanishes")
         pairs = [(qa * qa, q), *_weight_pairs(q, qa, self.qb, self.qc, self.qd, self.qe, self.qf)]
-        run = _running(q**0, ((q * math.prod(1 - a * q**j for a, _ in pairs),
-                               math.prod(1 - b * q**j for _, b in pairs)) for j in range(self.N)))
-        return [r * (1 - qa * qa * q ** (2 * x)) / (1 - qa * qa) for x, r in enumerate(run)]
+        nums, dens = ([*map(_pair, bases)] for bases in zip(*pairs))
+        powers, (top, bottom) = _powers(q, 0, 2 * N + 1), _pair(q)
+        steps = ((_factors(powers, nums, (j,)), _factors(powers, dens, (j,))) for j in range(N))
+        run = _running(q**0, ((top * an * bd, bottom * ad * bn) for (an, ad), (bn, bd) in steps))
+        hn, hd = _factors(powers, nums[:1], (0,))  # 1 - qa^2
+        ends = (_factors(powers, nums[:1], (2 * x,)) for x in range(len(run)))
+        return [r * Fraction(en * hd, ed * hn) for r, (en, ed) in zip(run, ends)]
 
     @cached_property
     def _norms(self) -> list[Fraction]:
         """The `_running` table of `wilson_h`, tested on `_h_tail_den`; with c = q/(qe qf),
-        (q^n/(qe qf); q)_n / (c; q)_{2n} is (1 - c q^{n-1}) / ((c; q)_n (1 - c q^{2n-1}))."""
-        q, qa, qb, qc, qd, qe, qf = self.q, self.qa, self.qb, self.qc, self.qd, self.qe, self.qf
-        den = math.prod(qpoch(base, self.N, q) for base in _h_den_bases(q, qa, qb, qc, qd, qe, qf))
-        if den == 0:
+        (q^n/(qe qf); q)_n / (c; q)_{2n} is (1 - c q^{n-1}) / ((c; q)_n (1 - c q^{2n-1})).
+        The head's Pochhammer products and each step's factors are `_factors` pairs."""
+        q, qa, qb, qc, qd, qe, qf, N = (self.q, self.qa, self.qb, self.qc, self.qd, self.qe,
+                                        self.qf, self.N)
+        powers, (top, bottom) = _powers(q, -1, 2 * N), _pair(q)
+        dn, dd = _factors(powers, [*map(_pair, _h_den_bases(q, qa, qb, qc, qd, qe, qf))], range(N))
+        if dn == 0:
             raise ZeroDenominator("norm denominator vanishes")
-        head = math.prod(qpoch(base, self.N, q) for base in (
-            q * qa * qa, q / (qc * qd), q / (qc * qe), q / (qd * qe))) / den
-        (c, _), *dens = _h_tail_den(q, qa, qb, qe, qf, 1)
-        nums = (q, qc * qd, q * qa / qe, q * qb / qf)
-        run = _running(head, ((math.prod(1 - b * q**j for b in nums),
-                               q * (1 - c * q**j) * math.prod(1 - b * q**j for b, _ in dens),
-                               1 - c * q**(2 * j), 1 - c * q**(2 * j + 1)) for j in range(self.N)))
-        return [s * (1 - c * q ** (n - 1)) / (1 - c * q ** (2 * n - 1)) if n else s
-                for n, s in enumerate(run)]
+        hn, hd = _factors(powers, [*map(_pair, (q * qa * qa, q / (qc * qd), q / (qc * qe),
+                                                q / (qd * qe)))], range(N))
+        (c, _), *tail = _h_tail_den(q, qa, qb, qe, qf, 1)
+        cs, nums = [_pair(c)], [*map(_pair, (q, qc * qd, q * qa / qe, q * qb / qf))]
+        dens = cs + [_pair(b) for b, _ in tail]
+        steps = ((j, _factors(powers, nums, (j,)), _factors(powers, dens, (j,))) for j in range(N))
+        run = _running(Fraction(hn * dd, hd * dn), (
+            (bottom * an * bd, top * ad * bn, _factors(powers, cs, (2 * j, 2 * j + 1))[0])
+            for j, (an, ad), (bn, bd) in steps))
+        ends = ((_factors(powers, cs, (n - 1,)), _factors(powers, cs, (2 * n - 1,)))
+                for n in range(len(run)))
+        return [s * Fraction(an * bd, ad * bn) if n else s
+                for n, (s, ((an, ad), (bn, bd))) in enumerate(zip(run, ends))]
 
 
 def _weight_pairs(q, qa, qb, qc, qd, qe, qf):
@@ -175,23 +189,23 @@ def _h_tail_den(q, qa, qb, qe, qf, n: int):
 
 
 def _validate_denominators(wp: WilsonParams) -> None:
-    q = wp.q
+    q, N = wp.q, wp.N
+    # (c; q)_L vanishes when c = q^-j with 0 <= j < L; a series base
+    # c q^{dn n + dx x} needs j + dn n + dx x in [0, n), so -j lies in [-2N, N]
+    # (the default exponent 1 of a c off the table puts j = -1 out of range)
+    exponents = {q**m: m for m in range(-2 * N, N + 1)}
     if wp.qa * wp.qa == 1:
         raise InvalidParams("weight head 1 - qa^2 vanishes")
     for _, den_base in _weight_pairs(q, wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf):
-        for j in range(wp.N):
-            if den_base * q**j == 1:
-                raise InvalidParams(f"weight denominator vanishes at x={j + 1}")
-    # series denominators are needed for both the family and its partner;
-    # (c q^{dn n + dx x}; q)_n vanishes when c = q^m with j = -m - dn n - dx x
-    # in [0, n), so m lies in [-2N, N]
-    exponents = {q**m: m for m in range(-2 * wp.N, wp.N + 1)}
+        if 0 <= (j := -exponents.get(den_base, 1)) < N:
+            raise InvalidParams(f"weight denominator vanishes at x={j + 1}")
+    # series denominators are needed for both the family and its partner
     for h, _, den in wp._series_bases:
         if h == 1:
             raise InvalidParams("very-well-poised head 1 - qa/qe vanishes")
         powers = [(exponents[c], dn, dx) for c, dn, dx in den if c in exponents]
-        for n in range(wp.N + 1):
-            for x in range(wp.N + 1):
+        for n in range(N + 1):
+            for x in range(N + 1):
                 for m, dn, dx in powers:
                     j = -m - dn * n - dx * x
                     if 0 <= j < n:
@@ -199,9 +213,9 @@ def _validate_denominators(wp: WilsonParams) -> None:
                             f"series denominator vanishes at n={n}, x={x}, k={j + 1}")
     # the tail's factor sets nest in n, so the n = N list holds all of them
     qa, qb, qc, qd, qe, qf = wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf
-    norm_den = [(base, wp.N) for base in _h_den_bases(q, qa, qb, qc, qd, qe, qf)]
-    if any(qpoch(base, length, q) == 0
-           for base, length in norm_den + _h_tail_den(q, qa, qb, qe, qf, wp.N)):
+    norm_den = [(base, N) for base in _h_den_bases(q, qa, qb, qc, qd, qe, qf)]
+    if any(0 <= -exponents.get(base, 1) < length
+           for base, length in norm_den + _h_tail_den(q, qa, qb, qe, qf, N)):
         raise InvalidParams("norm denominator vanishes")
 
 
@@ -257,13 +271,14 @@ def check_wilson_biorthogonality(wp: WilsonParams) -> CheckReport:
 
 
 def limit_u(n: int, q, A, B, N: int) -> list:
-    return [phi_series([q ** (-n), q ** (n - N) * B, q ** (-x)], [q ** (-N), q ** (-x) * A],
-                       A / B, q, n + 1) for x in range(N + 1)]
+    top, bottom, z = [q ** (-n), q ** (n - N) * B], q ** (-N), A / B
+    return [phi_series([*top, q ** (-x)], [bottom, q ** (-x) * A], z, q, n + 1)
+            for x in range(N + 1)]
 
 
 def limit_v(n: int, q, A, B, N: int) -> list:
-    return [phi_series([q ** (-n), q ** (n - N) * B, q ** (x - N)],
-                       [q ** (-N), q ** (x - N + 2) * B / A], q, q, n + 1)
+    top, bottom = [q ** (-n), q ** (n - N) * B], q ** (-N)
+    return [phi_series([*top, q ** (x - N)], [bottom, q ** (x - N + 2) * B / A], q, q, n + 1)
             for x in range(N + 1)]
 
 

@@ -6,14 +6,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhahn import brf, linalg, wilson
+from qhahn import brf, linalg, qcore, wilson
 from qhahn.operators import Basis, OpMatrix, Operator, build_operator
 from qhahn.qcore import (
+    InvalidParams,
     QHahnError,
     QParams,
     RankDeficient,
     SingularSystem,
     ZeroDenominator,
+    _running,
     frac_str,
     qpoch,
     qpow,
@@ -330,3 +332,82 @@ def former_hahn_row(n, hp, role):
     return former_series_rows(num, den, lambda c, d: (c.numerator + d * c.denominator,
                                                       c.denominator),
                               1, [(1, 1)] * (n + 1), n, N)
+
+
+def former_wilson_weights(wp):
+    """`WilsonParams._weights` as it was before its integer pairs, each step's
+    factors 1 - c q^j multiplied as Fractions: the oracle of the weight table."""
+    q, qa = wp.q, wp.qa
+    if qa * qa == 1:
+        raise ZeroDenominator("weight head denominator vanishes")
+    pairs = [(qa * qa, q), *wilson._weight_pairs(q, qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf)]
+    run = _running(q**0, ((q * math.prod(1 - a * q**j for a, _ in pairs),
+                           math.prod(1 - b * q**j for _, b in pairs)) for j in range(wp.N)))
+    return [r * (1 - qa * qa * q ** (2 * x)) / (1 - qa * qa) for x, r in enumerate(run)]
+
+
+def former_wilson_norms(wp):
+    """`WilsonParams._norms` as it was before its integer pairs, its head from
+    `qpoch` products: the oracle of the norm table."""
+    q, qa, qb, qc, qd, qe, qf = wp.q, wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf
+    den = math.prod(qpoch(base, wp.N, q) for base in wilson._h_den_bases(q, qa, qb, qc, qd, qe, qf))
+    if den == 0:
+        raise ZeroDenominator("norm denominator vanishes")
+    head = math.prod(qpoch(base, wp.N, q) for base in (
+        q * qa * qa, q / (qc * qd), q / (qc * qe), q / (qd * qe))) / den
+    (c, _), *dens = wilson._h_tail_den(q, qa, qb, qe, qf, 1)
+    nums = (q, qc * qd, q * qa / qe, q * qb / qf)
+    run = _running(head, ((math.prod(1 - b * q**j for b in nums),
+                           q * (1 - c * q**j) * math.prod(1 - b * q**j for b, _ in dens),
+                           1 - c * q**(2 * j), 1 - c * q**(2 * j + 1)) for j in range(wp.N)))
+    return [s * (1 - c * q ** (n - 1)) / (1 - c * q ** (2 * n - 1)) if n else s
+            for n, s in enumerate(run)]
+
+
+def former_wilson_guard(wp):
+    """`wilson._validate_denominators` as it was before its lookups: each
+    weight denominator scanned as den_base q^j == 1 and each norm factor
+    multiplied out by `qpoch`.  The oracle of the guard's messages and order."""
+    q = wp.q
+    if wp.qa * wp.qa == 1:
+        raise InvalidParams("weight head 1 - qa^2 vanishes")
+    for _, den_base in wilson._weight_pairs(q, wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf):
+        for j in range(wp.N):
+            if den_base * q**j == 1:
+                raise InvalidParams(f"weight denominator vanishes at x={j + 1}")
+    exponents = {q**m: m for m in range(-2 * wp.N, wp.N + 1)}
+    for h, _, den in wp._series_bases:
+        if h == 1:
+            raise InvalidParams("very-well-poised head 1 - qa/qe vanishes")
+        powers = [(exponents[c], dn, dx) for c, dn, dx in den if c in exponents]
+        for n in range(wp.N + 1):
+            for x in range(wp.N + 1):
+                for m, dn, dx in powers:
+                    j = -m - dn * n - dx * x
+                    if 0 <= j < n:
+                        raise InvalidParams(
+                            f"series denominator vanishes at n={n}, x={x}, k={j + 1}")
+    qa, qb, qc, qd, qe, qf = wp.qa, wp.qb, wp.qc, wp.qd, wp.qe, wp.qf
+    norm_den = [(base, wp.N) for base in wilson._h_den_bases(q, qa, qb, qc, qd, qe, qf)]
+    if any(qpoch(base, length, q) == 0
+           for base, length in norm_den + wilson._h_tail_den(q, qa, qb, qe, qf, wp.N)):
+        raise InvalidParams("norm denominator vanishes")
+
+
+def former_series_tables(num, den, q, z, N: int, weights=None) -> tuple:
+    """`qcore._series_tables` as it was before its power table: each tabulated
+    pair built from the former `qcore._factor(q, c, d)`, `former_q_factor` or,
+    for q None, c + d, per base and exponent."""
+    factor = former_q_factor(q) if q is not None else (
+        lambda c, d: (c.numerator + d * c.denominator, c.denominator))
+    parts, zeros = ({0: dict.fromkeys(range(N), z.as_integer_ratio())}, {}), []
+    for bases, below in ((num, False), (den, True)):
+        for c, dn, dx in bases:
+            table = parts[bool(dx)].setdefault(s := dn or dx, {})
+            for d in range(min(0, s * N), N + max(0, s * N)):
+                fn, fd = factor(c, d)
+                if below and not fn:
+                    zeros.append((c, dn, dx, d))
+                tn, td = table.get(d, (1, 1))
+                table[d] = (tn * fd, td * fn) if below else (tn * fn, td * fd)
+    return N, parts[0], [qcore._ratios(parts[1], x, N) for x in range(N + 1)], zeros, weights

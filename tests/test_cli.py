@@ -195,6 +195,7 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
 
     monkeypatch.setattr(brf, "brf_family", counting("family", brf.brf_family))
     monkeypatch.setattr(gevp, "mu_coefficients", counting("mu", gevp.mu_coefficients))
+    monkeypatch.setattr(brf, "validate_params", counting("guard", brf.validate_params))
     built = counting("operator", build_operator)
     for module in (brf, gevp):
         monkeypatch.setattr(module, "build_operator", built)
@@ -207,6 +208,8 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
     p = CANONICAL
     shifted = QParams(p.q, p.q * p.A, p.B, p.N)
     assert [args for kind, args in calls if kind == "family"] == [(p,), (shifted,)]
+    # one guard per instance: the CLI's of the base, which contiguity reads, then the shift's
+    assert [args for kind, args in calls if kind == "guard"] == [(p, p.N), (shifted, p.N)]
     operators = Counter(args for kind, args in calls if kind == "operator")
     assert operators == Counter([(op, Basis.POINT, p) for op in Operator]
                                 + [(Operator(g), Basis.PHI, p) for g in "XYV"])

@@ -191,6 +191,18 @@ def test_contiguity_rejects_shift_onto_pole():
     assert not report.violations and not report.details
 
 
+def test_contiguity_skips_an_invalid_base_instance():
+    # A = q^-2 is a basis pole at N = 3: the base instance's own guard, read
+    # from `Instance.issues`, makes the check a skip before any shift
+    p = QParams(F(1, 2), F(4), F(1, 512), 3)
+    report = check_contiguity(Instance(p))
+    assert report.status == "skip"
+    assert report.skipped == ("base instance invalid for contiguity: "
+                              + "; ".join(validate_params(p, p.N).issues()))
+    assert report.skipped.startswith("base instance invalid for contiguity: basis_pole")
+    assert not report.violations and not report.details
+
+
 def test_recurrence_connects_neighbors(canonical):
     # spot check the three-term identity at one interior point by hand
     fam = brf_family(canonical)

@@ -2,11 +2,12 @@ import functools
 import math
 import random
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qhahn import brf, qcore, wilson
@@ -48,7 +49,11 @@ from conftest import (
     former_brf_u,
     former_hahn_row,
     former_partner_family,
+    former_series_tables,
+    former_wilson_guard,
+    former_wilson_norms,
     former_wilson_row,
+    former_wilson_weights,
     outcome,
     revert_norm_correction,
     wilson_workload,
@@ -859,6 +864,83 @@ def test_a_vanishing_table_factor_raises_where_the_former_bodies_do():
     assert _outcome(lambda: hahn_h(2, hp_list[1])) == "norm denominator vanishes"
 
 
+def _on_powers(q, parameters):
+    """qa, qc, qd, qe from (exponent, sign) entries: sign q^exponent, or the
+    generic 3, 5, 7, 11 for exponent None."""
+    return [F(generic) if e is None else sign * q**e
+            for (e, sign), generic in zip(parameters, (3, 5, 7, 11))]
+
+
+wilson_parameter = st.tuples(st.one_of(st.none(), st.integers(-6, 6)), st.sampled_from((1, -1)))
+
+
+def _guard_and_tables(q, qa, qc, qd, qe, N):
+    """The guard, the weight table and the norm table of one unguarded 10phi9
+    instance, each with its `former_` oracle, as outcome pairs."""
+    wp = _unguarded(WilsonParams, q=q, qa=qa, qc=qc, qd=qd, qe=qe, N=N)
+    return [(outcome(new, wp), outcome(old, wp)) for new, old in (
+        (wilson._validate_denominators, former_wilson_guard),
+        (WilsonParams._weights.func, former_wilson_weights),
+        (WilsonParams._norms.func, former_wilson_norms))]
+
+
+# q = 1/2 instances on which each guard branch fires, in the guard's order,
+# and one that passes it
+GUARD_BRANCHES = [
+    (dict(qa=F(-1), qc=F(5), qd=F(7), qe=F(11), N=3), "weight head 1 - qa^2 vanishes"),
+    (dict(qa=F(4), qc=F(5), qd=F(7), qe=F(11), N=2), "weight denominator vanishes at x=2"),
+    (dict(qa=F(3), qc=F(5), qd=F(7), qe=F(3), N=3), "very-well-poised head 1 - qa/qe vanishes"),
+    (dict(qa=F(3), qc=F(2, 3), qd=F(7), qe=F(11), N=3),
+     "series denominator vanishes at n=2, x=0, k=2"),
+    (dict(qa=F(3), qc=F(1, 28), qd=F(7), qe=F(11), N=3), "norm denominator vanishes"),
+    (dict(qa=F(3), qc=F(5), qd=F(7), qe=F(11), N=0), None),
+]
+
+
+@pytest.mark.parametrize("params, message", GUARD_BRANCHES,
+                         ids=["weight-head", "weight", "head", "series", "norm", "N0"])
+def test_each_guard_branch_raises_the_former_guards_message(params, message):
+    # the lookups raise the scan's class and message, branch by branch, and
+    # the tables built past the guard equal the Fraction bodies
+    (guard, former_guard), *tables = _guard_and_tables(F(1, 2), **params)
+    assert guard == former_guard == (None if message is None else (InvalidParams, message))
+    for new, old in tables:
+        assert new == old
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([F(1, 2), F(-1, 2), F(2, 3), F(-3, 2), F(3)]),
+       st.lists(wilson_parameter, min_size=4, max_size=4), st.integers(0, 4))
+@example(F(1, 2), [(1, 1), (None, 1), (None, 1), (None, 1)], 0)  # N = 0 on a power of q
+@example(F(1, 2), [(-2, 1), (3, 1), (None, 1), (None, 1)], 3)  # a weight denominator
+@example(F(1, 2), [(-1, 1), (None, 1), (0, 1), (None, 1)], 1)  # the norm head's (q qa/qd; q)_1
+def test_guard_and_tables_equal_the_former_fraction_bodies(q, parameters, N):
+    # parameters on powers of q put weight, series and norm factors on zero;
+    # the guard raises the former class and message first, and past it each
+    # table keeps its values and stops, or raises, where the former one did
+    qa, qc, qd, qe = _on_powers(q, parameters)
+    for new, old in _guard_and_tables(q, qa, qc, qd, qe, N):
+        assert new == old
+
+
+def test_series_tables_equal_the_tables_built_from_factor(monkeypatch):
+    # the power table and the once-taken pairs give every `_row_tables` entry
+    # as the former per-(base, exponent) `_factor` did, for the three series,
+    # past the guards too, where a vanishing denominator is recorded
+    objects = (QParams(F(1, 2), F(-5), F(1, 7), 6), QParams(F(-2, 3), F(3), F(1, 5), 0),
+               *WILSON_PANEL, *HAHN_PANEL, *(params for _, params, _ in VANISHING_DENOMINATORS))
+
+    def fresh():  # copies, since each object caches its tables
+        return [_unguarded(type(obj), **{f.name: getattr(obj, f.name) for f in fields(obj)})
+                for obj in objects]
+
+    tables = [obj._row_tables for obj in fresh()]
+    for module in (qcore, wilson):
+        monkeypatch.setattr(module, "_series_tables", former_series_tables)
+    assert tables == [obj._row_tables for obj in fresh()]
+    assert tables[-1][3]  # the last object, at A = q^-1, records its zero
+
+
 def test_a_norm_denominator_vanishing_only_at_n_equal_n_is_rejected():
     # qc qd = q^{1-N} puts qe qf = q^{2N}, so only the last factor of
     # (q/(qe qf); q)_{2N} vanishes: the guard, which reads the n = N factor
@@ -884,10 +966,11 @@ def test_an_index_outside_the_grid_is_invalid(fn, params):
 
 
 def _pochhammer_lengths(monkeypatch, build):
-    """The sum of the lengths passed to qpoch and to the Hahn rising factorial
+    """The sum of the lengths passed to qpoch and to the Hahn rising factorial,
+    and of the factors the 10phi9 tables multiply through `qcore._factors`,
     while `build()` runs, in every module that calls them."""
     lengths = []
-    good_qpoch, good_rising = qcore.qpoch, wilson._rising
+    good_qpoch, good_rising, good_factors = qcore.qpoch, wilson._rising, qcore._factors
 
     def counted_qpoch(base, k, q):
         lengths.append(k)
@@ -897,11 +980,16 @@ def _pochhammer_lengths(monkeypatch, build):
         lengths.append(k)
         return good_rising(a, k)
 
+    def counted_factors(powers, pairs, ds):
+        lengths.append(len(pairs) * len(ds))
+        return good_factors(powers, pairs, ds)
+
     with monkeypatch.context() as mp:
         for module in (qcore, brf, wilson):
             if getattr(module, "qpoch", None) is good_qpoch:
                 mp.setattr(module, "qpoch", counted_qpoch)
         mp.setattr(wilson, "_rising", counted_rising)
+        mp.setattr(wilson, "_factors", counted_factors)
         build()
     return sum(lengths)
 
@@ -909,16 +997,22 @@ def _pochhammer_lengths(monkeypatch, build):
 def test_pochhammer_work_grows_linearly_in_n(monkeypatch):
     # one instance's Wilson and Hahn Gram inputs (guards included) and the
     # q-Hahn weight, family and partners: doubling N may at most about double
-    # the Pochhammer factors built; per-index products quadruple it
-    def build(N):
+    # the Pochhammer factors built, for each of the three; per-index products
+    # quadruple it
+    def build_wilson(N):
         wp = WilsonParams(F(1, 2), F(3), F(5), F(7), F(11), N)
-        hp = HahnParams(F(-53, 2), F(19), N)
         wilson._table(wilson_weight, wilson_u, wilson_v, wilson_h, N, wp)
+
+    def build_hahn(N):
+        hp = HahnParams(F(-53, 2), F(19), N)
         wilson._table(hahn_weight, hahn_u, hahn_v, hahn_h, N, hp)
+
+    def build_qhahn(N):
         p = QParams(F(1, 2), F(-5), F(1, 7), N)
         brf.weight_vector(p)
         brf.brf_family(p)
         brf.partner_family(p)
 
-    small, large = (_pochhammer_lengths(monkeypatch, lambda: build(N)) for N in (8, 16))
-    assert 0 < large <= 2.5 * small
+    for build in (build_wilson, build_hahn, build_qhahn):
+        small, large = (_pochhammer_lengths(monkeypatch, lambda: build(N)) for N in (8, 16))
+        assert 0 < large <= 2.5 * small, build.__name__
