@@ -39,6 +39,7 @@ from .qcore import (
     QParams,
     RankDeficient,
     _mul_rows,
+    _pair,
     _sub_rows,
     _sum_rows,
     frac_str,
@@ -158,8 +159,8 @@ def evaluate_poly(poly: NCPoly, inst: Instance) -> list[tuple[dict[int, int], in
                 if g not in inst.ops:
                     raise QHahnError(f"word {''.join(word)!r}: letter {g!r} is not X, Y, Z or V")
                 prods[word[:k]] = _mul_rows(prods[word[:k - 1]], prods[(g,)])
-    return [_sum_rows([(*c.as_integer_ratio(), prods[w][i])
-                       for w, c in poly.terms.items() if prods[w][i][0]])
+    coeffs = {w: _pair(c) for w, c in poly.terms.items()}
+    return [_sum_rows([(*c, prods[w][i]) for w, c in coeffs.items() if prods[w][i][0]])
             for i in range(inst.p.N + 1)]
 
 

@@ -54,6 +54,7 @@ from .qcore import (
     _apply,
     _entry,
     _integer_rows,
+    _pair,
     _running,
     _series_rows,
     eigenvalue,
@@ -369,7 +370,7 @@ def partial_fraction(coeffs: Sequence[Fraction], u: GridVector) -> tuple[Fractio
     poles, r, grid = p._basis_grid
     if poles and poles[0] < n:  # row n meets d = k - x in [-N, n-1]
         raise PoleOnGrid(f"1/[alpha+k-x]_q has a pole on the grid: A q^{poles[0]} = 1")
-    (a, b), (an, ad) = p.q.as_integer_ratio(), p.A.as_integer_ratio()
+    (a, b), (an, ad) = _pair(p.q), _pair(p.A)
     c, c_den = over_common_denominator(coeffs)
     hn, hd = b * (an - ad), an * (b - a)  # rho_{j+1,j} / (1 - q)
     eta = []
@@ -384,7 +385,7 @@ def partial_fraction(coeffs: Sequence[Fraction], u: GridVector) -> tuple[Fractio
     e, e_den = over_common_denominator(eta)
     for x, (l_x, basis) in enumerate(grid):
         recon = e_den * l_x + sum(map(mul, e, basis))  # zip stops at k = n - 1
-        num, den = u[x].as_integer_ratio()
+        num, den = _pair(u[x])
         if recon * den != num * e_den * l_x:
             raise QHahnError(f"partial-fraction expansion of U_{n} fails at x = {x}")
     return tuple(eta)
@@ -444,7 +445,7 @@ def check_partner(inst: Instance) -> CheckReport:
         resid = _residuals(_apply(vc, h), hs, lam, 1)
         _flag_worst(report, [r and r * t / w for r, w in zip(resid, inst.weight)],
                     m=m, kind="eigen")
-        num, den = lam.as_integer_ratio()
+        num, den = _pair(lam)
         band = [[den * ex * ycol.get(j, 0) - num * ey * xcol.get(j, 0) for j in (i - 1, i, i + 1)]
                 for i, ((xcol, ex), (ycol, ey)) in enumerate(zip(xc, yc))]
         sub, diag, sup = [t[0] for t in band[1:]], [t[1] for t in band], [t[2] for t in band[:-1]]

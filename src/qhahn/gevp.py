@@ -37,6 +37,7 @@ from .qcore import (
     _apply,
     _integer_rows,
     _mul_rows,
+    _pair,
     _sub_rows,
     eigenvalue,
     frac_str,
@@ -222,7 +223,7 @@ def check_recurrence(inst: Instance) -> CheckReport:
     report = CheckReport(check="recurrence", params=p.as_dict())
     rows, den = inst.family_rows
     cols = list(zip(*rows))
-    brackets = [inst.ops["X"][x][x].as_integer_ratio() for x in range(p.N + 1)]  # [x-alpha]_q
+    brackets = [_pair(inst.ops["X"][x][x]) for x in range(p.N + 1)]  # [x-alpha]_q
     for n, mu in enumerate(inst.mu):
         lhs, problem = _three_term((mu[1], mu[2], mu[3]), n, cols)
         if problem:
@@ -277,7 +278,7 @@ def check_contiguity(inst: Instance) -> CheckReport:
     # both sides are compared over lcm(den, den_shift), which each lift completes
     g = math.gcd(den, den_shift)
     lift, lift_shift = den_shift // g, den // g
-    brackets = [inst.ops["X"][x][x].as_integer_ratio() for x in range(p.N + 1)]  # [x-alpha]_q
+    brackets = [_pair(inst.ops["X"][x][x]) for x in range(p.N + 1)]  # [x-alpha]_q
     for n in range(p.N + 1):
         image = {g: [(a * lift, e) for a, e in _apply(inst.op_rows[g], rows[n])] for g in "XYZ"}
         u_shift = [(v * lift_shift, 1) for v in rows_shift[n]]

@@ -15,12 +15,12 @@ reference the tests compare the checks' integer-row products
 entry with the nonzero (column, value) pairs of one right-factor row,
 listed once per call, so a banded matrix costs O(bandwidth) per row.
 `rref`, and so `null_space`, run Gauss-Jordan elimination one row at a
-time and skip zero entries.  `solve_unique` is an
-integer kernel for ints and Fractions: it clears each row of [a | b] to
-integers once, eliminates fraction-free (Bareiss 1968) up to the row that
-makes the column rank full, and checks the rows left by substituting its
-solution on integers, so a tall system of many dependent rows costs one
-integer dot product per extra row.
+time and skip zero entries.  `solve_unique` is an integer kernel for ints
+and Fractions: it clears each row of [a | b] to integers once
+(`qcore.over_common_denominator`), eliminates fraction-free (Bareiss 1968)
+up to the row that makes the column rank full, and checks the rows left by
+substituting its solution on integers, so a tall system of many dependent
+rows costs one integer dot product per extra row.
 `tridiagonal_kernel` runs the fraction-free three-term recurrence of a
 tridiagonal matrix, on integers when its bands are integers, for the
 kernels of `brf.check_partner`.
@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .qcore import QHahnError, RankDeficient, SingularSystem, over_common_denominator
+from .qcore import RankDeficient, SingularSystem, over_common_denominator
 
 __all__ = ["zeros", "mat_mul", "rref", "solve_unique", "null_space", "tridiagonal_kernel"]
 
@@ -86,15 +86,6 @@ def rref(a: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     return basis + zero_rows, pivots
 
 
-def _integer_row(row: list) -> list[int]:
-    """The row times the lcm of its denominators, for ints and Fractions."""
-    kinds = set(map(type, row)) - {int}
-    for kind in kinds:
-        if not issubclass(kind, (int, Fraction)):
-            raise QHahnError(f"solve_unique takes ints and Fractions, not {kind.__name__}")
-    return over_common_denominator(row)[0] if kinds else row
-
-
 def solve_unique(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
     """The unique x with a x = b, as Fractions, for a and b of ints and
     Fractions; a may be rectangular (over-determined).
@@ -106,7 +97,7 @@ def solve_unique(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
     or that x does not satisfy then raises SingularSystem.
     """
     cols = len(a[0]) if a else 0
-    rows = map(_integer_row, ([*row, v] for row, v in zip(a, b)))
+    rows = (over_common_denominator([*row, v])[0] for row, v in zip(a, b))
     basis: Matrix = []  # in pivot order, each row zero left of its pivot
     pivots: list[int] = []
     inconsistent = False

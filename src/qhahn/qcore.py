@@ -10,12 +10,12 @@ The exceptions are the integer kernels, `_series_rows`, `_factors` (the
 products of factors 1 - c q^d that the series tables and the 10phi9 weight
 and norm tables step by), `brf.partial_fraction` (on `QParams._basis_grid`),
 `brf.check_partner`, `reports.check_gram`, `algebra.evaluate_poly`,
-`linalg.solve_unique` and the banded checks of `gevp`: they take ints and
-Fractions apart with `as_integer_ratio` and work on integers, most on rows
-over one denominator (`over_common_denominator`), the Gram rows also content
-free.  The checks
-among them, `check_partner`, `check_gram` and the `gevp` ones, compare
-through one kernel, `reports._residuals`.  The integer row form of a matrix is
+`linalg.solve_unique` and the banded checks of `gevp`: they work on integers,
+most on rows over one denominator (`over_common_denominator`, a Fraction taken
+apart inline), the Gram rows also content free.  Any other value becomes
+integers only in `_pair`, the one gate, which raises a QHahnError naming the
+type of anything but an int or a Fraction.  The checks among them compare
+through `reports._residuals`.  The integer row form is
 `_integer_rows`, each row as its nonzero entries over one denominator;
 `_apply` applies it to an integer vector, `_sum_rows` sums its rows,
 `_mul_rows` multiplies two and `_sub_rows` subtracts two, for every
@@ -127,10 +127,19 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _pair(v) -> tuple[int, int]:
+    """An int or a Fraction as (numerator, denominator): the integer kernels' one gate."""
+    if isinstance(v, (int, Fraction)):
+        return v.as_integer_ratio()
+    raise QHahnError(f"integer kernels take ints and Fractions, not {type(v).__name__}")
+
+
 def over_common_denominator(values) -> tuple[list[int], int]:
-    """Integers c_i and the least d > 0 with values[i] = c_i / d, for ints
-    and Fractions: the form the integer kernels compare cross-multiplied."""
-    pairs = [v.as_integer_ratio() for v in values]
+    """Integers c_i and the least d > 0 with values[i] = c_i / d, the form the kernels
+    compare: ints alone as they are (d = 1), else a Fraction inline and the rest by `_pair`."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    pairs = [v.as_integer_ratio() if type(v) is Fraction else _pair(v) for v in values]
     d = math.lcm(*(den for _, den in pairs))
     return [num * (d // den) for num, den in pairs], d
 
@@ -227,12 +236,11 @@ class QParams(_ExactParams):
         with A q^d = 1; r_d = (1 - q^d/A) / (1 - q^d) as pairs, 0 < |d| < N; and
         per x, L_x and c_{k-x} L_x / g_{k-x} for k < N, with c_d / g_d =
         1/[alpha+d]_q reduced (0/1 at a pole) and L_x the lcm of the g_d."""
-        (a, b), (an, ad) = self.q.as_integer_ratio(), self.A.as_integer_ratio()
+        (a, b), (an, ad) = _pair(self.q), _pair(self.A)
         basis, r = {}, {}
-        for d in range(-self.N, self.N):
-            top, bottom = (a**d, b**d) if d >= 0 else (b**-d, a**-d)  # q^d
+        for d, (top, bottom) in _powers(self.q, -self.N, self.N).items():
             den = ad * bottom - an * top
-            basis[d] = Fraction((b - a) * ad * bottom, b * den).as_integer_ratio() if den else None
+            basis[d] = _pair(Fraction((b - a) * ad * bottom, b * den)) if den else None
             if d:
                 r[d] = (an * bottom - ad * top, an * (bottom - top))
         grid = []
@@ -348,13 +356,6 @@ def phi_series(num: Sequence, den: Sequence, z, q, terms: int):
     return total
 
 
-def _pair(v) -> tuple[int, int]:
-    """v as an integer pair, for an int or a Fraction, the types `_series_rows` takes."""
-    if not isinstance(v, (int, Fraction)):
-        raise QHahnError(f"_series_rows takes ints and Fractions, not {type(v).__name__}")
-    return v.as_integer_ratio()
-
-
 def _powers(q, lo: int, hi: int) -> dict[int, tuple[int, int]]:
     """q^d = up / down for lo <= d < hi, up and down powers of q's numerator
     and denominator."""
@@ -460,6 +461,10 @@ class ValidationReport:
       weight_denominator    a weight denominator Pochhammer factor vanishes.
       eigenvalue_collision  the eigenvalue list is not pairwise distinct.
       bracket_denominator   a recurrence-coefficient denominator bracket vanishes.
+
+    weight_denominator fires only with reflected_basis_pole (its B = A q^(m-2)
+    has m in [1, N]), eigenvalue_collision only with bracket_denominator (its
+    B = q^(N-s) has s in [1, 2 n_max - 1]; the brackets cover [-1, 2 n_max + 1]).
     """
 
     basis_pole: str | None = None

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .qcore import frac_str, over_common_denominator
+from .qcore import _pair, frac_str, over_common_denominator
 
 __all__ = ["CheckReport", "check_gram"]
 
@@ -60,7 +60,7 @@ def _residuals(lhs, rhs, lam, den) -> list:
     """(a/b - lam c/d) / den for each pair of integer pairs (a, b), (c, d),
     or None where it vanishes.  A passing entry is one cross-multiplied
     integer comparison; only a violating one builds its Fraction."""
-    ln, ld = lam.as_integer_ratio()
+    ln, ld = _pair(lam)
     return [None if a * ld * d == ln * c * b else (Fraction(a, b) - lam * Fraction(c, d)) / den
             for (a, b), (c, d) in zip(lhs, rhs)]
 
@@ -103,7 +103,7 @@ def _gram(report: CheckReport, left: list, right: list, norms: Sequence) -> Chec
         for m, (b, t) in enumerate(right):
             dot = sum(map(mul, a, b))
             if m == n:
-                (r,) = _residuals([(s * t * dot).as_integer_ratio()], [hn.as_integer_ratio()], 1, 1)
+                (r,) = _residuals([_pair(s * t * dot)], [_pair(hn)], 1, 1)
             else:
                 r = s * t * dot if dot else None
             if r is not None:

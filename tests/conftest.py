@@ -411,3 +411,49 @@ def former_series_tables(num, den, q, z, N: int, weights=None) -> tuple:
                 tn, td = table.get(d, (1, 1))
                 table[d] = (tn * fd, td * fn) if below else (tn * fn, td * fd)
     return N, parts[0], [qcore._ratios(parts[1], x, N) for x in range(N + 1)], zeros, weights
+
+
+P = 2**61 - 1
+
+
+class GF:
+    """An element of the prime field Z/P: a field other than Fraction that
+    mixes with ints only, so a Fraction or a float meeting it raises TypeError."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        self.v = v % P
+
+    @staticmethod
+    def _lift(x):
+        return x.v if isinstance(x, GF) else x if type(x) is int else None
+
+    def _op(f):
+        def op(self, other):
+            o = GF._lift(other)
+            return NotImplemented if o is None else GF(f(self.v, o))
+        return op
+
+    __add__ = __radd__ = _op(lambda a, b: a + b)
+    __mul__ = __rmul__ = _op(lambda a, b: a * b)
+    __sub__ = _op(lambda a, b: a - b)
+    __rsub__ = _op(lambda a, b: b - a)
+    __truediv__ = _op(lambda a, b: a * pow(b, -1, P))
+    __rtruediv__ = _op(lambda a, b: b * pow(a, -1, P))
+
+    def __neg__(self):
+        return GF(-self.v)
+
+    def __eq__(self, other):
+        o = GF._lift(other)
+        return NotImplemented if o is None else self.v == o % P
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __repr__(self):
+        return f"GF({self.v})"

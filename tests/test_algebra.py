@@ -307,6 +307,16 @@ def test_relation_negative_control_eta2_sign(canonical, monkeypatch):
     assert [v["relation"] for v in report.violations] == ["ZV"]
 
 
+def test_solve_back_reports_a_shifted_closed_form_as_one_discrepancy(canonical, monkeypatch):
+    # the solve-back reads the matrices only, so a closed-form xi_5 off by 1
+    # leaves the solved value as it was and disagrees with it in xi_5 alone
+    true = structure_constants(canonical).xi[5]
+    _tamper_constants(monkeypatch, "xi", 5, lambda v: v + 1)
+    report = check_structure_constants(Instance(canonical))
+    assert report.violations == [{"constant": "xi_5", "kind": "DISCREPANCY",
+                                  "solved": frac_str(true), "closed_form": frac_str(true + 1)}]
+
+
 def test_relation_table_negative_control(canonical, monkeypatch):
     # xi_8 in place of xi_5 on the X term of ZY, in the one table both the
     # relation check and the solve-back read: both fail
@@ -566,6 +576,25 @@ def test_potential_catches_an_extra_word(canonical, monkeypatch, name, check, wo
     assert report.status == "fail"
     assert len(report.violations) == 2
     assert all(v["word"] and v["residual"] == "1/1" for v in report.violations)
+
+
+@pytest.mark.parametrize("check, potential, relations, pairs", [
+    (check_potential_rqhahn, "potential_rqhahn", "rqhahn_relation_polys",
+     (("Y", "XZ"), ("X", "ZY"), ("Z", "YX"))),
+    (check_potential_meta, "potential_meta", "meta_relation_polys",
+     (("V", "XZ"), ("X", "ZV"), ("Z", "VX"))),
+], ids=["rqhahn", "meta"])
+def test_potential_flags_a_zero_relation_and_a_zero_scale(canonical, monkeypatch, check,
+                                                          potential, relations, pairs):
+    # a relation that is zero in the free algebra fixes no scale, and a zero
+    # potential has derivatives of scale 0: neither may pass
+    good = getattr(algebra, relations)
+    monkeypatch.setattr(algebra, relations, lambda inst: {**good(inst), pairs[0][1]: NCPoly({})})
+    monkeypatch.setattr(algebra, potential, lambda inst: NCPoly({}))
+    report = check(Instance(canonical))
+    assert report.violations == [
+        {"generator": pairs[0][0], "relation": pairs[0][1], "residual": "relation is zero"}] + [
+        {"generator": gen, "relation": rel, "residual": "zero scale"} for gen, rel in pairs[1:]]
 
 
 def test_potential_derivative_matches_relation_poly(canonical):

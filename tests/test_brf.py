@@ -686,6 +686,15 @@ def test_partial_fraction_catches_a_perturbed_phi_coefficient(canonical, monkeyp
     assert [v["n"] for v in report.violations] == [p.N]
 
 
+def test_partial_fractions_report_a_u0_that_is_not_one(canonical, monkeypatch):
+    # U_0 has no poles, so its partial fractions are the constant 1 alone
+    good = brf.brf_u
+    monkeypatch.setattr(brf, "brf_u", lambda n, p: good(n, p) if n else GridVector(
+        tuple(v + (F(1, 7) if x == 1 else 0) for x, v in enumerate(good(n, p))), p))
+    report = check_partial_fractions(Instance(canonical))
+    assert report.violations == [{"n": 0, "residual": "U_0 is not identically 1"}]
+
+
 def test_phi_expansion_reads_its_step_from_the_v_phi_band(monkeypatch):
     # one declaration: V's phi lower coefficient at n = 2, doubled, is the
     # step to C_{n,2}, so the recurrence route fails for every U_n that

@@ -143,6 +143,22 @@ def test_tridiagonal_detects_mu_perturbation(canonical, monkeypatch):
     assert {(v["op"], v["n"]) for v in report.violations} == {("Y", 2)}
 
 
+@pytest.mark.parametrize("op", "XYZ")
+@pytest.mark.parametrize("edge", ["raising", "lowering"])
+def test_banded_checks_report_a_coefficient_that_reaches_past_the_family(canonical,
+                                                                        monkeypatch, edge, op):
+    # U_{N+1} and U_{-1} are not members: a nonzero raising mu at n = N or
+    # lowering mu at n = 0 is named at that n, not dropped; the recurrence
+    # reads the X and Z expansions only
+    n, at, slot = (canonical.N, "N", 0) if edge == "raising" else (0, "0", 2)
+    _tamper_mu(monkeypatch, n, "XYZ".index(op) * 3 + slot, F(1))
+    inst = Instance(canonical)
+    problem = f"{edge} coefficient nonzero at n = {at}"
+    assert check_tridiagonal_actions(inst).violations == [{"op": op, "n": n, "residual": problem}]
+    assert check_recurrence(inst).violations == (
+        [] if op == "Y" else [{"n": n, "residual": problem}])
+
+
 def test_mu_eigenvalue_coupling():
     # the Y row of the mu table is the X row scaled by lambda_n
     for p in SMALL_PANEL:

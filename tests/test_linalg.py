@@ -9,7 +9,7 @@ from qhahn import linalg
 from qhahn.operators import Basis, GridVector, OpMatrix
 from qhahn.qcore import QHahnError, QParams, RankDeficient, SingularSystem
 
-from conftest import identity, outcome, solve_by_rref, tridiagonal_null_space
+from conftest import GF, identity, outcome, solve_by_rref, tridiagonal_null_space
 
 nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 any_frac = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -205,52 +205,6 @@ def test_solve_unique_stops_at_full_rank_and_substitutes_the_rest():
         assert len(taken) == 2
         assert outcome(solve_by_rref, a, b) == expected
 
-P = 2**61 - 1
-
-
-class GF:
-    """An element of the prime field Z/P: a field other than Fraction that
-    mixes with ints only, so a Fraction or a float meeting it raises TypeError."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: int):
-        self.v = v % P
-
-    @staticmethod
-    def _lift(x):
-        return x.v if isinstance(x, GF) else x if type(x) is int else None
-
-    def _op(f):
-        def op(self, other):
-            o = GF._lift(other)
-            return NotImplemented if o is None else GF(f(self.v, o))
-        return op
-
-    __add__ = __radd__ = _op(lambda a, b: a + b)
-    __mul__ = __rmul__ = _op(lambda a, b: a * b)
-    __sub__ = _op(lambda a, b: a - b)
-    __rsub__ = _op(lambda a, b: b - a)
-    __truediv__ = _op(lambda a, b: a * pow(b, -1, P))
-    __rtruediv__ = _op(lambda a, b: b * pow(a, -1, P))
-
-    def __neg__(self):
-        return GF(-self.v)
-
-    def __eq__(self, other):
-        o = GF._lift(other)
-        return NotImplemented if o is None else self.v == o % P
-
-    def __hash__(self):
-        return hash(self.v)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"GF({self.v})"
-
-
 def mod_p(x):
     """The image in GF of a Fraction or an int."""
     return GF(x.numerator) / GF(x.denominator)
@@ -307,14 +261,14 @@ def test_the_kernels_take_the_field_of_their_inputs():
 @pytest.mark.parametrize("value", [GF(1), 1.0], ids=["GF", "float"])
 def test_solve_unique_takes_only_ints_and_fractions(value):
     # the fraction-free kernel clears rows to integers: any other entry, in
-    # a or in b, is a QHahnError that names the kernel, not an AttributeError
-    # or a float taken as an exact binary fraction
+    # a or in b, is the QHahnError of the one gate, `qcore._pair`, not an
+    # AttributeError or a float taken as an exact binary fraction
     for a, b in (([[value, F(1)], [F(1), 0]], [F(1), F(2)]),
                  ([[F(1), F(0)], [F(0), F(1)]], [F(1), value])):
         with pytest.raises(QHahnError) as info:
             linalg.solve_unique(a, b)
         assert str(info.value) == (
-            f"solve_unique takes ints and Fractions, not {type(value).__name__}")
+            f"integer kernels take ints and Fractions, not {type(value).__name__}")
 
 
 def test_grid_vectors_and_operator_matrices_take_the_field_of_their_entries():

@@ -1,5 +1,8 @@
 import inspect
+import itertools
 import json
+from collections import Counter
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -7,13 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhahn import cli
-from qhahn.brf import Instance, partner_family, reflected_params
+from qhahn.algebra import NCPoly, evaluate_poly
+from qhahn.brf import Instance, brf_u, partial_fraction, partner_family, reflected_params
 from qhahn.gevp import check_factorization
+from qhahn.linalg import solve_unique
 from qhahn.qcore import (
     InvalidParams,
+    QHahnError,
     QParams,
+    ValidationReport,
     ZeroDenominator,
+    _series_rows,
     frac_str,
+    over_common_denominator,
     phi_series,
     qnum,
     qpoch,
@@ -21,8 +30,9 @@ from qhahn.qcore import (
     scalar,
     validate_params,
 )
+from qhahn.reports import CheckReport, _residuals, check_gram
 
-from conftest import CANONICAL, PANEL
+from conftest import CANONICAL, GF, PANEL
 
 rationals = st.fractions(
     min_value=F(-4), max_value=F(4), max_denominator=16
@@ -252,3 +262,49 @@ def test_validate_params_accepts_panel():
 def test_validate_params_rejects_bad_nmax():
     with pytest.raises(InvalidParams):
         validate_params(CANONICAL, 7)
+
+
+# Each integer kernel fed one value that is neither an int nor a Fraction.
+GATED = {
+    "check_gram-weights": lambda v: check_gram(CheckReport("gram", {}), [v, 1], [[1, 1]],
+                                               [[1, 1]], [2]),
+    "check_gram-rows": lambda v: check_gram(CheckReport("gram", {}), [1, 1], [[v, 1]],
+                                            [[1, 1]], [2]),
+    "evaluate_poly": lambda v: evaluate_poly(NCPoly({("X",): v}), Instance(CANONICAL)),
+    "partial_fraction": lambda v: partial_fraction([v, 1, 1], brf_u(2, CANONICAL)),
+    "_residuals": lambda v: _residuals([(1, 1)], [(1, 1)], v, 1),
+    "solve_unique": lambda v: solve_unique([[v]], [1]),
+    "_series_rows": lambda v: _series_rows(CANONICAL._row_tables, 1, v),
+    "over_common_denominator": lambda v: over_common_denominator([1, v]),
+}
+
+
+@pytest.mark.parametrize("kernel", GATED)
+@pytest.mark.parametrize("value", [0.5, GF(1)], ids=["float", "GF"])
+def test_every_integer_kernel_takes_values_apart_through_the_one_gate(kernel, value):
+    # `qcore._pair` is where an exact value becomes integers: a float is not
+    # read as the binary fraction it stores, nor a wrong reason raised, and
+    # an element of another field is not an AttributeError
+    with pytest.raises(QHahnError) as info:
+        GATED[kernel](value)
+    assert type(info.value) is QHahnError
+    assert str(info.value) == f"integer kernels take ints and Fractions, not {type(value).__name__}"
+
+
+def test_weight_and_collision_flags_fire_only_where_two_others_do():
+    # weight_denominator: B/A = q^(N-2-j), j < N, is B = A q^(m-2) with
+    # m = N - j in [1, N], inside the reflected span for every n_max.
+    # eigenvalue_collision: lambda_n - lambda_m is a multiple of
+    # (q^n - q^m)(q^(-n-m) - B q^-N), so B = q^(N-s), s = n + m in
+    # [1, 2 n_max - 1], and the four brackets cover s in [-1, 2 n_max + 1]
+    fired = Counter()
+    for q in (F(1, 2), F(-1, 3), F(3, 2)):
+        for A, N in itertools.product((F(3), F(-5, 7), q**2), range(7)):
+            bs = {q**k for k in range(-N - 3, N + 4)} | {A * q**k for k in range(-N - 3, N + 3)}
+            for B, n_max in itertools.product(bs, range(N + 1)):
+                report = validate_params(QParams(q, A, B, N), n_max)
+                fired.update(f.name for f in fields(report) if getattr(report, f.name))
+                assert report.weight_denominator is None or report.reflected_basis_pole
+                assert report.eigenvalue_collision is None or report.bracket_denominator
+    assert set(fired) == {f.name for f in fields(ValidationReport)}
+

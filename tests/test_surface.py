@@ -124,3 +124,23 @@ def test_verify_and_export_reach_every_function(tmp_path):
     entered = {tuple(key) for key in json.loads(child.stdout)}
     unreached = sorted(name for key, name in defined_functions().items() if key not in entered)
     assert unreached == sorted(UNREACHED)
+
+
+def ratio_readers(node, owner):
+    """The dotted name of the def or class around each `.as_integer_ratio`
+    attribute under node, the module's stem for one at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and child.attr == "as_integer_ratio":
+            yield owner
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from ratio_readers(child, f"{owner}.{child.name}" if named else owner)
+
+
+def test_only_the_one_gate_takes_values_apart():
+    # an exact value becomes integers only in `qcore._pair` and, for a
+    # Fraction, inline in `over_common_denominator`, so no kernel grows a
+    # second gate or reads a float silently as the binary fraction it stores
+    readers = {reader for path in pathlib.Path(qhahn.__file__).parent.glob("*.py")
+               for reader in ratio_readers(ast.parse(path.read_text()), path.stem)}
+    assert "qcore._pair" in readers
+    assert readers <= {"qcore._pair", "qcore.over_common_denominator"}

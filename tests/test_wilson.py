@@ -165,6 +165,15 @@ def test_wilson_limit_rate_catches_a_target_off_by_a_constant(monkeypatch):
     assert F(report.details["ratio_bound"]) < 1
 
 
+def test_wilson_limit_catches_a_path_that_does_not_move(monkeypatch):
+    # every m given the first m's instance: the deviation stays where it was
+    first = induced_wilson_params(LIMIT_INSTANCE, 8, F(3))
+    monkeypatch.setattr(wilson, "induced_wilson_params", lambda p, m, qc: first)
+    report = wilson_limit_check(LIMIT_INSTANCE, [8, 12, 16, 20], F(3))
+    assert report.violations == [
+        {"m": m, "residual": "deviation failed to decrease"} for m in (12, 16, 20)]
+
+
 def test_wilson_limit_requires_shrinking_q():
     grow = QParams(F(3, 2), F(32, 243), F(19683, 512), 3)
     with pytest.raises(InvalidParams):
@@ -397,6 +406,24 @@ def test_qto1_orders_march_to_linear():
     orders = report.details["orders"]
     assert all(b > a for a, b in zip(orders, orders[1:]))
     assert abs(orders[-1] - 1) < 0.1
+
+
+@pytest.mark.parametrize("deviation, residual", [
+    (lambda h: mpmath.mpf(1) / 1000, "deviation failed to decrease"),
+    (lambda h: (mpmath.mpf(h.numerator) / h.denominator) ** 3,
+     "measured order 3.000 outside [0.5, 2]"),
+], ids=["stalls", "cubic"])
+def test_qto1_catches_a_deviation_that_stalls_or_scales_like_h_cubed(monkeypatch, deviation,
+                                                                      residual):
+    # q-side values off the exact q = 1 ones by deviation(h), the same at
+    # both precisions: a constant offset never decreases, and an h^3 one
+    # has order 3, outside the window about 1
+    hp = HahnParams(F(-3), F(5), 2)
+    exact = wilson._flat(wilson._table(hahn_weight, hahn_u, hahn_v, hahn_h, hp.N, hp))
+    monkeypatch.setattr(wilson, "_qto1_table", lambda hp, h, prec: [
+        mpmath.mpf(v.numerator) / v.denominator + deviation(h) for v in exact])
+    report = qto1_convergence_check(hp, [F(1, 8), F(1, 16), F(1, 32)])
+    assert report.violations == [{"h": h, "residual": residual} for h in ("1/16", "1/32")]
 
 
 def test_qto1_requires_integer_exponents():
@@ -666,10 +693,10 @@ def test_a_base_depending_on_both_n_and_x_is_rejected():
 def test_the_series_kernel_takes_only_ints_and_fractions():
     # a float q would otherwise be read as the binary fraction it stores
     p = _unguarded(QParams, q=0.5, A=F(3), B=F(1, 5), N=3)
-    with pytest.raises(QHahnError, match="_series_rows takes ints and Fractions, not float"):
+    with pytest.raises(QHahnError, match="integer kernels take ints and Fractions, not float"):
         brf.brf_u(1, p)
     tables = QParams(F(1, 2), F(3), F(1, 5), 3)._row_tables
-    with pytest.raises(QHahnError, match="_series_rows takes ints and Fractions, not float"):
+    with pytest.raises(QHahnError, match="integer kernels take ints and Fractions, not float"):
         qcore._series_rows(tables, 1, 0.5)
 
 
