@@ -11,10 +11,10 @@ products of factors 1 - c q^d that the series tables and the 10phi9 weight
 and norm tables step by), `brf.partial_fraction` (on `QParams._basis_grid`),
 `brf.check_partner`, `reports.check_gram`, `algebra.evaluate_poly`,
 `linalg.solve_unique` and the banded checks of `gevp`: they work on integers,
-most on rows over one denominator (`over_common_denominator`, a Fraction taken
-apart inline), the Gram rows also content free.  Any other value becomes
-integers only in `_pair`, the one gate, which raises a QHahnError naming the
-type of anything but an int or a Fraction.  The checks among them compare
+most on rows over one denominator (`over_common_denominator`), the Gram rows
+also content free.  A value becomes integers only in `_pair`, the one gate,
+which raises a QHahnError naming the type of anything but an int or a
+Fraction.  The checks among them compare
 through `reports._residuals`.  The integer row form is
 `_integer_rows`, each row as its nonzero entries over one denominator;
 `_apply` applies it to an integer vector, `_sum_rows` sums its rows,
@@ -136,10 +136,10 @@ def _pair(v) -> tuple[int, int]:
 
 def over_common_denominator(values) -> tuple[list[int], int]:
     """Integers c_i and the least d > 0 with values[i] = c_i / d, the form the kernels
-    compare: ints alone as they are (d = 1), else a Fraction inline and the rest by `_pair`."""
+    compare: ints alone as they are (d = 1), else each value through `_pair`."""
     if all(type(v) is int for v in values):
         return list(values), 1
-    pairs = [v.as_integer_ratio() if type(v) is Fraction else _pair(v) for v in values]
+    pairs = [_pair(v) for v in values]
     d = math.lcm(*(den for _, den in pairs))
     return [num * (d // den) for num, den in pairs], d
 

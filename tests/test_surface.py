@@ -137,10 +137,9 @@ def ratio_readers(node, owner):
 
 
 def test_only_the_one_gate_takes_values_apart():
-    # an exact value becomes integers only in `qcore._pair` and, for a
-    # Fraction, inline in `over_common_denominator`, so no kernel grows a
-    # second gate or reads a float silently as the binary fraction it stores
+    # an exact value becomes integers only in `qcore._pair`, so no kernel
+    # grows a second gate or reads a float silently as the binary fraction
+    # it stores
     readers = {reader for path in pathlib.Path(qhahn.__file__).parent.glob("*.py")
                for reader in ratio_readers(ast.parse(path.read_text()), path.stem)}
-    assert "qcore._pair" in readers
-    assert readers <= {"qcore._pair", "qcore.over_common_denominator"}
+    assert readers == {"qcore._pair"}
