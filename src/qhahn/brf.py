@@ -204,6 +204,8 @@ def partner_family(p: QParams) -> tuple[GridVector, ...]:
 class Instance:
     """One instance and the objects its checks share, each built on first use;
     a verify run builds one per `instances` entry for all five q-Hahn suites.
+    The banded `gevp` checks compare rows of `images` and `expansions`, the
+    operator actions on the family and their mu expansions.
 
     The builders are called through their modules' globals, looked up at call
     time, so a substitute installed there (a monkeypatch, a tracer) is cached.
@@ -246,20 +248,6 @@ class Instance:
             (g,): rows for g, rows in self.op_rows.items()}
 
     @cached_property
-    def mu(self) -> tuple:
-        """The mu table: mu[n] is `gevp.mu_coefficients(n, p)` for n = 0..N."""
-        from . import gevp  # gevp imports this module
-
-        return tuple(gevp.mu_coefficients(n, self.p) for n in range(self.p.N + 1))
-
-    @cached_property
-    def pencil_residuals(self) -> list[list]:
-        """`gevp._pencil_residuals`, shared by the gevp and difference-equation checks."""
-        from . import gevp  # gevp imports this module
-
-        return gevp._pencil_residuals(self)
-
-    @cached_property
     def constants(self):
         """The closed-form structure constants, `algebra.structure_constants(p)`."""
         from . import algebra  # algebra imports this module
@@ -277,6 +265,27 @@ class Instance:
     def op_rows(self) -> dict[str, list[tuple[dict[int, int], int]]]:
         """X, Y, Z and V of `ops` as `_integer_rows`, so a banded row is short."""
         return {g: _integer_rows(m) for g, m in self.ops.items()}
+
+    @cached_property
+    def images(self) -> dict[str, list[list[tuple[int, int]]]]:
+        """X U_n, Y U_n and Z U_n for n = 0..N, keyed by letter: `_apply` of
+        `op_rows` to each of `family_rows`, integer pairs over its denominator."""
+        rows, _ = self.family_rows
+        return {g: [_apply(self.op_rows[g], c) for c in rows] for g in "XYZ"}
+
+    @cached_property
+    def expansions(self) -> dict[str, list[tuple]]:
+        """The mu three-term expansions of X U_n, Y U_n and Z U_n for n = 0..N,
+        keyed by letter, as `gevp._three_term` gives them from one
+        `gevp.mu_coefficients(n, p)` per n: (pairs, None), or (None, the problem
+        of a coefficient that reaches past the family)."""
+        from . import gevp  # gevp imports this module
+
+        rows, _ = self.family_rows
+        cols = list(zip(*rows))
+        mus = [gevp.mu_coefficients(n, self.p) for n in range(self.p.N + 1)]
+        return {g: [gevp._three_term([mu[3 * i + ell] for ell in (1, 2, 3)], n, cols)
+                    for n, mu in enumerate(mus)] for i, g in enumerate("XYZ")}
 
 
 def bare_norm(n: int, q, A, B, N: int):

@@ -69,6 +69,25 @@ def _section(config: dict, key: str, kind: type, default):
     return value
 
 
+# The keys `run_verify` reads, nested as in the config; `version` is only documented.
+_CONFIG_KEYS = dict.fromkeys(("version", "suites", "instances", "wilson_instances",
+                              "hahn_instances"), {}) | {
+    "limits": {"wilson": dict.fromkeys(("instance", "m_list", "qc"), {}),
+               "qto1": dict.fromkeys(("instance", "h_list"), {})}}
+
+
+def _check_keys(config: dict, known: dict, section: str = "") -> None:
+    """A ConfigError naming the first key, at any level `known` lists the keys
+    of, that a verify run would never read: a misspelt key is no silent default."""
+    for key, value in config.items():
+        name = f"{section}.{key}" if section else key
+        if key not in known:
+            raise ConfigError(f"unknown config key {name!r}; "
+                              f"{section or 'the top level'} takes {', '.join(known)}")
+        if known[key] and isinstance(value, dict):
+            _check_keys(value, known[key], name)
+
+
 def _timed(seconds: dict[str, float], check, *args) -> CheckReport:
     """check(*args), its wall seconds added to `seconds` under the report's name."""
     t0 = time.monotonic()
@@ -191,6 +210,7 @@ def run_verify(config_path: str, suite_names: list[str] | None, out_path: str | 
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_keys(config, _CONFIG_KEYS)
 
     selected = suite_names if suite_names is not None else _section(
         config, "suites", list, sorted(SUITES))

@@ -10,11 +10,12 @@ The factorization Y = X V of the pencil is checked here too, in both
 bases, as a product of integer rows (`qcore._mul_rows`), with a
 forward-substitution oracle on the dense Fraction rows.
 
-The five banded checks run on `Instance.family_rows`, `Instance.op_rows`
-and the `Instance.mu` table: each identity at (n, x) is an integer band
-product compared with its Fraction coefficients by `reports._residuals`,
-the comparison the Gram and partner checks share, and only a violating
-entry builds its Fraction residual.
+The five banded checks compare rows of two tables that `Instance` builds
+once: `images`, X U_n, Y U_n and Z U_n as integer band products, and
+`expansions`, their mu three-term expansions.  Each identity at (n, x) is
+compared with its Fraction coefficients by `reports._residuals`, the
+comparison the Gram and partner checks share, and only a violating entry
+builds its Fraction residual.
 
 Boundary convention: values off the grid (U_n at x = -1 or x = N+1, and
 family members U_{-1}, U_{N+1}) never enter because their coefficients
@@ -23,7 +24,6 @@ vanish; the checkers verify that vanishing instead of assuming it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +34,6 @@ from .qcore import (
     InvalidParams,
     QParams,
     SingularSystem,
-    _apply,
     _integer_rows,
     _mul_rows,
     _pair,
@@ -122,19 +121,13 @@ def mu_coefficients(n: int, p: QParams) -> MuCoefficients:
     return MuCoefficients(mu)
 
 
-def _pencil_residuals(inst: Instance) -> list[list]:
-    """The `_residuals` of Y U_n = lambda_n X U_n for each n, on the rows of
-    `Instance.op_rows`."""
-    rows, den = inst.family_rows
-    return [_residuals(_apply(inst.op_rows["Y"], c), _apply(inst.op_rows["X"], c), lam, den)
-            for c, lam in zip(rows, inst.family.lambdas)]
-
-
 def check_gevp(inst: Instance) -> CheckReport:
     """Y U_n = lambda_n X U_n with exactly zero residual for every n."""
     report = CheckReport(check="gevp", params=inst.p.as_dict())
-    report.details["residuals"] = [_flag_worst(report, resid, n=n)
-                                   for n, resid in enumerate(inst.pencil_residuals)]
+    images, den = inst.images, inst.family_rows[1]
+    report.details["residuals"] = [
+        _flag_worst(report, _residuals(images["Y"][n], images["X"][n], lam, den), n=n)
+        for n, lam in enumerate(inst.family.lambdas)]
     report.details["lambdas"] = [frac_str(v) for v in inst.family.lambdas]
     return report
 
@@ -188,7 +181,9 @@ def check_difference_equation(inst: Instance) -> CheckReport:
         problems[0] = "off-grid lowering coefficient nonzero"
     if band_coefficients(Operator.Y, Basis.POINT, p, N)[0]:
         problems[N] = "off-grid raising coefficient nonzero"
-    for n, resid in enumerate(inst.pencil_residuals):
+    images, den = inst.images, inst.family_rows[1]
+    for n, lam in enumerate(inst.family.lambdas):
+        resid = _residuals(images["Y"][n], images["X"][n], lam, den)
         for x, (problem, r) in enumerate(zip(problems, resid)):
             if problem:
                 report.add_violation(n=n, x=x, residual=problem)
@@ -201,7 +196,8 @@ def _three_term(mu3: Sequence, n: int, cols: Sequence[Sequence[int]]):
     """mu3[0] U_{n+1} + mu3[1] U_n + mu3[2] U_{n-1} at every x, as integer
     pairs (numerator, E) over the family denominator; `cols[x]` holds the
     family's integer values at x.  An absent member is dropped only when its
-    coefficient vanishes.  Returns (pairs, problem)."""
+    coefficient vanishes.  Returns (pairs, problem); `Instance.expansions`
+    holds one per operator and n."""
     N = len(cols[0]) - 1
     raising, diag, lowering = mu3
     if n == N and raising != 0:
@@ -213,25 +209,23 @@ def _three_term(mu3: Sequence, n: int, cols: Sequence[Sequence[int]]):
     return [(sum(w * col[m] for m, w in zip(terms, ints)), e) for col in cols], None
 
 
+def _brackets(inst: Instance) -> list[tuple[int, int]]:
+    """[x-alpha]_q, X's diagonal, at x = 0..N as integer pairs."""
+    return [_pair(inst.ops["X"][x][x]) for x in range(inst.p.N + 1)]
+
+
 def check_recurrence(inst: Instance) -> CheckReport:
     """Recurrence in n at every grid point, exactly.
 
     mu1 U_{n+1} + mu2 U_n + mu3 U_{n-1}
       = -[x-alpha]_q (mu7 U_{n+1} + mu8 U_n + mu9 U_{n-1}).
     """
-    p = inst.p
-    report = CheckReport(check="recurrence", params=p.as_dict())
-    rows, den = inst.family_rows
-    cols = list(zip(*rows))
-    brackets = [_pair(inst.ops["X"][x][x]) for x in range(p.N + 1)]  # [x-alpha]_q
-    for n, mu in enumerate(inst.mu):
-        lhs, problem = _three_term((mu[1], mu[2], mu[3]), n, cols)
-        if problem:
-            report.add_violation(n=n, residual=problem)
-            continue
-        zside, problem = _three_term((mu[7], mu[8], mu[9]), n, cols)
-        if problem:
-            report.add_violation(n=n, residual=problem)
+    report = CheckReport(check="recurrence", params=inst.p.as_dict())
+    den, brackets = inst.family_rows[1], _brackets(inst)
+    for n, ((lhs, problem), (zside, z_problem)) in enumerate(
+            zip(inst.expansions["X"], inst.expansions["Z"])):
+        if problem or z_problem:
+            report.add_violation(n=n, residual=problem or z_problem)
             continue
         rhs = [(-xd * z, ex * e) for (z, e), (xd, ex) in zip(zside, brackets)]
         for x, r in enumerate(_residuals(lhs, rhs, 1, den)):
@@ -243,16 +237,14 @@ def check_recurrence(inst: Instance) -> CheckReport:
 def check_tridiagonal_actions(inst: Instance) -> CheckReport:
     """X, Y, Z applied to U_n match their three-term mu expansions exactly."""
     report = CheckReport(check="tridiagonal_actions", params=inst.p.as_dict())
-    rows, den = inst.family_rows
-    cols = list(zip(*rows))
-    for name, labels in (("X", (1, 2, 3)), ("Y", (4, 5, 6)), ("Z", (7, 8, 9))):
-        for n, mu in enumerate(inst.mu):
-            expansion, problem = _three_term(tuple(mu[ell] for ell in labels), n, cols)
+    den = inst.family_rows[1]
+    for name in "XYZ":
+        for n, (image, (expansion, problem)) in enumerate(
+                zip(inst.images[name], inst.expansions[name])):
             if problem:
                 report.add_violation(op=name, n=n, residual=problem)
                 continue
-            resid = _residuals(_apply(inst.op_rows[name], rows[n]), expansion, 1, den)
-            _flag_worst(report, resid, op=name, n=n)
+            _flag_worst(report, _residuals(image, expansion, 1, den), op=name, n=n)
     return report
 
 
@@ -271,21 +263,18 @@ def check_contiguity(inst: Instance) -> CheckReport:
         if target.issues:
             report.skipped = f"{tag} instance invalid for contiguity: " + "; ".join(target.issues)
             return report
-    rows, den = inst.family_rows
+    den, images = inst.family_rows[1], inst.images
     rows_shift, den_shift = shifted.family_rows
     scale = qnum(p, 0, -1)  # [-alpha]_q
     report.details["scale"] = frac_str(scale)
-    # both sides are compared over lcm(den, den_shift), which each lift completes
-    g = math.gcd(den, den_shift)
-    lift, lift_shift = den_shift // g, den // g
-    brackets = [_pair(inst.ops["X"][x][x]) for x in range(p.N + 1)]  # [x-alpha]_q
-    for n in range(p.N + 1):
-        image = {g: [(a * lift, e) for a, e in _apply(inst.op_rows[g], rows[n])] for g in "XYZ"}
-        u_shift = [(v * lift_shift, 1) for v in rows_shift[n]]
-        for name, factor in (("X", scale), ("Y", scale * inst.family.lambdas[n])):
-            _flag_worst(report, _residuals(image[name], u_shift, factor, den * lift), op=name, n=n)
-        rhs = [(-ex * v, xd) for (v, _), (xd, ex) in zip(u_shift, brackets)]
-        for x, r in enumerate(_residuals(image["Z"], rhs, scale, den * lift)):
+    brackets = _brackets(inst)
+    for n, lam in enumerate(inst.family.lambdas):
+        # U'_n over the family denominator: (den v / den_shift) / den
+        u_shift = [(den * v, den_shift) for v in rows_shift[n]]
+        for name, factor in (("X", scale), ("Y", scale * lam)):
+            _flag_worst(report, _residuals(images[name][n], u_shift, factor, den), op=name, n=n)
+        rhs = [(-ex * v, xd * d) for (v, d), (xd, ex) in zip(u_shift, brackets)]
+        for x, r in enumerate(_residuals(images["Z"][n], rhs, scale, den)):
             if r is not None:
                 report.add_violation(op="Z", n=n, x=x, residual=frac_str(r))
     return report

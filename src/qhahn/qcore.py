@@ -114,10 +114,11 @@ class ConfigError(QHahnError):
 
 
 def scalar(x) -> Fraction:
-    """Coerce an int, a "num/den" string, or a Fraction to an exact rational."""
+    """Coerce an int, a "num/den" string, or a Fraction to an exact rational; a
+    bool is not a number here."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) or isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -128,8 +129,9 @@ def frac_str(x: Fraction) -> str:
 
 
 def _pair(v) -> tuple[int, int]:
-    """An int or a Fraction as (numerator, denominator): the integer kernels' one gate."""
-    if isinstance(v, (int, Fraction)):
+    """An int or a Fraction, not a bool, as (numerator, denominator): the integer
+    kernels' one gate."""
+    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
         return v.as_integer_ratio()
     raise QHahnError(f"integer kernels take ints and Fractions, not {type(v).__name__}")
 

@@ -224,11 +224,9 @@ def wilson_weight(x: int, wp: WilsonParams) -> Fraction:
 
 
 def _wilson_rows(n: int, wp: WilsonParams, i: int) -> list[Fraction]:
-    """Row n of `WilsonParams._row_tables`[i], the weights divided by 1 - h."""
-    h = wp._series_bases[i][0]
-    if h == 1:
-        raise ZeroDenominator("very-well-poised head vanishes")
-    return _series_rows(wp._row_tables[i], n, 1 / (1 - h))
+    """Row n of `WilsonParams._row_tables`[i], the weights divided by 1 - h, which
+    the `WilsonParams` guard keeps nonzero."""
+    return _series_rows(wp._row_tables[i], n, 1 / (1 - wp._series_bases[i][0]))
 
 
 def wilson_u(n: int, wp: WilsonParams) -> list[Fraction]:

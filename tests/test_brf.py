@@ -600,6 +600,27 @@ def test_a_prefactor_index_outside_the_grid_is_invalid(canonical):
             u_prefactor(n, canonical)
 
 
+def doubled_weight(mp):
+    """weight_vector(CANONICAL) with its normalization doubled, so it sums to 2."""
+    mp.setattr(brf, "weight_scale", lambda p: 2 * weight_scale(p))
+    return weight_vector(CANONICAL)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda mp: weight_scale(QParams(F(1, 2), F(3), F(1, 2), 3)), ZeroDenominator,
+     "(1/B; q)_N vanishes in the weight normalization"),
+    (lambda mp: bare_norm(0, F(1, 2), F(1, 5), F(1, 5), 3), ZeroDenominator,
+     "norm denominator vanishes"),
+    (doubled_weight, QHahnError, "weight normalization failed: sum = 2"),
+], ids=["weight-scale", "bare-norm-head", "weight-sum"])
+def test_closed_forms_name_what_fails(monkeypatch, make, error, message):
+    # B = q makes (1/B; q)_N vanish, A = B makes (A/(qB); q)_N vanish, and
+    # a weight that does not sum to 1 is refused, not normalized
+    with pytest.raises(error) as info:
+        make(monkeypatch)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_prefactor_tables_are_built_once_per_instance(monkeypatch):
     # the family and the phi-expansion share p's table; the partner family
     # builds one for its reflected instance, not one per m

@@ -242,14 +242,33 @@ def test_biortho_suite_builds_the_partner_rows_and_the_basis_grid_once(monkeypat
         + [("partial_fraction", p, n) for p in instances for n in range(p.N + 1)])
 
 
-def test_gevp_suite_computes_the_pencil_residuals_once(monkeypatch):
-    # the gevp and difference-equation checks read the one Instance.pencil_residuals
+def test_gevp_suite_forms_each_image_and_expansion_once(monkeypatch):
+    # the five banded checks compare rows of Instance.images and
+    # Instance.expansions: X U_n, Y U_n, Z U_n and their mu expansions are
+    # formed once per (operator, n), from one mu table, and only at the base
+    # instance (contiguity reads the shifted family alone)
     calls = []
-    good = gevp._pencil_residuals
-    monkeypatch.setattr(gevp, "_pencil_residuals", lambda inst: calls.append(inst.p) or good(inst))
-    reports = run_suite("gevp", MINIMAL)
+    for module, name in ((brf, "_apply"), (gevp, "_three_term"), (gevp, "mu_coefficients")):
+        good = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, good=good: (
+            calls.append((name, args)) or good(*args)))
+    entries = cli._instance_entries(MINIMAL)
+    reports = cli.SUITES["gevp"](MINIMAL, {}, entries)
     assert [r["status"] for r in reports] == ["pass"] * 6
-    assert calls == [CANONICAL]
+    made = list(calls)
+    inst = entries[0][2]
+    p, (rows, _) = inst.p, inst.family_rows
+    letter = {id(m): g for g, m in inst.op_rows.items()}
+    index = {id(c): n for n, c in enumerate(rows)}
+    applied = [(letter[id(args[0])], index[id(args[1])]) for kind, args in made if kind == "_apply"]
+    assert Counter(applied) == Counter((g, n) for g in "XYZ" for n in range(p.N + 1))
+    mus = [gevp.mu_coefficients(n, p).mu for n in range(p.N + 1)]
+    expanded = [args for kind, args in made if kind == "_three_term"]
+    assert Counter((tuple(mu3), n) for mu3, n, _ in expanded) == Counter(
+        (mu[i:i + 3], n) for n, mu in enumerate(mus) for i in (0, 3, 6))
+    assert all(cols == list(zip(*rows)) for _, _, cols in expanded)
+    assert [args for kind, args in made if kind == "mu_coefficients"] == [
+        (n, p) for n in range(p.N + 1)]
 
 
 @pytest.mark.parametrize("suite", ["algebra", "casimir", "potential"])
@@ -330,8 +349,8 @@ def each_check_on_its_own_instance(name, instances):
     [{"q": "1/2", "A": "-5", "B": "1/7", "N": 16}],
 ], ids=["panel", "generic-n16"])
 def test_shared_instances_report_what_fresh_ones_do(tmp_path, instances):
-    # a check that mutates an object its Instance caches (pencil_residuals,
-    # op_rows, the word products, ...) changes what a later check of the run
+    # a check that mutates an object its Instance caches (images, op_rows,
+    # the word products, ...) changes what a later check of the run
     # reads, in its own suite or another; run alone, no check reads a
     # neighbour's leftovers
     out = tmp_path / "report.json"
@@ -575,7 +594,13 @@ def test_instance_rejected_by_qparams_is_a_skip_per_check(tmp_path):
     ({"limits": {"wilson": 5}}, "limits"),
     ({"limits": {"wilson": {"instance": {"q": "1/2", "A": "8", "B": "1/32", "N": 2},
                             "m_list": 8}}}, "limits"),
-], ids=["suites", "instances", "wilson_instances", "limits.wilson", "m_list"])
+    ({"limits": {"wilson": {"instance": {"q": "1/2", "A": "8", "B": "1/32", "N": 2},
+                            "m_list": [8, "12"]}}}, "limits"),
+    ([MINIMAL], None),
+    ({"instances": [{**MINIMAL["instances"][0], "N": "3"}]}, "gevp"),
+    ({"instances": [{**MINIMAL["instances"][0], "q": "one half"}]}, "gevp"),
+], ids=["suites", "instances", "wilson_instances", "limits.wilson", "m_list", "m_list-entry",
+        "root", "N", "q"])
 def test_malformed_config_shape_is_config_error(tmp_path, capsys, config, suite):
     path = write_config(tmp_path, config)
     argv = ["verify", "--config", path] + (["--suite", suite] if suite else [])
@@ -599,6 +624,22 @@ def test_a_misordered_limit_list_is_a_config_error_naming_it(tmp_path, capsys, l
     config = write_config(tmp_path, {"limits": limits})
     assert cli.main(["verify", "--config", config, "--suite", "limits"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, key, section", [
+    ({"suites": ["wilson"], "wilson_instance": []}, "wilson_instance", "the top level"),
+    ({"limits": {"wilsn": WILSON_LIMIT}}, "limits.wilsn", "limits"),
+    ({"limits": {"wilson": {**WILSON_LIMIT, "m_lst": [8, 12]}}}, "limits.wilson.m_lst",
+     "limits.wilson"),
+    ({"limits": {"qto1": {**QTO1, "hlist": ["1/8", "1/16"]}}}, "limits.qto1.hlist", "limits.qto1"),
+], ids=["top", "limits", "limits.wilson", "limits.qto1"])
+def test_a_config_key_verify_never_reads_is_a_config_error_naming_it(tmp_path, capsys,
+                                                                     config, key, section):
+    # a misspelt key would leave its section at the default: the wilson
+    # suite would pass on no instance at all, whichever suites are selected
+    path = write_config(tmp_path, {"version": 1, **config})
+    assert cli.main(["verify", "--config", path, "--suite", "wilson"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown config key {key!r}; {section} takes ")
 
 
 def test_only_the_qto1_check_imports_mpmath(tmp_path):
@@ -794,13 +835,22 @@ def test_export_rejects_invalid_instance():
     ]) == 2
 
 
-def test_export_rejects_bad_arguments():
-    assert cli.main(["export", "--what", "matrix", "--which", "Q",
-                     "--params", "1/2,32,1/512,3"]) == 2
-    assert cli.main(["export", "--what", "brf", "--which", "9",
-                     "--params", "1/2,32,1/512,3"]) == 2
-    assert cli.main(["export", "--what", "brf", "--which", "1",
-                     "--params", "1/2,32,1/512"]) == 2
+def test_export_rejects_bad_arguments(capsys):
+    for what, which, params, message in [
+        ("matrix", "Q", "1/2,32,1/512,3", "--which must be one of X, Y, Z, V for matrices"),
+        ("brf", "9", "1/2,32,1/512,3", "brf index n=9 outside 0..3"),
+        ("brf", "one", "1/2,32,1/512,3", "--which must be an index n for brf, got 'one'"),
+        ("brf", "1", "1/2,32,1/512", "--params must be q,A,B,N"),
+        ("brf", "1", "1/2,32,1/512,three", "N must be an integer, got 'three'"),
+    ]:
+        assert cli.main(["export", "--what", what, "--which", which, "--params", params]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_export_payload_names_an_unknown_target():
+    # the CLI's --what choices stop an unknown target before the payload is built
+    with pytest.raises(qcore.ConfigError, match="unknown export target 'trace'"):
+        cli._export_payload("trace", None, CANONICAL, Basis.POINT)
 
 
 @pytest.mark.parametrize("what", ["matrix", "brf"])

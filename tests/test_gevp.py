@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from qhahn.gevp import (
 from qhahn.operators import Basis, GridVector, Operator, OpMatrix, band_coefficients
 from qhahn.qcore import (
     DegenerateDenominator,
+    InvalidParams,
     QParams,
     eigenvalue,
     frac_str,
@@ -157,6 +159,17 @@ def test_banded_checks_report_a_coefficient_that_reaches_past_the_family(canonic
     assert check_tridiagonal_actions(inst).violations == [{"op": op, "n": n, "residual": problem}]
     assert check_recurrence(inst).violations == (
         [] if op == "Y" else [{"n": n, "residual": problem}])
+
+
+@pytest.mark.parametrize("read, error, message", [
+    (lambda p: mu_coefficients(-1, p), InvalidParams, "index n = -1 must lie in 0..N = 3"),
+    (lambda p: mu_coefficients(p.N + 1, p), InvalidParams, "index n = 4 must lie in 0..N = 3"),
+    (lambda p: mu_coefficients(0, p)[0], IndexError, "mu label 0 out of range 1..9"),
+    (lambda p: mu_coefficients(0, p)[10], IndexError, "mu label 10 out of range 1..9"),
+], ids=["n-below", "n-above", "label-0", "label-10"])
+def test_mu_table_refuses_an_index_outside_its_range(canonical, read, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        read(canonical)
 
 
 def test_mu_eigenvalue_coupling():

@@ -19,7 +19,15 @@ from qhahn.operators import (
     phi_function,
     weighted_adjoint,
 )
-from qhahn.qcore import DimensionMismatch, QParams, SingularSystem, eigenvalue, qnum, qpow
+from qhahn.qcore import (
+    DimensionMismatch,
+    QParams,
+    SingularSystem,
+    ZeroWeight,
+    eigenvalue,
+    qnum,
+    qpow,
+)
 
 from conftest import CANONICAL, PANEL, SMALL_PANEL, dense_evaluate_poly, identity
 
@@ -187,6 +195,26 @@ def test_matrix_times_grid_vector_checks_its_operands(basis, p):
         m @ GridVector([F(1)] * (p.N + 1), p)
     with pytest.raises(DimensionMismatch):
         m @ build_operator(Operator.X, Basis.POINT, p)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda p: GridVector([F(1)] * p.N, p), DimensionMismatch, "expected 4 values, got 3"),
+    (lambda p: OpMatrix([[F(1)] * p.N] * (p.N + 1), Basis.POINT, p), DimensionMismatch,
+     "operator matrix must be 4x4"),
+    (lambda p: build_operator(Operator.X, Basis.POINT, p) @ 3, TypeError, "unsupported operand"),
+    (lambda p: weighted_adjoint(build_operator(Operator.X, Basis.PHI, p), weight_vector(p)),
+     DimensionMismatch, "weighted adjoints are defined in the point basis"),
+    (lambda p: weighted_adjoint(build_operator(Operator.X, Basis.POINT, p),
+                                GridVector([F(1)] * p.N + [F(0)], p)),
+     ZeroWeight, "weight vector has a zero entry"),
+    (lambda p: basis_change(QParams(p.q, p.q, p.B, p.N)), PoleOnGrid, "A = q\\^1 with 1 in"),
+], ids=["short-values", "short-rows", "matmul-int", "adjoint-phi", "adjoint-zero-weight",
+        "basis-change-pole"])
+def test_operands_that_do_not_fit_are_refused(make, error, message):
+    # an operand that does not fit its instance's grid, basis, weight or
+    # poles is refused by name before any sum runs
+    with pytest.raises(error, match=message):
+        make(CANONICAL)
 
 
 def _random_vector(rng, p):

@@ -2,14 +2,14 @@ import inspect
 import itertools
 import json
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhahn import cli
+from qhahn import cli, wilson
 from qhahn.algebra import NCPoly, evaluate_poly
 from qhahn.brf import Instance, brf_u, partial_fraction, partner_family, reflected_params
 from qhahn.gevp import check_factorization
@@ -43,8 +43,22 @@ def test_scalar_coercions():
     assert scalar(3) == F(3)
     assert scalar("3/4") == F(3, 4)
     assert scalar(F(5, 7)) == F(5, 7)
-    with pytest.raises(TypeError):
-        scalar(0.5)
+    for value in (0.5, True):
+        with pytest.raises(TypeError):
+            scalar(value)
+
+
+@pytest.mark.parametrize("params, field", [
+    pytest.param(p, f.name, id=f"{type(p).__name__}-{f.name}")
+    for p in (CANONICAL, wilson.WilsonParams(F(1, 2), F(3), F(5), F(7), F(11), 2),
+              wilson.HahnParams(F(-5), F(9), 3))
+    for f in fields(p)[:-1]])
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_is_no_rational_field(params, field, value):
+    # int(True) is 1, but a bool is no exact parameter: each rational field of
+    # the three parameter classes refuses it before a guard or a series reads it
+    with pytest.raises(TypeError, match="as an exact rational"):
+        replace(params, **{field: value})
 
 
 @given(st.fractions(max_denominator=10 **6))
@@ -135,7 +149,7 @@ def test_each_bracket_is_computed_once_per_parameter_object(p):
 
     def build():
         inst = Instance(p)
-        return inst.ops, inst.mu, inst.constants, inst.family
+        return inst.ops, inst.expansions, inst.constants, inst.family
 
     build()
     for log in logs.values():
@@ -200,6 +214,16 @@ def test_phi_series_terminates():
     short = phi_series([q**-2, F(1, 3)], [F(1, 5)], F(1, 7), q, 3)
     long = phi_series([q**-2, F(1, 3)], [F(1, 5)], F(1, 7), q, 12)
     assert short == long
+
+
+@pytest.mark.parametrize("q, den, message", [
+    (F(-1), [F(1, 5)], "(q; q)_2 vanishes (q^2 = 1)"),
+    (F(1, 2), [F(1)], "denominator Pochhammer (1; q)_k vanishes at factor index 0"),
+], ids=["q-pochhammer", "denominator-base"])
+def test_phi_series_names_a_vanishing_denominator(q, den, message):
+    with pytest.raises(ZeroDenominator) as info:
+        phi_series([F(1, 3)], den, F(1, 7), q, 3)
+    assert str(info.value) == message
 
 
 def test_validate_params_flags_basis_pole():
@@ -280,11 +304,11 @@ GATED = {
 
 
 @pytest.mark.parametrize("kernel", GATED)
-@pytest.mark.parametrize("value", [0.5, GF(1)], ids=["float", "GF"])
+@pytest.mark.parametrize("value", [0.5, GF(1), True], ids=["float", "GF", "bool"])
 def test_every_integer_kernel_takes_values_apart_through_the_one_gate(kernel, value):
     # `qcore._pair` is where an exact value becomes integers: a float is not
-    # read as the binary fraction it stores, nor a wrong reason raised, and
-    # an element of another field is not an AttributeError
+    # read as the binary fraction it stores, a bool not as 0 or 1, nor a wrong
+    # reason raised, and an element of another field is not an AttributeError
     with pytest.raises(QHahnError) as info:
         GATED[kernel](value)
     assert type(info.value) is QHahnError

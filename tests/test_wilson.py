@@ -206,6 +206,17 @@ def test_parameter_classes_reject_a_bool_grid_size(make):
             make(N)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: QParams(F(1, 2), F(0), F(1, 5), 2), "A and B must be nonzero"),
+    (lambda: QParams(F(1, 2), F(3), F(0), 2), "A and B must be nonzero"),
+    (lambda: WilsonParams(F(1), F(3), F(5), F(7), F(11), 2), "q must avoid 0, 1, -1"),
+    (lambda: WilsonParams(F(1, 2), F(3), F(0), F(7), F(11), 2), "parameter values must be nonzero"),
+], ids=["QParams-A", "QParams-B", "WilsonParams-q", "WilsonParams-qc"])
+def test_parameter_classes_reject_a_degenerate_value(make, message):
+    with pytest.raises(InvalidParams, match=f"^{message}$"):
+        make()
+
+
 def test_wilson_limit_skips_degenerate_members():
     # m = 0 makes qa = 1, a degenerate head; with fewer than two valid
     # members left the check reports a skip instead of a verdict
