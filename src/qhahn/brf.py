@@ -11,7 +11,9 @@ from tables built once per instance, and the recurrence over the basis phi_k,
 and reads its eigenvalues and steps from V's phi band).
 `partial_fraction` reads the residues of U_n off its row in integer Horner
 form, and `check_partial_fractions` verifies that expansion against the
-`brf_u` values on the whole grid, so a verify run compares the two routes.
+family row on the whole grid, so a verify run compares the two routes.
+`brf_family` reduces each series row once to the content-free integer form
+every check reads; only `brf_u` and `BRFFamily.members` form Fractions.
 `check_partner` tests the adjoint statements on the transposes, on the
 integer columns of X, Y and V, and forms no adjoint, passing or failing;
 it and the Gram read the weighted partner rows, built once per instance.
@@ -53,8 +55,10 @@ from .qcore import (
     ZeroDenominator,
     _apply,
     _entry,
+    _content_free,
     _integer_rows,
     _pair,
+    _row_form,
     _running,
     _series_rows,
     eigenvalue,
@@ -65,7 +69,7 @@ from .qcore import (
     qpow,
     validate_params,
 )
-from .reports import CheckReport, _content_free, _flag_worst, _gram, _gram_rows, _residuals
+from .reports import CheckReport, _flag_worst, _gram, _residuals
 
 __all__ = [
     "bare_weight",
@@ -168,44 +172,58 @@ def brf_u(n: int, p: QParams) -> GridVector:
 
     summed at x = 0..N by the shared integer kernel `qcore._series_rows` from
     the tables `QParams._row_tables`, built once per instance, with the
-    prefactor folded in.  The q^-x base ends the sum at k = x and q^-n at
-    k = n.  A denominator 1 - A q^d that vanishes for some d in [-N, n-1]
-    raises ZeroDenominator, whatever x it belongs to.  `phi_expansion` is
-    the independent second route.
+    prefactor folded in, one Fraction per value.  The q^-x base ends the sum
+    at k = x and q^-n at k = n.  A denominator 1 - A q^d that vanishes for
+    some d in [-N, n-1] raises ZeroDenominator, whatever x it belongs to.
+    `phi_expansion` is the independent second route.
     """
     pref = u_prefactor(n, p)  # raises InvalidParams for n outside 0..N
-    return GridVector(tuple(_series_rows(p._row_tables, n, pref)), p)
+    return GridVector(tuple(Fraction(*v) for v in _series_rows(p._row_tables, n, pref)), p)
 
 
 @dataclass(frozen=True)
 class BRFFamily:
-    """All members U_0..U_N with their eigenvalues, for one instance."""
+    """N + 1 grid functions f_0..f_N of one instance p with their eigenvalues.
+    Row n is the content-free `qcore._row_form` (ints, s), f_n(x) = ints[x] s,
+    which every check reads; `members`, the Fraction values, are formed on
+    first use only."""
 
-    members: tuple[GridVector, ...]
+    rows: tuple[tuple[list[int], Fraction], ...]
     lambdas: tuple[Fraction, ...]
+    p: QParams
+
+    @cached_property
+    def members(self) -> tuple[GridVector, ...]:
+        return tuple(GridVector(tuple(v * s for v in ints), self.p) for ints, s in self.rows)
+
+
+def _family(p: QParams, at: QParams, scales, order: int = 1) -> BRFFamily:
+    """The rows of `at`'s 3phi2 with `scales` folded in, each in `order` and
+    reduced once, as a `BRFFamily` of p with the eigenvalues lambda_n of p."""
+    return BRFFamily(tuple(_row_form(_series_rows(at._row_tables, n, s)[::order])
+                           for n, s in enumerate(scales)),
+                     tuple(eigenvalue(n, p) for n in range(p.N + 1)), p)
 
 
 def brf_family(p: QParams) -> BRFFamily:
-    members = tuple(brf_u(n, p) for n in range(p.N + 1))
-    lambdas = tuple(eigenvalue(n, p) for n in range(p.N + 1))
-    return BRFFamily(members=members, lambdas=lambdas)
+    """U_0..U_N, the rows of `brf_u` reduced once each."""
+    return _family(p, p, (u_prefactor(n, p) for n in range(p.N + 1)))
 
 
-def partner_family(p: QParams) -> tuple[GridVector, ...]:
-    """Grid values of the partner family, partner_m(x) = `partner_scale(p)`
-    U_m(N - x) at `reflected_params(p)`, for m = 0..N."""
+def partner_family(p: QParams) -> BRFFamily:
+    """The partner family, partner_m(x) = `partner_scale(p)` U_m(N - x) at
+    `reflected_params(p)` for m = 0..N, with lambda_m, its eigenvalue of V*."""
     refl, c = reflected_params(p), partner_scale(p)
-    return tuple(GridVector(tuple(reversed(_series_rows(refl._row_tables, m,
-                                                        c * u_prefactor(m, refl)))), p)
-                 for m in range(p.N + 1))
+    return _family(p, refl, (c * u_prefactor(m, refl) for m in range(p.N + 1)), -1)
 
 
 @dataclass(frozen=True)
 class Instance:
     """One instance and the objects its checks share, each built on first use;
     a verify run builds one per `instances` entry for all five q-Hahn suites.
-    The banded `gevp` checks compare rows of `images` and `expansions`, the
-    operator actions on the family and their mu expansions.
+    The checks read both families as `BRFFamily.rows`; the banded `gevp`
+    checks compare rows of `images` and `expansions`, the operator actions
+    on the family and their mu expansions, in units of each row's scale.
 
     The builders are called through their modules' globals, looked up at call
     time, so a substitute installed there (a monkeypatch, a tracer) is cached.
@@ -223,7 +241,7 @@ class Instance:
         return brf_family(self.p)
 
     @cached_property
-    def partners(self) -> tuple[GridVector, ...]:
+    def partners(self) -> BRFFamily:
         return partner_family(self.p)
 
     @cached_property
@@ -232,8 +250,9 @@ class Instance:
 
     @cached_property
     def partner_rows(self) -> list[tuple[list[int], Fraction]]:
-        """w partner_m = t_m h_m for m = 0..N as `reports._gram_rows` (h_m, t_m)."""
-        return _gram_rows(self.partners, self.weight)
+        """w partner_m = t_m h_m for m = 0..N as `qcore._content_free` rows (h_m, t_m)."""
+        w, e = over_common_denominator(self.weight)
+        return [_content_free(list(map(mul, w, ints)), e / s) for ints, s in self.partners.rows]
 
     @cached_property
     def ops(self) -> dict[str, OpMatrix]:
@@ -255,13 +274,6 @@ class Instance:
         return algebra.structure_constants(self.p)
 
     @cached_property
-    def family_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(rows, d): the family over one common denominator, U_n(x) = rows[n][x] / d."""
-        n1 = self.p.N + 1
-        ints, d = over_common_denominator([v for u in self.family.members for v in u])
-        return tuple(tuple(ints[i:i + n1]) for i in range(0, n1 * n1, n1)), d
-
-    @cached_property
     def op_rows(self) -> dict[str, list[tuple[dict[int, int], int]]]:
         """X, Y, Z and V of `ops` as `_integer_rows`, so a banded row is short."""
         return {g: _integer_rows(m) for g, m in self.ops.items()}
@@ -269,9 +281,8 @@ class Instance:
     @cached_property
     def images(self) -> dict[str, list[list[tuple[int, int]]]]:
         """X U_n, Y U_n and Z U_n for n = 0..N, keyed by letter: `_apply` of
-        `op_rows` to each of `family_rows`, integer pairs over its denominator."""
-        rows, _ = self.family_rows
-        return {g: [_apply(self.op_rows[g], c) for c in rows] for g in "XYZ"}
+        `op_rows` to the ints of each family row, integer pairs in units of its scale."""
+        return {g: [_apply(self.op_rows[g], c) for c, _ in self.family.rows] for g in "XYZ"}
 
     @cached_property
     def expansions(self) -> dict[str, list[tuple]]:
@@ -281,10 +292,12 @@ class Instance:
         of a coefficient that reaches past the family)."""
         from . import gevp  # gevp imports this module
 
-        rows, _ = self.family_rows
-        cols = list(zip(*rows))
-        mus = [gevp.mu_coefficients(n, self.p) for n in range(self.p.N + 1)]
-        return {g: [gevp._three_term([mu[3 * i + ell] for ell in (1, 2, 3)], n, cols)
+        rows, N = self.family.rows, self.p.N
+        s = [t for _, t in rows]
+        ratios = [(s[n + 1] / s[n] if n < N else 1, s[n - 1] / s[n] if n else 1)
+                  for n in range(N + 1)]  # s_{n+1} / s_n and s_{n-1} / s_n, shared by X, Y, Z
+        mus = [gevp.mu_coefficients(n, self.p) for n in range(N + 1)]
+        return {g: [gevp._three_term([mu[3 * i + ell] for ell in (1, 2, 3)], n, rows, ratios[n])
                     for n, mu in enumerate(mus)] for i, g in enumerate("XYZ")}
 
 
@@ -346,11 +359,11 @@ def norm_h(p: QParams) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def partial_fraction(coeffs: Sequence[Fraction], u: GridVector) -> tuple[Fraction, ...]:
+def partial_fraction(coeffs: Sequence[Fraction], row, p: QParams) -> tuple[Fraction, ...]:
     """Residue coefficients eta_{n,0..n-1} with U_n = 1 + sum_k eta_k/[alpha+k-x]_q.
 
-    `coeffs` is row n of `phi_expansion`, C_{n,0..n}, and `u` holds the grid
-    values of U_n.  The basis functions 1/[alpha+k-x]_q carry the n simple
+    `coeffs` is row n of `phi_expansion`, C_{n,0..n}, and `row` is U_n's
+    `BRFFamily.rows` entry at p.  The basis functions 1/[alpha+k-x]_q carry the n simple
     poles of U_n and vanish in the x -> infinity normalization limit, so the
     constant term is exactly 1.  eta is read off the C_{n,k}: each phi_k
     splits into simple fractions, phi_k = A^-k + sum_{j<k} rho_{k,j} /
@@ -362,18 +375,18 @@ def partial_fraction(coeffs: Sequence[Fraction], u: GridVector) -> tuple[Fractio
     Fraction per eta_j.  Raises PoleOnGrid when a basis function of U_n has
     a pole on the grid (A q^{k-x} = 1, k < n).
 
-    The expansion is then verified against `u` on all N+1 grid points, so it
+    The expansion is then verified against `row` on all N+1 grid points, so it
     compares the recurrence route (`phi_expansion`) with the route that built
-    `u` (`brf_u` in `check_partial_fractions`).  The verification is integer
+    `row` (`brf_family` in `check_partial_fractions`).  The verification is integer
     arithmetic: eta_k = e_k / E over one denominator, and at each x the
     reconstruction over E L_x, one integer dot product with the basis row of
     `QParams._basis_grid` (built once per instance for all n), is compared
-    with u(x) cross-multiplied.
+    with U_n(x) = ints[x] s cross-multiplied.
     """
-    p = u.params
+    ints, (sn, sd) = row[0], _pair(row[1])
     n = len(coeffs) - 1
     if n == 0:
-        if any(v != 1 for v in u):
+        if any(v * sn != sd for v in ints):
             raise QHahnError("U_0 is not identically 1")
         return ()
     poles, r, grid = p._basis_grid
@@ -392,10 +405,9 @@ def partial_fraction(coeffs: Sequence[Fraction], u: GridVector) -> tuple[Fractio
             top, bottom = c[k] * rd * bottom + rn * top, rd * bottom
         eta.append(Fraction(hn * top, hd * bottom * c_den))
     e, e_den = over_common_denominator(eta)
-    for x, (l_x, basis) in enumerate(grid):
+    for x, ((l_x, basis), v) in enumerate(zip(grid, ints)):
         recon = e_den * l_x + sum(map(mul, e, basis))  # zip stops at k = n - 1
-        num, den = _pair(u[x])
-        if recon * den != num * e_den * l_x:
+        if recon * sd != v * sn * e_den * l_x:
             raise QHahnError(f"partial-fraction expansion of U_{n} fails at x = {x}")
     return tuple(eta)
 
@@ -415,9 +427,8 @@ def check_weight(inst: Instance) -> CheckReport:
 
 def check_biorthogonality(inst: Instance) -> CheckReport:
     """(U_n, partner_m)_w = delta_{nm} H_n with H_n nonzero, all pairs."""
-    rows, d = inst.family_rows
     return _gram(CheckReport(check="biorthogonality", params=inst.p.as_dict()),
-                 [_content_free(row, d) for row in rows], inst.partner_rows, norm_h(inst.p))
+                 inst.family.rows, inst.partner_rows, norm_h(inst.p))
 
 
 def check_partner(inst: Instance) -> CheckReport:
@@ -480,13 +491,13 @@ def check_partner(inst: Instance) -> CheckReport:
 
 def check_partial_fractions(inst: Instance) -> CheckReport:
     """For every n, the partial fractions read off row n of `phi_expansion`,
-    built once per call, reproduce the `brf_u` values of U_n on the whole
-    grid: the series route against the recurrence route."""
+    built once per call, reproduce the family row of U_n on the whole grid:
+    the series route against the recurrence route."""
     report = CheckReport(check="partial_fractions", params=inst.p.as_dict())
     sizes = []
-    for n, (u, coeffs) in enumerate(zip(inst.family.members, phi_expansion(inst.p))):
+    for n, (row, coeffs) in enumerate(zip(inst.family.rows, phi_expansion(inst.p))):
         try:
-            eta = partial_fraction(coeffs, u)
+            eta = partial_fraction(coeffs, row, inst.p)
         except QHahnError as exc:
             report.add_violation(n=n, residual=str(exc))
             continue

@@ -12,10 +12,12 @@ forward-substitution oracle on the dense Fraction rows.
 
 The five banded checks compare rows of two tables that `Instance` builds
 once: `images`, X U_n, Y U_n and Z U_n as integer band products, and
-`expansions`, their mu three-term expansions.  Each identity at (n, x) is
-compared with its Fraction coefficients by `reports._residuals`, the
-comparison the Gram and partner checks share, and only a violating entry
-builds its Fraction residual.
+`expansions`, their mu three-term expansions, both in units of U_n's row
+scale s_n, a neighbour's (or the shifted family's) ratio s_m / s_n folded
+into its Fraction coefficient.  Each identity at (n, x) is compared with
+those coefficients by `reports._residuals`, the comparison the Gram and
+partner checks share, and only a violating entry builds its Fraction
+residual, scaled back by s_n.
 
 Boundary convention: values off the grid (U_n at x = -1 or x = N+1, and
 family members U_{-1}, U_{N+1}) never enter because their coefficients
@@ -25,6 +27,7 @@ vanish; the checkers verify that vanishing instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .brf import Instance
@@ -124,10 +127,10 @@ def mu_coefficients(n: int, p: QParams) -> MuCoefficients:
 def check_gevp(inst: Instance) -> CheckReport:
     """Y U_n = lambda_n X U_n with exactly zero residual for every n."""
     report = CheckReport(check="gevp", params=inst.p.as_dict())
-    images, den = inst.images, inst.family_rows[1]
+    images, family = inst.images, inst.family
     report.details["residuals"] = [
-        _flag_worst(report, _residuals(images["Y"][n], images["X"][n], lam, den), n=n)
-        for n, lam in enumerate(inst.family.lambdas)]
+        _flag_worst(report, _residuals(images["Y"][n], images["X"][n], lam, s), n=n)
+        for n, (lam, (_, s)) in enumerate(zip(family.lambdas, family.rows))]
     report.details["lambdas"] = [frac_str(v) for v in inst.family.lambdas]
     return report
 
@@ -181,9 +184,9 @@ def check_difference_equation(inst: Instance) -> CheckReport:
         problems[0] = "off-grid lowering coefficient nonzero"
     if band_coefficients(Operator.Y, Basis.POINT, p, N)[0]:
         problems[N] = "off-grid raising coefficient nonzero"
-    images, den = inst.images, inst.family_rows[1]
-    for n, lam in enumerate(inst.family.lambdas):
-        resid = _residuals(images["Y"][n], images["X"][n], lam, den)
+    images, family = inst.images, inst.family
+    for n, (lam, (_, s)) in enumerate(zip(family.lambdas, family.rows)):
+        resid = _residuals(images["Y"][n], images["X"][n], lam, s)
         for x, (problem, r) in enumerate(zip(problems, resid)):
             if problem:
                 report.add_violation(n=n, x=x, residual=problem)
@@ -192,21 +195,22 @@ def check_difference_equation(inst: Instance) -> CheckReport:
     return report
 
 
-def _three_term(mu3: Sequence, n: int, cols: Sequence[Sequence[int]]):
+def _three_term(mu3: Sequence, n: int, rows: Sequence, ratios: Sequence):
     """mu3[0] U_{n+1} + mu3[1] U_n + mu3[2] U_{n-1} at every x, as integer
-    pairs (numerator, E) over the family denominator; `cols[x]` holds the
-    family's integer values at x.  An absent member is dropped only when its
-    coefficient vanishes.  Returns (pairs, problem); `Instance.expansions`
-    holds one per operator and n."""
-    N = len(cols[0]) - 1
-    raising, diag, lowering = mu3
+    pairs (numerator, E) in units of s_n, from the family's `BRFFamily.rows`
+    (ints, s_m), a neighbour's coefficient times its `ratios` entry s_m / s_n.
+    An absent member is dropped only when its coefficient vanishes.  Returns
+    (pairs, problem); `Instance.expansions` holds one per operator and n."""
+    N = len(rows) - 1
+    (raising, diag, lowering), (up, down) = mu3, ratios
     if n == N and raising != 0:
         return None, "raising coefficient nonzero at n = N"
     if n == 0 and lowering != 0:
         return None, "lowering coefficient nonzero at n = 0"
-    terms = {m: c for m, c in ((n + 1, raising), (n, diag), (n - 1, lowering)) if 0 <= m <= N}
+    terms = {m: c for m, c in ((n + 1, raising * up), (n, diag), (n - 1, lowering * down))
+             if 0 <= m <= N}
     ints, e = over_common_denominator(terms.values())
-    return [(sum(w * col[m] for m, w in zip(terms, ints)), e) for col in cols], None
+    return [(sum(map(mul, ints, col)), e) for col in zip(*(rows[m][0] for m in terms))], None
 
 
 def _brackets(inst: Instance) -> list[tuple[int, int]]:
@@ -221,14 +225,14 @@ def check_recurrence(inst: Instance) -> CheckReport:
       = -[x-alpha]_q (mu7 U_{n+1} + mu8 U_n + mu9 U_{n-1}).
     """
     report = CheckReport(check="recurrence", params=inst.p.as_dict())
-    den, brackets = inst.family_rows[1], _brackets(inst)
-    for n, ((lhs, problem), (zside, z_problem)) in enumerate(
-            zip(inst.expansions["X"], inst.expansions["Z"])):
+    brackets = _brackets(inst)
+    for n, ((lhs, problem), (zside, z_problem), (_, s)) in enumerate(
+            zip(inst.expansions["X"], inst.expansions["Z"], inst.family.rows)):
         if problem or z_problem:
             report.add_violation(n=n, residual=problem or z_problem)
             continue
         rhs = [(-xd * z, ex * e) for (z, e), (xd, ex) in zip(zside, brackets)]
-        for x, r in enumerate(_residuals(lhs, rhs, 1, den)):
+        for x, r in enumerate(_residuals(lhs, rhs, 1, s)):
             if r is not None:
                 report.add_violation(n=n, x=x, residual=frac_str(r))
     return report
@@ -237,14 +241,13 @@ def check_recurrence(inst: Instance) -> CheckReport:
 def check_tridiagonal_actions(inst: Instance) -> CheckReport:
     """X, Y, Z applied to U_n match their three-term mu expansions exactly."""
     report = CheckReport(check="tridiagonal_actions", params=inst.p.as_dict())
-    den = inst.family_rows[1]
     for name in "XYZ":
-        for n, (image, (expansion, problem)) in enumerate(
-                zip(inst.images[name], inst.expansions[name])):
+        for n, (image, (expansion, problem), (_, s)) in enumerate(
+                zip(inst.images[name], inst.expansions[name], inst.family.rows)):
             if problem:
                 report.add_violation(op=name, n=n, residual=problem)
                 continue
-            _flag_worst(report, _residuals(image, expansion, 1, den), op=name, n=n)
+            _flag_worst(report, _residuals(image, expansion, 1, s), op=name, n=n)
     return report
 
 
@@ -253,8 +256,10 @@ def check_contiguity(inst: Instance) -> CheckReport:
 
     X U_n -> [-alpha]_q U'_n;  Y U_n -> [-alpha]_q lambda_n U'_n;
     Z U_n -> -([-alpha]_q/[x-alpha]_q) U'_n pointwise, where U' is the
-    family at the shifted instance (q, qA, B, N).  An instance whose shift
-    fails the parameter guards (say, onto a basis pole) is a skip.
+    family at the shifted instance (q, qA, B, N), compared as its ints with
+    the ratio s'_n / s_n of the two row scales folded into the coefficient.
+    An instance whose shift fails the parameter guards (say, onto a basis
+    pole) is a skip.
     """
     p = inst.p
     report = CheckReport(check="contiguity", params=p.as_dict())
@@ -263,18 +268,17 @@ def check_contiguity(inst: Instance) -> CheckReport:
         if target.issues:
             report.skipped = f"{tag} instance invalid for contiguity: " + "; ".join(target.issues)
             return report
-    den, images = inst.family_rows[1], inst.images
-    rows_shift, den_shift = shifted.family_rows
+    images, family = inst.images, inst.family
     scale = qnum(p, 0, -1)  # [-alpha]_q
     report.details["scale"] = frac_str(scale)
     brackets = _brackets(inst)
-    for n, lam in enumerate(inst.family.lambdas):
-        # U'_n over the family denominator: (den v / den_shift) / den
-        u_shift = [(den * v, den_shift) for v in rows_shift[n]]
-        for name, factor in (("X", scale), ("Y", scale * lam)):
-            _flag_worst(report, _residuals(images[name][n], u_shift, factor, den), op=name, n=n)
-        rhs = [(-ex * v, xd * d) for (v, d), (xd, ex) in zip(u_shift, brackets)]
-        for x, r in enumerate(_residuals(images["Z"][n], rhs, scale, den)):
+    for n, (lam, (_, s), (ints, s_shift)) in enumerate(
+            zip(family.lambdas, family.rows, shifted.family.rows)):
+        ratio, u_shift = scale * s_shift / s, [(v, 1) for v in ints]
+        for name, factor in (("X", ratio), ("Y", ratio * lam)):
+            _flag_worst(report, _residuals(images[name][n], u_shift, factor, s), op=name, n=n)
+        rhs = [(-ex * v, xd) for v, (xd, ex) in zip(ints, brackets)]
+        for x, r in enumerate(_residuals(images["Z"][n], rhs, ratio, s)):
             if r is not None:
                 report.add_violation(op="Z", n=n, x=x, residual=frac_str(r))
     return report

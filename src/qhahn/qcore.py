@@ -11,10 +11,10 @@ products of factors 1 - c q^d that the series tables and the 10phi9 weight
 and norm tables step by), `brf.partial_fraction` (on `QParams._basis_grid`),
 `brf.check_partner`, `reports.check_gram`, `algebra.evaluate_poly`,
 `linalg.solve_unique` and the banded checks of `gevp`: they work on integers,
-most on rows over one denominator (`over_common_denominator`), the Gram rows
-also content free.  A value becomes integers only in `_pair`, the one gate,
-which raises a QHahnError naming the type of anything but an int or a
-Fraction.  The checks among them compare
+most on rows over one denominator (`over_common_denominator`), the family
+rows content free (`_row_form`).  A value becomes integers only in `_pair`,
+the one gate, which raises a QHahnError naming the type of anything but an
+int or a Fraction.  The checks among them compare
 through `reports._residuals`.  The integer row form is
 `_integer_rows`, each row as its nonzero entries over one denominator;
 `_apply` applies it to an integer vector, `_sum_rows` sums its rows,
@@ -36,7 +36,8 @@ over mpmath floats.  `_series_rows` is the one integer Horner kernel of the
 three terminating series, U_n's 3phi2 (`brf.brf_u`), the 10phi9 and the
 Hahn 3F2 (`wilson`): each parameter class keeps the `_series_tables` of its
 series as `_row_tables`, built once per object like `qpow`'s, and each row
-is one call.  It takes ints and Fractions only.
+is one call.  It takes ints and Fractions only and returns unreduced integer
+pairs: the families reduce each row once (`_row_form`), the rest make Fractions.
 """
 
 from __future__ import annotations
@@ -144,6 +145,19 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     pairs = [_pair(v) for v in values]
     d = math.lcm(*(den for _, den in pairs))
     return [num * (d // den) for num, den in pairs], d
+
+
+def _content_free(ints, den) -> tuple[list[int], Fraction]:
+    """ints / den as (ints / c, c / den), c = gcd(ints), or 1 for a zero row."""
+    c = math.gcd(*ints) or 1
+    return [v // c for v in ints], Fraction(c, den)
+
+
+def _row_form(pairs) -> tuple[list[int], Fraction]:
+    """The values a / b of integer pairs (a, b) as a `_content_free` row (ints, s),
+    a / b = ints[x] s: over the lcm of the b, one lcm and one gcd for the row."""
+    d = math.lcm(*(b for _, b in pairs))
+    return _content_free([a * (d // b) for a, b in pairs], d)
 
 
 def _integer_rows(rows) -> list[tuple[dict[int, int], int]]:
@@ -418,10 +432,10 @@ def _series_tables(num, den, q, z, N: int, weights=None) -> tuple:
     return N, parts[0], [_ratios(parts[1], x, N) for x in range(N + 1)], zeros, weights
 
 
-def _series_rows(tables, n: int, scale) -> list[Fraction]:
+def _series_rows(tables, n: int, scale) -> list[tuple[int, int]]:
     """Row n of a series of `_series_tables`: scale sum_{k <= n} w_k t_k at
     x = 0..N, each in Horner form w_0 + rho_0 (w_1 + rho_1 (...)) on integers
-    up to its first zero ratio, as one Fraction.  A tabulated denominator that
+    up to its first zero ratio, as one unreduced integer pair.  A tabulated denominator that
     vanishes at some k < n raises ZeroDenominator, whatever x it belongs to;
     a row below it is still summed."""
     N, alphas, betas, zeros, weights = tables
@@ -443,7 +457,7 @@ def _series_rows(tables, n: int, scale) -> list[Fraction]:
             for (an, ad), (bn, bd) in pairs:
                 rb = ad * bd * bottom
                 top, bottom = rb + an * bn * top, rb
-        rows.append(Fraction(sn * top, sd * bottom))
+        rows.append((sn * top, sd * bottom))
     return rows
 
 

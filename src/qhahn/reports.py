@@ -15,13 +15,12 @@ it, and `_flag_worst` reports the largest residual of a row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .qcore import _pair, frac_str, over_common_denominator
+from .qcore import _content_free, _pair, frac_str, over_common_denominator
 
 __all__ = ["CheckReport", "check_gram"]
 
@@ -56,12 +55,12 @@ class CheckReport:
         return out
 
 
-def _residuals(lhs, rhs, lam, den) -> list:
-    """(a/b - lam c/d) / den for each pair of integer pairs (a, b), (c, d),
+def _residuals(lhs, rhs, lam, scale) -> list:
+    """(a/b - lam c/d) scale for each pair of integer pairs (a, b), (c, d),
     or None where it vanishes.  A passing entry is one cross-multiplied
     integer comparison; only a violating one builds its Fraction."""
     ln, ld = _pair(lam)
-    return [None if a * ld * d == ln * c * b else (Fraction(a, b) - lam * Fraction(c, d)) / den
+    return [None if a * ld * d == ln * c * b else (Fraction(a, b) - lam * Fraction(c, d)) * scale
             for (a, b), (c, d) in zip(lhs, rhs)]
 
 
@@ -79,14 +78,8 @@ def _flag_worst(report: CheckReport, resid: list, **where) -> str:
     return frac_str(worst)
 
 
-def _content_free(ints: Sequence[int], den: int) -> tuple[list[int], Fraction]:
-    """ints / den as (ints / c, c / den), c = gcd(ints), or 1 for a zero row."""
-    c = math.gcd(*ints) or 1
-    return [v // c for v in ints], Fraction(c, den)
-
-
 def _gram_rows(rows: Sequence[Sequence], weights: Sequence) -> list:
-    """Each row times `weights` entrywise as a `_content_free` row: the
+    """Each row times `weights` entrywise as a `qcore._content_free` row: the
     weights over one denominator, each row over its own."""
     w, e = over_common_denominator(weights)
     return [_content_free(list(map(mul, w, ints)), d * e)
@@ -94,7 +87,7 @@ def _gram_rows(rows: Sequence[Sequence], weights: Sequence) -> list:
 
 
 def _gram(report: CheckReport, left: list, right: list, norms: Sequence) -> CheckReport:
-    """`check_gram` on `_content_free` rows (a_n, s_n), (b_m, t_m): entry (n, m)
+    """`check_gram` on `qcore._content_free` rows (a_n, s_n), (b_m, t_m): entry (n, m)
     is s_n t_m (a_n . b_m), so it holds off the diagonal when the dot is 0."""
     for n, hn in enumerate(norms):
         if hn == 0:

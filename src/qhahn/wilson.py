@@ -8,8 +8,9 @@ the 15 bases of the 10phi9 is c q^{dn n + dx x}, dn, dx in {-1, 0, 1}, dn dx = 0
 declared once in `WilsonParams._series_bases`, so its term ratio is a part
 in k + dn n times a part in k + dx x, both tabulated once per parameter object
 (`WilsonParams._row_tables`).  The kernel `qcore._series_rows` sums a whole
-row u_n(0..N) from them in integer Horner form, with the very-well-poised
-factor (1 - h q^{2k}) / (1 - h), h = qa/qe, as the weight.  The q = 1 Hahn
+row u_n(0..N) from them in integer Horner form, one integer pair per value
+made one Fraction here, with the very-well-poised factor
+(1 - h q^{2k}) / (1 - h), h = qa/qe, as the weight.  The q = 1 Hahn
 3F2, weight and norms are built the same ways, and so is `brf.brf_u`'s 3phi2.
 
 Two degenerations are verified.  Sending qa -> infinity along qa = q^{-m}
@@ -226,7 +227,8 @@ def wilson_weight(x: int, wp: WilsonParams) -> Fraction:
 def _wilson_rows(n: int, wp: WilsonParams, i: int) -> list[Fraction]:
     """Row n of `WilsonParams._row_tables`[i], the weights divided by 1 - h, which
     the `WilsonParams` guard keeps nonzero."""
-    return _series_rows(wp._row_tables[i], n, 1 / (1 - wp._series_bases[i][0]))
+    scale = 1 / (1 - wp._series_bases[i][0])
+    return [Fraction(*v) for v in _series_rows(wp._row_tables[i], n, scale)]
 
 
 def wilson_u(n: int, wp: WilsonParams) -> list[Fraction]:
@@ -406,11 +408,11 @@ def hahn_weight(x: int, hp: HahnParams) -> Fraction:
 
 
 def hahn_u(n: int, hp: HahnParams) -> list[Fraction]:
-    return _series_rows(hp._row_tables[0], n, 1)
+    return [Fraction(*v) for v in _series_rows(hp._row_tables[0], n, 1)]
 
 
 def hahn_v(n: int, hp: HahnParams) -> list[Fraction]:
-    return _series_rows(hp._row_tables[1], n, 1)
+    return [Fraction(*v) for v in _series_rows(hp._row_tables[1], n, 1)]
 
 
 def hahn_h(n: int, hp: HahnParams) -> Fraction:

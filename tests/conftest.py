@@ -226,6 +226,30 @@ def count_builds(monkeypatch, cls, name: str, calls: list) -> None:
     monkeypatch.setattr(cls, name, prop)
 
 
+def with_row(family, n, values):
+    """`family`, a `brf.BRFFamily`, with row n replaced by the content-free
+    row form of the Fractions `values`."""
+    rows = list(family.rows)
+    rows[n] = qcore._row_form([F(v).as_integer_ratio() for v in values])
+    return brf.BRFFamily(tuple(rows), family.lambdas, family.p)
+
+
+def bumped_family(target, n_bump, x_bump, delta):
+    """brf_family with U_n(x) + delta at the target instance only, in its row form."""
+    good = brf.brf_family
+
+    def family(p):
+        fam = good(p)
+        if p != target:
+            return fam
+        ints, s = fam.rows[n_bump]
+        values = [v * s for v in ints]
+        values[x_bump] += delta
+        return with_row(fam, n_bump, values)
+
+    return family
+
+
 @pytest.fixture
 def canonical():
     return CANONICAL

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhahn import brf, linalg, operators
+from qhahn import brf, linalg, operators, qcore
 from qhahn.brf import (
     Instance,
     bare_norm,
@@ -53,10 +53,12 @@ from conftest import (
     PANEL,
     SMALL_PANEL,
     WORKLOAD_SEEDS,
+    bumped_family,
     count_builds,
     fraction_gram,
     tridiagonal_null_space,
     wilson_workload,
+    with_row,
 )
 
 
@@ -146,7 +148,7 @@ def test_biorthogonality_exact():
 def test_biorthogonality_directly(canonical):
     w = weight_vector(canonical)
     fam = brf_family(canonical)
-    partners = partner_family(canonical)
+    partners = partner_family(canonical).members
     for n in range(canonical.N + 1):
         for m in range(canonical.N + 1):
             ip = inner_product(fam.members[n], partners[m], w)
@@ -166,17 +168,22 @@ def test_biorthogonality_catches_a_wrong_norm(canonical, monkeypatch):
     assert report.violations == [{"n": 2, "m": 2, "residual": "-1/1"}]
 
 
-def test_biorthogonality_catches_a_mixed_partner(canonical, monkeypatch):
-    # partner_3 + partner_1 pairs with U_1 to H_1: one off-diagonal violation
-    h1 = norm_h(canonical)[1]
+def mixed_partners(m, k):
+    """partner_family with partner_m + partner_k in place of partner_m, in its row form."""
     good = brf.partner_family
 
     def mixed(p):
-        partners = list(good(p))
-        partners[3] = GridVector(tuple(a + b for a, b in zip(partners[3], partners[1])), p)
-        return tuple(partners)
+        fam = good(p)
+        (a, s), (b, t) = fam.rows[m], fam.rows[k]
+        return with_row(fam, m, [x * s + y * t for x, y in zip(a, b)])
 
-    monkeypatch.setattr(brf, "partner_family", mixed)
+    return mixed
+
+
+def test_biorthogonality_catches_a_mixed_partner(canonical, monkeypatch):
+    # partner_3 + partner_1 pairs with U_1 to H_1: one off-diagonal violation
+    h1 = norm_h(canonical)[1]
+    monkeypatch.setattr(brf, "partner_family", mixed_partners(3, 1))
     report = check_biorthogonality(Instance(canonical))
     assert report.status == "fail"
     assert report.violations == [{"n": 1, "m": 3, "residual": frac_str(h1)}]
@@ -201,14 +208,7 @@ def test_partner_is_reflected_family():
 
 def mixed_partner_2(monkeypatch, p):
     """An `Instance` of p whose partner_2 is partner_2 + partner_1."""
-    good = brf.partner_family
-
-    def mixed(params):
-        partners = list(good(params))
-        partners[2] = GridVector(tuple(a + b for a, b in zip(partners[2], partners[1])), params)
-        return tuple(partners)
-
-    monkeypatch.setattr(brf, "partner_family", mixed)
+    monkeypatch.setattr(brf, "partner_family", mixed_partners(2, 1))
     return Instance(p)
 
 
@@ -250,7 +250,7 @@ def test_partner_catches_a_wrong_entry_in_the_tail_of_v():
     inst = perturbed_entry(QParams(F(1, 2), F(3), F(1, 5), 6), "V", 6, 0, 1)
     vs = weighted_adjoint(inst.ops["V"], inst.weight)
     expected = []
-    for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners)):
+    for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners.members)):
         resid = [a - lam * b for a, b in zip(vs @ pm, pm)]
         if any(resid):
             expected.append({"m": m, "kind": "eigen",
@@ -284,7 +284,7 @@ def dense_partner_violations(inst):
     n1 = inst.p.N + 1
     xs, ys, vs = (weighted_adjoint(inst.ops[g], inst.weight) for g in "XYV")
     out = []
-    for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners)):
+    for m, (lam, pm) in enumerate(zip(inst.family.lambdas, inst.partners.members)):
         resid = [a - lam * b for a, b in zip(vs @ pm, pm)]
         if any(resid):
             out.append((m, "eigen", frac_str(max(abs(r) for r in resid))))
@@ -334,15 +334,14 @@ def test_instance_rows_report_as_the_fraction_and_dense_routes(p, bump):
     assert validate_params(p, p.N).valid
     inst = Instance(p)
     if bump == "partner":
-        vars(inst)["partners"] = tuple(bumped(v, 9) if m == 5 else v
-                                       for m, v in enumerate(inst.partners))
+        vars(inst)["partners"] = with_row(inst.partners, 5, bumped(inst.partners.members[5], 9))
     elif bump == "weight":
         vars(inst)["weight"] = bumped(inst.weight, 9)
-    assert max(abs(v.numerator).bit_length() for u in inst.partners for v in u) > 128
+    assert max(abs(v.numerator).bit_length() for u in inst.partners.members for v in u) > 128
     gram = check_biorthogonality(inst)
     assert gram.as_dict() == fraction_gram(
         CheckReport(check="biorthogonality", params=p.as_dict()),
-        inst.weight, inst.family.members, inst.partners, norm_h(p)).as_dict()
+        inst.weight, inst.family.members, inst.partners.members, norm_h(p)).as_dict()
     partner = check_partner(inst)
     assert [(v["m"], v["kind"], v["residual"]) for v in partner.violations] == (
         dense_partner_violations(inst))
@@ -387,7 +386,7 @@ def test_partner_values_from_reflection(canonical):
     # instance-wide constant
     refl = reflected_params(canonical)
     c = partner_scale(canonical)
-    for n, partner in enumerate(partner_family(canonical)):
+    for n, partner in enumerate(partner_family(canonical).members):
         mirrored = brf_u(n, refl)
         for x in range(canonical.N + 1):
             assert partner[x] == c * mirrored[canonical.N - x]
@@ -416,8 +415,9 @@ def test_u_prefactor_scales_series_head(canonical):
 
 
 def residues(n, u):
-    """`partial_fraction` of U_n from row n of `phi_expansion`."""
-    return partial_fraction(phi_expansion(u.params)[n], u)
+    """`partial_fraction` of U_n, given as grid values, from row n of `phi_expansion`."""
+    row = qcore._row_form([v.as_integer_ratio() for v in u])
+    return partial_fraction(phi_expansion(u.params)[n], row, u.params)
 
 
 def phi_row_oracle(n, p):
@@ -455,8 +455,8 @@ def test_phi_rows_and_residues_equal_the_fraction_oracles(p):
     # Fraction recurrence and the Fraction Horner sum
     rows = phi_expansion(p)
     assert rows == tuple(phi_row_oracle(n, p) for n in range(p.N + 1))
-    for coeffs, u in zip(rows, brf_family(p).members):
-        assert partial_fraction(coeffs, u) == eta_oracle(coeffs, p)
+    for coeffs, row in zip(rows, brf_family(p).rows):
+        assert partial_fraction(coeffs, row, p) == eta_oracle(coeffs, p)
 
 
 def test_partial_fractions_frozen(canonical):
@@ -485,7 +485,7 @@ def test_norm_closed_form_matches_direct_sum():
     for p in SMALL_PANEL:
         w = weight_vector(p)
         h = norm_h(p)
-        for n, partner in enumerate(partner_family(p)):
+        for n, partner in enumerate(partner_family(p).members):
             assert h[n] == inner_product(brf_u(n, p), partner, w)
 
 
@@ -701,7 +701,7 @@ def test_partial_fraction_catches_a_perturbed_phi_coefficient(canonical, monkeyp
 
     monkeypatch.setattr(brf, "phi_expansion", off)
     with pytest.raises(QHahnError, match=f"expansion of U_{p.N} fails"):
-        partial_fraction(off(p)[p.N], brf_u(p.N, p))
+        partial_fraction(off(p)[p.N], brf_family(p).rows[p.N], p)
     report = check_partial_fractions(Instance(p))
     assert report.status == "fail"
     assert [v["n"] for v in report.violations] == [p.N]
@@ -709,9 +709,7 @@ def test_partial_fraction_catches_a_perturbed_phi_coefficient(canonical, monkeyp
 
 def test_partial_fractions_report_a_u0_that_is_not_one(canonical, monkeypatch):
     # U_0 has no poles, so its partial fractions are the constant 1 alone
-    good = brf.brf_u
-    monkeypatch.setattr(brf, "brf_u", lambda n, p: good(n, p) if n else GridVector(
-        tuple(v + (F(1, 7) if x == 1 else 0) for x, v in enumerate(good(n, p))), p))
+    monkeypatch.setattr(brf, "brf_family", bumped_family(canonical, 0, 1, F(1, 7)))
     report = check_partial_fractions(Instance(canonical))
     assert report.violations == [{"n": 0, "residual": "U_0 is not identically 1"}]
 

@@ -199,10 +199,9 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
     built = counting("operator", build_operator)
     for module in (brf, gevp):
         monkeypatch.setattr(module, "build_operator", built)
-    for name in ("family_rows", "op_rows"):
-        rows = cached_property(counting(name, getattr(Instance, name).func))
-        rows.__set_name__(Instance, name)
-        monkeypatch.setattr(Instance, name, rows)
+    rows = cached_property(counting("op_rows", Instance.op_rows.func))
+    rows.__set_name__(Instance, "op_rows")
+    monkeypatch.setattr(Instance, "op_rows", rows)
     reports = run_suite("gevp", MINIMAL)
     assert [r["status"] for r in reports] == ["pass"] * 6
     p = CANONICAL
@@ -213,9 +212,9 @@ def test_gevp_suite_builds_each_shared_object_once(monkeypatch):
     operators = Counter(args for kind, args in calls if kind == "operator")
     assert operators == Counter([(op, Basis.POINT, p) for op in Operator]
                                 + [(Operator(g), Basis.PHI, p) for g in "XYV"])
-    # the integer rows: the family's at both instances, the operators' at the base
+    # the integer rows of the operators at the base; the families are rows already
     assert [(kind, args[0].p) for kind, args in calls if kind.endswith("_rows")] == [
-        ("family_rows", p), ("op_rows", p), ("family_rows", shifted)]
+        ("op_rows", p)]
     # one mu table, shared by the recurrence and the tridiagonal actions
     assert [args for kind, args in calls if kind == "mu"] == [(n, p) for n in range(p.N + 1)]
 
@@ -231,8 +230,8 @@ def test_biortho_suite_builds_the_partner_rows_and_the_basis_grid_once(monkeypat
         rows.__set_name__(cls, name)
         monkeypatch.setattr(cls, name, rows)
     good = brf.partial_fraction
-    monkeypatch.setattr(brf, "partial_fraction", lambda coeffs, u: (
-        calls.append(("partial_fraction", u.params, len(coeffs) - 1)) or good(coeffs, u)))
+    monkeypatch.setattr(brf, "partial_fraction", lambda coeffs, row, p: (
+        calls.append(("partial_fraction", p, len(coeffs) - 1)) or good(coeffs, row, p)))
     config = {"instances": MINIMAL["instances"] + [{"q": "1/2", "A": "-5", "B": "1/7", "N": 6}]}
     reports = run_suite("biortho", config)
     assert [r["status"] for r in reports] == ["pass"] * 8
@@ -257,16 +256,16 @@ def test_gevp_suite_forms_each_image_and_expansion_once(monkeypatch):
     assert [r["status"] for r in reports] == ["pass"] * 6
     made = list(calls)
     inst = entries[0][2]
-    p, (rows, _) = inst.p, inst.family_rows
+    p, rows = inst.p, inst.family.rows
     letter = {id(m): g for g, m in inst.op_rows.items()}
-    index = {id(c): n for n, c in enumerate(rows)}
+    index = {id(c): n for n, (c, _) in enumerate(rows)}
     applied = [(letter[id(args[0])], index[id(args[1])]) for kind, args in made if kind == "_apply"]
     assert Counter(applied) == Counter((g, n) for g in "XYZ" for n in range(p.N + 1))
     mus = [gevp.mu_coefficients(n, p).mu for n in range(p.N + 1)]
     expanded = [args for kind, args in made if kind == "_three_term"]
-    assert Counter((tuple(mu3), n) for mu3, n, _ in expanded) == Counter(
+    assert Counter((tuple(mu3), n) for mu3, n, *_ in expanded) == Counter(
         (mu[i:i + 3], n) for n, mu in enumerate(mus) for i in (0, 3, 6))
-    assert all(cols == list(zip(*rows)) for _, _, cols in expanded)
+    assert all(family is rows for _, _, family, _ in expanded)
     assert [args for kind, args in made if kind == "mu_coefficients"] == [
         (n, p) for n in range(p.N + 1)]
 
@@ -297,6 +296,10 @@ def test_one_verify_run_builds_each_object_once_per_entry(tmp_path, monkeypatch)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("qhahn") and getattr(mod, fn.__name__, None) is fn:
                 monkeypatch.setattr(mod, fn.__name__, wrapper)
+    members = cached_property(counting("members", brf.BRFFamily.members.func))
+    members.__set_name__(brf.BRFFamily, "members")
+    monkeypatch.setattr(brf.BRFFamily, "members", members)
+    monkeypatch.setattr(brf, "GridVector", counting("GridVector", brf.GridVector))
     entries = MINIMAL["instances"] + [{"q": "1/2", "A": "-5", "B": "1/7", "N": 6}]
     out = tmp_path / "report.json"
     assert cli.run_verify(write_config(tmp_path, {"instances": entries}), QHAHN_SUITES,
@@ -312,6 +315,12 @@ def test_one_verify_run_builds_each_object_once_per_entry(tmp_path, monkeypatch)
     assert made_by("brf_family") == Counter(
         [(p,) for p in ps] + [(QParams(p.q, p.q * p.A, p.B, p.N),) for p in ps])
     assert made_by("structure_constants") == Counter((p,) for p in ps)
+    # the checks read both families as integer rows: no family or partner
+    # values are formed, and the weights, of p and of the reflected instance
+    # in check_weight, are the only grid vectors built
+    assert made_by("members") == Counter()
+    assert Counter(args[1] for args in made_by("GridVector").elements()) == Counter(
+        [p for p in ps] + [brf.reflected_params(p) for p in ps])
     # the point-basis X, Y, Z, V of each entry, and the phi-basis X, Y, V of
     # check_factorization
     assert made_by("build_operator") == Counter(

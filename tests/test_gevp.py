@@ -18,7 +18,7 @@ from qhahn.gevp import (
     check_tridiagonal_actions,
     mu_coefficients,
 )
-from qhahn.operators import Basis, GridVector, Operator, OpMatrix, band_coefficients
+from qhahn.operators import Basis, Operator, OpMatrix, band_coefficients
 from qhahn.qcore import (
     DegenerateDenominator,
     InvalidParams,
@@ -31,7 +31,14 @@ from qhahn.qcore import (
 )
 from qhahn.reports import CheckReport
 
-from conftest import CANONICAL, PANEL, SMALL_PANEL, dense_check_factorization, outcome
+from conftest import (
+    CANONICAL,
+    PANEL,
+    SMALL_PANEL,
+    bumped_family,
+    dense_check_factorization,
+    outcome,
+)
 
 
 def test_gevp_exact_on_panel():
@@ -390,23 +397,6 @@ BANDED = [
 ]
 
 
-def bumped_family(target, n_bump, x_bump, delta):
-    """brf_family with U_n(x) + delta at the target instance only."""
-    good = brf.brf_family
-
-    def family(p):
-        fam = good(p)
-        if p != target:
-            return fam
-        members = list(fam.members)
-        values = list(members[n_bump].values)
-        values[x_bump] += delta
-        members[n_bump] = GridVector(tuple(values), p)
-        return BRFFamily(members=tuple(members), lambdas=fam.lambdas)
-
-    return family
-
-
 QS = [F(1, 2), F(-1, 2), F(2), F(2, 3), F(3, 2), F(-3)]
 
 
@@ -522,6 +512,36 @@ def test_each_banded_check_catches_a_bumped_family_value(canonical, monkeypatch)
     assert {v["n"] for v in check_contiguity(inst).violations} == {n_bump}
     assert ("Z", n_bump, x_bump) in {
         (v["op"], v["n"], v.get("x")) for v in check_contiguity(inst).violations}
+
+
+def test_a_doubled_row_scale_fails_every_check_that_relates_two_rows(canonical, monkeypatch):
+    # U_2 doubled through its row scale alone: gevp and the difference
+    # equation are homogeneous in U_n and pass; the checks that relate U_2 to
+    # its neighbours, the shifted family, the partners or the phi expansion fail
+    good, n = brf.brf_family, 2
+
+    def doubled(p):
+        fam = good(p)
+        if p != canonical:
+            return fam
+        rows = list(fam.rows)
+        rows[n] = (rows[n][0], 2 * rows[n][1])
+        return BRFFamily(tuple(rows), fam.lambdas, p)
+
+    monkeypatch.setattr(brf, "brf_family", doubled)
+    inst = Instance(canonical)
+    checks = [check for check, _ in BANDED] + [brf.check_biorthogonality,
+                                               brf.check_partial_fractions]
+    reports = {check.__name__: check(inst) for check in checks}
+    assert {name: r.status for name, r in reports.items()} == {
+        "check_gevp": "pass", "check_difference_equation": "pass",
+        "check_recurrence": "fail", "check_tridiagonal_actions": "fail",
+        "check_contiguity": "fail", "check_biorthogonality": "fail",
+        "check_partial_fractions": "fail"}
+    assert {v["n"] for v in reports["check_recurrence"].violations} == {n - 1, n, n + 1}
+    assert {v["n"] for v in reports["check_contiguity"].violations} == {n}
+    assert [(v["n"], v["m"]) for v in reports["check_biorthogonality"].violations] == [(n, n)]
+    assert [v["n"] for v in reports["check_partial_fractions"].violations] == [n]
 
 
 def test_passing_entries_build_no_fraction_residual(monkeypatch):

@@ -314,7 +314,7 @@ def test_no_float_reaches_the_exact_core(p, monkeypatch):
     inst = Instance(p)
     phi = [build_operator(op, Basis.PHI, p) for op in Operator]
     values = [v for m in (*inst.ops.values(), *phi) for row in m.entries for v in row]
-    values += [v for u in (*inst.family.members, *inst.partners, inst.weight) for v in u]
+    values += [v for u in (*inst.family.members, *inst.partners.members, inst.weight) for v in u]
     odd = {type(v).__name__ for v in values
            if type(v) is not F and not (type(v) is int and v in (0, 1))}
     # the algebra layer: its polynomials carry int coefficients as written

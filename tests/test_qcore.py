@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qhahn import cli, wilson
 from qhahn.algebra import NCPoly, evaluate_poly
-from qhahn.brf import Instance, brf_u, partial_fraction, partner_family, reflected_params
+from qhahn.brf import Instance, brf_family, partial_fraction, partner_family, reflected_params
 from qhahn.gevp import check_factorization
 from qhahn.linalg import solve_unique
 from qhahn.qcore import (
@@ -295,7 +295,8 @@ GATED = {
     "check_gram-rows": lambda v: check_gram(CheckReport("gram", {}), [1, 1], [[v, 1]],
                                             [[1, 1]], [2]),
     "evaluate_poly": lambda v: evaluate_poly(NCPoly({("X",): v}), Instance(CANONICAL)),
-    "partial_fraction": lambda v: partial_fraction([v, 1, 1], brf_u(2, CANONICAL)),
+    "partial_fraction": lambda v: partial_fraction([v, 1, 1], brf_family(CANONICAL).rows[2],
+                                                   CANONICAL),
     "_residuals": lambda v: _residuals([(1, 1)], [(1, 1)], v, 1),
     "solve_unique": lambda v: solve_unique([[v]], [1]),
     "_series_rows": lambda v: _series_rows(CANONICAL._row_tables, 1, v),

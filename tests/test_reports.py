@@ -95,9 +95,9 @@ SMALL = st.integers(-9, 9)
 
 @st.composite
 def residual_rows(draw):
-    """(lhs, rhs, lam, den) for `_residuals`: pairs of either sign, each lhs
+    """(lhs, rhs, lam, scale) for `_residuals`: pairs of either sign, each lhs
     pair either arbitrary or an unreduced multiple of lam c/d."""
-    lam, den = draw(SCALARS), draw(SCALARS.filter(bool))
+    lam, scale = draw(SCALARS), draw(SCALARS.filter(bool))
     lhs, rhs = [], []
     for _ in range(draw(st.integers(0, 6))):
         c, d = draw(SMALL), draw(NONZERO_INT)
@@ -107,18 +107,18 @@ def residual_rows(draw):
         else:
             lhs.append((draw(SMALL), draw(NONZERO_INT)))
         rhs.append((c, d))
-    return lhs, rhs, lam, den
+    return lhs, rhs, lam, scale
 
 
 @settings(max_examples=300, deadline=None)
 @given(residual_rows())
 def test_residual_kernel_is_the_fraction_difference(rows):
-    # entry i is None exactly when a/b = lam c/d, and else (a/b - lam c/d) / den
-    lhs, rhs, lam, den = rows
-    got = _residuals(lhs, rhs, lam, den)
+    # entry i is None exactly when a/b = lam c/d, and else (a/b - lam c/d) scale
+    lhs, rhs, lam, scale = rows
+    got = _residuals(lhs, rhs, lam, scale)
     assert len(got) == len(lhs)
     for r, (a, b), (c, d) in zip(got, lhs, rhs):
         diff = F(a, b) - lam * F(c, d)
         assert (r is None) == (diff == 0)
         if r is not None:
-            assert isinstance(r, F) and r == diff / den
+            assert isinstance(r, F) and r == diff * scale

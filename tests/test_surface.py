@@ -64,6 +64,8 @@ UNREACHED = {
                                      "it stays while the benchmark's tracer wraps it",
     "operators.weighted_adjoint": "public dense V*, the reference the partner tests "
                                   "compare against; no check forms it",
+    "brf.BRFFamily.members": "a family's Fraction values, formed for a caller that reads "
+                             "them; every check reads the integer rows",
     "operators.basis_change": "the change to the phi basis, for the third basis of the roadmap",
     "operators.phi_function": "the phi basis functions that `basis_change` tabulates",
     "reports.CheckReport.add_violation": "runs only when a check fails",

@@ -676,7 +676,7 @@ def test_qhahn_rows_equal_the_former_kernel_at_workload_size(seed, q):
     p = seeded_qparams(seed, q, 24)
     assert [list(brf.brf_u(n, p)) for n in range(p.N + 1)] == [
         former_brf_u(n, p) for n in range(p.N + 1)]
-    assert [list(v) for v in brf.partner_family(p)] == former_partner_family(p)
+    assert [list(v) for v in brf.partner_family(p).members] == former_partner_family(p)
 
 
 @pytest.mark.parametrize("seed", WORKLOAD_SEEDS)
@@ -692,6 +692,69 @@ def test_wilson_and_hahn_rows_equal_the_former_kernel_at_workload_size(seed):
         for row in (hahn_u, hahn_v):
             for n in range(hp.N + 1):
                 assert row(n, hp) == FORMER_ROWS[row](n, hp), (hp, n)
+
+
+QHAHN_ROWS = [CANONICAL, QParams(F(1, 2), F(-5), F(1, 7), 6),
+              QParams(F(-2, 3), F(7, 3), F(5, 11), 5), QParams(F(2), F(-3), F(1, 5), 4)]
+
+
+def former_qhahn_row(n, p):
+    """Row n of U_n's 3phi2 at p, its prefactor divided out again."""
+    return [v / brf.u_prefactor(n, p) for v in former_brf_u(n, p)]
+
+
+# (label, series tables, N, row n of the series at scale 1 by `former_series_rows`)
+SERIES_CASES = [
+    *[(f"q-Hahn {p}", p._row_tables, p.N, functools.partial(former_qhahn_row, p=p))
+      for p in QHAHN_ROWS],
+    *[(f"reflected {p}", r._row_tables, p.N, functools.partial(former_qhahn_row, p=r))
+      for p in QHAHN_ROWS for r in [brf.reflected_params(p)]],
+    *[(f"10phi9 role {role} {wp}", wp._row_tables[role], wp.N,
+       lambda n, wp=wp, role=role: [(1 - wp._series_bases[role][0]) * v
+                                    for v in former_wilson_row(n, wp, role)])
+      for wp in WILSON_PANEL for role in (0, 1)],
+    *[(f"Hahn role {role} {hp}", hp._row_tables[role], hp.N,
+       functools.partial(former_hahn_row, hp=hp, role=role))
+      for hp in HAHN_PANEL for role in (0, 1)],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SERIES_CASES), st.integers(0, 6),
+       st.one_of(st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=9)))
+@example(SERIES_CASES[0], 0, F(-2, 3))  # n = 0 and a negative scale
+@example(SERIES_CASES[-1], 5, F(0))  # a zero row
+def test_the_kernel_row_form_is_the_content_free_former_row(case, k, scale):
+    # the unreduced pairs of `_series_rows`, reduced once per row, are the
+    # content-free form (ints, s), gcd(ints) = 1 and s > 0, of the former
+    # kernel's Fractions; a zero row is all zeros over some s > 0
+    _, tables, N, former = case
+    n = k % (N + 1)
+    ints, s = qcore._row_form(qcore._series_rows(tables, n, scale))
+    values = [scale * v for v in former(n)]
+    d = math.lcm(*(v.denominator for v in values))
+    nums = [(v * d).numerator for v in values]
+    c = math.gcd(*nums)
+    if c:
+        assert (ints, s) == ([a // c for a in nums], F(c, d))
+    else:
+        assert ints == nums and s > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(QHAHN_ROWS + WILSON_PANEL + HAHN_PANEL), st.integers(0, 6))
+def test_the_fraction_edges_return_the_former_values(params, k):
+    # the API edges that form Fractions from the pairs: U_n, the partner
+    # family's members, and the u and v rows of the 10phi9 and of the Hahn 3F2
+    n = k % (params.N + 1)
+    if isinstance(params, QParams):
+        assert list(brf.brf_u(n, params)) == former_brf_u(n, params)
+        assert [list(v) for v in brf.partner_family(params).members] == (
+            former_partner_family(params))
+    else:
+        rows = (wilson_u, wilson_v) if isinstance(params, WilsonParams) else (hahn_u, hahn_v)
+        for row in rows:
+            assert row(n, params) == FORMER_ROWS[row](n, params)
 
 
 def test_a_base_depending_on_both_n_and_x_is_rejected():
