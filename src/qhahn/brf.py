@@ -69,7 +69,7 @@ from .qcore import (
     qpow,
     validate_params,
 )
-from .reports import CheckReport, _flag_worst, _gram, _residuals
+from .reports import CheckReport, _flag_worst, _residuals, check_gram
 
 __all__ = [
     "bare_weight",
@@ -427,8 +427,8 @@ def check_weight(inst: Instance) -> CheckReport:
 
 def check_biorthogonality(inst: Instance) -> CheckReport:
     """(U_n, partner_m)_w = delta_{nm} H_n with H_n nonzero, all pairs."""
-    return _gram(CheckReport(check="biorthogonality", params=inst.p.as_dict()),
-                 inst.family.rows, inst.partner_rows, norm_h(inst.p))
+    return check_gram(CheckReport(check="biorthogonality", params=inst.p.as_dict()),
+                      inst.family.rows, inst.partner_rows, norm_h(inst.p))
 
 
 def check_partner(inst: Instance) -> CheckReport:
@@ -454,7 +454,7 @@ def check_partner(inst: Instance) -> CheckReport:
       `linalg.null_space` instead.  A valid instance can have one: at
       B = A q^(N-1), Y[1][0] = [1 - N - alpha + beta]_q = 0 and lambda_0 = 0.
     - Collinearity: X* W^-1 g is collinear with partner_m exactly when X^T g
-      is collinear with g_m.
+      is collinear with g_m; g, from either route, goes in divided by its gcd.
     """
     p = inst.p
     n1 = p.N + 1
@@ -479,7 +479,8 @@ def check_partner(inst: Instance) -> CheckReport:
         if len(kernel) != 1:
             report.add_violation(m=m, kind="kernel", residual=f"dimension {len(kernel)}")
             continue
-        image = _apply(xc, kernel[0])  # (X^T g)(y) = s / e
+        g = _content_free(kernel[0], 1)[0]
+        image = _apply(xc, g)  # (X^T g)(y) = s / e
         # collinearity: X^T g = r g_m, r read at g_m's first nonzero entry y0;
         # r = 0 also when g_m is zero
         y0 = next((y for y, v in enumerate(h) if v), None)

@@ -9,7 +9,8 @@ instance, so it computes in its field.
 The exceptions are the integer kernels, `_series_rows`, `_factors` (the
 products of factors 1 - c q^d that the series tables and the 10phi9 weight
 and norm tables step by), `brf.partial_fraction` (on `QParams._basis_grid`),
-`brf.check_partner`, `reports.check_gram`, `algebra.evaluate_poly`,
+`brf.check_partner`, the Gram kernel `reports.check_gram` of all three
+families, `algebra.evaluate_poly`,
 `linalg.solve_unique` and the banded checks of `gevp`: they work on integers,
 most on rows over one denominator (`over_common_denominator`), the family
 rows content free (`_row_form`).  A value becomes integers only in `_pair`,
@@ -32,12 +33,14 @@ instance alive) and stays out of its ==, hash, repr and `as_dict`.
 
 `qpoch` and `phi_series` are field-generic: they use only ring operations
 and division on their arguments, so the same code runs over Fraction and
-over mpmath floats.  `_series_rows` is the one integer Horner kernel of the
+over mpmath floats; `phi_series`, one sum per call, is the tests' oracle for
+every series row.  `_series_rows` is the one integer Horner kernel of the
 three terminating series, U_n's 3phi2 (`brf.brf_u`), the 10phi9 and the
 Hahn 3F2 (`wilson`): each parameter class keeps the `_series_tables` of its
 series as `_row_tables`, built once per object like `qpow`'s, and each row
 is one call.  It takes ints and Fractions only and returns unreduced integer
-pairs: the families reduce each row once (`_row_form`), the rest make Fractions.
+pairs: the families and the 10phi9 and Hahn Grams reduce each row once
+(`_row_form`), the rest make Fractions.
 """
 
 from __future__ import annotations

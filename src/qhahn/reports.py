@@ -7,7 +7,7 @@ is kept out of CheckReport entirely.
 
 `_residuals` is the comparison of the q-Hahn identities: integer pairs
 compared cross-multiplied, with a Fraction residual built only for a
-violating entry.  The banded `gevp` checks, the Gram diagonals of `_gram`
+violating entry.  The banded `gevp` checks, the Gram diagonals of `check_gram`
 (content-free rows, each off-diagonal entry one dot product tested
 against 0) and both integer parts of `brf.check_partner` compare through
 it, and `_flag_worst` reports the largest residual of a row.
@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .qcore import _content_free, _pair, frac_str, over_common_denominator
+from .qcore import _pair, frac_str
 
 __all__ = ["CheckReport", "check_gram"]
 
@@ -78,17 +78,14 @@ def _flag_worst(report: CheckReport, resid: list, **where) -> str:
     return frac_str(worst)
 
 
-def _gram_rows(rows: Sequence[Sequence], weights: Sequence) -> list:
-    """Each row times `weights` entrywise as a `qcore._content_free` row: the
-    weights over one denominator, each row over its own."""
-    w, e = over_common_denominator(weights)
-    return [_content_free(list(map(mul, w, ints)), d * e)
-            for ints, d in map(over_common_denominator, rows)]
-
-
-def _gram(report: CheckReport, left: list, right: list, norms: Sequence) -> CheckReport:
-    """`check_gram` on `qcore._content_free` rows (a_n, s_n), (b_m, t_m): entry (n, m)
-    is s_n t_m (a_n . b_m), so it holds off the diagonal when the dot is 0."""
+def check_gram(report: CheckReport, left: list, right: list, norms: Sequence) -> CheckReport:
+    """Biorthogonality sum_x w_x u_n(x) v_m(x) = delta_{nm} h_n, all pairs, exact, on
+    `qcore._content_free` rows (a_n, s_n) of w u_n and (b_m, t_m) of v_m (the weight
+    on either side): entry (n, m) is s_n t_m (a_n . b_m), so it holds off the
+    diagonal when the integer dot is 0, and on it is compared with h_n, which must
+    also be nonzero, by `_residuals`.  Every violation carries (n, m) and a
+    residual, the Gram entry minus its expected value; the closed-form norms go to
+    details["norms"]."""
     for n, hn in enumerate(norms):
         if hn == 0:
             report.add_violation(n=n, m=n, residual="diagonal norm vanishes")
@@ -103,16 +100,3 @@ def _gram(report: CheckReport, left: list, right: list, norms: Sequence) -> Chec
                 report.add_violation(n=n, m=m, residual=frac_str(r))
     report.details["norms"] = [frac_str(h) for h in norms]
     return report
-
-
-def check_gram(report: CheckReport, weights: Sequence, us: Sequence[Sequence],
-               vs: Sequence[Sequence], norms: Sequence) -> CheckReport:
-    """Biorthogonality sum_x w_x u_n(x) v_m(x) = delta_{nm} h_n, all pairs, exact.
-
-    `norms` holds the closed-form h_n, which must also be nonzero.  Every
-    violation carries (n, m) and a residual, the Gram entry minus its
-    expected value; the closed-form norms go to details["norms"].  The
-    values are ints or Fractions, and the rows w u_n and v_m go to `_gram`
-    as `_gram_rows`, each built once.
-    """
-    return _gram(report, _gram_rows(us, weights), _gram_rows(vs, [1] * len(weights)), norms)

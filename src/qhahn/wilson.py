@@ -8,18 +8,22 @@ the 15 bases of the 10phi9 is c q^{dn n + dx x}, dn, dx in {-1, 0, 1}, dn dx = 0
 declared once in `WilsonParams._series_bases`, so its term ratio is a part
 in k + dn n times a part in k + dx x, both tabulated once per parameter object
 (`WilsonParams._row_tables`).  The kernel `qcore._series_rows` sums a whole
-row u_n(0..N) from them in integer Horner form, one integer pair per value
-made one Fraction here, with the very-well-poised factor
-(1 - h q^{2k}) / (1 - h), h = qa/qe, as the weight.  The q = 1 Hahn
-3F2, weight and norms are built the same ways, and so is `brf.brf_u`'s 3phi2.
+row u_n(0..N) from them in integer Horner form, one integer pair per value,
+with the very-well-poised factor (1 - h q^{2k}) / (1 - h), h = qa/qe, as the
+weight.  The q = 1 Hahn 3F2, weight and norms are built the same ways, and
+so is `brf.brf_u`'s 3phi2.  Both Gram checks take those pairs, the weight
+folded into each u row, as content-free integer rows to `check_gram`
+(`_row_gram`); `wilson_u`, `hahn_u` and their partners make them Fractions.
 
 Two degenerations are verified.  Sending qa -> infinity along qa = q^{-m}
 (|q| < 1) collapses the family onto the rational functions of the brf
 module.  The limit targets are brf's bare weight and norm (`bare_weight`,
-`bare_norm`) and the 3phi2 series `limit_u`/`limit_v`, summed here by the
-field-generic `phi_series` from their own display, a route independent of
-`brf.brf_u`.  Exact deviations from them must decrease, with the last ratio
-at most |q|^{(m1 - m0)/2}.  Sending q -> 1 with integer exponents yields an
+`bare_norm`) and the 3phi2 series `limit_u`/`limit_v`, summed here from their
+own display in q's field, a route independent of `brf.brf_u` and of the
+integer kernel: each row in Horner form from its term ratio, split into a
+part free of x and a part in one offset k -+ x (`_limit_row`).  Exact
+deviations from them must decrease, with the last ratio at most
+|q|^{(m1 - m0)/2}.  Sending q -> 1 with integer exponents yields an
 ordinary hypergeometric family (Hahn type) whose biorthogonality is checked
 exactly, with a floating-point convergence certificate for the q -> 1
 approach itself, through the same targets over mpmath.
@@ -30,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from .brf import bare_norm, bare_weight
 from .qcore import (
@@ -41,11 +46,11 @@ from .qcore import (
     _factors,
     _pair,
     _powers,
+    _row_form,
     _running,
     _series_rows,
     _series_tables,
     frac_str,
-    phi_series,
     scalar,
     validate_params,
 )
@@ -224,19 +229,18 @@ def wilson_weight(x: int, wp: WilsonParams) -> Fraction:
     return _entry(wp._weights, x, wp.N, "grid point x", "weight denominator vanishes")
 
 
-def _wilson_rows(n: int, wp: WilsonParams, i: int) -> list[Fraction]:
-    """Row n of `WilsonParams._row_tables`[i], the weights divided by 1 - h, which
-    the `WilsonParams` guard keeps nonzero."""
-    scale = 1 / (1 - wp._series_bases[i][0])
-    return [Fraction(*v) for v in _series_rows(wp._row_tables[i], n, scale)]
+def _wilson_rows(n: int, wp: WilsonParams, i: int) -> list[tuple[int, int]]:
+    """Row n of `WilsonParams._row_tables`[i] as the kernel's integer pairs, the
+    weights divided by 1 - h, which the `WilsonParams` guard keeps nonzero."""
+    return _series_rows(wp._row_tables[i], n, 1 / (1 - wp._series_bases[i][0]))
 
 
 def wilson_u(n: int, wp: WilsonParams) -> list[Fraction]:
-    return _wilson_rows(n, wp, 0)
+    return [Fraction(*v) for v in _wilson_rows(n, wp, 0)]
 
 
 def wilson_v(n: int, wp: WilsonParams) -> list[Fraction]:
-    return _wilson_rows(n, wp, 1)
+    return [Fraction(*v) for v in _wilson_rows(n, wp, 1)]
 
 
 def wilson_h(n: int, wp: WilsonParams) -> Fraction:
@@ -264,22 +268,63 @@ def _flat(table) -> list:
     return [*w, *h, *(y for rows in (u, v) for row in rows for y in row)]
 
 
+def _row_gram(report: CheckReport, params, weight, rows, h) -> CheckReport:
+    """`check_gram` on the kernel's integer pairs rows(n, params, i) of u_n (i = 0) and
+    v_m (i = 1), the weight folded into each u row, each row reduced once by
+    `_row_form`; weights, u rows, v rows and norms are built in that order."""
+    grid = range(params.N + 1)
+    w = [_pair(weight(x, params)) for x in grid]
+    left = [_row_form([(a * wn, b * wd) for (a, b), (wn, wd) in zip(rows(n, params, 0), w)])
+            for n in grid]
+    right = [_row_form(rows(m, params, 1)) for m in grid]
+    return check_gram(report, left, right, [h(n, params) for n in grid])
+
+
 def check_wilson_biorthogonality(wp: WilsonParams) -> CheckReport:
     """Sum_x w_x u_n v_m = delta_{nm} h_n, all pairs, exact."""
-    return check_gram(CheckReport(check="wilson_biorthogonality", params=wp.as_dict()),
-                      *_table(wilson_weight, wilson_u, wilson_v, wilson_h, wp.N, wp))
+    return _row_gram(CheckReport(check="wilson_biorthogonality", params=wp.as_dict()), wp,
+                     wilson_weight, _wilson_rows, wilson_h)
+
+
+def _limit_row(n: int, q, N: int, z, num, den, sigma, sign: int) -> list:
+    """Row x = 0..N of the terminating sum_{k <= n} t_k, t_0 = 1, in q's field, whose
+    term ratio t_{k+1} / t_k = rho_k sigma_{k + sign x} splits into the x-free
+    rho_k = z prod_num (1 - q^k c) / ((1 - q^{k+1}) prod_den (1 - q^k c)), once per
+    k < n, and sigma_d = (1 - q^d a) / (1 - q^d b), (a, b) = sigma, once per offset
+    d; each value in Horner form 1 + r_0 (1 + r_1 (... (1 + r_{n-1}))).  It is the
+    row of `phi_series` sums over x, and raises ZeroDenominator where one of
+    them does: at a vanishing denominator factor of some k < n."""
+    if not n:
+        return [q**0] * (N + 1)
+    ds = range(-N, n) if sign < 0 else range(N + n)  # the offsets k + sign x, k < n, x <= N
+    power, (a, b) = {d: q**d for d in (*ds, n)}, sigma
+
+    def below(c, d):
+        if (f := 1 - power[d] * c) == 0:
+            raise ZeroDenominator(f"denominator factor 1 - q^{d} ({c}) vanishes")
+        return f
+
+    rho = [z * prod(1 - power[k] * c for c in num) / prod(below(c, k) for c in (q, *den))
+           for k in range(n)]
+    sig = {d: (1 - power[d] * a) / below(b, d) for d in ds}
+    out = []
+    for x in range(N + 1):
+        total = q**0
+        for k in reversed(range(n)):
+            total = 1 + rho[k] * sig[k + sign * x] * total
+        out.append(total)
+    return out
 
 
 def limit_u(n: int, q, A, B, N: int) -> list:
-    top, bottom, z = [q ** (-n), q ** (n - N) * B], q ** (-N), A / B
-    return [phi_series([*top, q ** (-x)], [bottom, q ** (-x) * A], z, q, n + 1)
-            for x in range(N + 1)]
+    """The 3phi2(q^-n, q^(n-N) B, q^-x; q^-N, q^-x A; q, A/B) over x = 0..N."""
+    return _limit_row(n, q, N, A / B, [q ** (-n), q ** (n - N) * B], [q ** (-N)], (1, A), -1)
 
 
 def limit_v(n: int, q, A, B, N: int) -> list:
-    top, bottom = [q ** (-n), q ** (n - N) * B], q ** (-N)
-    return [phi_series([*top, q ** (x - N)], [bottom, q ** (x - N + 2) * B / A], q, q, n + 1)
-            for x in range(N + 1)]
+    """The 3phi2(q^-n, q^(n-N) B, q^(x-N); q^-N, q^(x-N+2) B/A; q, q) over x = 0..N."""
+    return _limit_row(n, q, N, q, [q ** (-n), q ** (n - N) * B], [q ** (-N)],
+                      (q ** (-N), q ** (2 - N) * B / A), 1)
 
 
 def induced_wilson_params(p: QParams, m: int, qc: Fraction) -> WilsonParams:
@@ -407,12 +452,17 @@ def hahn_weight(x: int, hp: HahnParams) -> Fraction:
     return _entry(hp._weights, x, hp.N, "grid point x", "weight denominator vanishes")
 
 
+def _hahn_rows(n: int, hp: HahnParams, i: int) -> list[tuple[int, int]]:
+    """Row n of `HahnParams._row_tables`[i] as the kernel's integer pairs."""
+    return _series_rows(hp._row_tables[i], n, 1)
+
+
 def hahn_u(n: int, hp: HahnParams) -> list[Fraction]:
-    return [Fraction(*v) for v in _series_rows(hp._row_tables[0], n, 1)]
+    return [Fraction(*v) for v in _hahn_rows(n, hp, 0)]
 
 
 def hahn_v(n: int, hp: HahnParams) -> list[Fraction]:
-    return [Fraction(*v) for v in _series_rows(hp._row_tables[1], n, 1)]
+    return [Fraction(*v) for v in _hahn_rows(n, hp, 1)]
 
 
 def hahn_h(n: int, hp: HahnParams) -> Fraction:
@@ -423,8 +473,8 @@ def hahn_h(n: int, hp: HahnParams) -> Fraction:
 def check_hahn_biorthogonality(hp: HahnParams) -> CheckReport:
     """Sum_x w_x u_n v_m = delta_{nm} h_n at q = 1, exact; the weight is
     not normalized, so the n = m = 0 case doubles as its total mass."""
-    return check_gram(CheckReport(check="hahn_biorthogonality", params=hp.as_dict()),
-                      *_table(hahn_weight, hahn_u, hahn_v, hahn_h, hp.N, hp))
+    return _row_gram(CheckReport(check="hahn_biorthogonality", params=hp.as_dict()), hp,
+                     hahn_weight, _hahn_rows, hahn_h)
 
 
 def _qto1_table(hp: HahnParams, h: Fraction, prec: int):

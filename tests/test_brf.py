@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -379,6 +380,38 @@ def test_valid_instance_with_b_equal_to_a_q_n_minus_1_passes_through_null_space(
     monkeypatch.setattr(linalg, "null_space", lambda a: calls.append(a) or good(a))
     assert check_partner(inst).status == "pass"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [QParams(F(1, 2), F(3), F(1, 5), 8),
+                               QParams(F(1, 2), F(3), 3 * F(1, 2) ** 4, 5)],
+                         ids=["tridiagonal_kernel", "null_space"])
+def test_partner_hands_a_content_free_kernel_vector_to_the_collinearity_test(monkeypatch, p):
+    # the kernel vectors g of (Y - lambda_m X)^T carry a common factor (118 of
+    # 157 bits at m = 4 of the first instance); the collinearity test takes g
+    # over its gcd, from either route, and a mixed partner_2 still fails it
+    kernels, dense, applied = [], [], []
+    tridiagonal_kernel, null_space, apply = linalg.tridiagonal_kernel, linalg.null_space, brf._apply
+
+    def tridiagonal(*args):
+        g, residual = tridiagonal_kernel(*args)
+        kernels.append(g)
+        return g, residual
+
+    def null(a):
+        vs = null_space(a)
+        dense.extend(qcore.over_common_denominator(v)[0] for v in vs)
+        return vs
+
+    monkeypatch.setattr(linalg, "tridiagonal_kernel", tridiagonal)
+    monkeypatch.setattr(linalg, "null_space", null)
+    monkeypatch.setattr(brf, "_apply", lambda rows, c: applied.append(c) or apply(rows, c))
+    assert check_partner(Instance(p)).status == "pass"
+    assert len(dense) == (p.B == p.A * p.q ** (p.N - 1))
+    assert max(math.gcd(*g) for g in kernels + dense) > 1
+    assert len(applied) == 2 * (p.N + 1)  # per m: V^T h_m, then X^T g
+    assert [math.gcd(*g) for g in applied[1::2]] == [1] * (p.N + 1)
+    report = check_partner(mixed_partner_2(monkeypatch, p))
+    assert (2, "collinearity") in [(v["m"], v["kind"]) for v in report.violations]
 
 
 def test_partner_values_from_reflection(canonical):

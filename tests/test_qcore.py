@@ -288,12 +288,17 @@ def test_validate_params_rejects_bad_nmax():
         validate_params(CANONICAL, 7)
 
 
-# Each integer kernel fed one value that is neither an int nor a Fraction.
+# Each integer kernel fed one value that is neither an int nor a Fraction; the
+# Gram's weights and rows go in as the 10phi9 and Hahn checks read them.
+HAHN = wilson.HahnParams(F(-5), F(9), 3)
 GATED = {
-    "check_gram-weights": lambda v: check_gram(CheckReport("gram", {}), [v, 1], [[1, 1]],
-                                               [[1, 1]], [2]),
-    "check_gram-rows": lambda v: check_gram(CheckReport("gram", {}), [1, 1], [[v, 1]],
-                                            [[1, 1]], [2]),
+    "check_gram-weights": lambda v: wilson._row_gram(
+        CheckReport("gram", {}), HAHN, lambda x, hp: v, wilson._hahn_rows, wilson.hahn_h),
+    "check_gram-rows": lambda v: wilson._row_gram(
+        CheckReport("gram", {}), HAHN, wilson.hahn_weight,
+        lambda n, hp, i: _series_rows(hp._row_tables[i], n, v), wilson.hahn_h),
+    "check_gram-norms": lambda v: check_gram(CheckReport("gram", {}), [([1, 1], F(1))],
+                                             [([1, 1], F(1))], [v]),
     "evaluate_poly": lambda v: evaluate_poly(NCPoly({("X",): v}), Instance(CANONICAL)),
     "partial_fraction": lambda v: partial_fraction([v, 1, 1], brf_family(CANONICAL).rows[2],
                                                    CANONICAL),

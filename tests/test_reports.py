@@ -1,10 +1,13 @@
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhahn.reports import CheckReport, _gram, _gram_rows, _residuals, check_gram
+from qhahn import wilson
+from qhahn.qcore import _row_form
+from qhahn.reports import CheckReport, _residuals, check_gram
 
 from conftest import fraction_gram
 
@@ -43,12 +46,30 @@ def gram_tables(draw):
     return w, us, vs, norms
 
 
+def pairs(values) -> list[tuple[int, int]]:
+    return [F(v).as_integer_ratio() for v in values]
+
+
+def row_forms(rows, w=None) -> list:
+    """Each row, times w entrywise if given, as a `qcore._row_form` row."""
+    return [_row_form(pairs(row if w is None else [a * b for a, b in zip(w, row)]))
+            for row in rows]
+
+
+def row_gram(tables) -> CheckReport:
+    """`wilson._row_gram`, the path of the 10phi9 and Hahn Grams, on the rows of
+    `tables` as integer pairs."""
+    w, us, vs, norms = tables
+    return wilson._row_gram(
+        CheckReport(check="gram", params={}), SimpleNamespace(N=len(w) - 1),
+        lambda x, _: w[x], lambda n, _, i: pairs((us, vs)[i][n]), lambda n, _: norms[n])
+
+
 @settings(max_examples=150, deadline=None)
 @given(gram_tables())
 def test_integer_gram_kernel_reports_as_the_fraction_sums(tables):
-    got = check_gram(CheckReport(check="gram", params={}), *tables)
     expected = fraction_gram(CheckReport(check="gram", params={}), *tables)
-    assert got.as_dict() == expected.as_dict()
+    assert row_gram(tables).as_dict() == expected.as_dict()
 
 
 @st.composite
@@ -74,17 +95,16 @@ def content_tables(draw):
 @settings(max_examples=150, deadline=None)
 @given(content_tables())
 def test_content_free_gram_rows_report_as_the_fraction_sums(tables):
-    # the row kernel with the weight on either side, and check_gram, against
+    # check_gram with the weight on either side, and the 10phi9/Hahn path, against
     # the Fraction sums; a zero row or weight has gcd 0 and divides by nothing
     w, us, vs, norms = tables
     expected = fraction_gram(CheckReport(check="gram", params={}), *tables).as_dict()
-    assert check_gram(CheckReport(check="gram", params={}), *tables).as_dict() == expected
-    ones = [1] * len(w)
-    for left, right in [(_gram_rows(us, w), _gram_rows(vs, ones)),
-                        (_gram_rows(us, ones), _gram_rows(vs, w))]:
-        assert _gram(CheckReport(check="gram", params={}), left, right, norms).as_dict() == expected
+    assert row_gram(tables).as_dict() == expected
+    for left, right in [(row_forms(us, w), row_forms(vs)), (row_forms(us), row_forms(vs, w))]:
+        assert check_gram(CheckReport(check="gram", params={}), left, right, norms).as_dict() == (
+            expected)
     # each row is content free and scales back to the values it stands for
-    for (ints, s), row in zip(_gram_rows(vs, w), vs):
+    for (ints, s), row in zip(row_forms(vs, w), vs):
         assert math.gcd(*ints) in (0, 1)
         assert [s * v for v in ints] == [a * b for a, b in zip(w, row)]
 

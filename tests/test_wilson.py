@@ -255,6 +255,120 @@ def test_limit_u0_is_one_even_in_floating_point():
         assert limit_u(0, q, q**-5, q**9, 2) == [1] * 3
 
 
+def former_limit_rows(n, q, A, B, N):
+    """limit_u and limit_v as they were summed before their factored form,
+    one `phi_series` per grid point x, each as its values or ZeroDenominator."""
+    top, rows = [q ** (-n), q ** (n - N) * B], []
+    for num, den, z in ((lambda x: q ** (-x), lambda x: q ** (-x) * A, A / B),
+                        (lambda x: q ** (x - N), lambda x: q ** (x - N + 2) * B / A, q)):
+        try:
+            rows.append([phi_series([*top, num(x)], [q ** (-N), den(x)], z, q, n + 1)
+                         for x in range(N + 1)])
+        except ZeroDenominator:
+            rows.append(ZeroDenominator)
+    return rows
+
+
+def limit_rows(n, q, A, B, N):
+    """limit_u and limit_v, each as its values or ZeroDenominator."""
+    rows = []
+    for target in (limit_u, limit_v):
+        try:
+            rows.append(target(n, q, A, B, N))
+        except ZeroDenominator:
+            rows.append(ZeroDenominator)
+    return rows
+
+
+@st.composite
+def limit_arguments(draw):
+    """(n, q, A, B, N) with q of either sign, n = 0..N, and A and B/A either
+    any rational or a power of q, which puts a zero factor on some offset."""
+    q = draw(st.fractions(-3, 3, max_denominator=5).filter(lambda v: v not in (0, 1, -1)))
+    N = draw(st.integers(0, 4))
+    factor = st.one_of(st.integers(-N - 3, N + 3).map(lambda j: q**j),
+                       st.fractions(-9, 9, max_denominator=7).filter(bool))
+    A = draw(factor)
+    return draw(st.integers(0, N)), q, A, A * draw(factor), N
+
+
+@settings(max_examples=300, deadline=None)
+@given(limit_arguments())
+@example((0, F(-1, 2), F(3), F(1, 5), 3))
+@example((2, F(1, 2), F(4), F(1, 5), 3))  # A = q^-2: 1 - q^(k-x) A vanishes at x = k + 2
+def test_factored_limit_targets_are_the_phi_series_sums(arguments):
+    # every value exactly, over x < n and x >= n, and ZeroDenominator where a
+    # phi_series sum of the row raises it
+    assert limit_rows(*arguments) == former_limit_rows(*arguments)
+
+
+@pytest.mark.parametrize("seed", WORKLOAD_SEEDS)
+def test_factored_limit_targets_are_the_phi_series_sums_at_workload_size(seed):
+    p = wilson_workload(seed)[2]
+    for n in range(p.N + 1):
+        assert limit_rows(n, p.q, p.A, p.B, p.N) == former_limit_rows(n, p.q, p.A, p.B, p.N)
+
+
+def qto1_limit_rows(alpha, beta, N, h, prec):
+    """The factored and the phi_series limit rows at q = e^h, A = q^alpha, B = q^beta,
+    as `_qto1_table` evaluates them, with 2^-prec."""
+    with mpmath.workprec(prec):
+        q = mpmath.exp(mpmath.mpf(h.numerator) / h.denominator)
+        args = (q, q**alpha, q**beta, N)
+        return ([limit_rows(n, *args) for n in range(N + 1)],
+                [former_limit_rows(n, *args) for n in range(N + 1)], mpmath.eps)
+
+
+def worst_ulps(new, old, eps) -> float:
+    """max |a - b| / max(|b|, 1) over the values, in units of eps."""
+    return max(float(abs(a - b) / max(abs(b), 1) / eps)
+               for rows, former in zip(new, old) for row, row0 in zip(rows, former)
+               for a, b in zip(row, row0))
+
+
+@pytest.mark.parametrize("prec", [53, 200])
+def test_factored_limit_targets_agree_with_phi_series_on_the_qto1_instance(prec):
+    # the shipped q -> 1 instance at its h_list: a few ulps (22 at most
+    # when measured); the check reports its deviations to 8 digits
+    for h in (F(1, 8), F(1, 16), F(1, 32)):
+        assert worst_ulps(*qto1_limit_rows(-3, 5, 2, h, prec)) <= 32
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-8, 8), st.integers(-8, 12), st.integers(0, 3),
+       st.sampled_from([F(1, 8), F(1, 16), F(1, 32)]), st.sampled_from([53, 200]))
+def test_factored_limit_targets_agree_with_phi_series_over_mpmath(alpha, beta, N, h, prec):
+    # on guarded integer exponents the two orders differ by the roundoff of
+    # the factors 1 - q^d, d h small, and of cancelling terms: at most 2^10
+    # ulps of max(|value|, 1) (710 when measured at N = 3)
+    try:
+        HahnParams(alpha, beta, N)
+    except InvalidParams:
+        assume(False)
+    assert worst_ulps(*qto1_limit_rows(alpha, beta, N, h, prec)) <= 2**10
+
+
+@pytest.mark.parametrize("target", ["limit_u", "limit_v"])
+def test_wilson_limit_catches_a_target_with_its_x_part_moved_by_one(monkeypatch, target):
+    # sigma_{d+1} in place of sigma_d, that is (a, b) -> (q a, q b): the same
+    # row at shift 0, and a deviation that stalls at shift 1
+    def moved(shift):
+        def row(n, q, A, B, N):
+            top, den, s = [q ** (-n), q ** (n - N) * B], [q ** (-N)], q**shift
+            if target == "limit_u":
+                return wilson._limit_row(n, q, N, A / B, top, den, (s, s * A), -1)
+            return wilson._limit_row(n, q, N, q, top, den,
+                                     (s * q ** (-N), s * q ** (2 - N) * B / A), 1)
+        return row
+
+    p = LIMIT_INSTANCE
+    for n in range(p.N + 1):
+        assert moved(0)(n, p.q, p.A, p.B, p.N) == getattr(wilson, target)(n, p.q, p.A, p.B, p.N)
+    monkeypatch.setattr(wilson, target, moved(1))
+    report = wilson_limit_check(p, LONG_M_LIST, F(3))
+    assert report.status == "fail"
+
+
 def test_hahn_biorthogonality_exact():
     for hp in HAHN_PANEL:
         assert check_hahn_biorthogonality(hp).status == "pass"
@@ -272,10 +386,11 @@ def test_hahn_biorthogonality_catches_a_wrong_norm(monkeypatch):
 def test_hahn_biorthogonality_catches_a_mixed_partner(monkeypatch):
     # v_3 + v_1 pairs with u_1 to h_1: one off-diagonal violation
     hp = HAHN_PANEL[0]
+    good = wilson._hahn_rows
     monkeypatch.setattr(
-        wilson, "hahn_v",
-        lambda m, hp: [a + b for a, b in zip(hahn_v(m, hp), hahn_v(1, hp) if m == 3
-                                             else [0] * (hp.N + 1))])
+        wilson, "_hahn_rows",
+        lambda m, hp, i: [(a * d + b * c, b * d) for (a, b), (c, d) in zip(
+            good(m, hp, i), good(1, hp, i) if (m, i) == (3, 1) else [(0, 1)] * (hp.N + 1))])
     report = check_hahn_biorthogonality(hp)
     assert report.status == "fail"
     assert report.violations == [{"n": 1, "m": 3, "residual": frac_str(hahn_h(1, hp))}]
