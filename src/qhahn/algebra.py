@@ -7,22 +7,21 @@ generated by (X, V, Z) with constants eta_0..eta_3.  Each algebra carries
 a cubic Casimir element (gamma constants) and derives from a potential:
 an ordinary polynomial whose cyclic derivatives, which read each word
 cyclically, reproduce the defining relations up to one overall scale per
-pair.
-
-Verification is double-tracked on purpose: the relations are checked as
-exact matrix identities in the grid realization, and independently the
-constants xi_0..xi_8 of the rational q-Hahn relations are solved back from
-the matrices by exact linear algebra and compared with their closed-form
-expressions (the eta and gamma constants are not solved back).  The potential
-claim is checked symbolically at the word level (NCPoly), not through
+pair.  The relations are checked as exact matrix identities in the grid
+realization; independently xi_0..xi_8 are solved back from the matrices
+and compared with their closed forms (eta and gamma are not solved back);
+the potential claim is checked in the free algebra (NCPoly), not through
 matrices, so that it cannot hold by representation-specific accident.
 
-The builders read one `brf.Instance`, whose constants, point-basis matrices
-and their products by word as integer rows (`constants`, `ops`, `words`)
-are built once.  NCPoly does not decide the number type: it stores the
-coefficients it is given, so the relations, Casimirs and potentials live in
-the field of the instance, any field of (q, A, B); their matrix values, by
-the integer kernel `evaluate_poly`, are integer rows over Fraction.
+The five relations (XZ is in both algebras) are one table, read once per
+`brf.Instance`: as free polynomials in the field of the instance
+(`Instance.relations`, read by the potentials) and as integer rows over
+Fraction (`Instance.relation_rows`: each left side and word sum, read by
+both relation checks and the solve-back).  Each word's matrix is multiplied
+out once per instance (`Instance.words`), for the relations and Casimirs
+alike.  A Casimir whose matrix is scalar commutes with every generator, so
+its commutators are formed only when it is not.  NCPoly stores the
+coefficients it is given, so the polynomials live in any field of (q, A, B).
 """
 
 from __future__ import annotations
@@ -90,18 +89,14 @@ class NCPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Word, object] | None = None):
-        normal: dict[Word, object] = {}
-        for word, coeff in (terms or {}).items():
-            if coeff == 0:
-                continue
-            key = tuple(word)
-            if key not in normal:
-                normal[key] = coeff
-            elif (total := normal[key] + coeff) == 0:
-                del normal[key]
-            else:
-                normal[key] = total
-        self.terms = normal
+        self.terms = _merge({}, ((tuple(w), c) for w, c in (terms or {}).items() if c != 0))
+
+    @classmethod
+    def _normal(cls, terms: dict[Word, object]) -> "NCPoly":
+        """The NCPoly of terms already in normal form: tuple words, no zero coefficient."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
 
     @classmethod
     def monomial(cls, letters: str, coeff=1) -> "NCPoly":
@@ -111,19 +106,29 @@ class NCPoly:
         return not self.terms
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
-        merged = dict(self.terms)
-        for word, coeff in other.terms.items():
-            merged[word] = merged[word] + coeff if word in merged else coeff
-        return NCPoly(merged)
+        return NCPoly._normal(_merge(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly({w: -c for w, c in self.terms.items()})
+        return NCPoly._normal({w: -c for w, c in self.terms.items()})
 
     def __rmul__(self, coeff) -> "NCPoly":
         return NCPoly({w: coeff * v for w, v in self.terms.items()})
+
+
+def _merge(terms: dict[Word, object], items) -> dict[Word, object]:
+    """terms with each (word, nonzero coeff) of items added in: a word met
+    first keeps its coefficient, and a sum that cancels is dropped."""
+    for word, coeff in items:
+        if word not in terms:
+            terms[word] = coeff
+        elif (total := terms[word] + coeff) == 0:
+            del terms[word]
+        else:
+            terms[word] = total
+    return terms
 
 
 def cyclic_derivative(phi: NCPoly, gen: str) -> NCPoly:
@@ -143,24 +148,26 @@ def cyclic_derivative(phi: NCPoly, gen: str) -> NCPoly:
     return NCPoly(out)
 
 
+def _word_rows(word: Word, inst: Instance) -> list[tuple[dict[int, int], int]]:
+    """A word's matrix as integer rows, kept in `inst.words`: its longest
+    proper prefix's times its last letter's, multiplied out once per instance."""
+    prods = inst.words
+    for k, g in enumerate(word, 1):
+        if word[:k] not in prods:
+            if g not in inst.ops:
+                raise QHahnError(f"word {''.join(word)!r}: letter {g!r} is not X, Y, Z or V")
+            prods[word[:k]] = _mul_rows(prods[word[:k - 1]], prods[(g,)])
+    return prods[word]
+
+
 def evaluate_poly(poly: NCPoly, inst: Instance) -> list[tuple[dict[int, int], int]]:
     """Evaluate an ordinary polynomial at the instance's point-basis
-    matrices `inst.ops`, over Fraction, as rows of `qcore._integer_rows`.
-
-    A word's matrix is its longest proper prefix's times its last letter's,
-    as integer rows kept in `inst.words`: each word is multiplied out once
-    per instance and shared by every polynomial evaluated there.  A row of
-    the sum is one `_sum_rows`, and no entry becomes a Fraction.
-    """
-    prods = inst.words
-    for word in poly.terms:
-        for k, g in enumerate(word, 1):
-            if word[:k] not in prods:
-                if g not in inst.ops:
-                    raise QHahnError(f"word {''.join(word)!r}: letter {g!r} is not X, Y, Z or V")
-                prods[word[:k]] = _mul_rows(prods[word[:k - 1]], prods[(g,)])
-    coeffs = {w: _pair(c) for w, c in poly.terms.items()}
-    return [_sum_rows([(*c, prods[w][i]) for w, c in coeffs.items() if prods[w][i][0]])
+    matrices `inst.ops`, over Fraction, as rows of `qcore._integer_rows`:
+    each row of the sum is one `_sum_rows` of the words' `_word_rows`, and
+    no entry becomes a Fraction."""
+    words = [_word_rows(w, inst) for w in poly.terms]
+    coeffs = [_pair(c) for c in poly.terms.values()]
+    return [_sum_rows([(*c, m[i]) for c, m in zip(coeffs, words) if m[i][0]])
             for i in range(inst.p.N + 1)]
 
 
@@ -216,69 +223,71 @@ def structure_constants(p: QParams) -> StructureConstants:
     )
 
 
-_mono = NCPoly.monomial
-
-
-# The three rational q-Hahn relations, keyed by ab for ab - q ba = right-hand
-# side.  Each right-hand term is (i, words): xi_i times the sum of the words,
-# or the fixed coefficient -1 when i is None.  The relation polynomials and
-# the solve-back both read this table.
+# The relations of both algebras, keyed by ab for ab - q ba = right-hand
+# side: XZ, ZY and YX generate the rational q-Hahn algebra, XZ, VX and ZV the
+# meta one.  Each right-hand term is (key, words): the coefficient of the key
+# (`_coefficients`) times the sum of the words.  The relation polynomials,
+# the matrix checks and the solve-back all read this table.
 _RQHAHN_RELATIONS = {
     "XZ": [(None, ("ZZ",)), (None, ("Z",)), (6, ("X",))],
     "ZY": [(1, ("XX",)), (3, ("XZ", "ZX")), (4, ("ZZ",)), (5, ("X",)), (6, ("Y",)),
            (7, ("Z",)), (0, ("",))],
     "YX": [(3, ("XX",)), (4, ("XZ", "ZX")), (None, ("YZ", "ZY")), (2, ("ZZ",)), (7, ("X",)),
            (None, ("Y",)), (8, ("Z",)), (0, ("",))],
+    "VX": [(None, ("VZ", "ZV")), ("eta1", ("X",)), (None, ("V",)), ("-eta1/q", ("Z",)),
+           ("-eta0", ("",))],
+    "ZV": [("-eta2", ("X",)), ("q-1", ("V",)), ("eta1", ("Z",)), ("eta3", ("",))],
 }
+_RQHAHN, _META = ("XZ", "ZY", "YX"), ("XZ", "VX", "ZV")
 
 
-def _relation_sides(name: str, p: QParams) -> tuple[NCPoly, list[NCPoly]]:
-    """The left side ab - q ba of the relation keyed ab, and the word sum of
-    each of its right-hand terms, in table order."""
-    return (NCPoly({name: 1, name[::-1]: -p.q}),
-            [NCPoly(dict.fromkeys(words, 1)) for _, words in _RQHAHN_RELATIONS[name]])
+def _coefficients(inst: Instance) -> dict:
+    """The value at inst of each coefficient key of the relation table: None
+    is the fixed -1, an int i is xi_i, and a str spells a meta coefficient."""
+    (e0, e1, e2, e3), q = inst.constants.eta, inst.p.q
+    return {None: -1, **dict(enumerate(inst.constants.xi)), "eta1": e1, "-eta1/q": -e1 / q,
+            "-eta0": -e0, "-eta2": -e2, "q-1": q - 1, "eta3": e3}
 
 
-def _rqhahn_relation(name: str, xi: tuple[Fraction, ...], p: QParams) -> NCPoly:
-    poly, sums = _relation_sides(name, p)
-    for (i, _), words in zip(_RQHAHN_RELATIONS[name], sums):
-        poly = poly - (-1 if i is None else xi[i]) * words
-    return poly
+def _relation_polys(inst: Instance) -> dict[str, NCPoly]:
+    """Left-minus-right of every relation of the table as a free polynomial,
+    in the field of the instance; `Instance.relations` keeps them."""
+    c, q = _coefficients(inst), inst.p.q
+    return {name: sum((NCPoly(dict.fromkeys(words, -c[key])) for key, words in terms),
+                      NCPoly({name: 1, name[::-1]: -q}))
+            for name, terms in _RQHAHN_RELATIONS.items()}
+
+
+def _relation_rows(inst: Instance) -> dict[str, list[tuple[int, int, list]]]:
+    """Every relation of the table as the `_sum_rows` terms (n, d, rows) of
+    left minus right side: ab - q ba, then each right-hand word sum times
+    minus its coefficient.  A single word is its `_word_rows`; a sum of words
+    is evaluated once for all relations; `Instance.relation_rows` keeps them."""
+    c, q = _coefficients(inst), inst.p.q
+    sums = {words: (_word_rows(tuple(words[0]), inst) if len(words) == 1
+                    else evaluate_poly(NCPoly(dict.fromkeys(words, 1)), inst))
+            for words in dict.fromkeys(w for terms in _RQHAHN_RELATIONS.values() for _, w in terms)}
+    return {name: [(1, 1, evaluate_poly(NCPoly({name: 1, name[::-1]: -q}), inst)),
+                   *((*_pair(-c[key]), sums[words]) for key, words in terms)]
+            for name, terms in _RQHAHN_RELATIONS.items()}
 
 
 def rqhahn_relation_polys(inst: Instance) -> dict[str, NCPoly]:
     """Left-minus-right of the three rational q-Hahn relations, as free polynomials."""
-    return {name: _rqhahn_relation(name, inst.constants.xi, inst.p) for name in _RQHAHN_RELATIONS}
+    return {name: inst.relations[name] for name in _RQHAHN}
 
 
 def meta_relation_polys(inst: Instance) -> dict[str, NCPoly]:
     """Left-minus-right of the three meta algebra relations (generators X, V, Z);
     the XZ relation is the rational q-Hahn one."""
-    sc, q = inst.constants, inst.p.q
-    eta = sc.eta
-    rel_xz = _rqhahn_relation("XZ", sc.xi, inst.p)
-    rel_vx = (
-        _mono("VX") - q * _mono("XV")
-        + _mono("VZ") + _mono("ZV") - eta[1] * _mono("X") + _mono("V")
-        + (eta[1] / q) * _mono("Z") + eta[0] * _mono("")
-    )
-    rel_zv = (
-        _mono("ZV") - q * _mono("VZ")
-        + eta[2] * _mono("X") + (1 - q) * _mono("V") - eta[1] * _mono("Z")
-        - eta[3] * _mono("")
-    )
-    return {"XZ": rel_xz, "VX": rel_vx, "ZV": rel_zv}
+    return {name: inst.relations[name] for name in _META}
 
 
 def potential_rqhahn(inst: Instance) -> NCPoly:
     xi, q = inst.constants.xi, inst.p.q
-    return (
-        q * _mono("XYZ") - _mono("YXZ")
-        + (xi[1] / 3) * _mono("XXX") + (xi[2] / 3) * _mono("ZZZ")
-        + xi[3] * _mono("XXZ") + xi[4] * _mono("XZZ") - _mono("YZZ")
-        + (xi[5] / 2) * _mono("XX") + xi[6] * _mono("XY") + xi[7] * _mono("XZ") - _mono("YZ")
-        + (xi[8] / 2) * _mono("ZZ") + xi[0] * _mono("X") + xi[0] * _mono("Z")
-    )
+    return NCPoly({"XYZ": q, "YXZ": -1, "XXX": xi[1] / 3, "ZZZ": xi[2] / 3, "XXZ": xi[3],
+                   "XZZ": xi[4], "YZZ": -1, "XX": xi[5] / 2, "XY": xi[6], "XZ": xi[7], "YZ": -1,
+                   "ZZ": xi[8] / 2, "X": xi[0], "Z": xi[0]})
 
 
 def potential_meta(inst: Instance) -> NCPoly:
@@ -287,72 +296,67 @@ def potential_meta(inst: Instance) -> NCPoly:
     # relation, whose constant term is pinned by the grid realization, and
     # the word-level solve returns -eta_0 uniquely (all other coefficients
     # land on their displayed values).
-    return (
-        q * _mono("XVZ") - _mono("VXZ") - _mono("VZZ")
-        - (1 - q) * _mono("XV") - _mono("VZ") + eta[1] * _mono("XZ")
-        - (eta[1] / (2 * q)) * _mono("ZZ") - (eta[2] / 2) * _mono("XX")
-        - eta[0] * _mono("Z") + eta[3] * _mono("X")
-    )
+    return NCPoly({"XVZ": q, "VXZ": -1, "VZZ": -1, "XV": q - 1, "VZ": -1, "XZ": eta[1],
+                   "ZZ": -(eta[1] / (2 * q)), "XX": -(eta[2] / 2), "Z": -eta[0], "X": eta[3]})
 
 
 def casimir_rqhahn(inst: Instance) -> NCPoly:
     """Cubic Casimir element of the rational q-Hahn algebra on (X, Y, Z)."""
     p, g = inst.p, inst.constants.gamma
     q = p.q
-    return (
-        (1 - q) * _mono("XYZ") + qpow(p, 1 - p.N, 0, 1) * _mono("XXX")
-        + g[0] * _mono("XXZ") + g[1] * _mono("XZZ") + q * _mono("YZZ")
-        + g[2] * _mono("XX") + (1 - q) * _mono("XY") + g[3] * _mono("XZ")
-        - (1 - 2 * q) * _mono("YZ") + g[4] * _mono("X") - (1 - q) * _mono("Y")
-    )
+    return NCPoly({"XYZ": 1 - q, "XXX": qpow(p, 1 - p.N, 0, 1), "XXZ": g[0], "XZZ": g[1],
+                   "YZZ": q, "XX": g[2], "XY": 1 - q, "XZ": g[3], "YZ": 2 * q - 1, "X": g[4],
+                   "Y": q - 1})
 
 
 def casimir_meta(inst: Instance) -> NCPoly:
     """Cubic Casimir element of the meta algebra on (X, V, Z)."""
     p, g, eta = inst.p, inst.constants.gamma, inst.constants.eta
     q = p.q
-    return (
-        (1 - q) * _mono("XVZ") + q * _mono("VZZ") + qpow(p, 1 - p.N, 0, 1) * _mono("XX")
-        + (1 - q) * _mono("XV") + g[0] * _mono("XZ") - (1 - 2 * q) * _mono("VZ")
-        + eta[1] * _mono("ZZ") + g[2] * _mono("X") - (1 - q) * _mono("V")
-        + g[3] * _mono("Z")
-    )
+    return NCPoly({"XVZ": 1 - q, "VZZ": q, "XX": qpow(p, 1 - p.N, 0, 1), "XV": 1 - q,
+                   "XZ": g[0], "VZ": 2 * q - 1, "ZZ": eta[1], "X": g[2], "V": q - 1, "Z": g[3]})
 
 
-def _relation_report(check: str, inst: Instance, polys: dict[str, NCPoly]) -> CheckReport:
+def _relation_report(check: str, inst: Instance, names: tuple[str, ...]) -> CheckReport:
+    """Each named relation's residual from the `relation_rows` the checks
+    share, one `_sum_rows` per row."""
     report = CheckReport(check=check, params=inst.p.as_dict())
-    report.details["residual_norms"] = {
-        name: _flag_worst(report, _fractions(evaluate_poly(poly, inst)), relation=name)
-        for name, poly in polys.items()}
+    norms = {}
+    for name in names:
+        terms = inst.relation_rows[name]
+        resid = [_sum_rows([(n, d, m[i]) for n, d, m in terms]) for i in range(inst.p.N + 1)]
+        norms[name] = _flag_worst(report, _fractions(resid), relation=name)
+    report.details["residual_norms"] = norms
     return report
 
 
 def check_rqhahn_relations(inst: Instance) -> CheckReport:
     """The three rational q-Hahn relations as exact matrix identities."""
-    return _relation_report("rqhahn_relations", inst, rqhahn_relation_polys(inst))
+    return _relation_report("rqhahn_relations", inst, _RQHAHN)
 
 
 def check_meta_relations(inst: Instance) -> CheckReport:
     """The three meta algebra relations as exact matrix identities."""
-    return _relation_report("meta_relations", inst, meta_relation_polys(inst))
+    return _relation_report("meta_relations", inst, _META)
 
 
 def _casimir_report(check: str, inst: Instance, casimir: NCPoly,
                     generators: str) -> tuple[CheckReport, list]:
     """Report on the Casimir's matrix in the grid realization, with a
-    violation for each generator it fails to commute with; the claim about
-    its value is the caller's.  Returns the report and the matrix as
-    `evaluate_poly` rows."""
+    violation for each generator a matrix that is not scalar fails to commute
+    with; the claim about its value is the caller's.  Returns the report and
+    the matrix as `evaluate_poly` rows."""
     report = CheckReport(check=check, params=inst.p.as_dict())
     q_rows = evaluate_poly(casimir, inst)
-    for g in generators:
-        left, right = _mul_rows(q_rows, inst.op_rows[g]), _mul_rows(inst.op_rows[g], q_rows)
-        if left != right:
-            _flag_worst(report, _fractions(_sub_rows(left, right)), generator=g)
     diag = [Fraction(row.get(i, 0), e) for i, (row, e) in enumerate(q_rows)]
     report.details["diagonal"] = [frac_str(v) for v in diag]
-    report.details["is_scalar"] = len(set(diag)) == 1 and all(
+    report.details["is_scalar"] = scalar = len(set(diag)) == 1 and all(
         row.keys() <= {i} for i, (row, _) in enumerate(q_rows))
+    if not scalar:  # a scalar matrix commutes with every generator
+        for g in generators:
+            left, right = _mul_rows(q_rows, inst.op_rows[g]), _mul_rows(inst.op_rows[g], q_rows)
+            if left != right:
+                _flag_worst(report, _fractions(_sub_rows(left, right)), generator=g)
     return report, q_rows
 
 
@@ -460,19 +464,19 @@ def _solve_relation(lhs: list, ansatz: list[list], what: str) -> list[Fraction]:
 def solve_structure_constants(inst: Instance) -> tuple[Fraction, ...]:
     """Recover xi_0..xi_8 from the matrices alone, by exact solves.
 
-    Every coefficient of the relation table is unknown, the fixed -1s too
-    (the Z^2, Z coefficients of the first relation and the {Y,Z}, Y
-    coefficients of the third): their solved values must be -1, which guards
-    the relation shape itself, and a xi solved in two relations must take one
-    value.  The gamma and eta constants are not solved for.
+    Each xi relation's `relation_rows` give its left side and ansatz, and
+    every coefficient of its table row is unknown, the fixed -1s too (the
+    Z^2, Z coefficients of the first relation and the {Y,Z}, Y coefficients
+    of the third): their solved values must be -1, which guards the relation
+    shape itself, and a xi solved in two relations must take one value.  The
+    gamma and eta constants are not solved for.
     """
     xi: dict[int, Fraction] = {}
     solved_in: dict[int, str] = {}
-    for name, terms in _RQHAHN_RELATIONS.items():
-        lhs, sums = _relation_sides(name, inst.p)
-        sol = _solve_relation(evaluate_poly(lhs, inst),
-                              [evaluate_poly(s, inst) for s in sums], f"relation {name}")
-        for (i, _), value in zip(terms, sol):
+    for name in _RQHAHN:
+        lhs, *ansatz = (m for *_, m in inst.relation_rows[name])
+        sol = _solve_relation(lhs, ansatz, f"relation {name}")
+        for (i, _), value in zip(_RQHAHN_RELATIONS[name], sol):
             if i is None:
                 if value != -1:
                     raise QHahnError(f"relation {name} solved with unexpected fixed coefficients")

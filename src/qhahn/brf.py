@@ -262,7 +262,7 @@ class Instance:
     @cached_property
     def words(self) -> dict[tuple[str, ...], list[tuple[dict[int, int], int]]]:
         """Products of `ops` by word as `_integer_rows`, from the identity and
-        the letters' `op_rows`; `evaluate_poly` adds the rest."""
+        the letters' `op_rows`; `algebra._word_rows` adds the rest."""
         return {(): [({i: 1}, 1) for i in range(self.p.N + 1)]} | {
             (g,): rows for g, rows in self.op_rows.items()}
 
@@ -272,6 +272,20 @@ class Instance:
         from . import algebra  # algebra imports this module
 
         return algebra.structure_constants(self.p)
+
+    @cached_property
+    def relations(self) -> dict:
+        """Both algebras' relations as free polynomials, `algebra._relation_polys(self)`."""
+        from . import algebra
+
+        return algebra._relation_polys(self)
+
+    @cached_property
+    def relation_rows(self) -> dict:
+        """Both algebras' relations as integer rows, `algebra._relation_rows(self)`."""
+        from . import algebra
+
+        return algebra._relation_rows(self)
 
     @cached_property
     def op_rows(self) -> dict[str, list[tuple[dict[int, int], int]]]:

@@ -344,13 +344,16 @@ def wilson_limit_check(p: QParams, m_list: list[int], qc: Fraction) -> CheckRepo
     ratio).  A correct target leaves a deviation of order |q|^m, so the last
     ratio d_{m1}/d_{m0} must also be at most |q|^{(m1 - m0)/2}; a target off
     by a constant stalls it near 1.  Raises InvalidParams when |q| >= 1,
-    qc = 0 (the path divides by it) or `validate_params` flags p.
+    qc = 0 (the path divides by it), N = 0 (every quantity is 1 on both
+    sides, so no deviation can decrease) or `validate_params` flags p.
     """
     report = CheckReport(check="wilson_limit", params=p.as_dict())
     if not -1 < p.q < 1:
         raise InvalidParams("the limit path needs |q| < 1")
     if scalar(qc) == 0:
         raise InvalidParams("the limit path needs qc != 0")
+    if p.N < 1:
+        raise InvalidParams("the limit path needs N >= 1: at N = 0 every deviation is 0")
     issues = validate_params(p, p.N).issues()
     if issues:
         raise InvalidParams("; ".join(issues))
@@ -491,7 +494,8 @@ def _qto1_table(hp: HahnParams, h: Fraction, prec: int):
 def qto1_convergence_check(hp: HahnParams, h_list: list[Fraction]) -> CheckReport:
     """Deviation of the q-side quantities at q = e^h from their q = 1 values
     decreases along h_list with measured order about 1 (window [1/2, 2]).
-    With fewer than two h values no order can be measured: a skip.
+    With fewer than two h values no order can be measured: a skip.  At N = 0
+    every quantity is 1 on both sides, so that is InvalidParams.
 
     Each evaluation runs at 200-bit and 53-bit precision; the spread between
     the two estimates roundoff.  An h whose roundoff is not safely below the
@@ -501,6 +505,8 @@ def qto1_convergence_check(hp: HahnParams, h_list: list[Fraction]) -> CheckRepor
     report = CheckReport(check="qto1_convergence", params=hp.as_dict())
     if hp.alpha.denominator != 1 or hp.beta.denominator != 1:
         raise InvalidParams("the q -> 1 sweep needs integer exponents")
+    if hp.N < 1:
+        raise InvalidParams("the q -> 1 sweep needs N >= 1: at N = 0 every deviation is 0")
     h_list = [scalar(h) for h in h_list]
     if any(h <= 0 for h in h_list):
         raise InvalidParams("h values must be positive")

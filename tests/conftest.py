@@ -5,8 +5,11 @@ import pathlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from qhahn import brf, linalg, qcore, wilson
+from qhahn.algebra import NCPoly
 from qhahn.operators import Basis, OpMatrix, Operator, build_operator
 from qhahn.qcore import (
     InvalidParams,
@@ -131,6 +134,44 @@ def outcome(fn, *args):
         return fn(*args)
     except QHahnError as exc:
         return type(exc), str(exc)
+
+
+QS = [F(1, 2), F(-1, 2), F(2), F(2, 3), F(3, 2), F(-3)]
+
+
+@st.composite
+def guarded_instances(draw):
+    """A guard-valid instance with A, B signed powers of q (where coefficients
+    vanish) or small rationals."""
+    q = draw(st.sampled_from(QS))
+    base = st.one_of(
+        st.builds(lambda s, e: s * q**e, st.sampled_from([1, -1]), st.integers(-6, 6)),
+        st.fractions(min_value=-7, max_value=7, max_denominator=7).filter(bool))
+    p = QParams(q, draw(base), draw(base), draw(st.integers(0, 5)))
+    assume(qcore.validate_params(p, p.N).valid)
+    return p
+
+
+def display_relation_polys(inst):
+    """Left-minus-right of the five algebra relations as the paper displays
+    them, a word at a time: XZ, ZY and YX of the rational q-Hahn algebra in
+    the xi, and VX and ZV of the meta algebra in the eta.  The oracle of the
+    library's relation table, in the field of the instance."""
+    xi, eta, q = inst.constants.xi, inst.constants.eta, inst.p.q
+    m = NCPoly.monomial
+    return {
+        "XZ": m("XZ") - q * m("ZX") + m("ZZ") + m("Z") - xi[6] * m("X"),
+        "ZY": (m("ZY") - q * m("YZ") - xi[1] * m("XX") - xi[3] * (m("XZ") + m("ZX"))
+               - xi[4] * m("ZZ") - xi[5] * m("X") - xi[6] * m("Y") - xi[7] * m("Z")
+               - xi[0] * m("")),
+        "YX": (m("YX") - q * m("XY") - xi[3] * m("XX") - xi[4] * (m("XZ") + m("ZX"))
+               + m("YZ") + m("ZY") - xi[2] * m("ZZ") - xi[7] * m("X") + m("Y")
+               - xi[8] * m("Z") - xi[0] * m("")),
+        "VX": (m("VX") - q * m("XV") + m("VZ") + m("ZV") - eta[1] * m("X") + m("V")
+               + (eta[1] / q) * m("Z") + eta[0] * m("")),
+        "ZV": (m("ZV") - q * m("VZ") + eta[2] * m("X") + (1 - q) * m("V") - eta[1] * m("Z")
+               - eta[3] * m("")),
+    }
 
 
 def identity(n, one):

@@ -38,6 +38,8 @@ from conftest import (
     dense_evaluate_poly,
     dense_is_zero,
     dense_max_abs,
+    display_relation_polys,
+    guarded_instances,
     identity,
     outcome,
     solve_by_rref,
@@ -290,6 +292,34 @@ def _tamper_constants(monkeypatch, field, i, change):
         return dataclasses.replace(sc, **{field: tuple(values)})
 
     monkeypatch.setattr(algebra, "structure_constants", tampered)
+
+
+@given(guarded_instances())
+@settings(max_examples=60, deadline=None)
+def test_relation_table_gives_the_displayed_relations(p):
+    # each relation built from the table is the paper's display, term for
+    # term; both algebras read the one XZ polynomial
+    inst = Instance(p)
+    rqhahn, meta = rqhahn_relation_polys(inst), meta_relation_polys(inst)
+    assert list(rqhahn) == ["XZ", "ZY", "YX"] and list(meta) == ["XZ", "VX", "ZV"]
+    assert rqhahn["XZ"] is meta["XZ"]
+    displays = display_relation_polys(inst)
+    assert {name: poly.terms for name, poly in {**rqhahn, **meta}.items()} == {
+        name: poly.terms for name, poly in displays.items()}
+
+
+def test_shared_xz_rows_hide_its_failure_from_neither_check(canonical, monkeypatch):
+    # xi_6 + 1 breaks XZ, whose rows both relation checks read, and ZY (its
+    # Y term): each check fails XZ with the residual of the dense evaluation
+    _tamper_constants(monkeypatch, "xi", 6, lambda v: v + 1)
+    inst = Instance(canonical)
+    dense = dense_integer_rows(display_relation_polys(inst)["XZ"], inst)
+    worst = frac_str(max(abs(F(v, e)) for row, e in dense for v in row.values()))
+    for check, failing in ((check_rqhahn_relations, ["XZ", "ZY"]),
+                           (check_meta_relations, ["XZ"])):
+        report = check(inst)
+        assert [v["relation"] for v in report.violations] == failing
+        assert report.violations[0] == {"relation": "XZ", "residual": worst}
 
 
 def test_relation_negative_control_xi5(canonical, monkeypatch):

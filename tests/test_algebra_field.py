@@ -32,7 +32,7 @@ from qhahn.algebra import (  # noqa: E402
 )
 from qhahn.brf import Instance  # noqa: E402
 
-from conftest import dense_evaluate_poly, dense_is_zero  # noqa: E402
+from conftest import dense_evaluate_poly, dense_is_zero, display_relation_polys  # noqa: E402
 
 _, Q, A, B = sympy.field("q,A,B", sympy.QQ)
 
@@ -59,6 +59,15 @@ def test_relations_vanish_over_the_field(N):
     assert len(relations) == 6
     for poly in relations:
         assert dense_is_zero(dense_evaluate_poly(poly, inst).entries)
+
+
+@pytest.mark.parametrize("N", range(4))
+def test_relation_table_gives_the_displayed_relations_over_the_field(N):
+    # the table's relations are the paper's displays as identities in (q, A, B)
+    inst = symbolic(N)
+    built = {**rqhahn_relation_polys(inst), **meta_relation_polys(inst)}
+    assert {name: poly.terms for name, poly in built.items()} == {
+        name: poly.terms for name, poly in display_relation_polys(inst).items()}
 
 
 @pytest.mark.parametrize("N", range(4))

@@ -16,6 +16,7 @@ from importlib import resources
 import pytest
 
 from qhahn import algebra, brf, cli, gevp, linalg, qcore
+from qhahn.algebra import NCPoly
 from qhahn.brf import Instance, brf_u, weight_vector
 from qhahn.operators import Basis, Operator, build_operator
 from qhahn.qcore import QParams
@@ -285,9 +286,9 @@ def test_one_verify_run_builds_each_object_once_per_entry(tmp_path, monkeypatch)
     # the five q-Hahn suites of one run share one Instance per entry
     calls = []
 
-    def counting(name, fn):
+    def counting(name, fn, key=lambda *args: args):
         def wrapper(*args):
-            calls.append((name, sys._getframe(1).f_code.co_name, args))
+            calls.append((name, sys._getframe(1).f_code.co_name, key(*args)))
             return fn(*args)
         return wrapper
 
@@ -300,6 +301,11 @@ def test_one_verify_run_builds_each_object_once_per_entry(tmp_path, monkeypatch)
     members.__set_name__(brf.BRFFamily, "members")
     monkeypatch.setattr(brf.BRFFamily, "members", members)
     monkeypatch.setattr(brf, "GridVector", counting("GridVector", brf.GridVector))
+    monkeypatch.setattr(algebra, "evaluate_poly", counting(
+        "evaluate_poly", algebra.evaluate_poly,
+        lambda poly, inst: (inst.p, frozenset(poly.terms.items()))))
+    monkeypatch.setattr(algebra, "_relation_polys", counting(
+        "relation_polys", algebra._relation_polys, lambda inst: inst.p))
     entries = MINIMAL["instances"] + [{"q": "1/2", "A": "-5", "B": "1/7", "N": 6}]
     out = tmp_path / "report.json"
     assert cli.run_verify(write_config(tmp_path, {"instances": entries}), QHAHN_SUITES,
@@ -326,21 +332,32 @@ def test_one_verify_run_builds_each_object_once_per_entry(tmp_path, monkeypatch)
     assert made_by("build_operator") == Counter(
         [(op, Basis.POINT, p) for p in ps for op in Operator]
         + [(Operator(g), Basis.PHI, p) for p in ps for g in "XYV"])
-    # evaluate_poly multiplies out each word prefix once per entry, as
-    # integer rows (the entries' sizes tell them apart)
+    # each word prefix is multiplied out once per entry, as integer rows
+    # (the entries' sizes tell them apart)
     expected = Counter()
     for p in ps:
         inst = Instance(p)
-        polys = [*algebra.rqhahn_relation_polys(inst).values(),
-                 *algebra.meta_relation_polys(inst).values(),
-                 algebra.casimir_rqhahn(inst), algebra.casimir_meta(inst)]
-        for name in algebra._RQHAHN_RELATIONS:
-            lhs, sums = algebra._relation_sides(name, p)
-            polys += [lhs, *sums]
+        polys = [*inst.relations.values(), algebra.casimir_rqhahn(inst), algebra.casimir_meta(inst)]
         expected[p.N + 1] = len({word[:k] for poly in polys for word in poly.terms
                                  for k in range(2, len(word) + 1)})
     assert Counter(len(args[0]) for kind, caller, args in made
-                   if kind == "_mul_rows" and caller == "evaluate_poly") == expected
+                   if kind == "_mul_rows" and caller == "_word_rows") == expected
+    # both Casimirs are scalar matrices here, so no commutator is formed
+    assert not any(kind == "_mul_rows" and caller == "_casimir_report" for kind, caller, _ in made)
+    # each relation's left side, each sum of two or more words and each
+    # Casimir is evaluated once per entry; a single word is read from its
+    # word products, and the relation polynomials are built once per entry
+    table = algebra._RQHAHN_RELATIONS
+    expected = Counter()
+    for p in ps:
+        inst = Instance(p)
+        polys = [NCPoly({name: 1, name[::-1]: -p.q}) for name in table]
+        polys += [NCPoly(dict.fromkeys(words, 1))
+                  for words in {w for terms in table.values() for _, w in terms if len(w) > 1}]
+        polys += [algebra.casimir_rqhahn(inst), algebra.casimir_meta(inst)]
+        expected.update((p, frozenset(poly.terms.items())) for poly in polys)
+    assert Counter(args for kind, _, args in made if kind == "evaluate_poly") == expected
+    assert made_by("relation_polys") == Counter(ps)
 
 
 def each_check_on_its_own_instance(name, instances):
@@ -452,12 +469,16 @@ VALID_INSTANCE = {"q": "1/2", "A": "3", "B": "1/5", "N": 2}
     ("wilson", "wilson_limit", {"q": "3/2", "A": "8", "B": "1/32", "N": 2},
      "the limit path needs |q| < 1"),
     ("wilson", "wilson_limit", {"q": "1/2", "A": "8", "B": "1/32", "N": 4}, "basis_pole: A = q^-3"),
+    ("wilson", "wilson_limit", {"q": "1/2", "A": "8", "B": "1/32", "N": 0},
+     "the limit path needs N >= 1"),
     ("qto1", "qto1_convergence", {"alpha": "-3", "beta": "5", "N": -1},
      "N must be a nonnegative integer"),
     ("qto1", "qto1_convergence", {"alpha": "-7/2", "beta": "17/2", "N": 4},
      "the q -> 1 sweep needs integer exponents"),
-], ids=["wilson-qparams", "wilson-q-above-1", "wilson-guard", "qto1-hahnparams",
-        "qto1-exponents"])
+    ("qto1", "qto1_convergence", {"alpha": "-3", "beta": "5", "N": 0},
+     "the q -> 1 sweep needs N >= 1"),
+], ids=["wilson-qparams", "wilson-q-above-1", "wilson-guard", "wilson-n0", "qto1-hahnparams",
+        "qto1-exponents", "qto1-n0"])
 def test_invalid_limit_instance_is_a_skip_carrying_the_entry(
         tmp_path, section, check, entry, reason):
     # a rejected limit instance is one skip; the other suites' results stay

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhahn import brf, gevp, operators, reports
@@ -37,6 +37,7 @@ from conftest import (
     SMALL_PANEL,
     bumped_family,
     dense_check_factorization,
+    guarded_instances,
     outcome,
 )
 
@@ -397,23 +398,7 @@ BANDED = [
 ]
 
 
-QS = [F(1, 2), F(-1, 2), F(2), F(2, 3), F(3, 2), F(-3)]
-
-
 BUMPS = [1, -1, F(1, 7), F(-5, 3)]
-
-
-@st.composite
-def guarded_instances(draw):
-    """A guard-valid instance with A, B signed powers of q (where coefficients
-    vanish) or small rationals."""
-    q = draw(st.sampled_from(QS))
-    base = st.one_of(
-        st.builds(lambda s, e: s * q**e, st.sampled_from([1, -1]), st.integers(-6, 6)),
-        st.fractions(min_value=-7, max_value=7, max_denominator=7).filter(bool))
-    p = QParams(q, draw(base), draw(base), draw(st.integers(0, 5)))
-    assume(validate_params(p, p.N).valid)
-    return p
 
 
 @st.composite

@@ -64,6 +64,8 @@ UNREACHED = {
                                      "it stays while the benchmark's tracer wraps it",
     "operators.weighted_adjoint": "public dense V*, the reference the partner tests "
                                   "compare against; no check forms it",
+    "algebra.NCPoly.monomial": "the one-word polynomial, the spelling its callers and the "
+                               "tests use; the library builds each polynomial as one dict",
     "brf.BRFFamily.members": "a family's Fraction values, formed for a caller that reads "
                              "them; every check reads the integer rows",
     "operators.basis_change": "the change to the phi basis, for the third basis of the roadmap",

@@ -180,6 +180,13 @@ def test_wilson_limit_requires_shrinking_q():
         wilson_limit_check(grow, [8, 12], F(3))
 
 
+def test_wilson_limit_rejects_n0():
+    # at N = 0 every quantity is 1 on both sides: each deviation is exactly 0
+    # and none can decrease, so the path is rejected, not failed at every m
+    with pytest.raises(InvalidParams, match=r"the limit path needs N >= 1"):
+        wilson_limit_check(QParams(F(1, 2), F(8), F(1, 32), 0), [8, 12, 16, 20], F(3))
+
+
 def test_wilson_limit_rejects_a_guard_flagged_instance():
     # A = 8 = q^-3 is a basis pole at N = 4: named by the guard, not a
     # ZeroDenominator from inside a limit target
@@ -555,6 +562,12 @@ def test_qto1_catches_a_deviation_that_stalls_or_scales_like_h_cubed(monkeypatch
 def test_qto1_requires_integer_exponents():
     with pytest.raises(InvalidParams):
         qto1_convergence_check(HahnParams(F(-7, 2), F(17, 2), 4), [F(1, 8), F(1, 16)])
+
+
+def test_qto1_rejects_n0():
+    # at N = 0 both sides are 1 at every h: a zero deviation cannot decrease
+    with pytest.raises(InvalidParams, match=r"the q -> 1 sweep needs N >= 1"):
+        qto1_convergence_check(HahnParams(F(-3), F(5), 0), [F(1, 8), F(1, 16), F(1, 32)])
 
 
 def test_qto1_requires_positive_h():
