@@ -27,7 +27,7 @@ normalized weight w the two families pair diagonally:
 The bare weight and bare norm (`bare_weight`, `bare_norm`) take (q, A, B, N)
 in any field, and `qhahn.wilson` uses both as the targets of its limit checks.
 Over Fraction, `weight_vector`, the U_n prefactors (built once per instance)
-and `norm_h` are running products over x or n, O(N) products for N+1 values;
+and `norm_h` step over x or n on integer factor pairs, one Fraction per value;
 `norm_h` leaves out the factors that cancel against the weight normalization.
 """
 
@@ -56,8 +56,11 @@ from .qcore import (
     _apply,
     _entry,
     _content_free,
+    _factors,
     _integer_rows,
+    _monomial,
     _pair,
+    _powers,
     _row_form,
     _running,
     _series_rows,
@@ -95,11 +98,13 @@ __all__ = [
 
 
 def weight_scale(p: QParams) -> Fraction:
-    """x-independent factor that normalizes the bare weight to total 1."""
-    den = qpoch(qpow(p, 0, 0, -1), p.N, p.q)
-    if den == 0:
+    """The factor q^N A^-N (q^-1 A/B; q)_N / (1/B; q)_N normalizing the bare weight to total 1."""
+    N, powers = p.N, _powers(p.q, 0, p.N)
+    dn, dd = _factors(powers, [_monomial(p, 0, 0, -1)], range(N))
+    if dn == 0:
         raise ZeroDenominator("(1/B; q)_N vanishes in the weight normalization")
-    return qpow(p, p.N, -p.N) * qpoch(qpow(p, -1, 1, -1), p.N, p.q) / den
+    (mn, md), (nn, nd) = _monomial(p, N, -N), _factors(powers, [_monomial(p, -1, 1, -1)], range(N))
+    return Fraction(mn * nn * dd, md * nd * dn)
 
 
 def bare_weight(x: int, q, A, B, N: int):
@@ -114,15 +119,17 @@ def bare_weight(x: int, q, A, B, N: int):
 def weight_vector(p: QParams) -> GridVector:
     """Normalized biorthogonality weight on the grid; sum is exactly 1: over Fraction,
     the second display of `weight_scale(p)` times `bare_weight`, stepped in x."""
-    q, A, B, N = p.q, p.A, p.B, p.N
-    w = _running(weight_scale(p), ((q * B * (1 - q**(x - 1 - N)) * (1 - q**x / A),
-                                    (1 - q**x) * (1 - q**(x + 1 - N) * B / A))
-                                   for x in range(1, N + 1)))
+    N, powers, (bn, bd) = p.N, _powers(p.q, -p.N, p.N + 1), _monomial(p, 1, 0, 1)
+    # q B (1 - q^{x-1-N}) (1 - q^x / A) / ((1 - q^x) (1 - q^{x+1-N} B / A)), each pair at one d
+    nums, dens = [(1, 1), _monomial(p, N + 1, -1)], [(1, 1), _monomial(p, 1 - N, -1, 1)]
+    steps = ((_factors(powers, nums, (x - 1 - N,)), _factors(powers, dens, (x,)))
+             for x in range(1, N + 1))
+    w = _running(weight_scale(p), ((bn * an * cd, bd * ad * cn) for (an, ad), (cn, cd) in steps))
     if len(w) <= N:
         raise ZeroDenominator(f"weight denominator vanishes at x = {len(w)}")
-    total = sum(w)
-    if total != 1:
-        raise QHahnError(f"weight normalization failed: sum = {total}")
+    ints, d = over_common_denominator(w)
+    if sum(ints) != d:
+        raise QHahnError(f"weight normalization failed: sum = {Fraction(sum(ints), d)}")
     return GridVector(tuple(w), p)
 
 
@@ -350,26 +357,25 @@ def norm_h(p: QParams) -> tuple[Fraction, ...]:
 
     with c = `partner_scale(p)`, f_j = 1 - q^{j-N} B, E_n = f_1 ... f_{n-1}
     (the factors of (q^{1-N} B; q)_{2n} that (q^{n-N} B; q)_n leaves), and
-    H_0 = c.  Each factor is a running product over n, so all N+1 norms take
-    O(N) products.  A cancelled denominator still raises ZeroDenominator at
+    H_0 = c.  H_n / H_{n-1} is one integer pair of `_factors` pairs, so all
+    N+1 norms take O(N) products.  A cancelled denominator still raises ZeroDenominator at
     the first n where it vanishes, in the order the factors appear: the
     prefactor at p, at the reflected instance, then the bare norm.
     `check_biorthogonality` compares H_n with the sum.
     """
-    q, B, N = p.q, p.B, p.N
-    c = partner_scale(p)
-    out = [c]
-    t, e = c, q**0  # c q^{-Nn} (q; q)_n (q^N; 1/q)_n / (q^{-n}/B; q)_n, and E_n
+    N, powers, one = p.N, _powers(p.q, -p.N, p.N + 1), (1, 1)
+    f = [_factors(powers, [p._pairs[2]], (j - N,)) for j in range(2 * N + 1)]
+    out = [partner_scale(p)]
     for n in range(1, N + 1):
-        pre = 1 - q**-n / B  # the new factor of (q^{-n}/B; q)_n = prod_{j<=n} (1 - q^-j/B)
-        if pre == 0 or 1 - q**n * B == 0:  # the latter is the reflected one, of (qB; q)_n
+        if f[N + n][0] == 0:  # 1 - q^n B, of (qB; q)_n, and of (q^{-n}/B; q)_n up to -q^-n/B
             raise ZeroDenominator("(q^{-n}/B; q)_n vanishes in the U_n prefactor")
-        f_odd, f_even = (1 - q**(j - N) * B for j in (2 * n - 1, 2 * n))
-        if 1 - q**(n - 1 - N) == 0 or f_odd == 0 or f_even == 0:  # (q^-N; q)_n (q^{1-N} B; q)_{2n}
+        if f[2 * n - 1][0] == 0 or f[2 * n][0] == 0:  # (q^-N; q)_n has no zero
             raise ZeroDenominator("norm denominator vanishes")
-        t *= q**-N * (1 - q**n) * (1 - q**(N - n + 1)) / pre
-        out.append(t / (e * f_even))
-        e *= 1 - q**(n - N) * B
+        # H_n / H_{n-1} = -q^{n-N} B (1 - q^n) (1 - q^{N-n+1}) f_{2n-2} / (f_{N+n} f_{n-1} f_{2n})
+        (hn, hd), (mn, md) = _pair(out[-1]), _monomial(p, n - N, 0, 1)
+        (an, ad), (sn, sd), (en, ed) = _factors(powers, [one], (n, N - n + 1)), f[N + n], f[2 * n]
+        (gn, gd), (kn, kd) = (f[2 * n - 2], f[n - 1]) if n > 1 else (one, one)  # E_1 = 1
+        out.append(Fraction(-hn * mn * an * gn * kd * sd * ed, hd * md * ad * gd * kn * sn * en))
     return tuple(out)
 
 

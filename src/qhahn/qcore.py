@@ -7,10 +7,10 @@ and Fractions and rejects floats.  The code past it (these primitives,
 the checks) uses only field operations and derives every constant from the
 instance, so it computes in its field.
 The exceptions are the integer kernels, `_series_rows`, `_factors` (the
-products of factors 1 - c q^d that the series tables and the 10phi9 weight
-and norm tables step by), `brf.partial_fraction` (on `QParams._basis_grid`),
-`brf.check_partner`, the Gram kernel `reports.check_gram` of all three
-families, `algebra.evaluate_poly`,
+products of factors 1 - c q^d that the series tables, the U_n prefactors and the
+weight and norm tables of both families step by), the `QParams` tables of `qpow`
+and `qnum`, `brf.partial_fraction` (on `QParams._basis_grid`), `brf.check_partner`,
+the Gram kernel `reports.check_gram` of all three families, `algebra.evaluate_poly`,
 `linalg.solve_unique` and the banded checks of `gevp`: they work on integers,
 most on rows over one denominator (`over_common_denominator`), the family
 rows content free (`_row_form`).  A value becomes integers only in `_pair`,
@@ -29,7 +29,8 @@ expression q^(i + j*alpha + k*beta) is evaluated exactly as
 `qpow(p, i, j, k)` = q**i * A**j * B**k, and its bracket as `qnum`; each
 value is computed once per parameter object, in a table keyed by (i, j, k)
 that lives on the object (not in a global cache, which would keep every
-instance alive) and stays out of its ==, hash, repr and `as_dict`.
+instance alive) and stays out of its ==, hash, repr and `as_dict`.  A `QParams` makes
+each entry one Fraction of its `_monomial` pair; any other field keeps the generic product.
 
 `qpoch` and `phi_series` are field-generic: they use only ring operations
 and division on their arguments, so the same code runs over Fraction and
@@ -236,10 +237,17 @@ class QParams(_ExactParams):
             raise InvalidParams("A and B must be nonzero")
 
     @cached_property
+    def _pairs(self) -> tuple:
+        """q, A and B through `_pair`, the factors of every `_monomial`."""
+        return _pair(self.q), _pair(self.A), _pair(self.B)
+
+    @cached_property
     def _u_prefactors(self) -> list[Fraction]:
         """The `_running` table of `brf.u_prefactor`; (q^{-n}/B; q)_n = prod_{i<=n} (1 - q^-i/B)."""
-        q, B, N = self.q, self.B, self.N
-        return _running(q**0, ((1 - q**(n - 1 - N), 1 - q**-n / B) for n in range(1, N + 1)))
+        N, powers, b = self.N, _powers(self.q, -self.N, 0), self._pairs[2][::-1]
+        steps = ((_factors(powers, [(1, 1)], (n - 1 - N,)), _factors(powers, [b], (-n,)))
+                 for n in range(1, N + 1))
+        return _running(Fraction(1), ((an * bd, ad * bn) for (an, ad), (bn, bd) in steps))
 
     @cached_property
     def _row_tables(self) -> tuple:
@@ -270,13 +278,14 @@ class QParams(_ExactParams):
         return [d for d, v in basis.items() if v is None], r, grid
 
 
-def _running(start, steps) -> list:
+def _running(start: Fraction, steps) -> list[Fraction]:
     """[start, ...] by the ratios num/den of `steps` (num, den, *tested), up to a zero factor."""
     out = [start]
     for num, den, *tested in steps:
         if den == 0 or 0 in tested:
             break
-        out.append(out[-1] * num / den)
+        top, bottom = _pair(out[-1])
+        out.append(Fraction(top * num, bottom * den))
     return out
 
 
@@ -289,21 +298,34 @@ def _entry(table: list, i: int, N: int, index: str, message: str):
     return table[i]
 
 
+def _monomial(p: QParams, i: int = 0, j: int = 0, k: int = 0) -> tuple[int, int]:
+    """q^i A^j B^k as one unreduced integer pair, from the `QParams._pairs` of p."""
+    top = bottom = 1
+    for (a, b), e in zip(p._pairs, (i, j, k)):
+        top, bottom = (top * a**e, bottom * b**e) if e >= 0 else (top * b**-e, bottom * a**-e)
+    return top, bottom
+
+
 def qpow(p: QParams, i: int = 0, j: int = 0, k: int = 0) -> Fraction:
     """The monomial q^(i + j*alpha + k*beta) = q^i A^j B^k, exactly; each
-    (i, j, k) is computed once, in a table on p."""
+    (i, j, k) is computed once, in a table on p (for a `QParams` from `_monomial`)."""
     table = vars(p).setdefault("_qpow", {})
     if (i, j, k) not in table:
-        table[i, j, k] = p.q**i * p.A**j * p.B**k
+        table[i, j, k] = (Fraction(*_monomial(p, i, j, k)) if isinstance(p, QParams)
+                          else p.q**i * p.A**j * p.B**k)
     return table[i, j, k]
 
 
 def qnum(p: QParams, i: int = 0, j: int = 0, k: int = 0) -> Fraction:
     """q-number [i + j*alpha + k*beta]_q = (1 - q^i A^j B^k)/(1 - q); each
-    (i, j, k) is computed once, in a table on p."""
+    (i, j, k) is computed once, in a table on p (for a `QParams` from `_monomial`)."""
     table = vars(p).setdefault("_qnum", {})
     if (i, j, k) not in table:
-        table[i, j, k] = (1 - qpow(p, i, j, k)) / (1 - p.q)
+        if isinstance(p, QParams):
+            (top, bottom), (a, b) = _monomial(p, i, j, k), p._pairs[0]
+            table[i, j, k] = Fraction((bottom - top) * b, bottom * (b - a))
+        else:
+            table[i, j, k] = (1 - qpow(p, i, j, k)) / (1 - p.q)
     return table[i, j, k]
 
 
@@ -508,19 +530,16 @@ def validate_params(p: QParams, n_max: int) -> ValidationReport:
     """
     if n_max < 0 or n_max > p.N:
         raise InvalidParams(f"n_max must lie in 0..N = {p.N}, got {n_max}")
-    q, A, B, N = p.q, p.A, p.B, p.N
-
-    span = range(1 - n_max, N + 1)
-    pole_span = range(min(span.start, 0), N + 1)
-    basis_pole = next((f"A = q^{m} with {m} in [{pole_span[0]}, {N}]"
-                       for m in pole_span if A == q**m), None)
-    reflected_basis_pole = next((
-        f"B/A = q^{m - 2}, so the reflected A/(B q^2) = (1/q)^{m} with {m} in [{span[0]}, {N}]"
-        for m in span if B == A * q ** (m - 2)), None)
-
-    base = B / A * q ** (2 - N)
-    weight_denominator = next((f"B/A = q^{N - 2 - j} makes a weight denominator vanish"
-                               for j in range(N) if base * q**j == 1), None)
+    # A and B/A are each q^m for one m at most, q no root of unity; N + 1 is in no span
+    N, exponents = p.N, {p.q**m: m for m in range(-1 - n_max, p.N + 1)}
+    a, ba = (exponents.get(v, N + 1) for v in (p.A, p.B / p.A))
+    span, pole_span = range(1 - n_max, N + 1), range(min(1 - n_max, 0), N + 1)
+    basis_pole = f"A = q^{a} with {a} in [{pole_span[0]}, {N}]" if a in pole_span else None
+    reflected_basis_pole = (
+        f"B/A = q^{ba}, so the reflected A/(B q^2) = (1/q)^{ba + 2} with {ba + 2} in "
+        f"[{span[0]}, {N}]" if ba + 2 in span else None)
+    weight_denominator = (f"B/A = q^{ba} makes a weight denominator vanish"
+                          if -1 <= ba <= N - 2 else None)
     lam = [eigenvalue(n, p) for n in range(n_max + 1)]
     eigenvalue_collision = next((f"lambda_{n} = lambda_{m} = {lam[n]}" for n in range(n_max + 1)
                                  for m in range(n + 1, n_max + 1) if lam[n] == lam[m]), None)

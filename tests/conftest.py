@@ -50,17 +50,25 @@ SMALL_PANEL = [PANEL[0], PANEL[2], PANEL[3], PANEL[5], PANEL[9]]
 WORKLOAD_SEEDS = (1, 7, 104729)
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def perfbench_workloads():
+    """The unedited perfbench/workloads.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 @functools.cache
 def wilson_workload(seed: int):
     """The instances of the benchmark's `wilson` workload at `seed`, drawn by
     the unedited perfbench/workloads.py: its 10phi9 instances, its Hahn
     instances, and its Wilson-limit instance with the path's (m_list, qc)."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    config = workloads.make_config("wilson", seed, root / "src")
+    config = perfbench_workloads().make_config("wilson", seed, ROOT / "src")
     limit = config["limits"]["wilson"]
     return ([wilson.WilsonParams(**entry) for entry in config["wilson_instances"]],
             [wilson.HahnParams(**entry) for entry in config["hahn_instances"]],
@@ -346,6 +354,107 @@ def former_series_rows(num, den, factor, z, weights, n: int, N: int) -> list[F]:
             top, bottom = wn * rd * bottom + wd * rn * top, wd * rd * bottom
         rows.append(F(top, bottom))
     return rows
+
+
+def former_running(start, steps) -> list:
+    """`qcore._running` as it was before its integer pairs: [start, ...] by the
+    ratios num/den of `steps` (num, den, *tested), up to a zero factor."""
+    out = [start]
+    for num, den, *tested in steps:
+        if den == 0 or 0 in tested:
+            break
+        out.append(out[-1] * num / den)
+    return out
+
+
+def former_qpow(p, i=0, j=0, k=0):
+    """`qcore.qpow` as it was before its integer pairs, untabulated: the product."""
+    return p.q**i * p.A**j * p.B**k
+
+
+def former_qnum(p, i=0, j=0, k=0):
+    """`qcore.qnum` as it was before its integer pairs, untabulated."""
+    return (1 - former_qpow(p, i, j, k)) / (1 - p.q)
+
+
+def former_u_prefactors(p):
+    """`QParams._u_prefactors` as it was before its integer pairs."""
+    q, B, N = p.q, p.B, p.N
+    return former_running(q**0, ((1 - q**(n - 1 - N), 1 - q**-n / B) for n in range(1, N + 1)))
+
+
+def former_weight_scale(p):
+    """`brf.weight_scale` as it was before its integer pairs: `qpoch` products."""
+    den = qpoch(former_qpow(p, 0, 0, -1), p.N, p.q)
+    if den == 0:
+        raise ZeroDenominator("(1/B; q)_N vanishes in the weight normalization")
+    return former_qpow(p, p.N, -p.N) * qpoch(former_qpow(p, -1, 1, -1), p.N, p.q) / den
+
+
+def former_weight_vector(p):
+    """The values of `brf.weight_vector` as it was before its integer pairs,
+    stepped in x as Fractions and summed as Fractions."""
+    q, A, B, N = p.q, p.A, p.B, p.N
+    w = former_running(former_weight_scale(p), ((q * B * (1 - q**(x - 1 - N)) * (1 - q**x / A),
+                                                 (1 - q**x) * (1 - q**(x + 1 - N) * B / A))
+                                                for x in range(1, N + 1)))
+    if len(w) <= N:
+        raise ZeroDenominator(f"weight denominator vanishes at x = {len(w)}")
+    total = sum(w)
+    if total != 1:
+        raise QHahnError(f"weight normalization failed: sum = {total}")
+    return tuple(w)
+
+
+def former_norm_h(p):
+    """`brf.norm_h` as it was before its integer pairs: running Fraction products
+    of the head t_n and of E_n, and every guard on Fractions."""
+    q, B, N = p.q, p.B, p.N
+    c = -former_qpow(p, -1) * former_qnum(p, -1, 1, -1)
+    out = [c]
+    t, e = c, q**0
+    for n in range(1, N + 1):
+        pre = 1 - q**-n / B
+        if pre == 0 or 1 - q**n * B == 0:
+            raise ZeroDenominator("(q^{-n}/B; q)_n vanishes in the U_n prefactor")
+        f_odd, f_even = (1 - q**(j - N) * B for j in (2 * n - 1, 2 * n))
+        if 1 - q**(n - 1 - N) == 0 or f_odd == 0 or f_even == 0:
+            raise ZeroDenominator("norm denominator vanishes")
+        t *= q**-N * (1 - q**n) * (1 - q**(N - n + 1)) / pre
+        out.append(t / (e * f_even))
+        e *= 1 - q**(n - N) * B
+    return tuple(out)
+
+
+def former_validate_params(p, n_max):
+    """`qcore.validate_params` as it was before its table of powers: each power
+    guard a loop over its exponents, and the eigenvalues and mu brackets from
+    `former_qnum`.  The oracle of the guards' flags, witnesses and order."""
+    q, A, B, N = p.q, p.A, p.B, p.N
+    span = range(1 - n_max, N + 1)
+    pole_span = range(min(span.start, 0), N + 1)
+    basis_pole = next((f"A = q^{m} with {m} in [{pole_span[0]}, {N}]"
+                       for m in pole_span if A == q**m), None)
+    reflected_basis_pole = next((
+        f"B/A = q^{m - 2}, so the reflected A/(B q^2) = (1/q)^{m} with {m} in [{span[0]}, {N}]"
+        for m in span if B == A * q ** (m - 2)), None)
+    base = B / A * q ** (2 - N)
+    weight_denominator = next((f"B/A = q^{N - 2 - j} makes a weight denominator vanish"
+                               for j in range(N) if base * q**j == 1), None)
+    lam = [former_qnum(p, -n) * former_qnum(p, n - N, 0, 1) for n in range(n_max + 1)]
+    eigenvalue_collision = next((f"lambda_{n} = lambda_{m} = {lam[n]}" for n in range(n_max + 1)
+                                 for m in range(n + 1, n_max + 1) if lam[n] == lam[m]), None)
+
+    def brackets(n):
+        return [("[N - beta - 2n]_q", (N - 2 * n, 0, -1)),
+                ("[2n + 1 + beta - N]_q", (2 * n + 1 - N, 0, 1)),
+                ("[2n - 1 + beta - N]_q", (2 * n - 1 - N, 0, 1)),
+                ("[N - beta - 2n + 1]_q", (N - 2 * n + 1, 0, -1))]
+
+    bracket_denominator = next((f"{label} at n={n} vanishes" for n in range(n_max + 1)
+                                for label, key in brackets(n) if former_qnum(p, *key) == 0), None)
+    return qcore.ValidationReport(basis_pole, reflected_basis_pole, weight_denominator,
+                                  eigenvalue_collision, bracket_denominator)
 
 
 def former_q_factor(q):

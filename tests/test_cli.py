@@ -22,7 +22,7 @@ from qhahn.operators import Basis, Operator, build_operator
 from qhahn.qcore import QParams
 from qhahn.reports import CheckReport
 
-from conftest import CANONICAL, tridiagonal_null_space
+from conftest import CANONICAL, ROOT, perfbench_workloads, tridiagonal_null_space
 
 
 def default_panel_path():
@@ -70,6 +70,23 @@ def test_default_panel_runs_clean(tmp_path):
     report.pop("timing")
     digest = hashlib.sha256((json.dumps(report, sort_keys=True) + "\n").encode()).hexdigest()
     assert digest == "6ffc191b0a3e094d7e675acc6469a9b163dba78752a4bf7d63d7e7df17a0925f"
+
+
+@pytest.mark.parametrize("workload", ["large_n", "wilson"])
+def test_seeded_workloads_match_the_reference_digests(workload, tmp_path):
+    # the benchmark's seeded configs at its default seed, built by the unedited
+    # perfbench/workloads.py: their reports, timing aside, are pinned there too
+    workloads = perfbench_workloads()
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    config = workloads.make_config(workload, reference["default_seed"], ROOT / "src")
+    config_path, out = tmp_path / "config.json", tmp_path / "report.json"
+    config_path.write_bytes(workloads.config_bytes(workload, config, ROOT / "src"))
+    cli.run_verify(str(config_path), None, str(out))
+    report = json.loads(out.read_text())
+    assert report["summary"]["fail"] == 0
+    report.pop("timing")
+    digest = hashlib.sha256((json.dumps(report, sort_keys=True) + "\n").encode()).hexdigest()
+    assert digest == reference["digests"][workload]
 
 
 def test_single_suite_single_instance(tmp_path):

@@ -6,12 +6,21 @@ from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhahn import cli, wilson
 from qhahn.algebra import NCPoly, evaluate_poly
-from qhahn.brf import Instance, brf_family, partial_fraction, partner_family, reflected_params
+from qhahn.brf import (
+    Instance,
+    brf_family,
+    norm_h,
+    partial_fraction,
+    partner_family,
+    reflected_params,
+    weight_scale,
+    weight_vector,
+)
 from qhahn.gevp import check_factorization
 from qhahn.linalg import solve_unique
 from qhahn.qcore import (
@@ -32,7 +41,19 @@ from qhahn.qcore import (
 )
 from qhahn.reports import CheckReport, _residuals, check_gram
 
-from conftest import CANONICAL, GF, PANEL
+from conftest import (
+    CANONICAL,
+    GF,
+    PANEL,
+    former_norm_h,
+    former_qnum,
+    former_qpow,
+    former_u_prefactors,
+    former_validate_params,
+    former_weight_scale,
+    former_weight_vector,
+    outcome,
+)
 
 rationals = st.fractions(
     min_value=F(-4), max_value=F(4), max_denominator=16
@@ -127,6 +148,72 @@ def test_tabulated_brackets_stay_field_generic():
 
     _, q, A, B = sympy.field("q,A,B", sympy.QQ)
     assert_tables_hold_the_direct_formulas(FieldParams(q, A, B, 2), q**0)
+
+
+def assert_integer_tables_equal_the_former_bodies(p, keys):
+    """qpow, qnum, the U_n prefactors, the weight and the norms of p equal their
+    former Fraction bodies: the same values, or the same error and message."""
+    for key in keys:
+        for fn, former in ((qpow, former_qpow), (qnum, former_qnum)):
+            value = fn(p, *key)
+            assert value == former(p, *key) and type(value) is F
+            assert fn(p, *key) is value  # read from the table
+    assert p._u_prefactors == former_u_prefactors(p)
+    assert outcome(weight_scale, p) == outcome(former_weight_scale, p)
+    assert outcome(lambda p: weight_vector(p).values, p) == outcome(former_weight_vector, p)
+    assert outcome(norm_h, p) == outcome(former_norm_h, p)
+
+
+@st.composite
+def signed_instances(draw):
+    """An instance with q, A and B of either sign, A and B often signed powers
+    of q, so the guards fire; N <= 8, unguarded."""
+    q = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(
+        lambda v: v not in (0, 1, -1)))
+    base = st.one_of(
+        st.builds(lambda s, e: s * q**e, st.sampled_from([1, -1]), st.integers(-9, 9)),
+        st.fractions(min_value=-7, max_value=7, max_denominator=7).filter(bool))
+    return QParams(q, draw(base), draw(base), draw(st.integers(0, 8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_instances(), st.lists(st.tuples(*[st.integers(-12, 12)] * 3), max_size=8))
+def test_integer_tables_equal_the_former_fraction_bodies(p, keys):
+    assert_integer_tables_equal_the_former_bodies(p, keys)
+
+
+# Instances past the guards, each with the error it must raise where:
+# (1/B; q)_N in the weight scale, a weight step at x = 2, the U_n prefactor
+# at n = 1 and n = 2 (its table stops there), and f_2 of the norm at n = 1.
+GUARDED = [
+    (QParams(F(1, 2), F(3), F(1, 2), 3), weight_scale,
+     "(1/B; q)_N vanishes in the weight normalization"),
+    (QParams(F(-2), F(3), F(3), 3), weight_vector, "weight denominator vanishes at x = 2"),
+    (QParams(F(1, 2), F(3), F(2), 3), norm_h, "(q^{-n}/B; q)_n vanishes in the U_n prefactor"),
+    (QParams(F(1, 2), F(3), F(4), 3), norm_h, "(q^{-n}/B; q)_n vanishes in the U_n prefactor"),
+    (QParams(F(-3), F(-1, 5), F(-3), 2), norm_h, "norm denominator vanishes"),
+]
+
+
+@pytest.mark.parametrize("p, fn, message", GUARDED, ids=lambda v: getattr(v, "__name__", None))
+def test_guarded_instances_raise_where_the_former_bodies_did(p, fn, message):
+    assert outcome(fn, p) == (ZeroDenominator, message)
+    assert_integer_tables_equal_the_former_bodies(p, [(1, -1, 2), (-p.N, 0, 1)])
+
+
+def test_guard_table_gives_the_former_flags_and_witnesses():
+    # ROADMAP item 4's bands: A and B powers of q or generic, every n_max <= N
+    seen = set()
+    for q in (F(1, 2), F(-1, 2), F(2), F(1, 3), F(3, 2), F(-3)):
+        values = {q**e for e in range(-4, 5)} | {F(3), F(-1, 5), F(7, 3), F(1)}
+        for A, B in itertools.product(values, repeat=2):
+            for N in range(1, 5):
+                p = QParams(q, A, B, N)
+                for n_max in range(N + 1):
+                    report = validate_params(p, n_max)
+                    assert report == former_validate_params(p, n_max)
+                    seen.update(f.name for f in fields(report) if getattr(report, f.name))
+    assert seen == {f.name for f in fields(ValidationReport)}
 
 
 class MissLog(dict):

@@ -1196,8 +1196,8 @@ def test_an_index_outside_the_grid_is_invalid(fn, params):
 
 def _pochhammer_lengths(monkeypatch, build):
     """The sum of the lengths passed to qpoch and to the Hahn rising factorial,
-    and of the factors the 10phi9 tables multiply through `qcore._factors`,
-    while `build()` runs, in every module that calls them."""
+    and of the factors the 10phi9 and q-Hahn tables multiply through
+    `qcore._factors`, while `build()` runs, in every module that calls them."""
     lengths = []
     good_qpoch, good_rising, good_factors = qcore.qpoch, wilson._rising, qcore._factors
 
@@ -1217,8 +1217,9 @@ def _pochhammer_lengths(monkeypatch, build):
         for module in (qcore, brf, wilson):
             if getattr(module, "qpoch", None) is good_qpoch:
                 mp.setattr(module, "qpoch", counted_qpoch)
+            if getattr(module, "_factors", None) is good_factors:
+                mp.setattr(module, "_factors", counted_factors)
         mp.setattr(wilson, "_rising", counted_rising)
-        mp.setattr(wilson, "_factors", counted_factors)
         build()
     return sum(lengths)
 
