@@ -14,9 +14,11 @@ form, and `check_partial_fractions` verifies that expansion against the
 family row on the whole grid, so a verify run compares the two routes.
 `brf_family` reduces each series row once to the content-free integer form
 every check reads; only `brf_u` and `BRFFamily.members` form Fractions.
-`check_partner` tests the adjoint statements on the transposes, on the
-integer columns of X, Y and V, and forms no adjoint, passing or failing;
-it and the Gram read the weighted partner rows, built once per instance.
+`check_partner` tests the adjoint statements on the transposes and forms no
+adjoint: the eigen part on V's integer rows, its rank-one tail eliminated, in
+O(N) per m, and the pencil's kernel from Y = X V (`Instance.xv_minus_y`, which
+`gevp.check_factorization` reports), so a passing m forms no kernel.  It and
+the Gram read the weighted partner rows, built once per instance.
 
 The biorthogonal partner family, `partner_family`, is a parameter
 reflection of the same family: partner_m(x) = -q^{-1} [alpha-beta-1]_q *
@@ -59,11 +61,13 @@ from .qcore import (
     _factors,
     _integer_rows,
     _monomial,
+    _mul_rows,
     _pair,
     _powers,
     _row_form,
     _running,
     _series_rows,
+    _sub_rows,
     eigenvalue,
     frac_str,
     over_common_denominator,
@@ -300,6 +304,13 @@ class Instance:
         return {g: _integer_rows(m) for g, m in self.ops.items()}
 
     @cached_property
+    def xv_minus_y(self) -> list[tuple[dict[int, int], int]]:
+        """X V - Y of `op_rows` as `_integer_rows`, which `gevp.check_factorization`
+        reports and `check_partner` reads as a premise."""
+        rows = self.op_rows
+        return _sub_rows(_mul_rows(rows["X"], rows["V"]), rows["Y"])
+
+    @cached_property
     def images(self) -> dict[str, list[list[tuple[int, int]]]]:
         """X U_n, Y U_n and Z U_n for n = 0..N, keyed by letter: `_apply` of
         `op_rows` to the ints of each family row, integer pairs in units of its scale."""
@@ -456,36 +467,63 @@ def check_partner(inst: Instance) -> CheckReport:
 
     For each m, V* partner_m = lambda_m partner_m, and the null space of the
     pencil Y* - lambda_m X* is one-dimensional with X* applied to it
-    collinear with partner_m.
-
-    As M* = W^-1 M^T W, W the diagonal of nonzero weights, each part is
-    tested on transposes with g_m = w partner_m = t_m h_m (`partner_rows`)
-    in integers: the columns of X, Y and V go over one denominator each
-    (a_y / e_y) once per call, and every comparison is `reports._residuals`.
-    - Eigen: V^T g_m = lambda_m g_m.  With (V^T h_m)_y = s_y / e_y, the
-      residual (V* partner_m - lambda_m partner_m)_y is exactly
-      (s_y / e_y - lambda_m h_y) t_m / w_y, so a failing m reports its
-      max |.| from the integers the test holds, with no adjoint formed.
-    - Kernel: ker(Y* - lambda_m X*) = W^-1 ker((Y - lambda_m X)^T), whose
-      rows, the columns of Y - lambda_m X over integers, are read on their
-      three diagonals only (X is lower bidiagonal, Y tridiagonal).
+    collinear with partner_m.  As M* = W^-1 M^T W, W the diagonal of
+    nonzero weights, each part is tested on transposes with g_m = w
+    partner_m = t_m h_m (`partner_rows`) in integers, read from `op_rows`.
+    - Eigen, O(N) per m: below its diagonal V[x][y] = c_x F(x) / F(y) (the
+      tail of `operators._v_point`) has rank one, so with rho_y = V[N][y] /
+      V[N][y+1] = pn / pd, L V^T, L unit upper bidiagonal with -rho_y at
+      (y, y+1), is V's band plus a sparse defect: the x > y+1 where
+      a_xy pd = a_x,y+1 pn fails, one integer test each per call.  z =
+      L (V^T - lambda_m) h_m, two banded products, is zero exactly when
+      the part holds; a failing m solves L r = z back from y = N for its
+      exact residual (V* partner_m - lambda_m partner_m)_y = r_y t_m / w_y.
+    - Kernel and collinearity from Y = X V: with `Instance.xv_minus_y`
+      zero, X lower bidiagonal with no zero diagonal entry, Y tridiagonal,
+      h_m nonzero, no zero (Y - lambda_m X)[i+1][i] (so the kernel of
+      (Y - lambda_m X)^T = (V - lambda_m)^T X^T has dimension at most 1)
+      and the eigen part passing, X^-T h_m spans that kernel and X^T of it
+      is h_m: m passes and no kernel is formed.
+    - Any other m: ker((Y - lambda_m X)^T), W ker(Y* - lambda_m X*), is read
+      on its three diagonals, the integer columns of Y - lambda_m X.
       `linalg.tridiagonal_kernel` gives its vector g and proves the
-      dimension; a zero superdiagonal entry sends the band, as Fractions, to
-      `linalg.null_space` instead.  A valid instance can have one: at
-      B = A q^(N-1), Y[1][0] = [1 - N - alpha + beta]_q = 0 and lambda_0 = 0.
-    - Collinearity: X* W^-1 g is collinear with partner_m exactly when X^T g
-      is collinear with g_m; g, from either route, goes in divided by its gcd.
+      dimension; a zero superdiagonal entry, as at m = 0 of a valid instance
+      with B = A q^(N-1), where Y[1][0] = [0]_q and lambda_0 = 0, sends the
+      band, as Fractions, to `linalg.null_space`.  X* W^-1 g is collinear
+      with partner_m exactly when X^T g, g over its gcd, is with g_m.
     """
-    p = inst.p
-    n1 = p.N + 1
+    p, N = inst.p, inst.p.N
     report = CheckReport(check="partner", params=p.as_dict())
-    xc, yc, vc = (_integer_rows(zip(*inst.ops[g])) for g in "XYV")  # the columns
+    xr, yr, vr = (inst.op_rows[g] for g in "XYV")
+    an = vr[N][0]
+    rho = [Fraction(an.get(y, 0), an[y + 1]) if y < N - 1 and an.get(y + 1) else 0
+           for y in range(N + 1)]  # 0 where no tail is left or V[N][y+1] = 0
+    lrows, bt = [], []
+    for y, (pn, pd) in enumerate(map(_pair, rho)):
+        lrows.append(({y: pd, y + 1: -pn} if pn else {y: 1}, pd))
+        bt.append([Fraction(c, pd * e) if (c := pd * a.get(y, 0) - pn * a.get(y + 1, 0)) else 0
+                   for a, e in vr])  # row y of L V^T
+    brows = _integer_rows(bt)
+    factored = (not any(r for r, _ in inst.xv_minus_y)
+                and all(a.keys() <= {i - 1, i} and a.get(i) for i, (a, _) in enumerate(xr))
+                and all(a.keys() <= {i - 1, i, i + 1} for i, (a, _) in enumerate(yr)))
+    xc = yc = None
     for m, (lam, (h, t)) in enumerate(zip(inst.family.lambdas, inst.partner_rows)):
-        hs = [(v, 1) for v in h]
-        resid = _residuals(_apply(vc, h), hs, lam, 1)
+        z = _residuals(_apply(brows, h), _apply(lrows, h), lam, 1)
+        resid, r = [None] * (N + 1), 0
+        if any(z):  # solve L r = z
+            for y in range(N, -1, -1):
+                r = (z[y] or 0) + rho[y] * r
+                resid[y] = r or None
         _flag_worst(report, [r and r * t / w for r, w in zip(resid, inst.weight)],
                     m=m, kind="eigen")
         num, den = _pair(lam)
+        if factored and any(h) and not any(resid) and all(
+                den * yr[i][0].get(i - 1, 0) * xr[i][1] != num * xr[i][0].get(i - 1, 0) * yr[i][1]
+                for i in range(1, N + 1)):
+            continue
+        if xc is None:
+            xc, yc = (_integer_rows(zip(*inst.ops[g])) for g in "XY")  # the columns
         band = [[den * ex * ycol.get(j, 0) - num * ey * xcol.get(j, 0) for j in (i - 1, i, i + 1)]
                 for i, ((xcol, ex), (ycol, ey)) in enumerate(zip(xc, yc))]
         sub, diag, sup = [t[0] for t in band[1:]], [t[1] for t in band], [t[2] for t in band[:-1]]
@@ -493,8 +531,8 @@ def check_partner(inst: Instance) -> CheckReport:
             g, residual = linalg.tridiagonal_kernel(sub, diag, sup)
             kernel = [] if residual else [g]
         else:
-            dense = [[Fraction(band[i][j - i + 1]) if abs(i - j) < 2 else 0 for j in range(n1)]
-                     for i in range(n1)]
+            dense = [[Fraction(band[i][j - i + 1]) if abs(i - j) < 2 else 0 for j in range(N + 1)]
+                     for i in range(N + 1)]
             kernel = [over_common_denominator(v)[0] for v in linalg.null_space(dense)]
         if len(kernel) != 1:
             report.add_violation(m=m, kind="kernel", residual=f"dimension {len(kernel)}")
@@ -505,7 +543,7 @@ def check_partner(inst: Instance) -> CheckReport:
         # r = 0 also when g_m is zero
         y0 = next((y for y, v in enumerate(h) if v), None)
         r = 0 if y0 is None else Fraction(image[y0][0], image[y0][1] * h[y0])
-        if r == 0 or any(v is not None for v in _residuals(image, hs, r, 1)):
+        if r == 0 or any(v is not None for v in _residuals(image, [(v, 1) for v in h], r, 1)):
             report.add_violation(m=m, kind="collinearity", residual="not proportional")
     return report
 

@@ -138,16 +138,18 @@ def check_gevp(inst: Instance) -> CheckReport:
 def check_factorization(inst: Instance) -> CheckReport:
     """Check Y = X V exactly in both bases, plus a forward-substitution oracle.
 
-    X V - Y is formed on integer rows.  The oracle, a second algorithm in a
-    second arithmetic, works on the dense Fraction rows: it recomputes V in
-    the point basis as the bidiagonal solve X W = Y, W_i = (Y_i - X_{i,i-1}
+    X V - Y is formed on integer rows, the point basis once per instance
+    (`Instance.xv_minus_y`, a premise of `brf.check_partner`).  The oracle,
+    a second algorithm in a second arithmetic, recomputes V on the dense
+    Fraction rows as the bidiagonal solve X W = Y, W_i = (Y_i - X_{i,i-1}
     W_{i-1}) / X_{i,i} row by row, and compares W with V entry by entry.
     """
     p = inst.p
     report = CheckReport(check="factorization", params=p.as_dict())
     phi = {g: _integer_rows(build_operator(Operator(g), Basis.PHI, p)) for g in "XYV"}
-    for basis, rows in ((Basis.POINT, inst.op_rows), (Basis.PHI, phi)):
-        resid = _fractions(_sub_rows(_mul_rows(rows["X"], rows["V"]), rows["Y"]))
+    for basis, diff in ((Basis.POINT, inst.xv_minus_y),
+                        (Basis.PHI, _sub_rows(_mul_rows(phi["X"], phi["V"]), phi["Y"]))):
+        resid = _fractions(diff)
         report.details[f"{basis.value}_residual"] = _flag_worst(report, resid, basis=basis.value)
     x, solved = inst.ops["X"], []
     for i, row in enumerate(inst.ops["Y"]):

@@ -101,11 +101,11 @@ class WilsonParams(_ExactParams):
             raise InvalidParams("parameter values must be nonzero")
         _validate_denominators(self)
 
-    @property
+    @cached_property
     def qb(self) -> Fraction:
         return self.q ** (-self.N) / self.qa
 
-    @property
+    @cached_property
     def qf(self) -> Fraction:
         return self.q ** (self.N + 1) / (self.qc * self.qd * self.qe)
 

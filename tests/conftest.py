@@ -148,14 +148,14 @@ QS = [F(1, 2), F(-1, 2), F(2), F(2, 3), F(3, 2), F(-3)]
 
 
 @st.composite
-def guarded_instances(draw):
+def guarded_instances(draw, max_n=5):
     """A guard-valid instance with A, B signed powers of q (where coefficients
-    vanish) or small rationals."""
+    vanish) or small rationals, and N <= max_n."""
     q = draw(st.sampled_from(QS))
     base = st.one_of(
         st.builds(lambda s, e: s * q**e, st.sampled_from([1, -1]), st.integers(-6, 6)),
         st.fractions(min_value=-7, max_value=7, max_denominator=7).filter(bool))
-    p = QParams(q, draw(base), draw(base), draw(st.integers(0, 5)))
+    p = QParams(q, draw(base), draw(base), draw(st.integers(0, max_n)))
     assume(qcore.validate_params(p, p.N).valid)
     return p
 

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qhahn import brf, linalg, operators, qcore
+from qhahn import brf, gevp, linalg, operators, qcore
 from qhahn.brf import (
     Instance,
     bare_norm,
@@ -57,6 +60,7 @@ from conftest import (
     bumped_family,
     count_builds,
     fraction_gram,
+    guarded_instances,
     tridiagonal_null_space,
     wilson_workload,
     with_row,
@@ -318,6 +322,55 @@ def test_partner_integer_route_equals_the_dense_route(monkeypatch, make):
     assert [(v["m"], v["kind"], v["residual"]) for v in check_partner(inst).violations] == expected
 
 
+@st.composite
+def partner_perturbations(draw):
+    """A `guarded_instances` instance, N <= 8, and one perturbation: an entry
+    of X, Y or V, row N and column 0 (V's pivots) drawn often, moved by a
+    bump or set to 0 (None), or lambda_m moved by a bump."""
+    p = draw(guarded_instances(max_n=8))
+    return (p, draw(st.sampled_from("XYVL")), draw(st.one_of(st.just(p.N), st.integers(0, p.N))),
+            draw(st.one_of(st.just(0), st.integers(0, p.N))),
+            draw(st.sampled_from([1, -1, F(1, 7), F(-5, 3), None])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(partner_perturbations())
+def test_partner_reports_as_the_dense_route_with_one_entry_perturbed(case):
+    p, what, i, j, delta = case
+    inst = Instance(p)
+    if what == "L":
+        lambdas = list(inst.family.lambdas)
+        lambdas[i] += delta or 1
+        vars(inst)["family"] = dataclasses.replace(inst.family, lambdas=tuple(lambdas))
+    else:
+        inst = perturbed_entry(p, what, i, j, -inst.ops[what][i][j] if delta is None else delta)
+    assert [(v["m"], v["kind"], v["residual"]) for v in check_partner(inst).violations] == (
+        dense_partner_violations(inst))
+
+
+def test_a_passing_partner_check_forms_no_product_with_v_and_no_kernel(monkeypatch):
+    # every m passes on the banded products of the eigen part and on Y = X V:
+    # no product with V's columns, no kernel, and X V - Y, which
+    # check_factorization reports, is formed once for the Instance
+    inst = Instance(QParams(F(1, 2), F(-5), F(1, 7), 8))
+    columns = qcore._integer_rows(zip(*inst.ops["V"]))
+    applied, kernels, products = [], [], []
+    apply = brf._apply
+    monkeypatch.setattr(brf, "_apply", lambda rows, c: applied.append(rows) or apply(rows, c))
+    for name in ("tridiagonal_kernel", "null_space"):
+        monkeypatch.setattr(linalg, name, lambda *args, name=name: kernels.append(name))
+    for module in (brf, gevp):
+        monkeypatch.setattr(module, "_mul_rows", lambda a, b, good=module._mul_rows: (
+            products.append((a, b)) or good(a, b)))
+    assert check_partner(inst).status == "pass"
+    assert check_factorization(inst).status == "pass"
+    assert check_partner(inst).status == "pass"
+    assert columns not in applied and kernels == []
+    assert max(len(row) for rows in applied for row, _ in rows) == 3
+    rows = inst.op_rows
+    assert [(a, b) for a, b in products if a is rows["X"]] == [(rows["X"], rows["V"])]
+
+
 def bumped(vector, x):
     """`vector` with 1/7 added at x."""
     return GridVector(tuple(v + (F(1, 7) if y == x else 0) for y, v in enumerate(vector)),
@@ -386,9 +439,11 @@ def test_valid_instance_with_b_equal_to_a_q_n_minus_1_passes_through_null_space(
                                QParams(F(1, 2), F(3), 3 * F(1, 2) ** 4, 5)],
                          ids=["tridiagonal_kernel", "null_space"])
 def test_partner_hands_a_content_free_kernel_vector_to_the_collinearity_test(monkeypatch, p):
-    # the kernel vectors g of (Y - lambda_m X)^T carry a common factor (118 of
-    # 157 bits at m = 4 of the first instance); the collinearity test takes g
-    # over its gcd, from either route, and a mixed partner_2 still fails it
+    # V[N][0] + 1 breaks Y = X V and leaves the pencil alone, so every m takes
+    # the kernel route and fails the eigen part only; the kernel vectors g of
+    # (Y - lambda_m X)^T carry a common factor (118 of 157 bits at m = 4 of
+    # the first instance); the collinearity test takes g over its gcd, from
+    # either route, and a mixed partner_2 still fails it
     kernels, dense, applied = [], [], []
     tridiagonal_kernel, null_space, apply = linalg.tridiagonal_kernel, linalg.null_space, brf._apply
 
@@ -405,12 +460,14 @@ def test_partner_hands_a_content_free_kernel_vector_to_the_collinearity_test(mon
     monkeypatch.setattr(linalg, "tridiagonal_kernel", tridiagonal)
     monkeypatch.setattr(linalg, "null_space", null)
     monkeypatch.setattr(brf, "_apply", lambda rows, c: applied.append(c) or apply(rows, c))
-    assert check_partner(Instance(p)).status == "pass"
+    report = check_partner(perturbed_entry(p, "V", p.N, 0, 1))
+    assert {v["kind"] for v in report.violations} == {"eigen"}
     assert len(dense) == (p.B == p.A * p.q ** (p.N - 1))
     assert max(math.gcd(*g) for g in kernels + dense) > 1
-    assert len(applied) == 2 * (p.N + 1)  # per m: V^T h_m, then X^T g
-    assert [math.gcd(*g) for g in applied[1::2]] == [1] * (p.N + 1)
-    report = check_partner(mixed_partner_2(monkeypatch, p))
+    assert len(applied) == 3 * (p.N + 1)  # per m: L V^T h_m, L h_m, then X^T g
+    assert [math.gcd(*g) for g in applied[2::3]] == [1] * (p.N + 1)
+    monkeypatch.setattr(brf, "partner_family", mixed_partners(2, 1))
+    report = check_partner(perturbed_entry(p, "V", p.N, 0, 1))
     assert (2, "collinearity") in [(v["m"], v["kind"]) for v in report.violations]
 
 

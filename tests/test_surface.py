@@ -54,6 +54,9 @@ UNREACHED = {
                          "dimension when a pencil has a zero superdiagonal entry, as "
                          "at m = 0 of a valid instance with B = A q^(N-1), where "
                          "Y[1][0] = [0]_q and lambda_0 = 0; no panel instance has one",
+    "linalg.tridiagonal_kernel": "the kernel route of `check_partner`, for an m whose "
+                                 "premises of Y = X V fail; every m of a panel instance "
+                                 "passes on X^-T h_m without forming a kernel",
     "linalg.mat_mul": "the dense product of `OpMatrix` and the tests' reference for the "
                       "integer-row products of the checks, kept while the benchmark's "
                       "tracer wraps it",

@@ -79,6 +79,18 @@ def test_parameter_constraints_hold_by_construction():
         assert wp.qa * wp.qb * wp.qc * wp.qd * wp.qe * wp.qf == wp.q
 
 
+
+def test_derived_parameters_are_computed_once_and_stay_out_of_the_identity():
+    # qb and qf are cached on first read with the values of their formulas,
+    # and ==, hash, repr and as_dict still read the six fields only
+    wp, twin = (WilsonParams(F(1, 2), F(3), F(5), F(7), F(11), 4) for _ in range(2))
+    assert wp.qb is wp.qb and wp.qf is wp.qf
+    assert (wp.qb, wp.qf) == (F(16, 3), F(1, 12320))
+    assert wp == twin and hash(wp) == hash(twin) == hash((F(1, 2), F(3), F(5), F(7), F(11), 4))
+    assert repr(wp) == ("WilsonParams(q=Fraction(1, 2), qa=Fraction(3, 1), qc=Fraction(5, 1), "
+                        "qd=Fraction(7, 1), qe=Fraction(11, 1), N=4)")
+    assert wp.as_dict() == {"q": "1/2", "qa": "3/1", "qc": "5/1", "qd": "7/1", "qe": "11/1", "N": 4}
+
 def test_u0_and_v0_are_one():
     wp = WILSON_PANEL[0]
     assert wilson_u(0, wp) == wilson_v(0, wp) == [1] * (wp.N + 1)
